@@ -15,7 +15,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from . import dependent, fuzz, pipeline, runtime
+from . import fuzz, pipeline, runtime
 from .errors import LoopcertError, ParseError
 from .parser import parse
 from .printer import show_file
@@ -99,9 +99,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ns = ap.parse_args(argv)
 
-    if getattr(ns, "no_pred_rule", False):
-        dependent.ALLOW_PRED_DEFAULT = False
-
     if ns.command == "fuzz":
         report = fuzz.fuzz_differential(ns.count, ns.seed, ns.size_bound)
         if ns.json:
@@ -125,6 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return pipeline.EXIT_PARSE
         return pipeline.EXIT_OK
 
+    allow_pred = not ns.no_pred_rule
     files = _corpus_files(list(ns.files), getattr(ns, "all", False))
     if not files:
         raise SystemExit("no input files")
@@ -132,11 +130,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in files:
         if ns.command == "check":
             report = pipeline.run_pipeline(
-                path, system=ns.system, want_trace=ns.trace, stop_after="check-source"
+                path, system=ns.system, want_trace=ns.trace, stop_after="check-source",
+                allow_pred=allow_pred,
             )
         elif ns.command == "translate":
             report = pipeline.run_pipeline(
-                path, system=ns.system, want_trace=ns.trace, stop_after="translate"
+                path, system=ns.system, want_trace=ns.trace, stop_after="translate",
+                allow_pred=allow_pred,
             )
             if report.exit_code == pipeline.EXIT_OK:
                 out_path = getattr(ns, "output", None) or os.path.splitext(path)[0] + ".t"
@@ -158,6 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args=_parse_args_list(getattr(ns, "args", None)),
                 fuel=getattr(ns, "fuel", runtime.DEFAULT_FUEL),
                 want_trace=ns.trace,
+                allow_pred=allow_pred,
             )
         _print_report(report, ns.json)
         worst = worst or report.exit_code

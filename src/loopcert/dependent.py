@@ -21,10 +21,6 @@ from .errors import CheckError
 from .printer import show
 from .simple import CheckCtx, TranslateCtx, check_header_idents, fn_over_tuple
 
-# TC_PRED_D is not part of the core functional rule set; it is forced by
-# the imperative dec rule (which retypes through pred) and is on by default.
-ALLOW_PRED_DEFAULT = True
-
 
 def neg_output(out: S.Output) -> S.Prop:
     """Defined negation of an output.
@@ -40,22 +36,22 @@ def neg_output(out: S.Output) -> S.Prop:
 # FD: functional dependent type system
 # ---------------------------------------------------------------------------
 
-def fd_check_term(
-    sigma: S.Env,
-    t: S.Term,
-    ctx: Optional[CheckCtx] = None,
-    allow_pred: Optional[bool] = None,
-) -> S.Formula:
+def fd_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.Formula:
+    """Synthesize the dependent type of t, or raise CheckError.
+
+    TC_PRED_D is not part of the core functional rule set; it is forced by
+    the imperative dec rule (which retypes through pred).  It is on unless
+    ctx.allow_pred turns it off.
+    """
     ctx = ctx or CheckCtx()
-    if allow_pred is None:
-        allow_pred = ALLOW_PRED_DEFAULT
-    return _fd(sigma, t, ctx, allow_pred)
+    return _fd(dict(sigma), t, ctx)
 
 
-def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
+# The term environment is one scoped map per check (see envs.bind).
+def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
     match t:
         case S.TVar(name):
-            ty = envs.lookup(sigma, name)
+            ty = env.get(name)
             if ty is None:
                 raise CheckError("TC_VAR", f"unbound variable '{name}'", span=t.span, reason="UnboundVariable")
             ctx.rule("TC_VAR")
@@ -64,24 +60,26 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
             ctx.rule("TC_ZERO")
             return S.FNat(S.IZero())
         case S.TSucc(arg):
-            ity = _fd_nat(sigma, arg, ctx, ap, "TC_SUCC", t.span)
+            ity = _fd_nat(env, arg, ctx, "TC_SUCC", t.span)
             ctx.rule("TC_SUCC")
             return S.FNat(S.ISucc(ity))
         case S.TPred(arg):
-            if not ap:
+            if not ctx.allow_pred:
                 raise CheckError("TC_PRED_D", "the optional pred rule is disabled", span=t.span)
-            ity = _fd_nat(sigma, arg, ctx, ap, "TC_PRED_D", t.span)
+            ity = _fd_nat(env, arg, ctx, "TC_PRED_D", t.span)
             ctx.rule("TC_PRED_D")
             return S.FNat(S.IPred(ity))
         case S.TFn(param, ann, body):
-            cod = _fd(sigma + ((param, ann),), body, ctx, ap)
+            shadowed = envs.bind(env, param, ann)
+            cod = _fd(env, body, ctx)
+            envs.unbind(env, param, shadowed)
             ctx.rule("TC_LAM")
             return S.FArrow(ann, cod)
         case S.TApp(fn, arg):
-            fnty = _fd(sigma, fn, ctx, ap)
+            fnty = _fd(env, fn, ctx)
             if not isinstance(fnty, S.FArrow):
                 raise CheckError("TC_APP", f"applied a non-function of type {show(fnty)}", span=t.span)
-            got = _fd(sigma, arg, ctx, ap)
+            got = _fd(env, arg, ctx)
             if not S.alpha_eq(got, fnty.dom):
                 raise CheckError(
                     "TC_APP", f"argument has type {show(got)}, expected {show(fnty.dom)}", span=t.span
@@ -90,11 +88,11 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
             return fnty.cod
         case S.TIndLam(var, body):
             eigen, opened = ctx.fresh.open(var, body)
-            phi = _fd(sigma, opened, ctx, ap)
+            phi = _fd(env, opened, ctx)
             ctx.rule("TC_FORALL_I")
             return _generalize(var, eigen, phi, S.FForall)
         case S.TIndApp(fn, arg):
-            fnty = _fd(sigma, fn, ctx, ap)
+            fnty = _fd(env, fn, ctx)
             if not isinstance(fnty, S.FForall):
                 raise CheckError(
                     "TC_FORALL_E", f"instantiated a non-universal of type {show(fnty)}", span=t.span
@@ -102,22 +100,25 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
             ctx.rule("TC_FORALL_E")
             return S.subst_ind(fnty.body, fnty.var, arg)
         case S.TTuple(items):
-            types = tuple(_fd(sigma, item, ctx, ap) for item in items)
+            types = tuple([_fd(env, item, ctx) for item in items])
             ctx.rule("TC_TUPLE")
             return S.FTuple(types)
         case S.TLet(name, value, body):
-            ty = _fd(sigma, value, ctx, ap)
+            ty = _fd(env, value, ctx)
             ctx.rule("TC_LET")
-            return _fd(sigma + ((name, ty),), body, ctx, ap)
+            shadowed = envs.bind(env, name, ty)
+            result = _fd(env, body, ctx)
+            envs.unbind(env, name, shadowed)
+            return result
         case S.TLetMatch(names, value, body):
-            ty = _fd(sigma, value, ctx, ap)
+            ty = _fd(env, value, ctx)
             ctx.rule("TC_MATCH")
-            return _fd_extended(sigma, names, ty, body, ctx, ap, t.span)
+            return _fd_extended(env, names, ty, body, ctx, t.span)
         case S.TPack(witness, value, ann):
             if not isinstance(ann, S.FExists):
                 raise CheckError("TC_EXISTS_I", f"pack annotation {show(ann)} is not existential", span=t.span)
             want = S.subst_ind(ann.body, ann.var, witness)
-            got = _fd(sigma, value, ctx, ap)
+            got = _fd(env, value, ctx)
             if not S.alpha_eq(got, want):
                 raise CheckError(
                     "TC_EXISTS_I", f"witness body has type {show(got)}, expected {show(want)}", span=t.span
@@ -127,9 +128,9 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
         case S.TRec(bound, base, step, motive):
             if motive is None:
                 raise CheckError("TC_REC", "dependent rec requires a motive", span=t.span, reason="MissingMotive")
-            idx = _fd_nat(sigma, bound, ctx, ap, "TC_REC", t.span)
+            idx = _fd_nat(env, bound, ctx, "TC_REC", t.span)
             base_want = S.subst_ind(motive.body, motive.var, S.IZero())
-            base_got = _fd(sigma, base, ctx, ap)
+            base_got = _fd(env, base, ctx)
             if not S.alpha_eq(base_got, base_want):
                 raise CheckError(
                     "TC_REC", f"base has type {show(base_got)}, expected {show(base_want)}", span=t.span
@@ -147,7 +148,9 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
                         S.subst_ind(motive.body, motive.var, ev),
                         S.subst_ind(motive.body, motive.var, S.ISucc(ev)),
                     )
-                    got = _fd(sigma + ((yname, S.FNat(ev)),), opened, ctx, ap)
+                    shadowed = envs.bind(env, yname, S.FNat(ev))
+                    got = _fd(env, opened, ctx)
+                    envs.unbind(env, yname, shadowed)
                     if not S.alpha_eq(got, want):
                         raise CheckError(
                             "TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span
@@ -171,13 +174,13 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
                 "TC_AX", f"'{show(left)} = {show(right)}' is not an axiom instance", span=t.span, reason="NoAxiom"
             )
         case S.TCoerce(subject, fam, proof):
-            proof_ty = _fd(sigma, proof, ctx, ap)
+            proof_ty = _fd(env, proof, ctx)
             if not isinstance(proof_ty, S.FEq):
                 raise CheckError(
                     "TC_EQUAL_E", f"coercion proof has type {show(proof_ty)}, expected an equation", span=t.span
                 )
             want = S.subst_ind(fam.body, fam.var, proof_ty.right)
-            got = _fd(sigma, subject, ctx, ap)
+            got = _fd(env, subject, ctx)
             if not S.alpha_eq(got, want):
                 raise CheckError(
                     "TC_EQUAL_E", f"subject has type {show(got)}, expected {show(want)}", span=t.span
@@ -185,13 +188,13 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
             ctx.rule("TC_EQUAL_E")
             return S.subst_ind(fam.body, fam.var, proof_ty.left)
         case S.TThrow(ann, cont, arg):
-            cont_ty = _fd(sigma, cont, ctx, ap)
+            cont_ty = _fd(env, cont, ctx)
             negated = S.as_neg_f(cont_ty)
             if negated is None:
                 raise CheckError(
                     "TC_THROW", f"throw target has type {show(cont_ty)}, expected a negation", span=t.span
                 )
-            got = _fd(sigma, arg, ctx, ap)
+            got = _fd(env, arg, ctx)
             if not S.alpha_eq(got, negated):
                 raise CheckError(
                     "TC_THROW", f"thrown value has type {show(got)}, expected {show(negated)}", span=t.span
@@ -199,7 +202,7 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
             ctx.rule("TC_THROW")
             return ann
         case S.TCallcc(arg):
-            ty = _fd(sigma, arg, ctx, ap)
+            ty = _fd(env, arg, ctx)
             shape_err = CheckError(
                 "TC_CALLCC", f"callcc argument has type {show(ty)}, expected ~phi -> phi", span=t.span
             )
@@ -215,20 +218,19 @@ def _fd(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool) -> S.Formula:
     raise CheckError("FD", f"unhandled term {show(t)}", span=getattr(t, "span", None))
 
 
-def _fd_nat(sigma: S.Env, t: S.Term, ctx: CheckCtx, ap: bool, rule: str, span) -> S.Ind:
-    ty = _fd(sigma, t, ctx, ap)
+def _fd_nat(env: dict, t: S.Term, ctx: CheckCtx, rule: str, span) -> S.Ind:
+    ty = _fd(env, t, ctx)
     if not isinstance(ty, S.FNat) or ty.index is None:
         raise CheckError(rule, f"expected an indexed nat, found {show(ty)}", span=span)
     return ty.index
 
 
 def _fd_extended(
-    sigma: S.Env,
+    env: dict,
     names: Tuple[str, ...],
     phi: S.Formula,
     body: S.Term,
     ctx: CheckCtx,
-    ap: bool,
     span,
 ) -> S.Formula:
     """Sigma, <x...> : phi |- body (TC_PRODUCT / TC_EXISTS)."""
@@ -245,7 +247,7 @@ def _fd_extended(
         phi_open = S.subst_ind(phi.body, phi.var, ev)
         body_open = S.subst_ind(body.body, body.var, ev)
         ctx.rule("TC_EXISTS")
-        result = _fd_extended(sigma, names, phi_open, body_open, ctx, ap, span)
+        result = _fd_extended(env, names, phi_open, body_open, ctx, span)
         if eigen in S.free_ind_vars(result):
             raise CheckError(
                 "TC_EXISTS",
@@ -262,7 +264,10 @@ def _fd_extended(
                 span=span,
             )
         ctx.rule("TC_PRODUCT")
-        return _fd(sigma + tuple(zip(names, phi.items)), body, ctx, ap)
+        saved = envs.bind_all(env, names, phi.items)
+        result = _fd(env, body, ctx)
+        envs.unbind_all(env, names, saved)
+        return result
     raise CheckError("TC_PRODUCT", f"cannot match a tuple pattern against {show(phi)}", span=span)
 
 

@@ -4,7 +4,14 @@ split, init, zip and their quantified-environment variants.
 Environments are ordered ident:type lists; lookup returns the rightmost
 binding and update rebinds the rightmost occurrence, so shadowing and
 ordering are observable (split exposes the order, and the translation's
-tuple layout follows it).
+tuple layout follows it).  The imperative checkers keep their stores and
+constants in these.
+
+The functional checkers keep their term environment in a scoped map
+instead: one dict per check, where `bind` sets a name before a binder's
+body is checked and `unbind` puts back what it shadowed afterwards.  A
+lookup is a dict lookup that sees the innermost binding, which is the
+rightmost one of the tuple environment the map stands for.
 """
 
 from __future__ import annotations
@@ -22,6 +29,34 @@ from .syntax import (
     QSimple,
     alpha_eq,
 )
+
+
+_UNBOUND = object()
+
+
+def bind(scope: dict, name: str, ty: Any) -> Any:
+    """Bind name in a scoped map; returns what unbind needs to undo it."""
+    shadowed = scope.get(name, _UNBOUND)
+    scope[name] = ty
+    return shadowed
+
+
+def unbind(scope: dict, name: str, shadowed: Any) -> None:
+    if shadowed is _UNBOUND:
+        del scope[name]
+    else:
+        scope[name] = shadowed
+
+
+def bind_all(scope: dict, names: Tuple[str, ...], types: Tuple[Any, ...]) -> list:
+    """Bind names left to right, so a repeated name ends on its last type."""
+    return [bind(scope, name, ty) for name, ty in zip(names, types)]
+
+
+def unbind_all(scope: dict, names: Tuple[str, ...], shadowed: list) -> None:
+    """Undo bind_all right to left, so a repeated name gets its outer value."""
+    for k in range(len(shadowed) - 1, -1, -1):
+        unbind(scope, names[k], shadowed[k])
 
 
 def lookup(env: Env, name: str) -> Optional[Any]:

@@ -6,6 +6,7 @@ symbols are accepted as aliases; the printer emits ASCII only.
 
 from __future__ import annotations
 
+import re
 from typing import Any, List, Optional, Tuple
 
 from . import syntax as S
@@ -24,8 +25,22 @@ _UNICODE = {
     "→": "->", "⇒": "=>", "λ": "lam",
 }
 
-_TWO_CHAR = (":=", ":>", "<:", "=>", "->")
-_ONE_CHAR = "{}[]()<>,;:.=~*?/"
+# One match per token: horizontal layout is skipped in front of it, and
+# the alternatives are newline, comment, punctuator, word, digits and any
+# other character (which `_lex_other` looks at).  A digit run that goes on
+# into a non-ASCII digit (str.isdigit, wider than [0-9]) is left to
+# `_lex_other` too, so int tokens span exactly the isdigit runs.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\n)"
+    r"|(//[^\n]*)"
+    r"|(:=|:>|<:|=>|->|[{}\[\]()<>,;:.=~*?/])"
+    r"|([A-Za-z_]\w*)"
+    r"|([0-9]+(?![0-9]|[^\x00-\x7f]))"
+    r"|([^ \t\r\n]))"
+)
+_NEWLINE, _COMMENT, _PUNCT, _WORD, _INT = range(1, 6)  # group 6: any other character
+_WORD_TAIL = re.compile(r"\w*")  # str.isalnum() or "_", exactly
 
 
 class Token:
@@ -44,69 +59,54 @@ class Token:
 def lex(text: str) -> Tuple[List[Token], List[str]]:
     tokens: List[Token] = []
     notes: List[str] = []
-    line, col, k = 1, 1, 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        if ch == "\n":
+    match = _TOKEN.match
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = match(text, pos)
+        if m is None:  # only layout is left
+            break
+        group = m.lastindex
+        start, pos = m.span(group)
+        if group == _PUNCT:
+            tokens.append(Token("punct", text[start:pos], line, start - line_start + 1))
+        elif group == _WORD:
+            word = text[start:pos]
+            tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, start - line_start + 1))
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            k += 1
-            continue
-        if ch in " \t\r":
-            k += 1
-            col += 1
-            continue
-        if text.startswith("//", k):
-            end = text.find("\n", k)
-            end = n if end == -1 else end
-            comment = text[k + 2 : end].strip()
+            line_start = pos
+        elif group == _INT:
+            tokens.append(Token("int", text[start:pos], line, start - line_start + 1))
+        elif group == _COMMENT:
+            comment = text[start + 2 : pos].strip()
             if comment.startswith("note:"):
                 notes.append(comment[5:].strip())
-            col += end - k
-            k = end
-            continue
-        if ch in _UNICODE:
-            alias = _UNICODE[ch]
-            if alias in KEYWORDS:
-                tokens.append(Token("kw", alias, line, col))
-            else:
-                tokens.append(Token("punct", alias, line, col))
-            k += 1
-            col += 1
-            continue
-        two = text[k : k + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, line, col))
-            k += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[k:j], line, col))
-            col += j - k
-            k = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = k
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[k:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - k
-            k = j
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, line, col))
-            k += 1
-            col += 1
-            continue
-        raise ParseError(f"unsupported character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        else:
+            pos = _lex_other(text, start, line, start - line_start + 1, tokens)
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens, notes
+
+
+def _lex_other(text: str, pos: int, line: int, col: int, tokens: List[Token]) -> int:
+    """One token at a character outside the ASCII fast paths: a Unicode
+    alias, a digit run, or an identifier; returns the offset after it."""
+    ch = text[pos]
+    alias = _UNICODE.get(ch)
+    if alias is not None:
+        tokens.append(Token("kw" if alias in KEYWORDS else "punct", alias, line, col))
+        return pos + 1
+    if ch.isdigit():
+        end = pos + 1
+        while end < len(text) and text[end].isdigit():
+            end += 1
+        tokens.append(Token("int", text[pos:end], line, col))
+        return end
+    if ch.isalpha():
+        end = _WORD_TAIL.match(text, pos + 1).end()
+        word = text[pos:end]
+        tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
+        return end
+    raise ParseError(f"unsupported character {ch!r}", line, col)
 
 
 class Parser:
@@ -119,7 +119,10 @@ class Parser:
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:
+            return self.tokens[-1]  # eof
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]

@@ -73,9 +73,12 @@ class TranslatedFile:
     target: S.SourceFile  # the functional-discipline image
 
 
-def check_source(sf: S.SourceFile, trace: Optional[List[str]] = None) -> CheckedFile:
-    """Check every cst and the main sequence of a file, any discipline."""
-    ctx = CheckCtx(trace=trace if trace is not None else [])
+def check_source(
+    sf: S.SourceFile, trace: Optional[List[str]] = None, allow_pred: bool = True
+) -> CheckedFile:
+    """Check every cst and the main sequence of a file, any discipline.
+    allow_pred turns the optional TC_PRED_D rule of FD checking on or off."""
+    ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
     types: List[Tuple[str, Any]] = []
     gamma: S.Env = ()
     if sf.discipline == "IS":
@@ -150,10 +153,14 @@ def translate_file(sf: S.SourceFile) -> TranslatedFile:
 
 
 def check_target(
-    sf: S.SourceFile, checked: CheckedFile, translated: TranslatedFile, trace: Optional[List[str]] = None
+    sf: S.SourceFile,
+    checked: CheckedFile,
+    translated: TranslatedFile,
+    trace: Optional[List[str]] = None,
+    allow_pred: bool = True,
 ) -> Tuple[Tuple[str, S.Formula], ...]:
     """Re-check the translation and verify type preservation."""
-    ctx = CheckCtx(trace=trace if trace is not None else [])
+    ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
     functional_check = simple.fs_check_term if sf.discipline == "IS" else dependent.fd_check_term
     type_image = simple.translate_is_type if sf.discipline == "IS" else dependent.translate_id_type
     sigma: S.Env = ()
@@ -236,6 +243,7 @@ def run_pipeline(
     do_eval: bool = True,
     want_trace: bool = False,
     stop_after: str = "evaluate",
+    allow_pred: bool = True,
 ) -> Report:
     report = Report(file=path)
     if text is None:
@@ -265,7 +273,7 @@ def run_pipeline(
     start = time.monotonic()
     trace: List[str] = []
     try:
-        checked = check_source(sf, trace)
+        checked = check_source(sf, trace, allow_pred)
     except CheckError as ex:
         report.phase("check-source", False, time.monotonic() - start, {})
         report.diag(ex.rule, ex.span, ex.message)
@@ -310,7 +318,7 @@ def run_pipeline(
     start = time.monotonic()
     trace2: List[str] = []
     try:
-        target_types = check_target(sf, checked, translated, trace2)
+        target_types = check_target(sf, checked, translated, trace2, allow_pred)
     except CheckError as ex:
         report.phase("check-target", False, time.monotonic() - start, {})
         report.diag(ex.rule, ex.span, ex.message)

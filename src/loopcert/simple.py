@@ -14,15 +14,22 @@ from typing import List, Optional, Tuple
 from . import envs
 from . import syntax as S
 from .errors import CheckError
-from .printer import show
+from .printer import show, show_env
 
 
 class CheckCtx:
-    """Per-run checker state: rule trace and warnings."""
+    """Per-run checker state: rule trace, warnings, and whether the
+    optional TC_PRED_D rule of the dependent checker is on."""
 
-    def __init__(self, trace: Optional[List[str]] = None, warnings: Optional[List[str]] = None):
+    def __init__(
+        self,
+        trace: Optional[List[str]] = None,
+        warnings: Optional[List[str]] = None,
+        allow_pred: bool = True,
+    ):
         self.trace = trace
         self.warnings = warnings if warnings is not None else []
+        self.allow_pred = allow_pred
         self.fresh = S.Freshener()
 
     def rule(self, label: str) -> None:
@@ -64,13 +71,14 @@ def fs_derivation(sigma: S.Env, t: S.Term) -> FsDerivationReport:
 def fs_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.Formula:
     """Synthesize the unique simple type of t, or raise CheckError."""
     ctx = ctx or CheckCtx()
-    return _fs(sigma, t, ctx)
+    return _fs(dict(sigma), t, ctx)
 
 
-def _fs(sigma: S.Env, t: S.Term, ctx: CheckCtx) -> S.Formula:
+# The term environment is one scoped map per check (see envs.bind).
+def _fs(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
     match t:
         case S.TVar(name):
-            ty = envs.lookup(sigma, name)
+            ty = env.get(name)
             if ty is None:
                 raise CheckError("TC_VAR", f"unbound variable '{name}'", span=t.span, reason="UnboundVariable")
             ctx.rule("TC_VAR")
@@ -79,44 +87,49 @@ def _fs(sigma: S.Env, t: S.Term, ctx: CheckCtx) -> S.Formula:
             ctx.rule("TC_ZERO")
             return S.FNat(None)
         case S.TSucc(arg):
-            _expect(_fs(sigma, arg, ctx), S.FNat(None), "TC_SUCC", t.span)
+            _expect(_fs(env, arg, ctx), S.FNat(None), "TC_SUCC", t.span)
             ctx.rule("TC_SUCC")
             return S.FNat(None)
         case S.TPred(arg):
-            _expect(_fs(sigma, arg, ctx), S.FNat(None), "TC_PRED", t.span)
+            _expect(_fs(env, arg, ctx), S.FNat(None), "TC_PRED", t.span)
             ctx.rule("TC_PRED")
             return S.FNat(None)
         case S.TFn(param, ann, body):
             _simple_formula(ann, t.span)
-            cod = _fs(sigma + ((param, ann),), body, ctx)
+            shadowed = envs.bind(env, param, ann)
+            cod = _fs(env, body, ctx)
+            envs.unbind(env, param, shadowed)
             ctx.rule("TC_LAM")
             return S.FArrow(ann, cod)
         case S.TApp(fn, arg):
-            fnty = _fs(sigma, fn, ctx)
+            fnty = _fs(env, fn, ctx)
             if not isinstance(fnty, S.FArrow):
                 raise CheckError("TC_APP", f"applied a non-function of type {show(fnty)}", span=t.span)
-            _expect(_fs(sigma, arg, ctx), fnty.dom, "TC_APP", t.span)
+            _expect(_fs(env, arg, ctx), fnty.dom, "TC_APP", t.span)
             ctx.rule("TC_APP")
             return fnty.cod
         case S.TRec(bound, base, step, motive):
             if motive is not None:
                 raise CheckError("TC_REC", "simple rec carries no motive", span=t.span)
-            _expect(_fs(sigma, bound, ctx), S.FNat(None), "TC_REC", t.span)
-            tau = _fs(sigma, base, ctx)
+            _expect(_fs(env, bound, ctx), S.FNat(None), "TC_REC", t.span)
+            tau = _fs(env, base, ctx)
             expected = S.FArrow(S.FNat(None), S.FArrow(tau, tau))
-            _expect(_fs(sigma, step, ctx), expected, "TC_REC", t.span)
+            _expect(_fs(env, step, ctx), expected, "TC_REC", t.span)
             ctx.rule("TC_REC")
             return tau
         case S.TTuple(items):
-            types = tuple(_fs(sigma, item, ctx) for item in items)
+            types = tuple([_fs(env, item, ctx) for item in items])
             ctx.rule("TC_TUPLE")
             return S.FTuple(types)
         case S.TLet(name, value, body):
-            ty = _fs(sigma, value, ctx)
+            ty = _fs(env, value, ctx)
             ctx.rule("TC_LET")
-            return _fs(sigma + ((name, ty),), body, ctx)
+            shadowed = envs.bind(env, name, ty)
+            result = _fs(env, body, ctx)
+            envs.unbind(env, name, shadowed)
+            return result
         case S.TLetMatch(names, value, body):
-            ty = _fs(sigma, value, ctx)
+            ty = _fs(env, value, ctx)
             if not isinstance(ty, S.FTuple) or len(ty.items) != len(names):
                 raise CheckError(
                     "TC_MATCH",
@@ -125,8 +138,10 @@ def _fs(sigma: S.Env, t: S.Term, ctx: CheckCtx) -> S.Formula:
                 )
             ctx.rule("TC_MATCH")
             ctx.rule("TCTE_PRODUCT")
-            extended = sigma + tuple(zip(names, ty.items))
-            return _fs(extended, body, ctx)
+            saved = envs.bind_all(env, names, ty.items)
+            result = _fs(env, body, ctx)
+            envs.unbind_all(env, names, saved)
+            return result
     raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
 
 
@@ -231,12 +246,6 @@ def is_check_header(gamma: S.Env, header: S.Header, ctx: CheckCtx, span=None) ->
         )
     _, param_types = envs.split(header.params)
     return S.ProtoBase(param_types, S.OSimple(types))
-
-
-def show_env(env: S.Env) -> str:
-    from .printer import show_env as _se
-
-    return _se(env)
 
 
 def is_check_seq(gamma: S.Env, omega: S.Env, s: S.Seq, ctx: Optional[CheckCtx] = None) -> S.Env:

@@ -13,8 +13,8 @@ All nodes are immutable; operations in this module are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Optional, Tuple
 
 Span = Tuple[int, int]  # (line, column)
 
@@ -693,28 +693,55 @@ class SourceFile(Node):
 # Generic traversal machinery
 # ---------------------------------------------------------------------------
 
-_FIELD_CACHE: dict = {}
+# Field annotations whose values never hold syntax; traversals for
+# substitution and free variables skip them.
+_ATOM_TYPES = frozenset({"str", "int", "Optional[str]", "Tuple[str, ...]"})
+
+
+class _Plan:
+    """What the generic traversals need to know about one node class,
+    worked out once per class instead of at every node."""
+
+    __slots__ = ("cls", "fields", "syntax_fields", "has_span", "ind_binds", "term_binds",
+                 "handled", "binder_fields")
+
+    def __init__(self, cls: type) -> None:
+        all_fields = fields(cls)
+        self.cls = cls
+        self.has_span = all_fields[-1].name == "span" if all_fields else False
+        own = all_fields[:-1] if self.has_span else all_fields
+        assert all(f.name != "span" for f in own), f"{cls.__name__}: span must come last"
+        self.fields = tuple(f.name for f in own)
+        self.syntax_fields = tuple(f.name for f in own if f.type not in _ATOM_TYPES)
+        self.ind_binds = getattr(cls, "_binds_ind", ())
+        self.term_binds = getattr(cls, "_binds_term", ())
+        # fields _subst leaves to the binder handling
+        self.handled = frozenset(f for _, scoped in self.ind_binds for f in scoped) | {
+            bf for bf, _ in self.ind_binds
+        }
+        self.binder_fields = frozenset(bf for bf, _ in self.ind_binds + self.term_binds)
+
+    def build(self, node: Node, changes: dict) -> Node:
+        """A copy of node with some fields replaced, its span kept."""
+        values = [changes[f] if f in changes else getattr(node, f) for f in self.fields]
+        if self.has_span:
+            values.append(node.span)
+        return self.cls(*values)
+
+
+def _dataclass_nodes(cls: type):
+    for sub in cls.__subclasses__():
+        if is_dataclass(sub):
+            yield sub
+        yield from _dataclass_nodes(sub)
+
+
+# every concrete node class; any other value (str, int, None) has no plan
+_PLANS = {cls: _Plan(cls) for cls in _dataclass_nodes(Node)}
 
 
 def node_fields(node: Node) -> Tuple[str, ...]:
-    cls = type(node)
-    cached = _FIELD_CACHE.get(cls)
-    if cached is None:
-        cached = tuple(f.name for f in fields(cls) if f.name != "span")
-        _FIELD_CACHE[cls] = cached
-    return cached
-
-
-def _binder_spec(node: Node) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-    return getattr(type(node), "_binds_ind", ())
-
-
-def _child_values(value: Any) -> Iterator[Any]:
-    if isinstance(value, Node):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _child_values(item)
+    return _PLANS[type(node)].fields
 
 
 def free_ind_vars(node: Any) -> frozenset:
@@ -725,35 +752,37 @@ def free_ind_vars(node: Any) -> frozenset:
 
 
 def _free_ind(value: Any, acc: set, bound: Tuple[str, ...]) -> None:
-    if isinstance(value, IVar):
+    cls = type(value)
+    if cls is IVar:
         if value.name not in bound:
             acc.add(value.name)
         return
-    if isinstance(value, Node):
-        spec = _binder_spec(value)
-        bound_fields = {}
-        for binder_field, scoped in spec:
-            binder = getattr(value, binder_field)
-            if binder is not None:
-                for name in scoped:
-                    bound_fields.setdefault(name, []).append(binder)
-        for fname in node_fields(value):
-            extra = tuple(bound_fields.get(fname, ()))
-            _free_ind(getattr(value, fname), acc, bound + extra)
-        return
-    if isinstance(value, tuple):
+    if cls is tuple:
         for item in value:
             _free_ind(item, acc, bound)
+        return
+    plan = _PLANS.get(cls)
+    if plan is None:
+        return
+    if not plan.ind_binds:
+        for fname in plan.syntax_fields:
+            _free_ind(getattr(value, fname), acc, bound)
+        return
+    bound_fields: dict = {}
+    for binder_field, scoped in plan.ind_binds:
+        binder = getattr(value, binder_field)
+        if binder is not None:
+            for name in scoped:
+                bound_fields.setdefault(name, []).append(binder)
+    for fname in plan.syntax_fields:
+        extra = bound_fields.get(fname)
+        _free_ind(getattr(value, fname), acc, bound + tuple(extra) if extra else bound)
 
 
 def _rebuild(node: Node, **changes: Any) -> Node:
     if not changes:
         return node
-    kwargs = {name: getattr(node, name) for name in node_fields(node)}
-    if hasattr(node, "span"):
-        kwargs["span"] = node.span
-    kwargs.update(changes)
-    return type(node)(**kwargs)
+    return _PLANS[type(node)].build(node, changes)
 
 
 def subst_ind(value: Any, name: str, replacement: Ind) -> Any:
@@ -761,29 +790,49 @@ def subst_ind(value: Any, name: str, replacement: Ind) -> Any:
 
     Works uniformly over every category admitting meta-application;
     binders that would capture free variables of the replacement are
-    renamed first.
+    renamed first.  Subtrees in which nothing changes are shared with
+    the input: when name is not free in value, value itself is returned.
     """
     free_repl = free_ind_vars(replacement)
     return _subst(value, {name: replacement}, free_repl)
 
 
 def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
-    if isinstance(value, IVar):
+    cls = type(value)
+    if cls is IVar:
         return sub.get(value.name, value)
-    if isinstance(value, tuple):
-        return tuple(_subst(item, sub, free_repl) for item in value)
-    if not isinstance(value, Node):
+    if cls is tuple:
+        out = None
+        for k, item in enumerate(value):
+            new = _subst(item, sub, free_repl)
+            if new is not item:
+                if out is None:
+                    out = list(value[:k])
+                out.append(new)
+            elif out is not None:
+                out.append(item)
+        return value if out is None else tuple(out)
+    plan = _PLANS.get(cls)
+    if plan is None:
         return value
-    spec = _binder_spec(value)
-    if not spec:
-        changes = {
-            fname: _subst(getattr(value, fname), sub, free_repl)
-            for fname in node_fields(value)
-        }
-        return _rebuild(value, **changes)
-    # a binding node: drop shadowed substitutions, rename to avoid capture
+    if plan.ind_binds:
+        return _subst_binder(value, plan, sub, free_repl)
+    changes = None
+    for fname in plan.syntax_fields:
+        old = getattr(value, fname)
+        new = _subst(old, sub, free_repl)
+        if new is not old:
+            if changes is None:
+                changes = {}
+            changes[fname] = new
+    return value if changes is None else plan.build(value, changes)
+
+
+def _subst_binder(value: Node, plan: _Plan, sub: dict, free_repl: frozenset) -> Node:
+    """_subst at a node binding individuals: drop shadowed substitutions,
+    rename the binder where it would capture a variable of the replacement."""
     changes: dict = {}
-    for binder_field, scoped in spec:
+    for binder_field, scoped in plan.ind_binds:
         binder = getattr(value, binder_field)
         if binder is None:
             # an absent binder (index-free loops) binds nothing
@@ -791,11 +840,13 @@ def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
                 changes[f] = _subst(getattr(value, f), sub, free_repl)
             continue
         live = {k: v for k, v in sub.items() if k != binder}
-        live = {
-            k: v
-            for k, v in live.items()
-            if any(_occurs(getattr(value, f), k) for f in scoped)
-        }
+        if binder in free_repl:
+            # rename only when a substitution really reaches under the binder
+            live = {
+                k: v
+                for k, v in live.items()
+                if any(_occurs(getattr(value, f), k) for f in scoped)
+            }
         if not live:
             continue
         if binder in free_repl:
@@ -807,13 +858,13 @@ def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
         for f in scoped:
             base = changes.get(f, getattr(value, f))
             changes[f] = _subst(base, live, free_repl)
-    handled = {f for bf, scoped in spec for f in scoped} | {bf for bf, _ in spec}
-    for fname in node_fields(value):
-        if fname in handled:
-            changes.setdefault(fname, getattr(value, fname))
-        else:
+    for fname in plan.syntax_fields:
+        if fname not in plan.handled:
             changes[fname] = _subst(getattr(value, fname), sub, free_repl)
-    return _rebuild(value, **changes)
+    for fname, new in changes.items():
+        if new is not getattr(value, fname):
+            return plan.build(value, changes)
+    return value
 
 
 def _occurs(value: Any, name: str) -> bool:
@@ -875,42 +926,38 @@ def alpha_eq(a: Any, b: Any) -> bool:
     binders and term-level binders alike).
 
     All equality premises of the typing rules dispatch through this; no
-    arithmetic normalization is ever performed.
+    arithmetic normalization is ever performed.  Structural equality
+    (spans do not compare) implies alpha-equivalence, so it is tried
+    first; the renaming-aware walk runs only when it fails.
     """
+    if a is b or a == b:
+        return True
     return _alpha(a, b, ({}, {}), ({}, {}), 0)
 
 
-def _term_binder_spec(node: Node) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-    return getattr(type(node), "_binds_term", ())
-
-
-def _binder_names(value: Any) -> Tuple[str, ...]:
-    return value if isinstance(value, tuple) else (value,)
-
-
 def _alpha(a: Any, b: Any, la: tuple, lb: tuple, depth: int) -> bool:
-    if isinstance(a, IVar) or isinstance(b, IVar):
-        if not (isinstance(a, IVar) and isinstance(b, IVar)):
+    ca, cb = type(a), type(b)
+    if ca is IVar or cb is IVar:
+        if ca is not cb:
             return False
         ia, ib = la[0].get(a.name), lb[0].get(b.name)
         if ia is None and ib is None:
             return a.name == b.name
         return ia == ib
-    if isinstance(a, TVar) or isinstance(b, TVar):
-        if not (isinstance(a, TVar) and isinstance(b, TVar)):
+    if ca is TVar or cb is TVar:
+        if ca is not cb:
             return False
         ia, ib = la[1].get(a.name), lb[1].get(b.name)
         if ia is None and ib is None:
             return a.name == b.name
         return ia == ib
-    if isinstance(a, Node) or isinstance(b, Node):
-        if type(a) is not type(b):
+    plan = _PLANS.get(ca)
+    if plan is not None or isinstance(b, Node):
+        if ca is not cb:
             return False
-        ind_spec = _binder_spec(a)
-        term_spec = _term_binder_spec(a)
         scoped_fields: set = set()
         la2, lb2 = la, lb
-        for kind, spec in ((0, ind_spec), (1, term_spec)):
+        for kind, spec in ((0, plan.ind_binds), (1, plan.term_binds)):
             for binder_field, scoped in spec:
                 ba = getattr(a, binder_field)
                 bb = getattr(b, binder_field)
@@ -918,7 +965,8 @@ def _alpha(a: Any, b: Any, la: tuple, lb: tuple, depth: int) -> bool:
                     return False
                 if ba is None:
                     continue
-                na, nb = _binder_names(ba), _binder_names(bb)
+                na = ba if type(ba) is tuple else (ba,)
+                nb = bb if type(bb) is tuple else (bb,)
                 if len(na) != len(nb):
                     return False
                 if la2 is la:
@@ -929,19 +977,22 @@ def _alpha(a: Any, b: Any, la: tuple, lb: tuple, depth: int) -> bool:
                     lb2[kind][xb] = depth
                     depth += 1
                 scoped_fields.update(scoped)
-        binder_fields = {bf for bf, _ in ind_spec} | {bf for bf, _ in term_spec}
-        for fname in node_fields(a):
-            if fname in binder_fields:
+        for fname in plan.fields:
+            if fname in plan.binder_fields:
                 continue
-            ea, eb = getattr(a, fname), getattr(b, fname)
-            scope_a, scope_b = (la2, lb2) if fname in scoped_fields else (la, lb)
-            if not _alpha(ea, eb, scope_a, scope_b, depth):
+            if fname in scoped_fields:
+                if not _alpha(getattr(a, fname), getattr(b, fname), la2, lb2, depth):
+                    return False
+            elif not _alpha(getattr(a, fname), getattr(b, fname), la, lb, depth):
                 return False
         return True
-    if isinstance(a, tuple) and isinstance(b, tuple):
+    if ca is tuple and cb is tuple:
         if len(a) != len(b):
             return False
-        return all(_alpha(x, y, la, lb, depth) for x, y in zip(a, b))
+        for x, y in zip(a, b):
+            if not _alpha(x, y, la, lb, depth):
+                return False
+        return True
     return a == b
 
 

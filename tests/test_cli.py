@@ -101,3 +101,13 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_no_pred_rule_applies_to_its_own_run_only(capsys):
+    path = os.path.join(CORPUS, "dec_pred.loop")
+    assert run_cli(["pipeline", "--no-pred-rule", "--json", path]) == pipeline.EXIT_TARGET
+    report = json.loads(capsys.readouterr().out)
+    assert [d["rule"] for d in report["diagnostics"]] == ["TC_PRED_D"]
+    assert pipeline.run_pipeline(path).exit_code == pipeline.EXIT_OK
+    assert pipeline.run_pipeline(path, allow_pred=False).exit_code == pipeline.EXIT_TARGET
+    assert run_cli(["pipeline", path]) == pipeline.EXIT_OK

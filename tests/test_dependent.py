@@ -17,7 +17,7 @@ from loopcert.parser import (
     parse_term,
 )
 from loopcert.printer import show
-from loopcert.simple import TranslateCtx
+from loopcert.simple import CheckCtx, TranslateCtx
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +91,10 @@ def test_fd_dependent_rec_bad_step_rejected():
 
 def test_fd_pred_gated():
     t = parse_term("fn x : nat(succ(0)) => pred(x)")
-    ty = dependent.fd_check_term((), t, allow_pred=True)
+    ty = dependent.fd_check_term((), t, CheckCtx(allow_pred=True))
     assert S.alpha_eq(ty, parse_formula("nat(succ(0)) -> nat(pred(succ(0)))"))
     with pytest.raises(CheckError) as err:
-        dependent.fd_check_term((), t, allow_pred=False)
+        dependent.fd_check_term((), t, CheckCtx(allow_pred=False))
     assert err.value.rule == "TC_PRED_D"
 
 

@@ -167,6 +167,126 @@ def test_open_deterministic_given_avoid():
     assert a1 != "n" and S.is_eigen(a1)
 
 
+def test_subst_returns_input_when_variable_not_free():
+    rng = random.Random(11)
+    for _ in range(150):
+        phi = gen.gen_formula(rng, 4, vars_=("n", "m"))
+        assert S.subst_ind(phi, "x", S.IVar("n")) is phi
+        q = gen.gen_qenv(rng, 3, vars_=("n", "m"))
+        assert S.subst_ind(q, "x", S.ISucc(S.IVar("m"))) is q
+        t = gen.gen_term(rng, 4, ivars=("n",))
+        assert S.subst_ind(t, "x", S.IZero()) is t
+    # bound, not free: shadowed, and under a binder the replacement would capture
+    shadowed = parse_formula("exists x. nat(add(x, n))")
+    assert S.subst_ind(shadowed, "x", S.IZero()) is shadowed
+    capture = parse_formula("forall m. nat(m)")
+    assert S.subst_ind(capture, "n", S.IVar("m")) is capture
+
+
+def test_subst_shares_unchanged_subtrees():
+    phi = parse_formula("<nat(m), nat(n), forall k. nat(m)> -> nat(n)")
+    out = S.subst_ind(phi, "n", S.IZero())
+    assert out.dom.items[0] is phi.dom.items[0]
+    assert out.dom.items[2] is phi.dom.items[2]
+    assert out.dom.items[1] == S.FNat(S.IZero()) and out.cod == S.FNat(S.IZero())
+
+
+def test_subst_keeps_spans():
+    t = S.TIndApp(S.TVar("f", span=(3, 4)), S.IVar("n"), span=(3, 1))
+    out = S.subst_ind(t, "n", S.IZero())
+    assert out.span == (3, 1) and out.fn is t.fn and out.arg == S.IZero()
+
+
+# ---------------------------------------------------------------------------
+# alpha_eq against the reflective walk
+# ---------------------------------------------------------------------------
+
+def _reflective_alpha(a, b, la, lb, depth):
+    """alpha equivalence by reflection over the dataclass fields at every
+    node, as the kernel computed it before it cached per-class plans and
+    tried structural equality first."""
+    if isinstance(a, S.IVar) or isinstance(b, S.IVar) or isinstance(a, S.TVar) or isinstance(b, S.TVar):
+        if type(a) is not type(b):
+            return False
+        kind = 0 if isinstance(a, S.IVar) else 1
+        ia, ib = la[kind].get(a.name), lb[kind].get(b.name)
+        return a.name == b.name if ia is None and ib is None else ia == ib
+    if isinstance(a, S.Node) or isinstance(b, S.Node):
+        if type(a) is not type(b):
+            return False
+        la2, lb2 = (dict(la[0]), dict(la[1])), (dict(lb[0]), dict(lb[1]))
+        scoped_fields, binder_fields = set(), set()
+        for kind, attr in ((0, "_binds_ind"), (1, "_binds_term")):
+            for binder_field, scoped in getattr(type(a), attr, ()):
+                binder_fields.add(binder_field)
+                ba, bb = getattr(a, binder_field), getattr(b, binder_field)
+                if (ba is None) != (bb is None):
+                    return False
+                if ba is None:
+                    continue
+                na = ba if isinstance(ba, tuple) else (ba,)
+                nb = bb if isinstance(bb, tuple) else (bb,)
+                if len(na) != len(nb):
+                    return False
+                for xa, xb in zip(na, nb):
+                    la2[kind][xa], lb2[kind][xb] = depth, depth
+                    depth += 1
+                scoped_fields.update(scoped)
+        for fname in S.node_fields(a):
+            if fname in binder_fields:
+                continue
+            inner = fname in scoped_fields
+            if not _reflective_alpha(
+                getattr(a, fname), getattr(b, fname), la2 if inner else la, lb2 if inner else lb, depth
+            ):
+                return False
+        return True
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(
+            _reflective_alpha(x, y, la, lb, depth) for x, y in zip(a, b)
+        )
+    return a == b
+
+
+_NAMES = ("n", "m")
+_MAKERS = {
+    "formula": lambda rng, d: gen.gen_formula(rng, d, vars_=_NAMES),
+    "qenv": lambda rng, d: gen.gen_qenv(rng, d, vars_=_NAMES),
+    "term": lambda rng, d: gen.gen_term(rng, d, vars_=("x",), ivars=_NAMES),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_MAKERS)),
+    st.sampled_from(["copy", "renamed", "independent", "shallower"]),
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+)
+def test_alpha_eq_agrees_with_reflective_walk(kind, mode, seed, depth):
+    make = _MAKERS[kind]
+    a = make(random.Random(seed), depth)
+    if mode == "copy":  # equal, but built apart
+        b = make(random.Random(seed), depth)
+    elif mode == "renamed":  # alpha-equivalent, seldom structurally equal
+        b = _rename_bound(a, [0])
+    elif mode == "independent":
+        b = make(random.Random(seed + 1), depth)
+    else:  # shares a prefix of the random choices
+        b = make(random.Random(seed), max(depth - 1, 0))
+    want = _reflective_alpha(a, b, ({}, {}), ({}, {}), 0)
+    assert S.alpha_eq(a, b) == want
+    assert S.alpha_eq(b, a) == want
+    assert S._alpha(a, b, ({}, {}), ({}, {}), 0) == want
+    if mode in ("copy", "renamed"):
+        assert want
+
+
+def test_alpha_eq_ignores_spans():
+    assert S.alpha_eq(S.TVar("x", span=(1, 1)), S.TVar("x", span=(2, 7)))
+    assert not S.alpha_eq(S.TVar("x", span=(1, 1)), S.TVar("y", span=(1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # environment algebra
 # ---------------------------------------------------------------------------
