@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import fuzz, pipeline, runtime
-from .errors import LoopcertError, ParseError
+from .errors import ParseError
 from .parser import parse
 from .printer import show_file
 
@@ -24,10 +24,10 @@ from .printer import show_file
 def _parse_args_list(text: Optional[str]) -> Optional[Tuple[int, ...]]:
     if text is None:
         return None
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
+    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    if not all(part.isdecimal() for part in parts):
         raise SystemExit(f"--args expects a comma-separated list of naturals, got {text!r}")
+    return tuple(int(part) for part in parts)
 
 
 def _print_report(report: pipeline.Report, as_json: bool) -> None:
@@ -139,15 +139,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 allow_pred=allow_pred,
             )
             if report.exit_code == pipeline.EXIT_OK:
-                out_path = getattr(ns, "output", None) or os.path.splitext(path)[0] + ".t"
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        text = pipeline.translation_text(parse(handle.read()))
-                except LoopcertError as ex:
-                    print(f"{path}: {ex}", file=sys.stderr)
-                    return pipeline.EXIT_SOURCE
+                out_path = ns.output or os.path.splitext(path)[0] + ".t"
                 with open(out_path, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                    handle.write(show_file(report.image))
                 report.phases.append(
                     {"name": "write", "ok": True, "elapsed_s": 0.0, "payload": {"output": out_path}}
                 )

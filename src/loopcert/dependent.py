@@ -11,7 +11,6 @@ eigenvariable must never escape into a type visible outside its scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import envs
@@ -416,24 +415,6 @@ def id_check_exprs(
                 f"argument {show(arg)} has type {show(got)}, expected {show(want)}",
                 span=span,
             )
-
-
-@dataclass(frozen=True)
-class IdSeqGoal:
-    """A sequence-checking goal: constants, store, subject, and the
-    expected quantified output from the enclosing annotation."""
-
-    gamma: S.Env
-    omega: S.Env
-    subject: S.Seq
-    expected: S.QEnv
-
-
-def id_check_goal(goal: IdSeqGoal) -> Tuple[str, ...]:
-    """Check a goal and return the derivation's rule trace."""
-    trace: list = []
-    id_check_seq(goal.gamma, goal.omega, goal.subject, goal.expected, CheckCtx(trace=trace))
-    return tuple(trace)
 
 
 def id_check_seq(

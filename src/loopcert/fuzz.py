@@ -1,9 +1,10 @@
 """Differential fuzzing of the simple pipeline.
 
-Generates well-typed jump-free imperative programs, asserts type
-preservation of the translation, and compares the direct interpreter
-against the machine on random inputs.  Failures are shrunk by dropping
-sequence links and decrementing numerals.
+Generates well-typed jump-free imperative programs, takes each through
+the pipeline's check-source, translate and check-target phases, and
+compares the direct interpreter against the machine on random inputs.
+Failures are shrunk by dropping sequence links and decrementing
+numerals.
 """
 
 from __future__ import annotations
@@ -11,56 +12,28 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from . import gen, runtime, simple
+from . import gen, pipeline, runtime
 from . import syntax as S
 from .errors import CheckError, EvalError
-from .printer import show, show_file
+from .printer import show_file
 
 FUZZ_FUEL = 1_000_000
-
-
-def _check_and_translate(sf: S.SourceFile) -> Tuple[Optional[Dict[str, Any]], Optional[S.Term]]:
-    """Check the file, translate it, re-check the image; returns
-    (failure report or None, closed entry term)."""
-    gamma: S.Env = ()
-    try:
-        for name, expr in sf.csts:
-            ty = simple.is_check_expr(gamma, (), expr)
-            gamma = gamma + ((name, ty),)
-    except CheckError as ex:
-        return {"phase": "check-source", "message": str(ex)}, None
-    tctx = simple.TranslateCtx()
-    try:
-        terms = [(name, simple.translate_is_expr(expr, tctx)) for name, expr in sf.csts]
-    except CheckError as ex:
-        return {"phase": "translate", "message": str(ex)}, None
-    sigma: S.Env = ()
-    for (name, term), (_, source_ty) in zip(terms, gamma):
-        try:
-            fty = simple.fs_check_term(sigma, term)
-        except CheckError as ex:
-            return {"phase": "check-target", "message": str(ex)}, None
-        want = simple.translate_is_type(source_ty)
-        if not S.alpha_eq(fty, want):
-            return {
-                "phase": "check-target",
-                "message": f"'{name}' translates at {show(fty)}, expected {show(want)}",
-            }, None
-        sigma = sigma + ((name, fty),)
-    closed: S.Term = S.TVar(terms[-1][0])
-    for name, term in reversed(terms):
-        closed = S.TLet(name, term, closed)
-    return None, closed
 
 
 def run_one(
     sf: S.SourceFile, entry: str, inputs: List[Tuple[int, ...]], fuel: int = FUZZ_FUEL
 ) -> Optional[Dict[str, Any]]:
     """Returns a failure description, or None if all properties hold."""
-    failure, closed = _check_and_translate(sf)
-    if failure is not None:
-        return failure
-    erased = runtime.erase(closed)
+    phase = "check-source"
+    try:
+        checked = pipeline.check_source(sf)
+        phase = "translate"
+        image = pipeline.translate_file(sf)
+        phase = "check-target"
+        pipeline.check_target(sf, checked, image)
+    except CheckError as ex:
+        return {"phase": phase, "message": str(ex)}
+    erased = runtime.erase(pipeline.closed_term(image, entry))
     for iv in inputs:
         try:
             want = runtime.interpret_program(sf.csts, None, entry, iv)

@@ -147,6 +147,14 @@ class Parser:
         self.next()
         return tok.value
 
+    def number(self) -> int:
+        """Consume an int token.  The lexer keeps a run of `isdigit`
+        characters whole, so a non-decimal digit such as '²' fails here."""
+        tok = self.next()
+        if not tok.value.isdecimal():
+            raise ParseError(f"{tok.value!r} is not a decimal numeral", tok.line, tok.col)
+        return int(tok.value)
+
     def span(self) -> S.Span:
         tok = self.peek()
         return (tok.line, tok.col)
@@ -165,8 +173,7 @@ class Parser:
     def parse_ind(self) -> S.Ind:
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            return S.num_ind(int(tok.value))
+            return S.num_ind(self.number())
         if tok.kind == "ident":
             self.next()
             return S.IVar(tok.value)
@@ -464,8 +471,7 @@ class Parser:
             self.next()
             return S.EVar(tok.value, span=span)
         if tok.kind == "int":
-            self.next()
-            return S.ENum(int(tok.value), span=span)
+            return S.ENum(self.number(), span=span)
         if self.at("succ"):
             return S.ENum(self._parse_numeral(), span=span)
         if self.at("*"):
@@ -483,7 +489,7 @@ class Parser:
 
     def _parse_numeral(self) -> int:
         if self.peek().kind == "int":
-            return int(self.next().value)
+            return self.number()
         self.eat("succ")
         self.eat("(")
         value = self._parse_numeral() + 1
@@ -777,9 +783,8 @@ class Parser:
             self.next()
             return S.TVar(tok.value, span=span)
         if tok.kind == "int":
-            self.next()
             term: S.Term = S.TZero(span=span)
-            for _ in range(int(tok.value)):
+            for _ in range(self.number()):
                 term = S.TSucc(term, span=span)
             return term
         if self.at("succ") or self.at("pred"):

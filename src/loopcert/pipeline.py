@@ -16,7 +16,7 @@ from . import dependent, envs, runtime, simple
 from . import syntax as S
 from .errors import CheckError, EvalError, LoopcertError, ParseError
 from .parser import parse
-from .printer import show, show_env, show_file, show_qenv, show_term
+from .printer import show, show_env, show_qenv, show_term
 from .simple import CheckCtx, TranslateCtx
 
 EXIT_OK = 0
@@ -34,6 +34,7 @@ class Report:
     phases: List[Dict[str, Any]] = field(default_factory=list)
     diagnostics: List[Dict[str, Any]] = field(default_factory=list)
     exit_code: int = EXIT_OK
+    image: Optional[S.SourceFile] = None  # the FS/FD translation; not in to_dict
 
     def phase(self, name: str, ok: bool, elapsed: float, payload: Dict[str, Any]) -> None:
         self.phases.append({"name": name, "ok": ok, "elapsed_s": round(elapsed, 6), "payload": payload})
@@ -64,13 +65,6 @@ class CheckedFile:
     cst_types: Tuple[Tuple[str, Any], ...]  # Prop (I) or Formula (F)
     trace: List[str]
     warnings: Tuple[str, ...] = ()
-
-
-@dataclass
-class TranslatedFile:
-    terms: Tuple[Tuple[str, S.Term], ...]
-    main_term: Optional[S.Term]
-    target: S.SourceFile  # the functional-discipline image
 
 
 def check_source(
@@ -127,8 +121,8 @@ def _main_out_env(sf: S.SourceFile) -> S.Env:
     return out.env
 
 
-def translate_file(sf: S.SourceFile) -> TranslatedFile:
-    """Translate a checked imperative file into its functional image."""
+def translate_file(sf: S.SourceFile) -> S.SourceFile:
+    """Translate a checked imperative file into its FS/FD image."""
     tctx = TranslateCtx()
     if sf.discipline == "IS":
         terms = tuple((name, simple.translate_is_expr(e, tctx)) for name, e in sf.csts)
@@ -146,16 +140,13 @@ def translate_file(sf: S.SourceFile) -> TranslatedFile:
         target = "FD"
     else:
         raise LoopcertError(f"{sf.discipline} files are already functional; nothing to translate")
-    image = S.SourceFile(
-        target, terms, S.MainF(main_term) if main_term is not None else None
-    )
-    return TranslatedFile(terms, main_term, image)
+    return S.SourceFile(target, terms, S.MainF(main_term) if main_term is not None else None)
 
 
 def check_target(
     sf: S.SourceFile,
     checked: CheckedFile,
-    translated: TranslatedFile,
+    image: S.SourceFile,
     trace: Optional[List[str]] = None,
     allow_pred: bool = True,
 ) -> Tuple[Tuple[str, S.Formula], ...]:
@@ -165,7 +156,7 @@ def check_target(
     type_image = simple.translate_is_type if sf.discipline == "IS" else dependent.translate_id_type
     sigma: S.Env = ()
     result: List[Tuple[str, S.Formula]] = []
-    for (name, term), (_, source_ty) in zip(translated.terms, checked.cst_types):
+    for (name, term), (_, source_ty) in zip(image.csts, checked.cst_types):
         fty = functional_check(sigma, term, ctx)
         want = type_image(source_ty)
         if not S.alpha_eq(fty, want):
@@ -175,8 +166,8 @@ def check_target(
             )
         sigma = sigma + ((name, fty),)
         result.append((name, fty))
-    if translated.main_term is not None:
-        fty = functional_check(sigma, translated.main_term, ctx)
+    if image.main is not None:
+        fty = functional_check(sigma, image.main.term, ctx)
         if sf.discipline == "IS":
             _, out_types = envs.split(_main_out_env(sf))
             want = S.FTuple(tuple(simple.translate_is_type(t) for t in out_types))
@@ -191,33 +182,35 @@ def check_target(
     return tuple(result)
 
 
-def _closed_term(translated: TranslatedFile, entry: Optional[str]) -> S.Term:
+def closed_term(image: S.SourceFile, entry: Optional[str]) -> S.Term:
+    """The image's main term, or the constant `entry`, under let-bindings
+    of every constant of the image."""
     if entry is not None:
         body: S.Term = S.TVar(entry)
-    elif translated.main_term is not None:
-        body = translated.main_term
+    elif image.main is not None:
+        body = image.main.term
     else:
         raise EvalError("NoMain", "the file has no main sequence and no entry was chosen")
-    for name, term in reversed(translated.terms):
+    for name, term in reversed(image.csts):
         body = S.TLet(name, term, body)
     return body
 
 
 def evaluate_file(
     sf: S.SourceFile,
-    translated: TranslatedFile,
+    image: S.SourceFile,
     args: Optional[Tuple[int, ...]],
     fuel: int,
 ) -> Dict[str, Any]:
     """Erase and run; for jump-free IS input the direct interpreter must
     agree with the machine on the final store."""
     entry = sf.csts[-1][0] if args is not None and sf.csts else None
-    erased = runtime.erase(_closed_term(translated, entry))
+    erased = runtime.erase(closed_term(image, entry))
     if args is not None:
         erased = runtime.RApp(erased, runtime.RTuple(tuple(runtime.RNum(n) for n in args)))
     value = runtime.evaluate(erased, fuel)
     payload: Dict[str, Any] = {"value": runtime.show_value(value)}
-    if entry is None and sf.main is not None:
+    if entry is None and sf.discipline in ("IS", "ID") and sf.main is not None:
         names, _ = (
             envs.split(_main_out_env(sf)) if sf.discipline == "IS" else envs.qsplit(sf.main.out)
         )
@@ -240,7 +233,6 @@ def run_pipeline(
     system: Optional[str] = None,
     args: Optional[Tuple[int, ...]] = None,
     fuel: int = runtime.DEFAULT_FUEL,
-    do_eval: bool = True,
     want_trace: bool = False,
     stop_after: str = "evaluate",
     allow_pred: bool = True,
@@ -295,14 +287,20 @@ def run_pipeline(
     if stop_after == "check-source":
         return report
 
-    if sf.discipline in ("FS", "FD"):
-        if do_eval and (sf.main is not None or args is not None):
-            _run_eval_phase(report, sf, TranslatedFile(sf.csts, sf.main.term if sf.main else None, sf), args, fuel)
+    if sf.discipline in ("FS", "FD"):  # the file is its own image
+        if stop_after == "translate":
+            report.phase("translate", False, 0.0, {})
+            report.diag(
+                "TRANSLATE", None, f"{sf.discipline} files are already functional; nothing to translate"
+            )
+            report.exit_code = EXIT_SOURCE
+        elif sf.main is not None or args is not None:
+            _run_eval_phase(report, sf, sf, args, fuel)
         return report
 
     start = time.monotonic()
     try:
-        translated = translate_file(sf)
+        image = translate_file(sf)
     except LoopcertError as ex:
         report.phase("translate", False, time.monotonic() - start, {})
         report.diag("TRANSLATE", None, str(ex))
@@ -310,15 +308,16 @@ def run_pipeline(
         return report
     report.phase(
         "translate", True, time.monotonic() - start,
-        {"terms": {name: len(show_term(t)) for name, t in translated.terms}},
+        {"terms": {name: len(show_term(t)) for name, t in image.csts}},
     )
+    report.image = image
     if stop_after == "translate":
         return report
 
     start = time.monotonic()
     trace2: List[str] = []
     try:
-        target_types = check_target(sf, checked, translated, trace2, allow_pred)
+        target_types = check_target(sf, checked, image, trace2, allow_pred)
     except CheckError as ex:
         report.phase("check-target", False, time.monotonic() - start, {})
         report.diag(ex.rule, ex.span, ex.message)
@@ -332,29 +331,24 @@ def run_pipeline(
         payload["trace"] = list(trace2)
     report.phase("check-target", True, time.monotonic() - start, payload)
 
-    if do_eval and (sf.main is not None or args is not None):
-        _run_eval_phase(report, sf, translated, args, fuel)
+    if sf.main is not None or args is not None:
+        _run_eval_phase(report, sf, image, args, fuel)
     return report
 
 
 def _run_eval_phase(
     report: Report,
     sf: S.SourceFile,
-    translated: TranslatedFile,
+    image: S.SourceFile,
     args: Optional[Tuple[int, ...]],
     fuel: int,
 ) -> None:
     start = time.monotonic()
     try:
-        payload = evaluate_file(sf, translated, args, fuel)
+        payload = evaluate_file(sf, image, args, fuel)
     except (EvalError, LoopcertError) as ex:
         report.phase("evaluate", False, time.monotonic() - start, {})
         report.diag("EVAL", None, str(ex))
         report.exit_code = EXIT_RUNTIME
         return
     report.phase("evaluate", True, time.monotonic() - start, payload)
-
-
-def translation_text(sf: S.SourceFile) -> str:
-    """The functional image as a re-parsable .t file."""
-    return show_file(translate_file(sf).target)

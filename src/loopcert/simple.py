@@ -8,7 +8,6 @@ on well-typed programs and must be run after checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import envs
@@ -48,25 +47,6 @@ def _simple_formula(phi: S.Formula, span=None) -> None:
 # ---------------------------------------------------------------------------
 # FS: functional simple type system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FsDerivationReport:
-    """A checked term with its type and the rule trace of the derivation.
-
-    Checking is syntax directed, so re-deriving the subject replays the
-    trace exactly.
-    """
-
-    subject: S.Term
-    type: S.Formula
-    trace: Tuple[str, ...]
-
-
-def fs_derivation(sigma: S.Env, t: S.Term) -> FsDerivationReport:
-    trace: List[str] = []
-    ty = fs_check_term(sigma, t, CheckCtx(trace=trace))
-    return FsDerivationReport(t, ty, tuple(trace))
-
 
 def fs_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.Formula:
     """Synthesize the unique simple type of t, or raise CheckError."""

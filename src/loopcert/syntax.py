@@ -882,25 +882,6 @@ def _fresh_name(base: str, avoid: frozenset | set) -> str:
     return f"{stem}_{k}"
 
 
-def _fresh_eigen(base: str, avoid: frozenset | set) -> str:
-    stem = base.split(EIGEN_MARK)[0] or "n"
-    k = 1
-    while f"{stem}{EIGEN_MARK}{k}" in avoid:
-        k += 1
-    return f"{stem}{EIGEN_MARK}{k}"
-
-
-def open_with_eigen(fam: Tuple[str, Any], avoid: frozenset) -> Tuple[str, Any]:
-    """Open a one-binder node with a fresh eigenvariable.
-
-    Deterministic given the avoid set; the returned name never collides
-    with parser-produced identifiers.
-    """
-    binder, body = fam
-    fresh = _fresh_eigen(binder, avoid | free_ind_vars(body))
-    return fresh, subst_ind(body, binder, IVar(fresh))
-
-
 class Freshener:
     """Per-run eigenvariable supply for the checkers."""
 

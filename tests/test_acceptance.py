@@ -32,23 +32,8 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def _closed_main_term(sf):
-    tctx = simple.TranslateCtx()
-    terms = tuple((name, dependent.translate_id_expr(e, tctx)) for name, e in sf.csts)
-    names, _ = envs.qsplit(sf.main.out)
-    body = dependent.translate_id_seq(sf.main.body, names, tctx)
-    for name, term in reversed(terms):
-        body = S.TLet(name, term, body)
-    return body
-
-
-def _entry_term(sf, entry):
-    tctx = simple.TranslateCtx()
-    terms = tuple((name, dependent.translate_id_expr(e, tctx)) for name, e in sf.csts)
-    body = S.TVar(entry)
-    for name, term in reversed(terms):
-        body = S.TLet(name, term, body)
-    return body
+def _closed_term(sf, entry=None):
+    return pipeline.closed_term(pipeline.translate_file(sf), entry)
 
 
 def unary_add(a: int, b: int) -> int:
@@ -73,7 +58,7 @@ def test_criterion_1_figure1_certification():
     want_f = parse_formula("forall n. forall m. <nat(n), nat(m)> -> <nat(add(n, m))>")
     assert S.alpha_eq(target_ty, want_f), show(target_ty)
 
-    erased = erase(_entry_term(sf, "p_add"))
+    erased = erase(_closed_term(sf, "p_add"))
     assert evaluate(RApp(erased, RTuple((RNum(3), RNum(2)))), 100000) == (5,)
     for a in range(7):
         for b in range(7):
@@ -101,7 +86,7 @@ def test_criterion_2_figure2_certification():
     assert S.alpha_eq(out.env[0][1], S.PNat(S.IAdd(S.num_ind(3), S.num_ind(2))))
 
     assert phases["evaluate"]["payload"]["store"] == {"z": "5"}
-    machine_value = evaluate(erase(_closed_main_term(sf)), 1000000)
+    machine_value = evaluate(erase(_closed_term(sf)), 1000000)
     assert machine_value == (5,)
     # cross-check against the closed-individual evaluator: F32(0) + F32(1)
     assert machine_value == (eval_individual(S.IAdd(S.num_ind(3), S.num_ind(2))),)
@@ -267,7 +252,7 @@ def test_criterion_6_kernel_property_suites():
     # open/substitute round trip
     for _ in range(100):
         body = gen.gen_formula(rng, 3, vars_=("n", "m"))
-        eigen, opened = S.open_with_eigen(("n", body), frozenset({"m"}))
+        eigen, opened = S.Freshener().open("n", body)
         assert S.alpha_eq(S.subst_ind(opened, eigen, S.IVar("n")), body)
 
     # negation/translation coherence to existential depth 3

@@ -1,11 +1,16 @@
 """The command-line driver: exit codes, JSON reports, translate output."""
 
+import glob
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 from loopcert import cli, pipeline
+from loopcert.parser import parse
+from loopcert.printer import show_file
 
 CORPUS = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "corpus"))
 
@@ -66,6 +71,50 @@ def test_translate_writes_recheckable_file(tmp_path, capsys):
     assert "FD" in text
 
 
+def test_translate_uses_the_system_override(tmp_path, capsys):
+    src = tmp_path / "top.loop"
+    src.write_text("discipline ID;\nmain {\n  z := *;\n} out [z : top]\n", encoding="utf-8")
+    out = tmp_path / "top.t"
+    assert run_cli(["translate", "--system", "IS", str(src), "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("discipline FS;")
+    capsys.readouterr()
+    assert run_cli(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "name", sorted(os.path.basename(p) for p in glob.glob(os.path.join(CORPUS, "*.loop")))
+)
+def test_translate_writes_the_pipeline_image(name, tmp_path, capsys):
+    src = os.path.join(CORPUS, name)
+    out = tmp_path / (os.path.splitext(name)[0] + ".t")
+    assert run_cli(["translate", src, "-o", str(out)]) == 0
+    with open(src, "r", encoding="utf-8") as handle:
+        want = show_file(pipeline.translate_file(parse(handle.read())))
+    assert out.read_text(encoding="utf-8") == want
+    capsys.readouterr()
+    assert run_cli(["check", str(out)]) == 0
+
+
+def test_translate_refuses_a_functional_file(tmp_path, capsys):
+    src = tmp_path / "f.t"
+    src.write_text("discipline FS;\ncst a = 0;\n", encoding="utf-8")
+    out = tmp_path / "g.t"
+    assert run_cli(["translate", str(src), "-o", str(out), "--json"]) == pipeline.EXIT_SOURCE
+    report = json.loads(capsys.readouterr().out)
+    assert [d["rule"] for d in report["diagnostics"]] == ["TRANSLATE"]
+    assert not out.exists()
+
+
+def test_pipeline_evaluates_a_translated_main(tmp_path, capsys):
+    out = tmp_path / "figure2.t"
+    assert run_cli(["translate", os.path.join(CORPUS, "figure2.loop"), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["pipeline", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    evaluate = [p for p in report["phases"] if p["name"] == "evaluate"][0]
+    assert evaluate["payload"] == {"value": "<5>"}
+
+
 def test_fmt_round_trip(tmp_path, capsys):
     src = os.path.join(CORPUS, "witness_call.loop")
     assert run_cli(["fmt", src]) == 0
@@ -85,6 +134,13 @@ def test_pipeline_all_uses_corpus_env(tmp_path, capsys, monkeypatch):
 def test_fuzz_exit_zero(capsys):
     assert run_cli(["fuzz", "--count", "5", "--seed", "3"]) == 0
     assert "5/5 passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", ["-3,2", "3,x", "3,+2"])
+def test_eval_rejects_args_that_are_not_naturals(args, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["eval", os.path.join(CORPUS, "addition_is.loop"), f"--args={args}"])
+    assert "naturals" in str(err.value.code)
 
 
 def test_eval_runtime_value(capsys):

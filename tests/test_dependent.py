@@ -314,13 +314,12 @@ def test_id_index_free_loop_under_quantified_header():
 
 
 def test_id_goal_trace_deterministic():
-    goal = dependent.IdSeqGoal(
-        gamma=(("k", dependent.neg_output(S.OSimple((parse_prop("nat(0)"),)))),),
-        omega=(("z", S.PTop()),),
-        subject=parse_seq("k : { jump(k, 0)[z : nat(0)]; }[z : nat(0)];"),
-        expected=parse_qenv("[z : nat(0)]"),
-    )
-    first = dependent.id_check_goal(goal)
-    second = dependent.id_check_goal(goal)
-    assert first == second
-    assert "T_LABEL" in first and "T_JUMP" in first and "T_EMPTY" in first
+    gamma = (("k", dependent.neg_output(S.OSimple((parse_prop("nat(0)"),)))),)
+    omega = (("z", S.PTop()),)
+    subject = parse_seq("k : { jump(k, 0)[z : nat(0)]; }[z : nat(0)];")
+    expected = parse_qenv("[z : nat(0)]")
+    first, second = CheckCtx(trace=[]), CheckCtx(trace=[])
+    for ctx in (first, second):
+        dependent.id_check_seq(gamma, omega, subject, expected, ctx)
+    assert first.trace == second.trace
+    assert "T_LABEL" in first.trace and "T_JUMP" in first.trace and "T_EMPTY" in first.trace

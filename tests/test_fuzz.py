@@ -1,8 +1,11 @@
 """The differential fuzzer: determinism, the mutation smoke check, and
 shrinking."""
 
-from loopcert import fuzz, simple
+import random
+
+from loopcert import fuzz, gen, simple
 from loopcert import syntax as S
+from loopcert.errors import CheckError
 
 
 def test_count_zero_empty_report():
@@ -38,3 +41,23 @@ def test_corrupted_inc_translation_is_caught(monkeypatch):
     assert first["phase"] == "differential"
     assert len(first["shrunk"]) <= len(first["program"])
     assert "inc(" in first["shrunk"]
+
+
+def test_run_one_names_the_failing_phase(monkeypatch):
+    """Shrinking keeps only check-target and differential failures, so
+    run_one must name the pipeline phase that raised."""
+    rng = random.Random(5)
+    sf, entry, arity = gen.gen_is_program(rng, 20)
+    inputs = gen.gen_inputs(rng, arity)
+    assert fuzz.run_one(sf, entry, inputs) is None
+    unbound = S.SourceFile("IS", ((entry, S.EVar("missing")),), None)
+    assert fuzz.run_one(unbound, entry, inputs)["phase"] == "check-source"
+
+    def refuse(expr, tctx):
+        raise CheckError("T_TEST", "no translation")
+
+    monkeypatch.setattr(simple, "translate_is_expr", refuse)
+    assert fuzz.run_one(sf, entry, inputs)["phase"] == "translate"
+    monkeypatch.setattr(simple, "translate_is_expr", lambda expr, tctx: S.TZero())
+    failure = fuzz.run_one(sf, entry, inputs)
+    assert failure["phase"] == "check-target" and "TYPE_PRESERVATION" in failure["message"]

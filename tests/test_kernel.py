@@ -154,17 +154,10 @@ def test_open_substitute_round_trip():
     for _ in range(60):
         var = "n"
         body = gen.gen_formula(rng, 3, vars_=("n", "m"))
-        eigen, opened = S.open_with_eigen((var, body), frozenset({"m"}))
+        eigen, opened = S.Freshener().open(var, body)
+        assert S.is_eigen(eigen)
         closed = S.subst_ind(opened, eigen, S.IVar(var))
         assert S.alpha_eq(closed, body)
-
-
-def test_open_deterministic_given_avoid():
-    body = parse_formula("nat(n)")
-    a1, o1 = S.open_with_eigen(("n", body), frozenset({"n"}))
-    a2, o2 = S.open_with_eigen(("n", body), frozenset({"n"}))
-    assert a1 == a2 and S.alpha_eq(o1, o2)
-    assert a1 != "n" and S.is_eigen(a1)
 
 
 def test_subst_returns_input_when_variable_not_free():

@@ -4,7 +4,9 @@ error types, never host-language exceptions."""
 import random
 import string
 
-from loopcert import dependent, gen, simple
+import pytest
+
+from loopcert import dependent, gen, pipeline, simple
 from loopcert.errors import CheckError, ParseError
 from loopcert.parser import Parser
 
@@ -72,3 +74,22 @@ def test_lexer_rejects_stray_bytes():
         except ParseError:
             continue
         raise AssertionError(ch)
+
+
+@pytest.mark.parametrize(
+    "text, span",
+    [
+        ("discipline IS;\nmain {\n  var z := ²;\n} out [z : nat]\n", [3, 12]),
+        ("discipline IS;\nmain {\n  var z := 12²;\n} out [z : nat]\n", [3, 12]),
+        ("discipline IS;\nmain {\n  var z := succ(²);\n} out [z : nat]\n", [3, 17]),
+        ("discipline ID;\nmain {\n  var z := 0;\n} out [z : nat(²)]\n", [4, 16]),
+        ("discipline FS;\ncst a = succ(²);\n", [2, 14]),
+    ],
+)
+def test_non_decimal_digits_are_parse_errors(text, span):
+    """The lexer keeps `isdigit` runs such as '12²' as one int token; the
+    parser rejects them at the token, in expressions, numerals,
+    individuals and terms alike."""
+    report = pipeline.run_pipeline("x.loop", text=text)
+    assert report.exit_code == pipeline.EXIT_PARSE
+    assert [(d["rule"], d["span"]) for d in report.diagnostics] == [("PARSE", span)]

@@ -9,6 +9,7 @@ from loopcert import gen, runtime, simple
 from loopcert import syntax as S
 from loopcert.errors import CheckError
 from loopcert.parser import parse, parse_expr, parse_formula, parse_seq, parse_term
+from loopcert.simple import CheckCtx
 
 ADDITION = """proc [x : nat, y : nat] out [z : nat] {
   z := y;
@@ -56,10 +57,11 @@ def test_fs_type_error_cites_rule():
 
 def test_fs_derivation_report_replays():
     t = parse_term("fn x : nat => succ(x)")
-    first = simple.fs_derivation((), t)
-    second = simple.fs_derivation((), t)
-    assert first == second
-    assert S.alpha_eq(first.type, parse_formula("nat -> nat"))
+    first, second = CheckCtx(trace=[]), CheckCtx(trace=[])
+    ty = simple.fs_check_term((), t, first)
+    assert ty == simple.fs_check_term((), t, second)
+    assert first.trace == second.trace
+    assert S.alpha_eq(ty, parse_formula("nat -> nat"))
     assert "TC_LAM" in first.trace and "TC_VAR" in first.trace and "TC_SUCC" in first.trace
 
 
