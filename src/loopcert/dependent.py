@@ -1,6 +1,6 @@
-"""The dependently-typed half: FD term checking, ID checking with
-quantified environments, labels and jumps, defined negation, and the
-ID-to-FD translation.
+"""The dependently-typed half: FD term checking, and ID checking with
+quantified environments, labels and jumps and defined negation.  The
+ID-to-FD translation is in `translate.py`.
 
 Checking is bidirectional by annotation: sequence goals flow down from
 proc, label, block and jump annotations, and every witness, axiom
@@ -18,7 +18,7 @@ from . import syntax as S
 from .axioms import try_match_axiom
 from .errors import CheckError
 from .printer import show
-from .simple import CheckCtx, TranslateCtx, check_header_idents, fn_over_tuple
+from .simple import CheckCtx, check_header_idents
 
 
 def neg_output(out: S.Output) -> S.Prop:
@@ -642,183 +642,3 @@ def _id_update_seq(
             _id_update_seq(gamma, omega, theta_open, rest_open, expected, ctx, span)
             return
     raise AssertionError(theta)
-
-
-# ---------------------------------------------------------------------------
-# ID -> FD type translation
-# ---------------------------------------------------------------------------
-
-def translate_id_type(p: S.Prop) -> S.Formula:
-    match p:
-        case S.PProp(name):
-            return S.FProp(name)
-        case S.PTop():
-            return S.FTop()
-        case S.PBot():
-            return S.FBot()
-        case S.PNat(idx):
-            return S.FNat(idx)
-        case S.PEq(left, right):
-            return S.FEq(left, right)
-        case S.PProc(proto):
-            return translate_proto(proto)
-        case S.PNeg(out):
-            # absent from the printed translation; the unique choice that
-            # makes the label and jump translations well-typed
-            return S.neg_f(translate_output(out))
-    raise AssertionError(p)
-
-
-def translate_types(types: Tuple[S.Prop, ...]) -> Tuple[S.Formula, ...]:
-    return tuple(translate_id_type(p) for p in types)
-
-
-def translate_output(out: S.Output) -> S.Formula:
-    match out:
-        case S.OSimple(types):
-            return S.FTuple(translate_types(types))
-        case S.OExists(var, body):
-            return S.FExists(var, translate_output(body))
-    raise AssertionError(out)
-
-
-def translate_proto(rho: S.Proto) -> S.Formula:
-    match rho:
-        case S.ProtoBase(params, out):
-            return S.FArrow(S.FTuple(translate_types(params)), translate_output(out))
-        case S.ProtoAll(var, body):
-            return S.FForall(var, translate_proto(body))
-    raise AssertionError(rho)
-
-
-def translate_qenv(theta: S.QEnv) -> Tuple[Tuple[str, ...], S.Formula]:
-    """TR_QENV: the ident tuple together with the translated formula."""
-    names, out = envs.qsplit(theta)
-    return names, translate_output(out)
-
-
-# ---------------------------------------------------------------------------
-# ID -> FD term translation (runs on checked programs)
-# ---------------------------------------------------------------------------
-
-def translate_id_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
-    match e:
-        case S.ENum(value):
-            term: S.Term = S.TZero()
-            for _ in range(value):
-                term = S.TSucc(term)
-            return term
-        case S.EVar(name):
-            return S.TVar(name)
-        case S.EStar():
-            return S.TTuple(())
-        case S.EAxiom(left, right):
-            return S.TAxiom(left, right)
-        case S.EProc(header):
-            return translate_header(header, tctx)
-        case S.EInst(fn, arg):
-            return S.TIndApp(translate_id_expr(fn, tctx), arg)
-        case S.EContInst(fn, fam, arg):
-            body_f = translate_output(fam.body)
-            fresh = tctx.fresh()
-            pack = S.TPack(arg, S.TVar(fresh), S.FExists(fam.var, body_f))
-            return S.TFn(
-                fresh,
-                S.subst_ind(body_f, fam.var, arg),
-                S.TApp(translate_id_expr(fn, tctx), pack),
-            )
-        case S.ECoerce(subject, fam, proof):
-            return S.TCoerce(
-                translate_id_expr(subject, tctx),
-                S.Fam(fam.var, translate_id_type(fam.body)),
-                translate_id_expr(proof, tctx),
-            )
-    raise AssertionError(e)
-
-
-def translate_header(header: S.Header, tctx: TranslateCtx) -> S.Term:
-    match header:
-        case S.HForall(var, body):
-            return S.TIndLam(var, translate_header(body, tctx))
-        case S.HBase(params, out, body):
-            names, types = envs.split(params)
-            live, _ = envs.qsplit(out)
-            inner = translate_id_seq(body, live, tctx)
-            return fn_over_tuple(names, translate_types(types), inner, tctx)
-    raise AssertionError(header)
-
-
-def translate_id_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term:
-    match s:
-        case S.SEmpty():
-            return S.TTuple(tuple(S.TVar(x) for x in live))
-        case S.SCst(name, value, rest) | S.SVar(name, value, rest):
-            return S.TLet(name, translate_id_expr(value, tctx), translate_id_seq(rest, live, tctx))
-        case S.SUnpack(var, rest):
-            return S.TUnpack(var, translate_id_seq(rest, live, tctx))
-        case S.SWitness(witness, ann, rest):
-            _, phi = translate_qenv(ann)
-            return S.TPack(witness, translate_id_seq(rest, live, tctx), phi)
-        case S.SSubst(body, fam, proof):
-            _, phi = translate_qenv(fam.body)
-            return S.TCoerce(
-                translate_id_seq(body, live, tctx),
-                S.Fam(fam.var, phi),
-                translate_id_expr(proof, tctx),
-            )
-        case S.SCmd(cmd, rest):
-            tail = translate_id_seq(rest, live, tctx)
-            return _translate_id_command(cmd, tail, tctx)
-    raise AssertionError(s)
-
-
-def _translate_id_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Term:
-    match cmd:
-        case S.CAssign(name, value):
-            return S.TLet(name, translate_id_expr(value, tctx), tail)
-        case S.CInc(name):
-            return S.TLet(name, S.TSucc(S.TVar(name)), tail)
-        case S.CDec(name):
-            return S.TLet(name, S.TPred(S.TVar(name)), tail)
-        case S.CCall(fn, args, outs):
-            call = S.TApp(
-                translate_id_expr(fn, tctx),
-                S.TTuple(tuple(translate_id_expr(a, tctx) for a in args)),
-            )
-            return S.TLetMatch(outs, call, tail)
-        case S.CBlock(body, ann):
-            names, _ = translate_qenv(ann)
-            return S.TLetMatch(names, translate_id_seq(body, names, tctx), tail)
-        case S.CLabel(name, body, ann):
-            names, phi = translate_qenv(ann)
-            inner = translate_id_seq(body, names, tctx)
-            return S.TLetMatch(names, S.TCallcc(S.TFn(name, S.neg_f(phi), inner)), tail)
-        case S.CJump(target, args, ann):
-            names, phi = translate_qenv(ann)
-            throw = S.TThrow(
-                phi,
-                translate_id_expr(target, tctx),
-                S.TTuple(tuple(translate_id_expr(a, tctx) for a in args)),
-            )
-            return S.TLetMatch(names, throw, tail)
-        case S.CFor(var, idx, bound, body, frame):
-            names, types = envs.split(frame)
-            if idx is None:
-                idx_name = S._fresh_name("i", S.free_ind_vars(types) | {var})
-            else:
-                idx_name = idx
-            ftypes = translate_types(types)
-            inner = translate_id_seq(body, names, tctx)
-            step = S.TIndLam(
-                idx_name,
-                S.TFn(var, S.FNat(S.IVar(idx_name)), fn_over_tuple(names, ftypes, inner, tctx)),
-            )
-            motive = S.Fam(idx_name, S.FTuple(ftypes))
-            loop = S.TRec(
-                translate_id_expr(bound, tctx),
-                S.TTuple(tuple(S.TVar(x) for x in names)),
-                step,
-                motive,
-            )
-            return S.TLetMatch(names, loop, tail)
-    raise AssertionError(cmd)

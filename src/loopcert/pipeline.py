@@ -12,12 +12,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from . import dependent, envs, runtime, simple
+from . import dependent, envs, runtime, simple, translate
 from . import syntax as S
 from .errors import CheckError, EvalError, LoopcertError, ParseError
 from .parser import parse
 from .printer import show, show_env, show_qenv, show_term
-from .simple import CheckCtx, TranslateCtx
+from .simple import CheckCtx
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -67,80 +67,64 @@ class CheckedFile:
     warnings: Tuple[str, ...] = ()
 
 
+# The constant checker of each discipline: (constants, value, ctx) -> type.
+_CST_CHECKERS = {
+    "IS": lambda gamma, e, ctx: simple.is_check_expr(gamma, (), e, ctx),
+    "ID": lambda gamma, e, ctx: dependent.id_check_expr(gamma, (), e, ctx),
+    "FS": lambda gamma, t, ctx: simple.fs_check_term(gamma, t, ctx),
+    "FD": lambda gamma, t, ctx: dependent.fd_check_term(gamma, t, ctx),
+}
+
+
 def check_source(
     sf: S.SourceFile, trace: Optional[List[str]] = None, allow_pred: bool = True
 ) -> CheckedFile:
     """Check every cst and the main sequence of a file, any discipline.
     allow_pred turns the optional TC_PRED_D rule of FD checking on or off."""
     ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
-    types: List[Tuple[str, Any]] = []
-    gamma: S.Env = ()
-    if sf.discipline == "IS":
-        for name, expr in sf.csts:
-            ty = simple.is_check_expr(gamma, (), expr, ctx)
-            gamma = gamma + ((name, ty),)
-            types.append((name, ty))
-        if sf.main is not None:
-            out_env = _main_out_env(sf)
-            names, _ = envs.split(out_env)
-            simple.check_header_idents((), names, "T_PROC", sf.main.span)
-            final = simple.is_check_seq(gamma, envs.init(names, S.PTop()), sf.main.body, ctx)
-            if not S.alpha_env(final, out_env):
-                raise CheckError(
-                    "T_PROC",
-                    f"main ends with store {show_env(final)}, declared out is {show_env(out_env)}",
-                    span=sf.main.span,
-                    reason="OutputMismatch",
-                )
-    elif sf.discipline == "ID":
-        for name, expr in sf.csts:
-            ty = dependent.id_check_expr(gamma, (), expr, ctx)
-            gamma = gamma + ((name, ty),)
-            types.append((name, ty))
-        if sf.main is not None:
-            names, _ = envs.qsplit(sf.main.out)
-            simple.check_header_idents((), names, "T_PROC_DECL", sf.main.span)
-            dependent.id_check_seq(gamma, envs.init(names, S.PTop()), sf.main.body, sf.main.out, ctx)
-    elif sf.discipline in ("FS", "FD"):
-        check = simple.fs_check_term if sf.discipline == "FS" else dependent.fd_check_term
-        for name, term in sf.csts:
-            ty = check(gamma, term, ctx)
-            gamma = gamma + ((name, ty),)
-            types.append((name, ty))
-        if sf.main is not None:
-            types.append(("main", check(gamma, sf.main.term, ctx)))
-    else:
+    check = _CST_CHECKERS.get(sf.discipline)
+    if check is None:
         raise LoopcertError(f"unknown discipline {sf.discipline}")
-    return CheckedFile(sf, tuple(types), ctx.trace or [], tuple(ctx.warnings))
-
-
-def _main_out_env(sf: S.SourceFile) -> S.Env:
-    out = sf.main.out
-    if not isinstance(out, S.QSimple):
-        raise CheckError("T_PROC", "IS main cannot declare an existential output", span=sf.main.span)
-    return out.env
+    gamma: S.Env = ()
+    for name, value in sf.csts:
+        gamma = gamma + ((name, check(gamma, value, ctx)),)
+    types = gamma
+    main = sf.main
+    if main is not None and sf.discipline == "IS":
+        if not isinstance(main.out, S.QSimple):
+            raise CheckError("T_PROC", "IS main cannot declare an existential output", span=main.span)
+        out_env = main.out.env
+        names, _ = envs.split(out_env)
+        simple.check_header_idents((), names, "T_PROC", main.span)
+        final = simple.is_check_seq(gamma, envs.init(names, S.PTop()), main.body, ctx)
+        if not S.alpha_env(final, out_env):
+            raise CheckError(
+                "T_PROC",
+                f"main ends with store {show_env(final)}, declared out is {show_env(out_env)}",
+                span=main.span,
+                reason="OutputMismatch",
+            )
+    elif main is not None and sf.discipline == "ID":
+        names, _ = envs.qsplit(main.out)
+        simple.check_header_idents((), names, "T_PROC_DECL", main.span)
+        dependent.id_check_seq(gamma, envs.init(names, S.PTop()), main.body, main.out, ctx)
+    elif main is not None:
+        types = gamma + (("main", check(gamma, main.term, ctx)),)
+    return CheckedFile(sf, types, ctx.trace or [], tuple(ctx.warnings))
 
 
 def translate_file(sf: S.SourceFile) -> S.SourceFile:
     """Translate a checked imperative file into its FS/FD image."""
-    tctx = TranslateCtx()
-    if sf.discipline == "IS":
-        terms = tuple((name, simple.translate_is_expr(e, tctx)) for name, e in sf.csts)
-        main_term = None
-        if sf.main is not None:
-            names, _ = envs.split(_main_out_env(sf))
-            main_term = simple.translate_is_seq(sf.main.body, names, tctx)
-        target = "FS"
-    elif sf.discipline == "ID":
-        terms = tuple((name, dependent.translate_id_expr(e, tctx)) for name, e in sf.csts)
-        main_term = None
-        if sf.main is not None:
-            names, _ = envs.qsplit(sf.main.out)
-            main_term = dependent.translate_id_seq(sf.main.body, names, tctx)
-        target = "FD"
-    else:
+    target = {"IS": "FS", "ID": "FD"}.get(sf.discipline)
+    if target is None:
         raise LoopcertError(f"{sf.discipline} files are already functional; nothing to translate")
-    return S.SourceFile(target, terms, S.MainF(main_term) if main_term is not None else None)
+    tctx = translate.TranslateCtx(target)
+    terms = tuple((name, translate.translate_expr(e, tctx)) for name, e in sf.csts)
+    main = None
+    if sf.main is not None:
+        names, _ = envs.qsplit(sf.main.out)
+        main = S.MainF(translate.translate_seq(sf.main.body, names, tctx))
+    return S.SourceFile(target, terms, main)
 
 
 def check_target(
@@ -153,12 +137,11 @@ def check_target(
     """Re-check the translation and verify type preservation."""
     ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
     functional_check = simple.fs_check_term if sf.discipline == "IS" else dependent.fd_check_term
-    type_image = simple.translate_is_type if sf.discipline == "IS" else dependent.translate_id_type
     sigma: S.Env = ()
     result: List[Tuple[str, S.Formula]] = []
     for (name, term), (_, source_ty) in zip(image.csts, checked.cst_types):
         fty = functional_check(sigma, term, ctx)
-        want = type_image(source_ty)
+        want = translate.translate_type(source_ty)
         if not S.alpha_eq(fty, want):
             raise CheckError(
                 "TYPE_PRESERVATION",
@@ -168,11 +151,7 @@ def check_target(
         result.append((name, fty))
     if image.main is not None:
         fty = functional_check(sigma, image.main.term, ctx)
-        if sf.discipline == "IS":
-            _, out_types = envs.split(_main_out_env(sf))
-            want = S.FTuple(tuple(simple.translate_is_type(t) for t in out_types))
-        else:
-            _, want = dependent.translate_qenv(sf.main.out)
+        _, want = translate.translate_qenv(sf.main.out)
         if not S.alpha_eq(fty, want):
             raise CheckError(
                 "TYPE_PRESERVATION",
@@ -196,24 +175,45 @@ def closed_term(image: S.SourceFile, entry: Optional[str]) -> S.Term:
     return body
 
 
+def _entry(sf: S.SourceFile, types: Tuple[Tuple[str, S.Formula], ...], args: Tuple[int, ...]) -> str:
+    """The constant that --args apply to: the last one, whose functional
+    type must be, under any foralls, a function of len(args) naturals."""
+    given = f"--args gives {len(args)} argument{'' if len(args) == 1 else 's'}"
+    if not sf.csts:
+        raise EvalError("ArgsMismatch", f"{given}, but the file has no constant to apply them to")
+    entry = sf.csts[-1][0]
+    ty = types[len(sf.csts) - 1][1]
+    while isinstance(ty, S.FForall):
+        ty = ty.body
+    params = ty.dom.items if isinstance(ty, S.FArrow) and isinstance(ty.dom, S.FTuple) else None
+    if params is None or not all(isinstance(p, S.FNat) for p in params):
+        raise EvalError(
+            "ArgsMismatch", f"{given}, but entry '{entry}' is not a procedure over naturals: {show(ty)}"
+        )
+    if len(params) != len(args):
+        raise EvalError("ArgsMismatch", f"{given}, but entry '{entry}' takes {len(params)}: {show(ty)}")
+    return entry
+
+
 def evaluate_file(
     sf: S.SourceFile,
     image: S.SourceFile,
+    types: Tuple[Tuple[str, S.Formula], ...],
     args: Optional[Tuple[int, ...]],
     fuel: int,
 ) -> Dict[str, Any]:
     """Erase and run; for jump-free IS input the direct interpreter must
-    agree with the machine on the final store."""
-    entry = sf.csts[-1][0] if args is not None and sf.csts else None
+    agree with the machine on the final store.  types are the functional
+    types of the image's constants; with args, the entry is checked
+    against its type before anything runs."""
+    entry = _entry(sf, types, args) if args is not None else None
     erased = runtime.erase(closed_term(image, entry))
     if args is not None:
         erased = runtime.RApp(erased, runtime.RTuple(tuple(runtime.RNum(n) for n in args)))
     value = runtime.evaluate(erased, fuel)
     payload: Dict[str, Any] = {"value": runtime.show_value(value)}
     if entry is None and sf.discipline in ("IS", "ID") and sf.main is not None:
-        names, _ = (
-            envs.split(_main_out_env(sf)) if sf.discipline == "IS" else envs.qsplit(sf.main.out)
-        )
+        names, _ = envs.qsplit(sf.main.out)
         if isinstance(value, tuple) and len(value) == len(names):
             payload["store"] = {x: runtime.show_value(v) for x, v in zip(names, value)}
     if sf.discipline == "IS":
@@ -278,9 +278,7 @@ def run_pipeline(
         "derivation_size": len(trace),
     }
     if sf.main is not None and sf.discipline in ("IS", "ID"):
-        payload["main_out"] = (
-            show_env(_main_out_env(sf)) if sf.discipline == "IS" else show_qenv(sf.main.out)
-        )
+        payload["main_out"] = show_qenv(sf.main.out)
     if want_trace:
         payload["trace"] = list(trace)
     report.phase("check-source", True, time.monotonic() - start, payload)
@@ -295,7 +293,7 @@ def run_pipeline(
             )
             report.exit_code = EXIT_SOURCE
         elif sf.main is not None or args is not None:
-            _run_eval_phase(report, sf, sf, args, fuel)
+            _run_eval_phase(report, sf, sf, checked.cst_types, args, fuel)
         return report
 
     start = time.monotonic()
@@ -332,7 +330,7 @@ def run_pipeline(
     report.phase("check-target", True, time.monotonic() - start, payload)
 
     if sf.main is not None or args is not None:
-        _run_eval_phase(report, sf, image, args, fuel)
+        _run_eval_phase(report, sf, image, target_types, args, fuel)
     return report
 
 
@@ -340,12 +338,13 @@ def _run_eval_phase(
     report: Report,
     sf: S.SourceFile,
     image: S.SourceFile,
+    types: Tuple[Tuple[str, S.Formula], ...],
     args: Optional[Tuple[int, ...]],
     fuel: int,
 ) -> None:
     start = time.monotonic()
     try:
-        payload = evaluate_file(sf, image, args, fuel)
+        payload = evaluate_file(sf, image, types, args, fuel)
     except (EvalError, LoopcertError) as ex:
         report.phase("evaluate", False, time.monotonic() - start, {})
         report.diag("EVAL", None, str(ex))

@@ -1,16 +1,16 @@
-"""The simply-typed half: FS term checking, IS pseudo-dynamic checking,
-and the IS-to-FS translation.
+"""The simply-typed half: FS term checking and IS pseudo-dynamic
+checking.
 
 Both checkers are syntax directed and synthesize types; IS assignment
-may retype a store variable ("pseudo-dynamic").  Translation is defined
-on well-typed programs and must be run after checking.
+may retype a store variable ("pseudo-dynamic").  The IS-to-FS
+translation is the index-free fragment of the one in `translate.py`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from . import envs
+from . import envs, translate
 from . import syntax as S
 from .errors import CheckError
 from .printer import show, show_env
@@ -324,102 +324,5 @@ def _is_command(gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx) -> S.
     raise AssertionError(cmd)
 
 
-# ---------------------------------------------------------------------------
-# IS -> FS translation
-# ---------------------------------------------------------------------------
-
-def translate_is_type(p: S.Prop) -> S.Formula:
-    match p:
-        case S.PNat(None):
-            return S.FNat(None)
-        case S.PTop():
-            return S.FTop()
-        case S.PProc(S.ProtoBase(params, S.OSimple(types))):
-            dom = S.FTuple(tuple(translate_is_type(q) for q in params))
-            cod = S.FTuple(tuple(translate_is_type(q) for q in types))
-            return S.FArrow(dom, cod)
-    raise CheckError("TR_TYPE", f"{show(p)} is outside the simple fragment")
-
-
-class TranslateCtx:
-    """Fresh-name supply for translation-introduced binders (_v namespace)."""
-
-    def __init__(self) -> None:
-        self._count = 0
-
-    def fresh(self) -> str:
-        self._count += 1
-        return f"_v{self._count}"
-
-
-def fn_over_tuple(
-    names: Tuple[str, ...], types: Tuple[S.Formula, ...], body: S.Term, tctx: TranslateCtx
-) -> S.Term:
-    """fn (x1 : t1, ..., xk : tk) => body, as a unary fn plus a match."""
-    fresh = tctx.fresh()
-    return S.TFn(fresh, S.FTuple(types), S.TLetMatch(names, S.TVar(fresh), body))
-
-
-def translate_is_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
-    match e:
-        case S.ENum(value):
-            term: S.Term = S.TZero()
-            for _ in range(value):
-                term = S.TSucc(term)
-            return term
-        case S.EVar(name):
-            return S.TVar(name)
-        case S.EStar():
-            return S.TTuple(())
-        case S.EProc(S.HBase(params, S.QSimple(out_env), body)):
-            names, types = envs.split(params)
-            out_names, _ = envs.split(out_env)
-            inner = translate_is_seq(body, out_names, tctx)
-            ftypes = tuple(translate_is_type(t) for t in types)
-            return fn_over_tuple(names, ftypes, inner, tctx)
-    raise CheckError("TR_EXP", f"expression outside the simple fragment: {show(e)}")
-
-
-def translate_is_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term:
-    """State-passing translation; live is the ident vector threaded through."""
-    match s:
-        case S.SEmpty():
-            return S.TTuple(tuple(S.TVar(x) for x in live))
-        case S.SCst(name, value, rest) | S.SVar(name, value, rest):
-            return S.TLet(name, translate_is_expr(value, tctx), translate_is_seq(rest, live, tctx))
-        case S.SCmd(cmd, rest):
-            tail = translate_is_seq(rest, live, tctx)
-            return _translate_is_command(cmd, tail, tctx)
-    raise CheckError("TR_SEQ", "sequence outside the simple fragment")
-
-
-def _translate_is_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Term:
-    match cmd:
-        case S.CAssign(name, value):
-            return S.TLet(name, translate_is_expr(value, tctx), tail)
-        case S.CInc(name):
-            return S.TLet(name, S.TSucc(S.TVar(name)), tail)
-        case S.CDec(name):
-            return S.TLet(name, S.TPred(S.TVar(name)), tail)
-        case S.CCall(fn, args, outs):
-            call = S.TApp(
-                translate_is_expr(fn, tctx),
-                S.TTuple(tuple(translate_is_expr(a, tctx) for a in args)),
-            )
-            return S.TLetMatch(outs, call, tail)
-        case S.CBlock(body, S.QSimple(frame)):
-            names, _ = envs.split(frame)
-            inner = translate_is_seq(body, names, tctx)
-            return S.TLetMatch(names, inner, tail)
-        case S.CFor(var, None, bound, body, frame):
-            names, types = envs.split(frame)
-            ftypes = tuple(translate_is_type(t) for t in types)
-            inner = translate_is_seq(body, names, tctx)
-            step = S.TFn(var, S.FNat(None), fn_over_tuple(names, ftypes, inner, tctx))
-            loop = S.TRec(
-                translate_is_expr(bound, tctx),
-                S.TTuple(tuple(S.TVar(x) for x in names)),
-                step,
-            )
-            return S.TLetMatch(names, loop, tail)
-    raise CheckError("TR_SEQ", "command outside the simple fragment")
+# bench/tracing.py wraps this name; it goes with the next change to the benchmark.
+translate_is_expr = translate.translate_expr

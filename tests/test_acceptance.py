@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from loopcert import dependent, envs, fuzz, gen, pipeline, runtime, simple
+from loopcert import dependent, envs, fuzz, gen, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.axioms import SCHEMAS, eval_individual, try_match_axiom
 from loopcert.parser import parse, parse_formula, parse_prop, parse_qenv
@@ -52,8 +52,8 @@ def test_criterion_1_figure1_certification():
     want_proto = parse_prop("proc forall n. forall m. ([nat(n), nat(m)] out [nat(add(n, m))])")
     assert S.alpha_eq(source_ty, want_proto), show(source_ty)
 
-    tctx = simple.TranslateCtx()
-    term = dependent.translate_id_expr(sf.csts[0][1], tctx)
+    tctx = translate.TranslateCtx("FD")
+    term = translate.translate_expr(sf.csts[0][1], tctx)
     target_ty = dependent.fd_check_term((), term)
     want_f = parse_formula("forall n. forall m. <nat(n), nat(m)> -> <nat(add(n, m))>")
     assert S.alpha_eq(target_ty, want_f), show(target_ty)
@@ -258,8 +258,8 @@ def test_criterion_6_kernel_property_suites():
     # negation/translation coherence to existential depth 3
     for _ in range(150):
         out = gen.gen_output(rng, 3)
-        lhs = dependent.translate_id_type(dependent.neg_output(out))
-        rhs = S.neg_f(dependent.translate_output(out))
+        lhs = translate.translate_type(dependent.neg_output(out))
+        rhs = S.neg_f(translate.translate_output(out))
         assert S.alpha_eq(lhs, rhs)
     _report("6 (kernel properties)", True, "(env algebra, 500 round trips, open/subst, neg coherence)")
 

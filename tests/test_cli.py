@@ -167,3 +167,34 @@ def test_no_pred_rule_applies_to_its_own_run_only(capsys):
     assert pipeline.run_pipeline(path).exit_code == pipeline.EXIT_OK
     assert pipeline.run_pipeline(path, allow_pred=False).exit_code == pipeline.EXIT_TARGET
     assert run_cli(["pipeline", path]) == pipeline.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "name, args, wanted",
+    [
+        ("addition_is.loop", (1,), "takes 2"),
+        ("addition_is.loop", (1, 2, 3), "takes 2"),
+        ("figure1.loop", (4,), "takes 2"),
+        ("figure2.loop", (1,), "not a procedure over naturals"),
+    ],
+)
+def test_args_are_checked_against_the_entry_type(name, args, wanted, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the machine was started")
+
+    monkeypatch.setattr(pipeline.runtime, "erase", refuse)
+    monkeypatch.setattr(pipeline.runtime, "evaluate", refuse)
+    report = pipeline.run_pipeline(os.path.join(CORPUS, name), args=args)
+    assert report.exit_code == pipeline.EXIT_RUNTIME
+    assert report.phases[-1]["name"] == "evaluate" and not report.phases[-1]["ok"]
+    [diag] = [d for d in report.diagnostics if d["severity"] == "error"]
+    assert diag["rule"] == "EVAL" and wanted in diag["message"]
+    assert f"--args gives {len(args)} argument" in diag["message"]
+
+
+def test_args_need_an_entry():
+    text = "discipline IS;\nmain {\n  z := 1;\n} out [z : nat]\n"
+    report = pipeline.run_pipeline("no_cst.loop", text=text, args=(1,))
+    assert report.exit_code == pipeline.EXIT_RUNTIME
+    [diag] = report.diagnostics
+    assert diag["rule"] == "EVAL" and "no constant" in diag["message"]

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from loopcert import gen, runtime, simple
+from loopcert import gen, runtime, translate
 from loopcert import syntax as S
 from loopcert.parser import parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate
@@ -132,8 +132,8 @@ def test_machine_agrees_with_cps_on_generated_programs():
     for k in range(40):
         rng = random.Random(f"cps:{k}")
         sf, entry, arity = gen.gen_is_program(rng, 12)
-        tctx = simple.TranslateCtx()
-        terms = [(name, simple.translate_is_expr(e, tctx)) for name, e in sf.csts]
+        tctx = translate.TranslateCtx("FS")
+        terms = [(name, translate.translate_expr(e, tctx)) for name, e in sf.csts]
         closed: S.Term = S.TVar(entry)
         for name, t in reversed(terms):
             closed = S.TLet(name, t, closed)

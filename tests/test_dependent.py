@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from loopcert import dependent, envs, gen
+from loopcert import dependent, envs, gen, translate
 from loopcert import syntax as S
 from loopcert.errors import CheckError
 from loopcert.parser import (
@@ -17,7 +17,7 @@ from loopcert.parser import (
     parse_term,
 )
 from loopcert.printer import show
-from loopcert.simple import CheckCtx, TranslateCtx
+from loopcert.simple import CheckCtx
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_neg_figure2_continuation():
     assert isinstance(neg, S.PNeg) and isinstance(neg.out, S.OExists)
     # translating it gives the negation of the translated output
     assert S.alpha_eq(
-        dependent.translate_id_type(neg),
+        translate.translate_type(neg),
         parse_formula("~exists u. <nat(u), ~<nat(F32(u))>>"),
     )
 
@@ -144,8 +144,8 @@ def test_neg_translation_coherence_depth3():
     rng = random.Random(5)
     for _ in range(120):
         out = gen.gen_output(rng, 3)
-        lhs = dependent.translate_id_type(dependent.neg_output(out))
-        rhs = S.neg_f(dependent.translate_output(out))
+        lhs = translate.translate_type(dependent.neg_output(out))
+        rhs = S.neg_f(translate.translate_output(out))
         assert S.alpha_eq(lhs, rhs)
 
 
@@ -216,39 +216,39 @@ def test_id_figure1_prototype():
 def test_translate_prototype():
     rho = parse_prop("proc forall n. forall m. ([nat(n), nat(m)] out [nat(add(n, m))])")
     want = parse_formula("forall n. forall m. <nat(n), nat(m)> -> <nat(add(n, m))>")
-    assert S.alpha_eq(dependent.translate_id_type(rho), want)
+    assert S.alpha_eq(translate.translate_type(rho), want)
 
 
 def test_translate_qenv_examples():
-    names, phi = dependent.translate_qenv(parse_qenv("[x : nat(0)]"))
+    names, phi = translate.translate_qenv(parse_qenv("[x : nat(0)]"))
     assert names == ("x",) and S.alpha_eq(phi, parse_formula("<nat(0)>"))
-    names, phi = dependent.translate_qenv(parse_qenv("exists u. [r : nat(u), mk : ~(nat(F32(u)))]"))
+    names, phi = translate.translate_qenv(parse_qenv("exists u. [r : nat(u), mk : ~(nat(F32(u)))]"))
     assert names == ("r", "mk")
     assert S.alpha_eq(phi, parse_formula("exists u. <nat(u), ~<nat(F32(u))>>"))
 
 
 def test_translate_witness_packs():
     seq = parse_seq("[0 in exists n. [z : nat(n)]]")
-    t = dependent.translate_id_seq(seq, ("z",), TranslateCtx())
+    t = translate.translate_seq(seq, ("z",), translate.TranslateCtx("FD"))
     assert S.alpha_eq(t, parse_term("pack(0, <z> : exists n. <nat(n)>)"))
 
 
 def test_translate_jump_throws():
     seq = parse_seq("jump(mk, y)[r : nat(0)];")
-    t = dependent.translate_id_seq(seq, ("r",), TranslateCtx())
+    t = translate.translate_seq(seq, ("r",), translate.TranslateCtx("FD"))
     assert S.alpha_eq(t, parse_term("let <r> = throw[<nat(0)>] mk <y> in <r>"))
 
 
 def test_translate_cont_inst_eta_expands():
     e = parse_expr("k <: {u/[nat(u)]}{x}")
-    t = dependent.translate_id_expr(e, TranslateCtx())
+    t = translate.translate_expr(e, translate.TranslateCtx("FD"))
     want = parse_term("fn v : <nat(x)> => k pack(x, v : exists u. <nat(u)>)")
     assert S.alpha_eq(t, want)
 
 
 def test_translate_label_callcc():
     seq = parse_seq("k : { jump(k, 0)[z : nat(0)]; }[z : nat(0)];")
-    t = dependent.translate_id_seq(seq, ("z",), TranslateCtx())
+    t = translate.translate_seq(seq, ("z",), translate.TranslateCtx("FD"))
     want = parse_term(
         "let <z> = callcc (fn k : ~<nat(0)> => let <z> = throw[<nat(0)>] k <0> in <z>) in <z>"
     )
@@ -257,8 +257,8 @@ def test_translate_label_callcc():
 
 def test_translate_fresh_names_deterministic():
     e = parse_expr("k <: {u/[nat(u)]}{x}")
-    a = show(dependent.translate_id_expr(e, TranslateCtx()))
-    b = show(dependent.translate_id_expr(e, TranslateCtx()))
+    a = show(translate.translate_expr(e, translate.TranslateCtx("FD")))
+    b = show(translate.translate_expr(e, translate.TranslateCtx("FD")))
     assert a == b and "_v1" in a
 
 

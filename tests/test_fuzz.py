@@ -3,7 +3,7 @@ shrinking."""
 
 import random
 
-from loopcert import fuzz, gen, simple
+from loopcert import fuzz, gen, translate
 from loopcert import syntax as S
 from loopcert.errors import CheckError
 
@@ -27,14 +27,14 @@ def test_small_run_clean():
 def test_corrupted_inc_translation_is_caught(monkeypatch):
     """Corrupting the inc rule to emit pred must surface within 200 programs,
     and the counterexample shrinks."""
-    original = simple._translate_is_command
+    original = translate._translate_command
 
     def corrupted(cmd, tail, tctx):
         if isinstance(cmd, S.CInc):
             return S.TLet(cmd.name, S.TPred(S.TVar(cmd.name)), tail)
         return original(cmd, tail, tctx)
 
-    monkeypatch.setattr(simple, "_translate_is_command", corrupted)
+    monkeypatch.setattr(translate, "_translate_command", corrupted)
     report = fuzz.fuzz_differential(200, 42, 30)
     assert report["failures"], "the corrupted translation went unnoticed"
     first = report["failures"][0]
@@ -56,8 +56,8 @@ def test_run_one_names_the_failing_phase(monkeypatch):
     def refuse(expr, tctx):
         raise CheckError("T_TEST", "no translation")
 
-    monkeypatch.setattr(simple, "translate_is_expr", refuse)
+    monkeypatch.setattr(translate, "translate_expr", refuse)
     assert fuzz.run_one(sf, entry, inputs)["phase"] == "translate"
-    monkeypatch.setattr(simple, "translate_is_expr", lambda expr, tctx: S.TZero())
+    monkeypatch.setattr(translate, "translate_expr", lambda expr, tctx: S.TZero())
     failure = fuzz.run_one(sf, entry, inputs)
     assert failure["phase"] == "check-target" and "TYPE_PRESERVATION" in failure["message"]

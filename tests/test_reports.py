@@ -58,3 +58,16 @@ def test_concurrent_checking_is_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda p: strip(pipeline.run_pipeline(p)), paths))
     assert parallel == serial
+
+
+def test_unit_and_pred_rules_are_reached():
+    """No corpus file reaches T_UNIT (a `var` without a value) or TC_PRED
+    (the FS image of `dec`)."""
+    text = "discipline IS;\nmain {\n  var x;\n  z := 2;\n  dec(z);\n} out [z : nat]\n"
+    report = pipeline.run_pipeline("unit_pred.loop", text=text, want_trace=True)
+    assert report.exit_code == pipeline.EXIT_OK
+    phases = {p["name"]: p["payload"] for p in report.phases}
+    assert "T_UNIT" in phases["check-source"]["trace"]
+    assert "TC_PRED" in phases["check-target"]["trace"]
+    assert phases["evaluate"]["store"] == {"z": "1"}
+    assert phases["evaluate"]["interpreter"] == "<1>"

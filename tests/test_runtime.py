@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from loopcert import dependent, gen, runtime, simple
+from loopcert import gen, runtime, translate
 from loopcert import syntax as S
 from loopcert.errors import FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
@@ -105,8 +105,8 @@ def test_differential_on_corpus_addition():
         "};\n"
         "main { add_proc(3, 2; z); } out [z : nat]"
     )
-    tctx = simple.TranslateCtx()
-    terms = [(name, simple.translate_is_expr(e, tctx)) for name, e in sf.csts]
+    tctx = translate.TranslateCtx("FS")
+    terms = [(name, translate.translate_expr(e, tctx)) for name, e in sf.csts]
     closed: S.Term = S.TVar("add_proc")
     for name, term in reversed(terms):
         closed = S.TLet(name, term, closed)
@@ -140,9 +140,9 @@ def test_zero_iteration_loop():
 def test_figure2_machine_value():
     with open("corpus/figure2.loop", "r", encoding="utf-8") as handle:
         sf = parse(handle.read())
-    tctx = simple.TranslateCtx()
-    terms = tuple((name, dependent.translate_id_expr(e, tctx)) for name, e in sf.csts)
-    body = dependent.translate_id_seq(sf.main.body, ("z",), tctx)
+    tctx = translate.TranslateCtx("FD")
+    terms = tuple((name, translate.translate_expr(e, tctx)) for name, e in sf.csts)
+    body = translate.translate_seq(sf.main.body, ("z",), tctx)
     closed: S.Term = body
     for name, term in reversed(terms):
         closed = S.TLet(name, term, closed)

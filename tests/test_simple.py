@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from loopcert import gen, runtime, simple
+from loopcert import gen, runtime, simple, translate
 from loopcert import syntax as S
 from loopcert.errors import CheckError
 from loopcert.parser import parse, parse_expr, parse_formula, parse_seq, parse_term
@@ -118,26 +118,26 @@ def test_is_output_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_translate_types():
-    assert simple.translate_is_type(S.PNat(None)) == S.FNat(None)
-    assert simple.translate_is_type(S.PTop()) == S.FTop()
+    assert translate.translate_type(S.PNat(None)) == S.FNat(None)
+    assert translate.translate_type(S.PTop()) == S.FTop()
     proc = S.proc_t(S.ProtoBase((S.PNat(None), S.PNat(None)), S.OSimple((S.PNat(None),))))
-    assert S.alpha_eq(simple.translate_is_type(proc), parse_formula("<nat, nat> -> <nat>"))
+    assert S.alpha_eq(translate.translate_type(proc), parse_formula("<nat, nat> -> <nat>"))
     empty = S.proc_t(S.ProtoBase((), S.OSimple(())))
-    assert S.alpha_eq(simple.translate_is_type(empty), parse_formula("<> -> <>"))
+    assert S.alpha_eq(translate.translate_type(empty), parse_formula("<> -> <>"))
 
 
 def test_translate_empty_seq_returns_live_tuple():
-    t = simple.translate_is_seq(parse_seq(""), ("a", "b"), simple.TranslateCtx())
+    t = translate.translate_seq(parse_seq(""), ("a", "b"), translate.TranslateCtx("FS"))
     assert S.alpha_eq(t, parse_term("<a, b>"))
 
 
 def test_translate_inc():
-    t = simple.translate_is_seq(parse_seq("inc(z);"), ("z",), simple.TranslateCtx())
+    t = translate.translate_seq(parse_seq("inc(z);"), ("z",), translate.TranslateCtx("FS"))
     assert S.alpha_eq(t, parse_term("let z = succ(z) in <z>"))
 
 
 def test_translate_addition_shape():
-    t = simple.translate_is_expr(parse_expr(ADDITION), simple.TranslateCtx())
+    t = translate.translate_expr(parse_expr(ADDITION), translate.TranslateCtx("FS"))
     expected = parse_term(
         "fn (x : nat, y : nat) => let z = y in "
         "let <z> = rec(x, <z>, fn i : nat => fn (z : nat) => let z = succ(z) in <z>) in <z>"
@@ -154,12 +154,12 @@ def test_type_preservation_on_generated_programs():
         for name, expr in sf.csts:
             ty = simple.is_check_expr(gamma, (), expr)
             gamma = gamma + ((name, ty),)
-        tctx = simple.TranslateCtx()
+        tctx = translate.TranslateCtx("FS")
         sigma: S.Env = ()
         for (name, expr), (_, ty) in zip(sf.csts, gamma):
-            term = simple.translate_is_expr(expr, tctx)
+            term = translate.translate_expr(expr, tctx)
             fty = simple.fs_check_term(sigma, term)
-            assert S.alpha_eq(fty, simple.translate_is_type(ty))
+            assert S.alpha_eq(fty, translate.translate_type(ty))
             sigma = sigma + ((name, fty),)
 
 
