@@ -30,6 +30,12 @@ def _parse_args_list(text: Optional[str]) -> Optional[Tuple[int, ...]]:
     return tuple(int(part) for part in parts)
 
 
+def _natural(flag: str, value: int) -> int:
+    if value < 0:
+        raise SystemExit(f"{flag} expects a natural, got {value}")
+    return value
+
+
 def _print_report(report: pipeline.Report, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -100,7 +106,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ns = ap.parse_args(argv)
 
     if ns.command == "fuzz":
-        report = fuzz.fuzz_differential(ns.count, ns.seed, ns.size_bound)
+        report = fuzz.fuzz_differential(
+            _natural("--count", ns.count), ns.seed, _natural("--size-bound", ns.size_bound)
+        )
         if ns.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
@@ -123,6 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return pipeline.EXIT_OK
 
     allow_pred = not ns.no_pred_rule
+    fuel = _natural("--fuel", getattr(ns, "fuel", runtime.DEFAULT_FUEL))
     files = _corpus_files(list(ns.files), getattr(ns, "all", False))
     if not files:
         raise SystemExit("no input files")
@@ -150,7 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 path,
                 system=ns.system,
                 args=_parse_args_list(getattr(ns, "args", None)),
-                fuel=getattr(ns, "fuel", runtime.DEFAULT_FUEL),
+                fuel=fuel,
                 want_trace=ns.trace,
                 allow_pred=allow_pred,
             )

@@ -8,12 +8,19 @@ persistent, so captured continuations are multi-shot; throw applies a
 continuation (or a never-returning closure), abandoning the current
 context; rec unfolds its step through machine frames, so deep loops are
 iterative rather than stack-consuming.
+
+Erasure resolves every variable once, to its de Bruijn index (None when
+the name is unbound, which is an error only if the machine reaches it);
+binder names stay on the terms as hints.  A machine environment is a
+linked tuple (value, parent), innermost binding first, and a frame is a
+tuple whose first item is a small-int tag.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import EvalError, FuelExhausted, NonErasable, StuckTerm
@@ -29,70 +36,71 @@ class RTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RVar(RTerm):
     name: str
+    index: Optional[int] = None  # de Bruijn index; None when unbound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RNum(RTerm):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RSucc(RTerm):
     arg: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RPred(RTerm):
     arg: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RFn(RTerm):
     param: str
     body: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RApp(RTerm):
     fn: RTerm
     arg: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RTuple(RTerm):
     items: Tuple[RTerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RLet(RTerm):
     name: str
     value: RTerm
     body: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RLetMatch(RTerm):
     names: Tuple[str, ...]
     value: RTerm
     body: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RRec(RTerm):
     bound: RTerm
     base: RTerm
     step: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RCallcc(RTerm):
     arg: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RThrow(RTerm):
     cont: RTerm
     arg: RTerm
@@ -100,44 +108,60 @@ class RThrow(RTerm):
 
 def erase(t: S.Term) -> RTerm:
     """Strip the specificational layer: individuals, packs, coercions and
-    axiom terms; throw keeps both subterms and drops its formula."""
+    axiom terms; throw keeps both subterms and drops its formula.  Each
+    variable gets its de Bruijn index."""
+    return _erase(t, defaultdict(list), 0)
+
+
+def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
+    """scope maps each name to the depths of its binders around t, and depth
+    counts the binders; the cases go most frequent first."""
     match t:
         case S.TVar(name):
-            return RVar(name)
+            bound = scope.get(name)
+            return RVar(name, depth - 1 - bound[-1] if bound else None)
+        case S.TLet(name, value, body):
+            value = _erase(value, scope, depth)
+            scope[name].append(depth)
+            erased = RLet(name, value, _erase(body, scope, depth + 1))
+            scope[name].pop()
+            return erased
+        case S.TSucc(arg):
+            return RSucc(_erase(arg, scope, depth))
+        case S.TCoerce(subject, _, _):
+            return _erase(subject, scope, depth)  # the equality proof is computationally irrelevant
+        case S.TTuple(items):
+            return RTuple(tuple(_erase(x, scope, depth) for x in items))
+        case S.TLetMatch(names, value, body):
+            # the items are bound left to right, so a repeated name ends on its last item
+            value = _erase(value, scope, depth)
+            for k, name in enumerate(names):
+                scope[name].append(depth + k)
+            erased = RLetMatch(names, value, _erase(body, scope, depth + len(names)))
+            for name in names:
+                scope[name].pop()
+            return erased
         case S.TZero():
             return RNum(0)
-        case S.TSucc(arg):
-            return RSucc(erase(arg))
-        case S.TPred(arg):
-            return RPred(erase(arg))
         case S.TFn(param, _, body):
-            return RFn(param, erase(body))
+            scope[param].append(depth)
+            erased = RFn(param, _erase(body, scope, depth + 1))
+            scope[param].pop()
+            return erased
+        case S.TPred(arg):
+            return RPred(_erase(arg, scope, depth))
         case S.TApp(fn, arg):
-            return RApp(erase(fn), erase(arg))
-        case S.TIndLam(_, body):
-            return erase(body)
-        case S.TIndApp(fn, _):
-            return erase(fn)
+            return RApp(_erase(fn, scope, depth), _erase(arg, scope, depth))
         case S.TRec(bound, base, step, _):
-            return RRec(erase(bound), erase(base), erase(step))
-        case S.TTuple(items):
-            return RTuple(tuple(erase(x) for x in items))
-        case S.TLet(name, value, body):
-            return RLet(name, erase(value), erase(body))
-        case S.TLetMatch(names, value, body):
-            return RLetMatch(names, erase(value), erase(body))
-        case S.TPack(_, value, _):
-            return erase(value)
-        case S.TUnpack(_, body):
-            return erase(body)
-        case S.TCoerce(subject, _, _):
-            return erase(subject)  # the equality proof is computationally irrelevant
+            return RRec(_erase(bound, scope, depth), _erase(base, scope, depth), _erase(step, scope, depth))
+        case S.TIndLam(_, sub) | S.TIndApp(sub, _) | S.TPack(_, sub, _) | S.TUnpack(_, sub):
+            return _erase(sub, scope, depth)
+        case S.TCallcc(arg):
+            return RCallcc(_erase(arg, scope, depth))
+        case S.TThrow(_, cont, arg):
+            return RThrow(_erase(cont, scope, depth), _erase(arg, scope, depth))
         case S.TAxiom():
             raise NonErasable("an axiom term survives only inside a discarded coercion proof")
-        case S.TCallcc(arg):
-            return RCallcc(erase(arg))
-        case S.TThrow(_, cont, arg):
-            return RThrow(erase(cont), erase(arg))
     raise AssertionError(t)
 
 
@@ -168,6 +192,7 @@ class ContV:
 
 
 # values: int | tuple of values | Clos | ContV
+# environments: None | (value, environment), the innermost binding first
 
 def show_value(v: Any) -> str:
     if isinstance(v, bool):
@@ -179,195 +204,170 @@ def show_value(v: Any) -> str:
     return repr(v)
 
 
-class _REnv:
-    __slots__ = ("name", "value", "parent")
-
-    def __init__(self, name, value, parent):
-        self.name = name
-        self.value = value
-        self.parent = parent
-
-
-def _lookup(env: Optional[_REnv], name: str) -> Any:
-    while env is not None:
-        if env.name == name:
-            return env.value
-        env = env.parent
-    raise StuckTerm(f"unbound runtime variable '{name}'")
-
-
 # ---------------------------------------------------------------------------
 # The machine
 # ---------------------------------------------------------------------------
 
 _HALT = None
 
+# Frame tags, most frequent first.  A frame is a tuple (tag, ..., parent);
+# the machine below builds each and reads it back in the same layout.
+(_TUPLE, _MATCH, _REC_LOOP, _REC_ACC, _REC_NEXT, _LET, _SUCC, _CALLCC, _THROW_FN, _THROW_ARG,
+ _ARG, _APP, _REC_BASE, _REC_STEP, _PRED) = range(15)
+
 
 def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
     """Run a closed runtime term to a value, or raise FuelExhausted."""
-    control: Any = t
-    env: Optional[_REnv] = None
+    control: Any = t  # None while a value returns to kont
+    env: Any = None
     kont: Any = _HALT
     value: Any = None
-    returning = False
     budget = fuel
     while True:
         budget -= 1
         if budget < 0:
             raise FuelExhausted(fuel)
-        if not returning:
-            match control:
-                case RVar(name):
-                    value = _lookup(env, name)
-                    returning = True
-                case RNum(n):
-                    value = n
-                    returning = True
-                case RFn(param, body):
-                    value = Clos(param, body, env)
-                    returning = True
-                case RSucc(arg):
-                    kont = ("succ", kont)
-                    control = arg
-                case RPred(arg):
-                    kont = ("pred", kont)
-                    control = arg
-                case RApp(fn, arg):
-                    kont = ("arg", arg, env, kont)
-                    control = fn
-                case RTuple(items):
-                    if not items:
-                        value = ()
-                        returning = True
-                    else:
-                        kont = ("tuple", items, 1, (), env, kont)
-                        control = items[0]
-                case RLet(name, val, body):
-                    kont = ("let", name, body, env, kont)
-                    control = val
-                case RLetMatch(names, val, body):
-                    kont = ("match", names, body, env, kont)
-                    control = val
-                case RRec(bound, base, step):
-                    kont = ("rec_base", base, step, env, kont)
-                    control = bound
-                case RCallcc(arg):
-                    kont = ("callcc", kont)
-                    control = arg
-                case RThrow(cont, arg):
-                    kont = ("throw_fn", arg, env, kont)
-                    control = cont
-                case _:
-                    raise StuckTerm(f"bad control {control!r}")
+        if control is not None:
+            cls = type(control)
+            if cls is RVar:
+                index = control.index
+                if index is None:
+                    raise StuckTerm(f"unbound runtime variable '{control.name}'")
+                link = env
+                while index:
+                    link = link[1]
+                    index -= 1
+                value, control = link[0], None
+            elif cls is RLetMatch:
+                kont = (_MATCH, control, env, kont)
+                control = control.value
+            elif cls is RTuple:
+                items = control.items
+                if items:
+                    kont = (_TUPLE, items, 1, (), env, kont)
+                    control = items[0]
+                else:
+                    value, control = (), None
+            elif cls is RFn:
+                value, control = Clos(control.param, control.body, env), None
+            elif cls is RLet:
+                kont = (_LET, control.body, env, kont)
+                control = control.value
+            elif cls is RSucc:
+                kont = (_SUCC, kont)
+                control = control.arg
+            elif cls is RCallcc:
+                kont = (_CALLCC, kont)
+                control = control.arg
+            elif cls is RThrow:
+                kont = (_THROW_FN, control.arg, env, kont)
+                control = control.cont
+            elif cls is RRec:
+                kont = (_REC_BASE, control, env, kont)
+                control = control.bound
+            elif cls is RNum:
+                value, control = control.value, None
+            elif cls is RApp:
+                kont = (_ARG, control.arg, env, kont)
+                control = control.fn
+            elif cls is RPred:
+                kont = (_PRED, kont)
+                control = control.arg
+            else:
+                raise StuckTerm(f"bad control {control!r}")
             continue
-        # returning a value to the continuation
+        # returning a value to kont; a frame that applies a function sets
+        # fn, arg and kont and falls through to the application below
         if kont is _HALT:
             return value
         tag = kont[0]
-        if tag == "succ":
-            _need_num(value)
-            value = value + 1
-            kont = kont[1]
-        elif tag == "pred":
-            _need_num(value)
-            value = max(value - 1, 0)
-            kont = kont[1]
-        elif tag == "arg":
-            _, arg, aenv, parent = kont
-            kont = ("app", value, parent)
-            control = arg
-            env = aenv
-            returning = False
-        elif tag == "app":
-            _, fnval, parent = kont
-            control, env, kont, value, returning = _apply(fnval, value, parent)
-        elif tag == "tuple":
+        if tag == _TUPLE:
             _, items, k, done, tenv, parent = kont
-            done = done + (value,)
+            done += (value,)
             if k == len(items):
-                value = done
-                kont = parent
+                value, kont = done, parent
             else:
-                kont = ("tuple", items, k + 1, done, tenv, parent)
-                control = items[k]
-                env = tenv
-                returning = False
-        elif tag == "let":
-            _, name, body, lenv, parent = kont
-            env = _REnv(name, value, lenv)
-            control = body
-            kont = parent
-            returning = False
-        elif tag == "match":
-            _, names, body, lenv, parent = kont
+                kont = (_TUPLE, items, k + 1, done, tenv, parent)
+                control, env = items[k], tenv
+            continue
+        elif tag == _MATCH:
+            _, term, env, kont = kont
+            names = term.names
             if not isinstance(value, tuple) or len(value) != len(names):
                 raise StuckTerm(f"tuple pattern <{', '.join(names)}> against {show_value(value)}")
-            for name, item in zip(names, value):
-                lenv = _REnv(name, item, lenv)
-            env = lenv
-            control = body
-            kont = parent
-            returning = False
-        elif tag == "rec_base":
-            _, base, step, renv, parent = kont
-            _need_num(value)
-            kont = ("rec_step", value, step, renv, parent)
-            control = base
-            env = renv
-            returning = False
-        elif tag == "rec_step":
-            _, bound, step, renv, parent = kont
-            kont = ("rec_loop", bound, 0, value, parent)
-            control = step
-            env = renv
-            returning = False
-        elif tag == "rec_loop":
-            # value is the step function; iterate from the accumulated base
+            for item in value:
+                env = (item, env)
+            control = term.body
+            continue
+        elif tag == _REC_LOOP:
             _, bound, k, acc, parent = kont
-            stepv = value
             if k == bound:
-                value = acc
-                kont = parent
-            else:
-                kont = ("rec_acc", bound, k, acc, stepv, parent)
-                control, env, kont, value, returning = _apply(stepv, k, kont)
-        elif tag == "rec_acc":
+                value, kont = acc, parent
+                continue
+            fn, arg = value, k
+            kont = (_REC_ACC, bound, k, acc, value, parent)
+        elif tag == _REC_ACC:
             _, bound, k, acc, stepv, parent = kont
-            kont = ("rec_next", bound, k, stepv, parent)
-            control, env, kont, value, returning = _apply(value, acc, kont)
-        elif tag == "rec_next":
+            fn, arg = value, acc
+            kont = (_REC_NEXT, bound, k, stepv, parent)
+        elif tag == _REC_NEXT:
             _, bound, k, stepv, parent = kont
-            kont = ("rec_loop", bound, k + 1, value, parent)
+            kont = (_REC_LOOP, bound, k + 1, value, parent)
             value = stepv
-        elif tag == "callcc":
-            _, parent = kont
-            control, env, kont, value, returning = _apply(value, ContV(parent), parent)
-        elif tag == "throw_fn":
-            _, arg, aenv, parent = kont
-            kont = ("throw_arg", value, parent)
-            control = arg
-            env = aenv
-            returning = False
-        elif tag == "throw_arg":
-            _, contval, _parent = kont
-            # the current context is abandoned
-            control, env, kont, value, returning = _apply(contval, value, _HALT)
+            continue
+        elif tag == _LET:
+            _, control, env, kont = kont
+            env = (value, env)
+            continue
+        elif tag == _SUCC:
+            if not isinstance(value, int):
+                raise StuckTerm(f"expected a numeral, found {show_value(value)}")
+            value += 1
+            kont = kont[1]
+            continue
+        elif tag == _CALLCC:
+            kont = kont[1]
+            fn, arg = value, ContV(kont)
+        elif tag == _THROW_FN:
+            _, control, env, parent = kont
+            kont = (_THROW_ARG, value, parent)
+            continue
+        elif tag == _THROW_ARG:
+            fn, arg = kont[1], value
+            kont = _HALT  # the current context is abandoned
+        elif tag == _ARG:
+            _, control, env, parent = kont
+            kont = (_APP, value, parent)
+            continue
+        elif tag == _APP:
+            _, fn, kont = kont
+            arg = value
+        elif tag == _REC_BASE:
+            _, term, env, parent = kont
+            if not isinstance(value, int):
+                raise StuckTerm(f"expected a numeral, found {show_value(value)}")
+            kont = (_REC_STEP, value, term.step, env, parent)
+            control = term.base
+            continue
+        elif tag == _REC_STEP:
+            _, bound, control, env, parent = kont
+            kont = (_REC_LOOP, bound, 0, value, parent)
+            continue
+        elif tag == _PRED:
+            if not isinstance(value, int):
+                raise StuckTerm(f"expected a numeral, found {show_value(value)}")
+            value = max(value - 1, 0)
+            kont = kont[1]
+            continue
         else:
             raise StuckTerm(f"bad frame {tag!r}")
-
-
-def _need_num(value: Any) -> None:
-    if not isinstance(value, int):
-        raise StuckTerm(f"expected a numeral, found {show_value(value)}")
-
-
-def _apply(fnval: Any, argval: Any, kont: Any):
-    """Returns the next (control, env, kont, value, returning) state."""
-    if isinstance(fnval, Clos):
-        return fnval.body, _REnv(fnval.param, argval, fnval.env), kont, None, False
-    if isinstance(fnval, ContV):
-        return None, None, fnval.kont, argval, True
-    raise StuckTerm(f"applied a non-function {show_value(fnval)}")
+        # apply fn to arg, returning to kont
+        if type(fn) is Clos:
+            control, env = fn.body, (arg, fn.env)
+        elif type(fn) is ContV:
+            kont, value = fn.kont, arg
+        else:
+            raise StuckTerm(f"applied a non-function {show_value(fn)}")
 
 
 # ---------------------------------------------------------------------------

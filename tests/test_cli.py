@@ -143,6 +143,28 @@ def test_eval_rejects_args_that_are_not_naturals(args, capsys):
     assert "naturals" in str(err.value.code)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pipeline", os.path.join(CORPUS, "addition_is.loop"), "--fuel=-1"], "--fuel expects a natural, got -1"),
+        (["eval", os.path.join(CORPUS, "addition_is.loop"), "--fuel=-5"], "--fuel expects a natural, got -5"),
+        (["fuzz", "--count=-2", "--json"], "--count expects a natural, got -2"),
+        (["fuzz", "--count=1", "--size-bound=-1"], "--size-bound expects a natural, got -1"),
+    ],
+)
+def test_negative_numbers_are_refused(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == message
+    assert capsys.readouterr().out == ""
+
+
+def test_zero_fuel_is_a_natural(capsys):
+    assert run_cli(["pipeline", os.path.join(CORPUS, "addition_is.loop"), "--fuel=0", "--json"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert "step budget of 0 exhausted" in json.dumps(report["diagnostics"])
+
+
 def test_eval_runtime_value(capsys):
     assert run_cli(["eval", os.path.join(CORPUS, "figure2.loop"), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

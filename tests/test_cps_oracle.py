@@ -4,14 +4,15 @@ evaluator where captured continuations are host-language functions.
 Small terms only; the host stack carries the control structure, so the
 oracle is exercised on desk-size programs."""
 
+import os
 import random
 import sys
 
 import pytest
 
-from loopcert import gen, runtime, translate
+from loopcert import gen, pipeline, runtime, translate
 from loopcert import syntax as S
-from loopcert.parser import parse_term
+from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate
 
 
@@ -125,6 +126,18 @@ CASES = [
 @pytest.mark.parametrize("text", CASES)
 def test_machine_agrees_with_cps(text):
     term = erase(parse_term(text))
+    assert evaluate(term, 100000) == cps_run(term)
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".loop")))
+def test_machine_agrees_with_cps_on_corpus_images(name):
+    # the IS and ID images alike; figure2 and label_jump capture and throw continuations
+    with open(os.path.join(CORPUS, name), "r", encoding="utf-8") as handle:
+        sf = parse(handle.read())
+    term = erase(pipeline.closed_term(pipeline.translate_file(sf), None))
     assert evaluate(term, 100000) == cps_run(term)
 
 

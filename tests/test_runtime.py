@@ -63,6 +63,15 @@ def test_throw_applies_closures_too():
     )
 
 
+def test_throw_to_a_closure_abandons_the_context():
+    assert run("succ(throw[nat] (fn v : nat => v) 0)") == 0
+
+
+def test_a_continuation_as_rec_step_returns_the_counter():
+    # rec applies its step to the counter 0, which jumps out of the loop
+    assert run("callcc (fn k : ~nat => rec(succ(0), succ(succ(0)), k))") == 0
+
+
 def test_context_abandonment_paired():
     rng = random.Random(13)
     for _ in range(40):
@@ -92,8 +101,76 @@ def test_value_printing():
 
 
 def test_unbound_runtime_variable_is_stuck():
-    with pytest.raises(StuckTerm):
+    with pytest.raises(StuckTerm, match="unbound runtime variable 'ghost'$"):
         evaluate(runtime.RVar("ghost"), 100)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("succ(<>)", "expected a numeral, found <>"),
+        ("pred(<0>)", "expected a numeral, found <0>"),
+        ("rec(<>, 0, fn y : nat => fn a : nat => a)", "expected a numeral, found <>"),
+        ("let <a, b> = <0> in a", "tuple pattern <a, b> against <0>"),
+        ("let <a> = 0 in a", "tuple pattern <a> against 0"),
+        ("let f = 0 in f 0", "applied a non-function 0"),
+        ("rec(succ(0), 0, 0)", "applied a non-function 0"),
+        ("callcc 0", "applied a non-function 0"),
+        ("throw[nat] 0 0", "applied a non-function 0"),
+    ],
+)
+def test_ill_typed_terms_are_stuck(text, message):
+    with pytest.raises(StuckTerm) as err:
+        run(text)
+    assert str(err.value) == f"StuckTerm: {message}"
+
+
+def test_a_non_term_is_bad_control():
+    with pytest.raises(StuckTerm, match="bad control 42"):
+        evaluate(42, 10)
+
+
+def test_nested_let_shadowing():
+    assert run("let x = 0 in let x = succ(x) in let x = succ(succ(x)) in x") == 3
+    # the inner x is gone once its body ends
+    assert run("let x = 0 in let y = (let x = succ(succ(0)) in x) in <x, y>") == (0, 2)
+
+
+def test_let_match_rightmost_duplicate_wins():
+    text = "let <a, b, a> = <succ(0), 0, succ(succ(0))> in <a, b>"
+    assert run(text) == (2, 0)
+    body = erase(parse_term(text)).body
+    assert body.items == (runtime.RVar("a", 0), runtime.RVar("b", 1))
+
+
+def test_a_name_is_unbound_after_its_body():
+    t = erase(parse_term("<fn x : nat => x, let y = 0 in y, x, y>"))
+    assert [item.index for item in t.items[2:]] == [None, None]
+    with pytest.raises(StuckTerm, match="unbound runtime variable 'x'"):
+        evaluate(t, 100)
+
+
+def test_closure_keeps_a_shadowed_outer_binding():
+    text = "let x = succ(0) in let f = fn y : nat => x in let x = succ(succ(succ(0))) in <f x, x>"
+    assert run(text) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "let f = fn y : nat => ghost in 0",
+        "rec(0, 0, fn y : nat => fn a : nat => ghost)",
+        "callcc (fn k : ~nat => <throw[nat] k 0, ghost>)",
+    ],
+)
+def test_unbound_variable_in_an_unreached_branch_still_evaluates(text):
+    assert run(text) == 0
+
+
+def test_scoping_is_lexical_when_an_unbound_variable_is_reached():
+    # z is bound where g is applied, not where g is defined
+    with pytest.raises(StuckTerm, match="unbound runtime variable 'z'$"):
+        run("let g = fn y : nat => z in let z = 0 in g z")
 
 
 def test_differential_on_corpus_addition():
