@@ -1,6 +1,16 @@
-"""The dependently-typed half: FD term checking, and ID checking with
+"""The dependently-typed half: the one functional checker, for FD terms
+and for FS terms as their index-free fragment, and ID checking with
 quantified environments, labels and jumps and defined negation.  The
 ID-to-FD translation is in `translate.py`.
+
+FS checking is FD checking with every index erased: `0`, `succ` and
+`pred` give a bare `nat`, `fn` annotations must be simple types, `rec`
+takes no motive and a plain `nat -> tau -> tau` step, and the forms with
+no simple counterpart are refused with rule FS.  FS traces `TC_PRED` and
+`TCTE_PRODUCT` where FD traces `TC_PRED_D` and `TC_PRODUCT`, and FS
+`pred` does not depend on `allow_pred`.  The entry point that is called,
+`fd_check_term` or `fs_check_term` (re-exported by `simple`), picks the
+fragment.
 
 Checking is bidirectional by annotation: sequence goals flow down from
 proc, label, block and jump annotations, and every witness, axiom
@@ -11,14 +21,64 @@ eigenvariable must never escape into a type visible outside its scope.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import envs
 from . import syntax as S
 from .axioms import try_match_axiom
 from .errors import CheckError
 from .printer import show
-from .simple import CheckCtx, check_header_idents
+
+
+class CheckCtx:
+    """Per-run checker state: rule trace, warnings, and whether the
+    optional TC_PRED_D rule of FD checking is on."""
+
+    def __init__(
+        self,
+        trace: Optional[List[str]] = None,
+        warnings: Optional[List[str]] = None,
+        allow_pred: bool = True,
+    ):
+        self.trace = trace
+        self.warnings = warnings if warnings is not None else []
+        self.allow_pred = allow_pred
+        self.fresh = S.Freshener()
+
+    def rule(self, label: str) -> None:
+        if self.trace is not None:
+            self.trace.append(label)
+
+    def warn(self, message: str) -> None:
+        self.warnings.append(message)
+
+
+def check_header_idents(params: S.Env, out_names: Tuple[str, ...], rule: str, span) -> None:
+    """Parameter and output idents are distinct, and do not collide."""
+    pnames = [x for x, _ in params]
+    if len(set(pnames)) != len(pnames):
+        raise CheckError(rule, "duplicate parameter idents", span=span)
+    if len(set(out_names)) != len(out_names):
+        raise CheckError(rule, "duplicate output idents", span=span)
+    clash = set(pnames) & set(out_names)
+    if clash:
+        raise CheckError(rule, f"ident '{sorted(clash)[0]}' is both parameter and output", span=span)
+
+
+def check_ident(gamma: S.Env, omega: S.Env, name: str, ctx: CheckCtx, span) -> S.Prop:
+    """T_ENV_II / T_ENV_I: an identifier's type; the store wins over a
+    constant of the same name.  Shared by IS and ID checking."""
+    local = envs.lookup(omega, name)
+    const = envs.lookup(gamma, name)
+    if local is not None:
+        if const is not None:
+            ctx.warn(f"'{name}' is bound both as constant and store variable; the store wins")
+        ctx.rule("T_ENV_II")
+        return local
+    if const is not None:
+        ctx.rule("T_ENV_I")
+        return const
+    raise CheckError("T_ENV", f"unbound ident '{name}'", span=span, reason="UnboundVariable")
 
 
 def neg_output(out: S.Output) -> S.Prop:
@@ -32,8 +92,11 @@ def neg_output(out: S.Output) -> S.Prop:
 
 
 # ---------------------------------------------------------------------------
-# FD: functional dependent type system
+# FD, and FS as its index-free fragment
 # ---------------------------------------------------------------------------
+
+_NAT = S.FNat(None)
+
 
 def fd_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.Formula:
     """Synthesize the dependent type of t, or raise CheckError.
@@ -42,12 +105,17 @@ def fd_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.
     the imperative dec rule (which retypes through pred).  It is on unless
     ctx.allow_pred turns it off.
     """
-    ctx = ctx or CheckCtx()
-    return _fd(dict(sigma), t, ctx)
+    return _fd(dict(sigma), t, ctx or CheckCtx(), False)
+
+
+def fs_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.Formula:
+    """Synthesize the unique simple type of t, or raise CheckError."""
+    return _fd(dict(sigma), t, ctx or CheckCtx(), True)
 
 
 # The term environment is one scoped map per check (see envs.bind).
-def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
+# fs is True when checking the FS fragment (see the module docstring).
+def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
     match t:
         case S.TVar(name):
             ty = env.get(name)
@@ -57,67 +125,90 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
             return ty
         case S.TZero():
             ctx.rule("TC_ZERO")
-            return S.FNat(S.IZero())
+            return _NAT if fs else S.FNat(S.IZero())
         case S.TSucc(arg):
-            ity = _fd_nat(env, arg, ctx, "TC_SUCC", t.span)
+            ity = _fd_nat(env, arg, ctx, fs, "TC_SUCC", t.span)
             ctx.rule("TC_SUCC")
-            return S.FNat(S.ISucc(ity))
+            return _NAT if fs else S.FNat(S.ISucc(ity))
         case S.TPred(arg):
+            if fs:
+                _fd_nat(env, arg, ctx, fs, "TC_PRED", t.span)
+                ctx.rule("TC_PRED")
+                return _NAT
             if not ctx.allow_pred:
                 raise CheckError("TC_PRED_D", "the optional pred rule is disabled", span=t.span)
-            ity = _fd_nat(env, arg, ctx, "TC_PRED_D", t.span)
+            ity = _fd_nat(env, arg, ctx, fs, "TC_PRED_D", t.span)
             ctx.rule("TC_PRED_D")
             return S.FNat(S.IPred(ity))
         case S.TFn(param, ann, body):
+            if fs and not S.is_simple_formula(ann):
+                raise CheckError("FS", f"{show(ann)} is not a simple type", span=t.span)
             shadowed = envs.bind(env, param, ann)
-            cod = _fd(env, body, ctx)
+            cod = _fd(env, body, ctx, fs)
             envs.unbind(env, param, shadowed)
             ctx.rule("TC_LAM")
             return S.FArrow(ann, cod)
         case S.TApp(fn, arg):
-            fnty = _fd(env, fn, ctx)
+            fnty = _fd(env, fn, ctx, fs)
             if not isinstance(fnty, S.FArrow):
                 raise CheckError("TC_APP", f"applied a non-function of type {show(fnty)}", span=t.span)
-            got = _fd(env, arg, ctx)
+            got = _fd(env, arg, ctx, fs)
             if not S.alpha_eq(got, fnty.dom):
                 raise CheckError(
                     "TC_APP", f"argument has type {show(got)}, expected {show(fnty.dom)}", span=t.span
                 )
             ctx.rule("TC_APP")
             return fnty.cod
+        case S.TTuple(items):
+            types = tuple([_fd(env, item, ctx, fs) for item in items])
+            ctx.rule("TC_TUPLE")
+            return S.FTuple(types)
+        case S.TLet(name, value, body):
+            ty = _fd(env, value, ctx, fs)
+            ctx.rule("TC_LET")
+            shadowed = envs.bind(env, name, ty)
+            result = _fd(env, body, ctx, fs)
+            envs.unbind(env, name, shadowed)
+            return result
+        case S.TLetMatch(names, value, body):
+            ty = _fd(env, value, ctx, fs)
+            if fs and not (isinstance(ty, S.FTuple) and len(ty.items) == len(names)):
+                raise CheckError(
+                    "TC_MATCH", f"pattern <{', '.join(names)}> does not match {show(ty)}", span=t.span
+                )
+            ctx.rule("TC_MATCH")
+            return _fd_extended(env, names, ty, body, ctx, fs, t.span)
+        case S.TRec(bound, base, step, motive) if fs:
+            if motive is not None:
+                raise CheckError("TC_REC", "simple rec carries no motive", span=t.span)
+            _fd_nat(env, bound, ctx, fs, "TC_REC", t.span)
+            tau = _fd(env, base, ctx, fs)
+            got = _fd(env, step, ctx, fs)
+            want = S.FArrow(_NAT, S.FArrow(tau, tau))
+            if not S.alpha_eq(got, want):
+                raise CheckError("TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span)
+            ctx.rule("TC_REC")
+            return tau
+        case _ if fs:
+            raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
         case S.TIndLam(var, body):
             eigen, opened = ctx.fresh.open(var, body)
-            phi = _fd(env, opened, ctx)
+            phi = _fd(env, opened, ctx, fs)
             ctx.rule("TC_FORALL_I")
             return _generalize(var, eigen, phi, S.FForall)
         case S.TIndApp(fn, arg):
-            fnty = _fd(env, fn, ctx)
+            fnty = _fd(env, fn, ctx, fs)
             if not isinstance(fnty, S.FForall):
                 raise CheckError(
                     "TC_FORALL_E", f"instantiated a non-universal of type {show(fnty)}", span=t.span
                 )
             ctx.rule("TC_FORALL_E")
             return S.subst_ind(fnty.body, fnty.var, arg)
-        case S.TTuple(items):
-            types = tuple([_fd(env, item, ctx) for item in items])
-            ctx.rule("TC_TUPLE")
-            return S.FTuple(types)
-        case S.TLet(name, value, body):
-            ty = _fd(env, value, ctx)
-            ctx.rule("TC_LET")
-            shadowed = envs.bind(env, name, ty)
-            result = _fd(env, body, ctx)
-            envs.unbind(env, name, shadowed)
-            return result
-        case S.TLetMatch(names, value, body):
-            ty = _fd(env, value, ctx)
-            ctx.rule("TC_MATCH")
-            return _fd_extended(env, names, ty, body, ctx, t.span)
         case S.TPack(witness, value, ann):
             if not isinstance(ann, S.FExists):
                 raise CheckError("TC_EXISTS_I", f"pack annotation {show(ann)} is not existential", span=t.span)
             want = S.subst_ind(ann.body, ann.var, witness)
-            got = _fd(env, value, ctx)
+            got = _fd(env, value, ctx, fs)
             if not S.alpha_eq(got, want):
                 raise CheckError(
                     "TC_EXISTS_I", f"witness body has type {show(got)}, expected {show(want)}", span=t.span
@@ -127,9 +218,9 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
         case S.TRec(bound, base, step, motive):
             if motive is None:
                 raise CheckError("TC_REC", "dependent rec requires a motive", span=t.span, reason="MissingMotive")
-            idx = _fd_nat(env, bound, ctx, "TC_REC", t.span)
+            idx = _fd_nat(env, bound, ctx, fs, "TC_REC", t.span)
             base_want = S.subst_ind(motive.body, motive.var, S.IZero())
-            base_got = _fd(env, base, ctx)
+            base_got = _fd(env, base, ctx, fs)
             if not S.alpha_eq(base_got, base_want):
                 raise CheckError(
                     "TC_REC", f"base has type {show(base_got)}, expected {show(base_want)}", span=t.span
@@ -148,7 +239,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
                         S.subst_ind(motive.body, motive.var, S.ISucc(ev)),
                     )
                     shadowed = envs.bind(env, yname, S.FNat(ev))
-                    got = _fd(env, opened, ctx)
+                    got = _fd(env, opened, ctx, fs)
                     envs.unbind(env, yname, shadowed)
                     if not S.alpha_eq(got, want):
                         raise CheckError(
@@ -173,13 +264,13 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
                 "TC_AX", f"'{show(left)} = {show(right)}' is not an axiom instance", span=t.span, reason="NoAxiom"
             )
         case S.TCoerce(subject, fam, proof):
-            proof_ty = _fd(env, proof, ctx)
+            proof_ty = _fd(env, proof, ctx, fs)
             if not isinstance(proof_ty, S.FEq):
                 raise CheckError(
                     "TC_EQUAL_E", f"coercion proof has type {show(proof_ty)}, expected an equation", span=t.span
                 )
             want = S.subst_ind(fam.body, fam.var, proof_ty.right)
-            got = _fd(env, subject, ctx)
+            got = _fd(env, subject, ctx, fs)
             if not S.alpha_eq(got, want):
                 raise CheckError(
                     "TC_EQUAL_E", f"subject has type {show(got)}, expected {show(want)}", span=t.span
@@ -187,13 +278,13 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
             ctx.rule("TC_EQUAL_E")
             return S.subst_ind(fam.body, fam.var, proof_ty.left)
         case S.TThrow(ann, cont, arg):
-            cont_ty = _fd(env, cont, ctx)
+            cont_ty = _fd(env, cont, ctx, fs)
             negated = S.as_neg_f(cont_ty)
             if negated is None:
                 raise CheckError(
                     "TC_THROW", f"throw target has type {show(cont_ty)}, expected a negation", span=t.span
                 )
-            got = _fd(env, arg, ctx)
+            got = _fd(env, arg, ctx, fs)
             if not S.alpha_eq(got, negated):
                 raise CheckError(
                     "TC_THROW", f"thrown value has type {show(got)}, expected {show(negated)}", span=t.span
@@ -201,7 +292,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
             ctx.rule("TC_THROW")
             return ann
         case S.TCallcc(arg):
-            ty = _fd(env, arg, ctx)
+            ty = _fd(env, arg, ctx, fs)
             shape_err = CheckError(
                 "TC_CALLCC", f"callcc argument has type {show(ty)}, expected ~phi -> phi", span=t.span
             )
@@ -217,10 +308,12 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
     raise CheckError("FD", f"unhandled term {show(t)}", span=getattr(t, "span", None))
 
 
-def _fd_nat(env: dict, t: S.Term, ctx: CheckCtx, rule: str, span) -> S.Ind:
-    ty = _fd(env, t, ctx)
-    if not isinstance(ty, S.FNat) or ty.index is None:
-        raise CheckError(rule, f"expected an indexed nat, found {show(ty)}", span=span)
+def _fd_nat(env: dict, t: S.Term, ctx: CheckCtx, fs: bool, rule: str, span) -> Optional[S.Ind]:
+    """The index of t's nat type; in FS, a bare nat and no index."""
+    ty = _fd(env, t, ctx, fs)
+    if not isinstance(ty, S.FNat) or (ty.index is None) != fs:
+        wanted = "nat" if fs else "an indexed nat"
+        raise CheckError(rule, f"expected {wanted}, found {show(ty)}", span=span)
     return ty.index
 
 
@@ -230,9 +323,10 @@ def _fd_extended(
     phi: S.Formula,
     body: S.Term,
     ctx: CheckCtx,
+    fs: bool,
     span,
 ) -> S.Formula:
-    """Sigma, <x...> : phi |- body (TC_PRODUCT / TC_EXISTS)."""
+    """Sigma, <x...> : phi |- body (TC_PRODUCT / TC_EXISTS; TCTE_PRODUCT in FS)."""
     if isinstance(phi, S.FExists):
         if not isinstance(body, S.TUnpack):
             raise CheckError(
@@ -246,7 +340,7 @@ def _fd_extended(
         phi_open = S.subst_ind(phi.body, phi.var, ev)
         body_open = S.subst_ind(body.body, body.var, ev)
         ctx.rule("TC_EXISTS")
-        result = _fd_extended(env, names, phi_open, body_open, ctx, span)
+        result = _fd_extended(env, names, phi_open, body_open, ctx, fs, span)
         if eigen in S.free_ind_vars(result):
             raise CheckError(
                 "TC_EXISTS",
@@ -262,9 +356,9 @@ def _fd_extended(
                 f"pattern <{', '.join(names)}> does not match {show(phi)}",
                 span=span,
             )
-        ctx.rule("TC_PRODUCT")
+        ctx.rule("TCTE_PRODUCT" if fs else "TC_PRODUCT")
         saved = envs.bind_all(env, names, phi.items)
-        result = _fd(env, body, ctx)
+        result = _fd(env, body, ctx, fs)
         envs.unbind_all(env, names, saved)
         return result
     raise CheckError("TC_PRODUCT", f"cannot match a tuple pattern against {show(phi)}", span=span)
@@ -295,17 +389,7 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
     ctx = ctx or CheckCtx()
     match e:
         case S.EVar(name):
-            local = envs.lookup(omega, name)
-            const = envs.lookup(gamma, name)
-            if local is not None:
-                if const is not None:
-                    ctx.warn(f"'{name}' is bound both as constant and store variable; the store wins")
-                ctx.rule("T_ENV_II")
-                return local
-            if const is not None:
-                ctx.rule("T_ENV_I")
-                return const
-            raise CheckError("T_ENV", f"unbound ident '{name}'", span=e.span, reason="UnboundVariable")
+            return check_ident(gamma, omega, name, ctx, e.span)
         case S.EStar():
             ctx.rule("T_TRUE")
             return S.PTop()

@@ -7,7 +7,7 @@ symbols are accepted as aliases; the printer emits ASCII only.
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import ParseError
@@ -917,49 +917,34 @@ def parse(text: str) -> S.SourceFile:
     return Parser(text).parse_file()
 
 
-def parse_term(text: str) -> S.Term:
+def _parse_whole(text: str, production: Callable[[Parser], Any]) -> Any:
+    """Parse all of text as one production, or raise ParseError."""
     p = Parser(text)
-    term = p.parse_term()
+    node = production(p)
     if p.peek().kind != "eof":
         raise p.fail("end of input")
-    return term
+    return node
+
+
+def parse_term(text: str) -> S.Term:
+    return _parse_whole(text, Parser.parse_term)
 
 
 def parse_formula(text: str) -> S.Formula:
-    p = Parser(text)
-    phi = p.parse_formula()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
-    return phi
+    return _parse_whole(text, Parser.parse_formula)
 
 
 def parse_prop(text: str) -> S.Prop:
-    p = Parser(text)
-    prop = p.parse_prop()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
-    return prop
+    return _parse_whole(text, Parser.parse_prop)
 
 
 def parse_expr(text: str) -> S.Expr:
-    p = Parser(text)
-    e = p.parse_expr()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
-    return e
+    return _parse_whole(text, Parser.parse_expr)
 
 
 def parse_seq(text: str) -> S.Seq:
-    p = Parser(text)
-    s = p.parse_seq()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
-    return s
+    return _parse_whole(text, Parser.parse_seq)
 
 
 def parse_qenv(text: str) -> S.QEnv:
-    p = Parser(text)
-    q = p.parse_qenv()
-    if p.peek().kind != "eof":
-        raise p.fail("end of input")
-    return q
+    return _parse_whole(text, Parser.parse_qenv)

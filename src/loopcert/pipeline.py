@@ -17,7 +17,7 @@ from . import syntax as S
 from .errors import CheckError, EvalError, LoopcertError, ParseError
 from .parser import parse
 from .printer import show, show_env, show_qenv, show_term
-from .simple import CheckCtx
+from .dependent import CheckCtx
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -95,7 +95,7 @@ def check_source(
             raise CheckError("T_PROC", "IS main cannot declare an existential output", span=main.span)
         out_env = main.out.env
         names, _ = envs.split(out_env)
-        simple.check_header_idents((), names, "T_PROC", main.span)
+        dependent.check_header_idents((), names, "T_PROC", main.span)
         final = simple.is_check_seq(gamma, envs.init(names, S.PTop()), main.body, ctx)
         if not S.alpha_env(final, out_env):
             raise CheckError(
@@ -106,7 +106,7 @@ def check_source(
             )
     elif main is not None and sf.discipline == "ID":
         names, _ = envs.qsplit(main.out)
-        simple.check_header_idents((), names, "T_PROC_DECL", main.span)
+        dependent.check_header_idents((), names, "T_PROC_DECL", main.span)
         dependent.id_check_seq(gamma, envs.init(names, S.PTop()), main.body, main.out, ctx)
     elif main is not None:
         types = gamma + (("main", check(gamma, main.term, ctx)),)

@@ -1,133 +1,22 @@
-"""The simply-typed half: FS term checking and IS pseudo-dynamic
-checking.
+"""The simply-typed half: IS pseudo-dynamic checking.
 
-Both checkers are syntax directed and synthesize types; IS assignment
-may retype a store variable ("pseudo-dynamic").  The IS-to-FS
-translation is the index-free fragment of the one in `translate.py`.
+IS checking is syntax directed and synthesizes types; assignment may
+retype a store variable ("pseudo-dynamic"), which has no ID counterpart,
+so it stays a checker of its own.  FS checking is the index-free
+fragment of FD checking and lives in `dependent.py`, as the IS-to-FS
+translation is the index-free fragment of the one in `translate.py`;
+`fs_check_term` and `CheckCtx` are re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from . import envs, translate
 from . import syntax as S
+from .dependent import CheckCtx, check_header_idents, check_ident, fs_check_term  # noqa: F401
 from .errors import CheckError
 from .printer import show, show_env
-
-
-class CheckCtx:
-    """Per-run checker state: rule trace, warnings, and whether the
-    optional TC_PRED_D rule of the dependent checker is on."""
-
-    def __init__(
-        self,
-        trace: Optional[List[str]] = None,
-        warnings: Optional[List[str]] = None,
-        allow_pred: bool = True,
-    ):
-        self.trace = trace
-        self.warnings = warnings if warnings is not None else []
-        self.allow_pred = allow_pred
-        self.fresh = S.Freshener()
-
-    def rule(self, label: str) -> None:
-        if self.trace is not None:
-            self.trace.append(label)
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
-
-
-def _simple_formula(phi: S.Formula, span=None) -> None:
-    if not S.is_simple_formula(phi):
-        raise CheckError("FS", f"{show(phi)} is not a simple type", span=span)
-
-
-# ---------------------------------------------------------------------------
-# FS: functional simple type system
-# ---------------------------------------------------------------------------
-
-def fs_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.Formula:
-    """Synthesize the unique simple type of t, or raise CheckError."""
-    ctx = ctx or CheckCtx()
-    return _fs(dict(sigma), t, ctx)
-
-
-# The term environment is one scoped map per check (see envs.bind).
-def _fs(env: dict, t: S.Term, ctx: CheckCtx) -> S.Formula:
-    match t:
-        case S.TVar(name):
-            ty = env.get(name)
-            if ty is None:
-                raise CheckError("TC_VAR", f"unbound variable '{name}'", span=t.span, reason="UnboundVariable")
-            ctx.rule("TC_VAR")
-            return ty
-        case S.TZero():
-            ctx.rule("TC_ZERO")
-            return S.FNat(None)
-        case S.TSucc(arg):
-            _expect(_fs(env, arg, ctx), S.FNat(None), "TC_SUCC", t.span)
-            ctx.rule("TC_SUCC")
-            return S.FNat(None)
-        case S.TPred(arg):
-            _expect(_fs(env, arg, ctx), S.FNat(None), "TC_PRED", t.span)
-            ctx.rule("TC_PRED")
-            return S.FNat(None)
-        case S.TFn(param, ann, body):
-            _simple_formula(ann, t.span)
-            shadowed = envs.bind(env, param, ann)
-            cod = _fs(env, body, ctx)
-            envs.unbind(env, param, shadowed)
-            ctx.rule("TC_LAM")
-            return S.FArrow(ann, cod)
-        case S.TApp(fn, arg):
-            fnty = _fs(env, fn, ctx)
-            if not isinstance(fnty, S.FArrow):
-                raise CheckError("TC_APP", f"applied a non-function of type {show(fnty)}", span=t.span)
-            _expect(_fs(env, arg, ctx), fnty.dom, "TC_APP", t.span)
-            ctx.rule("TC_APP")
-            return fnty.cod
-        case S.TRec(bound, base, step, motive):
-            if motive is not None:
-                raise CheckError("TC_REC", "simple rec carries no motive", span=t.span)
-            _expect(_fs(env, bound, ctx), S.FNat(None), "TC_REC", t.span)
-            tau = _fs(env, base, ctx)
-            expected = S.FArrow(S.FNat(None), S.FArrow(tau, tau))
-            _expect(_fs(env, step, ctx), expected, "TC_REC", t.span)
-            ctx.rule("TC_REC")
-            return tau
-        case S.TTuple(items):
-            types = tuple([_fs(env, item, ctx) for item in items])
-            ctx.rule("TC_TUPLE")
-            return S.FTuple(types)
-        case S.TLet(name, value, body):
-            ty = _fs(env, value, ctx)
-            ctx.rule("TC_LET")
-            shadowed = envs.bind(env, name, ty)
-            result = _fs(env, body, ctx)
-            envs.unbind(env, name, shadowed)
-            return result
-        case S.TLetMatch(names, value, body):
-            ty = _fs(env, value, ctx)
-            if not isinstance(ty, S.FTuple) or len(ty.items) != len(names):
-                raise CheckError(
-                    "TC_MATCH",
-                    f"pattern <{', '.join(names)}> does not match {show(ty)}",
-                    span=t.span,
-                )
-            ctx.rule("TC_MATCH")
-            ctx.rule("TCTE_PRODUCT")
-            saved = envs.bind_all(env, names, ty.items)
-            result = _fs(env, body, ctx)
-            envs.unbind_all(env, names, saved)
-            return result
-    raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
-
-
-def _expect(found: S.Formula, wanted: S.Formula, rule: str, span) -> None:
-    if not S.alpha_eq(found, wanted):
-        raise CheckError(rule, f"expected {show(wanted)}, found {show(found)}", span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +34,6 @@ def _fresh_for_store(name: str, omega: S.Env, rule: str, span) -> None:
             span=span,
             reason="FreshnessViolation",
         )
-
-
-def check_header_idents(params: S.Env, out_names: Tuple[str, ...], rule: str, span) -> None:
-    """Parameter and output idents are distinct, and do not collide."""
-    pnames = [x for x, _ in params]
-    if len(set(pnames)) != len(pnames):
-        raise CheckError(rule, "duplicate parameter idents", span=span)
-    if len(set(out_names)) != len(out_names):
-        raise CheckError(rule, "duplicate output idents", span=span)
-    clash = set(pnames) & set(out_names)
-    if clash:
-        raise CheckError(rule, f"ident '{sorted(clash)[0]}' is both parameter and output", span=span)
 
 
 def _simple_prop(p: S.Prop, span=None) -> None:
@@ -178,17 +55,7 @@ def is_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
     ctx = ctx or CheckCtx()
     match e:
         case S.EVar(name):
-            local = envs.lookup(omega, name)
-            const = envs.lookup(gamma, name)
-            if local is not None:
-                if const is not None:
-                    ctx.warn(f"'{name}' is bound both as constant and store variable; the store wins")
-                ctx.rule("T_ENV_II")
-                return local
-            if const is not None:
-                ctx.rule("T_ENV_I")
-                return const
-            raise CheckError("T_ENV", f"unbound ident '{name}'", span=e.span, reason="UnboundVariable")
+            return check_ident(gamma, omega, name, ctx, e.span)
         case S.EStar():
             ctx.rule("T_UNIT")
             return S.PTop()

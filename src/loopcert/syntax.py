@@ -18,12 +18,8 @@ from typing import Any, Optional, Tuple
 
 Span = Tuple[int, int]  # (line, column)
 
+# Eigenvariables live in a reserved namespace the lexer cannot produce.
 EIGEN_MARK = "!"
-
-
-def is_eigen(name: str) -> bool:
-    """Eigenvariables live in a reserved namespace the lexer cannot produce."""
-    return EIGEN_MARK in name
 
 
 class Node:

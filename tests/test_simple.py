@@ -38,9 +38,35 @@ def test_fs_tuple_match():
     assert S.alpha_eq(simple.fs_check_term((), t), parse_formula("nat"))
 
 
-def test_fs_rejects_dependent_terms():
-    with pytest.raises(CheckError):
-        simple.fs_check_term((), parse_term("callcc (fn k : ~nat => 0)"))
+@pytest.mark.parametrize(
+    "text, form, rule",
+    [
+        ("lam n. 0", S.TIndLam, "FS"),
+        ("(lam n. 0) {0}", S.TIndApp, "FS"),
+        ("pack(0, 0 : exists n. nat(n))", S.TPack, "FS"),
+        ("?n. 0", S.TUnpack, "FS"),
+        ("add(0, 0) = 0", S.TAxiom, "FS"),
+        ("0 :> {n/nat(n)}[add(0, 0) = 0]", S.TCoerce, "FS"),
+        ("callcc (fn k : ~nat => 0)", S.TCallcc, "FS"),
+        ("throw[nat] 0 0", S.TThrow, "FS"),
+        ("fn x : nat(0) => x", S.TFn, "FS"),
+        ("rec{m. nat}(0, 0, fn y : nat => fn a : nat => a)", S.TRec, "TC_REC"),
+    ],
+    ids=["lam", "inst", "pack", "unpack", "axiom", "coerce", "callcc", "throw",
+         "indexed_annotation", "motive"],
+)
+def test_fs_rejects_dependent_terms(text, form, rule):
+    t = parse_term(text)
+    assert isinstance(t, form)
+    with pytest.raises(CheckError) as err:
+        simple.fs_check_term((), t)
+    assert err.value.rule == rule
+
+
+def test_fs_pred_ignores_the_optional_dependent_rule():
+    ctx = CheckCtx(trace=[], allow_pred=False)
+    assert simple.fs_check_term((), parse_term("pred(0)"), ctx) == S.FNat(None)
+    assert ctx.trace == ["TC_ZERO", "TC_PRED"]
 
 
 def test_fs_unbound():
@@ -50,9 +76,17 @@ def test_fs_unbound():
 
 
 def test_fs_type_error_cites_rule():
-    with pytest.raises(CheckError) as err:
-        simple.fs_check_term((), parse_term("succ(<>)"))
-    assert err.value.rule == "TC_SUCC"
+    for text, rule in [
+        ("succ(<>)", "TC_SUCC"),
+        ("pred(<>)", "TC_PRED"),
+        ("(fn x : nat => x) <>", "TC_APP"),
+        ("rec(<>, 0, fn y : nat => fn a : nat => a)", "TC_REC"),
+        ("rec(0, 0, fn y : nat => fn a : nat => <>)", "TC_REC"),
+        ("let <a> = <0, 0> in a", "TC_MATCH"),
+    ]:
+        with pytest.raises(CheckError) as err:
+            simple.fs_check_term((), parse_term(text))
+        assert err.value.rule == rule, text
 
 
 def test_fs_derivation_report_replays():
