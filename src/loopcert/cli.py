@@ -71,7 +71,7 @@ def _corpus_files(paths: List[str], use_all: bool) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    sys.setrecursionlimit(20000)  # checkers recurse over long command sequences
+    sys.setrecursionlimit(20000)  # the phases recurse once per level of nesting
     ap = argparse.ArgumentParser(prog="loopcert", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -128,6 +128,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 except ParseError as ex:
                     print(str(ex), file=sys.stderr)
                     return pipeline.EXIT_PARSE
+                except RecursionError:
+                    print("[LIMIT] the input nests too deeply to format: the host recursion limit was reached",
+                          file=sys.stderr)
+                    return pipeline.EXIT_PARSE
         return pipeline.EXIT_OK
 
     allow_pred = not ns.no_pred_rule
@@ -149,11 +153,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             if report.exit_code == pipeline.EXIT_OK:
                 out_path = ns.output or os.path.splitext(path)[0] + ".t"
-                with open(out_path, "w", encoding="utf-8") as handle:
-                    handle.write(show_file(report.image))
-                report.phases.append(
-                    {"name": "write", "ok": True, "elapsed_s": 0.0, "payload": {"output": out_path}}
-                )
+                try:
+                    image_text = show_file(report.image)
+                except RecursionError:
+                    report.diag(
+                        "LIMIT", None, "the image nests too deeply to print: the host recursion limit was reached"
+                    )
+                    report.exit_code = pipeline.EXIT_TARGET
+                else:
+                    with open(out_path, "w", encoding="utf-8") as handle:
+                        handle.write(image_text)
+                    report.phases.append(
+                        {"name": "write", "ok": True, "elapsed_s": 0.0, "payload": {"output": out_path}}
+                    )
         else:  # eval | pipeline
             report = pipeline.run_pipeline(
                 path,

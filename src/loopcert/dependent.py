@@ -163,21 +163,8 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
             types = tuple([_fd(env, item, ctx, fs) for item in items])
             ctx.rule("TC_TUPLE")
             return S.FTuple(types)
-        case S.TLet(name, value, body):
-            ty = _fd(env, value, ctx, fs)
-            ctx.rule("TC_LET")
-            shadowed = envs.bind(env, name, ty)
-            result = _fd(env, body, ctx, fs)
-            envs.unbind(env, name, shadowed)
-            return result
-        case S.TLetMatch(names, value, body):
-            ty = _fd(env, value, ctx, fs)
-            if fs and not (isinstance(ty, S.FTuple) and len(ty.items) == len(names)):
-                raise CheckError(
-                    "TC_MATCH", f"pattern <{', '.join(names)}> does not match {show(ty)}", span=t.span
-                )
-            ctx.rule("TC_MATCH")
-            return _fd_extended(env, names, ty, body, ctx, fs, t.span)
+        case S.TLet() | S.TLetMatch():
+            return _fd_lets(env, t, ctx, fs)
         case S.TRec(bound, base, step, motive) if fs:
             if motive is not None:
                 raise CheckError("TC_REC", "simple rec carries no motive", span=t.span)
@@ -317,7 +304,46 @@ def _fd_nat(env: dict, t: S.Term, ctx: CheckCtx, fs: bool, rule: str, span) -> O
     return ty.index
 
 
-def _fd_extended(
+def _fd_lets(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
+    """TC_LET and TC_MATCH along a chain of lets, with a loop: an image's
+    chain is as long as its source sequence.  The chain's type is its
+    end's.  Afterwards the bindings are undone, and no eigenvariable a
+    match opened may escape into that type (checked innermost first)."""
+    bound: list = []  # (names, what unbind_all needs), outermost first
+    opened: list = []  # (eigenvariable, span of its match), outermost first
+    while True:
+        cls = type(t)
+        if cls is S.TLet:
+            ty = _fd(env, t.value, ctx, fs)
+            ctx.rule("TC_LET")
+            bound.append(((t.name,), [envs.bind(env, t.name, ty)]))
+            t = t.body
+        elif cls is S.TLetMatch:
+            names = t.names
+            ty = _fd(env, t.value, ctx, fs)
+            if fs and not (isinstance(ty, S.FTuple) and len(ty.items) == len(names)):
+                raise CheckError(
+                    "TC_MATCH", f"pattern <{', '.join(names)}> does not match {show(ty)}", span=t.span
+                )
+            ctx.rule("TC_MATCH")
+            t = _fd_match(env, names, ty, t.body, ctx, fs, t.span, bound, opened)
+        else:
+            break
+    result = _fd(env, t, ctx, fs)
+    for names, shadowed in reversed(bound):
+        envs.unbind_all(env, names, shadowed)
+    for eigen, span in reversed(opened):
+        if eigen in S.free_ind_vars(result):
+            raise CheckError(
+                "TC_EXISTS",
+                f"eigenvariable {eigen} escapes into the result type {show(result)}",
+                span=span,
+                reason="EigenEscape",
+            )
+    return result
+
+
+def _fd_match(
     env: dict,
     names: Tuple[str, ...],
     phi: S.Formula,
@@ -325,9 +351,14 @@ def _fd_extended(
     ctx: CheckCtx,
     fs: bool,
     span,
-) -> S.Formula:
-    """Sigma, <x...> : phi |- body (TC_PRODUCT / TC_EXISTS; TCTE_PRODUCT in FS)."""
-    if isinstance(phi, S.FExists):
+    bound: list,
+    opened: list,
+) -> S.Term:
+    """Sigma, <x...> : phi |- body (TC_PRODUCT / TC_EXISTS; TCTE_PRODUCT in
+    FS): open phi's existentials against body's '?n.'s, bind the names,
+    and return what is left of body.  The bindings and the eigenvariables
+    go on `_fd_lets`'s lists."""
+    while isinstance(phi, S.FExists):
         if not isinstance(body, S.TUnpack):
             raise CheckError(
                 "TC_EXISTS",
@@ -337,18 +368,10 @@ def _fd_extended(
             )
         eigen = ctx.fresh.fresh(body.var)
         ev = S.IVar(eigen)
-        phi_open = S.subst_ind(phi.body, phi.var, ev)
-        body_open = S.subst_ind(body.body, body.var, ev)
+        phi = S.subst_ind(phi.body, phi.var, ev)
+        body = S.subst_ind(body.body, body.var, ev)
         ctx.rule("TC_EXISTS")
-        result = _fd_extended(env, names, phi_open, body_open, ctx, fs, span)
-        if eigen in S.free_ind_vars(result):
-            raise CheckError(
-                "TC_EXISTS",
-                f"eigenvariable {eigen} escapes into the result type {show(result)}",
-                span=span,
-                reason="EigenEscape",
-            )
-        return result
+        opened.append((eigen, span))
     if isinstance(phi, S.FTuple):
         if len(phi.items) != len(names):
             raise CheckError(
@@ -357,10 +380,8 @@ def _fd_extended(
                 span=span,
             )
         ctx.rule("TCTE_PRODUCT" if fs else "TC_PRODUCT")
-        saved = envs.bind_all(env, names, phi.items)
-        result = _fd(env, body, ctx, fs)
-        envs.unbind_all(env, names, saved)
-        return result
+        bound.append((names, envs.bind_all(env, names, phi.items)))
+        return body
     raise CheckError("TC_PRODUCT", f"cannot match a tuple pattern against {show(phi)}", span=span)
 
 
@@ -504,100 +525,127 @@ def id_check_exprs(
 def id_check_seq(
     gamma: S.Env, omega: S.Env, s: S.Seq, expected: S.QEnv, ctx: Optional[CheckCtx] = None
 ) -> None:
-    """Check a sequence against an expected quantified output environment."""
+    """Check a sequence against an expected quantified output environment.
+
+    The items are checked in a loop.  Where the sequence goes on in the
+    `rest` of a `?n.` or a witness, the loop goes on there, and a `:>`
+    group, which ends the sequence, is checked against the goal it leaves.
+    """
     ctx = ctx or CheckCtx()
-    match s:
-        case S.SEmpty():
-            match expected:
-                case S.QSimple(env):
-                    envs.subset(env, omega, "T_EMPTY", s.span)
-                    ctx.rule("T_EMPTY")
-                case S.QExists():
-                    raise CheckError(
-                        "T_EMPTY",
-                        f"output {show(expected)} is existential; a witness annotation is required",
-                        span=s.span,
-                        reason="MissingWitness",
-                    )
-            return
-        case S.SWitness(witness, ann, rest):
+    items, k = s.items, 0
+    while k < len(items):
+        item = items[k]
+        k += 1
+        cls = type(item)
+        if cls is S.SCst:
+            if envs.lookup(omega, item.name) is not None:
+                raise CheckError(
+                    "T_CST",
+                    f"'{item.name}' shadows a live store variable; rename the constant",
+                    span=item.span,
+                    reason="FreshnessViolation",
+                )
+            ty = id_check_expr(gamma, omega, item.value, ctx)
+            ctx.rule("T_CST")
+            gamma = gamma + ((item.name, ty),)
+        elif cls is S.SVar:
+            ty = id_check_expr(gamma, omega, item.value, ctx)
+            if envs.belongs(item.name, expected):
+                raise CheckError(
+                    "T_VAR",
+                    f"local '{item.name}' must not occur in the output environment {show(expected)}",
+                    span=item.span,
+                    reason="FreshnessViolation",
+                )
+            ctx.rule("T_VAR")
+            omega = omega + ((item.name, ty),)
+        elif cls is S.SWitness:
+            ann = item.ann
             if not isinstance(ann, S.QExists):
                 raise CheckError(
-                    "T_WITNESS", f"witness annotates non-existential {show(ann)}", span=s.span,
+                    "T_WITNESS", f"witness annotates non-existential {show(ann)}", span=item.span,
                     reason="WitnessMismatch",
                 )
             if not S.alpha_eq(ann, expected):
                 raise CheckError(
                     "T_WITNESS",
                     f"witness annotation {show(ann)} does not match the goal {show(expected)}",
-                    span=s.span,
+                    span=item.span,
                     reason="WitnessMismatch",
                 )
             ctx.rule("T_WITNESS")
-            id_check_seq(gamma, omega, rest, S.subst_ind(ann.body, ann.var, witness), ctx)
-            return
-        case S.SSubst(body, fam, proof):
-            proof_ty = id_check_expr(gamma, omega, proof, ctx)
+            expected = S.subst_ind(ann.body, ann.var, item.witness)
+            s = item.rest
+            items, k = s.items, 0
+        elif cls is S.SSubst:
+            fam = item.fam
+            proof_ty = id_check_expr(gamma, omega, item.proof, ctx)
             if not isinstance(proof_ty, S.PEq):
                 raise CheckError(
-                    "T_SUBST", f"coercion proof has type {show(proof_ty)}, expected an equation", span=s.span
+                    "T_SUBST", f"coercion proof has type {show(proof_ty)}, expected an equation", span=item.span
                 )
             claimed = S.subst_ind(fam.body, fam.var, proof_ty.left)
             if not S.alpha_eq(claimed, expected):
                 raise CheckError(
                     "T_SUBST",
                     f"coercion yields {show(claimed)}, the goal is {show(expected)}",
-                    span=s.span,
+                    span=item.span,
                 )
             ctx.rule("T_SUBST")
-            id_check_seq(gamma, omega, body, S.subst_ind(fam.body, fam.var, proof_ty.right), ctx)
+            id_check_seq(gamma, omega, item.body, S.subst_ind(fam.body, fam.var, proof_ty.right), ctx)
             return
-        case S.SCst(name, value, rest):
-            if envs.lookup(omega, name) is not None:
-                raise CheckError(
-                    "T_CST",
-                    f"'{name}' shadows a live store variable; rename the constant",
-                    span=s.span,
-                    reason="FreshnessViolation",
-                )
-            ty = id_check_expr(gamma, omega, value, ctx)
-            ctx.rule("T_CST")
-            id_check_seq(gamma + ((name, ty),), omega, rest, expected, ctx)
-            return
-        case S.SVar(name, value, rest):
-            ty = id_check_expr(gamma, omega, value, ctx)
-            if envs.belongs(name, expected):
-                raise CheckError(
-                    "T_VAR",
-                    f"local '{name}' must not occur in the output environment {show(expected)}",
-                    span=s.span,
-                    reason="FreshnessViolation",
-                )
-            ctx.rule("T_VAR")
-            id_check_seq(gamma, omega + ((name, ty),), rest, expected, ctx)
-            return
-        case S.SUnpack():
+        elif cls is S.SUnpack:
             raise CheckError(
                 "TC_UPDATE_SEQ_II",
                 "'?n.' may only follow a call, block, label or jump delivering an existential",
-                span=s.span,
+                span=item.span,
             )
-        case S.SCmd(cmd, rest):
-            _id_command(gamma, omega, cmd, rest, expected, ctx)
-            return
-    raise AssertionError(s)
+        else:
+            omega, theta = _id_command(gamma, omega, item, ctx)
+            if theta is None:
+                continue
+            # TC_UPDATE_SEQ: go on from the store updated by theta
+            while isinstance(theta, S.QExists):
+                unpack = items[k] if k < len(items) else None
+                if not isinstance(unpack, S.SUnpack):
+                    raise CheckError(
+                        "TC_UPDATE_SEQ_II",
+                        f"the store update {show(theta)} is existential; the continuation must begin with '?{theta.var}.'",
+                        span=item.span,
+                        reason="MissingUnpack",
+                    )
+                ev = S.IVar(ctx.fresh.fresh(unpack.var))
+                theta = S.subst_ind(theta.body, theta.var, ev)
+                s = S.subst_ind(unpack.rest, unpack.var, ev)
+                items, k = s.items, 0
+                ctx.rule("TC_UPDATE_SEQ_II")
+            ctx.rule("TC_UPDATE_SEQ_I")
+            omega = envs.multi_update(omega, theta.env, "TC_UPDATE_SEQ", item.span)
+    match expected:
+        case S.QSimple(env):
+            envs.subset(env, omega, "T_EMPTY", s.span)
+            ctx.rule("T_EMPTY")
+        case S.QExists():
+            raise CheckError(
+                "T_EMPTY",
+                f"output {show(expected)} is existential; a witness annotation is required",
+                span=s.span,
+                reason="MissingWitness",
+            )
 
 
 def _id_command(
-    gamma: S.Env, omega: S.Env, cmd: S.Command, rest: S.Seq, expected: S.QEnv, ctx: CheckCtx
-) -> None:
+    gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx
+) -> Tuple[S.Env, Optional[S.QEnv]]:
+    """Check one command: the store after it, and for a block, label, jump
+    or call the output environment theta it updates the store with
+    (TC_UPDATE_SEQ), else None."""
     match cmd:
         case S.CAssign(name, value):
             envs.require(omega, name, "T_ASSIGN", cmd.span)
             ty = id_check_expr(gamma, omega, value, ctx)
             ctx.rule("T_ASSIGN")
-            id_check_seq(gamma, envs.update(omega, name, ty, "T_ASSIGN", cmd.span), rest, expected, ctx)
-            return
+            return envs.update(omega, name, ty, "T_ASSIGN", cmd.span), None
         case S.CInc(name) | S.CDec(name):
             rule = "T_INC" if isinstance(cmd, S.CInc) else "T_DEC"
             ty = envs.require(omega, name, rule, cmd.span)
@@ -605,21 +653,17 @@ def _id_command(
                 raise CheckError(rule, f"'{name}' has type {show(ty)}, expected an indexed nat", span=cmd.span)
             new_index = S.ISucc(ty.index) if isinstance(cmd, S.CInc) else S.IPred(ty.index)
             ctx.rule(rule)
-            omega2 = envs.update(omega, name, S.PNat(new_index), rule, cmd.span)
-            id_check_seq(gamma, omega2, rest, expected, ctx)
-            return
+            return envs.update(omega, name, S.PNat(new_index), rule, cmd.span), None
         case S.CBlock(body, ann):
             ctx.rule("T_BLOCK")
             id_check_seq(gamma, omega, body, ann, ctx)
-            _id_update_seq(gamma, omega, ann, rest, expected, ctx, cmd.span)
-            return
+            return omega, ann
         case S.CLabel(name, body, ann):
             _, out = envs.qsplit(ann)
             cont_ty = neg_output(out)
             ctx.rule("T_LABEL")
             id_check_seq(gamma + ((name, cont_ty),), omega, body, ann, ctx)
-            _id_update_seq(gamma, omega, ann, rest, expected, ctx, cmd.span)
-            return
+            return omega, ann
         case S.CJump(target, args, ann):
             target_ty = id_check_expr(gamma, omega, target, ctx)
             match target_ty:
@@ -640,8 +684,7 @@ def _id_command(
                         reason="NegationMismatch",
                     )
             ctx.rule("T_JUMP")
-            _id_update_seq(gamma, omega, ann, rest, expected, ctx, cmd.span)
-            return
+            return omega, ann
         case S.CFor(var, idx, bound, body, frame):
             frame0 = S.subst_ind(frame, idx, S.IZero()) if idx else frame
             envs.subset(frame0, omega, "T_FOR", cmd.span)
@@ -661,9 +704,7 @@ def _id_command(
                 body_n, frame_n, frame_s, frame_end = body, frame, frame, frame
             ctx.rule("T_FOR")
             id_check_seq(gamma + ((var, S.PNat(ev)),), frame_n, body_n, S.QSimple(frame_s), ctx)
-            omega2 = envs.multi_update(omega, frame_end, "T_FOR", cmd.span)
-            id_check_seq(gamma, omega2, rest, expected, ctx)
-            return
+            return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
         case S.CCall(fn, args, outs):
             if len(set(outs)) != len(outs):
                 raise CheckError("T_CALL", "output idents of a call must be distinct", span=cmd.span)
@@ -689,40 +730,5 @@ def _id_command(
             id_check_exprs(gamma, omega, args, params, ctx, "T_CALL", cmd.span)
             theta = envs.qzip(outs, out, "T_CALL", cmd.span)
             ctx.rule("T_CALL")
-            _id_update_seq(gamma, omega, theta, rest, expected, ctx, cmd.span)
-            return
+            return omega, theta
     raise AssertionError(cmd)
-
-
-def _id_update_seq(
-    gamma: S.Env,
-    omega: S.Env,
-    theta: S.QEnv,
-    s: S.Seq,
-    expected: S.QEnv,
-    ctx: CheckCtx,
-    span,
-) -> None:
-    """Continue checking from the store updated by theta (TC_UPDATE_SEQ)."""
-    match theta:
-        case S.QSimple(env):
-            ctx.rule("TC_UPDATE_SEQ_I")
-            omega2 = envs.multi_update(omega, env, "TC_UPDATE_SEQ", span)
-            id_check_seq(gamma, omega2, s, expected, ctx)
-            return
-        case S.QExists(var, body):
-            if not isinstance(s, S.SUnpack):
-                raise CheckError(
-                    "TC_UPDATE_SEQ_II",
-                    f"the store update {show(theta)} is existential; the continuation must begin with '?{var}.'",
-                    span=span,
-                    reason="MissingUnpack",
-                )
-            eigen = ctx.fresh.fresh(s.var)
-            ev = S.IVar(eigen)
-            theta_open = S.subst_ind(body, var, ev)
-            rest_open = S.subst_ind(s.rest, s.var, ev)
-            ctx.rule("TC_UPDATE_SEQ_II")
-            _id_update_seq(gamma, omega, theta_open, rest_open, expected, ctx, span)
-            return
-    raise AssertionError(theta)

@@ -3,7 +3,7 @@
 Generates well-typed jump-free imperative programs, takes each through
 the pipeline's check-source, translate and check-target phases, and
 compares the direct interpreter against the machine on random inputs.
-Failures are shrunk by dropping sequence links and decrementing
+Failures are shrunk by dropping sequence items and decrementing
 numerals.
 """
 
@@ -59,9 +59,15 @@ def run_one(
 # ---------------------------------------------------------------------------
 
 def _variants(value: Any) -> Iterator[Any]:
-    """One-change simplifications: drop a sequence link or lower a numeral."""
-    if isinstance(value, (S.SCmd, S.SCst, S.SVar)):
-        yield value.rest
+    """One-change simplifications: drop a sequence item or lower a numeral."""
+    if isinstance(value, S.Seq):
+        items = value.items
+        for k, item in enumerate(items):
+            if isinstance(item, (S.Command, S.SCst, S.SVar)):
+                yield S.Seq(items[:k] + items[k + 1 :], value.span)
+            for new_item in _variants(item):
+                yield S.Seq(items[:k] + (new_item,) + items[k + 1 :], value.span)
+        return
     if isinstance(value, S.ENum) and value.value > 0:
         yield S.ENum(value.value - 1)
     if isinstance(value, S.Node):

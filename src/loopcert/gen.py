@@ -229,13 +229,14 @@ class _ProgGen:
         assert proto == UNARY_PROC
         return literal
 
-    def _fixup(self, omega: Dict[str, S.Prop], wanted: Dict[str, S.Prop]) -> S.Seq:
-        seq: S.Seq = S.SEmpty()
+    def _fixup(self, omega: Dict[str, S.Prop], wanted: Dict[str, S.Prop]) -> List[S.CAssign]:
+        fixes = []
         for name, t in reversed(list(wanted.items())):
             if omega.get(name) != t:
                 value = S.ENum(self.rng.randrange(0, 6)) if t == NAT else S.EStar()
-                seq = S.SCmd(S.CAssign(name, value), seq)
-        return seq
+                fixes.append(S.CAssign(name, value))
+        fixes.reverse()
+        return fixes
 
     def seq(
         self,
@@ -245,72 +246,68 @@ class _ProgGen:
         depth: int,
         steps: Optional[int] = None,
     ) -> S.Seq:
-        """Generate commands against the running store typing, then fix the
-        store up to the wanted final typing."""
+        """Generate items against the running store typing, one step at a
+        time, then fix the store up to the wanted final typing."""
         rng = self.rng
         if steps is None:
             steps = self.budget
-        if steps <= 0 or not self.spend():
-            return self._fixup(omega, wanted)
-
-        def rest(gamma=gamma, omega=omega) -> S.Seq:
-            return self.seq(gamma, omega, wanted, depth, steps - 1)
-
-        choice = rng.random()
-        if choice < 0.30 and omega:
-            name = rng.choice(list(omega))
-            if rng.random() < 0.15:
-                cmd = S.CAssign(name, S.EStar())
-                omega = {**omega, name: TOP}
-            else:
-                cmd = S.CAssign(name, self.nat_expr(gamma, omega))
-                omega = {**omega, name: NAT}
-            return S.SCmd(cmd, rest(omega=omega))
-        if choice < 0.45:
-            nat_vars = [x for x, t in omega.items() if t == NAT]
-            if nat_vars:
-                name = rng.choice(nat_vars)
-                cmd = S.CInc(name) if rng.random() < 0.7 else S.CDec(name)
-                return S.SCmd(cmd, rest())
-        elif choice < 0.55 and depth > 0:
-            nat_vars = [x for x, t in omega.items() if t == NAT]
-            if nat_vars:
-                frame_names = rng.sample(nat_vars, rng.randrange(1, min(3, len(nat_vars)) + 1))
-                frame = tuple((x, NAT) for x in frame_names)
-                if rng.random() < 0.5:
-                    body = self.loop_body(gamma, frame_names, depth - 1)
-                    cmd = S.CFor(self.name("i"), None, self.nat_expr(gamma, omega), body, frame)
+        items: List = []
+        while steps > 0 and self.spend():
+            steps -= 1
+            choice = rng.random()
+            if choice < 0.30 and omega:
+                name = rng.choice(list(omega))
+                if rng.random() < 0.15:
+                    items.append(S.CAssign(name, S.EStar()))
+                    omega = {**omega, name: TOP}
                 else:
-                    inner = {x: NAT for x in frame_names}
-                    bbody = self.seq(gamma, dict(inner), dict(inner), depth - 1, rng.randrange(1, 4))
-                    cmd = S.CBlock(bbody, S.QSimple(frame))
-                return S.SCmd(cmd, rest())
-        elif choice < 0.70 and depth > 0:
-            if rng.random() < 0.5:
-                literal, proto = self.proc_literal(gamma, depth)
-                cname = self.name("f")
-                return S.SCst(cname, literal, rest(gamma={**gamma, cname: proto}))
-            vname = self.name("t")
-            value = self.nat_expr(gamma, omega)
-            return S.SVar(vname, value, rest(omega={**omega, vname: NAT}))
-        elif choice < 0.85 and depth > 0:
-            # calls only in depth-positive bodies: a conjured closure argument
-            # may not call back into scope, which would build call cycles of
-            # exponential runtime
-            procs = [(x, t) for x, t in gamma.items() if isinstance(t, S.PProc)]
-            if procs:
-                pname, pty = rng.choice(procs)
-                assert isinstance(pty.proto, S.ProtoBase)
-                assert isinstance(pty.proto.out, S.OSimple)
-                args = tuple(self.argument_for(t, gamma, omega) for t in pty.proto.params)
-                targets = list(omega)
-                if len(targets) >= len(pty.proto.out.types):
-                    outs = tuple(rng.sample(targets, len(pty.proto.out.types)))
-                    omega = dict(omega)
-                    for o in outs:
-                        omega[o] = NAT
-                    return S.SCmd(S.CCall(S.EVar(pname), args, outs), rest(omega=omega))
-        return rest()
+                    items.append(S.CAssign(name, self.nat_expr(gamma, omega)))
+                    omega = {**omega, name: NAT}
+            elif choice < 0.45:
+                nat_vars = [x for x, t in omega.items() if t == NAT]
+                if nat_vars:
+                    name = rng.choice(nat_vars)
+                    items.append(S.CInc(name) if rng.random() < 0.7 else S.CDec(name))
+            elif choice < 0.55 and depth > 0:
+                nat_vars = [x for x, t in omega.items() if t == NAT]
+                if nat_vars:
+                    frame_names = rng.sample(nat_vars, rng.randrange(1, min(3, len(nat_vars)) + 1))
+                    frame = tuple((x, NAT) for x in frame_names)
+                    if rng.random() < 0.5:
+                        body = self.loop_body(gamma, frame_names, depth - 1)
+                        items.append(S.CFor(self.name("i"), None, self.nat_expr(gamma, omega), body, frame))
+                    else:
+                        inner = {x: NAT for x in frame_names}
+                        bbody = self.seq(gamma, dict(inner), dict(inner), depth - 1, rng.randrange(1, 4))
+                        items.append(S.CBlock(bbody, S.QSimple(frame)))
+            elif choice < 0.70 and depth > 0:
+                if rng.random() < 0.5:
+                    literal, proto = self.proc_literal(gamma, depth)
+                    cname = self.name("f")
+                    items.append(S.SCst(cname, literal))
+                    gamma = {**gamma, cname: proto}
+                else:
+                    vname = self.name("t")
+                    items.append(S.SVar(vname, self.nat_expr(gamma, omega)))
+                    omega = {**omega, vname: NAT}
+            elif choice < 0.85 and depth > 0:
+                # calls only in depth-positive bodies: a conjured closure argument
+                # may not call back into scope, which would build call cycles of
+                # exponential runtime
+                procs = [(x, t) for x, t in gamma.items() if isinstance(t, S.PProc)]
+                if procs:
+                    pname, pty = rng.choice(procs)
+                    assert isinstance(pty.proto, S.ProtoBase)
+                    assert isinstance(pty.proto.out, S.OSimple)
+                    args = tuple(self.argument_for(t, gamma, omega) for t in pty.proto.params)
+                    targets = list(omega)
+                    if len(targets) >= len(pty.proto.out.types):
+                        outs = tuple(rng.sample(targets, len(pty.proto.out.types)))
+                        omega = dict(omega)
+                        for o in outs:
+                            omega[o] = NAT
+                        items.append(S.CCall(S.EVar(pname), args, outs))
+        return S.Seq(tuple(items + self._fixup(omega, wanted)))
 
     def loop_body(self, gamma: Dict[str, S.Prop], frame_names: List[str], depth: int) -> S.Seq:
         """A body that maps the all-nat frame typing to itself."""
@@ -338,10 +335,7 @@ class _ProgGen:
                         frame,
                     )
                 )
-        seq: S.Seq = S.SEmpty()
-        for cmd in reversed(cmds):
-            seq = S.SCmd(cmd, seq)
-        return seq
+        return S.Seq(tuple(cmds))
 
 
 def gen_is_program(rng: Rng, size_bound: int = 30) -> Tuple[S.SourceFile, str, int]:

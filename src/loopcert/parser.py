@@ -7,6 +7,8 @@ symbols are accepted as aliases; the printer emits ASCII only.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, islice
 from typing import Any, Callable, List, Optional, Tuple
 
 from . import syntax as S
@@ -25,11 +27,11 @@ _UNICODE = {
     "→": "->", "⇒": "=>", "λ": "lam",
 }
 
-# One match per token: horizontal layout is skipped in front of it, and
-# the alternatives are newline, comment, punctuator, word, digits and any
-# other character (which `_lex_other` looks at).  A digit run that goes on
-# into a non-ASCII digit (str.isdigit, wider than [0-9]) is left to
-# `_lex_other` too, so int tokens span exactly the isdigit runs.
+# The general lexer: one match per token.  Horizontal layout is skipped in
+# front of it, and the alternatives are newline, comment, punctuator, word,
+# digits and any other character (which `_lex_other` looks at).  A digit
+# run that goes on into a non-ASCII digit (str.isdigit, wider than [0-9])
+# is left to `_lex_other` too, so int tokens span exactly the isdigit runs.
 _TOKEN = re.compile(
     r"[ \t\r]*(?:"
     r"(\n)"
@@ -42,8 +44,26 @@ _TOKEN = re.compile(
 _NEWLINE, _COMMENT, _PUNCT, _WORD, _INT = range(1, 6)  # group 6: any other character
 _WORD_TAIL = re.compile(r"\w*")  # str.isalnum() or "_", exactly
 
+# The fast lexer, for text in which every character outside comments is
+# layout or lexes without `_lex_other` (no `_ODD` match): comments are
+# blanked to spaces, so offsets stay, and one `split` on the token
+# alternatives gives layout and tokens in turn.
+_COMMENTS = re.compile(r"//([^\n]*)")
+_SPLIT = re.compile(
+    r"(:=|:>|<:|=>|->|[{}\[\]()<>,;:.=~*?/]|[A-Za-z_]\w*|[0-9]+(?![0-9]|[^\x00-\x7f])|[^ \t\r\n])"
+)
+_ODD = re.compile(r"[^\x00-\x7f]|[^ \t\r\n\w{}\[\]()<>,;:.=~*?/-]|-(?!>)")
+
+# a token's kind by its value, or for a word or digit run by its first character
+_KINDS = {p: "punct" for p in ":= :> <: => -> { } [ ] ( ) < > , ; : . = ~ * ? /".split()}
+_KINDS.update((k, "kw") for k in KEYWORDS)
+_KINDS.update((d, "int") for d in "0123456789")
+_PAD = 2  # how far past the eof token a parser may look
+
 
 class Token:
+    """One token of a stream, as `Parser.peek` shows it."""
+
     __slots__ = ("kind", "value", "line", "col")
 
     def __init__(self, kind: str, value: str, line: int, col: int):
@@ -56,108 +76,169 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
-def lex(text: str) -> Tuple[List[Token], List[str]]:
-    tokens: List[Token] = []
-    notes: List[str] = []
+class Tokens:
+    """A token stream as parallel lists of kind, value and start offset, the
+    last token the eof; a token's line and column are worked out on demand.
+    The lists repeat the eof token `_PAD` more times, so that a reader may
+    look two tokens past it; len() does not count the repeats."""
+
+    __slots__ = ("kinds", "values", "starts", "line_starts")
+
+    def __init__(self, text: str, kinds: List[str], values: List[str], starts: List[int]):
+        kinds += ["eof"] * (1 + _PAD)
+        values += [""] * (1 + _PAD)
+        starts += [len(text)] * (1 + _PAD)
+        self.kinds = kinds
+        self.values = values
+        self.starts = starts
+        self.line_starts = [0]
+        self.line_starts += accumulate(len(line) + 1 for line in text.split("\n")[:-1])
+
+    def __len__(self) -> int:
+        return len(self.values) - _PAD
+
+    def position(self, k: int) -> S.Span:
+        offset = self.starts[k]
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
+
+
+def lex(text: str) -> Tuple[Tokens, List[str]]:
+    """The tokens of text, and the `// note:` comments in it."""
+    notes = []
+    if "//" in text:
+        for comment in _COMMENTS.findall(text):
+            comment = comment.strip()
+            if comment.startswith("note:"):
+                notes.append(comment[5:].strip())
+        clean = _COMMENTS.sub(lambda m: " " * len(m.group()), text)
+    else:
+        clean = text
+    if _ODD.search(clean) is not None:
+        return _lex_general(text), notes
+    parts = _SPLIT.split(clean)
+    values = parts[1::2]
+    starts = list(islice(accumulate(map(len, parts)), 0, len(parts) - 1, 2))
+    kinds_of = _KINDS.get
+    kinds = [kinds_of(v) or kinds_of(v[0]) or "ident" for v in values]
+    return Tokens(text, kinds, values, starts), notes
+
+
+def _lex_general(text: str) -> Tokens:
+    kinds: List[str] = []
+    values: List[str] = []
+    starts: List[int] = []
     match = _TOKEN.match
-    line, line_start, pos = 1, 0, 0
+    pos = 0
     while True:
         m = match(text, pos)
         if m is None:  # only layout is left
             break
         group = m.lastindex
         start, pos = m.span(group)
-        if group == _PUNCT:
-            tokens.append(Token("punct", text[start:pos], line, start - line_start + 1))
-        elif group == _WORD:
-            word = text[start:pos]
-            tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, start - line_start + 1))
-        elif group == _NEWLINE:
-            line += 1
-            line_start = pos
-        elif group == _INT:
-            tokens.append(Token("int", text[start:pos], line, start - line_start + 1))
-        elif group == _COMMENT:
-            comment = text[start + 2 : pos].strip()
-            if comment.startswith("note:"):
-                notes.append(comment[5:].strip())
-        else:
-            pos = _lex_other(text, start, line, start - line_start + 1, tokens)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens, notes
+        if group == _PUNCT or group == _WORD or group == _INT:
+            value = text[start:pos]
+            if group == _WORD:
+                kinds.append("kw" if value in KEYWORDS else "ident")
+            else:
+                kinds.append("punct" if group == _PUNCT else "int")
+            values.append(value)
+            starts.append(start)
+        elif group != _NEWLINE and group != _COMMENT:
+            pos = _lex_other(text, start, kinds, values, starts)
+    return Tokens(text, kinds, values, starts)
 
 
-def _lex_other(text: str, pos: int, line: int, col: int, tokens: List[Token]) -> int:
+def _lex_other(text: str, pos: int, kinds: List[str], values: List[str], starts: List[int]) -> int:
     """One token at a character outside the ASCII fast paths: a Unicode
     alias, a digit run, or an identifier; returns the offset after it."""
     ch = text[pos]
     alias = _UNICODE.get(ch)
+    end = pos + 1
     if alias is not None:
-        tokens.append(Token("kw" if alias in KEYWORDS else "punct", alias, line, col))
-        return pos + 1
-    if ch.isdigit():
-        end = pos + 1
+        kind, value = "kw" if alias in KEYWORDS else "punct", alias
+    elif ch.isdigit():
         while end < len(text) and text[end].isdigit():
             end += 1
-        tokens.append(Token("int", text[pos:end], line, col))
-        return end
-    if ch.isalpha():
-        end = _WORD_TAIL.match(text, pos + 1).end()
-        word = text[pos:end]
-        tokens.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-        return end
-    raise ParseError(f"unsupported character {ch!r}", line, col)
+        kind, value = "int", text[pos:end]
+    elif ch.isalpha():
+        end = _WORD_TAIL.match(text, end).end()
+        value = text[pos:end]
+        kind = "kw" if value in KEYWORDS else "ident"
+    else:
+        line = text.count("\n", 0, pos) + 1
+        raise ParseError(f"unsupported character {ch!r}", line, pos - text.rfind("\n", 0, pos))
+    kinds.append(kind)
+    values.append(value)
+    starts.append(pos)
+    return end
+
+
+_UNARY_IND = {"succ": S.ISucc, "pred": S.IPred, "F32": S.IF32}
+_BINARY_IND = {"add": S.IAdd, "sub": S.ISub, "mult": S.IMult}
+_IND_OPERATORS = frozenset(_UNARY_IND) | frozenset(_BINARY_IND)
+_SEQ_ENDS = frozenset({"}", ")", ""})  # "" is the value of the eof token
+_TERM_ARG_STARTS = frozenset({"<", "(", "succ", "pred", "rec", "pack"})
 
 
 class Parser:
     def __init__(self, text: str):
         self.tokens, self.notes = lex(text)
+        self.kinds = self.tokens.kinds
+        self.values = self.tokens.values
+        self.last = len(self.tokens) - 1  # the eof token
         self.pos = 0
         self.warnings: List[str] = []
         self._fresh = 0
 
     # -- token plumbing -----------------------------------------------------
+    # The hot paths below read self.values and self.kinds directly.  A
+    # punctuator or keyword is known by its value alone: no identifier or
+    # numeral is spelt like one.
 
     def peek(self, ahead: int = 0) -> Token:
-        try:
-            return self.tokens[self.pos + ahead]
-        except IndexError:
-            return self.tokens[-1]  # eof
+        k = min(self.pos + ahead, self.last)
+        return Token(self.kinds[k], self.values[k], *self.tokens.position(k))
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        tok = self.peek()
+        if self.pos < self.last:
             self.pos += 1
         return tok
 
     def at(self, value: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.value == value and tok.kind in ("punct", "kw")
+        return self.values[self.pos + ahead] == value
 
-    def eat(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.value != value or tok.kind == "ident":
-            raise ParseError(f"found {tok.value!r}", tok.line, tok.col, (value,))
-        return self.next()
+    def eat(self, value: str) -> None:
+        if self.values[self.pos] != value:
+            raise self._found((value,))
+        self.pos += 1
 
     def eat_ident(self) -> str:
+        pos = self.pos
+        if self.kinds[pos] != "ident":
+            raise self._found(("identifier",))
+        self.pos = pos + 1
+        return self.values[pos]
+
+    def _found(self, expected: Tuple[str, ...]) -> ParseError:
         tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"found {tok.value!r}", tok.line, tok.col, ("identifier",))
-        self.next()
-        return tok.value
+        return ParseError(f"found {tok.value!r}", tok.line, tok.col, expected)
 
     def number(self) -> int:
         """Consume an int token.  The lexer keeps a run of `isdigit`
         characters whole, so a non-decimal digit such as '²' fails here."""
-        tok = self.next()
-        if not tok.value.isdecimal():
-            raise ParseError(f"{tok.value!r} is not a decimal numeral", tok.line, tok.col)
-        return int(tok.value)
+        pos = self.pos
+        value = self.values[pos]
+        if pos < self.last:
+            self.pos = pos + 1
+        if not value.isdecimal():
+            line, col = self.tokens.position(pos)
+            raise ParseError(f"{value!r} is not a decimal numeral", line, col)
+        return int(value)
 
     def span(self) -> S.Span:
-        tok = self.peek()
-        return (tok.line, tok.col)
+        return self.tokens.position(self.pos)
 
     def fail(self, what: str) -> ParseError:
         tok = self.peek()
@@ -171,44 +252,73 @@ class Parser:
     # -- individuals ----------------------------------------------------------
 
     def parse_ind(self) -> S.Ind:
-        tok = self.peek()
-        if tok.kind == "int":
+        pos = self.pos
+        kind = self.kinds[pos]
+        value = self.values[pos]
+        if kind == "int":
             return S.num_ind(self.number())
-        if tok.kind == "ident":
-            self.next()
-            return S.IVar(tok.value)
-        unary = {"succ": S.ISucc, "pred": S.IPred, "F32": S.IF32}
-        binary = {"add": S.IAdd, "sub": S.ISub, "mult": S.IMult}
-        if tok.kind == "kw" and tok.value in unary:
-            self.next()
-            self.eat("(")
-            arg = self.parse_ind()
-            self.eat(")")
-            return unary[tok.value](arg)
-        if tok.kind == "kw" and tok.value in binary:
-            self.next()
-            self.eat("(")
-            left = self.parse_ind()
-            self.eat(",")
-            right = self.parse_ind()
-            self.eat(")")
-            return binary[tok.value](left, right)
-        if self.at("("):
-            self.next()
+        if kind == "ident":
+            self.pos = pos + 1
+            return S.IVar(value)
+        if kind == "kw":
+            unary = _UNARY_IND.get(value)
+            if unary is not None:
+                self.pos = pos + 1
+                self.eat("(")
+                arg = self.parse_ind()
+                self.eat(")")
+                return unary(arg)
+            binary = _BINARY_IND.get(value)
+            if binary is not None:
+                self.pos = pos + 1
+                self.eat("(")
+                left = self.parse_ind()
+                self.eat(",")
+                right = self.parse_ind()
+                self.eat(")")
+                return binary(left, right)
+        if value == "(":
+            self.pos = pos + 1
             inner = self.parse_ind()
             self.eat(")")
             return inner
         raise self.fail("individual")
 
+    def _no_ind_at(self, pos: int) -> bool:
+        """True when parse_ind at pos is sure to fail, as the next tokens
+        show; False when it may succeed."""
+        kinds, values = self.kinds, self.values
+        kind = kinds[pos]
+        if kind == "int":
+            return not values[pos].isdecimal()
+        if kind == "ident":
+            return False
+        value = values[pos]
+        if value == "(":
+            kind = kinds[pos + 1]
+            if kind == "ident" or kind == "int" and values[pos + 1].isdecimal():
+                return values[pos + 2] != ")"
+            return self._no_ind_at(pos + 1)
+        return value not in _IND_OPERATORS
+
     def try_equation(self) -> Optional[Tuple[S.Ind, S.Ind]]:
-        """Backtracking parse of `ind = ind`."""
+        """`ind = ind`, or None with nothing consumed.  The next tokens
+        decide in most cases; otherwise a parse is tried and given back."""
         save = self.pos
+        if self._no_ind_at(save):
+            return None
+        if self.kinds[save] == "ident" or self.kinds[save] == "int":
+            if self.values[save + 1] != "=":  # a one-token individual is all of the left side
+                return None
         try:
             left = self.parse_ind()
-            if not self.at("="):
+            if self.values[self.pos] != "=":
                 self.pos = save
                 return None
-            self.next()
+            self.pos += 1
+            if self._no_ind_at(self.pos):
+                self.pos = save
+                return None
             right = self.parse_ind()
             return left, right
         except ParseError:
@@ -218,21 +328,22 @@ class Parser:
     # -- formulas -------------------------------------------------------------
 
     def parse_formula(self) -> S.Formula:
-        if self.at("forall") or self.at("exists"):
-            kw = self.next().value
+        value = self.values[self.pos]
+        if value == "forall" or value == "exists":
+            self.pos += 1
             var = self.eat_ident()
             self.eat(".")
             body = self.parse_formula()
-            return S.FForall(var, body) if kw == "forall" else S.FExists(var, body)
+            return S.FForall(var, body) if value == "forall" else S.FExists(var, body)
         left = self.parse_formula_unit()
-        if self.at("->"):
-            self.next()
+        if self.values[self.pos] == "->":
+            self.pos += 1
             return S.FArrow(left, self.parse_formula())
         return left
 
     def parse_formula_unit(self) -> S.Formula:
-        if self.at("~"):
-            self.next()
+        if self.values[self.pos] == "~":
+            self.pos += 1
             if self.at("forall") or self.at("exists"):
                 return S.neg_f(self.parse_formula())
             return S.neg_f(self.parse_formula_unit())
@@ -244,36 +355,37 @@ class Parser:
         eq = self.try_equation()
         if eq is not None:
             return S.FEq(*eq)
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return S.FProp(tok.value)
-        if self.at("nat"):
-            self.next()
-            if self.at("("):
-                self.next()
+        pos = self.pos
+        value = self.values[pos]
+        if self.kinds[pos] == "ident":
+            self.pos = pos + 1
+            return S.FProp(value)
+        if value == "nat":
+            self.pos = pos + 1
+            if self.values[pos + 1] == "(":
+                self.pos = pos + 2
                 idx = self.parse_ind()
                 self.eat(")")
                 return S.FNat(idx)
             return S.FNat(None)
-        if self.at("top"):
-            self.next()
+        if value == "top":
+            self.pos = pos + 1
             return S.FTop()
-        if self.at("bot"):
-            self.next()
+        if value == "bot":
+            self.pos = pos + 1
             return S.FBot()
-        if self.at("<"):
-            self.next()
+        if value == "<":
+            self.pos = pos + 1
             items: List[S.Formula] = []
             if not self.at(">"):
                 items.append(self.parse_formula())
                 while self.at(","):
-                    self.next()
+                    self.pos += 1
                     items.append(self.parse_formula())
             self.eat(">")
             return S.FTuple(tuple(items))
-        if self.at("("):
-            self.next()
+        if value == "(":
+            self.pos = pos + 1
             inner = self.parse_formula()
             self.eat(")")
             return inner
@@ -281,23 +393,25 @@ class Parser:
 
     def _reject_meta_subst(self) -> None:
         # the grammar lists phi[x=i] but no rule consumes it
-        if self.at("[") and self.peek(1).kind == "ident" and self.at("=", 2):
-            tok = self.peek()
+        pos = self.pos
+        if self.values[pos] == "[" and self.kinds[pos + 1] == "ident" and self.values[pos + 2] == "=":
+            line, col = self.span()
             raise ParseError(
                 "unsupported construct: meta-substitution 'phi[x = i]' is in the "
                 "grammar but used by no rule",
-                tok.line,
-                tok.col,
+                line,
+                col,
             )
 
     # -- imperative-side types ------------------------------------------------
 
     def parse_prop(self) -> S.Prop:
-        if self.at("~"):
-            self.next()
+        value = self.values[self.pos]
+        if value == "~":
+            self.pos += 1
             return self.parse_neg_tail()
-        if self.at("proc"):
-            self.next()
+        if value == "proc":
+            self.pos += 1
             return S.proc_t(self.parse_proto())
         p = self.parse_prop_atom()
         self._reject_meta_subst()
@@ -305,10 +419,10 @@ class Parser:
 
     def parse_neg_tail(self) -> S.Prop:
         if self.at("("):
-            self.next()
+            self.pos += 1
             types = [self.parse_prop()]
             while self.at(","):
-                self.next()
+                self.pos += 1
                 types.append(self.parse_prop())
             self.eat(")")
             return S.PNeg(S.OSimple(tuple(types)))
@@ -319,10 +433,10 @@ class Parser:
     def parse_prop_inner(self) -> S.Prop:
         # a negation argument: one tightly-bound prop
         if self.at("proc"):
-            self.next()
+            self.pos += 1
             return S.proc_t(self.parse_proto())
         if self.at("~"):
-            self.next()
+            self.pos += 1
             return self.parse_neg_tail()
         return self.parse_prop_atom()
 
@@ -330,26 +444,27 @@ class Parser:
         eq = self.try_equation()
         if eq is not None:
             return S.PEq(*eq)
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return S.PProp(tok.value)
-        if self.at("nat"):
-            self.next()
-            if self.at("("):
-                self.next()
+        pos = self.pos
+        value = self.values[pos]
+        if self.kinds[pos] == "ident":
+            self.pos = pos + 1
+            return S.PProp(value)
+        if value == "nat":
+            self.pos = pos + 1
+            if self.values[pos + 1] == "(":
+                self.pos = pos + 2
                 idx = self.parse_ind()
                 self.eat(")")
                 return S.PNat(idx)
             return S.PNat(None)
-        if self.at("top"):
-            self.next()
+        if value == "top":
+            self.pos = pos + 1
             return S.PTop()
-        if self.at("bot"):
-            self.next()
+        if value == "bot":
+            self.pos = pos + 1
             return S.PBot()
-        if self.at("("):
-            self.next()
+        if value == "(":
+            self.pos = pos + 1
             inner = self.parse_prop()
             self.eat(")")
             return inner
@@ -357,7 +472,7 @@ class Parser:
 
     def parse_output(self) -> S.Output:
         if self.at("exists"):
-            self.next()
+            self.pos += 1
             var = self.eat_ident()
             self.eat(".")
             return S.OExists(var, self.parse_output())
@@ -366,14 +481,14 @@ class Parser:
         if not self.at("]"):
             types.append(self.parse_prop())
             while self.at(","):
-                self.next()
+                self.pos += 1
                 types.append(self.parse_prop())
         self.eat("]")
         return S.OSimple(tuple(types))
 
     def parse_proto(self) -> S.Proto:
         if self.at("forall"):
-            self.next()
+            self.pos += 1
             var = self.eat_ident()
             self.eat(".")
             return S.ProtoAll(var, self.parse_proto())
@@ -383,7 +498,7 @@ class Parser:
         if not self.at("]"):
             params.append(self.parse_prop())
             while self.at(","):
-                self.next()
+                self.pos += 1
                 params.append(self.parse_prop())
         self.eat("]")
         self.eat("out")
@@ -400,7 +515,7 @@ class Parser:
                 ty = self.parse_prop() if types == "prop" else self.parse_formula()
                 pairs.append((name, ty))
                 if self.at(","):
-                    self.next()
+                    self.pos += 1
                     continue
                 break
         self.eat(close)
@@ -408,7 +523,7 @@ class Parser:
 
     def parse_qenv(self) -> S.QEnv:
         if self.at("exists"):
-            self.next()
+            self.pos += 1
             var = self.eat_ident()
             self.eat(".")
             return S.QExists(var, self.parse_qenv())
@@ -418,29 +533,40 @@ class Parser:
     # -- imperative expressions -------------------------------------------------
 
     def parse_expr(self) -> S.Expr:
-        span = self.span()
+        start = self.pos
         eq = self.try_equation()
         if eq is not None:
-            return S.EAxiom(*eq, span=span)
+            return S.EAxiom(*eq, span=self.tokens.position(start))
         return self.parse_expr_post()
 
     def parse_expr_post(self) -> S.Expr:
         e = self.parse_expr_atom()
+        values = self.values
         while True:
-            span = self.span()
-            if self.at("{"):
-                # backtracking: a '{' may open a loop or block body instead
-                save = self.pos
-                try:
-                    self.next()
+            pos = self.pos
+            value = values[pos]
+            if value == "{":
+                # an instantiation e{i}, unless the '{' opens a loop or block body
+                kind = self.kinds[pos + 1]
+                if kind == "ident" or kind == "int" and values[pos + 1].isdecimal():
+                    if values[pos + 2] != "}":
+                        return e
+                    self.pos = pos + 1
                     arg = self.parse_ind()
-                    self.eat("}")
-                except ParseError:
-                    self.pos = save
+                    self.pos += 1
+                elif self._no_ind_at(pos + 1):
                     return e
-                e = S.EInst(e, arg, span=span)
-            elif self.at("<:"):
-                self.next()
+                else:
+                    try:
+                        self.pos = pos + 1
+                        arg = self.parse_ind()
+                        self.eat("}")
+                    except ParseError:
+                        self.pos = pos
+                        return e
+                e = S.EInst(e, arg, span=self.tokens.position(pos))
+            elif value == "<:":
+                self.pos = pos + 1
                 self.eat("{")
                 var = self.eat_ident()
                 self.eat("/")
@@ -449,9 +575,9 @@ class Parser:
                 self.eat("{")
                 arg = self.parse_ind()
                 self.eat("}")
-                e = S.EContInst(e, S.Fam(var, out), arg, span=span)
-            elif self.at(":>"):
-                self.next()
+                e = S.EContInst(e, S.Fam(var, out), arg, span=self.tokens.position(pos))
+            elif value == ":>":
+                self.pos = pos + 1
                 self.eat("{")
                 var = self.eat_ident()
                 self.eat("/")
@@ -460,35 +586,37 @@ class Parser:
                 self.eat("[")
                 proof = self.parse_expr()
                 self.eat("]")
-                e = S.ECoerce(e, S.Fam(var, ty), proof, span=span)
+                e = S.ECoerce(e, S.Fam(var, ty), proof, span=self.tokens.position(pos))
             else:
                 return e
 
     def parse_expr_atom(self) -> S.Expr:
-        span = self.span()
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return S.EVar(tok.value, span=span)
-        if tok.kind == "int":
+        pos = self.pos
+        span = self.tokens.position(pos)
+        kind = self.kinds[pos]
+        value = self.values[pos]
+        if kind == "ident":
+            self.pos = pos + 1
+            return S.EVar(value, span=span)
+        if kind == "int":
             return S.ENum(self.number(), span=span)
-        if self.at("succ"):
+        if value == "succ":
             return S.ENum(self._parse_numeral(), span=span)
-        if self.at("*"):
-            self.next()
+        if value == "*":
+            self.pos = pos + 1
             return S.EStar(span=span)
-        if self.at("proc"):
-            self.next()
+        if value == "proc":
+            self.pos = pos + 1
             return S.EProc(self.parse_header(), span=span)
-        if self.at("("):
-            self.next()
+        if value == "(":
+            self.pos = pos + 1
             inner = self.parse_expr()
             self.eat(")")
             return inner
         raise self.fail("expression")
 
     def _parse_numeral(self) -> int:
-        if self.peek().kind == "int":
+        if self.kinds[self.pos] == "int":
             return self.number()
         self.eat("succ")
         self.eat("(")
@@ -498,7 +626,7 @@ class Parser:
 
     def parse_header(self) -> S.Header:
         if self.at("forall"):
-            self.next()
+            self.pos += 1
             var = self.eat_ident()
             self.eat(".")
             return S.HForall(var, self.parse_header())
@@ -514,104 +642,145 @@ class Parser:
     # -- sequences and commands ---------------------------------------------
 
     def parse_seq(self) -> S.Seq:
-        span = self.span()
-        if self.at("}") or self.at(")") or self.peek().kind == "eof":
-            return S.SEmpty(span=span)
-        if self.at("cst"):
-            self.next()
-            name = self.eat_ident()
-            self.eat("=")
-            value = self.parse_expr()
-            self.eat(";")
-            return S.SCst(name, value, self.parse_seq(), span=span)
-        if self.at("var"):
-            self.next()
-            name = self.eat_ident()
-            if self.at(":="):
-                self.next()
-                value = self.parse_expr()
-            else:
-                value = S.EStar(span=span)
-                self.warnings.append(
-                    f"{span[0]}:{span[1]}: 'var {name};' desugared to 'var {name} := *;'"
-                )
-            self.eat(";")
-            return S.SVar(name, value, self.parse_seq(), span=span)
-        if self.at("?"):
-            self.next()
-            var = self.eat_ident()
-            self.eat(".")
-            return S.SUnpack(var, self.parse_seq(), span=span)
-        if self.at("["):
-            self.next()
-            witness = self.parse_ind()
-            self.eat("in")
-            ann = self.parse_qenv()
-            self.eat("]")
-            if self.at(";"):
-                self.next()
-            return S.SWitness(witness, ann, self.parse_seq(), span=span)
-        if self.at("("):
-            self.next()
-            group = self.parse_seq()
-            self.eat(")")
-            if self.at(":>"):
-                self.next()
-                self.eat("{")
+        """A sequence, item by item in a loop.  A `?n.` or a witness owns
+        the rest of the sequence: it waits in `owners`, with the items
+        before it, until the rest is parsed, and the owners are then put
+        together innermost first.  A `(...)` group that no `:>` follows
+        is spliced in."""
+        values = self.values
+        items: List[Any] = []
+        owners: List[Tuple[List[Any], Any]] = []
+        coerced = False  # whether a group spliced in ended with a ':>' group
+        while True:
+            pos = self.pos
+            value = values[pos]
+            if value in _SEQ_ENDS:
+                break
+            if value == "cst":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                name = self.eat_ident()
+                self.eat("=")
+                items.append(S.SCst(name, self.parse_expr(), span=span))
+                self.eat(";")
+            elif value == "var":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                name = self.eat_ident()
+                if self.at(":="):
+                    self.pos += 1
+                    init = self.parse_expr()
+                else:
+                    init = S.EStar(span=span)
+                    self.warnings.append(
+                        f"{span[0]}:{span[1]}: 'var {name};' desugared to 'var {name} := *;'"
+                    )
+                self.eat(";")
+                items.append(S.SVar(name, init, span=span))
+            elif value == "?":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
                 var = self.eat_ident()
-                self.eat("/")
-                qenv = self.parse_qenv()
-                self.eat("}")
-                self.eat("[")
-                proof = self.parse_expr()
+                self.eat(".")
+                owners.append((items, S.SUnpack(var, None, span=span)))
+                items = []
+            elif value == "[":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                witness = self.parse_ind()
+                self.eat("in")
+                ann = self.parse_qenv()
                 self.eat("]")
                 if self.at(";"):
-                    self.next()
-                if not (self.at("}") or self.at(")") or self.peek().kind == "eof"):
-                    raise self.fail("end of sequence after ':>' coercion")
-                return S.SSubst(group, S.Fam(var, qenv), proof, span=span)
-            if self.at(";"):
-                self.next()
-            return _append_seq(group, self.parse_seq())
-        cmd = self.parse_command()
-        return S.SCmd(cmd, self.parse_seq(), span=span)
+                    self.pos += 1
+                owners.append((items, S.SWitness(witness, ann, None, span=span)))
+                items = []
+            elif value == "(":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                group = self.parse_seq()
+                self.eat(")")
+                if self.at(":>"):
+                    self.pos += 1
+                    self.eat("{")
+                    var = self.eat_ident()
+                    self.eat("/")
+                    qenv = self.parse_qenv()
+                    self.eat("}")
+                    self.eat("[")
+                    proof = self.parse_expr()
+                    self.eat("]")
+                    if self.at(";"):
+                        self.pos += 1
+                    if values[self.pos] not in _SEQ_ENDS:
+                        raise self.fail("end of sequence after ':>' coercion")
+                    items.append(S.SSubst(group, S.Fam(var, qenv), proof, span=span))
+                    break
+                if self.at(";"):
+                    self.pos += 1
+                while group.items and isinstance(group.items[-1], (S.SUnpack, S.SWitness)):
+                    owner = group.items[-1]
+                    owners.append((items + list(group.items[:-1]), owner))
+                    items, group = [], owner.rest
+                items += group.items
+                coerced = coerced or bool(items) and type(items[-1]) is S.SSubst
+            else:
+                items.append(self.parse_command())
+        if coerced:
+            # a ':>' group ends its sequence: report the first item after one
+            followers = [(before, before[1:] + [owner]) for before, owner in owners]
+            for before, after in followers + [(items, items[1:])]:
+                for item, follower in zip(before, after):
+                    if type(item) is S.SSubst:
+                        raise ParseError(
+                            "a ':>'-coerced sequence cannot be followed by commands", *follower.span
+                        )
+        seq = S.Seq(tuple(items), span=self.span())
+        while owners:
+            items, owner = owners.pop()
+            items.append(S._rebuild(owner, rest=seq))
+            seq = S.Seq(tuple(items), span=seq.span)
+        return seq
 
     def parse_command(self) -> S.Command:
-        span = self.span()
-        if self.at("inc") or self.at("dec"):
-            kw = self.next().value
+        pos = self.pos
+        span = self.tokens.position(pos)
+        values = self.values
+        value = values[pos]
+        if value == "inc" or value == "dec":
+            self.pos = pos + 1
             self.eat("(")
             name = self.eat_ident()
             self.eat(")")
             self.eat(";")
-            cls = S.CInc if kw == "inc" else S.CDec
-            return cls(name, span=span)
-        if self.at("jump"):
-            self.next()
+            return (S.CInc if value == "inc" else S.CDec)(name, span=span)
+        if value == "jump":
+            self.pos = pos + 1
             self.eat("(")
             target = self.parse_expr()
             args: List[S.Expr] = []
             while self.at(","):
-                self.next()
+                self.pos += 1
                 args.append(self.parse_expr())
             self.eat(")")
             ann = self.parse_qenv()
             self.eat(";")
             return S.CJump(target, tuple(args), ann, span=span)
-        if self.at("for"):
-            self.next()
+        if value == "for":
+            self.pos = pos + 1
             var = self.eat_ident()
             idx: Optional[str] = None
             if self.at(":"):
-                self.next()
+                self.pos += 1
                 self.eat("nat")
                 self.eat("(")
                 idx = self.eat_ident()
                 self.eat(")")
             self.eat(":=")
-            zero = self.next()
-            if zero.kind != "int" or zero.value != "0":
-                raise ParseError("for loops start at literal 0", zero.line, zero.col)
+            if self.kinds[self.pos] != "int" or values[self.pos] != "0":
+                line, col = self.span()
+                raise ParseError("for loops start at literal 0", line, col)
+            self.pos += 1
             self.eat("until")
             bound = self.parse_expr()
             self.eat("{")
@@ -621,28 +790,26 @@ class Parser:
             frame = self.parse_bindings("]", "prop")
             self.eat(";")
             return S.CFor(var, idx, bound, body, frame, span=span)
-        if self.at("{"):
-            self.next()
+        if value == "{":
+            self.pos = pos + 1
             body = self.parse_seq()
             self.eat("}")
             ann = self.parse_qenv()
             self.eat(";")
             return S.CBlock(body, ann, span=span)
-        if self.peek().kind == "ident" and self.at(":=", 1):
-            name = self.eat_ident()
-            self.next()
-            value = self.parse_expr()
-            self.eat(";")
-            return S.CAssign(name, value, span=span)
-        if self.peek().kind == "ident" and self.at(":", 1) and self.at("{", 2):
-            name = self.eat_ident()
-            self.next()
-            self.next()
-            body = self.parse_seq()
-            self.eat("}")
-            ann = self.parse_qenv()
-            self.eat(";")
-            return S.CLabel(name, body, ann, span=span)
+        if self.kinds[pos] == "ident":
+            if values[pos + 1] == ":=":
+                self.pos = pos + 2
+                assigned = self.parse_expr()
+                self.eat(";")
+                return S.CAssign(value, assigned, span=span)
+            if values[pos + 1] == ":" and values[pos + 2] == "{":
+                self.pos = pos + 3
+                body = self.parse_seq()
+                self.eat("}")
+                ann = self.parse_qenv()
+                self.eat(";")
+                return S.CLabel(value, body, ann, span=span)
         # a call: expr '(' args ';' outs ')'
         fn = self.parse_expr_post()
         self.eat("(")
@@ -650,12 +817,12 @@ class Parser:
         if not self.at(";"):
             args.append(self.parse_expr())
             while self.at(","):
-                self.next()
+                self.pos += 1
                 args.append(self.parse_expr())
         self.eat(";")
         outs = [self.eat_ident()]
         while self.at(","):
-            self.next()
+            self.pos += 1
             outs.append(self.eat_ident())
         self.eat(")")
         self.eat(";")
@@ -664,45 +831,69 @@ class Parser:
     # -- functional terms -----------------------------------------------------
 
     def parse_term(self) -> S.Term:
-        span = self.span()
-        if self.at("fn"):
-            self.next()
+        """A term.  A chain of `let`s and `?n.`s, as long as the sequence
+        an image translates, is read in a loop and put together innermost
+        first."""
+        values = self.values
+        chain: List[Tuple[Any, ...]] = []  # (class, binder, bound value or None, span)
+        while True:
+            pos = self.pos
+            value = values[pos]
+            if value == "let":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                if self.at("<"):
+                    self.pos += 1
+                    names: List[str] = []
+                    if not self.at(">"):
+                        names.append(self.eat_ident())
+                        while self.at(","):
+                            self.pos += 1
+                            names.append(self.eat_ident())
+                    self.eat(">")
+                    self.eat("=")
+                    bound = self.parse_term()
+                    self.eat("in")
+                    chain.append((S.TLetMatch, tuple(names), bound, span))
+                else:
+                    name = self.eat_ident()
+                    self.eat("=")
+                    bound = self.parse_term()
+                    self.eat("in")
+                    chain.append((S.TLet, name, bound, span))
+            elif value == "?":
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                var = self.eat_ident()
+                self.eat(".")
+                chain.append((S.TUnpack, var, None, span))
+            else:
+                break
+        term = self._parse_term_rest()
+        for cls, binder, bound, span in reversed(chain):
+            if cls is S.TUnpack:
+                term = S.TUnpack(binder, term, span=span)
+            else:
+                term = cls(binder, bound, term, span=span)
+        return term
+
+    def _parse_term_rest(self) -> S.Term:
+        pos = self.pos
+        span = self.tokens.position(pos)
+        value = self.values[pos]
+        if value == "fn":
+            self.pos = pos + 1
             return self.parse_fn_tail(span)
-        if self.at("lam"):
-            self.next()
+        if value == "lam":
+            self.pos = pos + 1
             var = self.eat_ident()
             self.eat(".")
             return S.TIndLam(var, self.parse_term(), span=span)
-        if self.at("let"):
-            self.next()
-            if self.at("<"):
-                self.next()
-                names: List[str] = []
-                if not self.at(">"):
-                    names.append(self.eat_ident())
-                    while self.at(","):
-                        self.next()
-                        names.append(self.eat_ident())
-                self.eat(">")
-                self.eat("=")
-                value = self.parse_term()
-                self.eat("in")
-                return S.TLetMatch(tuple(names), value, self.parse_term(), span=span)
-            name = self.eat_ident()
-            self.eat("=")
-            value = self.parse_term()
-            self.eat("in")
-            return S.TLet(name, value, self.parse_term(), span=span)
-        if self.at("?"):
-            self.next()
-            var = self.eat_ident()
-            self.eat(".")
-            return S.TUnpack(var, self.parse_term(), span=span)
-        if self.at("callcc"):
-            self.next()
+        if value == "callcc":
+            self.pos = pos + 1
             return S.TCallcc(self.parse_term(), span=span)
-        if self.at("throw"):
-            self.next()
+        if value == "throw":
+            self.pos = pos + 1
             self.eat("[")
             ann = self.parse_formula()
             self.eat("]")
@@ -714,7 +905,7 @@ class Parser:
             return S.TAxiom(*eq, span=span)
         term = self.parse_term_app()
         while self.at(":>"):
-            self.next()
+            self.pos += 1
             self.eat("{")
             var = self.eat_ident()
             self.eat("/")
@@ -729,7 +920,7 @@ class Parser:
     def parse_fn_tail(self, span: S.Span) -> S.Term:
         if self.at("("):
             # tuple pattern sugar: fn (x : a, y : b) => t
-            self.next()
+            self.pos += 1
             params: List[Tuple[str, S.Formula]] = []
             if not self.at(")"):
                 while True:
@@ -737,7 +928,7 @@ class Parser:
                     self.eat(":")
                     params.append((name, self.parse_formula()))
                     if self.at(","):
-                        self.next()
+                        self.pos += 1
                         continue
                     break
             self.eat(")")
@@ -760,55 +951,56 @@ class Parser:
 
     def parse_term_app(self) -> S.Term:
         term = self.parse_term_atom()
+        kinds, values = self.kinds, self.values
         while True:
-            span = self.span()
-            if self.at("{"):
-                self.next()
+            pos = self.pos
+            value = values[pos]
+            if value == "{":
+                self.pos = pos + 1
                 arg = self.parse_ind()
                 self.eat("}")
-                term = S.TIndApp(term, arg, span=span)
+                term = S.TIndApp(term, arg, span=self.tokens.position(pos))
                 continue
-            tok = self.peek()
-            if tok.kind in ("ident", "int") or self.at("<") or self.at("(") or (
-                tok.kind == "kw" and tok.value in ("succ", "pred", "rec", "pack")
-            ):
-                term = S.TApp(term, self.parse_term_atom(), span=span)
+            kind = kinds[pos]
+            if kind == "ident" or kind == "int" or value in _TERM_ARG_STARTS:
+                term = S.TApp(term, self.parse_term_atom(), span=self.tokens.position(pos))
                 continue
             return term
 
     def parse_term_atom(self) -> S.Term:
-        span = self.span()
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return S.TVar(tok.value, span=span)
-        if tok.kind == "int":
+        pos = self.pos
+        span = self.tokens.position(pos)
+        kind = self.kinds[pos]
+        value = self.values[pos]
+        if kind == "ident":
+            self.pos = pos + 1
+            return S.TVar(value, span=span)
+        if kind == "int":
             term: S.Term = S.TZero(span=span)
             for _ in range(self.number()):
                 term = S.TSucc(term, span=span)
             return term
-        if self.at("succ") or self.at("pred"):
-            kw = self.next().value
+        if value == "succ" or value == "pred":
+            self.pos = pos + 1
             self.eat("(")
             arg = self.parse_term()
             self.eat(")")
-            cls = S.TSucc if kw == "succ" else S.TPred
-            return cls(arg, span=span)
-        if self.at("<"):
-            self.next()
+            return (S.TSucc if value == "succ" else S.TPred)(arg, span=span)
+        if value == "<":
+            self.pos = pos + 1
             items: List[S.Term] = []
             if not self.at(">"):
                 items.append(self.parse_term())
                 while self.at(","):
-                    self.next()
+                    self.pos += 1
                     items.append(self.parse_term())
             self.eat(">")
             return S.TTuple(tuple(items), span=span)
-        if self.at("rec"):
-            self.next()
+        if value == "rec":
+            self.pos = pos + 1
             motive: Optional[S.Fam] = None
             if self.at("{"):
-                self.next()
+                self.pos += 1
                 var = self.eat_ident()
                 self.eat(".")
                 phi = self.parse_formula()
@@ -822,18 +1014,18 @@ class Parser:
             step = self.parse_term()
             self.eat(")")
             return S.TRec(bound, base, step, motive, span=span)
-        if self.at("pack"):
-            self.next()
+        if value == "pack":
+            self.pos = pos + 1
             self.eat("(")
             witness = self.parse_ind()
             self.eat(",")
-            value = self.parse_term()
+            packed = self.parse_term()
             self.eat(":")
             ann = self.parse_formula()
             self.eat(")")
-            return S.TPack(witness, value, ann, span=span)
-        if self.at("("):
-            self.next()
+            return S.TPack(witness, packed, ann, span=span)
+        if value == "(":
+            self.pos = pos + 1
             inner = self.parse_term()
             self.eat(")")
             return inner
@@ -843,20 +1035,21 @@ class Parser:
 
     def parse_file(self) -> S.SourceFile:
         self.eat("discipline")
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value not in ("IS", "ID", "FS", "FD"):
+        pos = self.pos
+        discipline = self.values[pos]
+        if self.kinds[pos] != "ident" or discipline not in ("IS", "ID", "FS", "FD"):
+            line, col = self.span()
             raise ParseError(
-                f"unknown discipline {tok.value!r}", tok.line, tok.col,
+                f"unknown discipline {discipline!r}", line, col,
                 ("IS", "ID", "FS", "FD"),
             )
-        self.next()
-        discipline = tok.value
+        self.pos = pos + 1
         self.eat(";")
         functional = discipline in ("FS", "FD")
         csts: List[Tuple[str, Any]] = []
         main: Optional[Any] = None
         while self.at("cst"):
-            self.next()
+            self.pos += 1
             name = self.eat_ident()
             self.eat("=")
             value: Any = self.parse_term() if functional else self.parse_expr()
@@ -864,7 +1057,7 @@ class Parser:
             csts.append((name, value))
         if self.at("main"):
             span = self.span()
-            self.next()
+            self.pos += 1
             if functional:
                 self.eat("=")
                 term = self.parse_term()
@@ -877,11 +1070,11 @@ class Parser:
                 self.eat("out")
                 out = self.parse_qenv()
                 if self.at(";"):
-                    self.next()
+                    self.pos += 1
                 main = S.MainI(body, out, span=span)
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
+        if self.kinds[self.pos] != "eof":
+            line, col = self.span()
+            raise ParseError(f"unexpected {self.values[self.pos]!r}", line, col)
         return S.SourceFile(
             discipline,
             tuple(csts),
@@ -889,27 +1082,6 @@ class Parser:
             notes=tuple(self.notes),
             warnings=tuple(self.warnings),
         )
-
-
-def _append_seq(front: S.Seq, back: S.Seq) -> S.Seq:
-    match front:
-        case S.SEmpty():
-            return back
-        case S.SCmd(cmd, rest):
-            return S.SCmd(cmd, _append_seq(rest, back), span=front.span)
-        case S.SCst(name, value, rest):
-            return S.SCst(name, value, _append_seq(rest, back), span=front.span)
-        case S.SVar(name, value, rest):
-            return S.SVar(name, value, _append_seq(rest, back), span=front.span)
-        case S.SUnpack(var, rest):
-            return S.SUnpack(var, _append_seq(rest, back), span=front.span)
-        case S.SWitness(witness, ann, rest):
-            return S.SWitness(witness, ann, _append_seq(rest, back), span=front.span)
-        case S.SSubst():
-            if isinstance(back, S.SEmpty):
-                return front
-            raise ParseError("a ':>'-coerced sequence cannot be followed by commands", 0, 0)
-    raise AssertionError(front)
 
 
 def parse(text: str) -> S.SourceFile:
@@ -921,7 +1093,7 @@ def _parse_whole(text: str, production: Callable[[Parser], Any]) -> Any:
     """Parse all of text as one production, or raise ParseError."""
     p = Parser(text)
     node = production(p)
-    if p.peek().kind != "eof":
+    if p.kinds[p.pos] != "eof":
         raise p.fail("end of input")
     return node
 

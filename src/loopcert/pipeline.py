@@ -4,6 +4,8 @@ re-check the image, evaluate; with machine-readable reports.
 Exit codes: 0 all phases pass; 1 parse error; 2 source type error;
 3 translation-target type error (always a defect in the toolchain);
 4 runtime discrepancy or evaluation failure; 5 fuzz counterexample.
+Input nested too deeply for the host stack gets rule LIMIT and the exit
+code of the phase it stopped: 1, 2, 3 (translate and check-target) or 4.
 """
 
 from __future__ import annotations
@@ -237,6 +239,9 @@ def run_pipeline(
     stop_after: str = "evaluate",
     allow_pred: bool = True,
 ) -> Report:
+    """Take a file through the phases.  Every failure ends in a report: a
+    phase that runs out of host stack on deeply nested input reports rule
+    LIMIT with that phase's exit code."""
     report = Report(file=path)
     if text is None:
         with open(path, "r", encoding="utf-8") as handle:
@@ -250,6 +255,8 @@ def run_pipeline(
         report.diag("PARSE", (ex.line, ex.col), str(ex))
         report.exit_code = EXIT_PARSE
         return report
+    except RecursionError:
+        return _hit_limit(report, "parse", start, EXIT_PARSE)
     if system is not None:
         sf = S.SourceFile(system, sf.csts, sf.main, sf.notes, sf.warnings)
     report.discipline = sf.discipline
@@ -266,19 +273,21 @@ def run_pipeline(
     trace: List[str] = []
     try:
         checked = check_source(sf, trace, allow_pred)
+        payload = {
+            "types": {name: show(ty) for name, ty in checked.cst_types},
+            "derivation_size": len(trace),
+        }
+        if sf.main is not None and sf.discipline in ("IS", "ID"):
+            payload["main_out"] = show_qenv(sf.main.out)
     except CheckError as ex:
         report.phase("check-source", False, time.monotonic() - start, {})
         report.diag(ex.rule, ex.span, ex.message)
         report.exit_code = EXIT_SOURCE
         return report
+    except RecursionError:
+        return _hit_limit(report, "check-source", start, EXIT_SOURCE)
     for warning in checked.warnings:
         report.diag("CHECK", None, warning, severity="warning")
-    payload = {
-        "types": {name: show(ty) for name, ty in checked.cst_types},
-        "derivation_size": len(trace),
-    }
-    if sf.main is not None and sf.discipline in ("IS", "ID"):
-        payload["main_out"] = show_qenv(sf.main.out)
     if want_trace:
         payload["trace"] = list(trace)
     report.phase("check-source", True, time.monotonic() - start, payload)
@@ -299,15 +308,15 @@ def run_pipeline(
     start = time.monotonic()
     try:
         image = translate_file(sf)
+        payload = {"terms": {name: len(show_term(t)) for name, t in image.csts}}
     except LoopcertError as ex:
         report.phase("translate", False, time.monotonic() - start, {})
         report.diag("TRANSLATE", None, str(ex))
         report.exit_code = EXIT_TARGET
         return report
-    report.phase(
-        "translate", True, time.monotonic() - start,
-        {"terms": {name: len(show_term(t)) for name, t in image.csts}},
-    )
+    except RecursionError:
+        return _hit_limit(report, "translate", start, EXIT_TARGET)
+    report.phase("translate", True, time.monotonic() - start, payload)
     report.image = image
     if stop_after == "translate":
         return report
@@ -316,21 +325,31 @@ def run_pipeline(
     trace2: List[str] = []
     try:
         target_types = check_target(sf, checked, image, trace2, allow_pred)
+        payload = {
+            "types": {name: show(ty) for name, ty in target_types},
+            "derivation_size": len(trace2),
+        }
     except CheckError as ex:
         report.phase("check-target", False, time.monotonic() - start, {})
         report.diag(ex.rule, ex.span, ex.message)
         report.exit_code = EXIT_TARGET
         return report
-    payload = {
-        "types": {name: show(ty) for name, ty in target_types},
-        "derivation_size": len(trace2),
-    }
+    except RecursionError:
+        return _hit_limit(report, "check-target", start, EXIT_TARGET)
     if want_trace:
         payload["trace"] = list(trace2)
     report.phase("check-target", True, time.monotonic() - start, payload)
 
     if sf.main is not None or args is not None:
         _run_eval_phase(report, sf, image, target_types, args, fuel)
+    return report
+
+
+def _hit_limit(report: Report, phase: str, start: float, exit_code: int) -> Report:
+    """Rule LIMIT: the phase ran out of host stack on deeply nested input."""
+    report.phase(phase, False, time.monotonic() - start, {})
+    report.diag("LIMIT", None, f"the input nests too deeply for {phase}: the host recursion limit was reached")
+    report.exit_code = exit_code
     return report
 
 
@@ -349,5 +368,8 @@ def _run_eval_phase(
         report.phase("evaluate", False, time.monotonic() - start, {})
         report.diag("EVAL", None, str(ex))
         report.exit_code = EXIT_RUNTIME
+        return
+    except RecursionError:
+        _hit_limit(report, "evaluate", start, EXIT_RUNTIME)
         return
     report.phase("evaluate", True, time.monotonic() - start, payload)

@@ -171,18 +171,30 @@ def show_qenv(q: S.QEnv) -> str:
 # -- functional terms -------------------------------------------------------
 
 def show_term(t: S.Term) -> str:
+    # a chain of binder prefixes (let, let <...>, fn, lam, ?n.) is printed
+    # in a loop: an image's let chain is as long as its source sequence
+    prefixes = []
+    while True:
+        match t:
+            case S.TLet(name, value, body):
+                prefixes.append(f"let {name} = {show_term(value)} in ")
+            case S.TLetMatch(names, value, body):
+                prefixes.append(f"let <{', '.join(names)}> = {show_term(value)} in ")
+            case S.TFn(param, ann, body):
+                prefixes.append(f"fn {param} : {show_formula(ann)} => ")
+            case S.TIndLam(var, body):
+                prefixes.append(f"lam {var}. ")
+            case S.TUnpack(var, body):
+                prefixes.append(f"?{var}. ")
+            case _:
+                break
+        t = body
+    prefixes.append(_show_term_rest(t))
+    return "".join(prefixes)
+
+
+def _show_term_rest(t: S.Term) -> str:
     match t:
-        case S.TFn(param, ann, body):
-            return f"fn {param} : {show_formula(ann)} => {show_term(body)}"
-        case S.TIndLam(var, body):
-            return f"lam {var}. {show_term(body)}"
-        case S.TLet(name, value, body):
-            return f"let {name} = {show_term(value)} in {show_term(body)}"
-        case S.TLetMatch(names, value, body):
-            pat = "<" + ", ".join(names) + ">"
-            return f"let {pat} = {show_term(value)} in {show_term(body)}"
-        case S.TUnpack(var, body):
-            return f"?{var}. {show_term(body)}"
         case S.TCallcc(arg):
             return f"callcc {_term_atom(arg)}"
         case S.TThrow(ann, cont, arg):
@@ -324,33 +336,30 @@ def show_command(c: S.Command) -> str:
 
 def show_seq(s: S.Seq) -> str:
     parts = []
-    while True:
-        match s:
-            case S.SEmpty():
-                return "\n".join(parts)
-            case S.SCmd(cmd, rest):
-                parts.append(show_command(cmd))
-                s = rest
-            case S.SCst(name, value, rest):
+    items = s.items
+    k = 0
+    while k < len(items):
+        item = items[k]
+        k += 1
+        match item:
+            case S.SCst(name, value):
                 parts.append(f"cst {name} = {show_expr(value)};")
-                s = rest
-            case S.SVar(name, value, rest):
+            case S.SVar(name, value):
                 parts.append(f"var {name} := {show_expr(value)};")
-                s = rest
             case S.SUnpack(var, rest):
                 parts.append(f"?{var}.")
-                s = rest
+                items, k = rest.items, 0
             case S.SWitness(witness, ann, rest):
                 parts.append(f"[{show_ind(witness)} in {show_qenv(ann)}]")
-                s = rest
+                items, k = rest.items, 0
             case S.SSubst(body, fam, proof):
                 parts.append(
                     f"(\n{_indent(show_seq(body))}) :> "
                     f"{{{fam.var}/{show_qenv(fam.body)}}}[{show_expr(proof)}];"
                 )
-                return "\n".join(parts)
             case _:
-                raise AssertionError(s)
+                parts.append(show_command(item))
+    return "\n".join(parts)
 
 
 # -- files ------------------------------------------------------------------

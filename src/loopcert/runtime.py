@@ -120,27 +120,12 @@ def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
         case S.TVar(name):
             bound = scope.get(name)
             return RVar(name, depth - 1 - bound[-1] if bound else None)
-        case S.TLet(name, value, body):
-            value = _erase(value, scope, depth)
-            scope[name].append(depth)
-            erased = RLet(name, value, _erase(body, scope, depth + 1))
-            scope[name].pop()
-            return erased
+        case S.TLet() | S.TLetMatch() | S.TCoerce() | S.TIndLam() | S.TIndApp() | S.TPack() | S.TUnpack():
+            return _erase_lets(t, scope, depth)
         case S.TSucc(arg):
             return RSucc(_erase(arg, scope, depth))
-        case S.TCoerce(subject, _, _):
-            return _erase(subject, scope, depth)  # the equality proof is computationally irrelevant
         case S.TTuple(items):
             return RTuple(tuple(_erase(x, scope, depth) for x in items))
-        case S.TLetMatch(names, value, body):
-            # the items are bound left to right, so a repeated name ends on its last item
-            value = _erase(value, scope, depth)
-            for k, name in enumerate(names):
-                scope[name].append(depth + k)
-            erased = RLetMatch(names, value, _erase(body, scope, depth + len(names)))
-            for name in names:
-                scope[name].pop()
-            return erased
         case S.TZero():
             return RNum(0)
         case S.TFn(param, _, body):
@@ -154,8 +139,6 @@ def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
             return RApp(_erase(fn, scope, depth), _erase(arg, scope, depth))
         case S.TRec(bound, base, step, _):
             return RRec(_erase(bound, scope, depth), _erase(base, scope, depth), _erase(step, scope, depth))
-        case S.TIndLam(_, sub) | S.TIndApp(sub, _) | S.TPack(_, sub, _) | S.TUnpack(_, sub):
-            return _erase(sub, scope, depth)
         case S.TCallcc(arg):
             return RCallcc(_erase(arg, scope, depth))
         case S.TThrow(_, cont, arg):
@@ -163,6 +146,50 @@ def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
         case S.TAxiom():
             raise NonErasable("an axiom term survives only inside a discarded coercion proof")
     raise AssertionError(t)
+
+
+def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
+    """_erase along a chain of lets and of the forms erasure drops
+    (coercions, whose equality proof is computationally irrelevant, index
+    abstraction and application, packs and unpacks), with a loop: an
+    image's chain is as long as its source sequence."""
+    chain = []  # (let, its erased value), outermost first
+    while True:
+        cls = type(t)
+        if cls is S.TLet:
+            chain.append((t, _erase(t.value, scope, depth)))
+            scope[t.name].append(depth)
+            depth += 1
+        elif cls is S.TLetMatch:
+            chain.append((t, _erase(t.value, scope, depth)))
+            # the items are bound left to right, so a repeated name ends on its last item
+            for k, name in enumerate(t.names):
+                scope[name].append(depth + k)
+            depth += len(t.names)
+        elif cls is S.TCoerce:
+            t = t.subject
+            continue
+        elif cls is S.TIndApp:
+            t = t.fn
+            continue
+        elif cls is S.TPack:
+            t = t.value
+            continue
+        elif cls is S.TIndLam or cls is S.TUnpack:
+            pass
+        else:
+            break
+        t = t.body
+    erased = _erase(t, scope, depth)
+    for let, value in reversed(chain):
+        if type(let) is S.TLet:
+            erased = RLet(let.name, value, erased)
+            scope[let.name].pop()
+        else:
+            erased = RLetMatch(let.names, value, erased)
+            for name in let.names:
+                scope[name].pop()
+    return erased
 
 
 # ---------------------------------------------------------------------------
@@ -417,24 +444,22 @@ def call_proc(clos: IClos, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
 
 
 def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
-    match s:
-        case S.SEmpty():
-            return
-        case S.SCst(name, value, rest):
-            gamma2 = dict(gamma)
-            gamma2[name] = eval_i_expr(value, gamma, store)
-            exec_seq(rest, gamma2, store)
-            return
-        case S.SVar(name, value, rest):
-            store[name] = eval_i_expr(value, gamma, store)
-            exec_seq(rest, gamma, store)
-            del store[name]
-            return
-        case S.SCmd(cmd, rest):
-            exec_command(cmd, gamma, store)
-            exec_seq(rest, gamma, store)
-            return
-    raise EvalError("Unsupported", f"sequence {type(s).__name__} is outside the simple interpreter")
+    locals_: List[str] = []
+    for item in s.items:
+        cls = type(item)
+        if cls is S.SCst:
+            value = eval_i_expr(item.value, gamma, store)
+            gamma = dict(gamma)
+            gamma[item.name] = value
+        elif cls is S.SVar:
+            store[item.name] = eval_i_expr(item.value, gamma, store)
+            locals_.append(item.name)
+        elif isinstance(item, S.Command):
+            exec_command(item, gamma, store)
+        else:
+            raise EvalError("Unsupported", f"sequence {cls.__name__} is outside the simple interpreter")
+    for name in reversed(locals_):
+        del store[name]
 
 
 def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:

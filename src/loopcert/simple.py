@@ -96,29 +96,34 @@ def is_check_header(gamma: S.Env, header: S.Header, ctx: CheckCtx, span=None) ->
 
 
 def is_check_seq(gamma: S.Env, omega: S.Env, s: S.Seq, ctx: Optional[CheckCtx] = None) -> S.Env:
-    """Synthesize the final store typing of a simple sequence."""
+    """Synthesize the final store typing of a simple sequence.  The items
+    are checked in a loop; each `var` item's local is dropped from the
+    final store afterwards, innermost first."""
     ctx = ctx or CheckCtx()
-    match s:
-        case S.SEmpty():
-            ctx.rule("T_EMPTY")
-            return omega
-        case S.SCst(name, value, rest):
-            _fresh_for_store(name, omega, "T_CST", s.span)
-            ty = is_check_expr(gamma, omega, value, ctx)
+    local_vars = []
+    for item in s.items:
+        cls = type(item)
+        if cls is S.SCst:
+            _fresh_for_store(item.name, omega, "T_CST", item.span)
+            ty = is_check_expr(gamma, omega, item.value, ctx)
             ctx.rule("T_CST")
-            return is_check_seq(gamma + ((name, ty),), omega, rest, ctx)
-        case S.SVar(name, value, rest):
-            _fresh_for_store(name, omega, "T_VAR", s.span)
-            ty = is_check_expr(gamma, omega, value, ctx)
+            gamma = gamma + ((item.name, ty),)
+        elif cls is S.SVar:
+            _fresh_for_store(item.name, omega, "T_VAR", item.span)
+            ty = is_check_expr(gamma, omega, item.value, ctx)
             ctx.rule("T_VAR")
-            final = is_check_seq(gamma, omega + ((name, ty),), rest, ctx)
-            if not final or final[-1][0] != name:
-                raise CheckError("T_VAR", f"store does not end with '{name}'", span=s.span)
-            return final[:-1]
-        case S.SCmd(cmd, rest):
-            omega2 = _is_command(gamma, omega, cmd, ctx)
-            return is_check_seq(gamma, omega2, rest, ctx)
-    raise CheckError("IS", "sequence form not in the simple fragment", span=getattr(s, "span", None))
+            omega = omega + ((item.name, ty),)
+            local_vars.append(item)
+        elif isinstance(item, S.Command):
+            omega = _is_command(gamma, omega, item, ctx)
+        else:
+            raise CheckError("IS", "sequence form not in the simple fragment", span=item.span)
+    ctx.rule("T_EMPTY")
+    for item in reversed(local_vars):
+        if not omega or omega[-1][0] != item.name:
+            raise CheckError("T_VAR", f"store does not end with '{item.name}'", span=item.span)
+        omega = omega[:-1]
+    return omega
 
 
 def _is_command(gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx) -> S.Env:

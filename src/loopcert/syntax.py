@@ -472,10 +472,6 @@ class Command(Node):
     __slots__ = ()
 
 
-class Seq(Node):
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
 class EVar(Expr):
     name: str
@@ -607,35 +603,40 @@ class CLabel(Command):
 
 
 @dataclass(frozen=True)
-class SEmpty(Seq):
+class Seq(Node):
+    """A sequence: its items (commands and the declaration items below)
+    run left to right, and a `cst` or `var` item scopes over the items
+    after it.  `?n.` and a witness hold the rest of the sequence in their
+    own `rest`, and a `:>` group ends the sequence, so each of these three
+    is the last item when present.  The span is where the sequence ends:
+    an unmet output is reported there."""
+
+    items: Tuple[Any, ...]
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
-class SCmd(Seq):
-    cmd: Command
-    rest: Seq
-    span: Optional[Span] = _span_field()
+class SeqItem(Node):
+    """A sequence item that is not a command."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
-class SCst(Seq):
+class SCst(SeqItem):
     name: str
     value: Expr
-    rest: Seq
     span: Optional[Span] = _span_field()
 
 
 @dataclass(frozen=True)
-class SVar(Seq):
+class SVar(SeqItem):
     name: str
     value: Expr
-    rest: Seq
     span: Optional[Span] = _span_field()
 
 
 @dataclass(frozen=True)
-class SUnpack(Seq):
+class SUnpack(SeqItem):
     var: str
     rest: Seq
     span: Optional[Span] = _span_field()
@@ -644,7 +645,7 @@ class SUnpack(Seq):
 
 
 @dataclass(frozen=True)
-class SWitness(Seq):
+class SWitness(SeqItem):
     witness: Ind
     ann: QEnv
     rest: Seq
@@ -652,7 +653,7 @@ class SWitness(Seq):
 
 
 @dataclass(frozen=True)
-class SSubst(Seq):
+class SSubst(SeqItem):
     body: Seq
     fam: Fam  # {n/QEnv}
     proof: Expr
@@ -749,6 +750,10 @@ def free_ind_vars(node: Any) -> frozenset:
 
 def _free_ind(value: Any, acc: set, bound: Tuple[str, ...]) -> None:
     cls = type(value)
+    while cls is TLet or cls is TLetMatch:  # a let chain binds no individuals
+        _free_ind(value.value, acc, bound)
+        value = value.body
+        cls = type(value)
     if cls is IVar:
         if value.name not in bound:
             acc.add(value.name)
@@ -808,6 +813,8 @@ def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
             elif out is not None:
                 out.append(item)
         return value if out is None else tuple(out)
+    if cls is TLet or cls is TLetMatch:
+        return _subst_lets(value, sub, free_repl)
     plan = _PLANS.get(cls)
     if plan is None:
         return value
@@ -822,6 +829,22 @@ def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
                 changes = {}
             changes[fname] = new
     return value if changes is None else plan.build(value, changes)
+
+
+def _subst_lets(value: Node, sub: dict, free_repl: frozenset) -> Node:
+    """_subst along a chain of lets, with a loop: a chain is as long as the
+    sequence it translates.  The lets are rebuilt innermost first."""
+    chain = []
+    while type(value) is TLet or type(value) is TLetMatch:
+        chain.append((value, _subst(value.value, sub, free_repl)))
+        value = value.body
+    body = _subst(value, sub, free_repl)
+    for node, new_value in reversed(chain):
+        if new_value is not node.value or body is not node.body:
+            body = _rebuild(node, value=new_value, body=body)
+        else:
+            body = node
+    return body
 
 
 def _subst_binder(value: Node, plan: _Plan, sub: dict, free_repl: frozenset) -> Node:
@@ -914,6 +937,22 @@ def alpha_eq(a: Any, b: Any) -> bool:
 
 def _alpha(a: Any, b: Any, la: tuple, lb: tuple, depth: int) -> bool:
     ca, cb = type(a), type(b)
+    if ca is cb and (ca is TLet or ca is TLetMatch):
+        # a let chain, walked with a loop; the maps are copied once for it
+        la, lb = (la[0], dict(la[1])), (lb[0], dict(lb[1]))
+        while ca is cb and (ca is TLet or ca is TLetMatch):
+            if not _alpha(a.value, b.value, la, lb, depth):
+                return False
+            na = a.names if ca is TLetMatch else (a.name,)
+            nb = b.names if cb is TLetMatch else (b.name,)
+            if len(na) != len(nb):
+                return False
+            for xa, xb in zip(na, nb):
+                la[1][xa] = depth
+                lb[1][xb] = depth
+                depth += 1
+            a, b = a.body, b.body
+            ca, cb = type(a), type(b)
     if ca is IVar or cb is IVar:
         if ca is not cb:
             return False

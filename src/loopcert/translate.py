@@ -10,7 +10,7 @@ defined on checked programs and must be run after checking.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from . import envs
 from . import syntax as S
@@ -142,28 +142,49 @@ def translate_header(header: S.Header, tctx: TranslateCtx) -> S.Term:
 
 
 def translate_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term:
-    """State-passing translation; live is the ident vector threaded through."""
-    match s:
-        case S.SEmpty():
-            return S.TTuple(tuple(S.TVar(x) for x in live))
-        case S.SCst(name, value, rest) | S.SVar(name, value, rest):
-            return S.TLet(name, translate_expr(value, tctx), translate_seq(rest, live, tctx))
-        case S.SUnpack(var, rest):
-            return S.TUnpack(var, translate_seq(rest, live, tctx))
-        case S.SWitness(witness, ann, rest):
-            _, phi = translate_qenv(ann)
-            return S.TPack(witness, translate_seq(rest, live, tctx), phi)
-        case S.SSubst(body, fam, proof):
-            _, phi = translate_qenv(fam.body)
-            return S.TCoerce(
-                translate_seq(body, live, tctx),
-                S.Fam(fam.var, phi),
-                translate_expr(proof, tctx),
+    """State-passing translation; live is the ident vector threaded through.
+
+    The image nests each item's binder around the image of the items
+    after it, so it is built in two loops.  The first, front to back,
+    follows the sequence into the rest of a `?n.` or a witness and
+    translates what is translated before the rest: a declaration's value,
+    and a closing `:>` group.  The second, back to front, wraps the end
+    in each item; a command is translated there, after the items that
+    follow it, which fixes the numbering of fresh names."""
+    flat: List = []
+    values: List[S.Term] = []
+    end: S.Term = S.TTuple(tuple(S.TVar(x) for x in live))
+    items, k = s.items, 0
+    while k < len(items):
+        item = items[k]
+        k += 1
+        cls = type(item)
+        if cls is S.SSubst:
+            _, phi = translate_qenv(item.fam.body)
+            end = S.TCoerce(
+                translate_seq(item.body, live, tctx),
+                S.Fam(item.fam.var, phi),
+                translate_expr(item.proof, tctx),
             )
-        case S.SCmd(cmd, rest):
-            tail = translate_seq(rest, live, tctx)
-            return _translate_command(cmd, tail, tctx)
-    raise AssertionError(s)
+            break
+        flat.append(item)
+        if cls is S.SCst or cls is S.SVar:
+            values.append(translate_expr(item.value, tctx))
+        elif cls is S.SUnpack or cls is S.SWitness:
+            items, k = item.rest.items, 0
+    term = end
+    for item in reversed(flat):
+        cls = type(item)
+        if cls is S.SCst or cls is S.SVar:
+            term = S.TLet(item.name, values.pop(), term)
+        elif cls is S.SUnpack:
+            term = S.TUnpack(item.var, term)
+        elif cls is S.SWitness:
+            _, phi = translate_qenv(item.ann)
+            term = S.TPack(item.witness, term, phi)
+        else:
+            term = _translate_command(item, term, tctx)
+    return term
 
 
 def _translate_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Term:

@@ -67,7 +67,7 @@ UNSUPPORTED = {
 
 
 def _stream(tokens):
-    return [(t.kind, t.value, t.line, t.col) for t in tokens]
+    return [(tokens.kinds[k], tokens.values[k], *tokens.position(k)) for k in range(len(tokens))]
 
 
 @pytest.mark.parametrize("text", sorted(GOLDEN))

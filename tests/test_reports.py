@@ -71,3 +71,12 @@ def test_unit_and_pred_rules_are_reached():
     assert "TC_PRED" in phases["check-target"]["trace"]
     assert phases["evaluate"]["store"] == {"z": "1"}
     assert phases["evaluate"]["interpreter"] == "<1>"
+
+
+def test_limit_report_matches_schema():
+    depth = 100_000
+    text = "discipline IS;\nmain {\n  z := " + "(" * depth + "0" + ")" * depth + ";\n} out [z : nat]\n"
+    report = pipeline.run_pipeline("deep.loop", text=text).to_dict()
+    jsonschema.validate(report, SCHEMA)
+    assert [d["rule"] for d in report["diagnostics"]] == ["LIMIT"]
+    assert "LIMIT" in SCHEMA["properties"]["diagnostics"]["items"]["properties"]["rule"]["description"]

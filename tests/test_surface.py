@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from loopcert import gen
+from loopcert import gen, pipeline
 from loopcert import syntax as S
 from loopcert.errors import ParseError
 from loopcert.parser import (
@@ -55,7 +55,7 @@ def test_figure1_prototype_shape():
 
 def test_empty_main_body():
     sf = parse("discipline IS;\nmain { } out [z : top]")
-    assert isinstance(sf.main.body, S.SEmpty)
+    assert isinstance(sf.main.body, S.Seq) and sf.main.body.items == ()
 
 
 def test_simple_proc_round_trip():
@@ -71,8 +71,8 @@ def test_print_nat_succ():
 
 def test_var_without_initializer_desugars_with_warning():
     p = Parser("var y; y := 0;")
-    seq = p.parse_seq()
-    assert isinstance(seq, S.SVar) and isinstance(seq.value, S.EStar)
+    item = p.parse_seq().items[0]
+    assert isinstance(item, S.SVar) and isinstance(item.value, S.EStar)
     assert any("desugared" in w for w in p.warnings)
 
 
@@ -142,3 +142,34 @@ def test_generated_round_trips():
         assert S.alpha_eq(again.csts, sf.csts)
         cases += 1
     assert cases == 500
+
+
+@pytest.mark.parametrize(
+    "body, span",
+    [
+        ("((z := x;) :> {i/[z : nat(i)]}[add(0, m) = m]); inc(z);", [4, 51]),
+        ("((z := x;) :> {i/[z : nat(i)]}[add(0, m) = m]);\n  ();\n  ?n. inc(z);", [6, 3]),
+    ],
+)
+def test_coerced_group_followed_by_items_is_reported_at_the_first(body, span):
+    """A ':>' group ends its sequence; an item after it is reported where it starts."""
+    text = (
+        "discipline ID;\n\n"
+        "cst p = proc forall m. [x : nat(m)] out [z : nat(m)] {\n"
+        f"  {body}\n}};\n"
+    )
+    report = pipeline.run_pipeline("x.loop", text=text)
+    assert report.exit_code == pipeline.EXIT_PARSE
+    assert [(d["rule"], d["span"]) for d in report.diagnostics] == [("PARSE", span)]
+    assert "cannot be followed by commands" in report.diagnostics[0]["message"]
+
+
+def test_coerced_group_may_end_its_sequence():
+    """An empty group after a ':>' group adds no item."""
+    sf = parse(
+        "discipline ID;\n\n"
+        "cst p = proc forall m. [x : nat(m)] out [z : nat(m)] {\n"
+        "  ((z := x;) :> {i/[z : nat(i)]}[add(0, m) = m]);\n  ();\n};\n"
+    )
+    (item,) = sf.csts[0][1].header.body.body.items
+    assert isinstance(item, S.SSubst)
