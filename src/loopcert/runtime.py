@@ -9,6 +9,22 @@ continuation (or a never-returning closure), abandoning the current
 context; rec unfolds its step through machine frames, so deep loops are
 iterative rather than stack-consuming.
 
+Fuel is one unit per transition.  Most transitions of a translated loop
+or sequence push a frame, look up a variable and pop the frame again;
+the machine makes such a run in one turn of its loop: where a frame's
+operand is an atom (a bound variable or a numeral), the atom is looked
+up and the frame's return is run at once, without building the frame.
+That covers let and let <...> of an atom, succ and pred of an atom,
+tuples of atoms, an atom applied to an atom and throw of atoms.
+Likewise a curried rec step fn i => fn acc => ... is applied to the
+counter and the accumulator without building the closure in between (and
+one iteration returns into the next without building the loop frame),
+and callcc's fn is applied to the continuation without being closed.  A
+group is taken only when the fuel left covers every transition in it,
+and it is charged for each; otherwise the machine single-steps.  So step
+counts, the point where fuel runs out and errors are those of the
+single-step machine.
+
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
 binder names stay on the terms as hints.  A machine environment is a
@@ -239,12 +255,24 @@ _HALT = None
 
 # Frame tags, most frequent first.  A frame is a tuple (tag, ..., parent);
 # the machine below builds each and reads it back in the same layout.
-(_TUPLE, _MATCH, _REC_LOOP, _REC_ACC, _REC_NEXT, _LET, _SUCC, _CALLCC, _THROW_FN, _THROW_ARG,
- _ARG, _APP, _REC_BASE, _REC_STEP, _PRED) = range(15)
+(_REC_NEXT, _LET, _MATCH, _THROW_ARG, _APP, _TUPLE, _REC_LOOP, _SUCC, _PRED, _CALLCC, _ARG,
+ _THROW_FN, _REC_ACC, _REC_BASE, _REC_STEP) = range(15)
+
+
+def _not_numeral(value: Any) -> StuckTerm:
+    return StuckTerm(f"expected a numeral, found {show_value(value)}")
+
+
+def _no_match(names: Tuple[str, ...], value: Any) -> StuckTerm:
+    return StuckTerm(f"tuple pattern <{', '.join(names)}> against {show_value(value)}")
 
 
 def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
-    """Run a closed runtime term to a value, or raise FuelExhausted."""
+    """Run a closed runtime term to a value, or raise FuelExhausted.
+
+    A turn of the loop makes one transition, or one group of them (see
+    the module docstring); budget is the fuel left after the transitions
+    made so far."""
     control: Any = t  # None while a value returns to kont
     env: Any = None
     kont: Any = _HALT
@@ -256,143 +284,234 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
             raise FuelExhausted(fuel)
         if control is not None:
             cls = type(control)
-            if cls is RVar:
+            if cls is RLet or cls is RLetMatch:
+                a = control.value
+                if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
+                    budget -= 2  # push, reach the atom, bind
+                    if type(a) is RNum:
+                        value = a.value
+                    else:
+                        link, index = env, a.index
+                        while index:
+                            link, index = link[1], index - 1
+                        value = link[0]
+                    if cls is RLet:
+                        env = (value, env)
+                    else:
+                        names = control.names
+                        if not isinstance(value, tuple) or len(value) != len(names):
+                            raise _no_match(names, value)
+                        for item in value:
+                            env = (item, env)
+                    control = control.body
+                elif cls is RLet:
+                    kont = (_LET, control.body, env, kont)
+                    control = a
+                else:
+                    kont = (_MATCH, control, env, kont)
+                    control = a
+                continue
+            elif cls is RTuple:
+                # each atom item is reached and returned to the tuple frame
+                items = control.items
+                done = ()
+                for a in items:
+                    if budget < 2:
+                        break
+                    if type(a) is RVar:
+                        index = a.index
+                        if index is None:
+                            break
+                        link = env
+                        while index:
+                            link, index = link[1], index - 1
+                        done += (link[0],)
+                    elif type(a) is RNum:
+                        done += (a.value,)
+                    else:
+                        break
+                    budget -= 2
+                else:
+                    value, control = done, None
+                    continue
+                k = len(done)
+                kont = (_TUPLE, items, k + 1, done, env, kont)
+                control = items[k]
+                continue
+            elif cls is RSucc or cls is RPred:
+                a = control.arg
+                if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
+                    budget -= 2  # push, reach the atom, count
+                    if type(a) is RNum:
+                        value = a.value
+                    else:
+                        link, index = env, a.index
+                        while index:
+                            link, index = link[1], index - 1
+                        value = link[0]
+                    if not isinstance(value, int):
+                        raise _not_numeral(value)
+                    value = value + 1 if cls is RSucc else max(value - 1, 0)
+                    control = None
+                else:
+                    kont = (_SUCC if cls is RSucc else _PRED, kont)
+                    control = a
+                continue
+            elif cls is RVar:
                 index = control.index
                 if index is None:
                     raise StuckTerm(f"unbound runtime variable '{control.name}'")
                 link = env
                 while index:
-                    link = link[1]
-                    index -= 1
+                    link, index = link[1], index - 1
                 value, control = link[0], None
-            elif cls is RLetMatch:
-                kont = (_MATCH, control, env, kont)
-                control = control.value
-            elif cls is RTuple:
-                items = control.items
-                if items:
-                    kont = (_TUPLE, items, 1, (), env, kont)
-                    control = items[0]
-                else:
-                    value, control = (), None
+                continue
             elif cls is RFn:
                 value, control = Clos(control.param, control.body, env), None
-            elif cls is RLet:
-                kont = (_LET, control.body, env, kont)
-                control = control.value
-            elif cls is RSucc:
-                kont = (_SUCC, kont)
-                control = control.arg
+                continue
+            elif cls is RApp or cls is RThrow:
+                a = control.fn if cls is RApp else control.cont
+                if not (budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum)):
+                    kont = (_ARG if cls is RApp else _THROW_FN, control.arg, env, kont)
+                    control = a
+                    continue
+                budget -= 2  # push, reach the function, push its argument's frame
+                if type(a) is RNum:
+                    fn = a.value
+                else:
+                    link, index = env, a.index
+                    while index:
+                        link, index = link[1], index - 1
+                    fn = link[0]
+                a = control.arg
+                if not (budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum)):
+                    kont = (_APP if cls is RApp else _THROW_ARG, fn, kont)
+                    control = a
+                    continue
+                budget -= 2  # reach the argument, apply
+                if type(a) is RNum:
+                    arg = a.value
+                else:
+                    link, index = env, a.index
+                    while index:
+                        link, index = link[1], index - 1
+                    arg = link[0]
+                if cls is RThrow:
+                    kont = _HALT  # the current context is abandoned
             elif cls is RCallcc:
-                kont = (_CALLCC, kont)
-                control = control.arg
-            elif cls is RThrow:
-                kont = (_THROW_FN, control.arg, env, kont)
-                control = control.cont
+                if type(control.arg) is RFn and budget > 1:
+                    # push, close the fn, apply it to the current continuation
+                    budget -= 2
+                    control, env = control.arg.body, (ContV(kont), env)
+                else:
+                    kont = (_CALLCC, kont)
+                    control = control.arg
+                continue
             elif cls is RRec:
                 kont = (_REC_BASE, control, env, kont)
                 control = control.bound
+                continue
             elif cls is RNum:
                 value, control = control.value, None
-            elif cls is RApp:
-                kont = (_ARG, control.arg, env, kont)
-                control = control.fn
-            elif cls is RPred:
-                kont = (_PRED, kont)
-                control = control.arg
+                continue
             else:
                 raise StuckTerm(f"bad control {control!r}")
-            continue
-        # returning a value to kont; a frame that applies a function sets
-        # fn, arg and kont and falls through to the application below
-        if kont is _HALT:
-            return value
-        tag = kont[0]
-        if tag == _TUPLE:
-            _, items, k, done, tenv, parent = kont
-            done += (value,)
-            if k == len(items):
-                value, kont = done, parent
-            else:
-                kont = (_TUPLE, items, k + 1, done, tenv, parent)
-                control, env = items[k], tenv
-            continue
-        elif tag == _MATCH:
-            _, term, env, kont = kont
-            names = term.names
-            if not isinstance(value, tuple) or len(value) != len(names):
-                raise StuckTerm(f"tuple pattern <{', '.join(names)}> against {show_value(value)}")
-            for item in value:
-                env = (item, env)
-            control = term.body
-            continue
-        elif tag == _REC_LOOP:
-            _, bound, k, acc, parent = kont
-            if k == bound:
-                value, kont = acc, parent
-                continue
-            fn, arg = value, k
-            kont = (_REC_ACC, bound, k, acc, value, parent)
-        elif tag == _REC_ACC:
-            _, bound, k, acc, stepv, parent = kont
-            fn, arg = value, acc
-            kont = (_REC_NEXT, bound, k, stepv, parent)
-        elif tag == _REC_NEXT:
-            _, bound, k, stepv, parent = kont
-            kont = (_REC_LOOP, bound, k + 1, value, parent)
-            value = stepv
-            continue
-        elif tag == _LET:
-            _, control, env, kont = kont
-            env = (value, env)
-            continue
-        elif tag == _SUCC:
-            if not isinstance(value, int):
-                raise StuckTerm(f"expected a numeral, found {show_value(value)}")
-            value += 1
-            kont = kont[1]
-            continue
-        elif tag == _CALLCC:
-            kont = kont[1]
-            fn, arg = value, ContV(kont)
-        elif tag == _THROW_FN:
-            _, control, env, parent = kont
-            kont = (_THROW_ARG, value, parent)
-            continue
-        elif tag == _THROW_ARG:
-            fn, arg = kont[1], value
-            kont = _HALT  # the current context is abandoned
-        elif tag == _ARG:
-            _, control, env, parent = kont
-            kont = (_APP, value, parent)
-            continue
-        elif tag == _APP:
-            _, fn, kont = kont
-            arg = value
-        elif tag == _REC_BASE:
-            _, term, env, parent = kont
-            if not isinstance(value, int):
-                raise StuckTerm(f"expected a numeral, found {show_value(value)}")
-            kont = (_REC_STEP, value, term.step, env, parent)
-            control = term.base
-            continue
-        elif tag == _REC_STEP:
-            _, bound, control, env, parent = kont
-            kont = (_REC_LOOP, bound, 0, value, parent)
-            continue
-        elif tag == _PRED:
-            if not isinstance(value, int):
-                raise StuckTerm(f"expected a numeral, found {show_value(value)}")
-            value = max(value - 1, 0)
-            kont = kont[1]
-            continue
         else:
-            raise StuckTerm(f"bad frame {tag!r}")
+            # returning a value to kont; a frame that applies a function sets
+            # fn, arg and kont and falls through to the application below
+            if kont is _HALT:
+                return value
+            tag = kont[0]
+            if tag == _REC_NEXT or tag == _REC_LOOP:
+                if tag == _REC_NEXT:
+                    _, bound, k, stepv, parent = kont
+                    if budget < 1:
+                        kont = (_REC_LOOP, bound, k + 1, value, parent)
+                        value = stepv
+                        continue
+                    # and the return to the _REC_LOOP frame, without building it
+                    budget -= 1
+                    acc, k = value, k + 1
+                else:
+                    _, bound, k, acc, parent = kont
+                    stepv = value
+                if k == bound:
+                    value, kont = acc, parent
+                    continue
+                if type(stepv) is Clos and type(stepv.body) is RFn and budget > 1:
+                    budget -= 2  # apply the step to k, close its fn, apply that to acc
+                    kont = (_REC_NEXT, bound, k, stepv, parent)
+                    control, env = stepv.body.body, (acc, (k, stepv.env))
+                    continue
+                fn, arg = stepv, k
+                kont = (_REC_ACC, bound, k, acc, stepv, parent)
+            elif tag == _LET:
+                _, control, env, kont = kont
+                env = (value, env)
+                continue
+            elif tag == _MATCH:
+                _, term, env, kont = kont
+                names = term.names
+                if not isinstance(value, tuple) or len(value) != len(names):
+                    raise _no_match(names, value)
+                for item in value:
+                    env = (item, env)
+                control = term.body
+                continue
+            elif tag == _THROW_ARG:
+                fn, arg = kont[1], value
+                kont = _HALT  # the current context is abandoned
+            elif tag == _APP:
+                _, fn, kont = kont
+                arg = value
+            elif tag == _TUPLE:
+                _, items, k, done, tenv, parent = kont
+                done += (value,)
+                if k == len(items):
+                    value, kont = done, parent
+                else:
+                    kont = (_TUPLE, items, k + 1, done, tenv, parent)
+                    control, env = items[k], tenv
+                continue
+            elif tag == _SUCC or tag == _PRED:
+                if not isinstance(value, int):
+                    raise _not_numeral(value)
+                value = value + 1 if tag == _SUCC else max(value - 1, 0)
+                kont = kont[1]
+                continue
+            elif tag == _CALLCC:
+                kont = kont[1]
+                fn, arg = value, ContV(kont)
+            elif tag == _ARG:
+                _, control, env, parent = kont
+                kont = (_APP, value, parent)
+                continue
+            elif tag == _THROW_FN:
+                _, control, env, parent = kont
+                kont = (_THROW_ARG, value, parent)
+                continue
+            elif tag == _REC_ACC:
+                _, bound, k, acc, stepv, parent = kont
+                fn, arg = value, acc
+                kont = (_REC_NEXT, bound, k, stepv, parent)
+            elif tag == _REC_BASE:
+                _, term, env, parent = kont
+                if not isinstance(value, int):
+                    raise _not_numeral(value)
+                kont = (_REC_STEP, value, term.step, env, parent)
+                control = term.base
+                continue
+            elif tag == _REC_STEP:
+                _, bound, control, env, parent = kont
+                kont = (_REC_LOOP, bound, 0, value, parent)
+                continue
+            else:
+                raise StuckTerm(f"bad frame {tag!r}")
         # apply fn to arg, returning to kont
         if type(fn) is Clos:
             control, env = fn.body, (arg, fn.env)
         elif type(fn) is ContV:
-            kont, value = fn.kont, arg
+            kont, value, control = fn.kont, arg, None
         else:
             raise StuckTerm(f"applied a non-function {show_value(fn)}")
 
@@ -444,10 +563,17 @@ def call_proc(clos: IClos, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
 
 
 def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
+    """Run s on store; gamma is never mutated, so a caller may reuse it."""
     locals_: List[str] = []
     for item in s.items:
         cls = type(item)
-        if cls is S.SCst:
+        if cls is S.CInc:
+            store[item.name] += 1
+        elif cls is S.CAssign:
+            store[item.name] = eval_i_expr(item.value, gamma, store)
+        elif cls is S.CDec:
+            store[item.name] = max(store[item.name] - 1, 0)
+        elif cls is S.SCst:
             value = eval_i_expr(item.value, gamma, store)
             gamma = dict(gamma)
             gamma[item.name] = value
@@ -463,16 +589,8 @@ def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
 
 
 def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
+    """The commands that open a frame or call; exec_seq runs the rest."""
     match cmd:
-        case S.CAssign(name, value):
-            store[name] = eval_i_expr(value, gamma, store)
-            return
-        case S.CInc(name):
-            store[name] = store[name] + 1
-            return
-        case S.CDec(name):
-            store[name] = max(store[name] - 1, 0)
-            return
         case S.CBlock(body, ann):
             assert isinstance(ann, S.QSimple)
             frame_names = [x for x, _ in ann.env]
@@ -485,10 +603,11 @@ def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -
             n = eval_i_expr(bound, gamma, store)
             frame_names = [x for x, _ in frame]
             sub = {x: store[x] for x in frame_names}
+            # one copy serves every iteration: the body does not mutate it
+            inner = dict(gamma)
             for k in range(n):
-                gamma2 = dict(gamma)
-                gamma2[var] = k
-                exec_seq(body, gamma2, sub)
+                inner[var] = k
+                exec_seq(body, inner, sub)
             for x in frame_names:
                 store[x] = sub[x]
             return

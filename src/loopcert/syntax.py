@@ -928,9 +928,11 @@ def alpha_eq(a: Any, b: Any) -> bool:
     All equality premises of the typing rules dispatch through this; no
     arithmetic normalization is ever performed.  Structural equality
     (spans do not compare) implies alpha-equivalence, so it is tried
-    first; the renaming-aware walk runs only when it fails.
+    first, except on a let chain: == recurses once per let, and _alpha
+    walks the chain with a loop.  The renaming-aware walk runs only when
+    the structural test fails.
     """
-    if a is b or a == b:
+    if a is b or type(a) is not TLet and type(a) is not TLetMatch and a == b:
         return True
     return _alpha(a, b, ({}, {}), ({}, {}), 0)
 

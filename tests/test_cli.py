@@ -165,6 +165,18 @@ def test_zero_fuel_is_a_natural(capsys):
     assert "step budget of 0 exhausted" in json.dumps(report["diagnostics"])
 
 
+def test_the_pinned_step_count_is_the_least_fuel_that_runs(capsys):
+    # 93 is addition_is's count in golden/steps.json
+    path = os.path.join(CORPUS, "addition_is.loop")
+    assert run_cli(["pipeline", path, "--fuel=93", "--json"]) == 0
+    capsys.readouterr()
+    assert run_cli(["pipeline", path, "--fuel=92", "--json"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert [(d["rule"], d["message"]) for d in report["diagnostics"]] == [
+        ("EVAL", "FuelExhausted: step budget of 92 exhausted")
+    ]
+
+
 def test_eval_runtime_value(capsys):
     assert run_cli(["eval", os.path.join(CORPUS, "figure2.loop"), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

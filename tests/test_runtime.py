@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from loopcert import gen, runtime, translate
+from loopcert import gen, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.errors import FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate, show_value
+
+from test_machine_steps import _load as load_steps, case_keys, corpus_keys, generated_keys, term_of
 
 
 def run(text: str, fuel: int = 100000):
@@ -105,24 +107,96 @@ def test_unbound_runtime_variable_is_stuck():
         evaluate(runtime.RVar("ghost"), 100)
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("succ(<>)", "expected a numeral, found <>"),
-        ("pred(<0>)", "expected a numeral, found <0>"),
-        ("rec(<>, 0, fn y : nat => fn a : nat => a)", "expected a numeral, found <>"),
-        ("let <a, b> = <0> in a", "tuple pattern <a, b> against <0>"),
-        ("let <a> = 0 in a", "tuple pattern <a> against 0"),
-        ("let f = 0 in f 0", "applied a non-function 0"),
-        ("rec(succ(0), 0, 0)", "applied a non-function 0"),
-        ("callcc 0", "applied a non-function 0"),
-        ("throw[nat] 0 0", "applied a non-function 0"),
-    ],
-)
-def test_ill_typed_terms_are_stuck(text, message):
+def assert_stuck_at(text, steps):
+    """The machine gets stuck on transition number `steps`: with less fuel
+    it runs out first.  A group of transitions taken on fuel that does not
+    cover it would get stuck too early."""
+    for fuel in range(steps):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+    with pytest.raises(StuckTerm):
+        run(text, steps)
+
+
+# (term, message, the transition on which the machine gets stuck)
+STUCK = [
+    ("succ(<>)", "expected a numeral, found <>", 3),
+    ("pred(<0>)", "expected a numeral, found <0>", 5),
+    ("rec(<>, 0, fn y : nat => fn a : nat => a)", "expected a numeral, found <>", 3),
+    ("let <a, b> = <0> in a", "tuple pattern <a, b> against <0>", 5),
+    ("let <a> = 0 in a", "tuple pattern <a> against 0", 3),
+    ("let f = 0 in f 0", "applied a non-function 0", 8),
+    ("rec(succ(0), 0, 0)", "applied a non-function 0", 9),
+    ("callcc 0", "applied a non-function 0", 3),
+    ("throw[nat] 0 0", "applied a non-function 0", 5),
+    # the same with atom operands, which the machine takes in one group
+    ("let x = <> in succ(x)", "expected a numeral, found <>", 6),
+    ("let x = <0> in pred(x)", "expected a numeral, found <0>", 8),
+    ("let x = <0> in let <a, b> = x in a", "tuple pattern <a, b> against <0>", 8),
+    ("let x = 0 in let <a> = x in a", "tuple pattern <a> against 0", 6),
+    ("let f = 0 in let y = 0 in f y", "applied a non-function 0", 11),
+    ("let f = 0 in f <>", "applied a non-function 0", 8),
+    ("let k = 0 in throw[nat] k 0", "applied a non-function 0", 8),
+    ("let k = <> in let y = 0 in throw[nat] k y", "applied a non-function <>", 11),
+    ("let x = <> in rec(succ(0), 0, fn y : nat => fn a : nat => succ(x))", "expected a numeral, found <>", 17),
+]
+
+
+@pytest.mark.parametrize("text, message, steps", STUCK, ids=[f"{text}-{message}" for text, message, _ in STUCK])
+def test_ill_typed_terms_are_stuck(text, message, steps):
     with pytest.raises(StuckTerm) as err:
         run(text)
     assert str(err.value) == f"StuckTerm: {message}"
+    assert_stuck_at(text, steps)
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        ("succ(ghost)", 2),
+        ("pred(ghost)", 2),
+        ("let x = ghost in x", 2),
+        ("let <a> = ghost in a", 2),
+        ("<0, ghost>", 4),
+        ("let f = fn y : nat => y in f ghost", 7),
+        ("ghost 0", 2),
+        ("callcc (fn k : ~nat => throw[nat] k ghost)", 7),
+        ("throw[nat] ghost 0", 2),
+    ],
+)
+def test_a_reached_unbound_operand_is_stuck(text, steps):
+    with pytest.raises(StuckTerm) as err:
+        run(text)
+    assert str(err.value) == "StuckTerm: unbound runtime variable 'ghost'"
+    assert_stuck_at(text, steps)
+
+
+@pytest.mark.parametrize("key", corpus_keys() + case_keys())
+def test_fuel_runs_out_at_every_transition_before_the_last(key):
+    # A group of transitions charged for fewer than it makes would let
+    # some budget below the pinned count run to a value.
+    steps = load_steps()[key]
+    term = term_of(key)
+    value = evaluate(term, steps)
+    for fuel in range(steps):
+        with pytest.raises(FuelExhausted):
+            evaluate(term, fuel)
+    assert evaluate(term, steps) == value
+
+
+def test_fuel_runs_out_at_every_transition_of_generated_programs():
+    steps = load_steps()
+    early = []
+    for key in generated_keys():
+        term = term_of(key)
+        for fuel in range(steps[key]):
+            try:
+                evaluate(term, fuel)
+            except FuelExhausted:
+                continue
+            early.append((key, fuel))
+            break
+    assert early == []
 
 
 def test_a_non_term_is_bad_control():
@@ -224,3 +298,28 @@ def test_figure2_machine_value():
     for name, term in reversed(terms):
         closed = S.TLet(name, term, closed)
     assert evaluate(erase(closed), 1000000) == (5,)
+
+
+def test_a_procedure_built_in_a_loop_keeps_its_own_index():
+    # The interpreter copies gamma once per loop, not per iteration; a
+    # procedure built in the body must still see the index of the
+    # iteration that built it when a later iteration calls it.
+    text = (
+        "discipline IS;\n"
+        "cst run = proc [x : nat] out [z : nat, w : nat] {\n"
+        "  z := 0;\n"
+        "  var p := proc [] out [r : nat] { r := 0; };\n"
+        "  for i := 0 until x {\n"
+        "    p(; z);\n"
+        "    p := proc [] out [r : nat] { r := i; };\n"
+        "  }[z : nat, p : proc([] out [nat])];\n"
+        "  p(; w);\n"
+        "};\n"
+        "main { run(0; z, w); } out [z : nat, w : nat]\n"
+    )
+    for x in range(6):
+        report = pipeline.run_pipeline("loop_proc.loop", text=text, args=(x,))
+        assert report.exit_code == 0, report.diagnostics
+        payload = report.phases[-1]["payload"]
+        want = f"<{max(x - 2, 0)}, {max(x - 1, 0)}>"
+        assert payload["value"] == payload["interpreter"] == want
