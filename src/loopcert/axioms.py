@@ -1,5 +1,4 @@
-"""The axiom judgment |- i = i' as a schema matcher, plus the closed
-numeric evaluator used only by the runtime and the test oracle.
+"""The axiom judgment |- i = i' as a schema matcher.
 
 The nine schemas are matched schematically: metavariables bind arbitrary
 individuals, including free program variables and eigenvariables, so
@@ -7,15 +6,15 @@ individuals, including free program variables and eigenvariables, so
 never applied here; callers try the flipped pair themselves.
 
 Note that AX_MULT_0 reads ``mult(0, i') = i'`` as printed, which makes
-``mult`` denote (n+1)*m; the evaluator agrees with the schemas so the
-soundness link between them holds.
+``mult`` denote (n+1)*m; the closed evaluator that the tests hold the
+schemas sound against reads it the same way.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .errors import CheckError, OpenIndividual
+from .errors import CheckError
 from .syntax import (
     IAdd,
     IF32,
@@ -44,6 +43,14 @@ SCHEMAS: Tuple[Tuple[str, Ind, Ind], ...] = (
     ("AX_F32_0", IF32(IZero()), num_ind(3)),
     ("AX_F32_S", IF32(ISucc(_I)), num_ind(2)),
 )
+
+# SCHEMAS grouped by the class of their left pattern, in table order.  No
+# left pattern is a metavariable and _match fails at once on a class
+# mismatch, so a subject's group holds every schema that can match it.
+_BY_CLASS: Dict[type, Tuple[Tuple[str, Ind, Ind], ...]] = {
+    cls: tuple(schema for schema in SCHEMAS if type(schema[1]) is cls)
+    for cls in dict.fromkeys(type(left) for _, left, _ in SCHEMAS)
+}
 
 
 def _match(pattern: Ind, subject: Ind, binding: Dict[str, Ind]) -> bool:
@@ -77,7 +84,7 @@ def try_match_axiom(i1: Ind, i2: Ind) -> Optional[str]:
     """
     if alpha_eq(i1, i2):
         return "AX_REFL"
-    for name, left, right in SCHEMAS:
+    for name, left, right in _BY_CLASS.get(type(i1), ()):
         binding: Dict[str, Ind] = {}
         if _match(left, i1, binding) and _match(right, i2, binding):
             return name
@@ -97,25 +104,3 @@ def match_axiom(i1: Ind, i2: Ind, rule: str = "AXIOM", span=None) -> str:
         )
     return name
 
-
-def eval_individual(i: Ind) -> int:
-    """Closed individuals as naturals; pred and sub are truncated."""
-    match i:
-        case IVar(name):
-            raise OpenIndividual(name)
-        case IZero():
-            return 0
-        case ISucc(a):
-            return eval_individual(a) + 1
-        case IPred(a):
-            return max(eval_individual(a) - 1, 0)
-        case IAdd(a, b):
-            return eval_individual(a) + eval_individual(b)
-        case ISub(a, b):
-            return max(eval_individual(a) - eval_individual(b), 0)
-        case IMult(a, b):
-            # mult(0, m) = m and mult(succ(n), m) = add(mult(n, m), m)
-            return (eval_individual(a) + 1) * eval_individual(b)
-        case IF32(a):
-            return 3 if eval_individual(a) == 0 else 2
-    raise AssertionError(i)

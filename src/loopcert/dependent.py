@@ -21,7 +21,7 @@ eigenvariable must never escape into a type visible outside its scope.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from . import envs
 from . import syntax as S
@@ -81,14 +81,37 @@ def check_ident(gamma: S.Env, omega: S.Env, name: str, ctx: CheckCtx, span) -> S
     raise CheckError("T_ENV", f"unbound ident '{name}'", span=span, reason="UnboundVariable")
 
 
-def neg_output(out: S.Output) -> S.Prop:
-    """Defined negation of an output.
+# The axiom and coercion rules are one judgement read in both languages;
+# prefix is "TC" for FD and FS terms and "T" for ID expressions.
 
-    A simple output gives the continuation type ~(psi, ...); negating an
-    existentially quantified output keeps the quantifier, which is what
-    makes it instantiable like a universally quantified procedure.
-    """
-    return S.PNeg(out)
+def check_axiom(left: S.Ind, right: S.Ind, ctx: CheckCtx, prefix: str, span) -> S.FEq:
+    """AX_I, or AX_II on the mirrored pair: left = right is an axiom instance."""
+    if try_match_axiom(left, right) is not None:
+        ctx.rule(prefix + "_AX_I")
+    elif try_match_axiom(right, left) is not None:
+        ctx.rule(prefix + "_AX_II")
+    else:
+        raise CheckError(
+            prefix + "_AX", f"'{show(left)} = {show(right)}' is not an axiom instance", span=span, reason="NoAxiom"
+        )
+    return S.FEq(left, right)
+
+
+def check_coercion(
+    check: Callable[[Any], Any], subject: Any, fam: S.Fam, proof: Any, ctx: CheckCtx, prefix: str, span
+) -> Any:
+    """EQUAL_E: a proof of i = j takes subject from {n/X}[j] to {n/X}[i].
+    check types a subterm; the proof is checked before the subject."""
+    rule = prefix + "_EQUAL_E"
+    proof_ty = check(proof)
+    if not isinstance(proof_ty, S.FEq):
+        raise CheckError(rule, f"coercion proof has type {show(proof_ty)}, expected an equation", span=span)
+    want = S.subst_ind(fam.body, fam.var, proof_ty.right)
+    got = check(subject)
+    if not S.alpha_eq(got, want):
+        raise CheckError(rule, f"subject has type {show(got)}, expected {show(want)}", span=span)
+    ctx.rule(rule)
+    return S.subst_ind(fam.body, fam.var, proof_ty.left)
 
 
 # ---------------------------------------------------------------------------
@@ -239,31 +262,9 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
             ctx.rule("TC_REC")
             return S.subst_ind(motive.body, motive.var, idx)
         case S.TAxiom(left, right):
-            name = try_match_axiom(left, right)
-            if name is not None:
-                ctx.rule("TC_AX_I")
-                return S.FEq(left, right)
-            name = try_match_axiom(right, left)
-            if name is not None:
-                ctx.rule("TC_AX_II")
-                return S.FEq(left, right)
-            raise CheckError(
-                "TC_AX", f"'{show(left)} = {show(right)}' is not an axiom instance", span=t.span, reason="NoAxiom"
-            )
+            return check_axiom(left, right, ctx, "TC", t.span)
         case S.TCoerce(subject, fam, proof):
-            proof_ty = _fd(env, proof, ctx, fs)
-            if not isinstance(proof_ty, S.FEq):
-                raise CheckError(
-                    "TC_EQUAL_E", f"coercion proof has type {show(proof_ty)}, expected an equation", span=t.span
-                )
-            want = S.subst_ind(fam.body, fam.var, proof_ty.right)
-            got = _fd(env, subject, ctx, fs)
-            if not S.alpha_eq(got, want):
-                raise CheckError(
-                    "TC_EQUAL_E", f"subject has type {show(got)}, expected {show(want)}", span=t.span
-                )
-            ctx.rule("TC_EQUAL_E")
-            return S.subst_ind(fam.body, fam.var, proof_ty.left)
+            return check_coercion(lambda x: _fd(env, x, ctx, fs), subject, fam, proof, ctx, "TC", t.span)
         case S.TThrow(ann, cont, arg):
             cont_ty = _fd(env, cont, ctx, fs)
             negated = S.as_neg_f(cont_ty)
@@ -413,37 +414,16 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
             return check_ident(gamma, omega, name, ctx, e.span)
         case S.EStar():
             ctx.rule("T_TRUE")
-            return S.PTop()
+            return S.FTop()
         case S.ENum(value):
             ctx.rule("T_ZERO" if value == 0 else "T_SUCC")
-            return S.PNat(S.num_ind(value))
+            return S.FNat(S.num_ind(value))
         case S.EAxiom(left, right):
-            if try_match_axiom(left, right) is not None:
-                ctx.rule("T_AX_I")
-                return S.PEq(left, right)
-            if try_match_axiom(right, left) is not None:
-                ctx.rule("T_AX_II")
-                return S.PEq(left, right)
-            raise CheckError(
-                "T_AX",
-                f"'{show(left)} = {show(right)}' is not an axiom instance",
-                span=e.span,
-                reason="NoAxiom",
-            )
+            return check_axiom(left, right, ctx, "T", e.span)
         case S.ECoerce(subject, fam, proof):
-            proof_ty = id_check_expr(gamma, omega, proof, ctx)
-            if not isinstance(proof_ty, S.PEq):
-                raise CheckError(
-                    "T_EQUAL_E", f"coercion proof has type {show(proof_ty)}, expected an equation", span=e.span
-                )
-            want = S.subst_ind(fam.body, fam.var, proof_ty.right)
-            got = id_check_expr(gamma, omega, subject, ctx)
-            if not S.alpha_eq(got, want):
-                raise CheckError(
-                    "T_EQUAL_E", f"subject has type {show(got)}, expected {show(want)}", span=e.span
-                )
-            ctx.rule("T_EQUAL_E")
-            return S.subst_ind(fam.body, fam.var, proof_ty.left)
+            return check_coercion(
+                lambda x: id_check_expr(gamma, omega, x, ctx), subject, fam, proof, ctx, "T", e.span
+            )
         case S.EInst(fn, arg):
             fnty = id_check_expr(gamma, omega, fn, ctx)
             match fnty:
@@ -463,7 +443,7 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
                         span=e.span,
                     )
         case S.EContInst(fn, fam, arg):
-            want = neg_output(S.OExists(fam.var, fam.body))
+            want = S.PNeg(S.OExists(fam.var, fam.body))
             got = id_check_expr(gamma, omega, fn, ctx)
             if not S.alpha_eq(got, want):
                 raise CheckError(
@@ -490,7 +470,7 @@ def _id_check_header(gamma: S.Env, omega: S.Env, header: S.Header, ctx: CheckCtx
         case S.HBase(params, out, body):
             names, _ = envs.qsplit(out)
             check_header_idents(params, names, "T_PROC_DECL", span)
-            start = envs.init(names, S.PTop())
+            start = envs.init(names, S.FTop())
             gamma2 = envs.append(gamma, params)
             ctx.rule("T_PROC_DECL")
             id_check_seq(gamma2, start, body, out, ctx)
@@ -580,7 +560,7 @@ def id_check_seq(
         elif cls is S.SSubst:
             fam = item.fam
             proof_ty = id_check_expr(gamma, omega, item.proof, ctx)
-            if not isinstance(proof_ty, S.PEq):
+            if not isinstance(proof_ty, S.FEq):
                 raise CheckError(
                     "T_SUBST", f"coercion proof has type {show(proof_ty)}, expected an equation", span=item.span
                 )
@@ -649,18 +629,18 @@ def _id_command(
         case S.CInc(name) | S.CDec(name):
             rule = "T_INC" if isinstance(cmd, S.CInc) else "T_DEC"
             ty = envs.require(omega, name, rule, cmd.span)
-            if not isinstance(ty, S.PNat) or ty.index is None:
+            if not isinstance(ty, S.FNat) or ty.index is None:
                 raise CheckError(rule, f"'{name}' has type {show(ty)}, expected an indexed nat", span=cmd.span)
             new_index = S.ISucc(ty.index) if isinstance(cmd, S.CInc) else S.IPred(ty.index)
             ctx.rule(rule)
-            return envs.update(omega, name, S.PNat(new_index), rule, cmd.span), None
+            return envs.update(omega, name, S.FNat(new_index), rule, cmd.span), None
         case S.CBlock(body, ann):
             ctx.rule("T_BLOCK")
             id_check_seq(gamma, omega, body, ann, ctx)
             return omega, ann
         case S.CLabel(name, body, ann):
             _, out = envs.qsplit(ann)
-            cont_ty = neg_output(out)
+            cont_ty = S.PNeg(out)
             ctx.rule("T_LABEL")
             id_check_seq(gamma + ((name, cont_ty),), omega, body, ann, ctx)
             return omega, ann
@@ -689,7 +669,7 @@ def _id_command(
             frame0 = S.subst_ind(frame, idx, S.IZero()) if idx else frame
             envs.subset(frame0, omega, "T_FOR", cmd.span)
             bound_ty = id_check_expr(gamma, omega, bound, ctx)
-            if not isinstance(bound_ty, S.PNat) or bound_ty.index is None:
+            if not isinstance(bound_ty, S.FNat) or bound_ty.index is None:
                 raise CheckError(
                     "T_FOR", f"loop bound has type {show(bound_ty)}, expected an indexed nat", span=cmd.span
                 )
@@ -703,7 +683,7 @@ def _id_command(
             else:
                 body_n, frame_n, frame_s, frame_end = body, frame, frame, frame
             ctx.rule("T_FOR")
-            id_check_seq(gamma + ((var, S.PNat(ev)),), frame_n, body_n, S.QSimple(frame_s), ctx)
+            id_check_seq(gamma + ((var, S.FNat(ev)),), frame_n, body_n, S.QSimple(frame_s), ctx)
             return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
         case S.CCall(fn, args, outs):
             if len(set(outs)) != len(outs):

@@ -52,11 +52,6 @@ class StuckTerm(EvalError):
         super().__init__("StuckTerm", message)
 
 
-class OpenIndividual(EvalError):
-    def __init__(self, name: str):
-        super().__init__("OpenIndividual", f"variable '{name}' in a closed evaluation")
-
-
 class NonErasable(EvalError):
     def __init__(self, message: str):
         super().__init__("NonErasable", message)

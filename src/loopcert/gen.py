@@ -69,18 +69,16 @@ def gen_formula(rng: Rng, depth: int, vars_: Tuple[str, ...] = ()) -> S.Formula:
 
 def gen_prop(rng: Rng, depth: int, vars_: Tuple[str, ...] = ()) -> S.Prop:
     if depth <= 0:
-        return rng.choice(
-            [S.PTop(), S.PBot(), S.PNat(gen_ind(rng, 1, vars_)), S.PProp(rng.choice(_IDENTS).upper())]
-        )
+        return gen_formula(rng, 0, vars_)
     kind = rng.randrange(6)
     if kind == 0:
         return S.PNeg(gen_output(rng, depth - 1, vars_))
     if kind == 1:
         return S.proc_t(gen_proto(rng, depth - 1, vars_))
     if kind == 2:
-        return S.PEq(gen_ind(rng, depth - 1, vars_), gen_ind(rng, depth - 1, vars_))
+        return S.FEq(gen_ind(rng, depth - 1, vars_), gen_ind(rng, depth - 1, vars_))
     if kind == 3:
-        return S.PNat(gen_ind(rng, depth - 1, vars_))
+        return S.FNat(gen_ind(rng, depth - 1, vars_))
     return gen_prop(rng, 0, vars_)
 
 
@@ -162,8 +160,8 @@ def gen_term(rng: Rng, depth: int, vars_: Tuple[str, ...] = (), ivars: Tuple[str
 # Well-typed jump-free IS programs
 # ---------------------------------------------------------------------------
 
-NAT = S.PNat(None)
-TOP = S.PTop()
+NAT = S.FNat(None)
+TOP = S.FTop()
 UNARY_PROC = S.PProc(S.ProtoBase((NAT,), S.OSimple((NAT,))))
 
 

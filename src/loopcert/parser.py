@@ -200,12 +200,6 @@ class Parser:
         k = min(self.pos + ahead, self.last)
         return Token(self.kinds[k], self.values[k], *self.tokens.position(k))
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if self.pos < self.last:
-            self.pos += 1
-        return tok
-
     def at(self, value: str, ahead: int = 0) -> bool:
         return self.values[self.pos + ahead] == value
 
@@ -352,6 +346,21 @@ class Parser:
         return phi
 
     def parse_formula_atom(self) -> S.Formula:
+        if self.values[self.pos] == "<":  # no equation begins with '<'
+            self.pos += 1
+            items: List[S.Formula] = []
+            if not self.at(">"):
+                items.append(self.parse_formula())
+                while self.at(","):
+                    self.pos += 1
+                    items.append(self.parse_formula())
+            self.eat(">")
+            return S.FTuple(tuple(items))
+        return self._type_atom("formula", self.parse_formula)
+
+    def _type_atom(self, what: str, parse_inner: Callable[[], Any]) -> Any:
+        """An atom of both type languages, or a parenthesised `parse_inner`
+        phrase; a failure expects `what`."""
         eq = self.try_equation()
         if eq is not None:
             return S.FEq(*eq)
@@ -374,22 +383,12 @@ class Parser:
         if value == "bot":
             self.pos = pos + 1
             return S.FBot()
-        if value == "<":
-            self.pos = pos + 1
-            items: List[S.Formula] = []
-            if not self.at(">"):
-                items.append(self.parse_formula())
-                while self.at(","):
-                    self.pos += 1
-                    items.append(self.parse_formula())
-            self.eat(">")
-            return S.FTuple(tuple(items))
         if value == "(":
             self.pos = pos + 1
-            inner = self.parse_formula()
+            inner = parse_inner()
             self.eat(")")
             return inner
-        raise self.fail("formula")
+        raise self.fail(what)
 
     def _reject_meta_subst(self) -> None:
         # the grammar lists phi[x=i] but no rule consumes it
@@ -441,34 +440,7 @@ class Parser:
         return self.parse_prop_atom()
 
     def parse_prop_atom(self) -> S.Prop:
-        eq = self.try_equation()
-        if eq is not None:
-            return S.PEq(*eq)
-        pos = self.pos
-        value = self.values[pos]
-        if self.kinds[pos] == "ident":
-            self.pos = pos + 1
-            return S.PProp(value)
-        if value == "nat":
-            self.pos = pos + 1
-            if self.values[pos + 1] == "(":
-                self.pos = pos + 2
-                idx = self.parse_ind()
-                self.eat(")")
-                return S.PNat(idx)
-            return S.PNat(None)
-        if value == "top":
-            self.pos = pos + 1
-            return S.PTop()
-        if value == "bot":
-            self.pos = pos + 1
-            return S.PBot()
-        if value == "(":
-            self.pos = pos + 1
-            inner = self.parse_prop()
-            self.eat(")")
-            return inner
-        raise self.fail("type")
+        return self._type_atom("type", self.parse_prop)
 
     def parse_output(self) -> S.Output:
         if self.at("exists"):

@@ -86,19 +86,21 @@ def check_source(
     ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
     check = _CST_CHECKERS.get(sf.discipline)
     if check is None:
-        raise LoopcertError(f"unknown discipline {sf.discipline}")
+        raise CheckError("CHECK", f"unknown discipline {sf.discipline}")
     gamma: S.Env = ()
     for name, value in sf.csts:
         gamma = gamma + ((name, check(gamma, value, ctx)),)
     types = gamma
     main = sf.main
+    if main is not None and isinstance(main, S.MainF) != (sf.discipline in ("FS", "FD")):
+        raise CheckError("CHECK", f"main is written in the other language; it cannot be checked as {sf.discipline}")
     if main is not None and sf.discipline == "IS":
         if not isinstance(main.out, S.QSimple):
             raise CheckError("T_PROC", "IS main cannot declare an existential output", span=main.span)
         out_env = main.out.env
         names, _ = envs.split(out_env)
         dependent.check_header_idents((), names, "T_PROC", main.span)
-        final = simple.is_check_seq(gamma, envs.init(names, S.PTop()), main.body, ctx)
+        final = simple.is_check_seq(gamma, envs.init(names, S.FTop()), main.body, ctx)
         if not S.alpha_env(final, out_env):
             raise CheckError(
                 "T_PROC",
@@ -109,7 +111,7 @@ def check_source(
     elif main is not None and sf.discipline == "ID":
         names, _ = envs.qsplit(main.out)
         dependent.check_header_idents((), names, "T_PROC_DECL", main.span)
-        dependent.id_check_seq(gamma, envs.init(names, S.PTop()), main.body, main.out, ctx)
+        dependent.id_check_seq(gamma, envs.init(names, S.FTop()), main.body, main.out, ctx)
     elif main is not None:
         types = gamma + (("main", check(gamma, main.term, ctx)),)
     return CheckedFile(sf, types, ctx.trace or [], tuple(ctx.warnings))
@@ -259,7 +261,7 @@ def run_pipeline(
         return _hit_limit(report, "parse", start, EXIT_PARSE)
     if system is not None:
         sf = S.SourceFile(system, sf.csts, sf.main, sf.notes, sf.warnings)
-    report.discipline = sf.discipline
+    report.discipline = sf.discipline if sf.discipline in _CST_CHECKERS else ""
     for note in sf.notes:
         report.diag("NOTE", None, note, severity="note")
     for warning in sf.warnings:

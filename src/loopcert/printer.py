@@ -115,18 +115,8 @@ def _formula_atom(phi: S.Formula) -> str:
 
 def show_prop(p: S.Prop) -> str:
     match p:
-        case S.PProp(name):
-            return name
-        case S.PTop():
-            return "top"
-        case S.PBot():
-            return "bot"
-        case S.PNat(None):
-            return "nat"
-        case S.PNat(idx):
-            return f"nat({show_ind(idx)})"
-        case S.PEq(a, b):
-            return f"({show_ind(a)} = {show_ind(b)})"
+        case S.Formula():  # an atom, printed as on the functional side
+            return _formula_atom(p)
         case S.PProc(proto):
             return "proc " + show_proto(proto)
         case S.PNeg(S.OSimple(types)):

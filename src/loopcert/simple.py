@@ -38,9 +38,9 @@ def _fresh_for_store(name: str, omega: S.Env, rule: str, span) -> None:
 
 def _simple_prop(p: S.Prop, span=None) -> None:
     match p:
-        case S.PTop():
+        case S.FTop():
             return
-        case S.PNat(None):
+        case S.FNat(None):
             return
         case S.PProc(S.ProtoBase(params, S.OSimple(types))):
             for q in params:
@@ -58,10 +58,10 @@ def is_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
             return check_ident(gamma, omega, name, ctx, e.span)
         case S.EStar():
             ctx.rule("T_UNIT")
-            return S.PTop()
+            return S.FTop()
         case S.ENum(_):
             ctx.rule("T_NUM")
-            return S.PNat(None)
+            return S.FNat(None)
         case S.EProc(header):
             return S.proc_t(is_check_header(gamma, header, ctx, span=e.span))
     raise CheckError("IS", f"expression not in the simple fragment: {show(e)}", span=getattr(e, "span", None))
@@ -80,7 +80,7 @@ def is_check_header(gamma: S.Env, header: S.Header, ctx: CheckCtx, span=None) ->
         _simple_prop(p, span)
     names, types = envs.split(out_env)
     check_header_idents(header.params, names, "T_PROC", span)
-    start = envs.init(names, S.PTop())
+    start = envs.init(names, S.FTop())
     gamma2 = envs.append(gamma, header.params)
     ctx.rule("T_PROC")
     final = is_check_seq(gamma2, start, header.body, ctx)
@@ -136,7 +136,7 @@ def _is_command(gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx) -> S.
         case S.CInc(name) | S.CDec(name):
             rule = "T_INC" if isinstance(cmd, S.CInc) else "T_DEC"
             ty = envs.require(omega, name, rule, cmd.span)
-            if not S.alpha_eq(ty, S.PNat(None)):
+            if not S.alpha_eq(ty, S.FNat(None)):
                 raise CheckError(rule, f"'{name}' has type {show(ty)}, expected nat", span=cmd.span)
             ctx.rule(rule)
             return omega
@@ -153,10 +153,10 @@ def _is_command(gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx) -> S.
                 raise CheckError("T_FOR", "indexed loops are not simple", span=cmd.span)
             envs.subset(frame, omega, "T_FOR", cmd.span)
             bty = is_check_expr(gamma, omega, bound, ctx)
-            if not S.alpha_eq(bty, S.PNat(None)):
+            if not S.alpha_eq(bty, S.FNat(None)):
                 raise CheckError("T_FOR", f"loop bound has type {show(bty)}, expected nat", span=cmd.span)
             ctx.rule("T_FOR")
-            result = is_check_seq(gamma + ((var, S.PNat(None)),), frame, body, ctx)
+            result = is_check_seq(gamma + ((var, S.FNat(None)),), frame, body, ctx)
             if not S.alpha_env(result, frame):
                 raise CheckError(
                     "T_FOR",

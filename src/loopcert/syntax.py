@@ -4,10 +4,14 @@ Two term languages share one kernel:
 
 * the functional language (terms ``T*``) with formulas ``F*`` as types,
 * the imperative language (expressions ``E*``, commands ``C*``,
-  sequences ``S*``) with props ``P*``, outputs, prototypes and
-  quantified environments as types.
+  sequences ``S*``) with props, outputs, prototypes and quantified
+  environments as types.
 
-First-order index terms ("individuals", ``I*``) are common to both.
+First-order index terms ("individuals", ``I*``) are common to both, and
+so are the type atoms: ``nat(i)``, ``i = j``, ``top``, ``bot`` and
+proposition variables are one set of classes (``FNat``, ``FEq``,
+``FTop``, ``FBot``, ``FProp``), each both a ``Formula`` and a ``Prop``.
+Only procedure types and negations (``PProc``, ``PNeg``) are props alone.
 All nodes are immutable; operations in this module are pure functions.
 """
 
@@ -92,35 +96,40 @@ def num_ind(n: int) -> Ind:
 
 
 # ---------------------------------------------------------------------------
-# Formulas (functional-side types; the simple sublanguage is index-free)
+# Types: Formula on the functional side (the simple sublanguage is
+# index-free), Prop on the imperative side; the atoms are both
 # ---------------------------------------------------------------------------
 
 class Formula(Node):
     __slots__ = ()
 
 
+class Prop(Node):
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
-class FProp(Formula):
+class FProp(Formula, Prop):
     name: str
 
 
 @dataclass(frozen=True)
-class FTop(Formula):
+class FTop(Formula, Prop):
     pass
 
 
 @dataclass(frozen=True)
-class FBot(Formula):
+class FBot(Formula, Prop):
     pass
 
 
 @dataclass(frozen=True)
-class FNat(Formula):
+class FNat(Formula, Prop):
     index: Optional[Ind] = None  # None in the simple discipline
 
 
 @dataclass(frozen=True)
-class FEq(Formula):
+class FEq(Formula, Prop):
     left: Ind
     right: Ind
 
@@ -186,10 +195,6 @@ def is_simple_formula(phi: Formula) -> bool:
 # Imperative-side types: props, outputs, prototypes, quantified environments
 # ---------------------------------------------------------------------------
 
-class Prop(Node):
-    __slots__ = ()
-
-
 class Output(Node):
     __slots__ = ()
 
@@ -204,32 +209,6 @@ class QEnv(Node):
 
 # ordered ident:type list; the type side is Prop (imperative) or Formula
 Env = Tuple[Tuple[str, Any], ...]
-
-
-@dataclass(frozen=True)
-class PProp(Prop):
-    name: str
-
-
-@dataclass(frozen=True)
-class PTop(Prop):
-    pass
-
-
-@dataclass(frozen=True)
-class PBot(Prop):
-    pass
-
-
-@dataclass(frozen=True)
-class PNat(Prop):
-    index: Optional[Ind] = None
-
-
-@dataclass(frozen=True)
-class PEq(Prop):
-    left: Ind
-    right: Ind
 
 
 @dataclass(frozen=True)
@@ -296,7 +275,7 @@ def proc_t(proto: Proto) -> Prop:
     prototype *is* the negation of its parameter vector, and Figure-2
     style programs assign these literals into continuation slots.
     """
-    if isinstance(proto, ProtoBase) and proto.params and proto.out == OSimple((PBot(),)):
+    if isinstance(proto, ProtoBase) and proto.params and proto.out == OSimple((FBot(),)):
         return PNeg(OSimple(proto.params))
     return PProc(proto)
 

@@ -1,7 +1,10 @@
 """The imperative-to-functional translation: ID to FD, with IS to FS as
 its index-free fragment.
 
-Types and terms translate by one definition.  The only place where the
+Types and terms translate by one definition.  A type atom (`nat(i)`,
+`i = j`, `top`, `bot`, a proposition variable) is shared by both type
+languages and is its own image; procedure types and negations become
+arrows.  The only place where the
 targets differ is the `for` loop: its FS image is a `rec` whose step
 takes a plain `nat`, with no motive; its FD image abstracts the
 iteration index and carries the frame as the motive.  Translation is
@@ -43,16 +46,8 @@ def fn_over_tuple(
 
 def translate_type(p: S.Prop) -> S.Formula:
     match p:
-        case S.PProp(name):
-            return S.FProp(name)
-        case S.PTop():
-            return S.FTop()
-        case S.PBot():
-            return S.FBot()
-        case S.PNat(idx):
-            return S.FNat(idx)
-        case S.PEq(left, right):
-            return S.FEq(left, right)
+        case S.Formula():  # an atom of both type languages is its own image
+            return p
         case S.PProc(proto):
             return translate_proto(proto)
         case S.PNeg(out):

@@ -1,16 +1,47 @@
 """The axiom schema matcher and the closed evaluator, including the
-soundness link between them."""
+soundness link between them.  The evaluator is the soundness oracle and
+lives here: the toolchain itself never evaluates individuals."""
 
 import itertools
 import random
+from typing import Dict, Optional
 
 import pytest
 
 from loopcert import gen
 from loopcert import syntax as S
-from loopcert.axioms import SCHEMAS, eval_individual, match_axiom, try_match_axiom
-from loopcert.errors import CheckError, OpenIndividual
+from loopcert.axioms import SCHEMAS, _match, match_axiom, try_match_axiom
+from loopcert.errors import CheckError, EvalError
 from loopcert.parser import Parser
+from loopcert.syntax import IAdd, IF32, IMult, IPred, ISub, ISucc, IVar, IZero, Ind
+
+
+class OpenIndividual(EvalError):
+    def __init__(self, name: str):
+        super().__init__("OpenIndividual", f"variable '{name}' in a closed evaluation")
+
+
+def eval_individual(i: Ind) -> int:
+    """Closed individuals as naturals; pred and sub are truncated."""
+    match i:
+        case IVar(name):
+            raise OpenIndividual(name)
+        case IZero():
+            return 0
+        case ISucc(a):
+            return eval_individual(a) + 1
+        case IPred(a):
+            return max(eval_individual(a) - 1, 0)
+        case IAdd(a, b):
+            return eval_individual(a) + eval_individual(b)
+        case ISub(a, b):
+            return max(eval_individual(a) - eval_individual(b), 0)
+        case IMult(a, b):
+            # mult(0, m) = m and mult(succ(n), m) = add(mult(n, m), m)
+            return (eval_individual(a) + 1) * eval_individual(b)
+        case IF32(a):
+            return 3 if eval_individual(a) == 0 else 2
+    raise AssertionError(i)
 
 
 def ind(text: str) -> S.Ind:
@@ -87,11 +118,10 @@ def test_eval_open_individual():
         eval_individual(ind("add(n, 0)"))
 
 
-def test_soundness_link_exhaustive():
-    """match_axiom implies equal evaluation, for all closed instances with
+def _closed_instances():
+    """(name, left, right) for every instance of every schema with
     arguments up to 6."""
     numerals = [S.num_ind(k) for k in range(7)]
-    checked = 0
     for name, left, right in SCHEMAS:
         metas = sorted(S.free_ind_vars(left) | S.free_ind_vars(right))
         for values in itertools.product(numerals, repeat=len(metas)):
@@ -99,11 +129,56 @@ def test_soundness_link_exhaustive():
             for meta, value in zip(metas, values):
                 li = S.subst_ind(li, meta, value)
                 ri = S.subst_ind(ri, meta, value)
-            assert try_match_axiom(li, ri) == name or try_match_axiom(li, ri) is not None
-            assert eval_individual(li) == eval_individual(ri), name
-            checked += 1
+            yield name, li, ri
+
+
+def test_soundness_link_exhaustive():
+    """match_axiom implies equal evaluation, for all closed instances with
+    arguments up to 6."""
+    checked = 0
+    for name, li, ri in _closed_instances():
+        assert try_match_axiom(li, ri) == name or try_match_axiom(li, ri) is not None
+        assert eval_individual(li) == eval_individual(ri), name
+        checked += 1
     # 2 closed schemas, 4 unary ones over 0..6, 2 binary ones over [0,6]^2
     assert checked == 2 + 4 * 7 + 2 * 49
+
+
+def _linear_scan(i1: Ind, i2: Ind) -> Optional[str]:
+    """try_match_axiom as a scan of the whole schema table."""
+    if S.alpha_eq(i1, i2):
+        return "AX_REFL"
+    for name, left, right in SCHEMAS:
+        binding: Dict[str, Ind] = {}
+        if _match(left, i1, binding) and _match(right, i2, binding):
+            return name
+    return None
+
+
+def test_schema_index_agrees_with_a_linear_scan():
+    """Looking up only the schemas whose left pattern has the subject's
+    class finds the same schema as trying the whole table in order."""
+    pairs = [(li, ri) for _, li, ri in _closed_instances()]
+    rng = random.Random(7)
+    ivars = ("m", "n")
+    for _ in range(400):
+        # a schema instance over random open individuals, one side perturbed
+        # half of the time, and an unrelated pair
+        _, left, right = rng.choice(SCHEMAS)
+        for meta in sorted(S.free_ind_vars(left) | S.free_ind_vars(right)):
+            value = gen.gen_ind(rng, 2, ivars)
+            left, right = S.subst_ind(left, meta, value), S.subst_ind(right, meta, value)
+        if rng.random() < 0.5:
+            right = S.ISucc(right) if rng.random() < 0.5 else gen.gen_ind(rng, 2, ivars)
+        pairs.append((left, right))
+        pairs.append((gen.gen_ind(rng, 3, ivars), gen.gen_ind(rng, 3, ivars)))
+    found = set()
+    for left, right in pairs:
+        for i1, i2 in ((left, right), (right, left)):
+            want = _linear_scan(i1, i2)
+            assert try_match_axiom(i1, i2) == want, (i1, i2)
+            found.add(want)
+    assert found == {name for name, _, _ in SCHEMAS} | {"AX_REFL", None}
 
 
 def test_refl_on_generated_individuals():

@@ -125,13 +125,13 @@ def test_fd_unpack_ok_when_no_escape():
 # ---------------------------------------------------------------------------
 
 def test_neg_simple_output():
-    out = S.OSimple((S.PNat(S.IZero()),))
-    assert S.alpha_eq(dependent.neg_output(out), parse_prop("~(nat(0))"))
+    out = S.OSimple((S.FNat(S.IZero()),))
+    assert S.alpha_eq(S.PNeg(out), parse_prop("~(nat(0))"))
 
 
 def test_neg_figure2_continuation():
     _, out = envs.qsplit(parse_qenv("exists u. [r : nat(u), mk : ~(nat(F32(u)))]"))
-    neg = dependent.neg_output(out)
+    neg = S.PNeg(out)
     assert isinstance(neg, S.PNeg) and isinstance(neg.out, S.OExists)
     # translating it gives the negation of the translated output
     assert S.alpha_eq(
@@ -144,7 +144,7 @@ def test_neg_translation_coherence_depth3():
     rng = random.Random(5)
     for _ in range(120):
         out = gen.gen_output(rng, 3)
-        lhs = translate.translate_type(dependent.neg_output(out))
+        lhs = translate.translate_type(S.PNeg(out))
         rhs = S.neg_f(translate.translate_output(out))
         assert S.alpha_eq(lhs, rhs)
 
@@ -154,7 +154,7 @@ def test_neg_translation_coherence_depth3():
 # ---------------------------------------------------------------------------
 
 def test_id_star_and_numerals():
-    assert dependent.id_check_expr((), (), parse_expr("*")) == S.PTop()
+    assert dependent.id_check_expr((), (), parse_expr("*")) == S.FTop()
     assert S.alpha_eq(
         dependent.id_check_expr((), (), parse_expr("succ(succ(0))")),
         parse_prop("nat(succ(succ(0)))"),
@@ -162,12 +162,12 @@ def test_id_star_and_numerals():
 
 
 def test_id_empty_subset():
-    omega = (("x", S.PNat(S.IZero())), ("y", S.PTop()))
+    omega = (("x", S.FNat(S.IZero())), ("y", S.FTop()))
     dependent.id_check_seq((), omega, parse_seq(""), parse_qenv("[x : nat(0)]"))
 
 
 def test_id_empty_subset_violation():
-    omega = (("x", S.PNat(S.IZero())),)
+    omega = (("x", S.FNat(S.IZero())),)
     with pytest.raises(CheckError) as err:
         dependent.id_check_seq((), omega, parse_seq(""), parse_qenv("[x : nat(succ(0))]"))
     assert err.value.rule == "T_EMPTY"
@@ -176,7 +176,7 @@ def test_id_empty_subset_violation():
 def test_id_cont_inst_result_is_jumpable():
     fam = parse_qenv("exists u. [k0 : nat(u)]")
     _, out = envs.qsplit(fam)
-    gamma = (("k", dependent.neg_output(out)),)
+    gamma = (("k", S.PNeg(out)),)
     e = parse_expr("k <: {u/[nat(u)]}{succ(0)}")
     got = dependent.id_check_expr(gamma, (), e)
     assert S.alpha_eq(got, parse_prop("~(nat(succ(0)))"))
@@ -184,7 +184,7 @@ def test_id_cont_inst_result_is_jumpable():
 
 def test_id_inst_on_continuation_rejected():
     _, out = envs.qsplit(parse_qenv("exists u. [k0 : nat(u)]"))
-    gamma = (("k", dependent.neg_output(out)),)
+    gamma = (("k", S.PNeg(out)),)
     with pytest.raises(CheckError) as err:
         dependent.id_check_expr(gamma, (), parse_expr("k{0}"))
     assert err.value.rule == "T_PROC_INST"
@@ -267,8 +267,8 @@ def test_translate_fresh_names_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_id_var_may_shadow_constants_but_not_outputs():
-    gamma = (("w", S.PTop()),)
-    omega = (("z", S.PTop()),)
+    gamma = (("w", S.FTop()),)
+    omega = (("z", S.FTop()),)
     # shadowing a constant is fine
     dependent.id_check_seq(
         gamma, omega, parse_seq("var w := 0; z := w;"), parse_qenv("[z : nat(0)]")
@@ -281,7 +281,7 @@ def test_id_var_may_shadow_constants_but_not_outputs():
 
 
 def test_id_cst_may_not_shadow_store():
-    omega = (("z", S.PTop()),)
+    omega = (("z", S.FTop()),)
     with pytest.raises(CheckError) as err:
         dependent.id_check_seq((), omega, parse_seq("cst z = 0;"), parse_qenv("[z : top]"))
     assert err.value.reason == "FreshnessViolation" and err.value.rule == "T_CST"
@@ -314,8 +314,8 @@ def test_id_index_free_loop_under_quantified_header():
 
 
 def test_id_goal_trace_deterministic():
-    gamma = (("k", dependent.neg_output(S.OSimple((parse_prop("nat(0)"),)))),)
-    omega = (("z", S.PTop()),)
+    gamma = (("k", S.PNeg(S.OSimple((parse_prop("nat(0)"),)))),)
+    omega = (("z", S.FTop()),)
     subject = parse_seq("k : { jump(k, 0)[z : nat(0)]; }[z : nat(0)];")
     expected = parse_qenv("[z : nat(0)]")
     first, second = CheckCtx(trace=[]), CheckCtx(trace=[])

@@ -284,8 +284,8 @@ def test_alpha_eq_ignores_spans():
 # environment algebra
 # ---------------------------------------------------------------------------
 
-TOP = S.PTop()
-NAT0 = S.PNat(S.IZero())
+TOP = S.FTop()
+NAT0 = S.FNat(S.IZero())
 
 
 def test_lookup_rightmost_wins():
@@ -329,11 +329,11 @@ def test_qsplit_figure2_shape():
     q = parse_qenv("exists u. [r : nat(u), mk : ~(nat(F32(u)))]")
     names, out = envs.qsplit(q)
     assert names == ("r", "mk")
-    want = S.OExists("u", S.OSimple((S.PNat(S.IVar("u")), parse_prop("~(nat(F32(u)))"))))
+    want = S.OExists("u", S.OSimple((S.FNat(S.IVar("u")), parse_prop("~(nat(F32(u)))"))))
     assert S.alpha_eq(out, want)
 
 
-_prop = st.sampled_from([TOP, NAT0, S.PBot(), S.PNat(S.ISucc(S.IZero()))])
+_prop = st.sampled_from([TOP, NAT0, S.FBot(), S.FNat(S.ISucc(S.IZero()))])
 _env = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), _prop), min_size=0, max_size=5
 ).map(lambda pairs: tuple(dict(pairs).items()))

@@ -88,8 +88,7 @@ def test_unsupported_character_location(text):
 def test_peek_past_the_end_is_eof():
     p = Parser("x")
     assert p.peek(5).kind == "eof"
-    p.next()
-    p.next()
+    assert p.eat_ident() == "x"
     assert p.peek().kind == "eof" and p.peek(1).kind == "eof"
 
 

@@ -80,3 +80,30 @@ def test_limit_report_matches_schema():
     jsonschema.validate(report, SCHEMA)
     assert [d["rule"] for d in report["diagnostics"]] == ["LIMIT"]
     assert "LIMIT" in SCHEMA["properties"]["diagnostics"]["items"]["properties"]["rule"]["description"]
+
+
+with open(os.path.join(CORPUS, "addition_is.loop"), "r", encoding="utf-8") as handle:
+    ADDITION_IS = handle.read()
+
+
+@pytest.mark.parametrize(
+    "system, text, message",
+    [
+        ("XX", ADDITION_IS, "unknown discipline XX"),
+        ("IS", "discipline FS;\nmain = 0;\n", None),
+        ("ID", "discipline FD;\nmain = 0;\n", None),
+        ("FS", "discipline IS;\nmain {\n  z := 1;\n} out [z : nat]\n", None),
+        ("FD", "discipline ID;\nmain {\n  z := 1;\n} out [z : nat]\n", None),
+    ],
+)
+def test_a_system_that_cannot_check_the_file_is_a_failed_check(system, text, message):
+    """An unknown discipline, or one of the other language than the file's
+    main, fails the check-source phase with rule CHECK and exit 2, instead
+    of escaping as an exception."""
+    message = message or f"main is written in the other language; it cannot be checked as {system}"
+    data = pipeline.run_pipeline("system.loop", text=text, system=system).to_dict()
+    jsonschema.validate(data, SCHEMA)
+    assert [(p["name"], p["ok"]) for p in data["phases"]] == [("parse", True), ("check-source", False)]
+    assert [(d["severity"], d["rule"], d["message"]) for d in data["diagnostics"]] == [("error", "CHECK", message)]
+    assert data["discipline"] == ("" if system == "XX" else system)
+    assert data["exit_code"] == pipeline.EXIT_SOURCE == 2

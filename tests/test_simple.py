@@ -104,38 +104,38 @@ def test_fs_derivation_report_replays():
 # ---------------------------------------------------------------------------
 
 def test_is_env_store_wins():
-    got = simple.is_check_expr((("x", S.PTop()),), (("x", S.PNat(None)),), parse_expr("x"))
-    assert got == S.PNat(None)
+    got = simple.is_check_expr((("x", S.FTop()),), (("x", S.FNat(None)),), parse_expr("x"))
+    assert got == S.FNat(None)
 
 
 def test_is_star_unit():
-    assert simple.is_check_expr((), (), parse_expr("*")) == S.PTop()
+    assert simple.is_check_expr((), (), parse_expr("*")) == S.FTop()
 
 
 def test_is_addition_proc_type():
     ty = simple.is_check_expr((), (), parse_expr(ADDITION))
-    assert S.alpha_eq(ty, S.proc_t(S.ProtoBase((S.PNat(None), S.PNat(None)), S.OSimple((S.PNat(None),)))))
+    assert S.alpha_eq(ty, S.proc_t(S.ProtoBase((S.FNat(None), S.FNat(None)), S.OSimple((S.FNat(None),)))))
 
 
 def test_is_empty_returns_store():
-    omega = (("z", S.PNat(None)),)
+    omega = (("z", S.FNat(None)),)
     assert simple.is_check_seq((), omega, parse_seq("")) == omega
 
 
 def test_is_pseudo_dynamic_retyping():
-    omega = (("y", S.PTop()),)
+    omega = (("y", S.FTop()),)
     final = simple.is_check_seq((), omega, parse_seq("y := 0;"))
-    assert final == (("y", S.PNat(None)),)
+    assert final == (("y", S.FNat(None)),)
 
 
 def test_is_for_invariant_frame():
-    omega = (("z", S.PNat(None)),)
+    omega = (("z", S.FNat(None)),)
     final = simple.is_check_seq((), omega, parse_seq("for y := 0 until 2 { inc(z); }[z : nat];"))
     assert final == omega
 
 
 def test_is_for_frame_not_invariant():
-    omega = (("z", S.PNat(None)),)
+    omega = (("z", S.FNat(None)),)
     with pytest.raises(CheckError) as err:
         simple.is_check_seq((), omega, parse_seq("for y := 0 until 2 { z := *; }[z : nat];"))
     assert err.value.reason == "LoopFrameNotInvariant" and err.value.rule == "T_FOR"
@@ -152,9 +152,9 @@ def test_is_output_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_translate_types():
-    assert translate.translate_type(S.PNat(None)) == S.FNat(None)
-    assert translate.translate_type(S.PTop()) == S.FTop()
-    proc = S.proc_t(S.ProtoBase((S.PNat(None), S.PNat(None)), S.OSimple((S.PNat(None),))))
+    assert translate.translate_type(S.FNat(None)) == S.FNat(None)
+    assert translate.translate_type(S.FTop()) == S.FTop()
+    proc = S.proc_t(S.ProtoBase((S.FNat(None), S.FNat(None)), S.OSimple((S.FNat(None),))))
     assert S.alpha_eq(translate.translate_type(proc), parse_formula("<nat, nat> -> <nat>"))
     empty = S.proc_t(S.ProtoBase((), S.OSimple(())))
     assert S.alpha_eq(translate.translate_type(empty), parse_formula("<> -> <>"))
