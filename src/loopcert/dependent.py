@@ -17,6 +17,13 @@ proc, label, block and jump annotations, and every witness, axiom
 instance and coercion must be written in the program.  Hypothetical
 premises over individuals are realized with eigenvariables; a fresh
 eigenvariable must never escape into a type visible outside its scope.
+
+An eigenvariable is a scoped renaming, not a substitution: opening a
+binder (`forall`, `lam n.`, `?n.`, a `for` index, a `rec` step) maps its
+name to a fresh eigenvariable in `CheckCtx.ren`, and the body is checked
+as written.  The renaming is applied where the checker reads
+individuals, types, families and annotations from the syntax, and to the
+syntax a message prints, so opening costs nothing per node of the body.
 """
 
 from __future__ import annotations
@@ -31,8 +38,13 @@ from .printer import show
 
 
 class CheckCtx:
-    """Per-run checker state: rule trace, warnings, and whether the
-    optional TC_PRED_D rule of FD checking is on."""
+    """Per-run checker state: rule trace, warnings, whether the optional
+    TC_PRED_D rule of FD checking is on, and the open binders.
+
+    `ren` maps the name of each open binder over individuals to its
+    eigenvariable.  It is a scoped map like the term environment (see
+    envs.bind): `open` binds a name, `close` undoes the latest opens, and
+    `read` applies the map to syntax the checker reads."""
 
     def __init__(
         self,
@@ -44,6 +56,34 @@ class CheckCtx:
         self.warnings = warnings if warnings is not None else []
         self.allow_pred = allow_pred
         self.fresh = S.Freshener()
+        self.ren: dict = {}
+        self._eigens: set = set()  # the open binders' eigenvariables, shadowed ones too
+        self._opened: list = []  # (name, what envs.unbind needs, eigenvariable), in order
+
+    def open(self, name: str) -> S.IVar:
+        """Open a binder: name reads as a fresh eigenvariable until closed."""
+        ev = S.IVar(self.fresh.fresh(name))
+        self._opened.append((name, envs.bind(self.ren, name, ev), ev.name))
+        self._eigens.add(ev.name)
+        return ev
+
+    def close(self, count: int = 1) -> None:
+        """Close the count binders opened last, innermost first."""
+        for _ in range(count):
+            name, shadowed, eigen = self._opened.pop()
+            envs.unbind(self.ren, name, shadowed)
+            self._eigens.discard(eigen)
+
+    def read(self, value: Any, bound: Optional[str] = None) -> Any:
+        """value as written, with each open binder's name renamed to its
+        eigenvariable.  bound is a binder of value's own scope, so it
+        shadows an open binder of the same name."""
+        ren = self.ren
+        if not ren:
+            return value
+        if bound in ren:
+            ren = {k: v for k, v in ren.items() if k != bound}
+        return S.subst_inds(value, ren, self._eigens)
 
     def rule(self, label: str) -> None:
         if self.trace is not None:
@@ -86,6 +126,7 @@ def check_ident(gamma: S.Env, omega: S.Env, name: str, ctx: CheckCtx, span) -> S
 
 def check_axiom(left: S.Ind, right: S.Ind, ctx: CheckCtx, prefix: str, span) -> S.FEq:
     """AX_I, or AX_II on the mirrored pair: left = right is an axiom instance."""
+    left, right = ctx.read(left), ctx.read(right)
     if try_match_axiom(left, right) is not None:
         ctx.rule(prefix + "_AX_I")
     elif try_match_axiom(right, left) is not None:
@@ -103,6 +144,7 @@ def check_coercion(
     """EQUAL_E: a proof of i = j takes subject from {n/X}[j] to {n/X}[i].
     check types a subterm; the proof is checked before the subject."""
     rule = prefix + "_EQUAL_E"
+    fam = ctx.read(fam)
     proof_ty = check(proof)
     if not isinstance(proof_ty, S.FEq):
         raise CheckError(rule, f"coercion proof has type {show(proof_ty)}, expected an equation", span=span)
@@ -164,6 +206,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
             ctx.rule("TC_PRED_D")
             return S.FNat(S.IPred(ity))
         case S.TFn(param, ann, body):
+            ann = ctx.read(ann)
             if fs and not S.is_simple_formula(ann):
                 raise CheckError("FS", f"{show(ann)} is not a simple type", span=t.span)
             shadowed = envs.bind(env, param, ann)
@@ -202,10 +245,11 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
         case _ if fs:
             raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
         case S.TIndLam(var, body):
-            eigen, opened = ctx.fresh.open(var, body)
-            phi = _fd(env, opened, ctx, fs)
+            ev = ctx.open(var)
+            phi = _fd(env, body, ctx, fs)
+            ctx.close()
             ctx.rule("TC_FORALL_I")
-            return _generalize(var, eigen, phi, S.FForall)
+            return _generalize(var, ev.name, phi, S.FForall)
         case S.TIndApp(fn, arg):
             fnty = _fd(env, fn, ctx, fs)
             if not isinstance(fnty, S.FForall):
@@ -213,8 +257,9 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                     "TC_FORALL_E", f"instantiated a non-universal of type {show(fnty)}", span=t.span
                 )
             ctx.rule("TC_FORALL_E")
-            return S.subst_ind(fnty.body, fnty.var, arg)
+            return S.subst_ind(fnty.body, fnty.var, ctx.read(arg))
         case S.TPack(witness, value, ann):
+            witness, ann = ctx.read(witness), ctx.read(ann)
             if not isinstance(ann, S.FExists):
                 raise CheckError("TC_EXISTS_I", f"pack annotation {show(ann)} is not existential", span=t.span)
             want = S.subst_ind(ann.body, ann.var, witness)
@@ -228,6 +273,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
         case S.TRec(bound, base, step, motive):
             if motive is None:
                 raise CheckError("TC_REC", "dependent rec requires a motive", span=t.span, reason="MissingMotive")
+            motive = ctx.read(motive)
             idx = _fd_nat(env, bound, ctx, fs, "TC_REC", t.span)
             base_want = S.subst_ind(motive.body, motive.var, S.IZero())
             base_got = _fd(env, base, ctx, fs)
@@ -237,20 +283,20 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                 )
             match step:
                 case S.TIndLam(svar, S.TFn(yname, yann, sbody)):
-                    eigen = ctx.fresh.fresh(svar)
-                    ev = S.IVar(eigen)
-                    if not S.alpha_eq(S.subst_ind(yann, svar, ev), S.FNat(ev)):
+                    ev = ctx.open(svar)
+                    if not S.alpha_eq(ctx.read(yann), S.FNat(ev)):
+                        shown = show(ctx.read(yann, bound=svar))
                         raise CheckError(
-                            "TC_REC", f"step counter annotated {show(yann)}, expected nat({svar})", span=t.span
+                            "TC_REC", f"step counter annotated {shown}, expected nat({svar})", span=t.span
                         )
-                    opened = S.subst_ind(sbody, svar, ev)
                     want = S.FArrow(
                         S.subst_ind(motive.body, motive.var, ev),
                         S.subst_ind(motive.body, motive.var, S.ISucc(ev)),
                     )
                     shadowed = envs.bind(env, yname, S.FNat(ev))
-                    got = _fd(env, opened, ctx, fs)
+                    got = _fd(env, sbody, ctx, fs)
                     envs.unbind(env, yname, shadowed)
+                    ctx.close()
                     if not S.alpha_eq(got, want):
                         raise CheckError(
                             "TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span
@@ -278,7 +324,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                     "TC_THROW", f"thrown value has type {show(got)}, expected {show(negated)}", span=t.span
                 )
             ctx.rule("TC_THROW")
-            return ann
+            return ctx.read(ann)
         case S.TCallcc(arg):
             ty = _fd(env, arg, ctx, fs)
             shape_err = CheckError(
@@ -293,7 +339,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
             return ty.cod
         case S.TUnpack():
             raise CheckError("TC_EXISTS", "'?n.' is only meaningful under a tuple match", span=t.span)
-    raise CheckError("FD", f"unhandled term {show(t)}", span=getattr(t, "span", None))
+    raise CheckError("FD", f"unhandled term {show(ctx.read(t))}", span=getattr(t, "span", None))
 
 
 def _fd_nat(env: dict, t: S.Term, ctx: CheckCtx, fs: bool, rule: str, span) -> Optional[S.Ind]:
@@ -333,8 +379,12 @@ def _fd_lets(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
     result = _fd(env, t, ctx, fs)
     for names, shadowed in reversed(bound):
         envs.unbind_all(env, names, shadowed)
+    if not opened:
+        return result
+    ctx.close(len(opened))
+    free = S.free_ind_vars(result)
     for eigen, span in reversed(opened):
-        if eigen in S.free_ind_vars(result):
+        if eigen in free:
             raise CheckError(
                 "TC_EXISTS",
                 f"eigenvariable {eigen} escapes into the result type {show(result)}",
@@ -367,12 +417,11 @@ def _fd_match(
                 span=span,
                 reason="MissingUnpack",
             )
-        eigen = ctx.fresh.fresh(body.var)
-        ev = S.IVar(eigen)
+        ev = ctx.open(body.var)
         phi = S.subst_ind(phi.body, phi.var, ev)
-        body = S.subst_ind(body.body, body.var, ev)
+        body = body.body
         ctx.rule("TC_EXISTS")
-        opened.append((eigen, span))
+        opened.append((ev.name, span))
     if isinstance(phi, S.FTuple):
         if len(phi.items) != len(names):
             raise CheckError(
@@ -429,7 +478,7 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
             match fnty:
                 case S.PProc(S.ProtoAll(var, body)):
                     ctx.rule("T_PROC_INST")
-                    return S.proc_t(S.subst_ind(body, var, arg))
+                    return S.proc_t(S.subst_ind(body, var, ctx.read(arg)))
                 case S.PNeg(S.OExists()):
                     raise CheckError(
                         "T_PROC_INST",
@@ -443,6 +492,7 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
                         span=e.span,
                     )
         case S.EContInst(fn, fam, arg):
+            fam, arg = ctx.read(fam), ctx.read(arg)
             want = S.PNeg(S.OExists(fam.var, fam.body))
             got = id_check_expr(gamma, omega, fn, ctx)
             if not S.alpha_eq(got, want):
@@ -455,19 +505,21 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
             ctx.rule("T_CONT_INST")
             return S.PNeg(S.subst_ind(fam.body, fam.var, arg))
         case S.EProc(header):
-            declared = proto_of_header(header)
+            declared = ctx.read(proto_of_header(header))
             _id_check_header(gamma, omega, header, ctx, getattr(e, "span", None))
             return S.proc_t(declared)
-    raise CheckError("ID", f"unhandled expression {show(e)}", span=getattr(e, "span", None))
+    raise CheckError("ID", f"unhandled expression {show(ctx.read(e))}", span=getattr(e, "span", None))
 
 
 def _id_check_header(gamma: S.Env, omega: S.Env, header: S.Header, ctx: CheckCtx, span) -> None:
     match header:
         case S.HForall(var, body):
-            _, opened = ctx.fresh.open(var, body)
+            ctx.open(var)
             ctx.rule("T_PROC_ABS")
-            _id_check_header(gamma, omega, opened, ctx, span)
+            _id_check_header(gamma, omega, body, ctx, span)
+            ctx.close()
         case S.HBase(params, out, body):
+            params, out = ctx.read(params), ctx.read(out)
             names, _ = envs.qsplit(out)
             check_header_idents(params, names, "T_PROC_DECL", span)
             start = envs.init(names, S.FTop())
@@ -497,7 +549,7 @@ def id_check_exprs(
         if not S.alpha_eq(got, want):
             raise CheckError(
                 rule,
-                f"argument {show(arg)} has type {show(got)}, expected {show(want)}",
+                f"argument {show(ctx.read(arg))} has type {show(got)}, expected {show(want)}",
                 span=span,
             )
 
@@ -513,6 +565,7 @@ def id_check_seq(
     """
     ctx = ctx or CheckCtx()
     items, k = s.items, 0
+    opened = 0  # the '?n.'s opened so far; they scope over the rest of s
     while k < len(items):
         item = items[k]
         k += 1
@@ -540,7 +593,7 @@ def id_check_seq(
             ctx.rule("T_VAR")
             omega = omega + ((item.name, ty),)
         elif cls is S.SWitness:
-            ann = item.ann
+            ann = ctx.read(item.ann)
             if not isinstance(ann, S.QExists):
                 raise CheckError(
                     "T_WITNESS", f"witness annotates non-existential {show(ann)}", span=item.span,
@@ -554,11 +607,11 @@ def id_check_seq(
                     reason="WitnessMismatch",
                 )
             ctx.rule("T_WITNESS")
-            expected = S.subst_ind(ann.body, ann.var, item.witness)
+            expected = S.subst_ind(ann.body, ann.var, ctx.read(item.witness))
             s = item.rest
             items, k = s.items, 0
         elif cls is S.SSubst:
-            fam = item.fam
+            fam = ctx.read(item.fam)
             proof_ty = id_check_expr(gamma, omega, item.proof, ctx)
             if not isinstance(proof_ty, S.FEq):
                 raise CheckError(
@@ -573,6 +626,7 @@ def id_check_seq(
                 )
             ctx.rule("T_SUBST")
             id_check_seq(gamma, omega, item.body, S.subst_ind(fam.body, fam.var, proof_ty.right), ctx)
+            ctx.close(opened)
             return
         elif cls is S.SUnpack:
             raise CheckError(
@@ -594,13 +648,15 @@ def id_check_seq(
                         span=item.span,
                         reason="MissingUnpack",
                     )
-                ev = S.IVar(ctx.fresh.fresh(unpack.var))
+                ev = ctx.open(unpack.var)
+                opened += 1
                 theta = S.subst_ind(theta.body, theta.var, ev)
-                s = S.subst_ind(unpack.rest, unpack.var, ev)
+                s = unpack.rest
                 items, k = s.items, 0
                 ctx.rule("TC_UPDATE_SEQ_II")
             ctx.rule("TC_UPDATE_SEQ_I")
             omega = envs.multi_update(omega, theta.env, "TC_UPDATE_SEQ", item.span)
+    ctx.close(opened)
     match expected:
         case S.QSimple(env):
             envs.subset(env, omega, "T_EMPTY", s.span)
@@ -635,16 +691,19 @@ def _id_command(
             ctx.rule(rule)
             return envs.update(omega, name, S.FNat(new_index), rule, cmd.span), None
         case S.CBlock(body, ann):
+            ann = ctx.read(ann)
             ctx.rule("T_BLOCK")
             id_check_seq(gamma, omega, body, ann, ctx)
             return omega, ann
         case S.CLabel(name, body, ann):
+            ann = ctx.read(ann)
             _, out = envs.qsplit(ann)
             cont_ty = S.PNeg(out)
             ctx.rule("T_LABEL")
             id_check_seq(gamma + ((name, cont_ty),), omega, body, ann, ctx)
             return omega, ann
         case S.CJump(target, args, ann):
+            ann = ctx.read(ann)
             target_ty = id_check_expr(gamma, omega, target, ctx)
             match target_ty:
                 case S.PNeg(S.OSimple(types)):
@@ -666,6 +725,7 @@ def _id_command(
             ctx.rule("T_JUMP")
             return omega, ann
         case S.CFor(var, idx, bound, body, frame):
+            frame = ctx.read(frame, bound=idx)
             frame0 = S.subst_ind(frame, idx, S.IZero()) if idx else frame
             envs.subset(frame0, omega, "T_FOR", cmd.span)
             bound_ty = id_check_expr(gamma, omega, bound, ctx)
@@ -673,17 +733,18 @@ def _id_command(
                 raise CheckError(
                     "T_FOR", f"loop bound has type {show(bound_ty)}, expected an indexed nat", span=cmd.span
                 )
-            eigen = ctx.fresh.fresh(idx or "i")
-            ev = S.IVar(eigen)
             if idx is not None:
-                body_n = S.subst_ind(body, idx, ev)
+                ev = ctx.open(idx)
                 frame_n = S.subst_ind(frame, idx, ev)
                 frame_s = S.subst_ind(frame, idx, S.ISucc(ev))
                 frame_end = S.subst_ind(frame, idx, bound_ty.index)
             else:
-                body_n, frame_n, frame_s, frame_end = body, frame, frame, frame
+                ev = S.IVar(ctx.fresh.fresh("i"))
+                frame_n, frame_s, frame_end = frame, frame, frame
             ctx.rule("T_FOR")
-            id_check_seq(gamma + ((var, S.FNat(ev)),), frame_n, body_n, S.QSimple(frame_s), ctx)
+            id_check_seq(gamma + ((var, S.FNat(ev)),), frame_n, body, S.QSimple(frame_s), ctx)
+            if idx is not None:
+                ctx.close()
             return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
         case S.CCall(fn, args, outs):
             if len(set(outs)) != len(outs):
@@ -700,7 +761,7 @@ def _id_command(
                 case S.PNeg():
                     raise CheckError(
                         "T_CALL",
-                        f"'{show(fn)}' is a continuation of type {show(fnty)}; use jump",
+                        f"'{show(ctx.read(fn))}' is a continuation of type {show(fnty)}; use jump",
                         span=cmd.span,
                     )
                 case _:

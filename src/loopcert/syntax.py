@@ -691,7 +691,7 @@ class _Plan:
         self.syntax_fields = tuple(f.name for f in own if f.type not in _ATOM_TYPES)
         self.ind_binds = getattr(cls, "_binds_ind", ())
         self.term_binds = getattr(cls, "_binds_term", ())
-        # fields _subst leaves to the binder handling
+        # fields subst_inds leaves to the binder handling
         self.handled = frozenset(f for _, scoped in self.ind_binds for f in scoped) | {
             bf for bf, _ in self.ind_binds
         }
@@ -774,17 +774,19 @@ def subst_ind(value: Any, name: str, replacement: Ind) -> Any:
     the input: when name is not free in value, value itself is returned.
     """
     free_repl = free_ind_vars(replacement)
-    return _subst(value, {name: replacement}, free_repl)
+    return subst_inds(value, {name: replacement}, free_repl)
 
 
-def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
+def subst_inds(value: Any, sub: dict, free_repl: frozenset | set) -> Any:
+    """subst_ind of every variable sub maps, at once.  free_repl holds the
+    free variables of sub's individuals; sub is never changed."""
     cls = type(value)
     if cls is IVar:
         return sub.get(value.name, value)
     if cls is tuple:
         out = None
         for k, item in enumerate(value):
-            new = _subst(item, sub, free_repl)
+            new = subst_inds(item, sub, free_repl)
             if new is not item:
                 if out is None:
                     out = list(value[:k])
@@ -802,7 +804,7 @@ def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
     changes = None
     for fname in plan.syntax_fields:
         old = getattr(value, fname)
-        new = _subst(old, sub, free_repl)
+        new = subst_inds(old, sub, free_repl)
         if new is not old:
             if changes is None:
                 changes = {}
@@ -811,13 +813,13 @@ def _subst(value: Any, sub: dict, free_repl: frozenset) -> Any:
 
 
 def _subst_lets(value: Node, sub: dict, free_repl: frozenset) -> Node:
-    """_subst along a chain of lets, with a loop: a chain is as long as the
+    """subst_inds along a chain of lets, with a loop: a chain is as long as the
     sequence it translates.  The lets are rebuilt innermost first."""
     chain = []
     while type(value) is TLet or type(value) is TLetMatch:
-        chain.append((value, _subst(value.value, sub, free_repl)))
+        chain.append((value, subst_inds(value.value, sub, free_repl)))
         value = value.body
-    body = _subst(value, sub, free_repl)
+    body = subst_inds(value, sub, free_repl)
     for node, new_value in reversed(chain):
         if new_value is not node.value or body is not node.body:
             body = _rebuild(node, value=new_value, body=body)
@@ -827,7 +829,7 @@ def _subst_lets(value: Node, sub: dict, free_repl: frozenset) -> Node:
 
 
 def _subst_binder(value: Node, plan: _Plan, sub: dict, free_repl: frozenset) -> Node:
-    """_subst at a node binding individuals: drop shadowed substitutions,
+    """subst_inds at a node binding individuals: drop shadowed substitutions,
     rename the binder where it would capture a variable of the replacement."""
     changes: dict = {}
     for binder_field, scoped in plan.ind_binds:
@@ -835,9 +837,9 @@ def _subst_binder(value: Node, plan: _Plan, sub: dict, free_repl: frozenset) -> 
         if binder is None:
             # an absent binder (index-free loops) binds nothing
             for f in scoped:
-                changes[f] = _subst(getattr(value, f), sub, free_repl)
+                changes[f] = subst_inds(getattr(value, f), sub, free_repl)
             continue
-        live = {k: v for k, v in sub.items() if k != binder}
+        live = sub if binder not in sub else {k: v for k, v in sub.items() if k != binder}
         if binder in free_repl:
             # rename only when a substitution really reaches under the binder
             live = {
@@ -852,13 +854,13 @@ def _subst_binder(value: Node, plan: _Plan, sub: dict, free_repl: frozenset) -> 
             changes[binder_field] = fresh
             rename = {binder: IVar(fresh)}
             for f in scoped:
-                changes[f] = _subst(getattr(value, f), rename, frozenset({fresh}))
+                changes[f] = subst_inds(getattr(value, f), rename, frozenset({fresh}))
         for f in scoped:
             base = changes.get(f, getattr(value, f))
-            changes[f] = _subst(base, live, free_repl)
+            changes[f] = subst_inds(base, live, free_repl)
     for fname in plan.syntax_fields:
         if fname not in plan.handled:
-            changes[fname] = _subst(getattr(value, fname), sub, free_repl)
+            changes[fname] = subst_inds(getattr(value, fname), sub, free_repl)
     for fname, new in changes.items():
         if new is not getattr(value, fname):
             return plan.build(value, changes)
@@ -890,10 +892,6 @@ class Freshener:
         self._count += 1
         stem = base.split(EIGEN_MARK)[0] or "n"
         return f"{stem}{EIGEN_MARK}{self._count}"
-
-    def open(self, binder: str, body: Any) -> Tuple[str, Any]:
-        name = self.fresh(binder)
-        return name, subst_ind(body, binder, IVar(name))
 
 
 # ---------------------------------------------------------------------------

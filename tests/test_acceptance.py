@@ -253,7 +253,8 @@ def test_criterion_6_kernel_property_suites():
     # open/substitute round trip
     for _ in range(100):
         body = gen.gen_formula(rng, 3, vars_=("n", "m"))
-        eigen, opened = S.Freshener().open("n", body)
+        eigen = S.Freshener().fresh("n")
+        opened = S.subst_ind(body, "n", S.IVar(eigen))
         assert S.alpha_eq(S.subst_ind(opened, eigen, S.IVar("n")), body)
 
     # negation/translation coherence to existential depth 3

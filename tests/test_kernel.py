@@ -154,8 +154,9 @@ def test_open_substitute_round_trip():
     for _ in range(60):
         var = "n"
         body = gen.gen_formula(rng, 3, vars_=("n", "m"))
-        eigen, opened = S.Freshener().open(var, body)
+        eigen = S.Freshener().fresh(var)
         assert S.EIGEN_MARK in eigen
+        opened = S.subst_ind(body, var, S.IVar(eigen))
         closed = S.subst_ind(opened, eigen, S.IVar(var))
         assert S.alpha_eq(closed, body)
 

@@ -66,6 +66,31 @@ def test_a_long_id_coercion_chain():
     assert _store(report) == {"z": "2"}
 
 
+def unpack_chain(n):
+    """An ID procedure of n blocks, each closing an existential that the
+    next '?w<k>.' opens; every unpack has its own name."""
+    groups = "".join(
+        f"  {{ [w{k - 1} in exists u. [z : nat(u)]] }} exists u. [z : nat(u)];\n  ?w{k}.\n"
+        for k in range(1, n + 1)
+    )
+    return (
+        "discipline ID;\n\n"
+        "cst chain = proc forall w0. [x : nat(w0)] out exists v. [z : nat(v)] {\n  z := x;\n"
+        + groups
+        + f"  [w{n} in exists v. [z : nat(v)]]\n}};\n\n"
+        "main {\n  chain{1}(1; z);\n  ?r.\n  [r in exists v. [z : nat(v)]]\n} out exists v. [z : nat(v)]\n"
+    )
+
+
+def test_a_long_unpack_chain():
+    """Each '?w<k>.' scopes over the rest of the sequence, and its image's
+    '?w<k>.' over the rest of the let chain; opening one is no walk of
+    that rest."""
+    report = pipeline.run_pipeline("unpack_chain.loop", text=unpack_chain(2000))
+    assert report.exit_code == pipeline.EXIT_OK, report.diagnostics
+    assert _store(report) == {"z": "1"}
+
+
 def _let_chain(n, name, last):
     term = S.TVar(name(n - 1))
     for k in reversed(range(n)):
