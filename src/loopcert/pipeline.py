@@ -10,6 +10,7 @@ code of the phase it stopped: 1, 2, 3 (translate and check-target) or 4.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -27,6 +28,15 @@ EXIT_SOURCE = 2
 EXIT_TARGET = 3
 EXIT_RUNTIME = 4
 EXIT_FUZZ = 5
+
+# The collection policy of a run.  Syntax trees are acyclic and freed by
+# reference counting, yet every young and middle collection walks the
+# live nodes again.  Generation 0 collects about 14 times less often
+# than with the defaults (700, 10, 10).  The older generations' lower
+# thresholds keep full collections at their default cadence, about one
+# per 10,000 * 3 * 3 net allocations against 700 * 11 * 11, so cyclic
+# garbage is freed as often as before and peak memory does not grow.
+GC_THRESHOLD = (10_000, 2, 2)
 
 
 @dataclass
@@ -243,108 +253,122 @@ def run_pipeline(
 ) -> Report:
     """Take a file through the phases.  Every failure ends in a report: a
     phase that runs out of host stack on deeply nested input reports rule
-    LIMIT with that phase's exit code."""
-    report = Report(file=path)
-    if text is None:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-
-    start = time.monotonic()
+    LIMIT with that phase's exit code.  The run collects garbage by
+    GC_THRESHOLD and restores the caller's thresholds on exit, also when
+    an exception escapes; a caller who turned automatic collection off
+    (gc.disable() or a threshold of 0) keeps it off."""
+    found = gc.get_threshold()
+    # a caller's threshold of 0 (collection off) is kept; a threshold
+    # that is already the policy belongs to a concurrent run, which
+    # restores it
+    ours = found[0] != 0 and found != GC_THRESHOLD
+    if ours:
+        gc.set_threshold(*GC_THRESHOLD)
     try:
-        sf = parse(text)
-    except ParseError as ex:
-        report.phase("parse", False, time.monotonic() - start, {})
-        report.diag("PARSE", (ex.line, ex.col), str(ex))
-        report.exit_code = EXIT_PARSE
-        return report
-    except RecursionError:
-        return _hit_limit(report, "parse", start, EXIT_PARSE)
-    if system is not None:
-        sf = S.SourceFile(system, sf.csts, sf.main, sf.notes, sf.warnings)
-    report.discipline = sf.discipline if sf.discipline in _CST_CHECKERS else ""
-    for note in sf.notes:
-        report.diag("NOTE", None, note, severity="note")
-    for warning in sf.warnings:
-        report.diag("PARSE", None, warning, severity="warning")
-    report.phase(
-        "parse", True, time.monotonic() - start,
-        {"csts": [name for name, _ in sf.csts], "has_main": sf.main is not None},
-    )
+        report = Report(file=path)
+        if text is None:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
 
-    start = time.monotonic()
-    trace: List[str] = []
-    try:
-        checked = check_source(sf, trace, allow_pred)
-        payload = {
-            "types": {name: show(ty) for name, ty in checked.cst_types},
-            "derivation_size": len(trace),
-        }
-        if sf.main is not None and sf.discipline in ("IS", "ID"):
-            payload["main_out"] = show_qenv(sf.main.out)
-    except CheckError as ex:
-        report.phase("check-source", False, time.monotonic() - start, {})
-        report.diag(ex.rule, ex.span, ex.message)
-        report.exit_code = EXIT_SOURCE
-        return report
-    except RecursionError:
-        return _hit_limit(report, "check-source", start, EXIT_SOURCE)
-    for warning in checked.warnings:
-        report.diag("CHECK", None, warning, severity="warning")
-    if want_trace:
-        payload["trace"] = list(trace)
-    report.phase("check-source", True, time.monotonic() - start, payload)
-    if stop_after == "check-source":
-        return report
+        start = time.monotonic()
+        try:
+            sf = parse(text)
+        except ParseError as ex:
+            report.phase("parse", False, time.monotonic() - start, {})
+            report.diag("PARSE", (ex.line, ex.col), str(ex))
+            report.exit_code = EXIT_PARSE
+            return report
+        except RecursionError:
+            return _hit_limit(report, "parse", start, EXIT_PARSE)
+        if system is not None:
+            sf = S.SourceFile(system, sf.csts, sf.main, sf.notes, sf.warnings)
+        report.discipline = sf.discipline if sf.discipline in _CST_CHECKERS else ""
+        for note in sf.notes:
+            report.diag("NOTE", None, note, severity="note")
+        for warning in sf.warnings:
+            report.diag("PARSE", None, warning, severity="warning")
+        report.phase(
+            "parse", True, time.monotonic() - start,
+            {"csts": [name for name, _ in sf.csts], "has_main": sf.main is not None},
+        )
 
-    if sf.discipline in ("FS", "FD"):  # the file is its own image
-        if stop_after == "translate":
-            report.phase("translate", False, 0.0, {})
-            report.diag(
-                "TRANSLATE", None, f"{sf.discipline} files are already functional; nothing to translate"
-            )
+        start = time.monotonic()
+        trace: List[str] = []
+        try:
+            checked = check_source(sf, trace, allow_pred)
+            payload = {
+                "types": {name: show(ty) for name, ty in checked.cst_types},
+                "derivation_size": len(trace),
+            }
+            if sf.main is not None and sf.discipline in ("IS", "ID"):
+                payload["main_out"] = show_qenv(sf.main.out)
+        except CheckError as ex:
+            report.phase("check-source", False, time.monotonic() - start, {})
+            report.diag(ex.rule, ex.span, ex.message)
             report.exit_code = EXIT_SOURCE
-        elif sf.main is not None or args is not None:
-            _run_eval_phase(report, sf, sf, checked.cst_types, args, fuel)
-        return report
+            return report
+        except RecursionError:
+            return _hit_limit(report, "check-source", start, EXIT_SOURCE)
+        for warning in checked.warnings:
+            report.diag("CHECK", None, warning, severity="warning")
+        if want_trace:
+            payload["trace"] = list(trace)
+        report.phase("check-source", True, time.monotonic() - start, payload)
+        if stop_after == "check-source":
+            return report
 
-    start = time.monotonic()
-    try:
-        image = translate_file(sf)
-        payload = {"terms": {name: len(show_term(t)) for name, t in image.csts}}
-    except LoopcertError as ex:
-        report.phase("translate", False, time.monotonic() - start, {})
-        report.diag("TRANSLATE", None, str(ex))
-        report.exit_code = EXIT_TARGET
-        return report
-    except RecursionError:
-        return _hit_limit(report, "translate", start, EXIT_TARGET)
-    report.phase("translate", True, time.monotonic() - start, payload)
-    report.image = image
-    if stop_after == "translate":
-        return report
+        if sf.discipline in ("FS", "FD"):  # the file is its own image
+            if stop_after == "translate":
+                report.phase("translate", False, 0.0, {})
+                report.diag(
+                    "TRANSLATE", None, f"{sf.discipline} files are already functional; nothing to translate"
+                )
+                report.exit_code = EXIT_SOURCE
+            elif sf.main is not None or args is not None:
+                _run_eval_phase(report, sf, sf, checked.cst_types, args, fuel)
+            return report
 
-    start = time.monotonic()
-    trace2: List[str] = []
-    try:
-        target_types = check_target(sf, checked, image, trace2, allow_pred)
-        payload = {
-            "types": {name: show(ty) for name, ty in target_types},
-            "derivation_size": len(trace2),
-        }
-    except CheckError as ex:
-        report.phase("check-target", False, time.monotonic() - start, {})
-        report.diag(ex.rule, ex.span, ex.message)
-        report.exit_code = EXIT_TARGET
-        return report
-    except RecursionError:
-        return _hit_limit(report, "check-target", start, EXIT_TARGET)
-    if want_trace:
-        payload["trace"] = list(trace2)
-    report.phase("check-target", True, time.monotonic() - start, payload)
+        start = time.monotonic()
+        try:
+            image = translate_file(sf)
+            payload = {"terms": {name: len(show_term(t)) for name, t in image.csts}}
+        except LoopcertError as ex:
+            report.phase("translate", False, time.monotonic() - start, {})
+            report.diag("TRANSLATE", None, str(ex))
+            report.exit_code = EXIT_TARGET
+            return report
+        except RecursionError:
+            return _hit_limit(report, "translate", start, EXIT_TARGET)
+        report.phase("translate", True, time.monotonic() - start, payload)
+        report.image = image
+        if stop_after == "translate":
+            return report
 
-    if sf.main is not None or args is not None:
-        _run_eval_phase(report, sf, image, target_types, args, fuel)
-    return report
+        start = time.monotonic()
+        trace2: List[str] = []
+        try:
+            target_types = check_target(sf, checked, image, trace2, allow_pred)
+            payload = {
+                "types": {name: show(ty) for name, ty in target_types},
+                "derivation_size": len(trace2),
+            }
+        except CheckError as ex:
+            report.phase("check-target", False, time.monotonic() - start, {})
+            report.diag(ex.rule, ex.span, ex.message)
+            report.exit_code = EXIT_TARGET
+            return report
+        except RecursionError:
+            return _hit_limit(report, "check-target", start, EXIT_TARGET)
+        if want_trace:
+            payload["trace"] = list(trace2)
+        report.phase("check-target", True, time.monotonic() - start, payload)
+
+        if sf.main is not None or args is not None:
+            _run_eval_phase(report, sf, image, target_types, args, fuel)
+        return report
+    finally:
+        if ours:
+            gc.set_threshold(*found)
 
 
 def _hit_limit(report: Report, phase: str, start: float, exit_code: int) -> Report:

@@ -12,7 +12,8 @@ so are the type atoms: ``nat(i)``, ``i = j``, ``top``, ``bot`` and
 proposition variables are one set of classes (``FNat``, ``FEq``,
 ``FTop``, ``FBot``, ``FProp``), each both a ``Formula`` and a ``Prop``.
 Only procedure types and negations (``PProc``, ``PNeg``) are props alone.
-All nodes are immutable; operations in this module are pure functions.
+All nodes are immutable and slotted (no per-node ``__dict__``);
+operations in this module are pure functions.
 """
 
 from __future__ import annotations
@@ -44,45 +45,45 @@ class Ind(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IVar(Ind):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IZero(Ind):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ISucc(Ind):
     arg: Ind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IPred(Ind):
     arg: Ind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IAdd(Ind):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ISub(Ind):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IMult(Ind):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IF32(Ind):
     arg: Ind
 
@@ -108,39 +109,39 @@ class Prop(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FProp(Formula, Prop):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FTop(Formula, Prop):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FBot(Formula, Prop):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FNat(Formula, Prop):
     index: Optional[Ind] = None  # None in the simple discipline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FEq(Formula, Prop):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FArrow(Formula):
     dom: Formula
     cod: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FForall(Formula):
     var: str
     body: Formula
@@ -148,7 +149,7 @@ class FForall(Formula):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FExists(Formula):
     var: str
     body: Formula
@@ -156,7 +157,7 @@ class FExists(Formula):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FTuple(Formula):
     items: Tuple[Formula, ...]
 
@@ -211,12 +212,12 @@ class QEnv(Node):
 Env = Tuple[Tuple[str, Any], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PProc(Prop):
     proto: Proto
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PNeg(Prop):
     """~phi: the type of a continuation accepting phi's value vector.
 
@@ -228,12 +229,12 @@ class PNeg(Prop):
     out: Output
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OSimple(Output):
     types: Tuple[Prop, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OExists(Output):
     var: str
     body: Output
@@ -241,13 +242,13 @@ class OExists(Output):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtoBase(Proto):
     params: Tuple[Prop, ...]
     out: Output
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtoAll(Proto):
     var: str
     body: Proto
@@ -255,12 +256,12 @@ class ProtoAll(Proto):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QSimple(QEnv):
     env: Env
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QExists(QEnv):
     var: str
     body: QEnv
@@ -280,7 +281,7 @@ def proc_t(proto: Proto) -> Prop:
     return PProc(proto)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fam(Node):
     """A one-binder parametrized node {n/X}; X may be of any category."""
 
@@ -298,30 +299,30 @@ class Term(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TVar(Term):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TZero(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TSucc(Term):
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TPred(Term):
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TFn(Term):
     param: str
     ann: Formula
@@ -331,14 +332,14 @@ class TFn(Term):
     _binds_term = (("param", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TApp(Term):
     fn: Term
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TIndLam(Term):
     var: str
     body: Term
@@ -347,14 +348,14 @@ class TIndLam(Term):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TIndApp(Term):
     fn: Term
     arg: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TRec(Term):
     bound: Term
     base: Term
@@ -363,13 +364,13 @@ class TRec(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TTuple(Term):
     items: Tuple[Term, ...]
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TLet(Term):
     name: str
     value: Term
@@ -379,7 +380,7 @@ class TLet(Term):
     _binds_term = (("name", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TLetMatch(Term):
     names: Tuple[str, ...]
     value: Term
@@ -389,7 +390,7 @@ class TLetMatch(Term):
     _binds_term = (("names", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TPack(Term):
     witness: Ind
     value: Term
@@ -397,7 +398,7 @@ class TPack(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TUnpack(Term):
     var: str
     body: Term
@@ -406,7 +407,7 @@ class TUnpack(Term):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TCoerce(Term):
     subject: Term
     fam: Fam  # {n/phi}
@@ -414,20 +415,20 @@ class TCoerce(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TAxiom(Term):
     left: Ind
     right: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TCallcc(Term):
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TThrow(Term):
     ann: Formula
     cont: Term
@@ -451,31 +452,31 @@ class Command(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EVar(Expr):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EStar(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ENum(Expr):
     value: int
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EInst(Expr):
     fn: Expr
     arg: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EContInst(Expr):
     fn: Expr
     fam: Fam  # {n/Output}
@@ -483,7 +484,7 @@ class EContInst(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ECoerce(Expr):
     subject: Expr
     fam: Fam  # {n/Prop}
@@ -491,27 +492,27 @@ class ECoerce(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EAxiom(Expr):
     left: Ind
     right: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EProc(Expr):
     header: Header
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HBase(Header):
     params: Env  # gamma
     out: QEnv  # theta (simple env for the simple discipline)
     body: Seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HForall(Header):
     var: str
     body: Header
@@ -519,14 +520,14 @@ class HForall(Header):
     _binds_ind = (("var", ("body",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CBlock(Command):
     body: Seq
     ann: QEnv
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CFor(Command):
     var: str  # loop counter ident
     idx: Optional[str]  # index binder over body and frame; None when simple
@@ -538,26 +539,26 @@ class CFor(Command):
     _binds_ind = (("idx", ("body", "frame")),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CAssign(Command):
     name: str
     value: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CInc(Command):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CDec(Command):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CCall(Command):
     fn: Expr
     args: Tuple[Expr, ...]
@@ -565,7 +566,7 @@ class CCall(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CJump(Command):
     target: Expr
     args: Tuple[Expr, ...]
@@ -573,7 +574,7 @@ class CJump(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CLabel(Command):
     name: str
     body: Seq
@@ -581,7 +582,7 @@ class CLabel(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq(Node):
     """A sequence: its items (commands and the declaration items below)
     run left to right, and a `cst` or `var` item scopes over the items
@@ -600,21 +601,21 @@ class SeqItem(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SCst(SeqItem):
     name: str
     value: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SVar(SeqItem):
     name: str
     value: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SUnpack(SeqItem):
     var: str
     rest: Seq
@@ -623,7 +624,7 @@ class SUnpack(SeqItem):
     _binds_ind = (("var", ("rest",)),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SWitness(SeqItem):
     witness: Ind
     ann: QEnv
@@ -631,7 +632,7 @@ class SWitness(SeqItem):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SSubst(SeqItem):
     body: Seq
     fam: Fam  # {n/QEnv}
@@ -643,20 +644,20 @@ class SSubst(SeqItem):
 # Source files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MainI(Node):
     body: Seq
     out: QEnv
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MainF(Node):
     term: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceFile(Node):
     discipline: str  # IS | ID | FS | FD
     csts: Tuple[Tuple[str, Any], ...]  # Expr in I files, Term in F files
@@ -705,15 +706,15 @@ class _Plan:
         return self.cls(*values)
 
 
-def _dataclass_nodes(cls: type):
-    for sub in cls.__subclasses__():
-        if is_dataclass(sub):
-            yield sub
-        yield from _dataclass_nodes(sub)
-
-
-# every concrete node class; any other value (str, int, None) has no plan
-_PLANS = {cls: _Plan(cls) for cls in _dataclass_nodes(Node)}
+# every concrete node class; any other value (str, int, None) has no plan.
+# Taken from this module's names, not from Node.__subclasses__(): that
+# walk would also find the class objects that dataclass(slots=True)
+# replaces, and keep them alive.
+_PLANS = {
+    cls: _Plan(cls)
+    for cls in globals().values()
+    if isinstance(cls, type) and issubclass(cls, Node) and is_dataclass(cls)
+}
 
 
 def node_fields(node: Node) -> Tuple[str, ...]:
