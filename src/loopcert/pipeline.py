@@ -51,13 +51,14 @@ class Report:
     def phase(self, name: str, ok: bool, elapsed: float, payload: Dict[str, Any]) -> None:
         self.phases.append({"name": name, "ok": ok, "elapsed_s": round(elapsed, 6), "payload": payload})
 
-    def diag(self, rule: str, span, message: str, severity: str = "error") -> None:
+    def diag(self, rule: str, span, message: str, severity: str = "error", **extra: str) -> None:
         self.diagnostics.append(
             {
                 "severity": severity,
                 "rule": rule,
                 "span": list(span) if span else None,
                 "message": message,
+                **extra,
             }
         )
 
@@ -392,7 +393,7 @@ def _run_eval_phase(
         payload = evaluate_file(sf, image, types, args, fuel)
     except (EvalError, LoopcertError) as ex:
         report.phase("evaluate", False, time.monotonic() - start, {})
-        report.diag("EVAL", None, str(ex))
+        report.diag("EVAL", None, str(ex), reason=getattr(ex, "reason", type(ex).__name__))
         report.exit_code = EXIT_RUNTIME
         return
     except RecursionError:

@@ -2,372 +2,365 @@
 
 Output stays within the concrete grammar so that parse(print(x)) is
 alpha-equal to x for every node; binder names are printed verbatim.
+
+It is one writer, linear in the length of its output: each node appends
+its pieces to one list, which each public entry point joins once.  Nodes
+are told apart by their exact class.  Binder chains, quantifier
+prefixes, the last child of a term and sequence items are walked in
+loops, and a nested body gets its indentation as a prefix passed down.
+A nesting level takes one host frame, or two inside brackets (a tuple,
+`succ(...)`, `rec(...)`), never more than the checkers take for it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, List
 
 from . import syntax as S
 
+Out = List[str]
+
 
 def show(node: Any) -> str:
-    """Render any syntax value."""
-    match node:
-        case S.Ind():
-            return show_ind(node)
-        case S.Formula():
-            return show_formula(node)
-        case S.Prop():
-            return show_prop(node)
-        case S.Output():
-            return show_output(node)
-        case S.Proto():
-            return show_proto(node)
-        case S.QEnv():
-            return show_qenv(node)
-        case S.Term():
-            return show_term(node)
-        case S.Expr():
-            return show_expr(node)
-        case S.Seq():
-            return show_seq(node)
-        case S.Command():
-            return show_command(node)
-        case S.SourceFile():
-            return show_file(node)
-        case S.Header():
-            return "proc " + show_header(node)
-        case tuple():
-            return ", ".join(show(x) for x in node)
-    raise AssertionError(f"unprintable: {node!r}")
+    """Render any syntax value; a tuple as its items, separated by commas."""
+    if isinstance(node, tuple):
+        return ", ".join(show(x) for x in node)
+    return _text(_SHOW[type(node)], node)
 
 
-# -- individuals ------------------------------------------------------------
-
-def show_ind(i: S.Ind) -> str:
-    match i:
-        case S.IVar(name):
-            return name
-        case S.IZero():
-            return "0"
-        case S.ISucc(a):
-            return f"succ({show_ind(a)})"
-        case S.IPred(a):
-            return f"pred({show_ind(a)})"
-        case S.IAdd(a, b):
-            return f"add({show_ind(a)}, {show_ind(b)})"
-        case S.ISub(a, b):
-            return f"sub({show_ind(a)}, {show_ind(b)})"
-        case S.IMult(a, b):
-            return f"mult({show_ind(a)}, {show_ind(b)})"
-        case S.IF32(a):
-            return f"F32({show_ind(a)})"
-    raise AssertionError(i)
-
-
-# -- formulas ---------------------------------------------------------------
-
-def show_formula(phi: S.Formula) -> str:
-    neg = S.as_neg_f(phi)
-    if neg is not None:
-        return f"~{_formula_atom(neg)}"
-    match phi:
-        case S.FForall(var, body):
-            return f"forall {var}. {show_formula(body)}"
-        case S.FExists(var, body):
-            return f"exists {var}. {show_formula(body)}"
-        case S.FArrow(dom, cod):
-            return f"{_formula_arrow_dom(dom)} -> {show_formula(cod)}"
-        case _:
-            return _formula_atom(phi)
-
-
-def _formula_arrow_dom(phi: S.Formula) -> str:
-    if S.as_neg_f(phi) is not None:
-        return show_formula(phi)
-    if isinstance(phi, (S.FArrow, S.FForall, S.FExists)):
-        return f"({show_formula(phi)})"
-    return _formula_atom(phi)
-
-
-def _formula_atom(phi: S.Formula) -> str:
-    match phi:
-        case S.FProp(name):
-            return name
-        case S.FTop():
-            return "top"
-        case S.FBot():
-            return "bot"
-        case S.FNat(None):
-            return "nat"
-        case S.FNat(idx):
-            return f"nat({show_ind(idx)})"
-        case S.FEq(a, b):
-            return f"({show_ind(a)} = {show_ind(b)})"
-        case S.FTuple(items):
-            return "<" + ", ".join(show_formula(t) for t in items) + ">"
-        case _:
-            return f"({show_formula(phi)})"
-
-
-# -- imperative-side types --------------------------------------------------
-
-def show_prop(p: S.Prop) -> str:
-    match p:
-        case S.Formula():  # an atom, printed as on the functional side
-            return _formula_atom(p)
-        case S.PProc(proto):
-            return "proc " + show_proto(proto)
-        case S.PNeg(S.OSimple(types)):
-            return "~(" + ", ".join(show_prop(t) for t in types) + ")"
-        case S.PNeg(out):
-            return "~" + show_output(out)
-    raise AssertionError(p)
-
-
-def show_output(out: S.Output) -> str:
-    match out:
-        case S.OSimple(types):
-            return "[" + ", ".join(show_prop(t) for t in types) + "]"
-        case S.OExists(var, body):
-            return f"exists {var}. {show_output(body)}"
-    raise AssertionError(out)
-
-
-def show_proto(rho: S.Proto) -> str:
-    match rho:
-        case S.ProtoAll(var, body):
-            return f"forall {var}. {show_proto(body)}"
-        case S.ProtoBase(params, out):
-            inside = "[" + ", ".join(show_prop(p) for p in params) + "]"
-            return f"({inside} out {show_output(out)})"
-    raise AssertionError(rho)
+def show_term(t: S.Term) -> str:
+    return _text(_term, t)
 
 
 def show_env(env: S.Env) -> str:
-    return "[" + ", ".join(f"{x} : {show(t)}" for x, t in env) + "]"
+    return _text(_env, env)
 
 
 def show_qenv(q: S.QEnv) -> str:
-    match q:
-        case S.QSimple(env):
-            return show_env(env)
-        case S.QExists(var, body):
-            return f"exists {var}. {show_qenv(body)}"
-    raise AssertionError(q)
+    return _text(_prop, q)
+
+
+def show_file(f: S.SourceFile) -> str:
+    functional = f.discipline in ("FS", "FD")
+    out: Out = [f"discipline {f.discipline};\n"]
+    for name, value in f.csts:
+        _list(out, f"\ncst {name} = ", (value,), ";\n", _term if functional else _expr)
+    if f.main is not None and functional:
+        _list(out, "\nmain = ", (f.main.term,), ";\n", _term)
+    elif f.main is not None:
+        out.append("\nmain {\n")
+        _seq(f.main.body, out, "  ")
+        _list(out, "} out ", (f.main.out,), "\n", _prop)
+    return "".join(out)
+
+
+def _text(write: Callable, node: Any) -> str:
+    out: Out = []
+    write(node, out)
+    return "".join(out)
+
+
+def _list(out: Out, before: str, items: Any, after: str, write: Callable, *args: Any) -> None:
+    """Write items, separated by commas, between before and after."""
+    for x in items:
+        out.append(before)
+        write(x, out, *args)
+        before = ", "
+    out.append(after if items else before + after)
+
+
+_IND_HEADS = {S.ISucc: "succ(", S.IPred: "pred(", S.IF32: "F32(",
+              S.IAdd: "add(", S.ISub: "sub(", S.IMult: "mult("}
+_NAMES = {S.IZero: "0", S.FNat: "nat", S.FTop: "top", S.FBot: "bot", S.EStar: "*"}
+
+
+def _ind(i: S.Ind, out: Out, before: str = "", after: str = "") -> None:
+    """Write individual i between before and after."""
+    out.append(before)
+    depth = 0  # the right spine is walked in the loop
+    while type(i) in _IND_HEADS:
+        out.append(_IND_HEADS[type(i)])
+        depth += 1
+        if type(i) in (S.ISucc, S.IPred, S.IF32):
+            i = i.arg
+        else:
+            _ind(i.left, out, "", ", ")
+            i = i.right
+    out.append((i.name if type(i) is S.IVar else _NAMES[type(i)]) + ")" * depth + after)
+
+
+# -- types ------------------------------------------------------------------
+
+def _formula(phi: S.Formula, out: Out, ctx: int = 0) -> None:
+    """ctx is phi's position: 0 anywhere, 1 an arrow's domain, 2 an atom
+    position.  A form that binds looser is put in parentheses."""
+    close = 0
+    while True:
+        cls = type(phi)
+        if cls is S.FArrow:
+            neg = S.as_neg_f(phi)
+            if ctx > (0 if neg is None else 1):
+                out.append("(")
+                close += 1
+            if neg is None:
+                _formula(phi.dom, out, 1)
+                out.append(" -> ")
+                phi, ctx = phi.cod, 0
+            else:
+                out.append("~")
+                phi, ctx = neg, 2
+        elif cls is S.FForall or cls is S.FExists:
+            if ctx:
+                out.append("(")
+                close += 1
+            out.append(f"{'forall' if cls is S.FForall else 'exists'} {phi.var}. ")
+            phi, ctx = phi.body, 0
+        else:
+            break
+    if cls is S.FNat and phi.index is not None:
+        _ind(phi.index, out, "nat(", ")")
+    elif cls is S.FTuple:
+        _list(out, "<", phi.items, ">", _formula)
+    elif cls is S.FEq:
+        _ind(phi.left, out, "(", " = ")
+        _ind(phi.right, out, "", ")")
+    else:
+        out.append(phi.name if cls is S.FProp else _NAMES[cls])
+    out.append(")" * close)
+
+
+def _prop(p: Any, out: Out, ctx: int = 2) -> None:
+    """An imperative-side type: a prop, an output, a prototype or a
+    quantified environment.  A prop that is a formula is printed as a
+    formula at position ctx (an atom, unless in an environment)."""
+    while True:
+        cls = type(p)
+        if cls is S.OExists or cls is S.QExists or cls is S.ProtoAll:
+            out.append(f"{'forall' if cls is S.ProtoAll else 'exists'} {p.var}. ")
+            p = p.body
+        elif cls is S.PProc:
+            out.append("proc ")
+            p = p.proto
+        elif cls is S.PNeg and type(p.out) is not S.OSimple:
+            out.append("~")
+            p = p.out
+        else:
+            break
+    if cls is S.OSimple:
+        _list(out, "[", p.types, "]", _prop)
+    elif cls is S.PNeg:
+        _list(out, "~(", p.out.types, ")", _prop)
+    elif cls is S.QSimple:
+        _env(p.env, out)
+    elif cls is S.ProtoBase:
+        _list(out, "([", p.params, "] out ", _prop)
+        _prop(p.out, out)
+        out.append(")")
+    else:
+        _formula(p, out, ctx)
+
+
+def _env(env: S.Env, out: Out) -> None:
+    out.append("[")
+    for k, (x, t) in enumerate(env):
+        out.append(f", {x} : " if k else f"{x} : ")
+        _prop(t, out, 0)
+    out.append("]")
 
 
 # -- functional terms -------------------------------------------------------
 
-def show_term(t: S.Term) -> str:
-    # a chain of binder prefixes (let, let <...>, fn, lam, ?n.) is printed
-    # in a loop: an image's let chain is as long as its source sequence
-    prefixes = []
+# how tightly each form binds: 2 an atom, 1 an application, 0 the rest
+_TERM_PREC = {S.TVar: 2, S.TZero: 2, S.TSucc: 2, S.TPred: 2, S.TTuple: 2, S.TRec: 2, S.TPack: 2,
+              S.TApp: 1, S.TIndApp: 1}
+
+
+def _term(t: S.Term, out: Out, ctx: int = 0) -> None:
+    """ctx is t's position: 0 anywhere, 1 the function of an application,
+    2 an argument or other atom position.  A form that binds looser is
+    put in parentheses.  The loop walks the last child of a non-atom."""
+    if type(t) is S.TVar:  # the most frequent call, taken before the loop
+        out.append(t.name)
+        return
+    closers: Out = []
     while True:
-        match t:
-            case S.TLet(name, value, body):
-                prefixes.append(f"let {name} = {show_term(value)} in ")
-            case S.TLetMatch(names, value, body):
-                prefixes.append(f"let <{', '.join(names)}> = {show_term(value)} in ")
-            case S.TFn(param, ann, body):
-                prefixes.append(f"fn {param} : {show_formula(ann)} => ")
-            case S.TIndLam(var, body):
-                prefixes.append(f"lam {var}. ")
-            case S.TUnpack(var, body):
-                prefixes.append(f"?{var}. ")
-            case _:
-                break
-        t = body
-    prefixes.append(_show_term_rest(t))
-    return "".join(prefixes)
+        cls = type(t)
+        prec = _TERM_PREC.get(cls, 0)
+        if prec == 2:
+            break
+        if prec < ctx:
+            out.append("(")
+            closers.append(")")
+        if cls is S.TLet or cls is S.TLetMatch:
+            out.append(f"let {t.name} = " if cls is S.TLet else f"let <{', '.join(t.names)}> = ")
+            _term(t.value, out)
+            out.append(" in ")
+            t, ctx = t.body, 0
+        elif cls is S.TApp:
+            _term(t.fn, out, 1)
+            out.append(" ")
+            t, ctx = t.arg, 2
+        elif cls is S.TFn:
+            out.append(f"fn {t.param} : ")
+            _formula(t.ann, out)
+            out.append(" => ")
+            t, ctx = t.body, 0
+        elif cls is S.TIndLam or cls is S.TUnpack:
+            out.append(f"lam {t.var}. " if cls is S.TIndLam else f"?{t.var}. ")
+            t, ctx = t.body, 0
+        elif cls is S.TCoerce:
+            _term(t.subject, out, 1)
+            out.append(f" :> {{{t.fam.var}/")
+            _formula(t.fam.body, out)
+            out.append("}[")
+            closers.append("]")
+            t, ctx = t.proof, 0
+        elif cls is S.TThrow:
+            _list(out, "throw[", (t.ann,), "] ", _formula)
+            _term(t.cont, out, 2)
+            out.append(" ")
+            t, ctx = t.arg, 2
+        elif cls is S.TCallcc:
+            out.append("callcc ")
+            t, ctx = t.arg, 2
+        else:
+            break
+    if cls is S.TVar:
+        out.append(t.name)
+    elif cls is S.TTuple:
+        _list(out, "<", t.items, ">", _term)
+    elif cls is S.TIndApp:
+        _term(t.fn, out, 1)
+        _ind(t.arg, out, "{", "}")
+    elif cls is S.TZero:
+        out.append("0")
+    elif cls is S.TSucc or cls is S.TPred:
+        _list(out, "succ(" if cls is S.TSucc else "pred(", (t.arg,), ")", _term)
+    elif cls is S.TRec:
+        out.append("rec")
+        if t.motive is not None:
+            _list(out, f"{{{t.motive.var}.", (t.motive.body,), "}", _formula)
+        _list(out, "(", (t.bound, t.base, t.step), ")", _term)
+    elif cls is S.TAxiom:
+        _ind(t.left, out, "", " = ")
+        _ind(t.right, out)
+    elif cls is S.TPack:
+        _ind(t.witness, out, "pack(", ", ")
+        _term(t.value, out)
+        _list(out, " : ", (t.ann,), ")", _formula)
+    else:
+        raise AssertionError(t)
+    if closers:
+        out.extend(reversed(closers))
 
 
-def _show_term_rest(t: S.Term) -> str:
-    match t:
-        case S.TCallcc(arg):
-            return f"callcc {_term_atom(arg)}"
-        case S.TThrow(ann, cont, arg):
-            return f"throw[{show_formula(ann)}] {_term_atom(cont)} {_term_atom(arg)}"
-        case S.TAxiom(a, b):
-            return f"{show_ind(a)} = {show_ind(b)}"
-        case S.TCoerce(subject, fam, proof):
-            return (
-                f"{_term_app(subject)} :> "
-                f"{{{fam.var}/{show_formula(fam.body)}}}[{show_term(proof)}]"
-            )
-        case _:
-            return _term_app(t)
+# -- imperative expressions, sequences and commands -------------------------
+
+def _expr(e: S.Expr, out: Out, ind: str = "", post: bool = False) -> None:
+    """ind prefixes the lines of a proc literal's body after the first.  As
+    the subject of a postfix form (post), an equation is parenthesised."""
+    cls = type(e)
+    if cls is S.EVar or cls is S.ENum:
+        out.append(e.name if cls is S.EVar else str(e.value))
+    elif cls is S.EInst or cls is S.EContInst:
+        _expr(e.fn, out, ind, True)
+        if cls is S.EContInst:
+            _list(out, f" <: {{{e.fam.var}/", (e.fam.body,), "}", _prop)
+        _ind(e.arg, out, "{", "}")
+    elif cls is S.ECoerce:
+        _expr(e.subject, out, ind, True)
+        _list(out, f" :> {{{e.fam.var}/", (e.fam.body,), "}[", _prop)
+        _expr(e.proof, out, ind)
+        out.append("]")
+    elif cls is S.EProc:
+        out.append("proc ")
+        h = e.header
+        while type(h) is S.HForall:
+            out.append(f"forall {h.var}. ")
+            h = h.body
+        _env(h.params, out)
+        _list(out, " out ", (h.out,), " {\n", _prop)
+        _seq(h.body, out, ind + "  ")
+        out.append(ind + "}")
+    elif cls is S.EAxiom:
+        _ind(e.left, out, "(" if post else "", " = ")
+        _ind(e.right, out, "", ")" if post else "")
+    else:
+        out.append(_NAMES[cls])
 
 
-def _term_app(t: S.Term) -> str:
-    match t:
-        case S.TApp(fn, arg):
-            return f"{_term_app(fn)} {_term_atom(arg)}"
-        case S.TIndApp(fn, arg):
-            return f"{_term_app(fn)}{{{show_ind(arg)}}}"
-        case _:
-            return _term_atom(t)
+_ASSIGNS = {S.CAssign: "{} := ", S.SVar: "var {} := ", S.SCst: "cst {} = "}
 
 
-def _term_atom(t: S.Term) -> str:
-    match t:
-        case S.TVar(name):
-            return name
-        case S.TZero():
-            return "0"
-        case S.TSucc(a):
-            return f"succ({show_term(a)})"
-        case S.TPred(a):
-            return f"pred({show_term(a)})"
-        case S.TTuple(items):
-            return "<" + ", ".join(show_term(x) for x in items) + ">"
-        case S.TRec(bound, base, step, motive):
-            head = "rec"
-            if motive is not None:
-                head += f"{{{motive.var}.{show_formula(motive.body)}}}"
-            return f"{head}({show_term(bound)}, {show_term(base)}, {show_term(step)})"
-        case S.TPack(witness, value, ann):
-            return f"pack({show_ind(witness)}, {show_term(value)} : {show_formula(ann)})"
-        case _:
-            return f"({show_term(t)})"
-
-
-# -- imperative expressions -------------------------------------------------
-
-def show_expr(e: S.Expr) -> str:
-    match e:
-        case S.EAxiom(a, b):
-            return f"{show_ind(a)} = {show_ind(b)}"
-        case _:
-            return _expr_post(e)
-
-
-def _expr_post(e: S.Expr) -> str:
-    match e:
-        case S.EInst(fn, arg):
-            return f"{_expr_post(fn)}{{{show_ind(arg)}}}"
-        case S.EContInst(fn, fam, arg):
-            return (
-                f"{_expr_post(fn)} <: "
-                f"{{{fam.var}/{show_output(fam.body)}}}{{{show_ind(arg)}}}"
-            )
-        case S.ECoerce(subject, fam, proof):
-            return (
-                f"{_expr_post(subject)} :> "
-                f"{{{fam.var}/{show_prop(fam.body)}}}[{show_expr(proof)}]"
-            )
-        case _:
-            return _expr_atom(e)
-
-
-def _expr_atom(e: S.Expr) -> str:
-    match e:
-        case S.EVar(name):
-            return name
-        case S.EStar():
-            return "*"
-        case S.ENum(value):
-            return str(value)
-        case S.EProc(header):
-            return "proc " + show_header(header)
-        case _:
-            return f"({show_expr(e)})"
-
-
-def show_header(h: S.Header) -> str:
-    match h:
-        case S.HForall(var, body):
-            return f"forall {var}. {show_header(body)}"
-        case S.HBase(params, out, body):
-            return f"{show_env(params)} out {show_qenv(out)} {{\n{_indent(show_seq(body))}}}"
-    raise AssertionError(h)
-
-
-def _indent(text: str) -> str:
-    if not text:
-        return ""
-    return "".join(f"  {line}\n" for line in text.splitlines())
-
-
-# -- commands and sequences -------------------------------------------------
-
-def show_command(c: S.Command) -> str:
-    match c:
-        case S.CBlock(body, ann):
-            return f"{{\n{_indent(show_seq(body))}}}{show_qenv(ann)};"
-        case S.CFor(var, None, bound, body, frame):
-            return (
-                f"for {var} := 0 until {show_expr(bound)} "
-                f"{{\n{_indent(show_seq(body))}}}{show_env(frame)};"
-            )
-        case S.CFor(var, idx, bound, body, frame):
-            return (
-                f"for {var} : nat({idx}) := 0 until {show_expr(bound)} "
-                f"{{\n{_indent(show_seq(body))}}}{show_env(frame)};"
-            )
-        case S.CAssign(name, value):
-            return f"{name} := {show_expr(value)};"
-        case S.CInc(name):
-            return f"inc({name});"
-        case S.CDec(name):
-            return f"dec({name});"
-        case S.CCall(fn, args, outs):
-            a = ", ".join(show_expr(x) for x in args)
-            o = ", ".join(outs)
-            return f"{_expr_post(fn)}({a}; {o});"
-        case S.CJump(target, args, ann):
-            rest = "".join(", " + show_expr(x) for x in args)
-            return f"jump({_expr_post(target)}{rest}){show_qenv(ann)};"
-        case S.CLabel(name, body, ann):
-            return f"{name} : {{\n{_indent(show_seq(body))}}}{show_qenv(ann)};"
-    raise AssertionError(c)
-
-
-def show_seq(s: S.Seq) -> str:
-    parts = []
+def _seq(s: S.Seq, out: Out, ind: str) -> None:
+    """The items of s, one a line, each line (a nested body's too)
+    prefixed with ind and ended by a newline."""
+    inner = ind + "  "
     items = s.items
     k = 0
     while k < len(items):
         item = items[k]
         k += 1
-        match item:
-            case S.SCst(name, value):
-                parts.append(f"cst {name} = {show_expr(value)};")
-            case S.SVar(name, value):
-                parts.append(f"var {name} := {show_expr(value)};")
-            case S.SUnpack(var, rest):
-                parts.append(f"?{var}.")
-                items, k = rest.items, 0
-            case S.SWitness(witness, ann, rest):
-                parts.append(f"[{show_ind(witness)} in {show_qenv(ann)}]")
-                items, k = rest.items, 0
-            case S.SSubst(body, fam, proof):
-                parts.append(
-                    f"(\n{_indent(show_seq(body))}) :> "
-                    f"{{{fam.var}/{show_qenv(fam.body)}}}[{show_expr(proof)}];"
-                )
-            case _:
-                parts.append(show_command(item))
-    return "\n".join(parts)
-
-
-# -- files ------------------------------------------------------------------
-
-def show_file(f: S.SourceFile) -> str:
-    out = [f"discipline {f.discipline};", ""]
-    functional = f.discipline in ("FS", "FD")
-    for name, value in f.csts:
-        if functional:
-            out.append(f"cst {name} = {show_term(value)};")
+        cls = type(item)
+        out.append(ind)
+        if cls is S.CInc or cls is S.CDec:
+            out.append(f"{'inc' if cls is S.CInc else 'dec'}({item.name});")
+        elif cls in _ASSIGNS:
+            out.append(_ASSIGNS[cls].format(item.name))
+            _expr(item.value, out, ind)
+            out.append(";")
+        elif cls is S.CCall:
+            _expr(item.fn, out, ind, True)
+            _list(out, "(", item.args, f"; {', '.join(item.outs)});", _expr, ind)
+        elif cls is S.CFor:
+            idx = "" if item.idx is None else f" : nat({item.idx})"
+            _list(out, f"for {item.var}{idx} := 0 until ", (item.bound,), " {\n", _expr, ind)
+            _seq(item.body, out, inner)
+            _list(out, ind + "}", (item.frame,), ";", _env)
+        elif cls is S.CBlock or cls is S.CLabel:
+            out.append("{\n" if cls is S.CBlock else f"{item.name} : {{\n")
+            _seq(item.body, out, inner)
+            _list(out, ind + "}", (item.ann,), ";", _prop)
+        elif cls is S.CJump:
+            out.append("jump(")
+            _expr(item.target, out, ind, True)
+            for arg in item.args:
+                out.append(", ")
+                _expr(arg, out, ind)
+            _list(out, ")", (item.ann,), ";", _prop)
+        elif cls is S.SUnpack:
+            out.append(f"?{item.var}.")
+            items, k = item.rest.items, 0
+        elif cls is S.SWitness:
+            _ind(item.witness, out, "[", " in ")
+            _prop(item.ann, out)
+            out.append("]")
+            items, k = item.rest.items, 0
+        elif cls is S.SSubst:
+            out.append("(\n")
+            _seq(item.body, out, inner)
+            _list(out, f"{ind}) :> {{{item.fam.var}/", (item.fam.body,), "}[", _prop)
+            _expr(item.proof, out, ind)
+            out.append("];")
         else:
-            out.append(f"cst {name} = {show_expr(value)};")
-        out.append("")
-    if f.main is not None:
-        if functional:
-            out.append(f"main = {show_term(f.main.term)};")
-        else:
-            out.append(
-                f"main {{\n{_indent(show_seq(f.main.body))}}} out {show_qenv(f.main.out)}"
-            )
-    return "\n".join(out).rstrip() + "\n"
+            raise AssertionError(item)
+        out.append("\n")
+
+
+def _lines(s: S.Seq, out: Out) -> None:
+    """A sequence on its own: its items one a line, with no final newline."""
+    _seq(s, out, "")
+    if s.items:
+        out.pop()
+
+
+# show's writer for every node class: that of the first category it is in
+_CATEGORIES = (
+    (S.Ind, _ind), (S.Formula, _formula), (S.Prop, _prop), (S.Output, _prop), (S.Proto, _prop),
+    (S.QEnv, _prop), (S.Term, _term), (S.Expr, _expr), (S.Seq, _lines),
+    (S.Command, lambda c, out: _lines(S.Seq((c,)), out)),
+    (S.SourceFile, lambda f, out: out.append(show_file(f))),
+    (S.Header, lambda h, out: _expr(S.EProc(h), out)),
+)
+_SHOW = {cls: write for base, write in reversed(_CATEGORIES)
+         for cls in vars(S).values() if isinstance(cls, type) and issubclass(cls, base)}

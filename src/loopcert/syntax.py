@@ -162,17 +162,20 @@ class FTuple(Formula):
     items: Tuple[Formula, ...]
 
 
+_ABSURD = FTuple((FBot(),))
+
+
 def neg_f(phi: Formula) -> Formula:
     """Negation on the functional side is the arrow into the absurd tuple.
 
     ``callcc``/``throw`` eliminate it by application, so it must *be* an
     arrow; the printer spells it ``~phi``.
     """
-    return FArrow(phi, FTuple((FBot(),)))
+    return FArrow(phi, _ABSURD)
 
 
 def as_neg_f(phi: Formula) -> Optional[Formula]:
-    if isinstance(phi, FArrow) and phi.cod == FTuple((FBot(),)):
+    if isinstance(phi, FArrow) and phi.cod == _ABSURD:
         return phi.dom
     return None
 

@@ -172,8 +172,8 @@ def test_the_pinned_step_count_is_the_least_fuel_that_runs(capsys):
     capsys.readouterr()
     assert run_cli(["pipeline", path, "--fuel=92", "--json"]) == 4
     report = json.loads(capsys.readouterr().out)
-    assert [(d["rule"], d["message"]) for d in report["diagnostics"]] == [
-        ("EVAL", "FuelExhausted: step budget of 92 exhausted")
+    assert [(d["rule"], d["reason"], d["message"]) for d in report["diagnostics"]] == [
+        ("EVAL", "FuelExhausted", "FuelExhausted: step budget of 92 exhausted")
     ]
 
 

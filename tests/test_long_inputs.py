@@ -13,6 +13,7 @@ import pytest
 
 from loopcert import cli, pipeline
 from loopcert import syntax as S
+from loopcert.printer import show, show_file, show_term
 
 DEFAULT_LIMIT = 1000
 
@@ -150,3 +151,31 @@ def test_fmt_reports_a_limit(tmp_path, capsys):
     path.write_text(DEEP_INPUTS["parentheses"], encoding="utf-8")
     assert cli.main(["fmt", str(path)]) == pipeline.EXIT_PARSE
     assert "[LIMIT]" in capsys.readouterr().err
+
+
+def _for_nest(depth):
+    body = S.Seq((S.CInc("z"),))
+    for k in range(depth):
+        body = S.Seq((S.CFor(f"i{k}", None, S.ENum(1), body, (("z", S.FNat()),)),))
+    main = S.MainI(S.Seq((S.CAssign("z", S.ENum(0)),) + body.items), S.QSimple((("z", S.FNat()),)))
+    return S.SourceFile("IS", (), main)
+
+
+def _nested(depth, leaf, wrap):
+    node = leaf
+    for _ in range(depth):
+        node = wrap(node)
+    return node
+
+
+def test_the_printer_reaches_the_depths_it_reached_before():
+    """Under 1,000 frames, printing reaches the depths that a printer of
+    string-returning functions reached from a bare script: 248 `succ`s,
+    497 left-nested arrows, and a `for` nest 495 deep in the source and
+    197 deep in the image.  The printer may take no more host frames per
+    nesting level than that, or LIMIT could move into an earlier phase."""
+    assert show_term(_nested(248, S.TZero(), S.TSucc)).count("succ(") == 248
+    arrows = show(_nested(497, S.FNat(), lambda phi: S.FArrow(phi, S.FNat())))
+    assert arrows.startswith("(" * 496 + "nat -> nat) -> nat)")
+    assert show_file(_for_nest(495)).count("for i") == 495
+    assert show_file(pipeline.translate_file(_for_nest(197))).count("rec(") == 197
