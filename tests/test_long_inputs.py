@@ -153,12 +153,26 @@ def test_fmt_reports_a_limit(tmp_path, capsys):
     assert "[LIMIT]" in capsys.readouterr().err
 
 
-def _for_nest(depth):
+def _for_nest(depth, block=False):
+    """An IS main whose `inc(z)` is nested depth deep in `for` loops, or
+    in blocks, each framing [z : nat]."""
+    frame = (("z", S.FNat()),)
     body = S.Seq((S.CInc("z"),))
     for k in range(depth):
-        body = S.Seq((S.CFor(f"i{k}", None, S.ENum(1), body, (("z", S.FNat()),)),))
-    main = S.MainI(S.Seq((S.CAssign("z", S.ENum(0)),) + body.items), S.QSimple((("z", S.FNat()),)))
+        inner = S.CBlock(body, S.QSimple(frame)) if block else S.CFor(f"i{k}", None, S.ENum(1), body, frame)
+        body = S.Seq((inner,))
+    main = S.MainI(S.Seq((S.CAssign("z", S.ENum(0)),) + body.items), S.QSimple(frame))
     return S.SourceFile("IS", (), main)
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["for", "block"])
+def test_check_source_reaches_the_depth_it_reached_before(block):
+    """Under 1,000 frames and pytest's own, IS check-source passed a `for`
+    nest and a block nest 476 deep (495 from a bare script); this
+    checks 470, to leave room for other Python versions.  Checking
+    may take no more host frames per nesting level than that."""
+    checked = pipeline.check_source(_for_nest(470, block))
+    assert checked.trace.count("T_BLOCK" if block else "T_FOR") == 470
 
 
 def _nested(depth, leaf, wrap):
