@@ -95,7 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_pipe = sub.add_parser("pipeline", help="the whole certification pipeline")
     common(p_pipe, with_eval=True)
     p_pipe.add_argument("--all", action="store_true", help="run every corpus file")
-    p_fuzz = sub.add_parser("fuzz", help="differential testing of the simple pipeline")
+    p_fuzz = sub.add_parser("fuzz", help="differential testing of the pipeline on generated IS programs")
     p_fuzz.add_argument("--count", type=int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=42)
     p_fuzz.add_argument("--size-bound", type=int, default=30)

@@ -1,7 +1,8 @@
 """The dependently-typed half: the one functional checker, for FD terms
-and for FS terms as their index-free fragment, and ID checking with
-quantified environments, labels and jumps and defined negation.  The
-ID-to-FD translation is in `translate.py`.
+and for FS terms as their index-free fragment, and the one imperative
+checker, for ID with quantified environments, labels and jumps and
+defined negation, and for IS as its index-free fragment.  The
+translations are in `translate.py`.
 
 FS checking is FD checking with every index erased: `0`, `succ` and
 `pred` give a bare `nat`, `fn` annotations must be simple types, `rec`
@@ -9,8 +10,26 @@ takes no motive and a plain `nat -> tau -> tau` step, and the forms with
 no simple counterpart are refused with rule FS.  FS traces `TC_PRED` and
 `TCTE_PRODUCT` where FD traces `TC_PRED_D` and `TC_PRODUCT`, and FS
 `pred` does not depend on `allow_pred`.  The entry point that is called,
-`fd_check_term` or `fs_check_term` (re-exported by `simple`), picks the
-fragment.
+`fd_check_term` or `fs_check_term`, picks the fragment.
+
+IS checking is ID checking with every index erased.  Assignment may
+retype a store variable in both ("pseudo-dynamic" in IS).  Numerals and
+`*` give a bare `nat` and unit, traced `T_NUM` and `T_UNIT` where ID
+traces `T_ZERO`/`T_SUCC` and `T_TRUE`, and a procedure header traces
+`T_PROC` where ID traces `T_PROC_DECL`; its parameter and output types
+must be simple.  Quantified headers, existential outputs and blocks,
+indexed loops, labels and jumps and the proof forms are refused.  Where
+ID checks a sequence against an annotated goal that its store must
+contain, IS synthesizes the store the sequence ends with and compares it
+exactly: a procedure's or main's with the declared outputs
+(OutputMismatch), a `for` body's with its frame (LoopFrameNotInvariant).
+An IS block or `for` body starts from its frame, not from the whole
+store, and a block or call updates the store by `multi_update` where ID
+traces `TC_UPDATE_SEQ_I`.  IS traces `T_CALL` before the arguments, not
+after them, and a `var`, like a `cst`, may not shadow a live store
+variable.  The entry point that is called, `id_check_expr` or
+`is_check_expr`, picks the fragment; `check_main` takes it as an
+argument.
 
 Checking is bidirectional by annotation: sequence goals flow down from
 proc, label, block and jump annotations, and every witness, axiom
@@ -34,7 +53,7 @@ from . import envs
 from . import syntax as S
 from .axioms import try_match_axiom
 from .errors import CheckError
-from .printer import show
+from .printer import show, show_env
 
 
 class CheckCtx:
@@ -442,8 +461,35 @@ def _generalize(var: str, eigen: str, phi: S.Formula, wrap) -> S.Formula:
 
 
 # ---------------------------------------------------------------------------
-# ID: imperative dependent type system
+# ID, and IS as its index-free fragment
 # ---------------------------------------------------------------------------
+
+def _fresh_for_store(name: str, omega: S.Env, rule: str, span, what: str) -> None:
+    """A cst (or in IS a var) may not shadow a live store ident: a shadowed
+    store name would resolve differently in the checker (rightmost
+    binding) and in the let-based translation (innermost binding)."""
+    if envs.lookup(omega, name) is not None:
+        raise CheckError(
+            rule,
+            f"'{name}' shadows a live store variable; rename the {what}",
+            span=span,
+            reason="FreshnessViolation",
+        )
+
+
+def _simple_prop(p: S.Prop, span) -> None:
+    """IS parameter and output types: unit, nat, and procedures over them."""
+    match p:
+        case S.FTop():
+            return
+        case S.FNat(None):
+            return
+        case S.PProc(S.ProtoBase(params, S.OSimple(types))):
+            for q in params + types:
+                _simple_prop(q, span)
+            return
+    raise CheckError("IS", f"{show(p)} is not a simple type", span=span)
+
 
 def proto_of_header(header: S.Header) -> S.Proto:
     match header:
@@ -457,24 +503,60 @@ def proto_of_header(header: S.Header) -> S.Proto:
 
 
 def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx] = None) -> S.Prop:
-    ctx = ctx or CheckCtx()
+    """The dependent type of e, or raise CheckError."""
+    return _id_expr(gamma, omega, e, ctx or CheckCtx(), False)
+
+
+def is_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx] = None) -> S.Prop:
+    """The simple type of e, or raise CheckError."""
+    return _id_expr(gamma, omega, e, ctx or CheckCtx(), True)
+
+
+def id_check_seq(
+    gamma: S.Env, omega: S.Env, s: S.Seq, expected: S.QEnv, ctx: Optional[CheckCtx] = None
+) -> None:
+    """Check an ID sequence against an expected quantified output environment."""
+    _id_seq(gamma, omega, s, expected, ctx or CheckCtx(), False)
+
+
+def check_main(gamma: S.Env, main: S.MainI, ctx: CheckCtx, simple: bool) -> None:
+    """An imperative file's main sequence, checked as the body of a
+    procedure with no parameters; simple picks the IS fragment."""
+    _id_check_header(gamma, S.HBase((), main.out, main.body), ctx, main.span, simple, main=True)
+
+
+# simple is True when checking the IS fragment (see the module docstring).
+def _id_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: CheckCtx, simple: bool) -> S.Prop:
     match e:
         case S.EVar(name):
             return check_ident(gamma, omega, name, ctx, e.span)
         case S.EStar():
-            ctx.rule("T_TRUE")
+            ctx.rule("T_UNIT" if simple else "T_TRUE")
             return S.FTop()
         case S.ENum(value):
+            if simple:
+                ctx.rule("T_NUM")
+                return _NAT
             ctx.rule("T_ZERO" if value == 0 else "T_SUCC")
             return S.FNat(S.num_ind(value))
+        case S.EProc(header):
+            declared = proto_of_header(header)
+            if not simple:
+                declared = ctx.read(declared)
+            _id_check_header(gamma, header, ctx, e.span, simple)
+            return S.proc_t(declared)
+        case _ if simple:
+            raise CheckError(
+                "IS", f"expression not in the simple fragment: {show(e)}", span=getattr(e, "span", None)
+            )
         case S.EAxiom(left, right):
             return check_axiom(left, right, ctx, "T", e.span)
         case S.ECoerce(subject, fam, proof):
             return check_coercion(
-                lambda x: id_check_expr(gamma, omega, x, ctx), subject, fam, proof, ctx, "T", e.span
+                lambda x: _id_expr(gamma, omega, x, ctx, simple), subject, fam, proof, ctx, "T", e.span
             )
         case S.EInst(fn, arg):
-            fnty = id_check_expr(gamma, omega, fn, ctx)
+            fnty = _id_expr(gamma, omega, fn, ctx, simple)
             match fnty:
                 case S.PProc(S.ProtoAll(var, body)):
                     ctx.rule("T_PROC_INST")
@@ -494,7 +576,7 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
         case S.EContInst(fn, fam, arg):
             fam, arg = ctx.read(fam), ctx.read(arg)
             want = S.PNeg(S.OExists(fam.var, fam.body))
-            got = id_check_expr(gamma, omega, fn, ctx)
+            got = _id_expr(gamma, omega, fn, ctx, simple)
             if not S.alpha_eq(got, want):
                 raise CheckError(
                     "T_CONT_INST",
@@ -504,28 +586,49 @@ def id_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
                 )
             ctx.rule("T_CONT_INST")
             return S.PNeg(S.subst_ind(fam.body, fam.var, arg))
-        case S.EProc(header):
-            declared = ctx.read(proto_of_header(header))
-            _id_check_header(gamma, omega, header, ctx, getattr(e, "span", None))
-            return S.proc_t(declared)
     raise CheckError("ID", f"unhandled expression {show(ctx.read(e))}", span=getattr(e, "span", None))
 
 
-def _id_check_header(gamma: S.Env, omega: S.Env, header: S.Header, ctx: CheckCtx, span) -> None:
+def _id_check_header(
+    gamma: S.Env, header: S.Header, ctx: CheckCtx, span, simple: bool, main: bool = False
+) -> None:
+    """T_PROC_DECL, T_PROC in IS: the body, from a store of its outputs at
+    unit, reaches the declared outputs.  The main sequence is checked as
+    a header with no parameters (main is True), which adds no rule to the
+    trace and has its own IS messages."""
     match header:
         case S.HForall(var, body):
+            if simple:
+                raise CheckError("T_PROC", "quantified headers are not simple", span=span)
             ctx.open(var)
             ctx.rule("T_PROC_ABS")
-            _id_check_header(gamma, omega, body, ctx, span)
+            _id_check_header(gamma, body, ctx, span, simple)
             ctx.close()
         case S.HBase(params, out, body):
-            params, out = ctx.read(params), ctx.read(out)
+            rule = "T_PROC" if simple else "T_PROC_DECL"
+            if not simple:
+                params, out = ctx.read(params), ctx.read(out)
+            elif not isinstance(out, S.QSimple):
+                if main:
+                    raise CheckError(rule, "IS main cannot declare an existential output", span=span)
+                raise CheckError(rule, "existential outputs are not simple", span=span)
+            elif not main:
+                for _, p in params + out.env:
+                    _simple_prop(p, span)
             names, _ = envs.qsplit(out)
-            check_header_idents(params, names, "T_PROC_DECL", span)
-            start = envs.init(names, S.FTop())
-            gamma2 = envs.append(gamma, params)
-            ctx.rule("T_PROC_DECL")
-            id_check_seq(gamma2, start, body, out, ctx)
+            check_header_idents(params, names, rule, span)
+            if not main:
+                gamma = envs.append(gamma, params)
+                ctx.rule(rule)
+            final = _id_seq(gamma, envs.init(names, S.FTop()), body, out, ctx, simple)
+            if simple and not S.alpha_env(final, out.env):
+                raise CheckError(
+                    rule,
+                    f"{'main' if main else 'body'} ends with store {show_env(final)}, "
+                    f"declared out is {show_env(out.env)}",
+                    span=span,
+                    reason="OutputMismatch",
+                )
         case _:
             raise AssertionError(header)
 
@@ -538,15 +641,23 @@ def id_check_exprs(
     ctx: CheckCtx,
     rule: str,
     span,
+    simple: bool,
 ) -> None:
+    """T_EXPS: each argument has its parameter's type.  In IS the caller's
+    rule is traced here, before the arguments; in ID the caller traces it
+    after them."""
     if len(args) != len(wanted):
         raise CheckError(
             rule, f"{len(args)} arguments for {len(wanted)} parameters", span=span, reason="LengthMismatch"
         )
+    if simple:
+        ctx.rule(rule)
     for arg, want in zip(args, wanted):
-        got = id_check_expr(gamma, omega, arg, ctx)
+        got = _id_expr(gamma, omega, arg, ctx, simple)
         ctx.rule("T_EXPS_II")
         if not S.alpha_eq(got, want):
+            if simple:
+                raise CheckError("T_EXPS", f"argument has type {show(got)}, expected {show(want)}", span=span)
             raise CheckError(
                 rule,
                 f"argument {show(ctx.read(arg))} has type {show(got)}, expected {show(want)}",
@@ -554,36 +665,34 @@ def id_check_exprs(
             )
 
 
-def id_check_seq(
-    gamma: S.Env, omega: S.Env, s: S.Seq, expected: S.QEnv, ctx: Optional[CheckCtx] = None
-) -> None:
-    """Check a sequence against an expected quantified output environment.
+def _id_seq(
+    gamma: S.Env, omega: S.Env, s: S.Seq, expected: Optional[S.QEnv], ctx: CheckCtx, simple: bool
+) -> Optional[S.Env]:
+    """Check a sequence against an expected quantified output environment;
+    in IS, return the store it ends with, without its locals, and do not
+    read expected.
 
     The items are checked in a loop.  Where the sequence goes on in the
     `rest` of a `?n.` or a witness, the loop goes on there, and a `:>`
     group, which ends the sequence, is checked against the goal it leaves.
     """
-    ctx = ctx or CheckCtx()
     items, k = s.items, 0
     opened = 0  # the '?n.'s opened so far; they scope over the rest of s
+    live = len(omega)  # the store before the locals of s's var items
     while k < len(items):
         item = items[k]
         k += 1
         cls = type(item)
         if cls is S.SCst:
-            if envs.lookup(omega, item.name) is not None:
-                raise CheckError(
-                    "T_CST",
-                    f"'{item.name}' shadows a live store variable; rename the constant",
-                    span=item.span,
-                    reason="FreshnessViolation",
-                )
-            ty = id_check_expr(gamma, omega, item.value, ctx)
+            _fresh_for_store(item.name, omega, "T_CST", item.span, "declaration" if simple else "constant")
+            ty = _id_expr(gamma, omega, item.value, ctx, simple)
             ctx.rule("T_CST")
             gamma = gamma + ((item.name, ty),)
         elif cls is S.SVar:
-            ty = id_check_expr(gamma, omega, item.value, ctx)
-            if envs.belongs(item.name, expected):
+            if simple:
+                _fresh_for_store(item.name, omega, "T_VAR", item.span, "declaration")
+            ty = _id_expr(gamma, omega, item.value, ctx, simple)
+            if not simple and envs.belongs(item.name, expected):
                 raise CheckError(
                     "T_VAR",
                     f"local '{item.name}' must not occur in the output environment {show(expected)}",
@@ -592,6 +701,8 @@ def id_check_seq(
                 )
             ctx.rule("T_VAR")
             omega = omega + ((item.name, ty),)
+        elif simple and not isinstance(item, S.Command):
+            raise CheckError("IS", "sequence form not in the simple fragment", span=item.span)
         elif cls is S.SWitness:
             ann = ctx.read(item.ann)
             if not isinstance(ann, S.QExists):
@@ -612,7 +723,7 @@ def id_check_seq(
             items, k = s.items, 0
         elif cls is S.SSubst:
             fam = ctx.read(item.fam)
-            proof_ty = id_check_expr(gamma, omega, item.proof, ctx)
+            proof_ty = _id_expr(gamma, omega, item.proof, ctx, simple)
             if not isinstance(proof_ty, S.FEq):
                 raise CheckError(
                     "T_SUBST", f"coercion proof has type {show(proof_ty)}, expected an equation", span=item.span
@@ -625,9 +736,9 @@ def id_check_seq(
                     span=item.span,
                 )
             ctx.rule("T_SUBST")
-            id_check_seq(gamma, omega, item.body, S.subst_ind(fam.body, fam.var, proof_ty.right), ctx)
+            _id_seq(gamma, omega, item.body, S.subst_ind(fam.body, fam.var, proof_ty.right), ctx, simple)
             ctx.close(opened)
-            return
+            return None
         elif cls is S.SUnpack:
             raise CheckError(
                 "TC_UPDATE_SEQ_II",
@@ -635,7 +746,7 @@ def id_check_seq(
                 span=item.span,
             )
         else:
-            omega, theta = _id_command(gamma, omega, item, ctx)
+            omega, theta = _id_command(gamma, omega, item, ctx, simple)
             if theta is None:
                 continue
             # TC_UPDATE_SEQ: go on from the store updated by theta
@@ -656,7 +767,11 @@ def id_check_seq(
                 ctx.rule("TC_UPDATE_SEQ_II")
             ctx.rule("TC_UPDATE_SEQ_I")
             omega = envs.multi_update(omega, theta.env, "TC_UPDATE_SEQ", item.span)
-    ctx.close(opened)
+    if opened:
+        ctx.close(opened)
+    if simple:
+        ctx.rule("T_EMPTY")
+        return omega[:live]  # without the locals
     match expected:
         case S.QSimple(env):
             envs.subset(env, omega, "T_EMPTY", s.span)
@@ -668,46 +783,61 @@ def id_check_seq(
                 span=s.span,
                 reason="MissingWitness",
             )
+    return None
 
 
 def _id_command(
-    gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx
+    gamma: S.Env, omega: S.Env, cmd: S.Command, ctx: CheckCtx, simple: bool
 ) -> Tuple[S.Env, Optional[S.QEnv]]:
-    """Check one command: the store after it, and for a block, label, jump
-    or call the output environment theta it updates the store with
-    (TC_UPDATE_SEQ), else None."""
+    """Check one command: the store after it, and for an ID block, label,
+    jump or call the output environment theta it updates the store with
+    (TC_UPDATE_SEQ), else None.  An IS block or call updates the store
+    itself, by multi_update."""
     match cmd:
         case S.CAssign(name, value):
             envs.require(omega, name, "T_ASSIGN", cmd.span)
-            ty = id_check_expr(gamma, omega, value, ctx)
+            ty = _id_expr(gamma, omega, value, ctx, simple)
             ctx.rule("T_ASSIGN")
             return envs.update(omega, name, ty, "T_ASSIGN", cmd.span), None
         case S.CInc(name) | S.CDec(name):
             rule = "T_INC" if isinstance(cmd, S.CInc) else "T_DEC"
             ty = envs.require(omega, name, rule, cmd.span)
-            if not isinstance(ty, S.FNat) or ty.index is None:
-                raise CheckError(rule, f"'{name}' has type {show(ty)}, expected an indexed nat", span=cmd.span)
-            new_index = S.ISucc(ty.index) if isinstance(cmd, S.CInc) else S.IPred(ty.index)
+            if not isinstance(ty, S.FNat) or (ty.index is None) != simple:
+                wanted = "nat" if simple else "an indexed nat"
+                raise CheckError(rule, f"'{name}' has type {show(ty)}, expected {wanted}", span=cmd.span)
             ctx.rule(rule)
+            if simple:
+                return omega, None
+            new_index = S.ISucc(ty.index) if isinstance(cmd, S.CInc) else S.IPred(ty.index)
             return envs.update(omega, name, S.FNat(new_index), rule, cmd.span), None
+        case S.CBlock(body, ann) if simple:
+            # an IS block starts from its frame, not from the whole store
+            if not isinstance(ann, S.QSimple):
+                raise CheckError("T_BLOCK", "existential block annotations are not simple", span=cmd.span)
+            envs.subset(ann.env, omega, "T_BLOCK", cmd.span)
+            ctx.rule("T_BLOCK")
+            result = _id_seq(gamma, ann.env, body, ann, ctx, simple)
+            return envs.multi_update(omega, result, "T_BLOCK", cmd.span), None
         case S.CBlock(body, ann):
             ann = ctx.read(ann)
             ctx.rule("T_BLOCK")
-            id_check_seq(gamma, omega, body, ann, ctx)
+            _id_seq(gamma, omega, body, ann, ctx, simple)
             return omega, ann
+        case S.CLabel() | S.CJump() if simple:
+            raise CheckError("IS", "jumps and labels are not simple", span=cmd.span)
         case S.CLabel(name, body, ann):
             ann = ctx.read(ann)
             _, out = envs.qsplit(ann)
             cont_ty = S.PNeg(out)
             ctx.rule("T_LABEL")
-            id_check_seq(gamma + ((name, cont_ty),), omega, body, ann, ctx)
+            _id_seq(gamma + ((name, cont_ty),), omega, body, ann, ctx, simple)
             return omega, ann
         case S.CJump(target, args, ann):
             ann = ctx.read(ann)
-            target_ty = id_check_expr(gamma, omega, target, ctx)
+            target_ty = _id_expr(gamma, omega, target, ctx, simple)
             match target_ty:
                 case S.PNeg(S.OSimple(types)):
-                    id_check_exprs(gamma, omega, args, types, ctx, "T_JUMP", cmd.span)
+                    id_check_exprs(gamma, omega, args, types, ctx, "T_JUMP", cmd.span, simple)
                 case S.PNeg(S.OExists()):
                     raise CheckError(
                         "T_JUMP",
@@ -725,14 +855,28 @@ def _id_command(
             ctx.rule("T_JUMP")
             return omega, ann
         case S.CFor(var, idx, bound, body, frame):
-            frame = ctx.read(frame, bound=idx)
+            if simple and idx is not None:
+                raise CheckError("T_FOR", "indexed loops are not simple", span=cmd.span)
+            if not simple:
+                frame = ctx.read(frame, bound=idx)
             frame0 = S.subst_ind(frame, idx, S.IZero()) if idx else frame
             envs.subset(frame0, omega, "T_FOR", cmd.span)
-            bound_ty = id_check_expr(gamma, omega, bound, ctx)
-            if not isinstance(bound_ty, S.FNat) or bound_ty.index is None:
-                raise CheckError(
-                    "T_FOR", f"loop bound has type {show(bound_ty)}, expected an indexed nat", span=cmd.span
-                )
+            bound_ty = _id_expr(gamma, omega, bound, ctx, simple)
+            if not isinstance(bound_ty, S.FNat) or (bound_ty.index is None) != simple:
+                wanted = "nat" if simple else "an indexed nat"
+                raise CheckError("T_FOR", f"loop bound has type {show(bound_ty)}, expected {wanted}", span=cmd.span)
+            if simple:
+                # an IS body starts from the frame, and must end with it
+                ctx.rule("T_FOR")
+                result = _id_seq(gamma + ((var, _NAT),), frame, body, None, ctx, simple)
+                if not S.alpha_env(result, frame):
+                    raise CheckError(
+                        "T_FOR",
+                        f"loop body maps frame {show_env(frame)} to {show_env(result)}",
+                        span=cmd.span,
+                        reason="LoopFrameNotInvariant",
+                    )
+                return omega, None
             if idx is not None:
                 ev = ctx.open(idx)
                 frame_n = S.subst_ind(frame, idx, ev)
@@ -742,14 +886,14 @@ def _id_command(
                 ev = S.IVar(ctx.fresh.fresh("i"))
                 frame_n, frame_s, frame_end = frame, frame, frame
             ctx.rule("T_FOR")
-            id_check_seq(gamma + ((var, S.FNat(ev)),), frame_n, body, S.QSimple(frame_s), ctx)
+            _id_seq(gamma + ((var, S.FNat(ev)),), frame_n, body, S.QSimple(frame_s), ctx, simple)
             if idx is not None:
                 ctx.close()
             return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
         case S.CCall(fn, args, outs):
             if len(set(outs)) != len(outs):
                 raise CheckError("T_CALL", "output idents of a call must be distinct", span=cmd.span)
-            fnty = id_check_expr(gamma, omega, fn, ctx)
+            fnty = _id_expr(gamma, omega, fn, ctx, simple)
             match fnty:
                 case S.PProc(S.ProtoBase(params, out)):
                     pass
@@ -768,7 +912,10 @@ def _id_command(
                     raise CheckError(
                         "T_CALL", f"called a non-procedure of type {show(fnty)}", span=cmd.span
                     )
-            id_check_exprs(gamma, omega, args, params, ctx, "T_CALL", cmd.span)
+            id_check_exprs(gamma, omega, args, params, ctx, "T_CALL", cmd.span, simple)
+            if simple:
+                binding = envs.zip_env(outs, out.types, "T_CALL", cmd.span)
+                return envs.multi_update(omega, binding, "T_CALL", cmd.span), None
             theta = envs.qzip(outs, out, "T_CALL", cmd.span)
             ctx.rule("T_CALL")
             return omega, theta

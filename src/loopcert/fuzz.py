@@ -1,4 +1,4 @@
-"""Differential fuzzing of the simple pipeline.
+"""Differential fuzzing of the pipeline on IS programs.
 
 Generates well-typed jump-free imperative programs, takes each through
 the pipeline's check-source, translate and check-target phases, and

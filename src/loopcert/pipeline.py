@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from . import dependent, envs, runtime, simple, translate
+from . import dependent, envs, runtime, translate
 from . import syntax as S
 from .errors import CheckError, EvalError, LoopcertError, ParseError
 from .parser import parse
-from .printer import show, show_env, show_qenv, show_term
+from .printer import show, show_qenv, show_term
 from .dependent import CheckCtx
 
 EXIT_OK = 0
@@ -82,9 +82,9 @@ class CheckedFile:
 
 # The constant checker of each discipline: (constants, value, ctx) -> type.
 _CST_CHECKERS = {
-    "IS": lambda gamma, e, ctx: simple.is_check_expr(gamma, (), e, ctx),
+    "IS": lambda gamma, e, ctx: dependent.is_check_expr(gamma, (), e, ctx),
     "ID": lambda gamma, e, ctx: dependent.id_check_expr(gamma, (), e, ctx),
-    "FS": lambda gamma, t, ctx: simple.fs_check_term(gamma, t, ctx),
+    "FS": lambda gamma, t, ctx: dependent.fs_check_term(gamma, t, ctx),
     "FD": lambda gamma, t, ctx: dependent.fd_check_term(gamma, t, ctx),
 }
 
@@ -105,24 +105,8 @@ def check_source(
     main = sf.main
     if main is not None and isinstance(main, S.MainF) != (sf.discipline in ("FS", "FD")):
         raise CheckError("CHECK", f"main is written in the other language; it cannot be checked as {sf.discipline}")
-    if main is not None and sf.discipline == "IS":
-        if not isinstance(main.out, S.QSimple):
-            raise CheckError("T_PROC", "IS main cannot declare an existential output", span=main.span)
-        out_env = main.out.env
-        names, _ = envs.split(out_env)
-        dependent.check_header_idents((), names, "T_PROC", main.span)
-        final = simple.is_check_seq(gamma, envs.init(names, S.FTop()), main.body, ctx)
-        if not S.alpha_env(final, out_env):
-            raise CheckError(
-                "T_PROC",
-                f"main ends with store {show_env(final)}, declared out is {show_env(out_env)}",
-                span=main.span,
-                reason="OutputMismatch",
-            )
-    elif main is not None and sf.discipline == "ID":
-        names, _ = envs.qsplit(main.out)
-        dependent.check_header_idents((), names, "T_PROC_DECL", main.span)
-        dependent.id_check_seq(gamma, envs.init(names, S.FTop()), main.body, main.out, ctx)
+    if isinstance(main, S.MainI):
+        dependent.check_main(gamma, main, ctx, sf.discipline == "IS")
     elif main is not None:
         types = gamma + (("main", check(gamma, main.term, ctx)),)
     return CheckedFile(sf, types, ctx.trace or [], tuple(ctx.warnings))
@@ -151,7 +135,7 @@ def check_target(
 ) -> Tuple[Tuple[str, S.Formula], ...]:
     """Re-check the translation and verify type preservation."""
     ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
-    functional_check = simple.fs_check_term if sf.discipline == "IS" else dependent.fd_check_term
+    functional_check = dependent.fs_check_term if sf.discipline == "IS" else dependent.fd_check_term
     sigma: S.Env = ()
     result: List[Tuple[str, S.Formula]] = []
     for (name, term), (_, source_ty) in zip(image.csts, checked.cst_types):

@@ -7,6 +7,7 @@ import pytest
 
 from loopcert import dependent, envs, gen, translate
 from loopcert import syntax as S
+from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
 from loopcert.parser import (
     parse_expr,
@@ -17,7 +18,6 @@ from loopcert.parser import (
     parse_term,
 )
 from loopcert.printer import show
-from loopcert.simple import CheckCtx
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import os
 import random
 import sys
 
-from loopcert import dependent, gen, pipeline, simple
+from loopcert import dependent, gen, pipeline
+from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
 from loopcert.printer import show
-from loopcert.simple import CheckCtx
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "checks.json")
@@ -47,7 +47,7 @@ def term_results():
         sigma = (("x", gen.gen_formula(rng, 2, vars_=("n",))),)
         out.append(
             {
-                "FS": _checked(simple.fs_check_term, sigma, t)[1],
+                "FS": _checked(dependent.fs_check_term, sigma, t)[1],
                 "FD": _checked(dependent.fd_check_term, sigma, t)[1],
                 "FD_no_pred": _checked(dependent.fd_check_term, sigma, t, allow_pred=False)[1],
             }
@@ -64,7 +64,7 @@ def image_results():
         sigma = ()
         rows = []
         for name, term in pipeline.translate_file(sf).csts:
-            ty, result = _checked(simple.fs_check_term, sigma, term)
+            ty, result = _checked(dependent.fs_check_term, sigma, term)
             rows.append([name, result])
             if ty is not None:
                 sigma = sigma + ((name, ty),)

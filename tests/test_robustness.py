@@ -6,7 +6,7 @@ import string
 
 import pytest
 
-from loopcert import dependent, gen, pipeline, simple
+from loopcert import dependent, gen, pipeline
 from loopcert.errors import CheckError, ParseError
 from loopcert.parser import Parser
 
@@ -17,7 +17,7 @@ def test_checkers_never_crash_on_random_terms():
     for _ in range(400):
         t = gen.gen_term(rng, 4, vars_=("x",), ivars=("n",))
         sigma = (("x", gen.gen_formula(rng, 2, vars_=("n",))),)
-        for check in (simple.fs_check_term, dependent.fd_check_term):
+        for check in (dependent.fs_check_term, dependent.fd_check_term):
             try:
                 check(sigma, t)
             except CheckError:

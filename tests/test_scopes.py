@@ -7,7 +7,7 @@ binding is visible again and a fresh name is unbound again.
 
 import pytest
 
-from loopcert import dependent, simple
+from loopcert import dependent
 from loopcert import syntax as S
 from loopcert.errors import CheckError
 from loopcert.parser import parse_formula, parse_term
@@ -30,7 +30,7 @@ BOTH = [
 
 @pytest.mark.parametrize("text,fs_type,_", [c for c in BOTH if c[1]])
 def test_fs_scopes(text, fs_type, _):
-    assert S.alpha_eq(simple.fs_check_term((), parse_term(text)), parse_formula(fs_type))
+    assert S.alpha_eq(dependent.fs_check_term((), parse_term(text)), parse_formula(fs_type))
 
 
 @pytest.mark.parametrize("text,_,fd_type", [c for c in BOTH if c[2]])
@@ -47,7 +47,7 @@ UNBOUND_AFTER = [
 
 
 @pytest.mark.parametrize("text", UNBOUND_AFTER)
-@pytest.mark.parametrize("check", [simple.fs_check_term, dependent.fd_check_term])
+@pytest.mark.parametrize("check", [dependent.fs_check_term, dependent.fd_check_term])
 def test_binding_ends_with_its_body(check, text):
     with pytest.raises(CheckError) as err:
         check((), parse_term(text))
@@ -67,13 +67,13 @@ def test_fd_rec_step_variable_is_scoped():
     assert err.value.rule == "TC_VAR"
 
 
-@pytest.mark.parametrize("check", [simple.fs_check_term, dependent.fd_check_term])
+@pytest.mark.parametrize("check", [dependent.fs_check_term, dependent.fd_check_term])
 def test_tuple_environment_rightmost_wins(check):
     sigma = (("x", S.FNat(None)), ("x", S.FTuple(())))
     assert check(sigma, S.TVar("x")) == S.FTuple(())
 
 
-@pytest.mark.parametrize("check", [simple.fs_check_term, dependent.fd_check_term])
+@pytest.mark.parametrize("check", [dependent.fs_check_term, dependent.fd_check_term])
 def test_caller_environment_is_not_changed(check):
     sigma = (("x", S.FTuple(())),)
     check(sigma, parse_term("let x = 0 in let z = x in z"))

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from loopcert import gen, runtime, simple, translate
+from loopcert import dependent, gen, pipeline, runtime, translate
 from loopcert import syntax as S
+from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
 from loopcert.parser import parse, parse_expr, parse_formula, parse_seq, parse_term
-from loopcert.simple import CheckCtx
 
 ADDITION = """proc [x : nat, y : nat] out [z : nat] {
   z := y;
@@ -25,17 +25,17 @@ ADDITION = """proc [x : nat, y : nat] out [z : nat] {
 
 def test_fs_lam_succ():
     t = parse_term("fn x : nat => succ(x)")
-    assert S.alpha_eq(simple.fs_check_term((), t), parse_formula("nat -> nat"))
+    assert S.alpha_eq(dependent.fs_check_term((), t), parse_formula("nat -> nat"))
 
 
 def test_fs_rec_simple():
     t = parse_term("rec(succ(0), 0, fn y : nat => fn a : nat => succ(a))")
-    assert S.alpha_eq(simple.fs_check_term((), t), parse_formula("nat"))
+    assert S.alpha_eq(dependent.fs_check_term((), t), parse_formula("nat"))
 
 
 def test_fs_tuple_match():
     t = parse_term("let <a, b> = <0, succ(0)> in b")
-    assert S.alpha_eq(simple.fs_check_term((), t), parse_formula("nat"))
+    assert S.alpha_eq(dependent.fs_check_term((), t), parse_formula("nat"))
 
 
 @pytest.mark.parametrize(
@@ -59,19 +59,19 @@ def test_fs_rejects_dependent_terms(text, form, rule):
     t = parse_term(text)
     assert isinstance(t, form)
     with pytest.raises(CheckError) as err:
-        simple.fs_check_term((), t)
+        dependent.fs_check_term((), t)
     assert err.value.rule == rule
 
 
 def test_fs_pred_ignores_the_optional_dependent_rule():
     ctx = CheckCtx(trace=[], allow_pred=False)
-    assert simple.fs_check_term((), parse_term("pred(0)"), ctx) == S.FNat(None)
+    assert dependent.fs_check_term((), parse_term("pred(0)"), ctx) == S.FNat(None)
     assert ctx.trace == ["TC_ZERO", "TC_PRED"]
 
 
 def test_fs_unbound():
     with pytest.raises(CheckError) as err:
-        simple.fs_check_term((), parse_term("q"))
+        dependent.fs_check_term((), parse_term("q"))
     assert err.value.reason == "UnboundVariable"
 
 
@@ -85,15 +85,15 @@ def test_fs_type_error_cites_rule():
         ("let <a> = <0, 0> in a", "TC_MATCH"),
     ]:
         with pytest.raises(CheckError) as err:
-            simple.fs_check_term((), parse_term(text))
+            dependent.fs_check_term((), parse_term(text))
         assert err.value.rule == rule, text
 
 
 def test_fs_derivation_report_replays():
     t = parse_term("fn x : nat => succ(x)")
     first, second = CheckCtx(trace=[]), CheckCtx(trace=[])
-    ty = simple.fs_check_term((), t, first)
-    assert ty == simple.fs_check_term((), t, second)
+    ty = dependent.fs_check_term((), t, first)
+    assert ty == dependent.fs_check_term((), t, second)
     assert first.trace == second.trace
     assert S.alpha_eq(ty, parse_formula("nat -> nat"))
     assert "TC_LAM" in first.trace and "TC_VAR" in first.trace and "TC_SUCC" in first.trace
@@ -104,46 +104,54 @@ def test_fs_derivation_report_replays():
 # ---------------------------------------------------------------------------
 
 def test_is_env_store_wins():
-    got = simple.is_check_expr((("x", S.FTop()),), (("x", S.FNat(None)),), parse_expr("x"))
+    got = dependent.is_check_expr((("x", S.FTop()),), (("x", S.FNat(None)),), parse_expr("x"))
     assert got == S.FNat(None)
 
 
 def test_is_star_unit():
-    assert simple.is_check_expr((), (), parse_expr("*")) == S.FTop()
+    assert dependent.is_check_expr((), (), parse_expr("*")) == S.FTop()
 
 
 def test_is_addition_proc_type():
-    ty = simple.is_check_expr((), (), parse_expr(ADDITION))
+    ty = dependent.is_check_expr((), (), parse_expr(ADDITION))
     assert S.alpha_eq(ty, S.proc_t(S.ProtoBase((S.FNat(None), S.FNat(None)), S.OSimple((S.FNat(None),)))))
 
 
+def _check_is_main(body, out="[z : nat]"):
+    """check-source of an IS file whose main sequence is body."""
+    return pipeline.check_source(parse(f"discipline IS;\nmain {{ {body} }} out {out}"), [])
+
+
 def test_is_empty_returns_store():
-    omega = (("z", S.FNat(None)),)
-    assert simple.is_check_seq((), omega, parse_seq("")) == omega
+    """A block starts from its frame [z : nat], and its empty body ends
+    with that store."""
+    checked = _check_is_main("z := 0; { }[z : nat];")
+    assert checked.trace == ["T_NUM", "T_ASSIGN", "T_BLOCK", "T_EMPTY", "T_EMPTY"]
 
 
 def test_is_pseudo_dynamic_retyping():
-    omega = (("y", S.FTop()),)
-    final = simple.is_check_seq((), omega, parse_seq("y := 0;"))
-    assert final == (("y", S.FNat(None)),)
+    """The output y starts at top; assigning 0 retypes it to nat."""
+    _check_is_main("y := 0;", "[y : nat]")
+    with pytest.raises(CheckError) as err:
+        _check_is_main("", "[y : nat]")
+    assert err.value.reason == "OutputMismatch"
+    assert err.value.message == "main ends with store [y : top], declared out is [y : nat]"
 
 
 def test_is_for_invariant_frame():
-    omega = (("z", S.FNat(None)),)
-    final = simple.is_check_seq((), omega, parse_seq("for y := 0 until 2 { inc(z); }[z : nat];"))
-    assert final == omega
+    checked = _check_is_main("z := 0; for y := 0 until 2 { inc(z); }[z : nat];")
+    assert checked.trace.count("T_FOR") == 1
 
 
 def test_is_for_frame_not_invariant():
-    omega = (("z", S.FNat(None)),)
     with pytest.raises(CheckError) as err:
-        simple.is_check_seq((), omega, parse_seq("for y := 0 until 2 { z := *; }[z : nat];"))
+        _check_is_main("z := 0; for y := 0 until 2 { z := *; }[z : nat];")
     assert err.value.reason == "LoopFrameNotInvariant" and err.value.rule == "T_FOR"
 
 
 def test_is_output_mismatch():
     with pytest.raises(CheckError) as err:
-        simple.is_check_expr((), (), parse_expr("proc [x : nat] out [z : nat] { }"))
+        dependent.is_check_expr((), (), parse_expr("proc [x : nat] out [z : nat] { }"))
     assert err.value.reason == "OutputMismatch"
 
 
@@ -177,7 +185,7 @@ def test_translate_addition_shape():
         "let <z> = rec(x, <z>, fn i : nat => fn (z : nat) => let z = succ(z) in <z>) in <z>"
     )
     assert S.alpha_eq(t, expected)
-    assert S.alpha_eq(simple.fs_check_term((), t), parse_formula("<nat, nat> -> <nat>"))
+    assert S.alpha_eq(dependent.fs_check_term((), t), parse_formula("<nat, nat> -> <nat>"))
 
 
 def test_type_preservation_on_generated_programs():
@@ -186,13 +194,13 @@ def test_type_preservation_on_generated_programs():
         sf, entry, _ = gen.gen_is_program(rng, 20)
         gamma: S.Env = ()
         for name, expr in sf.csts:
-            ty = simple.is_check_expr(gamma, (), expr)
+            ty = dependent.is_check_expr(gamma, (), expr)
             gamma = gamma + ((name, ty),)
         tctx = translate.TranslateCtx("FS")
         sigma: S.Env = ()
         for (name, expr), (_, ty) in zip(sf.csts, gamma):
             term = translate.translate_expr(expr, tctx)
-            fty = simple.fs_check_term(sigma, term)
+            fty = dependent.fs_check_term(sigma, term)
             assert S.alpha_eq(fty, translate.translate_type(ty))
             sigma = sigma + ((name, fty),)
 
