@@ -37,12 +37,14 @@ instance and coercion must be written in the program.  Hypothetical
 premises over individuals are realized with eigenvariables; a fresh
 eigenvariable must never escape into a type visible outside its scope.
 
-An eigenvariable is a scoped renaming, not a substitution: opening a
-binder (`forall`, `lam n.`, `?n.`, a `for` index, a `rec` step) maps its
-name to a fresh eigenvariable in `CheckCtx.ren`, and the body is checked
-as written.  The renaming is applied where the checker reads
-individuals, types, families and annotations from the syntax, and to the
-syntax a message prints, so opening costs nothing per node of the body.
+An eigenvariable instantiates an index where syntax is read, not by
+substitution: opening a binder (`forall`, `lam n.`, `?n.`, a `for`
+index, a `rec` step) pushes a fresh eigenvariable on `CheckCtx.opened`,
+and the body is checked as written.  The indices that escape the
+individuals, types, families and annotations the checker reads from the
+syntax, and the syntax a message prints, are instantiated from that
+stack, so opening costs nothing per node of the body.  `lam n.` closes
+its eigenvariable back into the index of the `forall` it types.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class CheckCtx:
     """Per-run checker state: rule trace, warnings, whether the optional
     TC_PRED_D rule of FD checking is on, and the open binders.
 
-    `ren` maps the name of each open binder over individuals to its
-    eigenvariable.  It is a scoped map like the term environment (see
-    envs.bind): `open` binds a name, `close` undoes the latest opens, and
-    `read` applies the map to syntax the checker reads."""
+    `opened` holds the eigenvariable of each open binder over
+    individuals, the innermost last: the checker opens a binder where
+    the syntax it descends into does, so the index k that escapes what
+    it reads belongs to the binder of opened[-1 - k]."""
 
     def __init__(
         self,
@@ -75,34 +77,23 @@ class CheckCtx:
         self.warnings = warnings if warnings is not None else []
         self.allow_pred = allow_pred
         self.fresh = S.Freshener()
-        self.ren: dict = {}
-        self._eigens: set = set()  # the open binders' eigenvariables, shadowed ones too
-        self._opened: list = []  # (name, what envs.unbind needs, eigenvariable), in order
+        self.opened: list = []
 
-    def open(self, name: str) -> S.IVar:
-        """Open a binder: name reads as a fresh eigenvariable until closed."""
-        ev = S.IVar(self.fresh.fresh(name))
-        self._opened.append((name, envs.bind(self.ren, name, ev), ev.name))
-        self._eigens.add(ev.name)
+    def open(self, hint: str) -> S.IVar:
+        """Open a binder: its index reads as a fresh eigenvariable until closed."""
+        ev = S.IVar(self.fresh.fresh(hint))
+        self.opened.append(ev)
         return ev
 
     def close(self, count: int = 1) -> None:
-        """Close the count binders opened last, innermost first."""
-        for _ in range(count):
-            name, shadowed, eigen = self._opened.pop()
-            envs.unbind(self.ren, name, shadowed)
-            self._eigens.discard(eigen)
+        """Close the count binders opened last."""
+        del self.opened[len(self.opened) - count:]
 
-    def read(self, value: Any, bound: Optional[str] = None) -> Any:
-        """value as written, with each open binder's name renamed to its
-        eigenvariable.  bound is a binder of value's own scope, so it
-        shadows an open binder of the same name."""
-        ren = self.ren
-        if not ren:
-            return value
-        if bound in ren:
-            ren = {k: v for k, v in ren.items() if k != bound}
-        return S.subst_inds(value, ren, self._eigens)
+    def read(self, value: Any, depth: int = 0) -> Any:
+        """value as written, with the open binders' indices instantiated
+        by their eigenvariables; depth binders around value in the syntax
+        are not open yet, and their indices stay."""
+        return S.open_inds(value, self.opened, depth) if self.opened else value
 
     def rule(self, label: str) -> None:
         if self.trace is not None:
@@ -167,12 +158,12 @@ def check_coercion(
     proof_ty = check(proof)
     if not isinstance(proof_ty, S.FEq):
         raise CheckError(rule, f"coercion proof has type {show(proof_ty)}, expected an equation", span=span)
-    want = S.subst_ind(fam.body, fam.var, proof_ty.right)
+    want = S.subst_ind(fam.body, proof_ty.right)
     got = check(subject)
     if not S.alpha_eq(got, want):
         raise CheckError(rule, f"subject has type {show(got)}, expected {show(want)}", span=span)
     ctx.rule(rule)
-    return S.subst_ind(fam.body, fam.var, proof_ty.left)
+    return S.subst_ind(fam.body, proof_ty.left)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +259,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
             phi = _fd(env, body, ctx, fs)
             ctx.close()
             ctx.rule("TC_FORALL_I")
-            return _generalize(var, ev.name, phi, S.FForall)
+            return S.FForall(var, S.close_ind(phi, ev.name))
         case S.TIndApp(fn, arg):
             fnty = _fd(env, fn, ctx, fs)
             if not isinstance(fnty, S.FForall):
@@ -276,12 +267,12 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                     "TC_FORALL_E", f"instantiated a non-universal of type {show(fnty)}", span=t.span
                 )
             ctx.rule("TC_FORALL_E")
-            return S.subst_ind(fnty.body, fnty.var, ctx.read(arg))
+            return S.subst_ind(fnty.body, ctx.read(arg))
         case S.TPack(witness, value, ann):
             witness, ann = ctx.read(witness), ctx.read(ann)
             if not isinstance(ann, S.FExists):
                 raise CheckError("TC_EXISTS_I", f"pack annotation {show(ann)} is not existential", span=t.span)
-            want = S.subst_ind(ann.body, ann.var, witness)
+            want = S.subst_ind(ann.body, witness)
             got = _fd(env, value, ctx, fs)
             if not S.alpha_eq(got, want):
                 raise CheckError(
@@ -294,7 +285,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                 raise CheckError("TC_REC", "dependent rec requires a motive", span=t.span, reason="MissingMotive")
             motive = ctx.read(motive)
             idx = _fd_nat(env, bound, ctx, fs, "TC_REC", t.span)
-            base_want = S.subst_ind(motive.body, motive.var, S.IZero())
+            base_want = S.subst_ind(motive.body, S.IZero())
             base_got = _fd(env, base, ctx, fs)
             if not S.alpha_eq(base_got, base_want):
                 raise CheckError(
@@ -302,16 +293,14 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                 )
             match step:
                 case S.TIndLam(svar, S.TFn(yname, yann, sbody)):
+                    yann = ctx.read(yann, 1)  # its index 0 is svar's
                     ev = ctx.open(svar)
-                    if not S.alpha_eq(ctx.read(yann), S.FNat(ev)):
-                        shown = show(ctx.read(yann, bound=svar))
+                    if yann != S.FNat(S.IBound(0)):
+                        shown = show(S.subst_ind(yann, S.IVar(svar)))
                         raise CheckError(
                             "TC_REC", f"step counter annotated {shown}, expected nat({svar})", span=t.span
                         )
-                    want = S.FArrow(
-                        S.subst_ind(motive.body, motive.var, ev),
-                        S.subst_ind(motive.body, motive.var, S.ISucc(ev)),
-                    )
+                    want = S.FArrow(S.subst_ind(motive.body, ev), S.subst_ind(motive.body, S.ISucc(ev)))
                     shadowed = envs.bind(env, yname, S.FNat(ev))
                     got = _fd(env, sbody, ctx, fs)
                     envs.unbind(env, yname, shadowed)
@@ -325,7 +314,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
                         "TC_REC", "dependent rec step must be 'lam n. fn y : nat(n) => ...'", span=t.span
                     )
             ctx.rule("TC_REC")
-            return S.subst_ind(motive.body, motive.var, idx)
+            return S.subst_ind(motive.body, idx)
         case S.TAxiom(left, right):
             return check_axiom(left, right, ctx, "TC", t.span)
         case S.TCoerce(subject, fam, proof):
@@ -437,7 +426,7 @@ def _fd_match(
                 reason="MissingUnpack",
             )
         ev = ctx.open(body.var)
-        phi = S.subst_ind(phi.body, phi.var, ev)
+        phi = S.subst_ind(phi.body, ev)
         body = body.body
         ctx.rule("TC_EXISTS")
         opened.append((ev.name, span))
@@ -452,12 +441,6 @@ def _fd_match(
         bound.append((names, envs.bind_all(env, names, phi.items)))
         return body
     raise CheckError("TC_PRODUCT", f"cannot match a tuple pattern against {show(phi)}", span=span)
-
-
-def _generalize(var: str, eigen: str, phi: S.Formula, wrap) -> S.Formula:
-    free = S.free_ind_vars(phi) - {eigen}
-    binder = S._fresh_name(var, free)
-    return wrap(binder, S.subst_ind(phi, eigen, S.IVar(binder)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +495,6 @@ def is_check_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: Optional[CheckCtx]
     return _id_expr(gamma, omega, e, ctx or CheckCtx(), True)
 
 
-def id_check_seq(
-    gamma: S.Env, omega: S.Env, s: S.Seq, expected: S.QEnv, ctx: Optional[CheckCtx] = None
-) -> None:
-    """Check an ID sequence against an expected quantified output environment."""
-    _id_seq(gamma, omega, s, expected, ctx or CheckCtx(), False)
-
-
 def check_main(gamma: S.Env, main: S.MainI, ctx: CheckCtx, simple: bool) -> None:
     """An imperative file's main sequence, checked as the body of a
     procedure with no parameters; simple picks the IS fragment."""
@@ -560,7 +536,7 @@ def _id_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: CheckCtx, simple: bool)
             match fnty:
                 case S.PProc(S.ProtoAll(var, body)):
                     ctx.rule("T_PROC_INST")
-                    return S.proc_t(S.subst_ind(body, var, ctx.read(arg)))
+                    return S.proc_t(S.subst_ind(body, ctx.read(arg)))
                 case S.PNeg(S.OExists()):
                     raise CheckError(
                         "T_PROC_INST",
@@ -585,7 +561,7 @@ def _id_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: CheckCtx, simple: bool)
                     reason="NegationMismatch",
                 )
             ctx.rule("T_CONT_INST")
-            return S.PNeg(S.subst_ind(fam.body, fam.var, arg))
+            return S.PNeg(S.subst_ind(fam.body, arg))
     raise CheckError("ID", f"unhandled expression {show(ctx.read(e))}", span=getattr(e, "span", None))
 
 
@@ -621,7 +597,7 @@ def _id_check_header(
                 gamma = envs.append(gamma, params)
                 ctx.rule(rule)
             final = _id_seq(gamma, envs.init(names, S.FTop()), body, out, ctx, simple)
-            if simple and not S.alpha_env(final, out.env):
+            if simple and final != out.env:
                 raise CheckError(
                     rule,
                     f"{'main' if main else 'body'} ends with store {show_env(final)}, "
@@ -718,7 +694,7 @@ def _id_seq(
                     reason="WitnessMismatch",
                 )
             ctx.rule("T_WITNESS")
-            expected = S.subst_ind(ann.body, ann.var, ctx.read(item.witness))
+            expected = S.subst_ind(ann.body, ctx.read(item.witness))
             s = item.rest
             items, k = s.items, 0
         elif cls is S.SSubst:
@@ -728,7 +704,7 @@ def _id_seq(
                 raise CheckError(
                     "T_SUBST", f"coercion proof has type {show(proof_ty)}, expected an equation", span=item.span
                 )
-            claimed = S.subst_ind(fam.body, fam.var, proof_ty.left)
+            claimed = S.subst_ind(fam.body, proof_ty.left)
             if not S.alpha_eq(claimed, expected):
                 raise CheckError(
                     "T_SUBST",
@@ -736,7 +712,7 @@ def _id_seq(
                     span=item.span,
                 )
             ctx.rule("T_SUBST")
-            _id_seq(gamma, omega, item.body, S.subst_ind(fam.body, fam.var, proof_ty.right), ctx, simple)
+            _id_seq(gamma, omega, item.body, S.subst_ind(fam.body, proof_ty.right), ctx, simple)
             ctx.close(opened)
             return None
         elif cls is S.SUnpack:
@@ -761,7 +737,7 @@ def _id_seq(
                     )
                 ev = ctx.open(unpack.var)
                 opened += 1
-                theta = S.subst_ind(theta.body, theta.var, ev)
+                theta = S.subst_ind(theta.body, ev)
                 s = unpack.rest
                 items, k = s.items, 0
                 ctx.rule("TC_UPDATE_SEQ_II")
@@ -858,8 +834,8 @@ def _id_command(
             if simple and idx is not None:
                 raise CheckError("T_FOR", "indexed loops are not simple", span=cmd.span)
             if not simple:
-                frame = ctx.read(frame, bound=idx)
-            frame0 = S.subst_ind(frame, idx, S.IZero()) if idx else frame
+                frame = ctx.read(frame, 1)  # its index 0 is the loop's
+            frame0 = S.subst_ind(frame, S.IZero()) if idx else frame
             envs.subset(frame0, omega, "T_FOR", cmd.span)
             bound_ty = _id_expr(gamma, omega, bound, ctx, simple)
             if not isinstance(bound_ty, S.FNat) or (bound_ty.index is None) != simple:
@@ -869,7 +845,7 @@ def _id_command(
                 # an IS body starts from the frame, and must end with it
                 ctx.rule("T_FOR")
                 result = _id_seq(gamma + ((var, _NAT),), frame, body, None, ctx, simple)
-                if not S.alpha_env(result, frame):
+                if result != frame:
                     raise CheckError(
                         "T_FOR",
                         f"loop body maps frame {show_env(frame)} to {show_env(result)}",
@@ -877,18 +853,13 @@ def _id_command(
                         reason="LoopFrameNotInvariant",
                     )
                 return omega, None
-            if idx is not None:
-                ev = ctx.open(idx)
-                frame_n = S.subst_ind(frame, idx, ev)
-                frame_s = S.subst_ind(frame, idx, S.ISucc(ev))
-                frame_end = S.subst_ind(frame, idx, bound_ty.index)
-            else:
-                ev = S.IVar(ctx.fresh.fresh("i"))
-                frame_n, frame_s, frame_end = frame, frame, frame
+            ev = ctx.open("i" if idx is None else idx)
+            frame_n = S.subst_ind(frame, ev)
+            frame_s = S.subst_ind(frame, S.ISucc(ev))
+            frame_end = S.subst_ind(frame, bound_ty.index)
             ctx.rule("T_FOR")
             _id_seq(gamma + ((var, S.FNat(ev)),), frame_n, body, S.QSimple(frame_s), ctx, simple)
-            if idx is not None:
-                ctx.close()
+            ctx.close()
             return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
         case S.CCall(fn, args, outs):
             if len(set(outs)) != len(outs):

@@ -1,7 +1,9 @@
 """Concrete ASCII syntax: lexer and recursive-descent parser.
 
 The grammar ships in docs/grammar.ebnf.  Unicode spellings of the logic
-symbols are accepted as aliases; the printer emits ASCII only.
+symbols are accepted as aliases; the printer emits ASCII only.  The
+parser resolves the name of a bound individual to its index as it reads
+it (see syntax.py), so it keeps the binders it is under.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ class Parser:
         self.pos = 0
         self.warnings: List[str] = []
         self._fresh = 0
+        self.binders: List[Optional[str]] = []  # of the binders over individuals around, innermost last
 
     # -- token plumbing -----------------------------------------------------
     # The hot paths below read self.values and self.kinds directly.  A
@@ -243,6 +246,13 @@ class Parser:
         self._fresh += 1
         return f"_w{self._fresh}"
 
+    def bound(self, parse: Callable[[], Any], name: str) -> Any:
+        """parse() under a binder of name."""
+        self.binders.append(name)
+        value = parse()
+        self.binders.pop()
+        return value
+
     # -- individuals ----------------------------------------------------------
 
     def parse_ind(self) -> S.Ind:
@@ -253,6 +263,8 @@ class Parser:
             return S.num_ind(self.number())
         if kind == "ident":
             self.pos = pos + 1
+            if value in self.binders:
+                return S.IBound(self.binders[::-1].index(value))
             return S.IVar(value)
         if kind == "kw":
             unary = _UNARY_IND.get(value)
@@ -327,7 +339,7 @@ class Parser:
             self.pos += 1
             var = self.eat_ident()
             self.eat(".")
-            body = self.parse_formula()
+            body = self.bound(self.parse_formula, var)
             return S.FForall(var, body) if value == "forall" else S.FExists(var, body)
         left = self.parse_formula_unit()
         if self.values[self.pos] == "->":
@@ -447,7 +459,7 @@ class Parser:
             self.pos += 1
             var = self.eat_ident()
             self.eat(".")
-            return S.OExists(var, self.parse_output())
+            return S.OExists(var, self.bound(self.parse_output, var))
         self.eat("[")
         types: List[S.Prop] = []
         if not self.at("]"):
@@ -463,7 +475,7 @@ class Parser:
             self.pos += 1
             var = self.eat_ident()
             self.eat(".")
-            return S.ProtoAll(var, self.parse_proto())
+            return S.ProtoAll(var, self.bound(self.parse_proto, var))
         self.eat("(")
         self.eat("[")
         params: List[S.Prop] = []
@@ -498,7 +510,7 @@ class Parser:
             self.pos += 1
             var = self.eat_ident()
             self.eat(".")
-            return S.QExists(var, self.parse_qenv())
+            return S.QExists(var, self.bound(self.parse_qenv, var))
         self.eat("[")
         return S.QSimple(self.parse_bindings("]", "prop"))
 
@@ -542,7 +554,7 @@ class Parser:
                 self.eat("{")
                 var = self.eat_ident()
                 self.eat("/")
-                out = self.parse_output()
+                out = self.bound(self.parse_output, var)
                 self.eat("}")
                 self.eat("{")
                 arg = self.parse_ind()
@@ -553,7 +565,7 @@ class Parser:
                 self.eat("{")
                 var = self.eat_ident()
                 self.eat("/")
-                ty = self.parse_prop()
+                ty = self.bound(self.parse_prop, var)
                 self.eat("}")
                 self.eat("[")
                 proof = self.parse_expr()
@@ -601,7 +613,7 @@ class Parser:
             self.pos += 1
             var = self.eat_ident()
             self.eat(".")
-            return S.HForall(var, self.parse_header())
+            return S.HForall(var, self.bound(self.parse_header, var))
         self.eat("[")
         params = self.parse_bindings("]", "prop")
         self.eat("out")
@@ -618,8 +630,9 @@ class Parser:
         the rest of the sequence: it waits in `owners`, with the items
         before it, until the rest is parsed, and the owners are then put
         together innermost first.  A `(...)` group that no `:>` follows
-        is spliced in."""
+        is spliced in, and a `?n.` that ends it scopes over the rest too."""
         values = self.values
+        start = len(self.binders)
         items: List[Any] = []
         owners: List[Tuple[List[Any], Any]] = []
         coerced = False  # whether a group spliced in ended with a ':>' group
@@ -654,6 +667,7 @@ class Parser:
                 self.pos = pos + 1
                 var = self.eat_ident()
                 self.eat(".")
+                self.binders.append(var)
                 owners.append((items, S.SUnpack(var, None, span=span)))
                 items = []
             elif value == "[":
@@ -677,7 +691,7 @@ class Parser:
                     self.eat("{")
                     var = self.eat_ident()
                     self.eat("/")
-                    qenv = self.parse_qenv()
+                    qenv = self.bound(self.parse_qenv, var)
                     self.eat("}")
                     self.eat("[")
                     proof = self.parse_expr()
@@ -692,6 +706,8 @@ class Parser:
                     self.pos += 1
                 while group.items and isinstance(group.items[-1], (S.SUnpack, S.SWitness)):
                     owner = group.items[-1]
+                    if type(owner) is S.SUnpack:
+                        self.binders.append(owner.var)
                     owners.append((items + list(group.items[:-1]), owner))
                     items, group = [], owner.rest
                 items += group.items
@@ -708,6 +724,7 @@ class Parser:
                             "a ':>'-coerced sequence cannot be followed by commands", *follower.span
                         )
         seq = S.Seq(tuple(items), span=self.span())
+        del self.binders[start:]
         while owners:
             items, owner = owners.pop()
             items.append(S._rebuild(owner, rest=seq))
@@ -756,10 +773,12 @@ class Parser:
             self.eat("until")
             bound = self.parse_expr()
             self.eat("{")
+            self.binders.append(idx)  # over the body and the frame; None for no name
             body = self.parse_seq()
             self.eat("}")
             self.eat("[")
             frame = self.parse_bindings("]", "prop")
+            self.binders.pop()
             self.eat(";")
             return S.CFor(var, idx, bound, body, frame, span=span)
         if value == "{":
@@ -808,6 +827,7 @@ class Parser:
         first."""
         values = self.values
         chain: List[Tuple[Any, ...]] = []  # (class, binder, bound value or None, span)
+        start = len(self.binders)
         while True:
             pos = self.pos
             value = values[pos]
@@ -838,10 +858,12 @@ class Parser:
                 self.pos = pos + 1
                 var = self.eat_ident()
                 self.eat(".")
+                self.binders.append(var)
                 chain.append((S.TUnpack, var, None, span))
             else:
                 break
         term = self._parse_term_rest()
+        del self.binders[start:]
         for cls, binder, bound, span in reversed(chain):
             if cls is S.TUnpack:
                 term = S.TUnpack(binder, term, span=span)
@@ -860,7 +882,7 @@ class Parser:
             self.pos = pos + 1
             var = self.eat_ident()
             self.eat(".")
-            return S.TIndLam(var, self.parse_term(), span=span)
+            return S.TIndLam(var, self.bound(self.parse_term, var), span=span)
         if value == "callcc":
             self.pos = pos + 1
             return S.TCallcc(self.parse_term(), span=span)
@@ -881,7 +903,7 @@ class Parser:
             self.eat("{")
             var = self.eat_ident()
             self.eat("/")
-            phi = self.parse_formula()
+            phi = self.bound(self.parse_formula, var)
             self.eat("}")
             self.eat("[")
             proof = self.parse_term()
@@ -975,7 +997,7 @@ class Parser:
                 self.pos += 1
                 var = self.eat_ident()
                 self.eat(".")
-                phi = self.parse_formula()
+                phi = self.bound(self.parse_formula, var)
                 self.eat("}")
                 motive = S.Fam(var, phi)
             self.eat("(")

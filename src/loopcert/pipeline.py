@@ -183,7 +183,7 @@ def _entry(sf: S.SourceFile, types: Tuple[Tuple[str, S.Formula], ...], args: Tup
     entry = sf.csts[-1][0]
     ty = types[len(sf.csts) - 1][1]
     while isinstance(ty, S.FForall):
-        ty = ty.body
+        ty = S.subst_ind(ty.body, S.IVar(ty.var))  # shown with the binder's name
     params = ty.dom.items if isinstance(ty, S.FArrow) and isinstance(ty.dom, S.FTuple) else None
     if params is None or not all(isinstance(p, S.FNat) for p in params):
         raise EvalError(

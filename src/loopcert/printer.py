@@ -1,7 +1,6 @@
 """Deterministic pretty-printer.
 
-Output stays within the concrete grammar so that parse(print(x)) is
-alpha-equal to x for every node; binder names are printed verbatim.
+Output stays within the concrete grammar so that parse(print(x)) == x.
 
 It is one writer, linear in the length of its output: each node appends
 its pieces to one list, which each public entry point joins once.  Nodes
@@ -10,15 +9,37 @@ prefixes, the last child of a term and sequence items are walked in
 loops, and a nested body gets its indentation as a prefix passed down.
 A nesting level takes one host frame, or two inside brackets (a tuple,
 `succ(...)`, `rec(...)`), never more than the checkers take for it.
+
+A binder over individuals is named with the first of its hint `n`,
+`n_2`, ... that is neither free in its body nor the name of a binder
+around it that its body refers to.  That is known only once the body is
+written, so the list holds the binder, not its name, wherever the name
+goes, and the names are chosen outermost first when it is joined.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from operator import itemgetter
+from typing import Any, Callable
 
 from . import syntax as S
 
-Out = List[str]
+
+class Out(list):
+    """The pieces of a text: strings, and binders [name, free names of its
+    body, binders around it that its body refers to, by id].  `scope`
+    holds the binders around what is being written, innermost last."""
+
+    __slots__ = ("scope", "binders")
+
+
+def _bind(out: Out, before: str, hint: Any, after: str) -> None:
+    """Write a binder with hint between before and after; it scopes over
+    what is written until it leaves out.scope."""
+    binder = [hint, set(), {}]
+    out.binders.append(binder)
+    out.extend((before, binder, after))
+    out.scope.append(binder)
 
 
 def show(node: Any) -> str:
@@ -41,8 +62,26 @@ def show_qenv(q: S.QEnv) -> str:
 
 
 def show_file(f: S.SourceFile) -> str:
+    return _text(_file, f)
+
+
+def _text(write: Callable, node: Any) -> str:
+    out = Out()
+    out.scope, out.binders = [], []
+    write(node, out)
+    for binder in out.binders:  # outermost first
+        stem, free, refs = binder
+        taken = free.union(map(itemgetter(0), refs.values()))
+        k = 2
+        while binder[0] in taken:
+            binder[0] = f"{stem}_{k}"
+            k += 1
+    return "".join([x if type(x) is str else x[0] for x in out] if out.binders else out)
+
+
+def _file(f: S.SourceFile, out: Out) -> None:
     functional = f.discipline in ("FS", "FD")
-    out: Out = [f"discipline {f.discipline};\n"]
+    out.append(f"discipline {f.discipline};\n")
     for name, value in f.csts:
         _list(out, f"\ncst {name} = ", (value,), ";\n", _term if functional else _expr)
     if f.main is not None and functional:
@@ -51,13 +90,6 @@ def show_file(f: S.SourceFile) -> str:
         out.append("\nmain {\n")
         _seq(f.main.body, out, "  ")
         _list(out, "} out ", (f.main.out,), "\n", _prop)
-    return "".join(out)
-
-
-def _text(write: Callable, node: Any) -> str:
-    out: Out = []
-    write(node, out)
-    return "".join(out)
 
 
 def _list(out: Out, before: str, items: Any, after: str, write: Callable, *args: Any) -> None:
@@ -86,7 +118,17 @@ def _ind(i: S.Ind, out: Out, before: str = "", after: str = "") -> None:
         else:
             _ind(i.left, out, "", ", ")
             i = i.right
-    out.append((i.name if type(i) is S.IVar else _NAMES[type(i)]) + ")" * depth + after)
+    cls = type(i)
+    if cls is S.IBound:
+        binder = out.scope[-1 - i.index]
+        for inner in out.scope[len(out.scope) - i.index:]:  # they must not take its name
+            inner[2][id(binder)] = binder
+        out.extend((binder, ")" * depth + after))
+        return
+    if cls is S.IVar:
+        for around in out.scope:
+            around[1].add(i.name)
+    out.append((i.name if cls is S.IVar else _NAMES[cls]) + ")" * depth + after)
 
 
 # -- types ------------------------------------------------------------------
@@ -95,6 +137,7 @@ def _formula(phi: S.Formula, out: Out, ctx: int = 0) -> None:
     """ctx is phi's position: 0 anywhere, 1 an arrow's domain, 2 an atom
     position.  A form that binds looser is put in parentheses."""
     close = 0
+    scoped = len(out.scope)
     while True:
         cls = type(phi)
         if cls is S.FArrow:
@@ -113,7 +156,7 @@ def _formula(phi: S.Formula, out: Out, ctx: int = 0) -> None:
             if ctx:
                 out.append("(")
                 close += 1
-            out.append(f"{'forall' if cls is S.FForall else 'exists'} {phi.var}. ")
+            _bind(out, "forall " if cls is S.FForall else "exists ", phi.var, ". ")
             phi, ctx = phi.body, 0
         else:
             break
@@ -127,16 +170,18 @@ def _formula(phi: S.Formula, out: Out, ctx: int = 0) -> None:
     else:
         out.append(phi.name if cls is S.FProp else _NAMES[cls])
     out.append(")" * close)
+    del out.scope[scoped:]
 
 
 def _prop(p: Any, out: Out, ctx: int = 2) -> None:
     """An imperative-side type: a prop, an output, a prototype or a
     quantified environment.  A prop that is a formula is printed as a
     formula at position ctx (an atom, unless in an environment)."""
+    scoped = len(out.scope)
     while True:
         cls = type(p)
         if cls is S.OExists or cls is S.QExists or cls is S.ProtoAll:
-            out.append(f"{'forall' if cls is S.ProtoAll else 'exists'} {p.var}. ")
+            _bind(out, "forall " if cls is S.ProtoAll else "exists ", p.var, ". ")
             p = p.body
         elif cls is S.PProc:
             out.append("proc ")
@@ -158,6 +203,7 @@ def _prop(p: Any, out: Out, ctx: int = 2) -> None:
         out.append(")")
     else:
         _formula(p, out, ctx)
+    del out.scope[scoped:]
 
 
 def _env(env: S.Env, out: Out) -> None:
@@ -182,7 +228,8 @@ def _term(t: S.Term, out: Out, ctx: int = 0) -> None:
     if type(t) is S.TVar:  # the most frequent call, taken before the loop
         out.append(t.name)
         return
-    closers: Out = []
+    closers = []
+    scoped = len(out.scope)
     while True:
         cls = type(t)
         prec = _TERM_PREC.get(cls, 0)
@@ -206,13 +253,11 @@ def _term(t: S.Term, out: Out, ctx: int = 0) -> None:
             out.append(" => ")
             t, ctx = t.body, 0
         elif cls is S.TIndLam or cls is S.TUnpack:
-            out.append(f"lam {t.var}. " if cls is S.TIndLam else f"?{t.var}. ")
+            _bind(out, "lam " if cls is S.TIndLam else "?", t.var, ". ")
             t, ctx = t.body, 0
         elif cls is S.TCoerce:
             _term(t.subject, out, 1)
-            out.append(f" :> {{{t.fam.var}/")
-            _formula(t.fam.body, out)
-            out.append("}[")
+            _family(out, " :> {", t.fam, "/", _formula, "}[")
             closers.append("]")
             t, ctx = t.proof, 0
         elif cls is S.TThrow:
@@ -237,10 +282,9 @@ def _term(t: S.Term, out: Out, ctx: int = 0) -> None:
     elif cls is S.TSucc or cls is S.TPred:
         _list(out, "succ(" if cls is S.TSucc else "pred(", (t.arg,), ")", _term)
     elif cls is S.TRec:
-        out.append("rec")
         if t.motive is not None:
-            _list(out, f"{{{t.motive.var}.", (t.motive.body,), "}", _formula)
-        _list(out, "(", (t.bound, t.base, t.step), ")", _term)
+            _family(out, "rec{", t.motive, ".", _formula, "}")
+        _list(out, "(" if t.motive else "rec(", (t.bound, t.base, t.step), ")", _term)
     elif cls is S.TAxiom:
         _ind(t.left, out, "", " = ")
         _ind(t.right, out)
@@ -252,6 +296,14 @@ def _term(t: S.Term, out: Out, ctx: int = 0) -> None:
         raise AssertionError(t)
     if closers:
         out.extend(reversed(closers))
+    del out.scope[scoped:]
+
+
+def _family(out: Out, before: str, fam: S.Fam, sep: str, write: Callable, after: str) -> None:
+    _bind(out, before, fam.var, sep)
+    write(fam.body, out)
+    out.scope.pop()
+    out.append(after)
 
 
 # -- imperative expressions, sequences and commands -------------------------
@@ -265,23 +317,25 @@ def _expr(e: S.Expr, out: Out, ind: str = "", post: bool = False) -> None:
     elif cls is S.EInst or cls is S.EContInst:
         _expr(e.fn, out, ind, True)
         if cls is S.EContInst:
-            _list(out, f" <: {{{e.fam.var}/", (e.fam.body,), "}", _prop)
+            _family(out, " <: {", e.fam, "/", _prop, "}")
         _ind(e.arg, out, "{", "}")
     elif cls is S.ECoerce:
         _expr(e.subject, out, ind, True)
-        _list(out, f" :> {{{e.fam.var}/", (e.fam.body,), "}[", _prop)
+        _family(out, " :> {", e.fam, "/", _prop, "}[")
         _expr(e.proof, out, ind)
         out.append("]")
     elif cls is S.EProc:
         out.append("proc ")
         h = e.header
+        scoped = len(out.scope)
         while type(h) is S.HForall:
-            out.append(f"forall {h.var}. ")
+            _bind(out, "forall ", h.var, ". ")
             h = h.body
         _env(h.params, out)
         _list(out, " out ", (h.out,), " {\n", _prop)
         _seq(h.body, out, ind + "  ")
         out.append(ind + "}")
+        del out.scope[scoped:]
     elif cls is S.EAxiom:
         _ind(e.left, out, "(" if post else "", " = ")
         _ind(e.right, out, "", ")" if post else "")
@@ -298,6 +352,7 @@ def _seq(s: S.Seq, out: Out, ind: str) -> None:
     inner = ind + "  "
     items = s.items
     k = 0
+    scoped = len(out.scope)
     while k < len(items):
         item = items[k]
         k += 1
@@ -313,10 +368,18 @@ def _seq(s: S.Seq, out: Out, ind: str) -> None:
             _expr(item.fn, out, ind, True)
             _list(out, "(", item.args, f"; {', '.join(item.outs)});", _expr, ind)
         elif cls is S.CFor:
-            idx = "" if item.idx is None else f" : nat({item.idx})"
-            _list(out, f"for {item.var}{idx} := 0 until ", (item.bound,), " {\n", _expr, ind)
+            if item.idx is None:  # the index that no name refers to
+                out.append(f"for {item.var} := 0 until ")
+                binder = [None, set(), {}]
+            else:
+                _bind(out, f"for {item.var} : nat(", item.idx, ") := 0 until ")
+                binder = out.scope.pop()
+            _expr(item.bound, out, ind)
+            out.append(" {\n")
+            out.scope.append(binder)  # over the body and the frame
             _seq(item.body, out, inner)
             _list(out, ind + "}", (item.frame,), ";", _env)
+            out.scope.pop()
         elif cls is S.CBlock or cls is S.CLabel:
             out.append("{\n" if cls is S.CBlock else f"{item.name} : {{\n")
             _seq(item.body, out, inner)
@@ -329,7 +392,7 @@ def _seq(s: S.Seq, out: Out, ind: str) -> None:
                 _expr(arg, out, ind)
             _list(out, ")", (item.ann,), ";", _prop)
         elif cls is S.SUnpack:
-            out.append(f"?{item.var}.")
+            _bind(out, "?", item.var, ".")
             items, k = item.rest.items, 0
         elif cls is S.SWitness:
             _ind(item.witness, out, "[", " in ")
@@ -339,12 +402,13 @@ def _seq(s: S.Seq, out: Out, ind: str) -> None:
         elif cls is S.SSubst:
             out.append("(\n")
             _seq(item.body, out, inner)
-            _list(out, f"{ind}) :> {{{item.fam.var}/", (item.fam.body,), "}[", _prop)
+            _family(out, ind + ") :> {", item.fam, "/", _prop, "}[")
             _expr(item.proof, out, ind)
             out.append("];")
         else:
             raise AssertionError(item)
         out.append("\n")
+    del out.scope[scoped:]
 
 
 def _lines(s: S.Seq, out: Out) -> None:
@@ -359,7 +423,7 @@ _CATEGORIES = (
     (S.Ind, _ind), (S.Formula, _formula), (S.Prop, _prop), (S.Output, _prop), (S.Proto, _prop),
     (S.QEnv, _prop), (S.Term, _term), (S.Expr, _expr), (S.Seq, _lines),
     (S.Command, lambda c, out: _lines(S.Seq((c,)), out)),
-    (S.SourceFile, lambda f, out: out.append(show_file(f))),
+    (S.SourceFile, _file),
     (S.Header, lambda h, out: _expr(S.EProc(h), out)),
 )
 _SHOW = {cls: write for base, write in reversed(_CATEGORIES)

@@ -14,6 +14,25 @@ proposition variables are one set of classes (``FNat``, ``FEq``,
 Only procedure types and negations (``PProc``, ``PNeg``) are props alone.
 All nodes are immutable and slotted (no per-node ``__dict__``);
 operations in this module are pure functions.
+
+Binders over individuals are locally nameless.  Each class with a
+``_binds_ind`` attribute binds one individual over the fields it lists:
+``forall``/``exists`` in formulas, outputs and quantified environments,
+``ProtoAll``, ``{n/...}`` families, ``lam n.``, ``?n.`` in terms and in
+sequences, ``HForall`` and the index of a ``for``.  A bound individual
+is ``IBound(k)``, where k counts the binders between it and its own, and
+only a free one is an ``IVar``.  A binder's name is a hint for the
+printer that ``==`` and ``hash`` ignore, so equality is alpha-equality.
+A ``for`` written without an index binds one that no name refers to
+(hint None); ``==`` tells the two apart.  Term variables stay named.
+
+So substitution never renames: ``subst_ind`` instantiates a binder,
+``open_inds`` the indices that escape a value, and ``close_ind`` turns a
+free name into the index of a binder put around a value.  The checkers
+instantiate with locally closed individuals (no index escapes them); the
+translation may not, and ``subst_ind`` lifts the escaping indices of the
+replacement under the binders it passes.  The parser resolves names to
+indices as it reads, and the printer picks names from the hints.
 """
 
 from __future__ import annotations
@@ -37,6 +56,11 @@ def _span_field() -> Any:
     return field(default=None, compare=False, repr=False)
 
 
+def _hint() -> Any:
+    """A binder's name: a printing hint that == and hash ignore."""
+    return field(compare=False)
+
+
 # ---------------------------------------------------------------------------
 # Individuals
 # ---------------------------------------------------------------------------
@@ -48,6 +72,13 @@ class Ind(Node):
 @dataclass(frozen=True, slots=True)
 class IVar(Ind):
     name: str
+
+
+@dataclass(frozen=True, slots=True)
+class IBound(Ind):
+    """An individual bound by the index-th binder around it, from 0."""
+
+    index: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,18 +174,18 @@ class FArrow(Formula):
 
 @dataclass(frozen=True, slots=True)
 class FForall(Formula):
-    var: str
+    var: str = _hint()
     body: Formula
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
 class FExists(Formula):
-    var: str
+    var: str = _hint()
     body: Formula
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,10 +270,10 @@ class OSimple(Output):
 
 @dataclass(frozen=True, slots=True)
 class OExists(Output):
-    var: str
+    var: str = _hint()
     body: Output
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,10 +284,10 @@ class ProtoBase(Proto):
 
 @dataclass(frozen=True, slots=True)
 class ProtoAll(Proto):
-    var: str
+    var: str = _hint()
     body: Proto
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,10 +297,10 @@ class QSimple(QEnv):
 
 @dataclass(frozen=True, slots=True)
 class QExists(QEnv):
-    var: str
+    var: str = _hint()
     body: QEnv
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 def proc_t(proto: Proto) -> Prop:
@@ -288,10 +319,10 @@ def proc_t(proto: Proto) -> Prop:
 class Fam(Node):
     """A one-binder parametrized node {n/X}; X may be of any category."""
 
-    var: str
+    var: str = _hint()
     body: Any
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +363,6 @@ class TFn(Term):
     body: Term
     span: Optional[Span] = _span_field()
 
-    _binds_term = (("param", ("body",)),)
-
 
 @dataclass(frozen=True, slots=True)
 class TApp(Term):
@@ -344,11 +373,11 @@ class TApp(Term):
 
 @dataclass(frozen=True, slots=True)
 class TIndLam(Term):
-    var: str
+    var: str = _hint()
     body: Term
     span: Optional[Span] = _span_field()
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,8 +409,6 @@ class TLet(Term):
     body: Term
     span: Optional[Span] = _span_field()
 
-    _binds_term = (("name", ("body",)),)
-
 
 @dataclass(frozen=True, slots=True)
 class TLetMatch(Term):
@@ -389,8 +416,6 @@ class TLetMatch(Term):
     value: Term
     body: Term
     span: Optional[Span] = _span_field()
-
-    _binds_term = (("names", ("body",)),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,11 +428,11 @@ class TPack(Term):
 
 @dataclass(frozen=True, slots=True)
 class TUnpack(Term):
-    var: str
+    var: str = _hint()
     body: Term
     span: Optional[Span] = _span_field()
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -517,10 +542,10 @@ class HBase(Header):
 
 @dataclass(frozen=True, slots=True)
 class HForall(Header):
-    var: str
+    var: str = _hint()
     body: Header
 
-    _binds_ind = (("var", ("body",)),)
+    _binds_ind = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -530,16 +555,24 @@ class CBlock(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CFor(Command):
     var: str  # loop counter ident
-    idx: Optional[str]  # index binder over body and frame; None when simple
+    idx: Optional[str]  # the index's hint; None when the loop is written without one
     bound: Expr
     body: Seq
     frame: Env
     span: Optional[Span] = _span_field()
 
-    _binds_ind = (("idx", ("body", "frame")),)
+    _binds_ind = ("body", "frame")
+
+    # == ignores the hint, but not whether there is one
+    def __eq__(self, other: Any) -> bool:
+        return type(other) is CFor and (self.idx is None) == (other.idx is None) and (
+            self.var, self.bound, self.body, self.frame) == (other.var, other.bound, other.body, other.frame)
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.idx is None, self.bound, self.body, self.frame))
 
 
 @dataclass(frozen=True, slots=True)
@@ -620,11 +653,11 @@ class SVar(SeqItem):
 
 @dataclass(frozen=True, slots=True)
 class SUnpack(SeqItem):
-    var: str
+    var: str = _hint()
     rest: Seq
     span: Optional[Span] = _span_field()
 
-    _binds_ind = (("var", ("rest",)),)
+    _binds_ind = ("rest",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -682,8 +715,7 @@ class _Plan:
     """What the generic traversals need to know about one node class,
     worked out once per class instead of at every node."""
 
-    __slots__ = ("cls", "fields", "syntax_fields", "has_span", "ind_binds", "term_binds",
-                 "handled", "binder_fields")
+    __slots__ = ("cls", "fields", "compared", "has_span", "shifts")
 
     def __init__(self, cls: type) -> None:
         all_fields = fields(cls)
@@ -692,14 +724,11 @@ class _Plan:
         own = all_fields[:-1] if self.has_span else all_fields
         assert all(f.name != "span" for f in own), f"{cls.__name__}: span must come last"
         self.fields = tuple(f.name for f in own)
-        self.syntax_fields = tuple(f.name for f in own if f.type not in _ATOM_TYPES)
-        self.ind_binds = getattr(cls, "_binds_ind", ())
-        self.term_binds = getattr(cls, "_binds_term", ())
-        # fields subst_inds leaves to the binder handling
-        self.handled = frozenset(f for _, scoped in self.ind_binds for f in scoped) | {
-            bf for bf, _ in self.ind_binds
-        }
-        self.binder_fields = frozenset(bf for bf, _ in self.ind_binds + self.term_binds)
+        self.compared = tuple(f.name for f in own if f.compare)
+        # (field, 1 if the node's binder scopes over it else 0), for the
+        # fields that may hold syntax
+        scoped = getattr(cls, "_binds_ind", ())
+        self.shifts = tuple((f.name, int(f.name in scoped)) for f in own if f.type not in _ATOM_TYPES)
 
     def build(self, node: Node, changes: dict) -> Node:
         """A copy of node with some fields replaced, its span kept."""
@@ -725,42 +754,29 @@ def node_fields(node: Node) -> Tuple[str, ...]:
 
 
 def free_ind_vars(node: Any) -> frozenset:
-    """Free individual variables of any syntax value (nodes or tuples)."""
+    """The free individual variables of any syntax value (nodes or
+    tuples): the names of its IVars, as a bound individual has none."""
     out: set = set()
-    _free_ind(node, out, ())
+    _free_ind(node, out)
     return frozenset(out)
 
 
-def _free_ind(value: Any, acc: set, bound: Tuple[str, ...]) -> None:
+def _free_ind(value: Any, acc: set) -> None:
     cls = type(value)
-    while cls is TLet or cls is TLetMatch:  # a let chain binds no individuals
-        _free_ind(value.value, acc, bound)
+    while cls is TLet or cls is TLetMatch:  # a let chain, walked with a loop
+        _free_ind(value.value, acc)
         value = value.body
         cls = type(value)
     if cls is IVar:
-        if value.name not in bound:
-            acc.add(value.name)
-        return
-    if cls is tuple:
+        acc.add(value.name)
+    elif cls is tuple:
         for item in value:
-            _free_ind(item, acc, bound)
-        return
-    plan = _PLANS.get(cls)
-    if plan is None:
-        return
-    if not plan.ind_binds:
-        for fname in plan.syntax_fields:
-            _free_ind(getattr(value, fname), acc, bound)
-        return
-    bound_fields: dict = {}
-    for binder_field, scoped in plan.ind_binds:
-        binder = getattr(value, binder_field)
-        if binder is not None:
-            for name in scoped:
-                bound_fields.setdefault(name, []).append(binder)
-    for fname in plan.syntax_fields:
-        extra = bound_fields.get(fname)
-        _free_ind(getattr(value, fname), acc, bound + tuple(extra) if extra else bound)
+            _free_ind(item, acc)
+    else:
+        plan = _PLANS.get(cls)
+        if plan is not None:
+            for fname, _ in plan.shifts:
+                _free_ind(getattr(value, fname), acc)
 
 
 def _rebuild(node: Node, **changes: Any) -> Node:
@@ -769,28 +785,41 @@ def _rebuild(node: Node, **changes: Any) -> Node:
     return _PLANS[type(node)].build(node, changes)
 
 
-def subst_ind(value: Any, name: str, replacement: Ind) -> Any:
-    """Capture-avoiding substitution of an individual for a variable.
-
-    Works uniformly over every category admitting meta-application;
-    binders that would capture free variables of the replacement are
-    renamed first.  Subtrees in which nothing changes are shared with
-    the input: when name is not free in value, value itself is returned.
-    """
-    free_repl = free_ind_vars(replacement)
-    return subst_inds(value, {name: replacement}, free_repl)
+def subst_ind(body: Any, replacement: Ind) -> Any:
+    """Instantiate a binder: body, the syntax a binder scopes over, with
+    the individual it binds replaced by replacement, an individual of the
+    binder's own scope.  Subtrees in which nothing changes are shared
+    with the input."""
+    return open_inds(body, (replacement,))
 
 
-def subst_inds(value: Any, sub: dict, free_repl: frozenset | set) -> Any:
-    """subst_ind of every variable sub maps, at once.  free_repl holds the
-    free variables of sub's individuals; sub is never changed."""
+def close_ind(value: Any, name: str) -> Any:
+    """The body of a binder of name around value, which must be locally
+    closed: value with each free `name` turned into that binder's index."""
+    return open_inds(value, (), 0, name)
+
+
+def open_inds(value: Any, subs: Any, depth: int = 0, name: Optional[str] = None) -> Any:
+    """value with each index that escapes it past its own binders and
+    depth more replaced from subs, which lists the binders the indices
+    escape to, the innermost last: the one that escapes by j more by
+    subs[-1 - j], and one that escapes past subs lowered by len(subs).
+    With a name, close_ind's walk instead."""
     cls = type(value)
+    if cls is IBound:
+        j = value.index - depth
+        if j < 0:
+            return value
+        if j >= len(subs):
+            return IBound(value.index - len(subs)) if subs else value
+        sub = subs[-1 - j]
+        return sub if depth == 0 or type(sub) is IVar else _lift(sub, depth)
     if cls is IVar:
-        return sub.get(value.name, value)
+        return IBound(depth) if value.name == name else value
     if cls is tuple:
         out = None
         for k, item in enumerate(value):
-            new = subst_inds(item, sub, free_repl)
+            new = open_inds(item, subs, depth, name)
             if new is not item:
                 if out is None:
                     out = list(value[:k])
@@ -799,16 +828,14 @@ def subst_inds(value: Any, sub: dict, free_repl: frozenset | set) -> Any:
                 out.append(item)
         return value if out is None else tuple(out)
     if cls is TLet or cls is TLetMatch:
-        return _subst_lets(value, sub, free_repl)
+        return _open_lets(value, subs, depth, name)
     plan = _PLANS.get(cls)
     if plan is None:
         return value
-    if plan.ind_binds:
-        return _subst_binder(value, plan, sub, free_repl)
     changes = None
-    for fname in plan.syntax_fields:
+    for fname, shift in plan.shifts:
         old = getattr(value, fname)
-        new = subst_inds(old, sub, free_repl)
+        new = open_inds(old, subs, depth + shift, name)
         if new is not old:
             if changes is None:
                 changes = {}
@@ -816,74 +843,28 @@ def subst_inds(value: Any, sub: dict, free_repl: frozenset | set) -> Any:
     return value if changes is None else plan.build(value, changes)
 
 
-def _subst_lets(value: Node, sub: dict, free_repl: frozenset) -> Node:
-    """subst_inds along a chain of lets, with a loop: a chain is as long as the
-    sequence it translates.  The lets are rebuilt innermost first."""
+def _lift(i: Ind, by: int) -> Ind:
+    """Individual i under by more binders: its indices raised by by."""
+    if type(i) is IBound:
+        return IBound(i.index + by)
+    plan = _PLANS[type(i)]
+    return plan.build(i, {f: _lift(getattr(i, f), by) for f, _ in plan.shifts}) if plan.shifts else i
+
+
+def _open_lets(value: Node, subs: Any, depth: int, name: Optional[str]) -> Node:
+    """open_inds along a chain of lets, with a loop: a chain is as long as
+    the sequence it translates.  The lets are rebuilt innermost first."""
     chain = []
     while type(value) is TLet or type(value) is TLetMatch:
-        chain.append((value, subst_inds(value.value, sub, free_repl)))
+        chain.append((value, open_inds(value.value, subs, depth, name)))
         value = value.body
-    body = subst_inds(value, sub, free_repl)
+    body = open_inds(value, subs, depth, name)
     for node, new_value in reversed(chain):
         if new_value is not node.value or body is not node.body:
             body = _rebuild(node, value=new_value, body=body)
         else:
             body = node
     return body
-
-
-def _subst_binder(value: Node, plan: _Plan, sub: dict, free_repl: frozenset) -> Node:
-    """subst_inds at a node binding individuals: drop shadowed substitutions,
-    rename the binder where it would capture a variable of the replacement."""
-    changes: dict = {}
-    for binder_field, scoped in plan.ind_binds:
-        binder = getattr(value, binder_field)
-        if binder is None:
-            # an absent binder (index-free loops) binds nothing
-            for f in scoped:
-                changes[f] = subst_inds(getattr(value, f), sub, free_repl)
-            continue
-        live = sub if binder not in sub else {k: v for k, v in sub.items() if k != binder}
-        if binder in free_repl:
-            # rename only when a substitution really reaches under the binder
-            live = {
-                k: v
-                for k, v in live.items()
-                if any(_occurs(getattr(value, f), k) for f in scoped)
-            }
-        if not live:
-            continue
-        if binder in free_repl:
-            fresh = _fresh_name(binder, free_repl | free_ind_vars(value) | set(live))
-            changes[binder_field] = fresh
-            rename = {binder: IVar(fresh)}
-            for f in scoped:
-                changes[f] = subst_inds(getattr(value, f), rename, frozenset({fresh}))
-        for f in scoped:
-            base = changes.get(f, getattr(value, f))
-            changes[f] = subst_inds(base, live, free_repl)
-    for fname in plan.syntax_fields:
-        if fname not in plan.handled:
-            changes[fname] = subst_inds(getattr(value, fname), sub, free_repl)
-    for fname, new in changes.items():
-        if new is not getattr(value, fname):
-            return plan.build(value, changes)
-    return value
-
-
-def _occurs(value: Any, name: str) -> bool:
-    return name in free_ind_vars(value)
-
-
-def _fresh_name(base: str, avoid: frozenset | set) -> str:
-    """A parser-representable name not in avoid (for capture renames)."""
-    stem = base.split(EIGEN_MARK)[0] or "n"
-    if stem not in avoid:
-        return stem
-    k = 2
-    while f"{stem}_{k}" in avoid:
-        k += 1
-    return f"{stem}_{k}"
 
 
 class Freshener:
@@ -894,8 +875,7 @@ class Freshener:
 
     def fresh(self, base: str) -> str:
         self._count += 1
-        stem = base.split(EIGEN_MARK)[0] or "n"
-        return f"{stem}{EIGEN_MARK}{self._count}"
+        return f"{base}{EIGEN_MARK}{self._count}"
 
 
 # ---------------------------------------------------------------------------
@@ -903,26 +883,26 @@ class Freshener:
 # ---------------------------------------------------------------------------
 
 def alpha_eq(a: Any, b: Any) -> bool:
-    """Equality up to consistent renaming of bound variables (individual
-    binders and term-level binders alike).
+    """Equality up to the names of bound variables.
 
-    All equality premises of the typing rules dispatch through this; no
-    arithmetic normalization is ever performed.  Structural equality
-    (spans do not compare) implies alpha-equivalence, so it is tried
-    first, except on a let chain: == recurses once per let, and _alpha
-    walks the chain with a loop.  The renaming-aware walk runs only when
-    the structural test fails.
+    Bound individuals are indices, so on anything but a term this is ==
+    (spans and binder hints do not compare).  Terms bind term variables
+    by name (fn, let), and _alpha compares them up to a consistent
+    renaming of those.  All equality premises of the typing rules
+    dispatch through this; no arithmetic normalization is ever performed.
     """
-    if a is b or type(a) is not TLet and type(a) is not TLetMatch and a == b:
-        return True
-    return _alpha(a, b, ({}, {}), ({}, {}), 0)
+    if not isinstance(a, Term):
+        return a == b
+    return a is b or _alpha(a, b, {}, {}, 0)
 
 
-def _alpha(a: Any, b: Any, la: tuple, lb: tuple, depth: int) -> bool:
+def _alpha(a: Any, b: Any, la: dict, lb: dict, depth: int) -> bool:
+    """la and lb map the term variables bound around a and b to the depth
+    of their binders."""
     ca, cb = type(a), type(b)
     if ca is cb and (ca is TLet or ca is TLetMatch):
         # a let chain, walked with a loop; the maps are copied once for it
-        la, lb = (la[0], dict(la[1])), (lb[0], dict(lb[1]))
+        la, lb = dict(la), dict(lb)
         while ca is cb and (ca is TLet or ca is TLetMatch):
             if not _alpha(a.value, b.value, la, lb, depth):
                 return False
@@ -931,72 +911,19 @@ def _alpha(a: Any, b: Any, la: tuple, lb: tuple, depth: int) -> bool:
             if len(na) != len(nb):
                 return False
             for xa, xb in zip(na, nb):
-                la[1][xa] = depth
-                lb[1][xb] = depth
+                la[xa] = lb[xb] = depth
                 depth += 1
             a, b = a.body, b.body
             ca, cb = type(a), type(b)
-    if ca is IVar or cb is IVar:
-        if ca is not cb:
-            return False
-        ia, ib = la[0].get(a.name), lb[0].get(b.name)
-        if ia is None and ib is None:
-            return a.name == b.name
-        return ia == ib
-    if ca is TVar or cb is TVar:
-        if ca is not cb:
-            return False
-        ia, ib = la[1].get(a.name), lb[1].get(b.name)
-        if ia is None and ib is None:
-            return a.name == b.name
-        return ia == ib
-    plan = _PLANS.get(ca)
-    if plan is not None or isinstance(b, Node):
-        if ca is not cb:
-            return False
-        scoped_fields: set = set()
-        la2, lb2 = la, lb
-        for kind, spec in ((0, plan.ind_binds), (1, plan.term_binds)):
-            for binder_field, scoped in spec:
-                ba = getattr(a, binder_field)
-                bb = getattr(b, binder_field)
-                if (ba is None) != (bb is None):
-                    return False
-                if ba is None:
-                    continue
-                na = ba if type(ba) is tuple else (ba,)
-                nb = bb if type(bb) is tuple else (bb,)
-                if len(na) != len(nb):
-                    return False
-                if la2 is la:
-                    la2 = (dict(la[0]), dict(la[1]))
-                    lb2 = (dict(lb[0]), dict(lb[1]))
-                for xa, xb in zip(na, nb):
-                    la2[kind][xa] = depth
-                    lb2[kind][xb] = depth
-                    depth += 1
-                scoped_fields.update(scoped)
-        for fname in plan.fields:
-            if fname in plan.binder_fields:
-                continue
-            if fname in scoped_fields:
-                if not _alpha(getattr(a, fname), getattr(b, fname), la2, lb2, depth):
-                    return False
-            elif not _alpha(getattr(a, fname), getattr(b, fname), la, lb, depth):
-                return False
-        return True
-    if ca is tuple and cb is tuple:
-        if len(a) != len(b):
-            return False
-        for x, y in zip(a, b):
-            if not _alpha(x, y, la, lb, depth):
-                return False
-        return True
-    return a == b
-
-
-def alpha_env(a: Env, b: Env) -> bool:
-    """Environment equality: same idents in the same order, alpha types."""
-    if len(a) != len(b):
+    if ca is not cb:
         return False
-    return all(xa == xb and alpha_eq(ta, tb) for (xa, ta), (xb, tb) in zip(a, b))
+    if ca is TVar:
+        ia, ib = la.get(a.name), lb.get(b.name)
+        return a.name == b.name if ia is None and ib is None else ia == ib
+    if ca is TFn:
+        return a.ann == b.ann and _alpha(a.body, b.body, {**la, a.param: depth}, {**lb, b.param: depth}, depth + 1)
+    if ca is tuple:
+        return len(a) == len(b) and all(_alpha(x, y, la, lb, depth) for x, y in zip(a, b))
+    if not issubclass(ca, Term):
+        return a == b
+    return all(_alpha(getattr(a, f), getattr(b, f), la, lb, depth) for f in _PLANS[ca].compared)

@@ -9,6 +9,11 @@ targets differ is the `for` loop: its FS image is a `rec` whose step
 takes a plain `nat`, with no motive; its FD image abstracts the
 iteration index and carries the frame as the motive.  Translation is
 defined on checked programs and must be run after checking.
+
+Each binder over individuals of an FD image stands for one of the
+source, at the same place (a `for` image's `lam i.` and motive for the
+loop's index, which an index-free loop binds too), so the indices of
+the source are the image's and none is shifted.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ def translate_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
             pack = S.TPack(arg, S.TVar(fresh), S.FExists(fam.var, body_f))
             return S.TFn(
                 fresh,
-                S.subst_ind(body_f, fam.var, arg),
+                S.subst_ind(body_f, arg),
                 S.TApp(translate_expr(fn, tctx), pack),
             )
         case S.ECoerce(subject, fam, proof):
@@ -221,10 +226,10 @@ def _translate_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Te
                 step = S.TFn(var, S.FNat(None), state)
                 loop = S.TRec(translate_expr(bound, tctx), start, step)
             else:
-                if idx is None:
-                    idx = S._fresh_name("i", S.free_ind_vars(types) | {var})
-                step = S.TIndLam(idx, S.TFn(var, S.FNat(S.IVar(idx)), state))
-                motive = S.Fam(idx, S.FTuple(ftypes))
+                # the loop's index, which an index-free loop binds too
+                hint = "i" if idx is None else idx
+                step = S.TIndLam(hint, S.TFn(var, S.FNat(S.IBound(0)), state))
+                motive = S.Fam(hint, S.FTuple(ftypes))
                 loop = S.TRec(translate_expr(bound, tctx), start, step, motive)
             return S.TLetMatch(names, loop, tail)
     raise AssertionError(cmd)

@@ -138,8 +138,8 @@ def test_criterion_3_axiom_suite():
         metas = sorted(S.free_ind_vars(left) | S.free_ind_vars(right))
         for meta in metas:
             value = S.num_ind(rng.randrange(0, 5))
-            left = S.subst_ind(left, meta, value)
-            right = S.subst_ind(right, meta, value)
+            left = S.subst_ind(S.close_ind(left, meta), value)
+            right = S.subst_ind(S.close_ind(right, meta), value)
         kind = rng.randrange(4)
         if kind == 0:
             left = S.ISucc(left)
@@ -165,8 +165,8 @@ def test_criterion_3_axiom_suite():
         for values in itertools.product(numerals, repeat=len(metas)):
             li, ri = left, right
             for meta, value in zip(metas, values):
-                li = S.subst_ind(li, meta, value)
-                ri = S.subst_ind(ri, meta, value)
+                li = S.subst_ind(S.close_ind(li, meta), value)
+                ri = S.subst_ind(S.close_ind(ri, meta), value)
             assert try_match_axiom(li, ri) is not None
             assert eval_individual(li) == eval_individual(ri)
     _report("3 (axiom suite)", True, "(9 schemas, 50 near-misses, exhaustive <= 6)")
@@ -250,12 +250,13 @@ def test_criterion_6_kernel_property_suites():
         cases += 1
     assert cases == 500
 
-    # open/substitute round trip
+    # open/close round trip: a binder's body opened at an eigenvariable
+    # and closed again
     for _ in range(100):
-        body = gen.gen_formula(rng, 3, vars_=("n", "m"))
+        body = S.close_ind(gen.gen_formula(rng, 3, vars_=("n", "m")), "n")
         eigen = S.Freshener().fresh("n")
-        opened = S.subst_ind(body, "n", S.IVar(eigen))
-        assert S.alpha_eq(S.subst_ind(opened, eigen, S.IVar("n")), body)
+        opened = S.subst_ind(body, S.IVar(eigen))
+        assert S.alpha_eq(S.close_ind(opened, eigen), body)
 
     # negation/translation coherence to existential depth 3
     for _ in range(150):

@@ -127,8 +127,8 @@ def _closed_instances():
         for values in itertools.product(numerals, repeat=len(metas)):
             li, ri = left, right
             for meta, value in zip(metas, values):
-                li = S.subst_ind(li, meta, value)
-                ri = S.subst_ind(ri, meta, value)
+                li = S.subst_ind(S.close_ind(li, meta), value)
+                ri = S.subst_ind(S.close_ind(ri, meta), value)
             yield name, li, ri
 
 
@@ -167,7 +167,8 @@ def test_schema_index_agrees_with_a_linear_scan():
         _, left, right = rng.choice(SCHEMAS)
         for meta in sorted(S.free_ind_vars(left) | S.free_ind_vars(right)):
             value = gen.gen_ind(rng, 2, ivars)
-            left, right = S.subst_ind(left, meta, value), S.subst_ind(right, meta, value)
+            left = S.subst_ind(S.close_ind(left, meta), value)
+            right = S.subst_ind(S.close_ind(right, meta), value)
         if rng.random() < 0.5:
             right = S.ISucc(right) if rng.random() < 0.5 else gen.gen_ind(rng, 2, ivars)
         pairs.append((left, right))

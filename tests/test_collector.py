@@ -20,7 +20,7 @@ CALLER_THRESHOLD = (500, 7, 9)
 
 
 def test_plans_hold_exactly_the_node_classes_of_syntax():
-    assert len(S._PLANS) == 71
+    assert len(S._PLANS) == 72
     for cls in S._PLANS:
         assert getattr(S, cls.__name__) is cls, cls.__name__
 

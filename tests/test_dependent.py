@@ -163,13 +163,13 @@ def test_id_star_and_numerals():
 
 def test_id_empty_subset():
     omega = (("x", S.FNat(S.IZero())), ("y", S.FTop()))
-    dependent.id_check_seq((), omega, parse_seq(""), parse_qenv("[x : nat(0)]"))
+    dependent._id_seq((), omega, parse_seq(""), parse_qenv("[x : nat(0)]"), CheckCtx(), False)
 
 
 def test_id_empty_subset_violation():
     omega = (("x", S.FNat(S.IZero())),)
     with pytest.raises(CheckError) as err:
-        dependent.id_check_seq((), omega, parse_seq(""), parse_qenv("[x : nat(succ(0))]"))
+        dependent._id_seq((), omega, parse_seq(""), parse_qenv("[x : nat(succ(0))]"), CheckCtx(), False)
     assert err.value.rule == "T_EMPTY"
 
 
@@ -270,20 +270,18 @@ def test_id_var_may_shadow_constants_but_not_outputs():
     gamma = (("w", S.FTop()),)
     omega = (("z", S.FTop()),)
     # shadowing a constant is fine
-    dependent.id_check_seq(
-        gamma, omega, parse_seq("var w := 0; z := w;"), parse_qenv("[z : nat(0)]")
+    dependent._id_seq(
+        gamma, omega, parse_seq("var w := 0; z := w;"), parse_qenv("[z : nat(0)]"), CheckCtx(), False
     )
     with pytest.raises(CheckError) as err:
-        dependent.id_check_seq(
-            gamma, omega, parse_seq("var z := 0;"), parse_qenv("[z : top]")
-        )
+        dependent._id_seq(gamma, omega, parse_seq("var z := 0;"), parse_qenv("[z : top]"), CheckCtx(), False)
     assert err.value.reason == "FreshnessViolation"
 
 
 def test_id_cst_may_not_shadow_store():
     omega = (("z", S.FTop()),)
     with pytest.raises(CheckError) as err:
-        dependent.id_check_seq((), omega, parse_seq("cst z = 0;"), parse_qenv("[z : top]"))
+        dependent._id_seq((), omega, parse_seq("cst z = 0;"), parse_qenv("[z : top]"), CheckCtx(), False)
     assert err.value.reason == "FreshnessViolation" and err.value.rule == "T_CST"
 
 
@@ -297,14 +295,13 @@ def test_header_param_output_collision_rejected():
 def test_id_for_without_index_binder():
     gamma = (("x", parse_prop("nat(succ(0))")),)
     omega = (("z", parse_prop("nat(0)")),)
-    dependent.id_check_seq(
-        gamma, omega, parse_seq("for i := 0 until x { }[z : nat(0)];"), parse_qenv("[z : nat(0)]")
-    )
+    subject = parse_seq("for i := 0 until x { }[z : nat(0)];")
+    dependent._id_seq(gamma, omega, subject, parse_qenv("[z : nat(0)]"), CheckCtx(), False)
 
 
 def test_id_index_free_loop_under_quantified_header():
-    # the constant frame mentions the header's binder: opening the header
-    # must substitute inside the loop even though the loop binds no index
+    # the constant frame mentions the header's binder: the loop binds an
+    # index no name refers to, and the frame's index of n skips it
     text = """proc forall n. [x : nat(n)] out [z : nat(n)] {
       z := x;
       for i := 0 until x { }[z : nat(n)];
@@ -320,6 +317,6 @@ def test_id_goal_trace_deterministic():
     expected = parse_qenv("[z : nat(0)]")
     first, second = CheckCtx(trace=[]), CheckCtx(trace=[])
     for ctx in (first, second):
-        dependent.id_check_seq(gamma, omega, subject, expected, ctx)
+        dependent._id_seq(gamma, omega, subject, expected, ctx, False)
     assert first.trace == second.trace
     assert "T_LABEL" in first.trace and "T_JUMP" in first.trace and "T_EMPTY" in first.trace

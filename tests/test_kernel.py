@@ -1,6 +1,11 @@
 """Kernel suites: alpha equivalence, substitution, eigenvariable
-opening, and the environment algebra."""
+opening, and the environment algebra.
 
+Bound individuals are indices (see syntax.py).  The oracles below walk
+nodes by reflection over their dataclass fields, with a binder's scope
+taken from `_binds_ind`."""
+
+import dataclasses
 import random
 
 import pytest
@@ -10,7 +15,8 @@ from hypothesis import strategies as st
 from loopcert import envs, gen
 from loopcert import syntax as S
 from loopcert.errors import CheckError
-from loopcert.parser import parse_formula, parse_prop, parse_qenv
+from loopcert.parser import parse_formula, parse_prop, parse_qenv, parse_term
+from loopcert.printer import show
 
 
 # ---------------------------------------------------------------------------
@@ -38,25 +44,22 @@ def test_alpha_inconsistent_renaming():
     assert not S.alpha_eq(a, c)
 
 
+def _hints(value):
+    """The names of value's fields that hold a binder's hint."""
+    return [f.name for f in dataclasses.fields(value) if not f.compare and f.name != "span"]
+
+
 def _rename_bound(value, counter):
-    """Freshen every individual binder (used as the alpha oracle)."""
-    if isinstance(value, S.IVar):
-        return value
+    """Give every individual binder a fresh hint (used as the alpha oracle)."""
     if isinstance(value, tuple):
         return tuple(_rename_bound(v, counter) for v in value)
     if not isinstance(value, S.Node):
         return value
-    kwargs = {f: getattr(value, f) for f in S.node_fields(value)}
-    for binder_field, scoped in getattr(type(value), "_binds_ind", ()):
-        binder = kwargs[binder_field]
-        if binder is None:
-            continue
-        counter[0] += 1
-        fresh = f"rb{counter[0]}"
-        kwargs[binder_field] = fresh
-        for f in scoped:
-            kwargs[f] = S.subst_ind(kwargs[f], binder, S.IVar(fresh))
-    kwargs = {f: _rename_bound(v, counter) for f, v in kwargs.items()}
+    kwargs = {f: _rename_bound(getattr(value, f), counter) for f in S.node_fields(value)}
+    for hint in _hints(value):
+        if kwargs[hint] is not None:
+            counter[0] += 1
+            kwargs[hint] = f"rb{counter[0]}"
     return type(value)(**kwargs)
 
 
@@ -64,10 +67,57 @@ def test_alpha_after_rename_bound():
     rng = random.Random(7)
     for _ in range(150):
         phi = gen.gen_formula(rng, 4)
-        assert S.alpha_eq(phi, _rename_bound(phi, [0]))
+        renamed = _rename_bound(phi, [0])
+        assert phi == renamed and hash(phi) == hash(renamed) and S.alpha_eq(phi, renamed)
     for _ in range(60):
         q = gen.gen_qenv(rng, 3)
-        assert S.alpha_eq(q, _rename_bound(q, [0]))
+        renamed = _rename_bound(q, [0])
+        assert q == renamed and hash(q) == hash(renamed)
+
+
+def test_equality_and_hash_ignore_hints():
+    a, b = parse_formula("forall n. exists m. nat(add(n, m))"), parse_formula("forall k. exists n. nat(add(k, n))")
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_formula("forall k. exists n. nat(add(n, k))")
+    # a for compares whether it has an index, not the index's hint
+    frame = (("z", S.FNat(S.IZero())),)
+    loops = [S.CFor("i", idx, S.EVar("x"), S.Seq(()), frame) for idx in (None, "k", "j")]
+    assert loops[1] == loops[2] and hash(loops[1]) == hash(loops[2])
+    assert loops[0] != loops[1]
+
+
+def test_print_parse_round_trip_is_identity():
+    rng = random.Random(2027)
+    for _ in range(150):
+        phi = gen.gen_formula(rng, 4, vars_=("n", "x"))
+        assert parse_formula(show(phi)) == phi
+        p = gen.gen_prop(rng, 3, vars_=("n", "x"))
+        assert parse_prop(show(p)) == p
+        q = gen.gen_qenv(rng, 3, vars_=("n", "x"))
+        assert parse_qenv(show(q)) == q
+        t = gen.gen_term(rng, 4, vars_=("y",), ivars=("n", "x"))
+        assert parse_term(show(t)) == t
+    # instantiated with names that clash with binders of the body: the
+    # printer renames the binders that would capture them
+    renamed = 0
+    for _ in range(150):
+        body = gen.gen_formula(rng, 4, vars_=("x", "y", "n"), bound=1)
+        for name in gen._IDENTS:
+            phi = S.subst_ind(body, S.IAdd(S.IVar(name), S.IVar("y")))
+            text = show(phi)
+            assert parse_formula(text) == phi
+            renamed += "_2" in text
+    assert renamed > 0
+
+
+def test_printer_renames_binders_that_would_capture():
+    phi = S.subst_ind(parse_formula("forall n. forall m. nat(add(n, m))").body, S.IVar("m"))
+    assert show(phi) == "forall m_2. nat(add(m, m_2))"
+    # a binder named like one around it that its body refers to
+    assert show(parse_formula("forall n. forall k. forall n_2. nat(n)")) == "forall n. forall k. forall n_2. nat(n)"
+    shadowed = S.FForall("n", S.FForall("n", S.FNat(S.IAdd(S.IBound(1), S.IBound(0)))))
+    assert show(shadowed) == "forall n. forall n_2. nat(add(n, n_2))"
+    assert show(parse_formula("forall n. forall n. nat(n)")) == "forall n. forall n. nat(n)"
 
 
 # ---------------------------------------------------------------------------
@@ -75,119 +125,108 @@ def test_alpha_after_rename_bound():
 # ---------------------------------------------------------------------------
 
 def test_subst_direct():
-    fam = S.Fam("n", parse_formula("nat(n)"))
-    assert S.alpha_eq(S.subst_ind(fam.body, "n", S.IZero()), parse_formula("nat(0)"))
+    phi = parse_formula("forall n. nat(n)")
+    assert S.subst_ind(phi.body, S.IZero()) == parse_formula("nat(0)")
 
 
 def test_subst_shadowed_binder():
-    body = parse_formula("exists n. nat(n)")
-    out = S.subst_ind(body, "n", S.num_ind(1))
-    assert S.alpha_eq(out, body)
+    phi = parse_formula("forall n. exists n. nat(n)")
+    assert S.subst_ind(phi.body, S.num_ind(1)) is phi.body
 
 
 def test_subst_capture_avoidance():
     # {n/nat(add(n, m))} applied to the variable m
-    body = parse_formula("nat(add(n, m))")
-    out = S.subst_ind(body, "n", S.IVar("m"))
-    assert S.alpha_eq(out, parse_formula("nat(add(m, m))"))
-    # a binder named m must be renamed before substituting m inside it
-    body2 = parse_formula("exists m. nat(add(n, m))")
-    out2 = S.subst_ind(body2, "n", S.IVar("m"))
-    assert S.alpha_eq(out2, parse_formula("exists k. nat(add(m, k))"))
+    phi = parse_formula("forall n. nat(add(n, m))")
+    assert S.subst_ind(phi.body, S.IVar("m")) == parse_formula("nat(add(m, m))")
+    # under a binder named m, m stays free
+    phi2 = parse_formula("forall n. exists m. nat(add(n, m))")
+    out2 = S.subst_ind(phi2.body, S.IVar("m"))
+    assert out2 == parse_formula("exists k. nat(add(m, k))")
+    assert show(out2) == "exists m_2. nat(add(m, m_2))"
 
 
-def _freshen_all(value, counter):
-    """Rename every binder to a globally fresh name (naive-subst oracle)."""
-    if isinstance(value, S.IVar):
-        return value
+def _naive_open(value, depth, repl):
+    """Instantiation of the binder around value by reflection: the index of
+    that binder, depth binders down, becomes repl with its own indices
+    raised by depth, and an index that escapes past it is lowered by one."""
+    if isinstance(value, S.IBound):
+        if value.index < depth:
+            return value
+        if value.index > depth:
+            return S.IBound(value.index - 1)
+        return _raised(repl, depth)
     if isinstance(value, tuple):
-        return tuple(_freshen_all(v, counter) for v in value)
+        return tuple(_naive_open(v, depth, repl) for v in value)
     if not isinstance(value, S.Node):
         return value
-    kwargs = {f: getattr(value, f) for f in S.node_fields(value)}
-    for binder_field, scoped in getattr(type(value), "_binds_ind", ()):
-        binder = kwargs[binder_field]
-        if binder is None:
-            continue
-        counter[0] += 1
-        fresh = f"uq{counter[0]}"
-        kwargs[binder_field] = fresh
-        for f in scoped:
-            kwargs[f] = _textual_subst(kwargs[f], binder, S.IVar(fresh))
-    kwargs = {f: _freshen_all(v, counter) for f, v in kwargs.items()}
+    scoped = getattr(type(value), "_binds_ind", ())
+    kwargs = {
+        f: _naive_open(getattr(value, f), depth + (f in scoped), repl) for f in S.node_fields(value)
+    }
     return type(value)(**kwargs)
 
 
-def _textual_subst(value, name, repl):
-    """Substitution with no capture handling; sound only on freshened terms."""
-    if isinstance(value, S.IVar):
-        return repl if value.name == name else value
-    if isinstance(value, tuple):
-        return tuple(_textual_subst(v, name, repl) for v in value)
-    if not isinstance(value, S.Node):
-        return value
-    kwargs = {}
-    for f in S.node_fields(value):
-        child = getattr(value, f)
-        shadowed = any(
-            getattr(value, bf) == name and f in scoped
-            for bf, scoped in getattr(type(value), "_binds_ind", ())
-        )
-        kwargs[f] = child if shadowed else _textual_subst(child, name, repl)
-    return type(value)(**kwargs)
+def _raised(i, by):
+    """Individual i with its indices raised by by."""
+    if isinstance(i, S.IBound):
+        return S.IBound(i.index + by)
+    if not isinstance(i, S.Node):
+        return i
+    return type(i)(**{f: _raised(getattr(i, f), by) for f in S.node_fields(i)})
 
 
 def test_subst_against_naive_oracle():
     rng = random.Random(42)
     names = ("n", "m", "k")
-    for _ in range(100):
+    for _ in range(200):
         var = rng.choice(names)
-        body = gen.gen_formula(rng, 4, vars_=names)
+        # the body of a binder of var, over free n, m and k
+        body = gen.gen_formula(rng, 4, vars_=names + (var,), bound=1)
         repl = gen.gen_ind(rng, 2, vars_=names)
-        fast = S.subst_ind(body, var, repl)
-        slow = _textual_subst(_freshen_all(body, [0]), var, repl)
-        assert S.alpha_eq(fast, slow)
+        assert S.subst_ind(body, repl) == _naive_open(body, 0, repl)
+        # a replacement whose own indices escape: the binders around the
+        # binder of var, named n and m
+        open_repl = gen.gen_ind(rng, 2, vars_=("n", "m"), bound=2)
+        assert S.subst_ind(body, open_repl) == _naive_open(body, 0, open_repl)
 
 
 def test_open_substitute_round_trip():
     rng = random.Random(9)
     for _ in range(60):
-        var = "n"
-        body = gen.gen_formula(rng, 3, vars_=("n", "m"))
-        eigen = S.Freshener().fresh(var)
+        body = gen.gen_formula(rng, 3, vars_=("m", "n"), bound=1)  # a binder of n around it
+        eigen = S.Freshener().fresh("n")
         assert S.EIGEN_MARK in eigen
-        opened = S.subst_ind(body, var, S.IVar(eigen))
-        closed = S.subst_ind(opened, eigen, S.IVar(var))
-        assert S.alpha_eq(closed, body)
+        opened = S.subst_ind(body, S.IVar(eigen))
+        assert S.close_ind(opened, eigen) == body
 
 
 def test_subst_returns_input_when_variable_not_free():
     rng = random.Random(11)
     for _ in range(150):
         phi = gen.gen_formula(rng, 4, vars_=("n", "m"))
-        assert S.subst_ind(phi, "x", S.IVar("n")) is phi
+        assert S.subst_ind(phi, S.IVar("n")) is phi
         q = gen.gen_qenv(rng, 3, vars_=("n", "m"))
-        assert S.subst_ind(q, "x", S.ISucc(S.IVar("m"))) is q
+        assert S.subst_ind(q, S.ISucc(S.IVar("m"))) is q
         t = gen.gen_term(rng, 4, ivars=("n",))
-        assert S.subst_ind(t, "x", S.IZero()) is t
+        assert S.subst_ind(t, S.IZero()) is t
     # bound, not free: shadowed, and under a binder the replacement would capture
     shadowed = parse_formula("exists x. nat(add(x, n))")
-    assert S.subst_ind(shadowed, "x", S.IZero()) is shadowed
+    assert S.subst_ind(shadowed, S.IZero()) is shadowed
     capture = parse_formula("forall m. nat(m)")
-    assert S.subst_ind(capture, "n", S.IVar("m")) is capture
+    assert S.subst_ind(capture, S.IVar("m")) is capture
 
 
 def test_subst_shares_unchanged_subtrees():
-    phi = parse_formula("<nat(m), nat(n), forall k. nat(m)> -> nat(n)")
-    out = S.subst_ind(phi, "n", S.IZero())
+    phi = parse_formula("forall n. <nat(m), nat(n), forall k. nat(m)> -> nat(n)").body
+    out = S.subst_ind(phi, S.IZero())
     assert out.dom.items[0] is phi.dom.items[0]
     assert out.dom.items[2] is phi.dom.items[2]
     assert out.dom.items[1] == S.FNat(S.IZero()) and out.cod == S.FNat(S.IZero())
 
 
 def test_subst_keeps_spans():
-    t = S.TIndApp(S.TVar("f", span=(3, 4)), S.IVar("n"), span=(3, 1))
-    out = S.subst_ind(t, "n", S.IZero())
+    t = S.TIndApp(S.TVar("f", span=(3, 4)), S.IBound(0), span=(3, 1))
+    out = S.subst_ind(t, S.IZero())
     assert out.span == (3, 1) and out.fn is t.fn and out.arg == S.IZero()
 
 
@@ -195,43 +234,40 @@ def test_subst_keeps_spans():
 # alpha_eq against the reflective walk
 # ---------------------------------------------------------------------------
 
+_TERM_BINDERS = {S.TFn: "param", S.TLet: "name", S.TLetMatch: "names"}
+
+
 def _reflective_alpha(a, b, la, lb, depth):
     """alpha equivalence by reflection over the dataclass fields at every
-    node, as the kernel computed it before it cached per-class plans and
-    tried structural equality first."""
-    if isinstance(a, S.IVar) or isinstance(b, S.IVar) or isinstance(a, S.TVar) or isinstance(b, S.TVar):
+    node.  A binder's hint and a span do not compare, and a term variable
+    compares by the depth of its binder."""
+    if isinstance(a, S.TVar) or isinstance(b, S.TVar):
         if type(a) is not type(b):
             return False
-        kind = 0 if isinstance(a, S.IVar) else 1
-        ia, ib = la[kind].get(a.name), lb[kind].get(b.name)
+        ia, ib = la.get(a.name), lb.get(b.name)
         return a.name == b.name if ia is None and ib is None else ia == ib
     if isinstance(a, S.Node) or isinstance(b, S.Node):
         if type(a) is not type(b):
             return False
-        la2, lb2 = (dict(la[0]), dict(la[1])), (dict(lb[0]), dict(lb[1]))
-        scoped_fields, binder_fields = set(), set()
-        for kind, attr in ((0, "_binds_ind"), (1, "_binds_term")):
-            for binder_field, scoped in getattr(type(a), attr, ()):
-                binder_fields.add(binder_field)
-                ba, bb = getattr(a, binder_field), getattr(b, binder_field)
-                if (ba is None) != (bb is None):
-                    return False
-                if ba is None:
-                    continue
-                na = ba if isinstance(ba, tuple) else (ba,)
-                nb = bb if isinstance(bb, tuple) else (bb,)
-                if len(na) != len(nb):
-                    return False
-                for xa, xb in zip(na, nb):
-                    la2[kind][xa], lb2[kind][xb] = depth, depth
-                    depth += 1
-                scoped_fields.update(scoped)
-        for fname in S.node_fields(a):
-            if fname in binder_fields:
+        if isinstance(a, S.CFor) and (a.idx is None) != (b.idx is None):
+            return False
+        la2, lb2 = dict(la), dict(lb)
+        binder = _TERM_BINDERS.get(type(a))
+        if binder is not None:
+            ba, bb = getattr(a, binder), getattr(b, binder)
+            na = ba if isinstance(ba, tuple) else (ba,)
+            nb = bb if isinstance(bb, tuple) else (bb,)
+            if len(na) != len(nb):
+                return False
+            for xa, xb in zip(na, nb):
+                la2[xa], lb2[xb] = depth, depth
+                depth += 1
+        for f in dataclasses.fields(a):
+            if not f.compare or f.name == binder:
                 continue
-            inner = fname in scoped_fields
+            inner = binder is not None and f.name == "body"
             if not _reflective_alpha(
-                getattr(a, fname), getattr(b, fname), la2 if inner else la, lb2 if inner else lb, depth
+                getattr(a, f.name), getattr(b, f.name), la2 if inner else la, lb2 if inner else lb, depth
             ):
                 return False
         return True
@@ -262,18 +298,26 @@ def test_alpha_eq_agrees_with_reflective_walk(kind, mode, seed, depth):
     a = make(random.Random(seed), depth)
     if mode == "copy":  # equal, but built apart
         b = make(random.Random(seed), depth)
-    elif mode == "renamed":  # alpha-equivalent, seldom structurally equal
+    elif mode == "renamed":  # alpha-equivalent, seldom equal hint for hint
         b = _rename_bound(a, [0])
     elif mode == "independent":
         b = make(random.Random(seed + 1), depth)
     else:  # shares a prefix of the random choices
         b = make(random.Random(seed), max(depth - 1, 0))
-    want = _reflective_alpha(a, b, ({}, {}), ({}, {}), 0)
+    want = _reflective_alpha(a, b, {}, {}, 0)
     assert S.alpha_eq(a, b) == want
     assert S.alpha_eq(b, a) == want
-    assert S._alpha(a, b, ({}, {}), ({}, {}), 0) == want
+    assert S._alpha(a, b, {}, {}, 0) == want
     if mode in ("copy", "renamed"):
         assert want
+
+
+def test_alpha_eq_renames_term_binders():
+    a = parse_term("fn x : nat => let <y, z> = x in lam n. <y, z>")
+    b = parse_term("fn u : nat => let <v, w> = u in lam m. <v, w>")
+    c = parse_term("fn u : nat => let <v, w> = u in lam m. <w, v>")
+    assert S.alpha_eq(a, b) and not S.alpha_eq(a, c)
+    assert a != b
 
 
 def test_alpha_eq_ignores_spans():
@@ -330,8 +374,8 @@ def test_qsplit_figure2_shape():
     q = parse_qenv("exists u. [r : nat(u), mk : ~(nat(F32(u)))]")
     names, out = envs.qsplit(q)
     assert names == ("r", "mk")
-    want = S.OExists("u", S.OSimple((S.FNat(S.IVar("u")), parse_prop("~(nat(F32(u)))"))))
-    assert S.alpha_eq(out, want)
+    want = parse_prop("~exists u. [nat(u), ~(nat(F32(u)))]").out
+    assert out == want
 
 
 _prop = st.sampled_from([TOP, NAT0, S.FBot(), S.FNat(S.ISucc(S.IZero()))])

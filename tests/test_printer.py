@@ -1,12 +1,15 @@
 """The printer, pinned form by form: one hand-built node per printable
-form, with the exact text it prints."""
+form, with the exact text it prints.  A bound individual is an index,
+b0 for the nearest binder and b1 for the one around it; its binder's
+name is the hint the printer shows."""
 
 import pytest
 
 from loopcert import syntax as S
 from loopcert.printer import show, show_env, show_file, show_qenv, show_term
 
-n, m, v, k = S.IVar("n"), S.IVar("m"), S.IVar("v"), S.IVar("k")
+n, m = S.IVar("n"), S.IVar("m")
+b0, b1 = S.IBound(0), S.IBound(1)
 ZERO = S.IZero()
 NAT, TOP = S.FNat(), S.FTop()
 x, f, g = S.TVar("x"), S.TVar("f"), S.TVar("g")
@@ -28,7 +31,7 @@ def env(*pairs):
 AXIOM = S.TAxiom(S.IAdd(n, ZERO), n)
 STEP = S.TFn("i", NAT, S.TFn("a", NAT, S.TSucc(S.TVar("a"))))
 PROC = S.EProc(S.HForall("n", S.HBase(
-    (("x", nat(n)),), env(("z", nat(n))),
+    (("x", nat(b0)),), env(("z", nat(b0))),
     seq(S.CAssign("z", ex), S.CFor("i", None, ex, seq(S.CInc("z"), S.CDec("z")), (("z", NAT),))),
 )))
 PROC_TEXT = (
@@ -58,9 +61,9 @@ SHOWN = {
     "neg_in_tuple": (S.FTuple((S.neg_f(NAT), TOP)), "<~nat, top>"),
     "arrows_left": (S.FArrow(S.FArrow(S.FArrow(NAT, TOP), NAT), NAT), "((nat -> top) -> nat) -> nat"),
     "arrows_right": (S.FArrow(NAT, S.FArrow(TOP, NAT)), "nat -> top -> nat"),
-    "quantifiers": (S.FForall("n", S.FExists("m", S.FArrow(nat(n), nat(m)))),
+    "quantifiers": (S.FForall("n", S.FExists("m", S.FArrow(nat(b1), nat(b0)))),
                     "forall n. exists m. nat(n) -> nat(m)"),
-    "forall_domain": (S.FArrow(S.FForall("n", nat(n)), S.FBot()), "(forall n. nat(n)) -> bot"),
+    "forall_domain": (S.FArrow(S.FForall("n", nat(b0)), S.FBot()), "(forall n. nat(n)) -> bot"),
     "nat": (NAT, "nat"),
     "nat_index": (nat(S.ISucc(n)), "nat(succ(n))"),
     "equation": (S.FEq(n, S.IAdd(n, ZERO)), "(n = add(n, 0))"),
@@ -68,28 +71,28 @@ SHOWN = {
     "empty_tuple": (S.FTuple(()), "<>"),
     # props, outputs, prototypes
     "pproc": (S.PProc(S.ProtoBase((NAT, TOP), S.OSimple((NAT,)))), "proc ([nat, top] out [nat])"),
-    "proto_all": (S.PProc(S.ProtoAll("n", S.ProtoBase((nat(n),), S.OExists("v", S.OSimple((nat(v),)))))),
+    "proto_all": (S.PProc(S.ProtoAll("n", S.ProtoBase((nat(b0),), S.OExists("v", S.OSimple((nat(b0),)))))),
                   "proc forall n. ([nat(n)] out exists v. [nat(v)])"),
     "pneg_simple": (S.PNeg(S.OSimple((NAT, S.PNeg(S.OSimple(()))))), "~(nat, ~())"),
-    "pneg_exists": (S.PNeg(S.OExists("v", S.OSimple((nat(v),)))), "~exists v. [nat(v)]"),
+    "pneg_exists": (S.PNeg(S.OExists("v", S.OSimple((nat(b0),)))), "~exists v. [nat(v)]"),
     "output_formula_atoms": (S.OSimple((S.FArrow(NAT, NAT), S.neg_f(NAT), S.FEq(n, m))),
                              "[(nat -> nat), (~nat), (n = m)]"),
     # quantified environments
-    "qexists": (S.QExists("v", S.QExists("w", env(("z", nat(v)), ("p", S.PNeg(S.OSimple((NAT,))))))),
+    "qexists": (S.QExists("v", S.QExists("w", env(("z", nat(b1)), ("p", S.PNeg(S.OSimple((NAT,))))))),
                 "exists v. exists w. [z : nat(v), p : ~(nat)]"),
     # terms
-    "rec_motive": (S.TRec(x, S.TZero(), STEP, S.Fam("k", nat(k))),
+    "rec_motive": (S.TRec(x, S.TZero(), STEP, S.Fam("k", nat(b0))),
                    "rec{k.nat(k)}(x, 0, fn i : nat => fn a : nat => succ(a))"),
     "rec": (S.TRec(S.TPred(x), x, STEP), "rec(pred(x), x, fn i : nat => fn a : nat => succ(a))"),
-    "pack": (S.TPack(n, x, S.FExists("v", nat(v))), "pack(n, x : exists v. nat(v))"),
+    "pack": (S.TPack(n, x, S.FExists("v", nat(b0))), "pack(n, x : exists v. nat(v))"),
     "throw": (S.TThrow(S.neg_f(NAT), S.TVar("k"), S.TApp(f, x)), "throw[~nat] k (f x)"),
     "callcc": (S.TCallcc(S.TFn("k", S.neg_f(NAT), S.TZero())), "callcc (fn k : ~nat => 0)"),
-    "coerce": (S.TCoerce(S.TApp(f, x), S.Fam("i", nat(S.IVar("i"))), AXIOM), "f x :> {i/nat(i)}[add(n, 0) = n]"),
-    "coerce_applied": (S.TApp(S.TCoerce(f, S.Fam("i", nat(S.IVar("i"))), AXIOM), x),
+    "coerce": (S.TCoerce(S.TApp(f, x), S.Fam("i", nat(b0)), AXIOM), "f x :> {i/nat(i)}[add(n, 0) = n]"),
+    "coerce_applied": (S.TApp(S.TCoerce(f, S.Fam("i", nat(b0)), AXIOM), x),
                        "(f :> {i/nat(i)}[add(n, 0) = n]) x"),
     "ind_app": (S.TApp(S.TIndApp(S.TIndApp(f, n), m), S.TTuple((x, S.TZero()))), "f{n}{m} <x, 0>"),
     "apps": (S.TApp(S.TApp(f, x), S.TApp(g, S.TSucc(x))), "f x (g succ(x))"),
-    "lam": (S.TIndLam("n", S.TFn("x", nat(n), x)), "lam n. fn x : nat(n) => x"),
+    "lam": (S.TIndLam("n", S.TFn("x", nat(b0), x)), "lam n. fn x : nat(n) => x"),
     "unpack": (S.TUnpack("n", S.TApp(f, S.TUnpack("m", x))), "?n. f (?m. x)"),
     "let": (S.TLet("a", S.TLet("b", S.TZero(), S.TVar("b")), S.TApp(f, S.TLet("c", x, x))),
             "let a = let b = 0 in b in f (let c = x in x)"),
@@ -98,27 +101,27 @@ SHOWN = {
     # expressions
     "estar_enum": (S.CCall(S.EVar("p"), (S.EStar(), S.ENum(12)), ("z", "w")), "p(*, 12; z, w);"),
     "einst": (S.EInst(S.EInst(S.EVar("p"), n), m), "p{n}{m}"),
-    "cont_inst": (S.EContInst(S.EVar("k"), S.Fam("v", S.OSimple((nat(v),))), n), "k <: {v/[nat(v)]}{n}"),
-    "ecoerce": (S.ECoerce(ex, S.Fam("i", nat(S.IVar("i"))), S.EAxiom(S.IAdd(n, ZERO), n)),
+    "cont_inst": (S.EContInst(S.EVar("k"), S.Fam("v", S.OSimple((nat(b0),))), n), "k <: {v/[nat(v)]}{n}"),
+    "ecoerce": (S.ECoerce(ex, S.Fam("i", nat(b0)), S.EAxiom(S.IAdd(n, ZERO), n)),
                 "x :> {i/nat(i)}[add(n, 0) = n]"),
     "eaxiom_post": (S.EInst(S.EAxiom(n, n), m), "(n = n){m}"),
     "proc_coerced": (S.ECoerce(PROC, S.Fam("i", NAT), S.EAxiom(n, n)), PROC_TEXT + " :> {i/nat}[n = n]"),
     # commands and sequence items
     "assign": (S.CAssign("z", S.EInst(ex, n)), "z := x{n};"),
     "for": (S.CFor("i", None, ex, seq(S.CInc("z")), (("z", NAT),)), "for i := 0 until x {\n  inc(z);\n}[z : nat];"),
-    "for_index": (S.CFor("i", "k", ex, seq(S.CDec("z")), (("z", nat(k)),)),
+    "for_index": (S.CFor("i", "k", ex, seq(S.CDec("z")), (("z", nat(b0)),)),
                   "for i : nat(k) := 0 until x {\n  dec(z);\n}[z : nat(k)];"),
     "label_jump": (S.CLabel("l", seq(S.CJump(S.EVar("l"), (ex, S.ENum(0)), env(("z", NAT))),
                                      S.CJump(S.EVar("l"), (), env())), env(("z", NAT))),
                    "l : {\n  jump(l, x, 0)[z : nat];\n  jump(l)[];\n}[z : nat];"),
-    "block": (S.CBlock(seq(S.CAssign("z", ex)), S.QExists("v", env(("z", nat(v))))),
+    "block": (S.CBlock(seq(S.CAssign("z", ex)), S.QExists("v", env(("z", nat(b0))))),
               "{\n  z := x;\n}exists v. [z : nat(v)];"),
     "empty_body": (S.CBlock(seq(), env()), "{\n}[];"),
     "empty_seq": (seq(), ""),
-    "subst_group": (seq(S.SSubst(seq(S.CInc("z")), S.Fam("i", env(("z", nat(S.IVar("i"))))), S.EAxiom(n, m))),
+    "subst_group": (seq(S.SSubst(seq(S.CInc("z")), S.Fam("i", env(("z", nat(b0)))), S.EAxiom(n, m))),
                     "(\n  inc(z);\n) :> {i/[z : nat(i)]}[n = m];"),
     "witness_unpack": (seq(S.SCst("c", S.ENum(1)),
-                           S.SWitness(n, S.QExists("v", env(("z", nat(v)))),
+                           S.SWitness(n, S.QExists("v", env(("z", nat(b0)))),
                                       seq(S.SUnpack("w", seq(S.SVar("y", ex), S.CInc("y")))))),
                        "cst c = 1;\n[n in exists v. [z : nat(v)]]\n?w.\nvar y := x;\ninc(y);"),
     # a proc literal's body is indented one step past the line it starts on
@@ -147,7 +150,7 @@ def test_show_env_and_qenv():
     assert show_env((("f", S.FArrow(NAT, NAT)), ("p", S.PProc(S.ProtoBase((), S.OSimple(())))))) == (
         "[f : nat -> nat, p : proc ([] out [])]"
     )
-    assert show_qenv(S.QExists("v", env(("z", nat(v))))) == "exists v. [z : nat(v)]"
+    assert show_qenv(S.QExists("v", env(("z", nat(b0))))) == "exists v. [z : nat(v)]"
 
 
 FILES = {
@@ -157,7 +160,7 @@ FILES = {
         "discipline ID;\n\ncst p = " + PROC_TEXT + ";\n\ncst q = p;\n\nmain {\n  p{0}(0; z);\n} out [z : nat]\n",
     ),
     "functional": (
-        S.SourceFile("FD", (("f", S.TIndLam("n", S.TFn("x", nat(n), x))),),
+        S.SourceFile("FD", (("f", S.TIndLam("n", S.TFn("x", nat(b0), x))),),
                      S.MainF(S.TApp(S.TIndApp(f, ZERO), S.TZero()))),
         "discipline FD;\n\ncst f = lam n. fn x : nat(n) => x;\n\nmain = f{0} 0;\n",
     ),

@@ -7,6 +7,7 @@ import string
 import pytest
 
 from loopcert import dependent, gen, pipeline
+from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError, ParseError
 from loopcert.parser import Parser
 
@@ -32,7 +33,7 @@ def test_id_checker_never_crashes_on_random_goals():
         q = gen.gen_qenv(rng, 2)
         p = gen.gen_prop(rng, 3)
         try:
-            dependent.id_check_seq((), (("z", p),), gen_seq(rng), q)
+            dependent._id_seq((), (("z", p),), gen_seq(rng), q, CheckCtx(), False)
         except CheckError:
             pass
 

@@ -273,7 +273,7 @@ def test_erasure_commutes_with_substitution():
     rng = random.Random(21)
     for _ in range(80):
         t = gen.gen_term(rng, 4, ivars=("n",))
-        assert erase(S.subst_ind(t, "n", S.num_ind(2))) == erase(t)
+        assert erase(S.subst_ind(S.close_ind(t, "n"), S.num_ind(2))) == erase(t)
 
 
 def test_zero_iteration_loop():

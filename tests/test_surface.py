@@ -173,3 +173,15 @@ def test_coerced_group_may_end_its_sequence():
     )
     (item,) = sf.csts[0][1].header.body.body.items
     assert isinstance(item, S.SSubst)
+
+
+def test_an_unpack_spliced_from_a_group_scopes_over_the_rest():
+    """A `?n.` that ends a `( ... )` group binds n in the items after the
+    group; after the sequence, n is free again."""
+    seq = parse_seq("( inc(z); ?n. ) z := x :> {k/nat(add(k, n))}[0 = 0]; { }[z : nat(n)];")
+    _, unpack = seq.items
+    assign, block = unpack.rest.items
+    assert assign.value.fam.body == S.FNat(S.IAdd(S.IBound(0), S.IBound(1)))
+    assert block.ann == S.QSimple((("z", S.FNat(S.IBound(0))),))
+    outer = parse_seq("{ ( ?n. ) }[z : nat(0)]; z := z :> {k/nat(n)}[0 = 0];")
+    assert outer.items[1].value.fam.body == S.FNat(S.IVar("n"))
