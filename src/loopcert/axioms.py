@@ -54,25 +54,25 @@ _BY_CLASS: Dict[type, Tuple[Tuple[str, Ind, Ind], ...]] = {
 
 
 def _match(pattern: Ind, subject: Ind, binding: Dict[str, Ind]) -> bool:
-    if isinstance(pattern, IVar) and pattern.name.startswith("%"):
+    cls = type(pattern)
+    if cls is IVar and pattern.name.startswith("%"):
         bound = binding.get(pattern.name)
         if bound is None:
             binding[pattern.name] = subject
             return True
         return alpha_eq(bound, subject)
-    if type(pattern) is not type(subject):
+    if cls is not type(subject):
         return False
-    match pattern:
-        case IVar(name):
-            return name == subject.name  # type: ignore[union-attr]
-        case IZero():
-            return True
-        case ISucc(a) | IPred(a) | IF32(a):
-            return _match(a, subject.arg, binding)  # type: ignore[union-attr]
-        case IAdd(a, b) | ISub(a, b) | IMult(a, b):
-            return _match(a, subject.left, binding) and _match(  # type: ignore[union-attr]
-                b, subject.right, binding  # type: ignore[union-attr]
-            )
+    if cls is IZero:
+        return True
+    if cls is ISucc or cls is IPred or cls is IF32:
+        return _match(pattern.arg, subject.arg, binding)  # type: ignore[union-attr]
+    if cls is IAdd or cls is ISub or cls is IMult:
+        return _match(pattern.left, subject.left, binding) and _match(  # type: ignore[union-attr]
+            pattern.right, subject.right, binding  # type: ignore[union-attr]
+        )
+    if cls is IVar:
+        return pattern.name == subject.name  # type: ignore[union-attr]
     raise AssertionError(pattern)
 
 

@@ -45,6 +45,10 @@ individuals, types, families and annotations the checker reads from the
 syntax, and the syntax a message prints, are instantiated from that
 stack, so opening costs nothing per node of the body.  `lam n.` closes
 its eigenvariable back into the index of the `forall` it types.
+
+Each walk tells nodes apart by their exact class (`type(t) is C`), the
+most frequent cases first, and records a rule with `CheckCtx.rule`, the
+bound `append` of the trace list.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ class CheckCtx:
     """Per-run checker state: rule trace, warnings, whether the optional
     TC_PRED_D rule of FD checking is on, and the open binders.
 
+    `rule(label)` records a rule: it is the bound `append` of the trace
+    list, so recording costs no Python call; a context made without a
+    trace gets a list of its own.
+
     `opened` holds the eigenvariable of each open binder over
     individuals, the innermost last: the checker opens a binder where
     the syntax it descends into does, so the index k that escapes what
@@ -73,7 +81,8 @@ class CheckCtx:
         warnings: Optional[List[str]] = None,
         allow_pred: bool = True,
     ):
-        self.trace = trace
+        self.trace = trace if trace is not None else []
+        self.rule: Callable[[str], None] = self.trace.append
         self.warnings = warnings if warnings is not None else []
         self.allow_pred = allow_pred
         self.fresh = S.Freshener()
@@ -94,10 +103,6 @@ class CheckCtx:
         by their eigenvariables; depth binders around value in the syntax
         are not open yet, and their indices stay."""
         return S.open_inds(value, self.opened, depth) if self.opened else value
-
-    def rule(self, label: str) -> None:
-        if self.trace is not None:
-            self.trace.append(label)
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
@@ -191,162 +196,158 @@ def fs_check_term(sigma: S.Env, t: S.Term, ctx: Optional[CheckCtx] = None) -> S.
 # The term environment is one scoped map per check (see envs.bind).
 # fs is True when checking the FS fragment (see the module docstring).
 def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
-    match t:
-        case S.TVar(name):
-            ty = env.get(name)
-            if ty is None:
-                raise CheckError("TC_VAR", f"unbound variable '{name}'", span=t.span, reason="UnboundVariable")
-            ctx.rule("TC_VAR")
-            return ty
-        case S.TZero():
-            ctx.rule("TC_ZERO")
-            return _NAT if fs else S.FNat(S.IZero())
-        case S.TSucc(arg):
-            ity = _fd_nat(env, arg, ctx, fs, "TC_SUCC", t.span)
-            ctx.rule("TC_SUCC")
-            return _NAT if fs else S.FNat(S.ISucc(ity))
-        case S.TPred(arg):
-            if fs:
-                _fd_nat(env, arg, ctx, fs, "TC_PRED", t.span)
-                ctx.rule("TC_PRED")
-                return _NAT
-            if not ctx.allow_pred:
-                raise CheckError("TC_PRED_D", "the optional pred rule is disabled", span=t.span)
-            ity = _fd_nat(env, arg, ctx, fs, "TC_PRED_D", t.span)
-            ctx.rule("TC_PRED_D")
-            return S.FNat(S.IPred(ity))
-        case S.TFn(param, ann, body):
-            ann = ctx.read(ann)
-            if fs and not S.is_simple_formula(ann):
-                raise CheckError("FS", f"{show(ann)} is not a simple type", span=t.span)
-            shadowed = envs.bind(env, param, ann)
-            cod = _fd(env, body, ctx, fs)
-            envs.unbind(env, param, shadowed)
-            ctx.rule("TC_LAM")
-            return S.FArrow(ann, cod)
-        case S.TApp(fn, arg):
-            fnty = _fd(env, fn, ctx, fs)
-            if not isinstance(fnty, S.FArrow):
-                raise CheckError("TC_APP", f"applied a non-function of type {show(fnty)}", span=t.span)
-            got = _fd(env, arg, ctx, fs)
-            if not S.alpha_eq(got, fnty.dom):
-                raise CheckError(
-                    "TC_APP", f"argument has type {show(got)}, expected {show(fnty.dom)}", span=t.span
-                )
-            ctx.rule("TC_APP")
-            return fnty.cod
-        case S.TTuple(items):
-            types = tuple([_fd(env, item, ctx, fs) for item in items])
-            ctx.rule("TC_TUPLE")
-            return S.FTuple(types)
-        case S.TLet() | S.TLetMatch():
-            return _fd_lets(env, t, ctx, fs)
-        case S.TRec(bound, base, step, motive) if fs:
-            if motive is not None:
-                raise CheckError("TC_REC", "simple rec carries no motive", span=t.span)
-            _fd_nat(env, bound, ctx, fs, "TC_REC", t.span)
-            tau = _fd(env, base, ctx, fs)
-            got = _fd(env, step, ctx, fs)
-            want = S.FArrow(_NAT, S.FArrow(tau, tau))
-            if not S.alpha_eq(got, want):
-                raise CheckError("TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span)
-            ctx.rule("TC_REC")
-            return tau
-        case _ if fs:
-            raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
-        case S.TIndLam(var, body):
-            ev = ctx.open(var)
-            phi = _fd(env, body, ctx, fs)
-            ctx.close()
-            ctx.rule("TC_FORALL_I")
-            return S.FForall(var, S.close_ind(phi, ev.name))
-        case S.TIndApp(fn, arg):
-            fnty = _fd(env, fn, ctx, fs)
-            if not isinstance(fnty, S.FForall):
-                raise CheckError(
-                    "TC_FORALL_E", f"instantiated a non-universal of type {show(fnty)}", span=t.span
-                )
-            ctx.rule("TC_FORALL_E")
-            return S.subst_ind(fnty.body, ctx.read(arg))
-        case S.TPack(witness, value, ann):
-            witness, ann = ctx.read(witness), ctx.read(ann)
-            if not isinstance(ann, S.FExists):
-                raise CheckError("TC_EXISTS_I", f"pack annotation {show(ann)} is not existential", span=t.span)
-            want = S.subst_ind(ann.body, witness)
-            got = _fd(env, value, ctx, fs)
-            if not S.alpha_eq(got, want):
-                raise CheckError(
-                    "TC_EXISTS_I", f"witness body has type {show(got)}, expected {show(want)}", span=t.span
-                )
-            ctx.rule("TC_EXISTS_I")
-            return ann
-        case S.TRec(bound, base, step, motive):
-            if motive is None:
-                raise CheckError("TC_REC", "dependent rec requires a motive", span=t.span, reason="MissingMotive")
-            motive = ctx.read(motive)
-            idx = _fd_nat(env, bound, ctx, fs, "TC_REC", t.span)
-            base_want = S.subst_ind(motive.body, S.IZero())
-            base_got = _fd(env, base, ctx, fs)
-            if not S.alpha_eq(base_got, base_want):
-                raise CheckError(
-                    "TC_REC", f"base has type {show(base_got)}, expected {show(base_want)}", span=t.span
-                )
-            match step:
-                case S.TIndLam(svar, S.TFn(yname, yann, sbody)):
-                    yann = ctx.read(yann, 1)  # its index 0 is svar's
-                    ev = ctx.open(svar)
-                    if yann != S.FNat(S.IBound(0)):
-                        shown = show(S.subst_ind(yann, S.IVar(svar)))
-                        raise CheckError(
-                            "TC_REC", f"step counter annotated {shown}, expected nat({svar})", span=t.span
-                        )
-                    want = S.FArrow(S.subst_ind(motive.body, ev), S.subst_ind(motive.body, S.ISucc(ev)))
-                    shadowed = envs.bind(env, yname, S.FNat(ev))
-                    got = _fd(env, sbody, ctx, fs)
-                    envs.unbind(env, yname, shadowed)
-                    ctx.close()
-                    if not S.alpha_eq(got, want):
-                        raise CheckError(
-                            "TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span
-                        )
-                case _:
-                    raise CheckError(
-                        "TC_REC", "dependent rec step must be 'lam n. fn y : nat(n) => ...'", span=t.span
-                    )
-            ctx.rule("TC_REC")
-            return S.subst_ind(motive.body, idx)
-        case S.TAxiom(left, right):
-            return check_axiom(left, right, ctx, "TC", t.span)
-        case S.TCoerce(subject, fam, proof):
-            return check_coercion(lambda x: _fd(env, x, ctx, fs), subject, fam, proof, ctx, "TC", t.span)
-        case S.TThrow(ann, cont, arg):
-            cont_ty = _fd(env, cont, ctx, fs)
-            negated = S.as_neg_f(cont_ty)
-            if negated is None:
-                raise CheckError(
-                    "TC_THROW", f"throw target has type {show(cont_ty)}, expected a negation", span=t.span
-                )
-            got = _fd(env, arg, ctx, fs)
-            if not S.alpha_eq(got, negated):
-                raise CheckError(
-                    "TC_THROW", f"thrown value has type {show(got)}, expected {show(negated)}", span=t.span
-                )
-            ctx.rule("TC_THROW")
-            return ctx.read(ann)
-        case S.TCallcc(arg):
-            ty = _fd(env, arg, ctx, fs)
-            shape_err = CheckError(
-                "TC_CALLCC", f"callcc argument has type {show(ty)}, expected ~phi -> phi", span=t.span
+    cls = type(t)  # the cases go most frequent first
+    if cls is S.TVar:
+        ty = env.get(t.name)
+        if ty is None:
+            raise CheckError("TC_VAR", f"unbound variable '{t.name}'", span=t.span, reason="UnboundVariable")
+        ctx.rule("TC_VAR")
+        return ty
+    if cls is S.TSucc:
+        ity = _fd_nat(env, t.arg, ctx, fs, "TC_SUCC", t.span)
+        ctx.rule("TC_SUCC")
+        return _NAT if fs else S.FNat(S.ISucc(ity))
+    if cls is S.TTuple:
+        types = tuple([_fd(env, item, ctx, fs) for item in t.items])
+        ctx.rule("TC_TUPLE")
+        return S.FTuple(types)
+    if cls is S.TZero:
+        ctx.rule("TC_ZERO")
+        return _NAT if fs else S.FNat(S.IZero())
+    if cls is S.TFn:
+        ann = ctx.read(t.ann)
+        if fs and not S.is_simple_formula(ann):
+            raise CheckError("FS", f"{show(ann)} is not a simple type", span=t.span)
+        shadowed = envs.bind(env, t.param, ann)
+        cod = _fd(env, t.body, ctx, fs)
+        envs.unbind(env, t.param, shadowed)
+        ctx.rule("TC_LAM")
+        return S.FArrow(ann, cod)
+    if cls is S.TLet or cls is S.TLetMatch:
+        return _fd_lets(env, t, ctx, fs)
+    if cls is S.TApp:
+        fnty = _fd(env, t.fn, ctx, fs)
+        if type(fnty) is not S.FArrow:
+            raise CheckError("TC_APP", f"applied a non-function of type {show(fnty)}", span=t.span)
+        got = _fd(env, t.arg, ctx, fs)
+        if not S.alpha_eq(got, fnty.dom):
+            raise CheckError(
+                "TC_APP", f"argument has type {show(got)}, expected {show(fnty.dom)}", span=t.span
             )
-            if not isinstance(ty, S.FArrow):
-                raise shape_err
-            negated = S.as_neg_f(ty.dom)
-            if negated is None or not S.alpha_eq(negated, ty.cod):
-                raise shape_err
-            ctx.rule("TC_CALLCC")
-            return ty.cod
-        case S.TUnpack():
-            raise CheckError("TC_EXISTS", "'?n.' is only meaningful under a tuple match", span=t.span)
+        ctx.rule("TC_APP")
+        return fnty.cod
+    if cls is S.TRec and fs:
+        if t.motive is not None:
+            raise CheckError("TC_REC", "simple rec carries no motive", span=t.span)
+        _fd_nat(env, t.bound, ctx, fs, "TC_REC", t.span)
+        tau = _fd(env, t.base, ctx, fs)
+        got = _fd(env, t.step, ctx, fs)
+        want = S.FArrow(_NAT, S.FArrow(tau, tau))
+        if not S.alpha_eq(got, want):
+            raise CheckError("TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span)
+        ctx.rule("TC_REC")
+        return tau
+    if cls is S.TPred:
+        if fs:
+            _fd_nat(env, t.arg, ctx, fs, "TC_PRED", t.span)
+            ctx.rule("TC_PRED")
+            return _NAT
+        if not ctx.allow_pred:
+            raise CheckError("TC_PRED_D", "the optional pred rule is disabled", span=t.span)
+        ity = _fd_nat(env, t.arg, ctx, fs, "TC_PRED_D", t.span)
+        ctx.rule("TC_PRED_D")
+        return S.FNat(S.IPred(ity))
+    if fs:
+        raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
+    if cls is S.TCoerce:
+        return check_coercion(lambda x: _fd(env, x, ctx, fs), t.subject, t.fam, t.proof, ctx, "TC", t.span)
+    if cls is S.TAxiom:
+        return check_axiom(t.left, t.right, ctx, "TC", t.span)
+    if cls is S.TPack:
+        witness, ann = ctx.read(t.witness), ctx.read(t.ann)
+        if type(ann) is not S.FExists:
+            raise CheckError("TC_EXISTS_I", f"pack annotation {show(ann)} is not existential", span=t.span)
+        want = S.subst_ind(ann.body, witness)
+        got = _fd(env, t.value, ctx, fs)
+        if not S.alpha_eq(got, want):
+            raise CheckError(
+                "TC_EXISTS_I", f"witness body has type {show(got)}, expected {show(want)}", span=t.span
+            )
+        ctx.rule("TC_EXISTS_I")
+        return ann
+    if cls is S.TIndApp:
+        fnty = _fd(env, t.fn, ctx, fs)
+        if type(fnty) is not S.FForall:
+            raise CheckError(
+                "TC_FORALL_E", f"instantiated a non-universal of type {show(fnty)}", span=t.span
+            )
+        ctx.rule("TC_FORALL_E")
+        return S.subst_ind(fnty.body, ctx.read(t.arg))
+    if cls is S.TIndLam:
+        ev = ctx.open(t.var)
+        phi = _fd(env, t.body, ctx, fs)
+        ctx.close()
+        ctx.rule("TC_FORALL_I")
+        return S.FForall(t.var, S.close_ind(phi, ev.name))
+    if cls is S.TRec:
+        if t.motive is None:
+            raise CheckError("TC_REC", "dependent rec requires a motive", span=t.span, reason="MissingMotive")
+        motive = ctx.read(t.motive)
+        idx = _fd_nat(env, t.bound, ctx, fs, "TC_REC", t.span)
+        base_want = S.subst_ind(motive.body, S.IZero())
+        base_got = _fd(env, t.base, ctx, fs)
+        if not S.alpha_eq(base_got, base_want):
+            raise CheckError(
+                "TC_REC", f"base has type {show(base_got)}, expected {show(base_want)}", span=t.span
+            )
+        step = t.step
+        if type(step) is not S.TIndLam or type(step.body) is not S.TFn:
+            raise CheckError(
+                "TC_REC", "dependent rec step must be 'lam n. fn y : nat(n) => ...'", span=t.span
+            )
+        svar, fn = step.var, step.body
+        yann = ctx.read(fn.ann, 1)  # its index 0 is svar's
+        ev = ctx.open(svar)
+        if yann != S.FNat(S.IBound(0)):
+            shown = show(S.subst_ind(yann, S.IVar(svar)))
+            raise CheckError("TC_REC", f"step counter annotated {shown}, expected nat({svar})", span=t.span)
+        want = S.FArrow(S.subst_ind(motive.body, ev), S.subst_ind(motive.body, S.ISucc(ev)))
+        shadowed = envs.bind(env, fn.param, S.FNat(ev))
+        got = _fd(env, fn.body, ctx, fs)
+        envs.unbind(env, fn.param, shadowed)
+        ctx.close()
+        if not S.alpha_eq(got, want):
+            raise CheckError("TC_REC", f"step has type {show(got)}, expected {show(want)}", span=t.span)
+        ctx.rule("TC_REC")
+        return S.subst_ind(motive.body, idx)
+    if cls is S.TThrow:
+        cont_ty = _fd(env, t.cont, ctx, fs)
+        negated = S.as_neg_f(cont_ty)
+        if negated is None:
+            raise CheckError(
+                "TC_THROW", f"throw target has type {show(cont_ty)}, expected a negation", span=t.span
+            )
+        got = _fd(env, t.arg, ctx, fs)
+        if not S.alpha_eq(got, negated):
+            raise CheckError(
+                "TC_THROW", f"thrown value has type {show(got)}, expected {show(negated)}", span=t.span
+            )
+        ctx.rule("TC_THROW")
+        return ctx.read(t.ann)
+    if cls is S.TCallcc:
+        ty = _fd(env, t.arg, ctx, fs)
+        shape_err = CheckError(
+            "TC_CALLCC", f"callcc argument has type {show(ty)}, expected ~phi -> phi", span=t.span
+        )
+        if type(ty) is not S.FArrow:
+            raise shape_err
+        negated = S.as_neg_f(ty.dom)
+        if negated is None or not S.alpha_eq(negated, ty.cod):
+            raise shape_err
+        ctx.rule("TC_CALLCC")
+        return ty.cod
+    if cls is S.TUnpack:
+        raise CheckError("TC_EXISTS", "'?n.' is only meaningful under a tuple match", span=t.span)
     raise CheckError("FD", f"unhandled term {show(ctx.read(t))}", span=getattr(t, "span", None))
 
 
@@ -462,26 +463,24 @@ def _fresh_for_store(name: str, omega: S.Env, rule: str, span, what: str) -> Non
 
 def _simple_prop(p: S.Prop, span) -> None:
     """IS parameter and output types: unit, nat, and procedures over them."""
-    match p:
-        case S.FTop():
-            return
-        case S.FNat(None):
-            return
-        case S.PProc(S.ProtoBase(params, S.OSimple(types))):
-            for q in params + types:
-                _simple_prop(q, span)
-            return
+    cls = type(p)
+    if cls is S.FNat and p.index is None or cls is S.FTop:
+        return
+    if cls is S.PProc and type(p.proto) is S.ProtoBase and type(p.proto.out) is S.OSimple:
+        for q in p.proto.params + p.proto.out.types:
+            _simple_prop(q, span)
+        return
     raise CheckError("IS", f"{show(p)} is not a simple type", span=span)
 
 
 def proto_of_header(header: S.Header) -> S.Proto:
-    match header:
-        case S.HForall(var, body):
-            return S.ProtoAll(var, proto_of_header(body))
-        case S.HBase(params, out, _):
-            _, types = envs.split(params)
-            _, output = envs.qsplit(out)
-            return S.ProtoBase(types, output)
+    cls = type(header)
+    if cls is S.HBase:
+        _, types = envs.split(header.params)
+        _, output = envs.qsplit(header.out)
+        return S.ProtoBase(types, output)
+    if cls is S.HForall:
+        return S.ProtoAll(header.var, proto_of_header(header.body))
     raise AssertionError(header)
 
 
@@ -503,65 +502,59 @@ def check_main(gamma: S.Env, main: S.MainI, ctx: CheckCtx, simple: bool) -> None
 
 # simple is True when checking the IS fragment (see the module docstring).
 def _id_expr(gamma: S.Env, omega: S.Env, e: S.Expr, ctx: CheckCtx, simple: bool) -> S.Prop:
-    match e:
-        case S.EVar(name):
-            return check_ident(gamma, omega, name, ctx, e.span)
-        case S.EStar():
-            ctx.rule("T_UNIT" if simple else "T_TRUE")
-            return S.FTop()
-        case S.ENum(value):
-            if simple:
-                ctx.rule("T_NUM")
-                return _NAT
-            ctx.rule("T_ZERO" if value == 0 else "T_SUCC")
-            return S.FNat(S.num_ind(value))
-        case S.EProc(header):
-            declared = proto_of_header(header)
-            if not simple:
-                declared = ctx.read(declared)
-            _id_check_header(gamma, header, ctx, e.span, simple)
-            return S.proc_t(declared)
-        case _ if simple:
+    cls = type(e)  # the cases go most frequent first
+    if cls is S.EVar:
+        return check_ident(gamma, omega, e.name, ctx, e.span)
+    if cls is S.ENum:
+        if simple:
+            ctx.rule("T_NUM")
+            return _NAT
+        ctx.rule("T_ZERO" if e.value == 0 else "T_SUCC")
+        return S.FNat(S.num_ind(e.value))
+    if cls is S.EProc:
+        declared = proto_of_header(e.header)
+        if not simple:
+            declared = ctx.read(declared)
+        _id_check_header(gamma, e.header, ctx, e.span, simple)
+        return S.proc_t(declared)
+    if cls is S.EStar:
+        ctx.rule("T_UNIT" if simple else "T_TRUE")
+        return S.FTop()
+    if simple:
+        raise CheckError(
+            "IS", f"expression not in the simple fragment: {show(e)}", span=getattr(e, "span", None)
+        )
+    if cls is S.ECoerce:
+        return check_coercion(
+            lambda x: _id_expr(gamma, omega, x, ctx, simple), e.subject, e.fam, e.proof, ctx, "T", e.span
+        )
+    if cls is S.EAxiom:
+        return check_axiom(e.left, e.right, ctx, "T", e.span)
+    if cls is S.EInst:
+        fnty = _id_expr(gamma, omega, e.fn, ctx, simple)
+        if type(fnty) is S.PProc and type(fnty.proto) is S.ProtoAll:
+            ctx.rule("T_PROC_INST")
+            return S.proc_t(S.subst_ind(fnty.proto.body, ctx.read(e.arg)))
+        if type(fnty) is S.PNeg and type(fnty.out) is S.OExists:
             raise CheckError(
-                "IS", f"expression not in the simple fragment: {show(e)}", span=getattr(e, "span", None)
+                "T_PROC_INST",
+                "a continuation is instantiated with '<: {n/phi}{i}', not '{i}'",
+                span=e.span,
             )
-        case S.EAxiom(left, right):
-            return check_axiom(left, right, ctx, "T", e.span)
-        case S.ECoerce(subject, fam, proof):
-            return check_coercion(
-                lambda x: _id_expr(gamma, omega, x, ctx, simple), subject, fam, proof, ctx, "T", e.span
+        raise CheckError("T_PROC_INST", f"instantiated a non-universal of type {show(fnty)}", span=e.span)
+    if cls is S.EContInst:
+        fam, arg = ctx.read(e.fam), ctx.read(e.arg)
+        want = S.PNeg(S.OExists(fam.var, fam.body))
+        got = _id_expr(gamma, omega, e.fn, ctx, simple)
+        if not S.alpha_eq(got, want):
+            raise CheckError(
+                "T_CONT_INST",
+                f"continuation has type {show(got)}, the annotation negates to {show(want)}",
+                span=e.span,
+                reason="NegationMismatch",
             )
-        case S.EInst(fn, arg):
-            fnty = _id_expr(gamma, omega, fn, ctx, simple)
-            match fnty:
-                case S.PProc(S.ProtoAll(var, body)):
-                    ctx.rule("T_PROC_INST")
-                    return S.proc_t(S.subst_ind(body, ctx.read(arg)))
-                case S.PNeg(S.OExists()):
-                    raise CheckError(
-                        "T_PROC_INST",
-                        "a continuation is instantiated with '<: {n/phi}{i}', not '{i}'",
-                        span=e.span,
-                    )
-                case _:
-                    raise CheckError(
-                        "T_PROC_INST",
-                        f"instantiated a non-universal of type {show(fnty)}",
-                        span=e.span,
-                    )
-        case S.EContInst(fn, fam, arg):
-            fam, arg = ctx.read(fam), ctx.read(arg)
-            want = S.PNeg(S.OExists(fam.var, fam.body))
-            got = _id_expr(gamma, omega, fn, ctx, simple)
-            if not S.alpha_eq(got, want):
-                raise CheckError(
-                    "T_CONT_INST",
-                    f"continuation has type {show(got)}, the annotation negates to {show(want)}",
-                    span=e.span,
-                    reason="NegationMismatch",
-                )
-            ctx.rule("T_CONT_INST")
-            return S.PNeg(S.subst_ind(fam.body, arg))
+        ctx.rule("T_CONT_INST")
+        return S.PNeg(S.subst_ind(fam.body, arg))
     raise CheckError("ID", f"unhandled expression {show(ctx.read(e))}", span=getattr(e, "span", None))
 
 
@@ -572,41 +565,42 @@ def _id_check_header(
     unit, reaches the declared outputs.  The main sequence is checked as
     a header with no parameters (main is True), which adds no rule to the
     trace and has its own IS messages."""
-    match header:
-        case S.HForall(var, body):
-            if simple:
-                raise CheckError("T_PROC", "quantified headers are not simple", span=span)
-            ctx.open(var)
-            ctx.rule("T_PROC_ABS")
-            _id_check_header(gamma, body, ctx, span, simple)
-            ctx.close()
-        case S.HBase(params, out, body):
-            rule = "T_PROC" if simple else "T_PROC_DECL"
-            if not simple:
-                params, out = ctx.read(params), ctx.read(out)
-            elif not isinstance(out, S.QSimple):
-                if main:
-                    raise CheckError(rule, "IS main cannot declare an existential output", span=span)
-                raise CheckError(rule, "existential outputs are not simple", span=span)
-            elif not main:
-                for _, p in params + out.env:
-                    _simple_prop(p, span)
-            names, _ = envs.qsplit(out)
-            check_header_idents(params, names, rule, span)
-            if not main:
-                gamma = envs.append(gamma, params)
-                ctx.rule(rule)
-            final = _id_seq(gamma, envs.init(names, S.FTop()), body, out, ctx, simple)
-            if simple and final != out.env:
-                raise CheckError(
-                    rule,
-                    f"{'main' if main else 'body'} ends with store {show_env(final)}, "
-                    f"declared out is {show_env(out.env)}",
-                    span=span,
-                    reason="OutputMismatch",
-                )
-        case _:
-            raise AssertionError(header)
+    cls = type(header)
+    if cls is S.HBase:
+        params, out, body = header.params, header.out, header.body
+        rule = "T_PROC" if simple else "T_PROC_DECL"
+        if not simple:
+            params, out = ctx.read(params), ctx.read(out)
+        elif type(out) is not S.QSimple:
+            if main:
+                raise CheckError(rule, "IS main cannot declare an existential output", span=span)
+            raise CheckError(rule, "existential outputs are not simple", span=span)
+        elif not main:
+            for _, p in params + out.env:
+                _simple_prop(p, span)
+        names, _ = envs.qsplit(out)
+        check_header_idents(params, names, rule, span)
+        if not main:
+            gamma = envs.append(gamma, params)
+            ctx.rule(rule)
+        final = _id_seq(gamma, envs.init(names, S.FTop()), body, out, ctx, simple)
+        if simple and final != out.env:
+            raise CheckError(
+                rule,
+                f"{'main' if main else 'body'} ends with store {show_env(final)}, "
+                f"declared out is {show_env(out.env)}",
+                span=span,
+                reason="OutputMismatch",
+            )
+    elif cls is S.HForall:
+        if simple:
+            raise CheckError("T_PROC", "quantified headers are not simple", span=span)
+        ctx.open(header.var)
+        ctx.rule("T_PROC_ABS")
+        _id_check_header(gamma, header.body, ctx, span, simple)
+        ctx.close()
+    else:
+        raise AssertionError(header)
 
 
 def id_check_exprs(
@@ -748,17 +742,16 @@ def _id_seq(
     if simple:
         ctx.rule("T_EMPTY")
         return omega[:live]  # without the locals
-    match expected:
-        case S.QSimple(env):
-            envs.subset(env, omega, "T_EMPTY", s.span)
-            ctx.rule("T_EMPTY")
-        case S.QExists():
-            raise CheckError(
-                "T_EMPTY",
-                f"output {show(expected)} is existential; a witness annotation is required",
-                span=s.span,
-                reason="MissingWitness",
-            )
+    if type(expected) is S.QSimple:
+        envs.subset(expected.env, omega, "T_EMPTY", s.span)
+        ctx.rule("T_EMPTY")
+    elif type(expected) is S.QExists:
+        raise CheckError(
+            "T_EMPTY",
+            f"output {show(expected)} is existential; a witness annotation is required",
+            span=s.span,
+            reason="MissingWitness",
+        )
     return None
 
 
@@ -769,125 +762,122 @@ def _id_command(
     jump or call the output environment theta it updates the store with
     (TC_UPDATE_SEQ), else None.  An IS block or call updates the store
     itself, by multi_update."""
-    match cmd:
-        case S.CAssign(name, value):
-            envs.require(omega, name, "T_ASSIGN", cmd.span)
-            ty = _id_expr(gamma, omega, value, ctx, simple)
-            ctx.rule("T_ASSIGN")
-            return envs.update(omega, name, ty, "T_ASSIGN", cmd.span), None
-        case S.CInc(name) | S.CDec(name):
-            rule = "T_INC" if isinstance(cmd, S.CInc) else "T_DEC"
-            ty = envs.require(omega, name, rule, cmd.span)
-            if not isinstance(ty, S.FNat) or (ty.index is None) != simple:
-                wanted = "nat" if simple else "an indexed nat"
-                raise CheckError(rule, f"'{name}' has type {show(ty)}, expected {wanted}", span=cmd.span)
-            ctx.rule(rule)
-            if simple:
-                return omega, None
-            new_index = S.ISucc(ty.index) if isinstance(cmd, S.CInc) else S.IPred(ty.index)
-            return envs.update(omega, name, S.FNat(new_index), rule, cmd.span), None
-        case S.CBlock(body, ann) if simple:
+    cls = type(cmd)  # the cases go most frequent first
+    if cls is S.CAssign:
+        envs.require(omega, cmd.name, "T_ASSIGN", cmd.span)
+        ty = _id_expr(gamma, omega, cmd.value, ctx, simple)
+        ctx.rule("T_ASSIGN")
+        return envs.update(omega, cmd.name, ty, "T_ASSIGN", cmd.span), None
+    if cls is S.CInc or cls is S.CDec:
+        name = cmd.name
+        rule = "T_INC" if cls is S.CInc else "T_DEC"
+        ty = envs.require(omega, name, rule, cmd.span)
+        if type(ty) is not S.FNat or (ty.index is None) != simple:
+            wanted = "nat" if simple else "an indexed nat"
+            raise CheckError(rule, f"'{name}' has type {show(ty)}, expected {wanted}", span=cmd.span)
+        ctx.rule(rule)
+        if simple:
+            return omega, None
+        new_index = S.ISucc(ty.index) if cls is S.CInc else S.IPred(ty.index)
+        return envs.update(omega, name, S.FNat(new_index), rule, cmd.span), None
+    if cls is S.CCall:
+        outs = cmd.outs
+        if len(set(outs)) != len(outs):
+            raise CheckError("T_CALL", "output idents of a call must be distinct", span=cmd.span)
+        fnty = _id_expr(gamma, omega, cmd.fn, ctx, simple)
+        if type(fnty) is not S.PProc or type(fnty.proto) is not S.ProtoBase:
+            if type(fnty) is S.PProc and type(fnty.proto) is S.ProtoAll:
+                raise CheckError(
+                    "T_CALL", f"procedure of type {show(fnty)} must be instantiated before the call",
+                    span=cmd.span,
+                )
+            if type(fnty) is S.PNeg:
+                raise CheckError(
+                    "T_CALL",
+                    f"'{show(ctx.read(cmd.fn))}' is a continuation of type {show(fnty)}; use jump",
+                    span=cmd.span,
+                )
+            raise CheckError("T_CALL", f"called a non-procedure of type {show(fnty)}", span=cmd.span)
+        out = fnty.proto.out
+        id_check_exprs(gamma, omega, cmd.args, fnty.proto.params, ctx, "T_CALL", cmd.span, simple)
+        if simple:
+            binding = envs.zip_env(outs, out.types, "T_CALL", cmd.span)
+            return envs.multi_update(omega, binding, "T_CALL", cmd.span), None
+        theta = envs.qzip(outs, out, "T_CALL", cmd.span)
+        ctx.rule("T_CALL")
+        return omega, theta
+    if cls is S.CFor:
+        idx, frame = cmd.idx, cmd.frame
+        if simple and idx is not None:
+            raise CheckError("T_FOR", "indexed loops are not simple", span=cmd.span)
+        if not simple:
+            frame = ctx.read(frame, 1)  # its index 0 is the loop's
+        frame0 = S.subst_ind(frame, S.IZero()) if idx else frame
+        envs.subset(frame0, omega, "T_FOR", cmd.span)
+        bound_ty = _id_expr(gamma, omega, cmd.bound, ctx, simple)
+        if type(bound_ty) is not S.FNat or (bound_ty.index is None) != simple:
+            wanted = "nat" if simple else "an indexed nat"
+            raise CheckError("T_FOR", f"loop bound has type {show(bound_ty)}, expected {wanted}", span=cmd.span)
+        if simple:
+            # an IS body starts from the frame, and must end with it
+            ctx.rule("T_FOR")
+            result = _id_seq(gamma + ((cmd.var, _NAT),), frame, cmd.body, None, ctx, simple)
+            if result != frame:
+                raise CheckError(
+                    "T_FOR",
+                    f"loop body maps frame {show_env(frame)} to {show_env(result)}",
+                    span=cmd.span,
+                    reason="LoopFrameNotInvariant",
+                )
+            return omega, None
+        ev = ctx.open("i" if idx is None else idx)
+        frame_n = S.subst_ind(frame, ev)
+        frame_s = S.subst_ind(frame, S.ISucc(ev))
+        frame_end = S.subst_ind(frame, bound_ty.index)
+        ctx.rule("T_FOR")
+        _id_seq(gamma + ((cmd.var, S.FNat(ev)),), frame_n, cmd.body, S.QSimple(frame_s), ctx, simple)
+        ctx.close()
+        return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
+    if cls is S.CBlock:
+        ann = cmd.ann
+        if simple:
             # an IS block starts from its frame, not from the whole store
-            if not isinstance(ann, S.QSimple):
+            if type(ann) is not S.QSimple:
                 raise CheckError("T_BLOCK", "existential block annotations are not simple", span=cmd.span)
             envs.subset(ann.env, omega, "T_BLOCK", cmd.span)
             ctx.rule("T_BLOCK")
-            result = _id_seq(gamma, ann.env, body, ann, ctx, simple)
+            result = _id_seq(gamma, ann.env, cmd.body, ann, ctx, simple)
             return envs.multi_update(omega, result, "T_BLOCK", cmd.span), None
-        case S.CBlock(body, ann):
-            ann = ctx.read(ann)
-            ctx.rule("T_BLOCK")
-            _id_seq(gamma, omega, body, ann, ctx, simple)
-            return omega, ann
-        case S.CLabel() | S.CJump() if simple:
-            raise CheckError("IS", "jumps and labels are not simple", span=cmd.span)
-        case S.CLabel(name, body, ann):
-            ann = ctx.read(ann)
-            _, out = envs.qsplit(ann)
-            cont_ty = S.PNeg(out)
-            ctx.rule("T_LABEL")
-            _id_seq(gamma + ((name, cont_ty),), omega, body, ann, ctx, simple)
-            return omega, ann
-        case S.CJump(target, args, ann):
-            ann = ctx.read(ann)
-            target_ty = _id_expr(gamma, omega, target, ctx, simple)
-            match target_ty:
-                case S.PNeg(S.OSimple(types)):
-                    id_check_exprs(gamma, omega, args, types, ctx, "T_JUMP", cmd.span, simple)
-                case S.PNeg(S.OExists()):
-                    raise CheckError(
-                        "T_JUMP",
-                        f"jump target expects an existential package {show(target_ty)}; instantiate it with '<:'",
-                        span=cmd.span,
-                        reason="NegationMismatch",
-                    )
-                case _:
-                    raise CheckError(
-                        "T_JUMP",
-                        f"jump target has type {show(target_ty)}, expected a negation",
-                        span=cmd.span,
-                        reason="NegationMismatch",
-                    )
-            ctx.rule("T_JUMP")
-            return omega, ann
-        case S.CFor(var, idx, bound, body, frame):
-            if simple and idx is not None:
-                raise CheckError("T_FOR", "indexed loops are not simple", span=cmd.span)
-            if not simple:
-                frame = ctx.read(frame, 1)  # its index 0 is the loop's
-            frame0 = S.subst_ind(frame, S.IZero()) if idx else frame
-            envs.subset(frame0, omega, "T_FOR", cmd.span)
-            bound_ty = _id_expr(gamma, omega, bound, ctx, simple)
-            if not isinstance(bound_ty, S.FNat) or (bound_ty.index is None) != simple:
-                wanted = "nat" if simple else "an indexed nat"
-                raise CheckError("T_FOR", f"loop bound has type {show(bound_ty)}, expected {wanted}", span=cmd.span)
-            if simple:
-                # an IS body starts from the frame, and must end with it
-                ctx.rule("T_FOR")
-                result = _id_seq(gamma + ((var, _NAT),), frame, body, None, ctx, simple)
-                if result != frame:
-                    raise CheckError(
-                        "T_FOR",
-                        f"loop body maps frame {show_env(frame)} to {show_env(result)}",
-                        span=cmd.span,
-                        reason="LoopFrameNotInvariant",
-                    )
-                return omega, None
-            ev = ctx.open("i" if idx is None else idx)
-            frame_n = S.subst_ind(frame, ev)
-            frame_s = S.subst_ind(frame, S.ISucc(ev))
-            frame_end = S.subst_ind(frame, bound_ty.index)
-            ctx.rule("T_FOR")
-            _id_seq(gamma + ((var, S.FNat(ev)),), frame_n, body, S.QSimple(frame_s), ctx, simple)
-            ctx.close()
-            return envs.multi_update(omega, frame_end, "T_FOR", cmd.span), None
-        case S.CCall(fn, args, outs):
-            if len(set(outs)) != len(outs):
-                raise CheckError("T_CALL", "output idents of a call must be distinct", span=cmd.span)
-            fnty = _id_expr(gamma, omega, fn, ctx, simple)
-            match fnty:
-                case S.PProc(S.ProtoBase(params, out)):
-                    pass
-                case S.PProc(S.ProtoAll()):
-                    raise CheckError(
-                        "T_CALL", f"procedure of type {show(fnty)} must be instantiated before the call",
-                        span=cmd.span,
-                    )
-                case S.PNeg():
-                    raise CheckError(
-                        "T_CALL",
-                        f"'{show(ctx.read(fn))}' is a continuation of type {show(fnty)}; use jump",
-                        span=cmd.span,
-                    )
-                case _:
-                    raise CheckError(
-                        "T_CALL", f"called a non-procedure of type {show(fnty)}", span=cmd.span
-                    )
-            id_check_exprs(gamma, omega, args, params, ctx, "T_CALL", cmd.span, simple)
-            if simple:
-                binding = envs.zip_env(outs, out.types, "T_CALL", cmd.span)
-                return envs.multi_update(omega, binding, "T_CALL", cmd.span), None
-            theta = envs.qzip(outs, out, "T_CALL", cmd.span)
-            ctx.rule("T_CALL")
-            return omega, theta
+        ann = ctx.read(ann)
+        ctx.rule("T_BLOCK")
+        _id_seq(gamma, omega, cmd.body, ann, ctx, simple)
+        return omega, ann
+    if (cls is S.CLabel or cls is S.CJump) and simple:
+        raise CheckError("IS", "jumps and labels are not simple", span=cmd.span)
+    if cls is S.CJump:
+        ann = ctx.read(cmd.ann)
+        target_ty = _id_expr(gamma, omega, cmd.target, ctx, simple)
+        if type(target_ty) is not S.PNeg:
+            raise CheckError(
+                "T_JUMP",
+                f"jump target has type {show(target_ty)}, expected a negation",
+                span=cmd.span,
+                reason="NegationMismatch",
+            )
+        if type(target_ty.out) is S.OExists:
+            raise CheckError(
+                "T_JUMP",
+                f"jump target expects an existential package {show(target_ty)}; instantiate it with '<:'",
+                span=cmd.span,
+                reason="NegationMismatch",
+            )
+        id_check_exprs(gamma, omega, cmd.args, target_ty.out.types, ctx, "T_JUMP", cmd.span, simple)
+        ctx.rule("T_JUMP")
+        return omega, ann
+    if cls is S.CLabel:
+        ann = ctx.read(cmd.ann)
+        _, out = envs.qsplit(ann)
+        ctx.rule("T_LABEL")
+        _id_seq(gamma + ((cmd.name, S.PNeg(out)),), omega, cmd.body, ann, ctx, simple)
+        return omega, ann
     raise AssertionError(cmd)

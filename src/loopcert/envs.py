@@ -75,7 +75,7 @@ def require(env: Env, name: str, rule: str, span=None) -> Any:
 
 
 def lookup_many(env: Env, names: Tuple[str, ...], rule: str, span=None) -> Tuple[Any, ...]:
-    return tuple(require(env, x, rule, span) for x in names)
+    return tuple([require(env, x, rule, span) for x in names])
 
 
 def update(env: Env, name: str, ty: Any, rule: str = "UPDATE", span=None) -> Env:
@@ -118,7 +118,7 @@ def subset(small: Env, big: Env, rule: str = "TC_SUBSET", span=None) -> None:
 
 
 def restrict(env: Env, names: Tuple[str, ...], rule: str = "TC_RESTRICT", span=None) -> Env:
-    return tuple((x, require(env, x, rule, span)) for x in names)
+    return tuple([(x, require(env, x, rule, span)) for x in names])
 
 
 def split(env: Env) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
@@ -129,7 +129,7 @@ def split(env: Env) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
 
 
 def init(names: Tuple[str, ...], ty: Any) -> Env:
-    return tuple((x, ty) for x in names)
+    return tuple([(x, ty) for x in names])
 
 
 def zip_env(names: Tuple[str, ...], types: Tuple[Any, ...], rule: str = "TC_ZIP", span=None) -> Env:
@@ -145,32 +145,32 @@ def zip_env(names: Tuple[str, ...], types: Tuple[Any, ...], rule: str = "TC_ZIP"
 
 def qsplit(qenv: QEnv) -> Tuple[Tuple[str, ...], Output]:
     """Split a quantified environment into idents and a quantified output."""
-    match qenv:
-        case QSimple(env):
-            names, types = split(env)
-            return names, OSimple(types)
-        case QExists(var, body):
-            names, out = qsplit(body)
-            return names, OExists(var, out)
+    cls = type(qenv)
+    if cls is QSimple:
+        names, types = split(qenv.env)
+        return names, OSimple(types)
+    if cls is QExists:
+        names, out = qsplit(qenv.body)
+        return names, OExists(qenv.var, out)
     raise AssertionError(qenv)
 
 
 def qzip(names: Tuple[str, ...], out: Output, rule: str = "TC_QZIP", span=None) -> QEnv:
-    match out:
-        case OSimple(types):
-            return QSimple(zip_env(names, types, rule, span))
-        case OExists(var, body):
-            return QExists(var, qzip(names, body, rule, span))
+    cls = type(out)
+    if cls is OSimple:
+        return QSimple(zip_env(names, out.types, rule, span))
+    if cls is OExists:
+        return QExists(out.var, qzip(names, out.body, rule, span))
     raise AssertionError(out)
 
 
 def belongs(name: str, qenv: QEnv) -> bool:
     """Membership in a quantified environment (BELONGS_I/II)."""
-    match qenv:
-        case QSimple(env):
-            return lookup(env, name) is not None
-        case QExists(_, body):
-            return belongs(name, body)
+    cls = type(qenv)
+    if cls is QSimple:
+        return lookup(qenv.env, name) is not None
+    if cls is QExists:
+        return belongs(name, qenv.body)
     raise AssertionError(qenv)
 
 

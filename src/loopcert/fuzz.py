@@ -39,7 +39,7 @@ def run_one(
             want = runtime.interpret_program(sf.csts, None, entry, iv)
         except EvalError as ex:
             return {"phase": "differential", "message": f"interpreter: {ex}", "inputs": iv}
-        applied = runtime.RApp(erased, runtime.RTuple(tuple(runtime.RNum(n) for n in iv)))
+        applied = runtime.RApp(erased, runtime.RTuple(tuple([runtime.RNum(n) for n in iv])))
         try:
             got = runtime.evaluate(applied, fuel)
         except EvalError as ex:

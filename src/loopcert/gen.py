@@ -361,4 +361,4 @@ def gen_is_program(rng: Rng, size_bound: int = 30) -> Tuple[S.SourceFile, str, i
 
 
 def gen_inputs(rng: Rng, arity: int, count: int = 5, bound: int = 6) -> List[Tuple[int, ...]]:
-    return [tuple(rng.randrange(0, bound + 1) for _ in range(arity)) for _ in range(count)]
+    return [tuple([rng.randrange(0, bound + 1) for _ in range(arity)]) for _ in range(count)]

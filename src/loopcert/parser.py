@@ -94,7 +94,7 @@ class Tokens:
         self.values = values
         self.starts = starts
         self.line_starts = [0]
-        self.line_starts += accumulate(len(line) + 1 for line in text.split("\n")[:-1])
+        self.line_starts += accumulate([len(line) + 1 for line in text.split("\n")[:-1]])
 
     def __len__(self) -> int:
         return len(self.values) - _PAD

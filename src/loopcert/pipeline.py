@@ -94,7 +94,7 @@ def check_source(
 ) -> CheckedFile:
     """Check every cst and the main sequence of a file, any discipline.
     allow_pred turns the optional TC_PRED_D rule of FD checking on or off."""
-    ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
+    ctx = CheckCtx(trace, allow_pred=allow_pred)
     check = _CST_CHECKERS.get(sf.discipline)
     if check is None:
         raise CheckError("CHECK", f"unknown discipline {sf.discipline}")
@@ -109,7 +109,7 @@ def check_source(
         dependent.check_main(gamma, main, ctx, sf.discipline == "IS")
     elif main is not None:
         types = gamma + (("main", check(gamma, main.term, ctx)),)
-    return CheckedFile(sf, types, ctx.trace or [], tuple(ctx.warnings))
+    return CheckedFile(sf, types, ctx.trace, tuple(ctx.warnings))
 
 
 def translate_file(sf: S.SourceFile) -> S.SourceFile:
@@ -118,7 +118,7 @@ def translate_file(sf: S.SourceFile) -> S.SourceFile:
     if target is None:
         raise LoopcertError(f"{sf.discipline} files are already functional; nothing to translate")
     tctx = translate.TranslateCtx(target)
-    terms = tuple((name, translate.translate_expr(e, tctx)) for name, e in sf.csts)
+    terms = tuple([(name, translate.translate_expr(e, tctx)) for name, e in sf.csts])
     main = None
     if sf.main is not None:
         names, _ = envs.qsplit(sf.main.out)
@@ -134,7 +134,7 @@ def check_target(
     allow_pred: bool = True,
 ) -> Tuple[Tuple[str, S.Formula], ...]:
     """Re-check the translation and verify type preservation."""
-    ctx = CheckCtx(trace=trace if trace is not None else [], allow_pred=allow_pred)
+    ctx = CheckCtx(trace, allow_pred=allow_pred)
     functional_check = dependent.fs_check_term if sf.discipline == "IS" else dependent.fd_check_term
     sigma: S.Env = ()
     result: List[Tuple[str, S.Formula]] = []
@@ -208,7 +208,7 @@ def evaluate_file(
     entry = _entry(sf, types, args) if args is not None else None
     erased = runtime.erase(closed_term(image, entry))
     if args is not None:
-        erased = runtime.RApp(erased, runtime.RTuple(tuple(runtime.RNum(n) for n in args)))
+        erased = runtime.RApp(erased, runtime.RTuple(tuple([runtime.RNum(n) for n in args])))
     value = runtime.evaluate(erased, fuel)
     payload: Dict[str, Any] = {"value": runtime.show_value(value)}
     if entry is None and sf.discipline in ("IS", "ID") and sf.main is not None:

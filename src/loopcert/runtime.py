@@ -30,6 +30,9 @@ the name is unbound, which is an error only if the machine reaches it);
 binder names stay on the terms as hints.  A machine environment is a
 linked tuple (value, parent), innermost binding first, and a frame is a
 tuple whose first item is a small-int tag.
+
+Erasure, the machine and the interpreter tell nodes apart by their exact
+class (`type(t) is C`), the most frequent cases first.
 """
 
 from __future__ import annotations
@@ -129,38 +132,42 @@ def erase(t: S.Term) -> RTerm:
     return _erase(t, defaultdict(list), 0)
 
 
+# the classes _erase_lets walks in its loop
+_CHAINED = frozenset({S.TLet, S.TLetMatch, S.TCoerce, S.TIndLam, S.TIndApp, S.TPack, S.TUnpack})
+
+
 def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     """scope maps each name to the depths of its binders around t, and depth
     counts the binders; the cases go most frequent first."""
-    match t:
-        case S.TVar(name):
-            bound = scope.get(name)
-            return RVar(name, depth - 1 - bound[-1] if bound else None)
-        case S.TLet() | S.TLetMatch() | S.TCoerce() | S.TIndLam() | S.TIndApp() | S.TPack() | S.TUnpack():
-            return _erase_lets(t, scope, depth)
-        case S.TSucc(arg):
-            return RSucc(_erase(arg, scope, depth))
-        case S.TTuple(items):
-            return RTuple(tuple(_erase(x, scope, depth) for x in items))
-        case S.TZero():
-            return RNum(0)
-        case S.TFn(param, _, body):
-            scope[param].append(depth)
-            erased = RFn(param, _erase(body, scope, depth + 1))
-            scope[param].pop()
-            return erased
-        case S.TPred(arg):
-            return RPred(_erase(arg, scope, depth))
-        case S.TApp(fn, arg):
-            return RApp(_erase(fn, scope, depth), _erase(arg, scope, depth))
-        case S.TRec(bound, base, step, _):
-            return RRec(_erase(bound, scope, depth), _erase(base, scope, depth), _erase(step, scope, depth))
-        case S.TCallcc(arg):
-            return RCallcc(_erase(arg, scope, depth))
-        case S.TThrow(_, cont, arg):
-            return RThrow(_erase(cont, scope, depth), _erase(arg, scope, depth))
-        case S.TAxiom():
-            raise NonErasable("an axiom term survives only inside a discarded coercion proof")
+    cls = type(t)
+    if cls is S.TVar:
+        bound = scope.get(t.name)
+        return RVar(t.name, depth - 1 - bound[-1] if bound else None)
+    if cls is S.TSucc:
+        return RSucc(_erase(t.arg, scope, depth))
+    if cls is S.TTuple:
+        return RTuple(tuple([_erase(x, scope, depth) for x in t.items]))
+    if cls is S.TZero:
+        return RNum(0)
+    if cls is S.TFn:
+        scope[t.param].append(depth)
+        erased = RFn(t.param, _erase(t.body, scope, depth + 1))
+        scope[t.param].pop()
+        return erased
+    if cls in _CHAINED:
+        return _erase_lets(t, scope, depth)
+    if cls is S.TApp:
+        return RApp(_erase(t.fn, scope, depth), _erase(t.arg, scope, depth))
+    if cls is S.TRec:
+        return RRec(_erase(t.bound, scope, depth), _erase(t.base, scope, depth), _erase(t.step, scope, depth))
+    if cls is S.TPred:
+        return RPred(_erase(t.arg, scope, depth))
+    if cls is S.TCallcc:
+        return RCallcc(_erase(t.arg, scope, depth))
+    if cls is S.TThrow:
+        return RThrow(_erase(t.cont, scope, depth), _erase(t.arg, scope, depth))
+    if cls is S.TAxiom:
+        raise NonErasable("an axiom term survives only inside a discarded coercion proof")
     raise AssertionError(t)
 
 
@@ -532,22 +539,23 @@ class IClos:
 
 
 def eval_i_expr(e: S.Expr, gamma: Dict[str, Any], store: Dict[str, Any]) -> Any:
-    match e:
-        case S.EVar(name):
-            if name in store:
-                return store[name]
-            if name in gamma:
-                return gamma[name]
-            raise EvalError("UnboundIdent", f"'{name}' at runtime")
-        case S.EStar():
-            return ()
-        case S.ENum(value):
-            return value
-        case S.EProc(header):
-            if not isinstance(header, S.HBase):
-                raise EvalError("Unsupported", "quantified headers are outside the simple interpreter")
-            return IClos(header, dict(gamma))
-    raise EvalError("Unsupported", f"expression {type(e).__name__} is outside the simple interpreter")
+    cls = type(e)
+    if cls is S.EVar:
+        name = e.name
+        if name in store:
+            return store[name]
+        if name in gamma:
+            return gamma[name]
+        raise EvalError("UnboundIdent", f"'{name}' at runtime")
+    if cls is S.ENum:
+        return e.value
+    if cls is S.EProc:
+        if type(e.header) is not S.HBase:
+            raise EvalError("Unsupported", "quantified headers are outside the simple interpreter")
+        return IClos(e.header, dict(gamma))
+    if cls is S.EStar:
+        return ()
+    raise EvalError("Unsupported", f"expression {cls.__name__} is outside the simple interpreter")
 
 
 def call_proc(clos: IClos, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
@@ -559,7 +567,7 @@ def call_proc(clos: IClos, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
     out_names = [x for x, _ in header.out.env]
     store: Dict[str, Any] = {x: () for x in out_names}
     exec_seq(header.body, gamma, store)
-    return tuple(store[x] for x in out_names)
+    return tuple([store[x] for x in out_names])
 
 
 def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
@@ -590,37 +598,38 @@ def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
 
 def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
     """The commands that open a frame or call; exec_seq runs the rest."""
-    match cmd:
-        case S.CBlock(body, ann):
-            assert isinstance(ann, S.QSimple)
-            frame_names = [x for x, _ in ann.env]
-            sub = {x: store[x] for x in frame_names}
-            exec_seq(body, gamma, sub)
-            for x in frame_names:
-                store[x] = sub[x]
-            return
-        case S.CFor(var, None, bound, body, frame):
-            n = eval_i_expr(bound, gamma, store)
-            frame_names = [x for x, _ in frame]
-            sub = {x: store[x] for x in frame_names}
-            # one copy serves every iteration: the body does not mutate it
-            inner = dict(gamma)
-            for k in range(n):
-                inner[var] = k
-                exec_seq(body, inner, sub)
-            for x in frame_names:
-                store[x] = sub[x]
-            return
-        case S.CCall(fn, args, outs):
-            clos = eval_i_expr(fn, gamma, store)
-            if not isinstance(clos, IClos):
-                raise EvalError("Unsupported", "called a non-procedure value")
-            argvals = tuple(eval_i_expr(a, gamma, store) for a in args)
-            results = call_proc(clos, argvals)
-            for name, v in zip(outs, results):
-                store[name] = v
-            return
-    raise EvalError("Unsupported", f"command {type(cmd).__name__} is outside the simple interpreter")
+    cls = type(cmd)
+    if cls is S.CFor and cmd.idx is None:
+        n = eval_i_expr(cmd.bound, gamma, store)
+        frame_names = [x for x, _ in cmd.frame]
+        sub = {x: store[x] for x in frame_names}
+        # one copy serves every iteration: the body does not mutate it
+        inner = dict(gamma)
+        var, body = cmd.var, cmd.body
+        for k in range(n):
+            inner[var] = k
+            exec_seq(body, inner, sub)
+        for x in frame_names:
+            store[x] = sub[x]
+        return
+    if cls is S.CCall:
+        clos = eval_i_expr(cmd.fn, gamma, store)
+        if type(clos) is not IClos:
+            raise EvalError("Unsupported", "called a non-procedure value")
+        argvals = tuple([eval_i_expr(a, gamma, store) for a in cmd.args])
+        results = call_proc(clos, argvals)
+        for name, v in zip(cmd.outs, results):
+            store[name] = v
+        return
+    if cls is S.CBlock:
+        assert type(cmd.ann) is S.QSimple
+        frame_names = [x for x, _ in cmd.ann.env]
+        sub = {x: store[x] for x in frame_names}
+        exec_seq(cmd.body, gamma, sub)
+        for x in frame_names:
+            store[x] = sub[x]
+        return
+    raise EvalError("Unsupported", f"command {cls.__name__} is outside the simple interpreter")
 
 
 def interpret_program(
@@ -644,4 +653,4 @@ def interpret_program(
     out_names = [x for x, _ in main.out.env]
     store: Dict[str, Any] = {x: () for x in out_names}
     exec_seq(main.body, gamma, store)
-    return tuple(store[x] for x in out_names)
+    return tuple([store[x] for x in out_names])

@@ -213,17 +213,14 @@ def as_neg_f(phi: Formula) -> Optional[Formula]:
 
 def is_simple_formula(phi: Formula) -> bool:
     """The simple sublanguage: top, bare nat, arrows and tuples only."""
-    match phi:
-        case FTop():
-            return True
-        case FNat(index):
-            return index is None
-        case FArrow(dom, cod):
-            return is_simple_formula(dom) and is_simple_formula(cod)
-        case FTuple(items):
-            return all(is_simple_formula(i) for i in items)
-        case _:
-            return False
+    cls = type(phi)
+    if cls is FNat:
+        return phi.index is None
+    if cls is FTuple:
+        return all(is_simple_formula(i) for i in phi.items)
+    if cls is FArrow:
+        return is_simple_formula(phi.dom) and is_simple_formula(phi.cod)
+    return cls is FTop
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +841,21 @@ def open_inds(value: Any, subs: Any, depth: int = 0, name: Optional[str] = None)
 
 
 def _lift(i: Ind, by: int) -> Ind:
-    """Individual i under by more binders: its indices raised by by."""
-    if type(i) is IBound:
+    """Individual i under by more binders: its indices raised by by.  A
+    subtree with no index in it is shared with the input."""
+    cls = type(i)
+    if cls is IBound:
         return IBound(i.index + by)
-    plan = _PLANS[type(i)]
-    return plan.build(i, {f: _lift(getattr(i, f), by) for f, _ in plan.shifts}) if plan.shifts else i
+    plan = _PLANS[cls]
+    changes = None
+    for fname, _ in plan.shifts:
+        old = getattr(i, fname)
+        new = _lift(old, by)
+        if new is not old:
+            if changes is None:
+                changes = {}
+            changes[fname] = new
+    return i if changes is None else plan.build(i, changes)
 
 
 def _open_lets(value: Node, subs: Any, depth: int, name: Optional[str]) -> Node:

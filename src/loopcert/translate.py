@@ -14,6 +14,10 @@ Each binder over individuals of an FD image stands for one of the
 source, at the same place (a `for` image's `lam i.` and motive for the
 loop's index, which an index-free loop binds too), so the indices of
 the source are the image's and none is shifted.
+
+Each walk tells nodes apart by their exact class (`type(e) is C`), the
+most frequent cases first; only `translate_type` asks `isinstance`, of
+the abstract class `Formula`.
 """
 
 from __future__ import annotations
@@ -50,37 +54,37 @@ def fn_over_tuple(
 # ---------------------------------------------------------------------------
 
 def translate_type(p: S.Prop) -> S.Formula:
-    match p:
-        case S.Formula():  # an atom of both type languages is its own image
-            return p
-        case S.PProc(proto):
-            return translate_proto(proto)
-        case S.PNeg(out):
-            # absent from the printed translation; the unique choice that
-            # makes the label and jump translations well-typed
-            return S.neg_f(translate_output(out))
+    if isinstance(p, S.Formula):  # an atom of both type languages is its own image
+        return p
+    cls = type(p)
+    if cls is S.PProc:
+        return translate_proto(p.proto)
+    if cls is S.PNeg:
+        # absent from the printed translation; the unique choice that
+        # makes the label and jump translations well-typed
+        return S.neg_f(translate_output(p.out))
     raise AssertionError(p)
 
 
 def translate_types(types: Tuple[S.Prop, ...]) -> Tuple[S.Formula, ...]:
-    return tuple(translate_type(p) for p in types)
+    return tuple([translate_type(p) for p in types])
 
 
 def translate_output(out: S.Output) -> S.Formula:
-    match out:
-        case S.OSimple(types):
-            return S.FTuple(translate_types(types))
-        case S.OExists(var, body):
-            return S.FExists(var, translate_output(body))
+    cls = type(out)
+    if cls is S.OSimple:
+        return S.FTuple(translate_types(out.types))
+    if cls is S.OExists:
+        return S.FExists(out.var, translate_output(out.body))
     raise AssertionError(out)
 
 
 def translate_proto(rho: S.Proto) -> S.Formula:
-    match rho:
-        case S.ProtoBase(params, out):
-            return S.FArrow(S.FTuple(translate_types(params)), translate_output(out))
-        case S.ProtoAll(var, body):
-            return S.FForall(var, translate_proto(body))
+    cls = type(rho)
+    if cls is S.ProtoBase:
+        return S.FArrow(S.FTuple(translate_types(rho.params)), translate_output(rho.out))
+    if cls is S.ProtoAll:
+        return S.FForall(rho.var, translate_proto(rho.body))
     raise AssertionError(rho)
 
 
@@ -95,49 +99,49 @@ def translate_qenv(theta: S.QEnv) -> Tuple[Tuple[str, ...], S.Formula]:
 # ---------------------------------------------------------------------------
 
 def translate_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
-    match e:
-        case S.ENum(value):
-            term: S.Term = S.TZero()
-            for _ in range(value):
-                term = S.TSucc(term)
-            return term
-        case S.EVar(name):
-            return S.TVar(name)
-        case S.EStar():
-            return S.TTuple(())
-        case S.EAxiom(left, right):
-            return S.TAxiom(left, right)
-        case S.EProc(header):
-            return translate_header(header, tctx)
-        case S.EInst(fn, arg):
-            return S.TIndApp(translate_expr(fn, tctx), arg)
-        case S.EContInst(fn, fam, arg):
-            body_f = translate_output(fam.body)
-            fresh = tctx.fresh()
-            pack = S.TPack(arg, S.TVar(fresh), S.FExists(fam.var, body_f))
-            return S.TFn(
-                fresh,
-                S.subst_ind(body_f, arg),
-                S.TApp(translate_expr(fn, tctx), pack),
-            )
-        case S.ECoerce(subject, fam, proof):
-            return S.TCoerce(
-                translate_expr(subject, tctx),
-                S.Fam(fam.var, translate_type(fam.body)),
-                translate_expr(proof, tctx),
-            )
+    cls = type(e)  # the cases go most frequent first
+    if cls is S.EVar:
+        return S.TVar(e.name)
+    if cls is S.ENum:
+        term: S.Term = S.TZero()
+        for _ in range(e.value):
+            term = S.TSucc(term)
+        return term
+    if cls is S.EProc:
+        return translate_header(e.header, tctx)
+    if cls is S.EStar:
+        return S.TTuple(())
+    if cls is S.ECoerce:
+        return S.TCoerce(
+            translate_expr(e.subject, tctx),
+            S.Fam(e.fam.var, translate_type(e.fam.body)),
+            translate_expr(e.proof, tctx),
+        )
+    if cls is S.EAxiom:
+        return S.TAxiom(e.left, e.right)
+    if cls is S.EInst:
+        return S.TIndApp(translate_expr(e.fn, tctx), e.arg)
+    if cls is S.EContInst:
+        body_f = translate_output(e.fam.body)
+        fresh = tctx.fresh()
+        pack = S.TPack(e.arg, S.TVar(fresh), S.FExists(e.fam.var, body_f))
+        return S.TFn(
+            fresh,
+            S.subst_ind(body_f, e.arg),
+            S.TApp(translate_expr(e.fn, tctx), pack),
+        )
     raise AssertionError(e)
 
 
 def translate_header(header: S.Header, tctx: TranslateCtx) -> S.Term:
-    match header:
-        case S.HForall(var, body):
-            return S.TIndLam(var, translate_header(body, tctx))
-        case S.HBase(params, out, body):
-            names, types = envs.split(params)
-            live, _ = envs.qsplit(out)
-            inner = translate_seq(body, live, tctx)
-            return fn_over_tuple(names, translate_types(types), inner, tctx)
+    cls = type(header)
+    if cls is S.HBase:
+        names, types = envs.split(header.params)
+        live, _ = envs.qsplit(header.out)
+        inner = translate_seq(header.body, live, tctx)
+        return fn_over_tuple(names, translate_types(types), inner, tctx)
+    if cls is S.HForall:
+        return S.TIndLam(header.var, translate_header(header.body, tctx))
     raise AssertionError(header)
 
 
@@ -153,7 +157,7 @@ def translate_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term
     follow it, which fixes the numbering of fresh names."""
     flat: List = []
     values: List[S.Term] = []
-    end: S.Term = S.TTuple(tuple(S.TVar(x) for x in live))
+    end: S.Term = S.TTuple(tuple([S.TVar(x) for x in live]))
     items, k = s.items, 0
     while k < len(items):
         item = items[k]
@@ -188,48 +192,48 @@ def translate_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term
 
 
 def _translate_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Term:
-    match cmd:
-        case S.CAssign(name, value):
-            return S.TLet(name, translate_expr(value, tctx), tail)
-        case S.CInc(name):
-            return S.TLet(name, S.TSucc(S.TVar(name)), tail)
-        case S.CDec(name):
-            return S.TLet(name, S.TPred(S.TVar(name)), tail)
-        case S.CCall(fn, args, outs):
-            call = S.TApp(
-                translate_expr(fn, tctx),
-                S.TTuple(tuple(translate_expr(a, tctx) for a in args)),
-            )
-            return S.TLetMatch(outs, call, tail)
-        case S.CBlock(body, ann):
-            names, _ = envs.qsplit(ann)
-            return S.TLetMatch(names, translate_seq(body, names, tctx), tail)
-        case S.CLabel(name, body, ann):
-            names, phi = translate_qenv(ann)
-            inner = translate_seq(body, names, tctx)
-            return S.TLetMatch(names, S.TCallcc(S.TFn(name, S.neg_f(phi), inner)), tail)
-        case S.CJump(target, args, ann):
-            names, phi = translate_qenv(ann)
-            throw = S.TThrow(
-                phi,
-                translate_expr(target, tctx),
-                S.TTuple(tuple(translate_expr(a, tctx) for a in args)),
-            )
-            return S.TLetMatch(names, throw, tail)
-        case S.CFor(var, idx, bound, body, frame):
-            names, types = envs.split(frame)
-            ftypes = translate_types(types)
-            inner = translate_seq(body, names, tctx)
-            state = fn_over_tuple(names, ftypes, inner, tctx)
-            start = S.TTuple(tuple(S.TVar(x) for x in names))
-            if tctx.target == "FS":
-                step = S.TFn(var, S.FNat(None), state)
-                loop = S.TRec(translate_expr(bound, tctx), start, step)
-            else:
-                # the loop's index, which an index-free loop binds too
-                hint = "i" if idx is None else idx
-                step = S.TIndLam(hint, S.TFn(var, S.FNat(S.IBound(0)), state))
-                motive = S.Fam(hint, S.FTuple(ftypes))
-                loop = S.TRec(translate_expr(bound, tctx), start, step, motive)
-            return S.TLetMatch(names, loop, tail)
+    cls = type(cmd)  # the cases go most frequent first
+    if cls is S.CAssign:
+        return S.TLet(cmd.name, translate_expr(cmd.value, tctx), tail)
+    if cls is S.CInc:
+        return S.TLet(cmd.name, S.TSucc(S.TVar(cmd.name)), tail)
+    if cls is S.CCall:
+        call = S.TApp(
+            translate_expr(cmd.fn, tctx),
+            S.TTuple(tuple([translate_expr(a, tctx) for a in cmd.args])),
+        )
+        return S.TLetMatch(cmd.outs, call, tail)
+    if cls is S.CFor:
+        names, types = envs.split(cmd.frame)
+        ftypes = translate_types(types)
+        inner = translate_seq(cmd.body, names, tctx)
+        state = fn_over_tuple(names, ftypes, inner, tctx)
+        start = S.TTuple(tuple([S.TVar(x) for x in names]))
+        if tctx.target == "FS":
+            step = S.TFn(cmd.var, S.FNat(None), state)
+            loop = S.TRec(translate_expr(cmd.bound, tctx), start, step)
+        else:
+            # the loop's index, which an index-free loop binds too
+            hint = "i" if cmd.idx is None else cmd.idx
+            step = S.TIndLam(hint, S.TFn(cmd.var, S.FNat(S.IBound(0)), state))
+            motive = S.Fam(hint, S.FTuple(ftypes))
+            loop = S.TRec(translate_expr(cmd.bound, tctx), start, step, motive)
+        return S.TLetMatch(names, loop, tail)
+    if cls is S.CDec:
+        return S.TLet(cmd.name, S.TPred(S.TVar(cmd.name)), tail)
+    if cls is S.CBlock:
+        names, _ = envs.qsplit(cmd.ann)
+        return S.TLetMatch(names, translate_seq(cmd.body, names, tctx), tail)
+    if cls is S.CJump:
+        names, phi = translate_qenv(cmd.ann)
+        throw = S.TThrow(
+            phi,
+            translate_expr(cmd.target, tctx),
+            S.TTuple(tuple([translate_expr(a, tctx) for a in cmd.args])),
+        )
+        return S.TLetMatch(names, throw, tail)
+    if cls is S.CLabel:
+        names, phi = translate_qenv(cmd.ann)
+        inner = translate_seq(cmd.body, names, tctx)
+        return S.TLetMatch(names, S.TCallcc(S.TFn(cmd.name, S.neg_f(phi), inner)), tail)
     raise AssertionError(cmd)

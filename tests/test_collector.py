@@ -1,8 +1,10 @@
-"""Syntax nodes are slotted, and run_pipeline's collection policy is
-local to the run: it acts while the phases build their trees and leaves
-the collector's settings as it found them, whatever the run's outcome.
+"""Syntax nodes are slotted and final, and run_pipeline's collection
+policy is local to the run: it acts while the phases build their trees
+and leaves the collector's settings as it found them, whatever the
+run's outcome.
 """
 
+import ast
 import gc
 import os
 import sys
@@ -11,7 +13,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from loopcert import pipeline
+from loopcert import pipeline, runtime
 from loopcert import syntax as S
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -23,6 +25,26 @@ def test_plans_hold_exactly_the_node_classes_of_syntax():
     assert len(S._PLANS) == 72
     for cls in S._PLANS:
         assert getattr(S, cls.__name__) is cls, cls.__name__
+
+
+def test_exact_class_dispatch_decides_as_isinstance():
+    """The walks tell nodes apart by `type(x) is C`, which decides as
+    isinstance only while no node class has a subclass; a match
+    statement's class patterns would be isinstance tests."""
+    classes = list(S._PLANS) + [runtime.Clos, runtime.ContV, runtime.IClos] + [
+        cls for cls in vars(runtime).values()
+        if isinstance(cls, type) and issubclass(cls, runtime.RTerm) and cls is not runtime.RTerm
+    ]
+    assert len(classes) == 72 + 3 + 12
+    assert [cls.__name__ for cls in classes if cls.__subclasses__()] == []
+    src = os.path.dirname(S.__file__)
+    matches = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read())
+            matches += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Match)]
+    assert matches == []
 
 
 def test_nodes_have_no_dict():

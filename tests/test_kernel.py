@@ -224,6 +224,12 @@ def test_subst_shares_unchanged_subtrees():
     assert out.dom.items[1] == S.FNat(S.IZero()) and out.cod == S.FNat(S.IZero())
 
 
+def test_subst_puts_a_locally_closed_replacement_under_a_binder_as_it_is():
+    r = S.ISucc(S.IVar("a"))
+    out = S.subst_ind(S.FForall("n", S.FNat(S.IBound(1))), r)
+    assert out.body.index is r
+
+
 def test_subst_keeps_spans():
     t = S.TIndApp(S.TVar("f", span=(3, 4)), S.IBound(0), span=(3, 1))
     out = S.subst_ind(t, S.IZero())
