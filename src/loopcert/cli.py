@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: check, translate, eval, pipeline, fuzz, fmt.
+Subcommands: check, translate, pipeline (alias eval), fuzz, fmt.
 Reports are human-readable by default; --json emits one report object
 per run on standard output.  LOOPCERT_CORPUS points `pipeline --all` at
 the corpus directory.
@@ -75,25 +75,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(prog="loopcert", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_eval: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("files", nargs="*", help=".loop or .t files")
         p.add_argument("--system", choices=["IS", "ID", "FS", "FD"], help="override the file directive")
         p.add_argument("--json", action="store_true")
         p.add_argument("--trace", action="store_true", help="dump derivation rule labels")
         p.add_argument("--no-pred-rule", action="store_true", help="disable the optional TC_PRED_D pred rule")
-        if with_eval:
-            p.add_argument("--args", help="comma-separated naturals applied to the last cst")
-            p.add_argument("--fuel", type=int, default=runtime.DEFAULT_FUEL)
 
     p_check = sub.add_parser("check", help="parse and type-check the source")
     common(p_check)
     p_tr = sub.add_parser("translate", help="translate and write the functional image")
     common(p_tr)
     p_tr.add_argument("-o", "--output", help="output path (default: input with .t suffix)")
-    p_eval = sub.add_parser("eval", help="run the full pipeline and evaluate")
-    common(p_eval, with_eval=True)
-    p_pipe = sub.add_parser("pipeline", help="the whole certification pipeline")
-    common(p_pipe, with_eval=True)
+    p_pipe = sub.add_parser("pipeline", aliases=["eval"], help="the whole certification pipeline")
+    common(p_pipe)
+    p_pipe.add_argument("--args", help="comma-separated naturals applied to the last cst")
+    p_pipe.add_argument("--fuel", type=int, default=runtime.DEFAULT_FUEL)
     p_pipe.add_argument("--all", action="store_true", help="run every corpus file")
     p_fuzz = sub.add_parser("fuzz", help="differential testing of the pipeline on generated IS programs")
     p_fuzz.add_argument("--count", type=int, default=200)
@@ -166,11 +163,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     report.phases.append(
                         {"name": "write", "ok": True, "elapsed_s": 0.0, "payload": {"output": out_path}}
                     )
-        else:  # eval | pipeline
+        else:  # pipeline, or its alias eval
             report = pipeline.run_pipeline(
                 path,
                 system=ns.system,
-                args=_parse_args_list(getattr(ns, "args", None)),
+                args=_parse_args_list(ns.args),
                 fuel=fuel,
                 want_trace=ns.trace,
                 allow_pred=allow_pred,

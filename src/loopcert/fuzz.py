@@ -1,10 +1,12 @@
 """Differential fuzzing of the pipeline on IS programs.
 
 Generates well-typed jump-free imperative programs, takes each through
-the pipeline's check-source, translate and check-target phases, and
-compares the direct interpreter against the machine on random inputs.
-Failures are shrunk by dropping sequence items and decrementing
-numerals.
+the pipeline's check-source, translate and check-target phases, erases
+the image once and runs it on random inputs, the machine against the
+direct interpreter (`pipeline.run_erased`).  A failure is described by
+the pipeline's own diagnostic (`pipeline.diagnose`), so no error of a
+phase escapes.  Failures are shrunk by dropping sequence items and
+decrementing numerals.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from . import gen, pipeline, runtime
+from . import gen, pipeline
 from . import syntax as S
-from .errors import CheckError, EvalError
 from .printer import show_file
 
 FUZZ_FUEL = 1_000_000
@@ -23,34 +24,26 @@ FUZZ_FUEL = 1_000_000
 def run_one(
     sf: S.SourceFile, entry: str, inputs: List[Tuple[int, ...]], fuel: int = FUZZ_FUEL
 ) -> Optional[Dict[str, Any]]:
-    """Returns a failure description, or None if all properties hold."""
-    phase = "check-source"
+    """Returns a failure description, or None if all properties hold.  The
+    image is erased once and run on every input vector; a failure's
+    message is `[rule] message` of the pipeline's diagnostic."""
+    phase, iv = "check-source", None
     try:
         checked = pipeline.check_source(sf)
         phase = "translate"
         image = pipeline.translate_file(sf)
         phase = "check-target"
         pipeline.check_target(sf, checked, image)
-    except CheckError as ex:
-        return {"phase": phase, "message": str(ex)}
-    erased = runtime.erase(pipeline.closed_term(image, entry))
-    for iv in inputs:
-        try:
-            want = runtime.interpret_program(sf.csts, None, entry, iv)
-        except EvalError as ex:
-            return {"phase": "differential", "message": f"interpreter: {ex}", "inputs": iv}
-        applied = runtime.RApp(erased, runtime.RTuple(tuple([runtime.RNum(n) for n in iv])))
-        try:
-            got = runtime.evaluate(applied, fuel)
-        except EvalError as ex:
-            return {"phase": "differential", "message": f"machine: {ex}", "inputs": iv}
-        if got != want:
-            return {
-                "phase": "differential",
-                "message": f"stores disagree on input {iv}: "
-                f"interpreter {runtime.show_value(want)}, machine {runtime.show_value(got)}",
-                "inputs": iv,
-            }
+        phase = "differential"
+        erased = pipeline.erase_image(image, entry)
+        for iv in inputs:
+            pipeline.run_erased(sf, erased, entry, iv, fuel)
+    except pipeline.PHASE_ERRORS as ex:
+        rule, _, message, _ = pipeline.diagnose(phase, ex)
+        failure: Dict[str, Any] = {"phase": phase, "message": f"[{rule}] {message}"}
+        if iv is not None:
+            failure["inputs"] = iv
+        return failure
     return None
 
 

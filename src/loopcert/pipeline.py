@@ -1,6 +1,12 @@
 """The certification pipeline: parse, check the source, translate,
 re-check the image, evaluate; with machine-readable reports.
 
+`run_pipeline` takes every phase through one runner, which times it,
+records its payload, and maps what it raised to one diagnostic
+(`diagnose`).  The fuzzer runs the same phases on generated programs
+and shares that mapping, the erasure of an image (`erase_image`) and the
+run of the machine against the IS interpreter (`run_erased`).
+
 Exit codes: 0 all phases pass; 1 parse error; 2 source type error;
 3 translation-target type error (always a defect in the toolchain);
 4 runtime discrepancy or evaluation failure; 5 fuzz counterexample.
@@ -13,7 +19,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import dependent, envs, runtime, translate
 from . import syntax as S
@@ -39,6 +45,27 @@ EXIT_FUZZ = 5
 GC_THRESHOLD = (10_000, 2, 2)
 
 
+# What a phase may raise and have reported; anything else is a defect and
+# propagates.
+PHASE_ERRORS = (LoopcertError, RecursionError)
+
+
+def diagnose(phase: str, ex: BaseException) -> Tuple[str, Optional[Tuple[int, int]], str, Dict[str, str]]:
+    """The diagnostic of a phase that raised ex: rule, span, message and
+    extra fields.  A phase out of host stack on deeply nested input gets
+    rule LIMIT, every other failure of translate rule TRANSLATE, and a
+    failed run rule EVAL with the EvalError's reason."""
+    if isinstance(ex, RecursionError):
+        return "LIMIT", None, f"the input nests too deeply for {phase}: the host recursion limit was reached", {}
+    if phase == "translate":
+        return "TRANSLATE", None, str(ex), {}
+    if isinstance(ex, ParseError):
+        return "PARSE", (ex.line, ex.col), str(ex), {}
+    if isinstance(ex, CheckError):
+        return ex.rule, ex.span, ex.message, {}
+    return "EVAL", None, str(ex), {"reason": getattr(ex, "reason", type(ex).__name__)}
+
+
 @dataclass
 class Report:
     file: str
@@ -48,8 +75,24 @@ class Report:
     exit_code: int = EXIT_OK
     image: Optional[S.SourceFile] = None  # the FS/FD translation; not in to_dict
 
-    def phase(self, name: str, ok: bool, elapsed: float, payload: Dict[str, Any]) -> None:
-        self.phases.append({"name": name, "ok": ok, "elapsed_s": round(elapsed, 6), "payload": payload})
+    def run_phase(
+        self, name: str, exit_code: int, step: Callable[[], Any], describe: Callable[[Any], Dict[str, Any]]
+    ) -> Any:
+        """Run one phase: step() computes the result and describe(result)
+        the payload, both timed.  A failure is recorded with its diagnostic
+        and exit_code, and gives None."""
+        start = time.monotonic()
+        try:
+            result = step()
+            payload = describe(result)
+        except PHASE_ERRORS as ex:
+            result, payload = None, {}
+            rule, span, message, extra = diagnose(name, ex)
+            self.diag(rule, span, message, **extra)
+            self.exit_code = exit_code
+        elapsed = round(time.monotonic() - start, 6)
+        self.phases.append({"name": name, "ok": result is not None, "elapsed_s": elapsed, "payload": payload})
+        return result
 
     def diag(self, rule: str, span, message: str, severity: str = "error", **extra: str) -> None:
         self.diagnostics.append(
@@ -160,9 +203,9 @@ def check_target(
     return tuple(result)
 
 
-def closed_term(image: S.SourceFile, entry: Optional[str]) -> S.Term:
-    """The image's main term, or the constant `entry`, under let-bindings
-    of every constant of the image."""
+def erase_image(image: S.SourceFile, entry: Optional[str] = None) -> runtime.RTerm:
+    """The erased runtime term of the image's main, or of its constant
+    `entry`, under let-bindings of every constant of the image."""
     if entry is not None:
         body: S.Term = S.TVar(entry)
     elif image.main is not None:
@@ -171,7 +214,7 @@ def closed_term(image: S.SourceFile, entry: Optional[str]) -> S.Term:
         raise EvalError("NoMain", "the file has no main sequence and no entry was chosen")
     for name, term in reversed(image.csts):
         body = S.TLet(name, term, body)
-    return body
+    return runtime.erase(body)
 
 
 def _entry(sf: S.SourceFile, types: Tuple[Tuple[str, S.Formula], ...], args: Tuple[int, ...]) -> str:
@@ -194,6 +237,27 @@ def _entry(sf: S.SourceFile, types: Tuple[Tuple[str, S.Formula], ...], args: Tup
     return entry
 
 
+def run_erased(
+    sf: S.SourceFile, erased: runtime.RTerm, entry: Optional[str], args: Optional[Tuple[int, ...]], fuel: int
+) -> Tuple[Any, Any]:
+    """Run the erased image of sf, applied to args if given, on the machine.
+    For IS input the direct interpreter runs too and must agree on the
+    final store.  Returns the machine's value and the interpreter's, which
+    is None for other disciplines."""
+    if args is not None:
+        erased = runtime.RApp(erased, runtime.RTuple(tuple([runtime.RNum(n) for n in args])))
+    value = runtime.evaluate(erased, fuel)
+    if sf.discipline != "IS":
+        return value, None
+    oracle = runtime.interpret_program(sf.csts, sf.main, entry, args or ())
+    if oracle != value:
+        raise EvalError(
+            "Discrepancy",
+            f"interpreter yields {runtime.show_value(oracle)}, machine yields {runtime.show_value(value)}",
+        )
+    return value, oracle
+
+
 def evaluate_file(
     sf: S.SourceFile,
     image: S.SourceFile,
@@ -201,28 +265,30 @@ def evaluate_file(
     args: Optional[Tuple[int, ...]],
     fuel: int,
 ) -> Dict[str, Any]:
-    """Erase and run; for jump-free IS input the direct interpreter must
-    agree with the machine on the final store.  types are the functional
-    types of the image's constants; with args, the entry is checked
-    against its type before anything runs."""
+    """Erase and run the image (run_erased); the payload of the evaluate
+    phase.  types are the functional types of the image's constants; with
+    args, the entry is checked against its type before anything runs."""
     entry = _entry(sf, types, args) if args is not None else None
-    erased = runtime.erase(closed_term(image, entry))
-    if args is not None:
-        erased = runtime.RApp(erased, runtime.RTuple(tuple([runtime.RNum(n) for n in args])))
-    value = runtime.evaluate(erased, fuel)
+    value, oracle = run_erased(sf, erase_image(image, entry), entry, args, fuel)
     payload: Dict[str, Any] = {"value": runtime.show_value(value)}
     if entry is None and sf.discipline in ("IS", "ID") and sf.main is not None:
         names, _ = envs.qsplit(sf.main.out)
         if isinstance(value, tuple) and len(value) == len(names):
             payload["store"] = {x: runtime.show_value(v) for x, v in zip(names, value)}
-    if sf.discipline == "IS":
-        oracle = runtime.interpret_program(sf.csts, sf.main, entry, args or ())
+    if oracle is not None:
         payload["interpreter"] = runtime.show_value(oracle)
-        if oracle != value:
-            raise EvalError(
-                "Discrepancy",
-                f"interpreter yields {runtime.show_value(oracle)}, machine yields {runtime.show_value(value)}",
-            )
+    return payload
+
+
+def _typing(
+    types: Tuple[Tuple[str, Any], ...], trace: List[str], want_trace: bool, out: Optional[S.QEnv] = None
+) -> Dict[str, Any]:
+    """The payload of a checking phase; out is the output of an imperative main."""
+    payload = {"types": {name: show(ty) for name, ty in types}, "derivation_size": len(trace)}
+    if out is not None:
+        payload["main_out"] = show_qenv(out)
+    if want_trace:
+        payload["trace"] = list(trace)
     return payload
 
 
@@ -236,12 +302,11 @@ def run_pipeline(
     stop_after: str = "evaluate",
     allow_pred: bool = True,
 ) -> Report:
-    """Take a file through the phases.  Every failure ends in a report: a
-    phase that runs out of host stack on deeply nested input reports rule
-    LIMIT with that phase's exit code.  The run collects garbage by
-    GC_THRESHOLD and restores the caller's thresholds on exit, also when
-    an exception escapes; a caller who turned automatic collection off
-    (gc.disable() or a threshold of 0) keeps it off."""
+    """Take a file through the phases, each by Report.run_phase, so every
+    failure ends in a report.  The run collects garbage by GC_THRESHOLD
+    and restores the caller's thresholds on exit, also when an exception
+    escapes; a caller who turned automatic collection off (gc.disable()
+    or a threshold of 0) keeps it off."""
     found = gc.get_threshold()
     # a caller's threshold of 0 (collection off) is kept; a threshold
     # that is already the policy belongs to a concurrent run, which
@@ -255,16 +320,12 @@ def run_pipeline(
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
 
-        start = time.monotonic()
-        try:
-            sf = parse(text)
-        except ParseError as ex:
-            report.phase("parse", False, time.monotonic() - start, {})
-            report.diag("PARSE", (ex.line, ex.col), str(ex))
-            report.exit_code = EXIT_PARSE
+        sf = report.run_phase(
+            "parse", EXIT_PARSE, lambda: parse(text),
+            lambda sf: {"csts": [name for name, _ in sf.csts], "has_main": sf.main is not None},
+        )
+        if sf is None:
             return report
-        except RecursionError:
-            return _hit_limit(report, "parse", start, EXIT_PARSE)
         if system is not None:
             sf = S.SourceFile(system, sf.csts, sf.main, sf.notes, sf.warnings)
         report.discipline = sf.discipline if sf.discipline in _CST_CHECKERS else ""
@@ -272,115 +333,50 @@ def run_pipeline(
             report.diag("NOTE", None, note, severity="note")
         for warning in sf.warnings:
             report.diag("PARSE", None, warning, severity="warning")
-        report.phase(
-            "parse", True, time.monotonic() - start,
-            {"csts": [name for name, _ in sf.csts], "has_main": sf.main is not None},
-        )
 
-        start = time.monotonic()
+        imperative = sf.discipline in ("IS", "ID")
         trace: List[str] = []
-        try:
-            checked = check_source(sf, trace, allow_pred)
-            payload = {
-                "types": {name: show(ty) for name, ty in checked.cst_types},
-                "derivation_size": len(trace),
-            }
-            if sf.main is not None and sf.discipline in ("IS", "ID"):
-                payload["main_out"] = show_qenv(sf.main.out)
-        except CheckError as ex:
-            report.phase("check-source", False, time.monotonic() - start, {})
-            report.diag(ex.rule, ex.span, ex.message)
-            report.exit_code = EXIT_SOURCE
+        checked = report.run_phase(
+            "check-source", EXIT_SOURCE, lambda: check_source(sf, trace, allow_pred),
+            lambda checked: _typing(
+                checked.cst_types, trace, want_trace, sf.main.out if imperative and sf.main is not None else None
+            ),
+        )
+        if checked is None:
             return report
-        except RecursionError:
-            return _hit_limit(report, "check-source", start, EXIT_SOURCE)
         for warning in checked.warnings:
             report.diag("CHECK", None, warning, severity="warning")
-        if want_trace:
-            payload["trace"] = list(trace)
-        report.phase("check-source", True, time.monotonic() - start, payload)
         if stop_after == "check-source":
             return report
 
-        if sf.discipline in ("FS", "FD"):  # the file is its own image
+        if not imperative and stop_after != "translate":  # the file is its own image
+            image, types = sf, checked.cst_types
+        else:
+            # translate_file refuses a functional file: a fault of the input
+            image = report.run_phase(
+                "translate", EXIT_TARGET if imperative else EXIT_SOURCE, lambda: translate_file(sf),
+                lambda image: {"terms": {name: len(show_term(t)) for name, t in image.csts}},
+            )
+            if image is None:
+                return report
+            report.image = image
             if stop_after == "translate":
-                report.phase("translate", False, 0.0, {})
-                report.diag(
-                    "TRANSLATE", None, f"{sf.discipline} files are already functional; nothing to translate"
-                )
-                report.exit_code = EXIT_SOURCE
-            elif sf.main is not None or args is not None:
-                _run_eval_phase(report, sf, sf, checked.cst_types, args, fuel)
-            return report
-
-        start = time.monotonic()
-        try:
-            image = translate_file(sf)
-            payload = {"terms": {name: len(show_term(t)) for name, t in image.csts}}
-        except LoopcertError as ex:
-            report.phase("translate", False, time.monotonic() - start, {})
-            report.diag("TRANSLATE", None, str(ex))
-            report.exit_code = EXIT_TARGET
-            return report
-        except RecursionError:
-            return _hit_limit(report, "translate", start, EXIT_TARGET)
-        report.phase("translate", True, time.monotonic() - start, payload)
-        report.image = image
-        if stop_after == "translate":
-            return report
-
-        start = time.monotonic()
-        trace2: List[str] = []
-        try:
-            target_types = check_target(sf, checked, image, trace2, allow_pred)
-            payload = {
-                "types": {name: show(ty) for name, ty in target_types},
-                "derivation_size": len(trace2),
-            }
-        except CheckError as ex:
-            report.phase("check-target", False, time.monotonic() - start, {})
-            report.diag(ex.rule, ex.span, ex.message)
-            report.exit_code = EXIT_TARGET
-            return report
-        except RecursionError:
-            return _hit_limit(report, "check-target", start, EXIT_TARGET)
-        if want_trace:
-            payload["trace"] = list(trace2)
-        report.phase("check-target", True, time.monotonic() - start, payload)
+                return report
+            target_trace: List[str] = []
+            types = report.run_phase(
+                "check-target", EXIT_TARGET,
+                lambda: check_target(sf, checked, image, target_trace, allow_pred),
+                lambda types: _typing(types, target_trace, want_trace),
+            )
+            if types is None:
+                return report
 
         if sf.main is not None or args is not None:
-            _run_eval_phase(report, sf, image, target_types, args, fuel)
+            report.run_phase(
+                "evaluate", EXIT_RUNTIME, lambda: evaluate_file(sf, image, types, args, fuel),
+                lambda payload: payload,
+            )
         return report
     finally:
         if ours:
             gc.set_threshold(*found)
-
-
-def _hit_limit(report: Report, phase: str, start: float, exit_code: int) -> Report:
-    """Rule LIMIT: the phase ran out of host stack on deeply nested input."""
-    report.phase(phase, False, time.monotonic() - start, {})
-    report.diag("LIMIT", None, f"the input nests too deeply for {phase}: the host recursion limit was reached")
-    report.exit_code = exit_code
-    return report
-
-
-def _run_eval_phase(
-    report: Report,
-    sf: S.SourceFile,
-    image: S.SourceFile,
-    types: Tuple[Tuple[str, S.Formula], ...],
-    args: Optional[Tuple[int, ...]],
-    fuel: int,
-) -> None:
-    start = time.monotonic()
-    try:
-        payload = evaluate_file(sf, image, types, args, fuel)
-    except (EvalError, LoopcertError) as ex:
-        report.phase("evaluate", False, time.monotonic() - start, {})
-        report.diag("EVAL", None, str(ex), reason=getattr(ex, "reason", type(ex).__name__))
-        report.exit_code = EXIT_RUNTIME
-        return
-    except RecursionError:
-        _hit_limit(report, "evaluate", start, EXIT_RUNTIME)
-        return
-    report.phase("evaluate", True, time.monotonic() - start, payload)

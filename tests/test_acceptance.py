@@ -17,7 +17,7 @@ from loopcert import syntax as S
 from loopcert.axioms import SCHEMAS, try_match_axiom
 from loopcert.parser import parse, parse_formula, parse_prop, parse_qenv
 from loopcert.printer import show, show_file
-from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate
+from loopcert.runtime import RApp, RNum, RTuple, evaluate
 from test_axioms import eval_individual
 
 CORPUS = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "corpus"))
@@ -31,10 +31,6 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     mark = "pass" if ok else "FAIL"
     print(f"acceptance {criterion}: {mark} {detail}".rstrip())
     assert ok, f"{criterion}: {detail}"
-
-
-def _closed_term(sf, entry=None):
-    return pipeline.closed_term(pipeline.translate_file(sf), entry)
 
 
 def unary_add(a: int, b: int) -> int:
@@ -59,7 +55,7 @@ def test_criterion_1_figure1_certification():
     want_f = parse_formula("forall n. forall m. <nat(n), nat(m)> -> <nat(add(n, m))>")
     assert S.alpha_eq(target_ty, want_f), show(target_ty)
 
-    erased = erase(_closed_term(sf, "p_add"))
+    erased = pipeline.erase_image(pipeline.translate_file(sf), "p_add")
     assert evaluate(RApp(erased, RTuple((RNum(3), RNum(2)))), 100000) == (5,)
     for a in range(7):
         for b in range(7):
@@ -87,7 +83,7 @@ def test_criterion_2_figure2_certification():
     assert S.alpha_eq(out.env[0][1], S.FNat(S.IAdd(S.num_ind(3), S.num_ind(2))))
 
     assert phases["evaluate"]["payload"]["store"] == {"z": "5"}
-    machine_value = evaluate(erase(_closed_term(sf)), 1000000)
+    machine_value = evaluate(pipeline.erase_image(pipeline.translate_file(sf)), 1000000)
     assert machine_value == (5,)
     # cross-check against the closed-individual evaluator: F32(0) + F32(1)
     assert machine_value == (eval_individual(S.IAdd(S.num_ind(3), S.num_ind(2))),)

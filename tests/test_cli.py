@@ -184,6 +184,19 @@ def test_eval_runtime_value(capsys):
     assert evaluate["payload"]["store"] == {"z": "5"}
 
 
+def test_eval_is_an_alias_of_pipeline(capsys):
+    def report(command):
+        assert run_cli([command, os.path.join(CORPUS, "addition_is.loop"), "--args", "3,2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for phase in data["phases"]:
+            phase["elapsed_s"] = 0
+        return data
+
+    piped = report("pipeline")
+    assert piped["phases"][-1]["payload"]["value"] == "<5>"
+    assert report("eval") == piped
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "loopcert.cli", "check", os.path.join(CORPUS, "figure1.loop")],

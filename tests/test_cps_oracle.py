@@ -10,8 +10,7 @@ import sys
 
 import pytest
 
-from loopcert import gen, pipeline, runtime, translate
-from loopcert import syntax as S
+from loopcert import gen, pipeline, runtime
 from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate
 
@@ -137,7 +136,7 @@ def test_machine_agrees_with_cps_on_corpus_images(name):
     # the IS and ID images alike; figure2 and label_jump capture and throw continuations
     with open(os.path.join(CORPUS, name), "r", encoding="utf-8") as handle:
         sf = parse(handle.read())
-    term = erase(pipeline.closed_term(pipeline.translate_file(sf), None))
+    term = pipeline.erase_image(pipeline.translate_file(sf))
     assert evaluate(term, 100000) == cps_run(term)
 
 
@@ -145,12 +144,7 @@ def test_machine_agrees_with_cps_on_generated_programs():
     for k in range(40):
         rng = random.Random(f"cps:{k}")
         sf, entry, arity = gen.gen_is_program(rng, 12)
-        tctx = translate.TranslateCtx("FS")
-        terms = [(name, translate.translate_expr(e, tctx)) for name, e in sf.csts]
-        closed: S.Term = S.TVar(entry)
-        for name, t in reversed(terms):
-            closed = S.TLet(name, t, closed)
-        erased = erase(closed)
+        erased = pipeline.erase_image(pipeline.translate_file(sf), entry)
         for iv in gen.gen_inputs(rng, arity, count=2, bound=3):
             applied = RApp(erased, RTuple(tuple(RNum(n) for n in iv)))
             assert evaluate(applied, 500000) == cps_run(applied)

@@ -3,9 +3,11 @@ shrinking."""
 
 import random
 
+import pytest
+
 from loopcert import fuzz, gen, translate
 from loopcert import syntax as S
-from loopcert.errors import CheckError
+from loopcert.errors import CheckError, LoopcertError
 
 
 def test_count_zero_empty_report():
@@ -61,3 +63,25 @@ def test_run_one_names_the_failing_phase(monkeypatch):
     monkeypatch.setattr(translate, "translate_expr", lambda expr, tctx: S.TZero())
     failure = fuzz.run_one(sf, entry, inputs)
     assert failure["phase"] == "check-target" and "TYPE_PRESERVATION" in failure["message"]
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (LoopcertError("no translation"), "[TRANSLATE] no translation"),
+        (RecursionError(), "[LIMIT] the input nests too deeply for translate: the host recursion limit was reached"),
+    ],
+    ids=["LoopcertError", "RecursionError"],
+)
+def test_run_one_reports_host_errors_of_a_phase(monkeypatch, error, message):
+    """run_one maps what a phase raises as run_pipeline does, so neither
+    the fuzz command nor the shrinker sees a traceback."""
+    rng = random.Random(5)
+    sf, entry, arity = gen.gen_is_program(rng, 20)
+    inputs = gen.gen_inputs(rng, arity)
+
+    def refuse(expr, tctx):
+        raise error
+
+    monkeypatch.setattr(translate, "translate_expr", refuse)
+    assert fuzz.run_one(sf, entry, inputs) == {"phase": "translate", "message": message}

@@ -57,11 +57,11 @@ def term_of(key: str):
         rng = random.Random(f"steps:{k}")
         sf, entry, arity = gen.gen_is_program(rng, 30)
         inputs = gen.gen_inputs(rng, arity, count=2, bound=3)[int(i)]
-        erased = erase(pipeline.closed_term(pipeline.translate_file(sf), entry))
+        erased = pipeline.erase_image(pipeline.translate_file(sf), entry)
         return RApp(erased, RTuple(tuple(RNum(n) for n in inputs)))
     with open(os.path.join(ROOT, key), "r", encoding="utf-8") as handle:
         sf = parse(handle.read())
-    return erase(pipeline.closed_term(pipeline.translate_file(sf), None))
+    return pipeline.erase_image(pipeline.translate_file(sf))
 
 
 def _runs(term, fuel: int) -> bool:
