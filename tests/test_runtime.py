@@ -139,6 +139,15 @@ STUCK = [
     ("let k = 0 in throw[nat] k 0", "applied a non-function 0", 8),
     ("let k = <> in let y = 0 in throw[nat] k y", "applied a non-function <>", 11),
     ("let x = <> in rec(succ(0), 0, fn y : nat => fn a : nat => succ(x))", "expected a numeral, found <>", 17),
+    # a straight-line chain in a rec step, which the machine may take as one block
+    ("rec(succ(0), 0, fn i : nat => fn a : nat => let <b> = a in let c = succ(b) in <c>)",
+     "tuple pattern <b> against 0", 14),
+    ("rec(succ(0), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(a) in <c>)",
+     "expected a numeral, found <0>", 20),
+    ("rec(succ(0), 0, fn i : nat => fn a : nat => let b = a in let c = succ(ghost) in <c>)",
+     "unbound runtime variable 'ghost'", 17),
+    ("rec(succ(succ(0)), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in let d = <c, i> in d)",
+     "tuple pattern <b> against <1, 0>", 38),
 ]
 
 
@@ -148,6 +157,17 @@ def test_ill_typed_terms_are_stuck(text, message, steps):
         run(text)
     assert str(err.value) == f"StuckTerm: {message}"
     assert_stuck_at(text, steps)
+
+
+def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last():
+    text = (
+        "rec(succ(succ(succ(0))), <0>, fn i : nat => fn a : <nat> =>"
+        " let <b> = a in let c = succ(b) in let d = <c, i> in let <e, f> = d in <e>)"
+    )
+    assert run(text, 91) == (3,)
+    for fuel in range(91):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
 
 
 @pytest.mark.parametrize(
