@@ -60,6 +60,12 @@ def _print_report(report: pipeline.Report, as_json: bool) -> None:
     print(f"  exit {report.exit_code}")
 
 
+def _write(path: str, text: str) -> str:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return path
+
+
 def _corpus_files(paths: List[str], use_all: bool) -> List[str]:
     if not use_all:
         return paths
@@ -125,9 +131,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 except ParseError as ex:
                     print(str(ex), file=sys.stderr)
                     return pipeline.EXIT_PARSE
-                except RecursionError:
-                    print("[LIMIT] the input nests too deeply to format: the host recursion limit was reached",
-                          file=sys.stderr)
+                except RecursionError as ex:
+                    rule, _, message, _ = pipeline.diagnose("fmt", ex)
+                    print(f"[{rule}] {message}", file=sys.stderr)
                     return pipeline.EXIT_PARSE
         return pipeline.EXIT_OK
 
@@ -150,19 +156,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             if report.exit_code == pipeline.EXIT_OK:
                 out_path = ns.output or os.path.splitext(path)[0] + ".t"
-                try:
-                    image_text = show_file(report.image)
-                except RecursionError:
-                    report.diag(
-                        "LIMIT", None, "the image nests too deeply to print: the host recursion limit was reached"
-                    )
-                    report.exit_code = pipeline.EXIT_TARGET
-                else:
-                    with open(out_path, "w", encoding="utf-8") as handle:
-                        handle.write(image_text)
-                    report.phases.append(
-                        {"name": "write", "ok": True, "elapsed_s": 0.0, "payload": {"output": out_path}}
-                    )
+                report.run_phase(
+                    "write", pipeline.EXIT_TARGET, lambda: _write(out_path, show_file(report.image)),
+                    lambda out: {"output": out},
+                )
         else:  # pipeline, or its alias eval
             report = pipeline.run_pipeline(
                 path,

@@ -25,6 +25,24 @@ and it is charged for each; otherwise the machine single-steps.  So step
 counts, the point where fuel runs out and errors are those of the
 single-step machine.
 
+The body of a rec step fn i => fn acc => body runs once per iteration,
+so erasure compiles its straight-line work (_compile_blocks).  On the
+body's let chain, the head of every maximal run of let and let <...>
+whose value is an atom, succ or pred of an atom, or a tuple of atoms
+carries a block, a superinstruction: the run's ops with resolved
+indices, its total transitions (3 for a let of an atom, 5 for succ or
+pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for a closing
+tuple of n atoms), and the closing tuple of atoms the run may end in or
+else the term after it.  A run of 3 transitions (a lone let of an atom,
+which the machine groups anyway, or of <>) gets no block.  The machine
+runs a block in one turn when the fuel left covers its total, and
+charges the total.  If an op would be stuck (succ or pred of a
+non-numeral, a tuple pattern that does not fit), it drops the
+environment it built and single-steps from the head, so the block
+changes no step count and no error.  Chains outside rec steps run at
+most once per call and get no block.  A block is no part of a term:
+==, hash, repr and pattern matching ignore it.
+
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
 binder names stay on the terms as hints.  A machine environment is a
@@ -38,7 +56,7 @@ class (`type(t) is C`), the most frequent cases first.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import syntax as S
@@ -98,6 +116,9 @@ class RLet(RTerm):
     name: str
     value: RTerm
     body: RTerm
+    # set by erase on the head of a straight-line run (_compile_blocks);
+    # no part of the term's identity
+    block: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +126,7 @@ class RLetMatch(RTerm):
     names: Tuple[str, ...]
     value: RTerm
     body: RTerm
+    block: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +181,11 @@ def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     if cls is S.TApp:
         return RApp(_erase(t.fn, scope, depth), _erase(t.arg, scope, depth))
     if cls is S.TRec:
-        return RRec(_erase(t.bound, scope, depth), _erase(t.base, scope, depth), _erase(t.step, scope, depth))
+        bound, base = _erase(t.bound, scope, depth), _erase(t.base, scope, depth)
+        step = _erase(t.step, scope, depth)
+        if type(step) is RFn and type(step.body) is RFn:
+            _compile_blocks(step.body.body)
+        return RRec(bound, base, step)
     if cls is S.TPred:
         return RPred(_erase(t.arg, scope, depth))
     if cls is S.TCallcc:
@@ -213,6 +239,63 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
             for name in let.names:
                 scope[name].pop()
     return erased
+
+
+# The kinds of a block's op: the value it computes from its atoms.
+_B_ATOM, _B_SUCC, _B_PRED, _B_TUPLE = range(4)
+_B_RETURN = -1  # the arity of a run's closing tuple, which binds nothing
+
+
+def _compile_blocks(t: RTerm) -> None:
+    """Put a block on the head of every maximal straight-line run of t's
+    let chain (see the module docstring).  A block is (total, ops, rest).
+    An op is (kind, arity, operand): arity is None for a let, the pattern's
+    length for a let <...> and _B_RETURN for a closing tuple, which ends
+    the run with rest None; operand is an atom, or a tuple of atoms for
+    _B_TUPLE.  An atom is a variable's de Bruijn index or ~n for the
+    numeral n."""
+    head = None  # the let that heads the run being built
+    while True:
+        cls = type(t)
+        kind = None
+        if cls is RLet or cls is RLetMatch:
+            arity = None if cls is RLet else len(t.names)
+            value = t.value
+            vcls = type(value)
+            if vcls is RTuple:
+                kind, items, cost = _B_TUPLE, value.items, 3 + 2 * len(value.items)
+            elif vcls is RSucc or vcls is RPred:
+                kind, items, cost = _B_SUCC if vcls is RSucc else _B_PRED, (value.arg,), 5
+            else:
+                kind, items, cost = _B_ATOM, (value,), 3
+        elif cls is RTuple and head is not None:
+            kind, items, cost, arity = _B_TUPLE, t.items, 1 + 2 * len(t.items), _B_RETURN
+        if kind is not None:
+            atoms = []
+            for a in items:
+                if type(a) is RVar and a.index is not None:
+                    atoms.append(a.index)
+                elif type(a) is RNum:
+                    atoms.append(~a.value)
+                else:
+                    kind = None
+                    break
+        if kind is None:
+            if head is not None:
+                if total > 3:  # a lone let of an atom takes one turn already
+                    object.__setattr__(head, "block", (total, tuple(ops), t))
+                head = None
+            if cls is not RLet and cls is not RLetMatch:
+                return
+        else:
+            if head is None:
+                head, total, ops = t, 0, []
+            total += cost
+            ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
+            if arity == _B_RETURN:
+                object.__setattr__(head, "block", (total, tuple(ops), None))
+                return
+        t = t.body
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +375,45 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
         if control is not None:
             cls = type(control)
             if cls is RLet or cls is RLetMatch:
+                block = control.block
+                if block is not None and budget >= block[0] - 1:
+                    # the whole run in this turn, binding into benv; an op
+                    # that would be stuck sends the machine to single steps
+                    benv = env
+                    for kind, arity, a in block[1]:
+                        if kind == _B_TUPLE:
+                            value = ()
+                            for index in a:
+                                if index < 0:
+                                    value += (~index,)
+                                else:
+                                    link = benv
+                                    while index:
+                                        link, index = link[1], index - 1
+                                    value += (link[0],)
+                        else:
+                            if a < 0:
+                                value = ~a
+                            else:
+                                link = benv
+                                while a:
+                                    link, a = link[1], a - 1
+                                value = link[0]
+                            if kind:  # _B_SUCC or _B_PRED
+                                if type(value) is not int:
+                                    break
+                                value = value + 1 if kind == _B_SUCC else max(value - 1, 0)
+                        if arity is None:
+                            benv = (value, benv)
+                        elif arity >= 0:
+                            if type(value) is not tuple or len(value) != arity:
+                                break
+                            for item in value:
+                                benv = (item, benv)
+                    else:
+                        budget -= block[0] - 1
+                        env, control = benv, block[2]
+                        continue
                 a = control.value
                 if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
                     budget -= 2  # push, reach the atom, bind

@@ -105,6 +105,34 @@ def test_translate_refuses_a_functional_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def _too_deep(*_):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_translate_reports_an_image_too_deep_to_print(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "show_file", _too_deep)
+    out = tmp_path / "figure1.t"
+    argv = ["translate", os.path.join(CORPUS, "figure1.loop"), "-o", str(out), "--json"]
+    assert run_cli(argv) == pipeline.EXIT_TARGET
+    report = json.loads(capsys.readouterr().out)
+    assert [d["rule"] for d in report["diagnostics"]] == ["LIMIT"]
+    assert report["diagnostics"][0]["message"] == (
+        "the input nests too deeply for write: the host recursion limit was reached"
+    )
+    writes = [p for p in report["phases"] if p["name"] == "write"]
+    assert [(p["ok"], p["payload"]) for p in writes] == [(False, {})]
+    assert report["exit_code"] == pipeline.EXIT_TARGET
+    assert not out.exists()
+
+
+def test_fmt_reports_an_input_too_deep_to_print(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "show_file", _too_deep)
+    assert run_cli(["fmt", os.path.join(CORPUS, "figure1.loop")]) == pipeline.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "[LIMIT] the input nests too deeply for fmt: the host recursion limit was reached\n"
+
+
 def test_pipeline_evaluates_a_translated_main(tmp_path, capsys):
     out = tmp_path / "figure2.t"
     assert run_cli(["translate", os.path.join(CORPUS, "figure2.loop"), "-o", str(out)]) == 0
