@@ -125,16 +125,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if ns.command == "fmt":
         for path in ns.files:
-            with open(path, "r", encoding="utf-8") as handle:
-                try:
-                    sys.stdout.write(show_file(parse(handle.read())))
-                except ParseError as ex:
-                    print(str(ex), file=sys.stderr)
-                    return pipeline.EXIT_PARSE
-                except RecursionError as ex:
-                    rule, _, message, _ = pipeline.diagnose("fmt", ex)
-                    print(f"[{rule}] {message}", file=sys.stderr)
-                    return pipeline.EXIT_PARSE
+            try:
+                sys.stdout.write(show_file(parse(pipeline.read_source(path))))
+            except ParseError as ex:
+                print(str(ex), file=sys.stderr)
+                return pipeline.EXIT_PARSE
+            except pipeline.PHASE_ERRORS as ex:  # out of host stack, or a file that cannot be read
+                rule, _, message, _ = pipeline.diagnose("fmt", ex)
+                print(f"[{rule}] {message}", file=sys.stderr)
+                return pipeline.EXIT_PARSE
         return pipeline.EXIT_OK
 
     allow_pred = not ns.no_pred_rule

@@ -642,9 +642,10 @@ def _id_seq(
     in IS, return the store it ends with, without its locals, and do not
     read expected.
 
-    The items are checked in a loop.  Where the sequence goes on in the
-    `rest` of a `?n.` or a witness, the loop goes on there, and a `:>`
-    group, which ends the sequence, is checked against the goal it leaves.
+    The items are checked in a loop.  A `?n.` is read with the command
+    before it, and the binder it opens stays open to the end of s; a
+    `:>` group, which ends the sequence, is checked against the goal it
+    leaves.
     """
     items, k = s.items, 0
     opened = 0  # the '?n.'s opened so far; they scope over the rest of s
@@ -689,8 +690,6 @@ def _id_seq(
                 )
             ctx.rule("T_WITNESS")
             expected = S.subst_ind(ann.body, ctx.read(item.witness))
-            s = item.rest
-            items, k = s.items, 0
         elif cls is S.SSubst:
             fam = ctx.read(item.fam)
             proof_ty = _id_expr(gamma, omega, item.proof, ctx, simple)
@@ -732,8 +731,7 @@ def _id_seq(
                 ev = ctx.open(unpack.var)
                 opened += 1
                 theta = S.subst_ind(theta.body, ev)
-                s = unpack.rest
-                items, k = s.items, 0
+                k += 1
                 ctx.rule("TC_UPDATE_SEQ_II")
             ctx.rule("TC_UPDATE_SEQ_I")
             omega = envs.multi_update(omega, theta.env, "TC_UPDATE_SEQ", item.span)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import accumulate, islice
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import ParseError
@@ -193,6 +194,9 @@ class Parser:
         self.warnings: List[str] = []
         self._fresh = 0
         self.binders: List[Optional[str]] = []  # of the binders over individuals around, innermost last
+        # each name's positions in binders, innermost last: a bound name is
+        # resolved without a walk of binders
+        self.where: Dict[Optional[str], List[int]] = defaultdict(list)
 
     # -- token plumbing -----------------------------------------------------
     # The hot paths below read self.values and self.kinds directly.  A
@@ -246,12 +250,45 @@ class Parser:
         self._fresh += 1
         return f"_w{self._fresh}"
 
+    def open(self, name: Optional[str]) -> None:
+        """Open a binder of name over what is read next."""
+        self.where[name].append(len(self.binders))
+        self.binders.append(name)
+
+    def close(self, start: int) -> None:
+        """Close the binders opened since there were start of them."""
+        binders, where = self.binders, self.where
+        while len(binders) > start:
+            where[binders.pop()].pop()
+
     def bound(self, parse: Callable[[], Any], name: str) -> Any:
         """parse() under a binder of name."""
+        positions = self.where[name]
+        positions.append(len(self.binders))
         self.binders.append(name)
         value = parse()
         self.binders.pop()
+        positions.pop()
         return value
+
+    def binder(self, cls: type, parse: Callable[[], Any], *tail: Any) -> Any:
+        """`x.` and then parse() under a binder of x, as cls(x, body, *tail):
+        a `forall`/`exists`/`lam` prefix after its keyword, or a motive."""
+        var = self.eat_ident()
+        self.eat(".")
+        return cls(var, self.bound(parse, var), *tail)
+
+    def items(self, parse: Callable[[], Any], close: str, nonempty: bool = False) -> Tuple[Any, ...]:
+        """A comma list of parse() items up to the token close, which is
+        read too; an empty list only when nonempty is false."""
+        out = []
+        if nonempty or self.values[self.pos] != close:
+            out.append(parse())
+            while self.values[self.pos] == ",":
+                self.pos += 1
+                out.append(parse())
+        self.eat(close)
+        return tuple(out)
 
     # -- individuals ----------------------------------------------------------
 
@@ -263,8 +300,9 @@ class Parser:
             return S.num_ind(self.number())
         if kind == "ident":
             self.pos = pos + 1
-            if value in self.binders:
-                return S.IBound(self.binders[::-1].index(value))
+            positions = self.where.get(value)
+            if positions:
+                return S.IBound(len(self.binders) - 1 - positions[-1])
             return S.IVar(value)
         if kind == "kw":
             unary = _UNARY_IND.get(value)
@@ -337,10 +375,7 @@ class Parser:
         value = self.values[self.pos]
         if value == "forall" or value == "exists":
             self.pos += 1
-            var = self.eat_ident()
-            self.eat(".")
-            body = self.bound(self.parse_formula, var)
-            return S.FForall(var, body) if value == "forall" else S.FExists(var, body)
+            return self.binder(S.FForall if value == "forall" else S.FExists, self.parse_formula)
         left = self.parse_formula_unit()
         if self.values[self.pos] == "->":
             self.pos += 1
@@ -360,14 +395,7 @@ class Parser:
     def parse_formula_atom(self) -> S.Formula:
         if self.values[self.pos] == "<":  # no equation begins with '<'
             self.pos += 1
-            items: List[S.Formula] = []
-            if not self.at(">"):
-                items.append(self.parse_formula())
-                while self.at(","):
-                    self.pos += 1
-                    items.append(self.parse_formula())
-            self.eat(">")
-            return S.FTuple(tuple(items))
+            return S.FTuple(self.items(self.parse_formula, ">"))
         return self._type_atom("formula", self.parse_formula)
 
     def _type_atom(self, what: str, parse_inner: Callable[[], Any]) -> Any:
@@ -431,12 +459,7 @@ class Parser:
     def parse_neg_tail(self) -> S.Prop:
         if self.at("("):
             self.pos += 1
-            types = [self.parse_prop()]
-            while self.at(","):
-                self.pos += 1
-                types.append(self.parse_prop())
-            self.eat(")")
-            return S.PNeg(S.OSimple(tuple(types)))
+            return S.PNeg(S.OSimple(self.items(self.parse_prop, ")", nonempty=True)))
         if self.at("[") or self.at("exists"):
             return S.PNeg(self.parse_output())
         return S.PNeg(S.OSimple((self.parse_prop_inner(),)))
@@ -457,38 +480,21 @@ class Parser:
     def parse_output(self) -> S.Output:
         if self.at("exists"):
             self.pos += 1
-            var = self.eat_ident()
-            self.eat(".")
-            return S.OExists(var, self.bound(self.parse_output, var))
+            return self.binder(S.OExists, self.parse_output)
         self.eat("[")
-        types: List[S.Prop] = []
-        if not self.at("]"):
-            types.append(self.parse_prop())
-            while self.at(","):
-                self.pos += 1
-                types.append(self.parse_prop())
-        self.eat("]")
-        return S.OSimple(tuple(types))
+        return S.OSimple(self.items(self.parse_prop, "]"))
 
     def parse_proto(self) -> S.Proto:
         if self.at("forall"):
             self.pos += 1
-            var = self.eat_ident()
-            self.eat(".")
-            return S.ProtoAll(var, self.bound(self.parse_proto, var))
+            return self.binder(S.ProtoAll, self.parse_proto)
         self.eat("(")
         self.eat("[")
-        params: List[S.Prop] = []
-        if not self.at("]"):
-            params.append(self.parse_prop())
-            while self.at(","):
-                self.pos += 1
-                params.append(self.parse_prop())
-        self.eat("]")
+        params = self.items(self.parse_prop, "]")
         self.eat("out")
         out = self.parse_output()
         self.eat(")")
-        return S.ProtoBase(tuple(params), out)
+        return S.ProtoBase(params, out)
 
     def parse_bindings(self, close: str, types: str) -> S.Env:
         pairs: List[Tuple[str, Any]] = []
@@ -508,9 +514,7 @@ class Parser:
     def parse_qenv(self) -> S.QEnv:
         if self.at("exists"):
             self.pos += 1
-            var = self.eat_ident()
-            self.eat(".")
-            return S.QExists(var, self.bound(self.parse_qenv, var))
+            return self.binder(S.QExists, self.parse_qenv)
         self.eat("[")
         return S.QSimple(self.parse_bindings("]", "prop"))
 
@@ -611,9 +615,7 @@ class Parser:
     def parse_header(self) -> S.Header:
         if self.at("forall"):
             self.pos += 1
-            var = self.eat_ident()
-            self.eat(".")
-            return S.HForall(var, self.bound(self.parse_header, var))
+            return self.binder(S.HForall, self.parse_header)
         self.eat("[")
         params = self.parse_bindings("]", "prop")
         self.eat("out")
@@ -626,15 +628,13 @@ class Parser:
     # -- sequences and commands ---------------------------------------------
 
     def parse_seq(self) -> S.Seq:
-        """A sequence, item by item in a loop.  A `?n.` or a witness owns
-        the rest of the sequence: it waits in `owners`, with the items
-        before it, until the rest is parsed, and the owners are then put
-        together innermost first.  A `(...)` group that no `:>` follows
-        is spliced in, and a `?n.` that ends it scopes over the rest too."""
+        """A sequence, item by item in a loop, as a flat tuple of items.
+        A `?n.` binds n over the items after it, to the end of the
+        sequence.  A `(...)` group that no `:>` follows is spliced in, and
+        a `?n.` in it scopes over the rest of the sequence too."""
         values = self.values
         start = len(self.binders)
         items: List[Any] = []
-        owners: List[Tuple[List[Any], Any]] = []
         coerced = False  # whether a group spliced in ended with a ':>' group
         while True:
             pos = self.pos
@@ -667,9 +667,8 @@ class Parser:
                 self.pos = pos + 1
                 var = self.eat_ident()
                 self.eat(".")
-                self.binders.append(var)
-                owners.append((items, S.SUnpack(var, None, span=span)))
-                items = []
+                self.open(var)
+                items.append(S.SUnpack(var, span=span))
             elif value == "[":
                 span = self.tokens.position(pos)
                 self.pos = pos + 1
@@ -679,8 +678,7 @@ class Parser:
                 self.eat("]")
                 if self.at(";"):
                     self.pos += 1
-                owners.append((items, S.SWitness(witness, ann, None, span=span)))
-                items = []
+                items.append(S.SWitness(witness, ann, span=span))
             elif value == "(":
                 span = self.tokens.position(pos)
                 self.pos = pos + 1
@@ -704,32 +702,21 @@ class Parser:
                     break
                 if self.at(";"):
                     self.pos += 1
-                while group.items and isinstance(group.items[-1], (S.SUnpack, S.SWitness)):
-                    owner = group.items[-1]
-                    if type(owner) is S.SUnpack:
-                        self.binders.append(owner.var)
-                    owners.append((items + list(group.items[:-1]), owner))
-                    items, group = [], owner.rest
+                for item in group.items:
+                    if type(item) is S.SUnpack:
+                        self.open(item.var)
                 items += group.items
                 coerced = coerced or bool(items) and type(items[-1]) is S.SSubst
             else:
                 items.append(self.parse_command())
         if coerced:
             # a ':>' group ends its sequence: report the first item after one
-            followers = [(before, before[1:] + [owner]) for before, owner in owners]
-            for before, after in followers + [(items, items[1:])]:
-                for item, follower in zip(before, after):
-                    if type(item) is S.SSubst:
-                        raise ParseError(
-                            "a ':>'-coerced sequence cannot be followed by commands", *follower.span
-                        )
-        seq = S.Seq(tuple(items), span=self.span())
-        del self.binders[start:]
-        while owners:
-            items, owner = owners.pop()
-            items.append(S._rebuild(owner, rest=seq))
-            seq = S.Seq(tuple(items), span=seq.span)
-        return seq
+            for item, follower in zip(items, items[1:]):
+                if type(item) is S.SSubst:
+                    raise ParseError("a ':>'-coerced sequence cannot be followed by commands", *follower.span)
+        if len(self.binders) > start:  # the sequence's '?n.'s
+            self.close(start)
+        return S.Seq(tuple(items), span=self.span())
 
     def parse_command(self) -> S.Command:
         pos = self.pos
@@ -746,12 +733,7 @@ class Parser:
         if value == "jump":
             self.pos = pos + 1
             self.eat("(")
-            target = self.parse_expr()
-            args: List[S.Expr] = []
-            while self.at(","):
-                self.pos += 1
-                args.append(self.parse_expr())
-            self.eat(")")
+            target, *args = self.items(self.parse_expr, ")", nonempty=True)
             ann = self.parse_qenv()
             self.eat(";")
             return S.CJump(target, tuple(args), ann, span=span)
@@ -773,12 +755,12 @@ class Parser:
             self.eat("until")
             bound = self.parse_expr()
             self.eat("{")
-            self.binders.append(idx)  # over the body and the frame; None for no name
+            self.open(idx)  # over the body and the frame; None for no name
             body = self.parse_seq()
             self.eat("}")
             self.eat("[")
             frame = self.parse_bindings("]", "prop")
-            self.binders.pop()
+            self.close(len(self.binders) - 1)
             self.eat(";")
             return S.CFor(var, idx, bound, body, frame, span=span)
         if value == "{":
@@ -804,20 +786,10 @@ class Parser:
         # a call: expr '(' args ';' outs ')'
         fn = self.parse_expr_post()
         self.eat("(")
-        args = []
-        if not self.at(";"):
-            args.append(self.parse_expr())
-            while self.at(","):
-                self.pos += 1
-                args.append(self.parse_expr())
+        args = self.items(self.parse_expr, ";")
+        outs = self.items(self.eat_ident, ")", nonempty=True)
         self.eat(";")
-        outs = [self.eat_ident()]
-        while self.at(","):
-            self.pos += 1
-            outs.append(self.eat_ident())
-        self.eat(")")
-        self.eat(";")
-        return S.CCall(fn, tuple(args), tuple(outs), span=span)
+        return S.CCall(fn, args, outs, span=span)
 
     # -- functional terms -----------------------------------------------------
 
@@ -836,17 +808,11 @@ class Parser:
                 self.pos = pos + 1
                 if self.at("<"):
                     self.pos += 1
-                    names: List[str] = []
-                    if not self.at(">"):
-                        names.append(self.eat_ident())
-                        while self.at(","):
-                            self.pos += 1
-                            names.append(self.eat_ident())
-                    self.eat(">")
+                    names = self.items(self.eat_ident, ">")
                     self.eat("=")
                     bound = self.parse_term()
                     self.eat("in")
-                    chain.append((S.TLetMatch, tuple(names), bound, span))
+                    chain.append((S.TLetMatch, names, bound, span))
                 else:
                     name = self.eat_ident()
                     self.eat("=")
@@ -858,12 +824,13 @@ class Parser:
                 self.pos = pos + 1
                 var = self.eat_ident()
                 self.eat(".")
-                self.binders.append(var)
+                self.open(var)
                 chain.append((S.TUnpack, var, None, span))
             else:
                 break
         term = self._parse_term_rest()
-        del self.binders[start:]
+        if len(self.binders) > start:  # the chain's '?n.'s
+            self.close(start)
         for cls, binder, bound, span in reversed(chain):
             if cls is S.TUnpack:
                 term = S.TUnpack(binder, term, span=span)
@@ -880,9 +847,7 @@ class Parser:
             return self.parse_fn_tail(span)
         if value == "lam":
             self.pos = pos + 1
-            var = self.eat_ident()
-            self.eat(".")
-            return S.TIndLam(var, self.bound(self.parse_term, var), span=span)
+            return self.binder(S.TIndLam, self.parse_term, span)
         if value == "callcc":
             self.pos = pos + 1
             return S.TCallcc(self.parse_term(), span=span)
@@ -915,17 +880,7 @@ class Parser:
         if self.at("("):
             # tuple pattern sugar: fn (x : a, y : b) => t
             self.pos += 1
-            params: List[Tuple[str, S.Formula]] = []
-            if not self.at(")"):
-                while True:
-                    name = self.eat_ident()
-                    self.eat(":")
-                    params.append((name, self.parse_formula()))
-                    if self.at(","):
-                        self.pos += 1
-                        continue
-                    break
-            self.eat(")")
+            params = self.parse_bindings(")", "formula")
             self.eat("=>")
             body = self.parse_term()
             fresh = self.fresh_name()
@@ -982,24 +937,14 @@ class Parser:
             return (S.TSucc if value == "succ" else S.TPred)(arg, span=span)
         if value == "<":
             self.pos = pos + 1
-            items: List[S.Term] = []
-            if not self.at(">"):
-                items.append(self.parse_term())
-                while self.at(","):
-                    self.pos += 1
-                    items.append(self.parse_term())
-            self.eat(">")
-            return S.TTuple(tuple(items), span=span)
+            return S.TTuple(self.items(self.parse_term, ">"), span=span)
         if value == "rec":
             self.pos = pos + 1
             motive: Optional[S.Fam] = None
             if self.at("{"):
                 self.pos += 1
-                var = self.eat_ident()
-                self.eat(".")
-                phi = self.bound(self.parse_formula, var)
+                motive = self.binder(S.Fam, self.parse_formula)
                 self.eat("}")
-                motive = S.Fam(var, phi)
             self.eat("(")
             bound = self.parse_term()
             self.eat(",")

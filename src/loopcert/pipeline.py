@@ -12,6 +12,8 @@ Exit codes: 0 all phases pass; 1 parse error; 2 source type error;
 4 runtime discrepancy or evaluation failure; 5 fuzz counterexample.
 Input nested too deeply for the host stack gets rule LIMIT and the exit
 code of the phase it stopped: 1, 2, 3 (translate and check-target) or 4.
+A file that cannot be read or written gets rule IO and the exit code of
+the phase it stopped: 1 (parse, which reads the input) or 3 (write).
 """
 
 from __future__ import annotations
@@ -47,16 +49,19 @@ GC_THRESHOLD = (10_000, 2, 2)
 
 # What a phase may raise and have reported; anything else is a defect and
 # propagates.
-PHASE_ERRORS = (LoopcertError, RecursionError)
+PHASE_ERRORS = (LoopcertError, RecursionError, OSError)
 
 
 def diagnose(phase: str, ex: BaseException) -> Tuple[str, Optional[Tuple[int, int]], str, Dict[str, str]]:
     """The diagnostic of a phase that raised ex: rule, span, message and
     extra fields.  A phase out of host stack on deeply nested input gets
-    rule LIMIT, every other failure of translate rule TRANSLATE, and a
-    failed run rule EVAL with the EvalError's reason."""
+    rule LIMIT, one that could not read or write a file rule IO, every
+    other failure of translate rule TRANSLATE, and a failed run rule EVAL
+    with the EvalError's reason."""
     if isinstance(ex, RecursionError):
         return "LIMIT", None, f"the input nests too deeply for {phase}: the host recursion limit was reached", {}
+    if isinstance(ex, OSError):
+        return "IO", None, f"{phase} could not access {ex.filename!r}: {ex.strerror}", {}
     if phase == "translate":
         return "TRANSLATE", None, str(ex), {}
     if isinstance(ex, ParseError):
@@ -292,6 +297,11 @@ def _typing(
     return payload
 
 
+def read_source(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def run_pipeline(
     path: str,
     text: Optional[str] = None,
@@ -303,7 +313,8 @@ def run_pipeline(
     allow_pred: bool = True,
 ) -> Report:
     """Take a file through the phases, each by Report.run_phase, so every
-    failure ends in a report.  The run collects garbage by GC_THRESHOLD
+    failure ends in a report; the parse phase reads the file at path when
+    no text is given.  The run collects garbage by GC_THRESHOLD
     and restores the caller's thresholds on exit, also when an exception
     escapes; a caller who turned automatic collection off (gc.disable()
     or a threshold of 0) keeps it off."""
@@ -316,12 +327,8 @@ def run_pipeline(
         gc.set_threshold(*GC_THRESHOLD)
     try:
         report = Report(file=path)
-        if text is None:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-
         sf = report.run_phase(
-            "parse", EXIT_PARSE, lambda: parse(text),
+            "parse", EXIT_PARSE, lambda: parse(read_source(path) if text is None else text),
             lambda sf: {"csts": [name for name, _ in sf.csts], "has_main": sf.main is not None},
         )
         if sf is None:

@@ -350,12 +350,8 @@ def _seq(s: S.Seq, out: Out, ind: str) -> None:
     """The items of s, one a line, each line (a nested body's too)
     prefixed with ind and ended by a newline."""
     inner = ind + "  "
-    items = s.items
-    k = 0
     scoped = len(out.scope)
-    while k < len(items):
-        item = items[k]
-        k += 1
+    for item in s.items:
         cls = type(item)
         out.append(ind)
         if cls is S.CInc or cls is S.CDec:
@@ -393,12 +389,10 @@ def _seq(s: S.Seq, out: Out, ind: str) -> None:
             _list(out, ")", (item.ann,), ";", _prop)
         elif cls is S.SUnpack:
             _bind(out, "?", item.var, ".")
-            items, k = item.rest.items, 0
         elif cls is S.SWitness:
             _ind(item.witness, out, "[", " in ")
             _prop(item.ann, out)
             out.append("]")
-            items, k = item.rest.items, 0
         elif cls is S.SSubst:
             out.append("(\n")
             _seq(item.body, out, inner)

@@ -18,8 +18,10 @@ operations in this module are pure functions.
 Binders over individuals are locally nameless.  Each class with a
 ``_binds_ind`` attribute binds one individual over the fields it lists:
 ``forall``/``exists`` in formulas, outputs and quantified environments,
-``ProtoAll``, ``{n/...}`` families, ``lam n.``, ``?n.`` in terms and in
-sequences, ``HForall`` and the index of a ``for``.  A bound individual
+``ProtoAll``, ``{n/...}`` families, ``lam n.``, ``?n.`` in terms,
+``HForall`` and the index of a ``for``.  A ``?n.`` item of a sequence
+binds one over the items after it, so a sequence is flat: ``open_inds``
+goes one binder deeper after each ``?n.`` of a tuple.  A bound individual
 is ``IBound(k)``, where k counts the binders between it and its own, and
 only a free one is an ``IVar``.  A binder's name is a hint for the
 printer that ``==`` and ``hash`` ignore, so equality is alpha-equality.
@@ -618,11 +620,11 @@ class CLabel(Command):
 @dataclass(frozen=True, slots=True)
 class Seq(Node):
     """A sequence: its items (commands and the declaration items below)
-    run left to right, and a `cst` or `var` item scopes over the items
-    after it.  `?n.` and a witness hold the rest of the sequence in their
-    own `rest`, and a `:>` group ends the sequence, so each of these three
-    is the last item when present.  The span is where the sequence ends:
-    an unmet output is reported there."""
+    run left to right, and a `cst`, `var` or `?n.` item scopes over the
+    items after it; the items are flat, and a `?n.` binds an individual
+    over those that follow it.  A `:>` group ends the sequence, so it is
+    the last item when present.  The span is where the sequence ends: an
+    unmet output is reported there."""
 
     items: Tuple[Any, ...]
     span: Optional[Span] = _span_field()
@@ -651,17 +653,13 @@ class SVar(SeqItem):
 @dataclass(frozen=True, slots=True)
 class SUnpack(SeqItem):
     var: str = _hint()
-    rest: Seq
     span: Optional[Span] = _span_field()
-
-    _binds_ind = ("rest",)
 
 
 @dataclass(frozen=True, slots=True)
 class SWitness(SeqItem):
     witness: Ind
     ann: QEnv
-    rest: Seq
     span: Optional[Span] = _span_field()
 
 
@@ -823,6 +821,8 @@ def open_inds(value: Any, subs: Any, depth: int = 0, name: Optional[str] = None)
                 out.append(new)
             elif out is not None:
                 out.append(item)
+            if type(item) is SUnpack:  # a sequence's `?n.` binds over the items after it
+                depth += 1
         return value if out is None else tuple(out)
     if cls is TLet or cls is TLetMatch:
         return _open_lets(value, subs, depth, name)

@@ -150,18 +150,15 @@ def translate_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term
 
     The image nests each item's binder around the image of the items
     after it, so it is built in two loops.  The first, front to back,
-    follows the sequence into the rest of a `?n.` or a witness and
-    translates what is translated before the rest: a declaration's value,
-    and a closing `:>` group.  The second, back to front, wraps the end
-    in each item; a command is translated there, after the items that
-    follow it, which fixes the numbering of fresh names."""
+    translates what is translated before the items after it: a
+    declaration's value, and a closing `:>` group.  The second, back to
+    front, wraps the end in each item; a command is translated there,
+    after the items that follow it, which fixes the numbering of fresh
+    names."""
     flat: List = []
     values: List[S.Term] = []
     end: S.Term = S.TTuple(tuple([S.TVar(x) for x in live]))
-    items, k = s.items, 0
-    while k < len(items):
-        item = items[k]
-        k += 1
+    for item in s.items:
         cls = type(item)
         if cls is S.SSubst:
             _, phi = translate_qenv(item.fam.body)
@@ -174,8 +171,6 @@ def translate_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term
         flat.append(item)
         if cls is S.SCst or cls is S.SVar:
             values.append(translate_expr(item.value, tctx))
-        elif cls is S.SUnpack or cls is S.SWitness:
-            items, k = item.rest.items, 0
     term = end
     for item in reversed(flat):
         cls = type(item)

@@ -133,6 +133,45 @@ def test_fmt_reports_an_input_too_deep_to_print(capsys, monkeypatch):
     assert captured.err == "[LIMIT] the input nests too deeply for fmt: the host recursion limit was reached\n"
 
 
+def _cli_process(argv, cwd):
+    """Run the CLI in a process of its own, in directory cwd."""
+    src = os.path.join(os.path.dirname(CORPUS), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "loopcert.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, phase, code",
+    [
+        (["check", "nothere.loop"], "parse", pipeline.EXIT_PARSE),
+        (["pipeline", "nothere.loop"], "parse", pipeline.EXIT_PARSE),
+        (["translate", os.path.join(CORPUS, "figure1.loop"), "-o", os.path.join("missing", "dir", "f.t")],
+         "write", pipeline.EXIT_TARGET),
+    ],
+)
+def test_a_file_that_cannot_be_read_or_written_is_reported(tmp_path, argv, phase, code):
+    """A missing input, or an output in a missing directory, ends in one
+    IO diagnostic and the exit code of the phase it stopped: no traceback."""
+    proc = _cli_process(argv + ["--json"], tmp_path)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    report = json.loads(proc.stdout)
+    assert [(d["rule"], d["span"]) for d in report["diagnostics"]] == [("IO", None)]
+    assert "No such file or directory" in report["diagnostics"][0]["message"]
+    assert [p["name"] for p in report["phases"] if not p["ok"]] == [phase]
+    assert report["exit_code"] == code
+    assert not (tmp_path / "missing").exists()
+
+
+def test_fmt_reports_a_file_that_cannot_be_read(tmp_path):
+    proc = _cli_process(["fmt", "nothere.loop"], tmp_path)
+    assert proc.returncode == pipeline.EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr == "[IO] fmt could not access 'nothere.loop': No such file or directory\n"
+
+
 def test_pipeline_evaluates_a_translated_main(tmp_path, capsys):
     out = tmp_path / "figure2.t"
     assert run_cli(["translate", os.path.join(CORPUS, "figure2.loop"), "-o", str(out)]) == 0

@@ -122,10 +122,18 @@ def test_a_run_restores_the_collector(collector, case):
     assert gc.isenabled()
 
 
-def test_an_escaping_exception_restores_the_collector(collector):
+class _Defect(Exception):
+    """Not a phase error: run_phase lets it escape."""
+
+
+def test_an_escaping_exception_restores_the_collector(collector, monkeypatch):
+    def parse(text):
+        raise _Defect()
+
+    monkeypatch.setattr(pipeline, "parse", parse)
     gc.set_threshold(*CALLER_THRESHOLD)
-    with pytest.raises(FileNotFoundError):
-        pipeline.run_pipeline(os.path.join(CORPUS, "no_such_file.loop"))
+    with pytest.raises(_Defect):
+        pipeline.run_pipeline(os.path.join(CORPUS, "figure1.loop"))
     assert gc.get_threshold() == CALLER_THRESHOLD
     assert gc.isenabled()
 

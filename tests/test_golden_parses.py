@@ -3,9 +3,9 @@
 `golden/parses.json` holds, for every corpus file, every one-token
 deletion of each corpus file, and 200 generated IS programs printed with
 `show_file`, either the parse or the ParseError.  A parse is the file
-printed back plus every node span, in preorder; a sequence adds
-`["end", line, col]`, the place its end is reported at, unless its last
-item (`?n.`, a witness or a `:>` group) holds the rest.  For a one-token
+printed back plus every node span, in preorder; a sequence's items are
+flat, and a sequence adds `["end", line, col]`, the place its end is
+reported at, unless it ends in a `:>` group.  For a one-token
 deletion that still parses, the record is the SHA-256 of that parse in
 canonical JSON, which keeps the file small.  A ParseError is
 `[str(error), line, col]`.  A change that is meant to keep what the
@@ -37,7 +37,6 @@ PROGRAMS = 200
 
 # one token of the concrete syntax, for the deletions; comments are skipped
 _TOKEN = re.compile(r"//[^\n]*|:=|:>|<:|=>|->|\w+|\S")
-_OWNERS = (S.SUnpack, S.SWitness, S.SSubst)
 
 
 def _spans(node, out):
@@ -50,7 +49,7 @@ def _spans(node, out):
         return
     if cls is S.Seq:
         _spans(node.items, out)
-        if not (node.items and isinstance(node.items[-1], _OWNERS)):
+        if not (node.items and type(node.items[-1]) is S.SSubst):
             out.append(["end", *node.span])
         return
     if getattr(node, "span", None) is not None:

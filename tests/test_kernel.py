@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from loopcert import envs, gen
 from loopcert import syntax as S
 from loopcert.errors import CheckError
-from loopcert.parser import parse_formula, parse_prop, parse_qenv, parse_term
+from loopcert.parser import parse_expr, parse_formula, parse_prop, parse_qenv, parse_seq, parse_term
 from loopcert.printer import show
 
 
@@ -188,6 +188,18 @@ def test_subst_against_naive_oracle():
         # binder of var, named n and m
         open_repl = gen.gen_ind(rng, 2, vars_=("n", "m"), bound=2)
         assert S.subst_ind(body, open_repl) == _naive_open(body, 0, open_repl)
+
+
+def test_an_unpack_item_scopes_over_the_rest_of_its_sequence():
+    """A sequence is flat, and its `?n.` item binds n over the items after
+    it: closing a name that occurs on both sides of one gives the sequence
+    the parser reads under a binder of that name."""
+    seq = "z := x :> {k/nat(add(k, a))}[0 = 0]; ?n. { }[z : nat(add(n, a))]; [a in exists v. [z : nat(v)]]"
+    under = parse_expr("proc forall a. [] out [] { " + seq + " }").header.body.body
+    closed = S.close_ind(parse_seq(seq), "a")
+    assert closed == under
+    assert closed.items[2].ann == S.QSimple((("z", S.FNat(S.IAdd(S.IBound(0), S.IBound(1)))),))
+    assert S.subst_ind(closed, S.IVar("a")) == parse_seq(seq)
 
 
 def test_open_substitute_round_trip():

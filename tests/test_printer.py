@@ -120,9 +120,8 @@ SHOWN = {
     "empty_seq": (seq(), ""),
     "subst_group": (seq(S.SSubst(seq(S.CInc("z")), S.Fam("i", env(("z", nat(b0)))), S.EAxiom(n, m))),
                     "(\n  inc(z);\n) :> {i/[z : nat(i)]}[n = m];"),
-    "witness_unpack": (seq(S.SCst("c", S.ENum(1)),
-                           S.SWitness(n, S.QExists("v", env(("z", nat(b0)))),
-                                      seq(S.SUnpack("w", seq(S.SVar("y", ex), S.CInc("y")))))),
+    "witness_unpack": (seq(S.SCst("c", S.ENum(1)), S.SWitness(n, S.QExists("v", env(("z", nat(b0))))),
+                           S.SUnpack("w"), S.SVar("y", ex), S.CInc("y")),
                        "cst c = 1;\n[n in exists v. [z : nat(v)]]\n?w.\nvar y := x;\ninc(y);"),
     # a proc literal's body is indented one step past the line it starts on
     "proc_in_expr": (S.CBlock(seq(S.SCst("p", PROC), S.CCall(S.EInst(S.EVar("p"), ZERO), (S.ENum(0),), ("z",))),

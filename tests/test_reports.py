@@ -82,6 +82,14 @@ def test_limit_report_matches_schema():
     assert "LIMIT" in SCHEMA["properties"]["diagnostics"]["items"]["properties"]["rule"]["description"]
 
 
+def test_io_report_matches_schema(tmp_path):
+    report = pipeline.run_pipeline(str(tmp_path / "nothere.loop")).to_dict()
+    jsonschema.validate(report, SCHEMA)
+    assert [d["rule"] for d in report["diagnostics"]] == ["IO"]
+    assert report["exit_code"] == pipeline.EXIT_PARSE
+    assert "IO" in SCHEMA["properties"]["diagnostics"]["items"]["properties"]["rule"]["description"]
+
+
 with open(os.path.join(CORPUS, "addition_is.loop"), "r", encoding="utf-8") as handle:
     ADDITION_IS = handle.read()
 

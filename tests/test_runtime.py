@@ -11,6 +11,7 @@ from loopcert.errors import FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate, show_value
 
+from test_cps_oracle import cps_run
 from test_machine_steps import _load as load_steps, case_keys, corpus_keys, generated_keys, term_of
 
 
@@ -166,6 +167,17 @@ def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last()
     )
     assert run(text, 91) == (3,)
     for fuel in range(91):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+
+
+def test_a_rec_step_that_is_no_curried_fn_takes_the_generic_path():
+    """The step's value is a closure whose body is a let, not a `fn`, so
+    each iteration applies it to the counter and returns the function it
+    gives to the accumulator frame, which applies that to the accumulator."""
+    text = "rec(3, 0, fn i : nat => let g = fn a : nat => succ(a) in g)"
+    assert run(text, 44) == 3 == cps_run(erase(parse_term(text)))
+    for fuel in range(44):
         with pytest.raises(FuelExhausted):
             run(text, fuel)
 

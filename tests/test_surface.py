@@ -179,8 +179,8 @@ def test_an_unpack_spliced_from_a_group_scopes_over_the_rest():
     """A `?n.` that ends a `( ... )` group binds n in the items after the
     group; after the sequence, n is free again."""
     seq = parse_seq("( inc(z); ?n. ) z := x :> {k/nat(add(k, n))}[0 = 0]; { }[z : nat(n)];")
-    _, unpack = seq.items
-    assign, block = unpack.rest.items
+    _, unpack, assign, block = seq.items
+    assert type(unpack) is S.SUnpack
     assert assign.value.fam.body == S.FNat(S.IAdd(S.IBound(0), S.IBound(1)))
     assert block.ann == S.QSimple((("z", S.FNat(S.IBound(0))),))
     outer = parse_seq("{ ( ?n. ) }[z : nat(0)]; z := z :> {k/nat(n)}[0 = 0];")
