@@ -149,6 +149,12 @@ STUCK = [
      "unbound runtime variable 'ghost'", 17),
     ("rec(succ(succ(0)), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in let d = <c, i> in d)",
      "tuple pattern <b> against <1, 0>", 38),
+    # a step whose body is one block, which the machine may run as one loop,
+    # stuck in its second iteration
+    ("rec(succ(succ(succ(0))), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in <c, i>)",
+     "tuple pattern <b> against <1, 0>", 37),
+    ("rec(succ(succ(succ(0))), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in <a>)",
+     "expected a numeral, found <0>", 39),
 ]
 
 
@@ -167,6 +173,30 @@ def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last()
     )
     assert run(text, 91) == (3,)
     for fuel in range(91):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+
+
+# Rec steps fn i => fn a => body whose body is one straight-line run ending
+# in its closing tuple, which the machine may take as one loop: (term, value,
+# the least fuel that returns).
+LOOPS = [
+    # reads the counter and a variable bound outside the rec
+    ("let x = 5 in rec(4, <0, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
+     " let <s, t, w> = a in let u = succ(s) in <u, i, x>)", (4, 3, 5), 111),
+    # nested in a step that is no such run, as a source loop nest translates
+    ("let y = 3 in rec(4, <0>, fn i : nat => fn a : <nat> => let <z> = a in"
+     " let <z> = rec(y, <z>, fn j : nat => fn b : <nat> => let <z> = b in let z = succ(z) in <z>) in <z>)",
+     (12,), 291),
+    ("rec(0, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (0,), 10),
+    ("rec(1, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (1,), 27),
+]
+
+
+@pytest.mark.parametrize("text, value, steps", LOOPS, ids=[text for text, _, _ in LOOPS])
+def test_a_straight_line_rec_loop_runs_out_at_every_transition_before_the_last(text, value, steps):
+    assert run(text, steps) == value == cps_run(erase(parse_term(text)))
+    for fuel in range(steps):
         with pytest.raises(FuelExhausted):
             run(text, fuel)
 
