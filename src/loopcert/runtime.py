@@ -43,6 +43,25 @@ changes no step count and no error.  Chains outside rec steps run at
 most once per call and get no block.  A block is no part of a term:
 ==, hash, repr and pattern matching ignore it.
 
+A step whose whole body is one block ending in its closing tuple (a loop
+block: `addition_is`'s step fn i => fn _v1 => let <z> = _v1 in let z =
+succ(z) in <z> is one) makes its rec one loop superinstruction.  The
+first iteration reaches the block as any other: the step's value returns
+to the loop frame and is applied to the counter and the accumulator.
+Then the block path iterates in place, in the same turn: the closing
+tuple is the next accumulator, the environment of the next iteration is
+(acc, (k, step's env)), and no frame and no closure is built.  Each
+iteration after the first charges total + 4 transitions (the return to
+the iteration's frame and to the loop, the application of the step, the
+block), and runs only while the counter has not reached the bound and
+the fuel left covers all of it.  At the boundary where it stops, or if
+an op would be stuck, the machine rebuilds the iteration's frame and goes
+on as without the loop: it runs out of fuel, gets stuck or leaves the
+loop exactly where the single-step machine does.  Whether a block is a
+loop block is fixed at erasure, and the machine reads it where it takes
+the block: once per entry into a loop.  A step with no block
+(`jump_loop`'s, which holds a callcc) pays nothing for loops.
+
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
 binder names stay on the terms as hints.  A machine environment is a
@@ -248,12 +267,14 @@ _B_RETURN = -1  # the arity of a run's closing tuple, which binds nothing
 
 def _compile_blocks(t: RTerm) -> None:
     """Put a block on the head of every maximal straight-line run of t's
-    let chain (see the module docstring).  A block is (total, ops, rest).
-    An op is (kind, arity, operand): arity is None for a let, the pattern's
-    length for a let <...> and _B_RETURN for a closing tuple, which ends
-    the run with rest None; operand is an atom, or a tuple of atoms for
-    _B_TUPLE.  An atom is a variable's de Bruijn index or ~n for the
-    numeral n."""
+    let chain (see the module docstring).  A block is (total, ops, rest,
+    loop).  An op is (kind, arity, operand): arity is None for a let, the
+    pattern's length for a let <...> and _B_RETURN for a closing tuple,
+    which ends the run with rest None; operand is an atom, or a tuple of
+    atoms for _B_TUPLE.  An atom is a variable's de Bruijn index or ~n for
+    the numeral n.  loop is true for a run that is the whole of t, the
+    body of a rec step, which the machine iterates."""
+    body = t
     head = None  # the let that heads the run being built
     while True:
         cls = type(t)
@@ -283,7 +304,7 @@ def _compile_blocks(t: RTerm) -> None:
         if kind is None:
             if head is not None:
                 if total > 3:  # a lone let of an atom takes one turn already
-                    object.__setattr__(head, "block", (total, tuple(ops), t))
+                    object.__setattr__(head, "block", (total, tuple(ops), t, False))
                 head = None
             if cls is not RLet and cls is not RLetMatch:
                 return
@@ -293,7 +314,7 @@ def _compile_blocks(t: RTerm) -> None:
             total += cost
             ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
             if arity == _B_RETURN:
-                object.__setattr__(head, "block", (total, tuple(ops), None))
+                object.__setattr__(head, "block", (total, tuple(ops), None, head is body))
                 return
         t = t.body
 
@@ -379,41 +400,60 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                 if block is not None and budget >= block[0] - 1:
                     # the whole run in this turn, binding into benv; an op
                     # that would be stuck sends the machine to single steps
+                    total, ops, rest, loop = block
+                    if loop:  # the body of the rec step whose _REC_NEXT frame is kont
+                        _, bound, k, stepv, parent = kont
+                        cenv = stepv.env
                     benv = env
-                    for kind, arity, a in block[1]:
-                        if kind == _B_TUPLE:
-                            value = ()
-                            for index in a:
-                                if index < 0:
-                                    value += (~index,)
+                    while True:
+                        for kind, arity, a in ops:
+                            if kind == _B_TUPLE:
+                                value = ()
+                                for index in a:
+                                    if index < 0:
+                                        value += (~index,)
+                                    else:
+                                        link = benv
+                                        while index:
+                                            link, index = link[1], index - 1
+                                        value += (link[0],)
+                            else:
+                                if a < 0:
+                                    value = ~a
                                 else:
                                     link = benv
-                                    while index:
-                                        link, index = link[1], index - 1
-                                    value += (link[0],)
-                        else:
-                            if a < 0:
-                                value = ~a
-                            else:
-                                link = benv
-                                while a:
-                                    link, a = link[1], a - 1
-                                value = link[0]
-                            if kind:  # _B_SUCC or _B_PRED
-                                if type(value) is not int:
+                                    while a:
+                                        link, a = link[1], a - 1
+                                    value = link[0]
+                                if kind:  # _B_SUCC or _B_PRED
+                                    if type(value) is not int:
+                                        break
+                                    value = value + 1 if kind == _B_SUCC else max(value - 1, 0)
+                            if arity is None:
+                                benv = (value, benv)
+                            elif arity >= 0:
+                                if type(value) is not tuple or len(value) != arity:
                                     break
-                                value = value + 1 if kind == _B_SUCC else max(value - 1, 0)
-                        if arity is None:
-                            benv = (value, benv)
-                        elif arity >= 0:
-                            if type(value) is not tuple or len(value) != arity:
-                                break
-                            for item in value:
-                                benv = (item, benv)
-                    else:
-                        budget -= block[0] - 1
-                        env, control = benv, block[2]
+                                for item in value:
+                                    benv = (item, benv)
+                        else:
+                            budget -= total - 1
+                            if loop and k + 1 != bound and budget >= total + 4:
+                                # the next iteration in this turn: the returns
+                                # to _REC_NEXT and _REC_LOOP, the application
+                                # of the step and this run's turn (5), the
+                                # rest of its total once it has run
+                                budget -= 5
+                                k += 1
+                                env = benv = (value, (k, cenv))
+                                continue
+                            env, control = benv, rest
+                        break
+                    if loop:  # the frame of the iteration the loop stopped in
+                        kont = (_REC_NEXT, bound, k, stepv, parent)
+                    if control is rest:
                         continue
+                    # stuck: single steps from the head, in env
                 a = control.value
                 if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
                     budget -= 2  # push, reach the atom, bind
