@@ -16,7 +16,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import fuzz, pipeline, runtime
-from .errors import ParseError
 from .parser import parse
 from .printer import show_file
 
@@ -127,10 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path in ns.files:
             try:
                 sys.stdout.write(show_file(parse(pipeline.read_source(path))))
-            except ParseError as ex:
-                print(str(ex), file=sys.stderr)
-                return pipeline.EXIT_PARSE
-            except pipeline.PHASE_ERRORS as ex:  # out of host stack, or a file that cannot be read
+            except pipeline.PHASE_ERRORS as ex:  # a parse error, out of host stack, or a file that cannot be read
                 rule, _, message, _ = pipeline.diagnose("fmt", ex)
                 print(f"[{rule}] {message}", file=sys.stderr)
                 return pipeline.EXIT_PARSE

@@ -13,7 +13,9 @@ Exit codes: 0 all phases pass; 1 parse error; 2 source type error;
 Input nested too deeply for the host stack gets rule LIMIT and the exit
 code of the phase it stopped: 1, 2, 3 (translate and check-target) or 4.
 A file that cannot be read or written gets rule IO and the exit code of
-the phase it stopped: 1 (parse, which reads the input) or 3 (write).
+the phase it stopped: 1 (parse, which reads the input) or 3 (write).  An
+input byte that is not UTF-8 is a parse error: rule PARSE, its line and
+column as span, exit code 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def diagnose(phase: str, ex: BaseException) -> Tuple[str, Optional[Tuple[int, in
     extra fields.  A phase out of host stack on deeply nested input gets
     rule LIMIT, one that could not read or write a file rule IO, every
     other failure of translate rule TRANSLATE, and a failed run rule EVAL
-    with the EvalError's reason."""
+    with the EvalError's reason.  A parse error gets rule PARSE and its
+    span; an input that is not UTF-8 is one (read_source), at its first
+    bad byte."""
     if isinstance(ex, RecursionError):
         return "LIMIT", None, f"the input nests too deeply for {phase}: the host recursion limit was reached", {}
     if isinstance(ex, OSError):
@@ -297,9 +301,23 @@ def _typing(
     return payload
 
 
+def _newlines(text: str) -> str:
+    """text with every line end ("\r\n", "\r" or "\n") read as "\n", as
+    a file opened in text mode reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_source(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of the UTF-8 file at path.  A byte that is not UTF-8 is a
+    parse error at the line and column where it stands."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as ex:
+        before = _newlines(data[: ex.start].decode("utf-8"))
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ParseError(f"byte 0x{data[ex.start]:02x} is not UTF-8 ({ex.reason})", line, col) from None
 
 
 def run_pipeline(

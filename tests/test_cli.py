@@ -172,6 +172,39 @@ def test_fmt_reports_a_file_that_cannot_be_read(tmp_path):
     assert proc.stderr == "[IO] fmt could not access 'nothere.loop': No such file or directory\n"
 
 
+# byte 0xff, which is no part of UTF-8, at line 3, column 10
+NOT_UTF8 = b"discipline IS;\nmain {\r\n  z := 0;\xff\n} out [z : nat]\n"
+NOT_UTF8_MESSAGE = "parse error at 3:10: byte 0xff is not UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+def test_an_input_that_is_not_utf8_is_a_parse_error(tmp_path, command):
+    (tmp_path / "bad.loop").write_bytes(NOT_UTF8)
+    proc = _cli_process([command, "bad.loop", "--json"], tmp_path)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == pipeline.EXIT_PARSE
+    report = json.loads(proc.stdout)
+    assert report["diagnostics"] == [
+        {"severity": "error", "rule": "PARSE", "span": [3, 10], "message": NOT_UTF8_MESSAGE}
+    ]
+    assert [(p["name"], p["ok"]) for p in report["phases"]] == [("parse", False)]
+
+
+def test_fmt_reports_an_input_that_is_not_utf8(tmp_path):
+    (tmp_path / "bad.loop").write_bytes(NOT_UTF8)
+    proc = _cli_process(["fmt", "bad.loop"], tmp_path)
+    assert proc.returncode == pipeline.EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr == f"[PARSE] {NOT_UTF8_MESSAGE}\n"
+
+
+def test_the_input_is_read_with_every_line_end_as_a_newline(tmp_path):
+    # a lone "\r" and "\r\n" end a line, as in text mode
+    path = tmp_path / "crlf.loop"
+    path.write_bytes(b"discipline IS;\r\nmain {\r  z := 0;\r\n} out [z : nat]\n")
+    assert pipeline.read_source(str(path)) == "discipline IS;\nmain {\n  z := 0;\n} out [z : nat]\n"
+
+
 def test_pipeline_evaluates_a_translated_main(tmp_path, capsys):
     out = tmp_path / "figure2.t"
     assert run_cli(["translate", os.path.join(CORPUS, "figure2.loop"), "-o", str(out)]) == 0
