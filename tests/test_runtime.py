@@ -166,35 +166,25 @@ def test_ill_typed_terms_are_stuck(text, message, steps):
     assert_stuck_at(text, steps)
 
 
-def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last():
-    text = (
-        "rec(succ(succ(succ(0))), <0>, fn i : nat => fn a : <nat> =>"
-        " let <b> = a in let c = succ(b) in let d = <c, i> in let <e, f> = d in <e>)"
-    )
-    assert run(text, 91) == (3,)
-    for fuel in range(91):
-        with pytest.raises(FuelExhausted):
-            run(text, fuel)
-
-
 # Rec steps fn i => fn a => body whose body is one straight-line run ending
-# in its closing tuple, which the machine may take as one loop: (term, value,
-# the least fuel that returns).
+# in its closing tuple, which the machine may take as one loop: (id, term,
+# value, the least fuel that returns).
 LOOPS = [
-    # reads the counter and a variable bound outside the rec
-    ("let x = 5 in rec(4, <0, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
+    ("four-lets", "rec(succ(succ(succ(0))), <0>, fn i : nat => fn a : <nat> =>"
+     " let <b> = a in let c = succ(b) in let d = <c, i> in let <e, f> = d in <e>)", (3,), 91),
+    ("counter-and-outer-variable", "let x = 5 in rec(4, <0, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
      " let <s, t, w> = a in let u = succ(s) in <u, i, x>)", (4, 3, 5), 111),
-    # nested in a step that is no such run, as a source loop nest translates
-    ("let y = 3 in rec(4, <0>, fn i : nat => fn a : <nat> => let <z> = a in"
+    # as a source loop nest translates: the outer step is no such run
+    ("nested", "let y = 3 in rec(4, <0>, fn i : nat => fn a : <nat> => let <z> = a in"
      " let <z> = rec(y, <z>, fn j : nat => fn b : <nat> => let <z> = b in let z = succ(z) in <z>) in <z>)",
      (12,), 291),
-    ("rec(0, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (0,), 10),
-    ("rec(1, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (1,), 27),
+    ("no-iteration", "rec(0, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (0,), 10),
+    ("one-iteration", "rec(1, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (1,), 27),
 ]
 
 
-@pytest.mark.parametrize("text, value, steps", LOOPS, ids=[text for text, _, _ in LOOPS])
-def test_a_straight_line_rec_loop_runs_out_at_every_transition_before_the_last(text, value, steps):
+@pytest.mark.parametrize("text, value, steps", [case[1:] for case in LOOPS], ids=[case[0] for case in LOOPS])
+def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last(text, value, steps):
     assert run(text, steps) == value == cps_run(erase(parse_term(text)))
     for fuel in range(steps):
         with pytest.raises(FuelExhausted):
