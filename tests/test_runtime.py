@@ -155,6 +155,10 @@ STUCK = [
      "tuple pattern <b> against <1, 0>", 37),
     ("rec(succ(succ(succ(0))), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in <a>)",
      "expected a numeral, found <0>", 39),
+    # stuck in its last iteration: single steps resumed in the environment
+    # of another iteration would leave the loop with a value
+    ("rec(succ(succ(0)), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in <c, i>)",
+     "tuple pattern <b> against <1, 0>", 35),
 ]
 
 
