@@ -451,7 +451,7 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                         break
                     if loop:  # the frame of the iteration the loop stopped in
                         kont = (_REC_NEXT, bound, k, stepv, parent)
-                    if control is rest:
+                    if control is rest:  # the run is done
                         continue
                     # stuck: single steps from the head, in env
                 a = control.value
