@@ -195,6 +195,28 @@ def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last(t
             run(text, fuel)
 
 
+# Rec steps whose straight-line run is only part of the body, and one whose
+# body is its closing tuple alone: (id, term, value, the least fuel that
+# returns).
+PARTIAL = [
+    ("run-then-application", "rec(3, <0>, fn i : nat => fn a : <nat> =>"
+     " let <b> = a in let c = succ(b) in let d = (fn x : nat => x) c in <d>)", (3,), 85),
+    ("run-then-variable", "rec(3, <0>, fn i : nat => fn a : <nat> =>"
+     " let <b> = a in let c = succ(b) in let d = <c> in d)", (3,), 70),
+    ("run-closes-the-body", "rec(3, <0>, fn i : nat => fn a : <nat> =>"
+     " let <b> = a in let f = fn x : nat => x in let c = f b in let e = succ(c) in <e>)", (3,), 94),
+    ("closing-tuple-alone", "rec(3, <0>, fn i : nat => fn a : <nat> => <i>)", (2,), 37),
+]
+
+
+@pytest.mark.parametrize("text, value, steps", [case[1:] for case in PARTIAL], ids=[case[0] for case in PARTIAL])
+def test_a_partial_straight_line_run_runs_out_at_every_transition_before_the_last(text, value, steps):
+    assert run(text, steps) == value == cps_run(erase(parse_term(text)))
+    for fuel in range(steps):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+
+
 def test_a_rec_step_that_is_no_curried_fn_takes_the_generic_path():
     """The step's value is a closure whose body is a let, not a `fn`, so
     each iteration applies it to the counter and returns the function it
