@@ -25,42 +25,30 @@ and it is charged for each; otherwise the machine single-steps.  So step
 counts, the point where fuel runs out and errors are those of the
 single-step machine.
 
-The body of a rec step fn i => fn acc => body runs once per iteration,
-so erasure compiles its straight-line work (_compile_blocks).  On the
-body's let chain, the head of every maximal run of let and let <...>
-whose value is an atom, succ or pred of an atom, or a tuple of atoms
-carries a block, a superinstruction: the run's ops with resolved
-indices, its total transitions (3 for a let of an atom, 5 for succ or
-pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for a closing
-tuple of n atoms), and the closing tuple of atoms the run may end in or
-else the term after it.  A run of 3 transitions (a lone let of an atom,
-which the machine groups anyway, or of <>) gets no block.  The machine
-runs a block in one turn when the fuel left covers its total, and
-charges the total.  If an op would be stuck (succ or pred of a
-non-numeral, a tuple pattern that does not fit), it drops the
-environment it built and single-steps from the head, so the block
-changes no step count and no error.  Chains outside rec steps run at
-most once per call and get no block.  A block is no part of a term:
+The body of a rec step fn i => fn acc => body runs once per iteration.
+When the whole body is one straight-line run (lets and let <...> whose
+value is an atom, succ or pred of an atom, or a tuple of atoms) ending
+in its closing tuple of atoms, as `addition_is`'s step fn i => fn _v1 =>
+let <z> = _v1 in let z = succ(z) in <z> is, erasure marks the step's fn
+acc => body with a loop (_compile_loop): the run's ops with resolved
+indices and its total transitions (3 for a let of an atom, 5 for succ or
+pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for the closing
+tuple of n atoms).  The machine reads it at one place, the return to a
+rec's frame, right after the step's curried application: it runs the
+iterations there, in one turn, with no frame and no closure per
+iteration.  The closing tuple is the next accumulator and the
+environment of the next iteration is (acc, (k, step's env)).  The first
+iteration charges total, and runs only when the fuel left covers it;
+each later one charges total + 4 (the returns to the iteration's frame
+and to the loop, and the step's curried application), and runs only
+while the counter has not reached the bound and the fuel left covers all
+of it.  Where the loop stops, or where an op would be stuck (succ or pred
+of a non-numeral, a tuple pattern that does not fit), the machine
+rebuilds the iteration's frame and goes on by single steps: it runs out
+of fuel, gets stuck or leaves the loop exactly where the single-step
+machine does.  Any other body, a straight-line run that is only part of
+it included, runs by the groups above.  A loop is no part of a term:
 ==, hash, repr and pattern matching ignore it.
-
-A step whose whole body is one block ending in its closing tuple (a loop
-block: `addition_is`'s step fn i => fn _v1 => let <z> = _v1 in let z =
-succ(z) in <z> is one) makes its rec one loop superinstruction.  The
-first iteration reaches the block as any other: the step's value returns
-to the loop frame and is applied to the counter and the accumulator.
-Then the block path iterates in place, in the same turn: the closing
-tuple is the next accumulator, the environment of the next iteration is
-(acc, (k, step's env)), and no frame and no closure is built.  Each
-iteration after the first charges total + 4 transitions (the return to
-the iteration's frame and to the loop, the application of the step, the
-block), and runs only while the counter has not reached the bound and
-the fuel left covers all of it.  At the boundary where it stops, or if
-an op would be stuck, the machine rebuilds the iteration's frame and goes
-on as without the loop: it runs out of fuel, gets stuck or leaves the
-loop exactly where the single-step machine does.  Whether a block is a
-loop block is fixed at erasure, and the machine reads it where it takes
-the block: once per entry into a loop.  A step with no block
-(`jump_loop`'s, which holds a callcc) pays nothing for loops.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
@@ -117,6 +105,9 @@ class RPred(RTerm):
 class RFn(RTerm):
     param: str
     body: RTerm
+    # set by erase on the accumulator fn of a rec step (_compile_loop); no
+    # part of the term's identity
+    loop: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +126,6 @@ class RLet(RTerm):
     name: str
     value: RTerm
     body: RTerm
-    # set by erase on the head of a straight-line run (_compile_blocks);
-    # no part of the term's identity
-    block: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +133,6 @@ class RLetMatch(RTerm):
     names: Tuple[str, ...]
     value: RTerm
     body: RTerm
-    block: Any = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +190,7 @@ def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
         bound, base = _erase(t.bound, scope, depth), _erase(t.base, scope, depth)
         step = _erase(t.step, scope, depth)
         if type(step) is RFn and type(step.body) is RFn:
-            _compile_blocks(step.body.body)
+            _compile_loop(step.body)
         return RRec(bound, base, step)
     if cls is S.TPred:
         return RPred(_erase(t.arg, scope, depth))
@@ -260,25 +247,22 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     return erased
 
 
-# The kinds of a block's op: the value it computes from its atoms.
+# The kinds of a loop's op: the value it computes from its atoms.
 _B_ATOM, _B_SUCC, _B_PRED, _B_TUPLE = range(4)
-_B_RETURN = -1  # the arity of a run's closing tuple, which binds nothing
+_B_RETURN = -1  # the arity of the closing tuple, which binds nothing
 
 
-def _compile_blocks(t: RTerm) -> None:
-    """Put a block on the head of every maximal straight-line run of t's
-    let chain (see the module docstring).  A block is (total, ops, rest,
-    loop).  An op is (kind, arity, operand): arity is None for a let, the
-    pattern's length for a let <...> and _B_RETURN for a closing tuple,
-    which ends the run with rest None; operand is an atom, or a tuple of
-    atoms for _B_TUPLE.  An atom is a variable's de Bruijn index or ~n for
-    the numeral n.  loop is true for a run that is the whole of t, the
-    body of a rec step, which the machine iterates."""
-    body = t
-    head = None  # the let that heads the run being built
+def _compile_loop(fn: RFn) -> None:
+    """Set fn.loop when fn, the accumulator fn of a rec step, has a body
+    that is one straight-line run ending in its closing tuple (see the
+    module docstring).  A loop is (total, ops).  An op is (kind, arity,
+    operand): arity is None for a let, the pattern's length for a let
+    <...> and _B_RETURN for the closing tuple; operand is an atom, or a
+    tuple of atoms for _B_TUPLE.  An atom is a variable's de Bruijn index
+    or ~n for the numeral n."""
+    t, total, ops = fn.body, 0, []
     while True:
         cls = type(t)
-        kind = None
         if cls is RLet or cls is RLetMatch:
             arity = None if cls is RLet else len(t.names)
             value = t.value
@@ -289,33 +273,23 @@ def _compile_blocks(t: RTerm) -> None:
                 kind, items, cost = _B_SUCC if vcls is RSucc else _B_PRED, (value.arg,), 5
             else:
                 kind, items, cost = _B_ATOM, (value,), 3
-        elif cls is RTuple and head is not None:
+        elif cls is RTuple:
             kind, items, cost, arity = _B_TUPLE, t.items, 1 + 2 * len(t.items), _B_RETURN
-        if kind is not None:
-            atoms = []
-            for a in items:
-                if type(a) is RVar and a.index is not None:
-                    atoms.append(a.index)
-                elif type(a) is RNum:
-                    atoms.append(~a.value)
-                else:
-                    kind = None
-                    break
-        if kind is None:
-            if head is not None:
-                if total > 3:  # a lone let of an atom takes one turn already
-                    object.__setattr__(head, "block", (total, tuple(ops), t, False))
-                head = None
-            if cls is not RLet and cls is not RLetMatch:
-                return
         else:
-            if head is None:
-                head, total, ops = t, 0, []
-            total += cost
-            ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
-            if arity == _B_RETURN:
-                object.__setattr__(head, "block", (total, tuple(ops), None, head is body))
+            return
+        atoms = []
+        for a in items:
+            if type(a) is RVar and a.index is not None:
+                atoms.append(a.index)
+            elif type(a) is RNum:
+                atoms.append(~a.value)
+            else:
                 return
+        total += cost
+        ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
+        if arity == _B_RETURN:
+            object.__setattr__(fn, "loop", (total, tuple(ops)))
+            return
         t = t.body
 
 
@@ -396,64 +370,6 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
         if control is not None:
             cls = type(control)
             if cls is RLet or cls is RLetMatch:
-                block = control.block
-                if block is not None and budget >= block[0] - 1:
-                    # the whole run in this turn, binding into benv; an op
-                    # that would be stuck sends the machine to single steps
-                    total, ops, rest, loop = block
-                    if loop:  # the body of the rec step whose _REC_NEXT frame is kont
-                        _, bound, k, stepv, parent = kont
-                        cenv = stepv.env
-                    benv = env
-                    while True:
-                        for kind, arity, a in ops:
-                            if kind == _B_TUPLE:
-                                value = ()
-                                for index in a:
-                                    if index < 0:
-                                        value += (~index,)
-                                    else:
-                                        link = benv
-                                        while index:
-                                            link, index = link[1], index - 1
-                                        value += (link[0],)
-                            else:
-                                if a < 0:
-                                    value = ~a
-                                else:
-                                    link = benv
-                                    while a:
-                                        link, a = link[1], a - 1
-                                    value = link[0]
-                                if kind:  # _B_SUCC or _B_PRED
-                                    if type(value) is not int:
-                                        break
-                                    value = value + 1 if kind == _B_SUCC else max(value - 1, 0)
-                            if arity is None:
-                                benv = (value, benv)
-                            elif arity >= 0:
-                                if type(value) is not tuple or len(value) != arity:
-                                    break
-                                for item in value:
-                                    benv = (item, benv)
-                        else:
-                            budget -= total - 1
-                            if loop and k + 1 != bound and budget >= total + 4:
-                                # the next iteration in this turn: the returns
-                                # to _REC_NEXT and _REC_LOOP, the application
-                                # of the step and this run's turn (5), the
-                                # rest of its total once it has run
-                                budget -= 5
-                                k += 1
-                                env = benv = (value, (k, cenv))
-                                continue
-                            env, control = benv, rest
-                        break
-                    if loop:  # the frame of the iteration the loop stopped in
-                        kont = (_REC_NEXT, bound, k, stepv, parent)
-                    if control is rest:  # the run is done
-                        continue
-                    # stuck: single steps from the head, in env
                 a = control.value
                 if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
                     budget -= 2  # push, reach the atom, bind
@@ -609,8 +525,55 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                     continue
                 if type(stepv) is Clos and type(stepv.body) is RFn and budget > 1:
                     budget -= 2  # apply the step to k, close its fn, apply that to acc
+                    cenv = stepv.env
+                    control, env = stepv.body.body, (acc, (k, cenv))
+                    loop = stepv.body.loop
+                    if loop is not None and budget >= loop[0]:
+                        # the loop superinstruction; an op that would be
+                        # stuck leaves its iteration to single steps
+                        total, ops = loop
+                        while True:
+                            benv = env
+                            for kind, arity, a in ops:
+                                if kind == _B_TUPLE:
+                                    value = ()
+                                    for index in a:
+                                        if index < 0:
+                                            value += (~index,)
+                                        else:
+                                            link = benv
+                                            while index:
+                                                link, index = link[1], index - 1
+                                            value += (link[0],)
+                                else:
+                                    if a < 0:
+                                        value = ~a
+                                    else:
+                                        link = benv
+                                        while a:
+                                            link, a = link[1], a - 1
+                                        value = link[0]
+                                    if kind:  # _B_SUCC or _B_PRED
+                                        if type(value) is not int:
+                                            break
+                                        value = value + 1 if kind == _B_SUCC else max(value - 1, 0)
+                                if arity is None:
+                                    benv = (value, benv)
+                                elif arity >= 0:
+                                    if type(value) is not tuple or len(value) != arity:
+                                        break
+                                    for item in value:
+                                        benv = (item, benv)
+                            else:
+                                budget -= total
+                                if k + 1 != bound and budget >= total + 4:
+                                    budget -= 4  # returns to _REC_NEXT, _REC_LOOP; the application
+                                    k += 1
+                                    env = (value, (k, cenv))
+                                    continue
+                                control = None  # the closing tuple returns to kont
+                            break
                     kont = (_REC_NEXT, bound, k, stepv, parent)
-                    control, env = stepv.body.body, (acc, (k, stepv.env))
                     continue
                 fn, arg = stepv, k
                 kont = (_REC_ACC, bound, k, acc, stepv, parent)
