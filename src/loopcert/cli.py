@@ -26,7 +26,10 @@ def _parse_args_list(text: Optional[str]) -> Optional[Tuple[int, ...]]:
     parts = [part.strip() for part in text.split(",") if part.strip() != ""]
     if not all(part.isdecimal() for part in parts):
         raise SystemExit(f"--args expects a comma-separated list of naturals, got {text!r}")
-    return tuple(int(part) for part in parts)
+    try:
+        return tuple(int(part) for part in parts)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise SystemExit(f"--args: a natural of {max(map(len, parts))} digits is too long") from None
 
 
 def _natural(flag: str, value: int) -> int:

@@ -228,15 +228,22 @@ class Parser:
 
     def number(self) -> int:
         """Consume an int token.  The lexer keeps a run of `isdigit`
-        characters whole, so a non-decimal digit such as '²' fails here."""
+        characters whole, so a non-decimal digit such as '²' fails here,
+        and so does a numeral longer than `int` converts
+        (sys.get_int_max_str_digits)."""
         pos = self.pos
         value = self.values[pos]
         if pos < self.last:
             self.pos = pos + 1
-        if not value.isdecimal():
-            line, col = self.tokens.position(pos)
-            raise ParseError(f"{value!r} is not a decimal numeral", line, col)
-        return int(value)
+        if value.isdecimal():
+            try:
+                return int(value)
+            except ValueError:
+                problem = f"a numeral of {len(value)} digits is too long"
+        else:
+            problem = f"{value!r} is not a decimal numeral"
+        line, col = self.tokens.position(pos)
+        raise ParseError(problem, line, col)
 
     def span(self) -> S.Span:
         return self.tokens.position(self.pos)

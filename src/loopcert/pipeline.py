@@ -308,10 +308,11 @@ def _newlines(text: str) -> str:
 
 
 def read_source(path: str) -> str:
-    """The text of the UTF-8 file at path.  A byte that is not UTF-8 is a
-    parse error at the line and column where it stands."""
+    """The text of the UTF-8 file at path, without a leading byte-order
+    mark.  A byte that is not UTF-8 is a parse error at the line and column
+    where it stands."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return _newlines(data.decode("utf-8"))
     except UnicodeDecodeError as ex:

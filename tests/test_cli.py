@@ -198,6 +198,40 @@ def test_fmt_reports_an_input_that_is_not_utf8(tmp_path):
     assert proc.stderr == f"[PARSE] {NOT_UTF8_MESSAGE}\n"
 
 
+# a UTF-8 byte-order mark, which some editors write at the start of a file
+BOM = b"\xef\xbb\xbf"
+PLAIN = b"discipline IS; main { z := 0; } out [z : nat]\n"
+
+
+def _without_times(report):
+    for phase in report["phases"]:
+        del phase["elapsed_s"]
+    return report
+
+
+@pytest.mark.parametrize("command", ["check", "pipeline", "fmt"])
+def test_a_leading_byte_order_mark_is_read_as_nothing(tmp_path, command, capsys):
+    (tmp_path / "bom.loop").write_bytes(BOM + PLAIN)
+    (tmp_path / "plain.loop").write_bytes(PLAIN)
+    outputs = []
+    for name in ("bom.loop", "plain.loop"):
+        assert run_cli([command, str(tmp_path / name)] + ([] if command == "fmt" else ["--json"])) == 0
+        out = capsys.readouterr().out
+        outputs.append(out if command == "fmt" else _without_times(json.loads(out)) | {"file": None})
+    assert outputs[0] == outputs[1]
+    if command == "pipeline":
+        assert outputs[0]["phases"][-1]["payload"]["store"] == {"z": "0"}
+
+
+def test_a_byte_that_is_not_utf8_after_a_byte_order_mark_keeps_its_span(tmp_path):
+    (tmp_path / "bad.loop").write_bytes(BOM + NOT_UTF8)
+    proc = _cli_process(["check", "bad.loop", "--json"], tmp_path)
+    assert proc.returncode == pipeline.EXIT_PARSE
+    assert json.loads(proc.stdout)["diagnostics"] == [
+        {"severity": "error", "rule": "PARSE", "span": [3, 10], "message": NOT_UTF8_MESSAGE}
+    ]
+
+
 def test_the_input_is_read_with_every_line_end_as_a_newline(tmp_path):
     # a lone "\r" and "\r\n" end a line, as in text mode
     path = tmp_path / "crlf.loop"
@@ -241,6 +275,15 @@ def test_eval_rejects_args_that_are_not_naturals(args, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["eval", os.path.join(CORPUS, "addition_is.loop"), f"--args={args}"])
     assert "naturals" in str(err.value.code)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() converts any length")
+def test_eval_rejects_a_natural_too_long_to_convert(capsys):
+    digits = "9" * 5000  # over the default limit of 4,300
+    with pytest.raises(SystemExit) as err:
+        run_cli(["pipeline", os.path.join(CORPUS, "addition_is.loop"), f"--args=1,{digits}"])
+    assert err.value.code == f"--args: a natural of {len(digits)} digits is too long"
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

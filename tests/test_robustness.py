@@ -3,6 +3,7 @@ error types, never host-language exceptions."""
 
 import random
 import string
+import sys
 
 import pytest
 
@@ -85,12 +86,18 @@ def test_lexer_rejects_stray_bytes():
         ("discipline IS;\nmain {\n  var z := succ(²);\n} out [z : nat]\n", [3, 17]),
         ("discipline ID;\nmain {\n  var z := 0;\n} out [z : nat(²)]\n", [4, 16]),
         ("discipline FS;\ncst a = succ(²);\n", [2, 14]),
+        pytest.param(
+            "discipline IS;\nmain {\n  z := " + "9" * 5000 + ";\n} out [z : nat]\n", [3, 8],
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() converts any length"),
+            id="5000-digits",
+        ),
     ],
 )
 def test_non_decimal_digits_are_parse_errors(text, span):
     """The lexer keeps `isdigit` runs such as '12²' as one int token; the
     parser rejects them at the token, in expressions, numerals,
-    individuals and terms alike."""
+    individuals and terms alike, and a numeral longer than int() converts
+    (4,300 digits by default) too."""
     report = pipeline.run_pipeline("x.loop", text=text)
     assert report.exit_code == pipeline.EXIT_PARSE
     assert [(d["rule"], d["span"]) for d in report.diagnostics] == [("PARSE", span)]
