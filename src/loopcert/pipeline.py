@@ -15,7 +15,8 @@ code of the phase it stopped: 1, 2, 3 (translate and check-target) or 4.
 A file that cannot be read or written gets rule IO and the exit code of
 the phase it stopped: 1 (parse, which reads the input) or 3 (write).  An
 input byte that is not UTF-8 is a parse error: rule PARSE, its line and
-column as span, exit code 1.
+column as span, exit code 1; a leading byte-order mark is read as
+nothing.
 """
 
 from __future__ import annotations
