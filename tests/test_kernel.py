@@ -6,13 +6,16 @@ nodes by reflection over their dataclass fields, with a binder's scope
 taken from `_binds_ind`."""
 
 import dataclasses
+import glob
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcert import envs, gen
+from loopcert import envs, fuzz, gen, pipeline
 from loopcert import syntax as S
 from loopcert.errors import CheckError
 from loopcert.parser import parse_expr, parse_formula, parse_prop, parse_qenv, parse_seq, parse_term
@@ -435,3 +438,62 @@ def test_qzip_qsplit_round_trip():
         q = gen.gen_qenv(rng, 3)
         names, out = envs.qsplit(q)
         assert S.alpha_eq(envs.qzip(names, out), q)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's contract: it acts on types and individuals, never on terms
+# ---------------------------------------------------------------------------
+
+_CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
+_KERNEL = ("alpha_eq", "open_inds", "free_ind_vars")
+
+
+def _holds_term(value):
+    if isinstance(value, S.Term):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(_holds_term(item) for item in value)
+    if isinstance(value, S.Node):
+        return any(_holds_term(getattr(value, f)) for f in S.node_fields(value))
+    return False
+
+
+def test_the_kernel_sees_no_term_on_the_corpus_and_generated_programs(monkeypatch):
+    """Every binding of the kernel's functions in the loopcert modules is
+    wrapped, as the bench tracer wraps them; no argument of a call from
+    the pipeline or the fuzzer is or holds a term."""
+    calls = {name: 0 for name in _KERNEL}
+    active = []  # an inner call sees part of what its outer call was given
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            if active:
+                return fn(*args, **kwargs)
+            calls[name] += 1
+            assert not _holds_term((args, tuple(kwargs.values()))), (name, args)
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("loopcert.")]
+    for name in _KERNEL:
+        original = getattr(S, name)
+        wrapper = wrap(name, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    paths = sorted(glob.glob(os.path.join(_CORPUS, "*.loop")))
+    paths += sorted(glob.glob(os.path.join(_CORPUS, "negative", "*.loop")))
+    assert len(paths) == 27
+    for path in paths:
+        pipeline.run_pipeline(path)
+    for index in range(200):
+        rng = random.Random(f"7:{index}")
+        sf, entry, arity = gen.gen_is_program(rng, 30)
+        assert fuzz.run_one(sf, entry, gen.gen_inputs(rng, arity)) is None
+    assert all(calls.values()), calls

@@ -217,6 +217,27 @@ def test_a_partial_straight_line_run_runs_out_at_every_transition_before_the_las
             run(text, fuel)
 
 
+# Atom operands where the machine may take a group of transitions: an
+# application and a throw whose function and argument are variables, and a
+# loop whose closing tuple holds a numeral: (id, term, value, the least fuel
+# that returns).
+ATOM_OPERANDS = [
+    ("application-of-atoms", "let f = fn x : nat => succ(x) in let y = 2 in f y", 3, 19),
+    ("throw-of-atoms", "callcc (fn k : ~<nat> => let y = 2 in throw[<nat>] k y)", 2, 16),
+    ("numeral-in-closing-tuple", "rec(3, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
+     " let <x, y> = a in let z = succ(x) in <z, 0>)", (3, 0), 69),
+]
+
+
+@pytest.mark.parametrize("text, value, steps", [case[1:] for case in ATOM_OPERANDS],
+                         ids=[case[0] for case in ATOM_OPERANDS])
+def test_atom_operands_run_out_at_every_transition_before_the_last(text, value, steps):
+    assert run(text, steps) == value == cps_run(erase(parse_term(text)))
+    for fuel in range(steps):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+
+
 def test_a_rec_step_that_is_no_curried_fn_takes_the_generic_path():
     """The step's value is a closure whose body is a let, not a `fn`, so
     each iteration applies it to the counter and returns the function it
