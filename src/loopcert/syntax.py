@@ -35,6 +35,10 @@ instantiate with locally closed individuals (no index escapes them); the
 translation may not, and ``subst_ind`` lifts the escaping indices of the
 replacement under the binders it passes.  The parser resolves names to
 indices as it reads, and the printer picks names from the hints.
+
+The kernel (``alpha_eq``, ``subst_ind``, ``open_inds``, ``close_ind`` and
+``free_ind_vars``) acts on types and individuals only.  Terms compare by
+``==``, their binder names included, and only tests compare them.
 """
 
 from __future__ import annotations
@@ -710,7 +714,7 @@ class _Plan:
     """What the generic traversals need to know about one node class,
     worked out once per class instead of at every node."""
 
-    __slots__ = ("cls", "fields", "compared", "has_span", "shifts")
+    __slots__ = ("cls", "fields", "has_span", "shifts")
 
     def __init__(self, cls: type) -> None:
         all_fields = fields(cls)
@@ -719,7 +723,6 @@ class _Plan:
         own = all_fields[:-1] if self.has_span else all_fields
         assert all(f.name != "span" for f in own), f"{cls.__name__}: span must come last"
         self.fields = tuple(f.name for f in own)
-        self.compared = tuple(f.name for f in own if f.compare)
         # (field, 1 if the node's binder scopes over it else 0), for the
         # fields that may hold syntax
         scoped = getattr(cls, "_binds_ind", ())
@@ -758,10 +761,6 @@ def free_ind_vars(node: Any) -> frozenset:
 
 def _free_ind(value: Any, acc: set) -> None:
     cls = type(value)
-    while cls is TLet or cls is TLetMatch:  # a let chain, walked with a loop
-        _free_ind(value.value, acc)
-        value = value.body
-        cls = type(value)
     if cls is IVar:
         acc.add(value.name)
     elif cls is tuple:
@@ -775,8 +774,6 @@ def _free_ind(value: Any, acc: set) -> None:
 
 
 def _rebuild(node: Node, **changes: Any) -> Node:
-    if not changes:
-        return node
     return _PLANS[type(node)].build(node, changes)
 
 
@@ -824,8 +821,6 @@ def open_inds(value: Any, subs: Any, depth: int = 0, name: Optional[str] = None)
             if type(item) is SUnpack:  # a sequence's `?n.` binds over the items after it
                 depth += 1
         return value if out is None else tuple(out)
-    if cls is TLet or cls is TLetMatch:
-        return _open_lets(value, subs, depth, name)
     plan = _PLANS.get(cls)
     if plan is None:
         return value
@@ -858,22 +853,6 @@ def _lift(i: Ind, by: int) -> Ind:
     return i if changes is None else plan.build(i, changes)
 
 
-def _open_lets(value: Node, subs: Any, depth: int, name: Optional[str]) -> Node:
-    """open_inds along a chain of lets, with a loop: a chain is as long as
-    the sequence it translates.  The lets are rebuilt innermost first."""
-    chain = []
-    while type(value) is TLet or type(value) is TLetMatch:
-        chain.append((value, open_inds(value.value, subs, depth, name)))
-        value = value.body
-    body = open_inds(value, subs, depth, name)
-    for node, new_value in reversed(chain):
-        if new_value is not node.value or body is not node.body:
-            body = _rebuild(node, value=new_value, body=body)
-        else:
-            body = node
-    return body
-
-
 class Freshener:
     """Per-run eigenvariable supply for the checkers."""
 
@@ -886,51 +865,17 @@ class Freshener:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence
+# Equality
 # ---------------------------------------------------------------------------
 
 def alpha_eq(a: Any, b: Any) -> bool:
-    """Equality up to the names of bound variables.
+    """Equality of types and individuals up to the names of bound variables.
 
-    Bound individuals are indices, so on anything but a term this is ==
-    (spans and binder hints do not compare).  Terms bind term variables
-    by name (fn, let), and _alpha compares them up to a consistent
-    renaming of those.  All equality premises of the typing rules
-    dispatch through this; no arithmetic normalization is ever performed.
+    Bound individuals are indices and binder names are hints that == and
+    hash ignore (spans do not compare either), so this is ==.  The kernel
+    acts on types and individuals only: terms compare by ==, their binder
+    names included, and only tests compare them.  All equality premises
+    of the typing rules dispatch through this; no arithmetic
+    normalization is ever performed.
     """
-    if not isinstance(a, Term):
-        return a == b
-    return a is b or _alpha(a, b, {}, {}, 0)
-
-
-def _alpha(a: Any, b: Any, la: dict, lb: dict, depth: int) -> bool:
-    """la and lb map the term variables bound around a and b to the depth
-    of their binders."""
-    ca, cb = type(a), type(b)
-    if ca is cb and (ca is TLet or ca is TLetMatch):
-        # a let chain, walked with a loop; the maps are copied once for it
-        la, lb = dict(la), dict(lb)
-        while ca is cb and (ca is TLet or ca is TLetMatch):
-            if not _alpha(a.value, b.value, la, lb, depth):
-                return False
-            na = a.names if ca is TLetMatch else (a.name,)
-            nb = b.names if cb is TLetMatch else (b.name,)
-            if len(na) != len(nb):
-                return False
-            for xa, xb in zip(na, nb):
-                la[xa] = lb[xb] = depth
-                depth += 1
-            a, b = a.body, b.body
-            ca, cb = type(a), type(b)
-    if ca is not cb:
-        return False
-    if ca is TVar:
-        ia, ib = la.get(a.name), lb.get(b.name)
-        return a.name == b.name if ia is None and ib is None else ia == ib
-    if ca is TFn:
-        return a.ann == b.ann and _alpha(a.body, b.body, {**la, a.param: depth}, {**lb, b.param: depth}, depth + 1)
-    if ca is tuple:
-        return len(a) == len(b) and all(_alpha(x, y, la, lb, depth) for x, y in zip(a, b))
-    if not issubclass(ca, Term):
-        return a == b
-    return all(_alpha(getattr(a, f), getattr(b, f), la, lb, depth) for f in _PLANS[ca].compared)
+    return a == b

@@ -92,21 +92,6 @@ def test_a_long_unpack_chain():
     assert _store(report) == {"z": "1"}
 
 
-def _let_chain(n, name, last):
-    term = S.TVar(name(n - 1))
-    for k in reversed(range(n)):
-        term = S.TLet(name(k), last if k == n - 1 else S.TZero(), term)
-    return term
-
-
-def test_alpha_eq_on_long_let_chains():
-    # == on the term dataclasses recurses once per let
-    a = _let_chain(3000, lambda k: f"x{k}", S.TZero())
-    assert S.alpha_eq(a, _let_chain(3000, lambda k: f"x{k}", S.TZero()))
-    assert S.alpha_eq(a, _let_chain(3000, lambda k: f"y{k}", S.TZero()))
-    assert not S.alpha_eq(a, _let_chain(3000, lambda k: f"x{k}", S.TSucc(S.TZero())))
-
-
 def test_a_for_nest_of_depth_100():
     body = "inc(z);"
     for k in range(100):
