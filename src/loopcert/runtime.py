@@ -15,7 +15,7 @@ the machine makes such a run in one turn of its loop: where a frame's
 operand is an atom (a bound variable or a numeral), the atom is looked
 up and the frame's return is run at once, without building the frame.
 That covers let and let <...> of an atom, succ and pred of an atom,
-tuples of atoms, an atom applied to an atom and throw of atoms.
+tuples of atoms, and an application or a throw whose function is an atom.
 Likewise a curried rec step fn i => fn acc => ... is applied to the
 counter and the accumulator without building the closure in between (and
 one iteration returns into the next without building the loop frame),
@@ -456,33 +456,21 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                 continue
             elif cls is RApp or cls is RThrow:
                 a = control.fn if cls is RApp else control.cont
-                if not (budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum)):
+                if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
+                    budget -= 2  # push, reach the function, push its argument's frame
+                    if type(a) is RNum:
+                        fn = a.value
+                    else:
+                        link, index = env, a.index
+                        while index:
+                            link, index = link[1], index - 1
+                        fn = link[0]
+                    kont = (_APP if cls is RApp else _THROW_ARG, fn, kont)
+                    control = control.arg
+                else:
                     kont = (_ARG if cls is RApp else _THROW_FN, control.arg, env, kont)
                     control = a
-                    continue
-                budget -= 2  # push, reach the function, push its argument's frame
-                if type(a) is RNum:
-                    fn = a.value
-                else:
-                    link, index = env, a.index
-                    while index:
-                        link, index = link[1], index - 1
-                    fn = link[0]
-                a = control.arg
-                if not (budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum)):
-                    kont = (_APP if cls is RApp else _THROW_ARG, fn, kont)
-                    control = a
-                    continue
-                budget -= 2  # reach the argument, apply
-                if type(a) is RNum:
-                    arg = a.value
-                else:
-                    link, index = env, a.index
-                    while index:
-                        link, index = link[1], index - 1
-                    arg = link[0]
-                if cls is RThrow:
-                    kont = _HALT  # the current context is abandoned
+                continue
             elif cls is RCallcc:
                 if type(control.arg) is RFn and budget > 1:
                     # push, close the fn, apply it to the current continuation
