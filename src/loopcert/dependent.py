@@ -75,15 +75,10 @@ class CheckCtx:
     the syntax it descends into does, so the index k that escapes what
     it reads belongs to the binder of opened[-1 - k]."""
 
-    def __init__(
-        self,
-        trace: Optional[List[str]] = None,
-        warnings: Optional[List[str]] = None,
-        allow_pred: bool = True,
-    ):
+    def __init__(self, trace: Optional[List[str]] = None, allow_pred: bool = True):
         self.trace = trace if trace is not None else []
         self.rule: Callable[[str], None] = self.trace.append
-        self.warnings = warnings if warnings is not None else []
+        self.warnings: List[str] = []
         self.allow_pred = allow_pred
         self.fresh = S.Freshener()
         self.opened: list = []

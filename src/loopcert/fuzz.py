@@ -19,11 +19,10 @@ from . import syntax as S
 from .printer import show_file
 
 FUZZ_FUEL = 1_000_000
+SHRINK_BUDGET = 400  # candidate programs tried per shrink
 
 
-def run_one(
-    sf: S.SourceFile, entry: str, inputs: List[Tuple[int, ...]], fuel: int = FUZZ_FUEL
-) -> Optional[Dict[str, Any]]:
+def run_one(sf: S.SourceFile, entry: str, inputs: List[Tuple[int, ...]]) -> Optional[Dict[str, Any]]:
     """Returns a failure description, or None if all properties hold.  The
     image is erased once and run on every input vector; a failure's
     message is `[rule] message` of the pipeline's diagnostic."""
@@ -37,7 +36,7 @@ def run_one(
         phase = "differential"
         erased = pipeline.erase_image(image, entry)
         for iv in inputs:
-            pipeline.run_erased(sf, erased, entry, iv, fuel)
+            pipeline.run_erased(sf, erased, entry, iv, FUZZ_FUEL)
     except pipeline.PHASE_ERRORS as ex:
         rule, _, message, _ = pipeline.diagnose(phase, ex)
         failure: Dict[str, Any] = {"phase": phase, "message": f"[{rule}] {message}"}
@@ -75,18 +74,16 @@ def _variants(value: Any) -> Iterator[Any]:
                 yield value[:k] + (new_item,) + value[k + 1 :]
 
 
-def shrink(
-    sf: S.SourceFile, entry: str, inputs: List[Tuple[int, ...]], budget: int = 400
-) -> S.SourceFile:
+def shrink(sf: S.SourceFile, entry: str, inputs: List[Tuple[int, ...]]) -> S.SourceFile:
     """Greedily minimize while the program still fails past check-source."""
     current = sf
     spent = 0
     improved = True
-    while improved and spent < budget:
+    while improved and spent < SHRINK_BUDGET:
         improved = False
         for candidate in _variants(current):
             spent += 1
-            if spent >= budget:
+            if spent >= SHRINK_BUDGET:
                 break
             failure = run_one(candidate, entry, inputs)
             if failure is not None and failure["phase"] in ("check-target", "differential"):

@@ -127,7 +127,6 @@ class Report:
 
 @dataclass
 class CheckedFile:
-    sf: S.SourceFile
     cst_types: Tuple[Tuple[str, Any], ...]  # Prop (I) or Formula (F)
     trace: List[str]
     warnings: Tuple[str, ...] = ()
@@ -162,7 +161,7 @@ def check_source(
         dependent.check_main(gamma, main, ctx, sf.discipline == "IS")
     elif main is not None:
         types = gamma + (("main", check(gamma, main.term, ctx)),)
-    return CheckedFile(sf, types, ctx.trace, tuple(ctx.warnings))
+    return CheckedFile(types, ctx.trace, tuple(ctx.warnings))
 
 
 def translate_file(sf: S.SourceFile) -> S.SourceFile:
