@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from loopcert import dependent, envs, gen, translate
+from loopcert import dependent, envs, gen, pipeline, translate
 from loopcert import syntax as S
 from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
@@ -323,3 +323,49 @@ def test_id_goal_trace_deterministic():
     assert first.trace == second.trace
     assert "T_LABEL" in first.trace and "T_JUMP" in first.trace and "T_EMPTY" in first.trace
 
+
+# ---------------------------------------------------------------------------
+# Rejections through the pipeline: (id, file, rule, a fragment of the message)
+# ---------------------------------------------------------------------------
+
+REJECTED = [
+    ("witness-of-a-non-existential",
+     "discipline ID;\nmain {\n  z := 0;\n  [0 in [z : nat(0)]]\n} out [z : nat(0)]\n",
+     "T_WITNESS", "witness annotates non-existential"),
+    ("coercion-proof-is-no-equation",
+     "discipline ID;\nmain {\n  (\n    z := 0;\n  ) :> {n/[z : nat(n)]}[*];\n} out [z : nat(0)]\n",
+     "T_SUBST", "expected an equation"),
+    ("coercion-misses-the-goal",
+     "discipline ID;\nmain {\n  (\n    z := 0;\n  ) :> {n/[z : nat(n)]}[add(0, 0) = 0];\n} out [z : nat(0)]\n",
+     "T_SUBST", "coercion yields [z : nat(add(0, 0))], the goal is [z : nat(0)]"),
+    ("leading-unpack",
+     "discipline ID;\nmain {\n  ?n.\n  z := 0;\n} out [z : nat(0)]\n",
+     "TC_UPDATE_SEQ_II", "'?n.' may only follow"),
+    ("existential-output-without-witness",
+     "discipline ID;\nmain {\n  z := 0;\n} out exists v. [z : nat(v)]\n",
+     "T_EMPTY", "a witness annotation is required"),
+    ("jump-to-an-existential-continuation",
+     "discipline ID;\nmain {\n  k : {\n    jump(k, 0)[z : nat(0)];\n    [0 in exists u. [z : nat(u)]]\n"
+     "  } exists u. [z : nat(u)];\n  ?u.\n  [u in exists v. [z : nat(v)]]\n} out exists v. [z : nat(v)]\n",
+     "T_JUMP", "instantiate it with '<:'"),
+    ("pack-at-a-non-existential",
+     "discipline FD;\ncst c = pack(0, 0 : nat(0));\n",
+     "TC_EXISTS_I", "pack annotation nat(0) is not existential"),
+    ("dependent-rec-step-without-lam",
+     "discipline FD;\ncst c = rec{n. nat(n)}(0, 0, fn y : nat => y);\n",
+     "TC_REC", "dependent rec step must be"),
+    ("unpack-outside-a-match",
+     "discipline FD;\ncst c = ?n. 0;\n",
+     "TC_EXISTS", "only meaningful under a tuple match"),
+    ("instantiated-non-universal",
+     "discipline ID;\ncst p = proc [x : nat(0)] out [z : nat(0)] {\n  z := x;\n};\ncst q = p{0};\n",
+     "T_PROC_INST", "instantiated a non-universal"),
+]
+
+
+@pytest.mark.parametrize("text, rule, message", [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+def test_check_source_rejects_with_the_rule(text, rule, message):
+    report = pipeline.run_pipeline("rejected.loop", text=text)
+    assert report.exit_code == pipeline.EXIT_SOURCE == 2
+    [diag] = report.diagnostics
+    assert diag["severity"] == "error" and diag["rule"] == rule and message in diag["message"], diag

@@ -115,3 +115,14 @@ def test_a_system_that_cannot_check_the_file_is_a_failed_check(system, text, mes
     assert [(d["severity"], d["rule"], d["message"]) for d in data["diagnostics"]] == [("error", "CHECK", message)]
     assert data["discipline"] == ("" if system == "XX" else system)
     assert data["exit_code"] == pipeline.EXIT_SOURCE == 2
+
+
+def test_a_checker_warning_reaches_the_diagnostics():
+    text = "discipline IS;\nmain {\n  cst x = 0;\n  var x := 1;\n  z := x;\n} out [z : nat]\n"
+    report = pipeline.run_pipeline("shadow.loop", text=text)
+    assert report.exit_code == pipeline.EXIT_OK
+    assert report.diagnostics == [{
+        "severity": "warning", "rule": "CHECK", "span": None,
+        "message": "'x' is bound both as constant and store variable; the store wins",
+    }]
+    assert report.phases[-1]["payload"]["store"] == {"z": "1"}
