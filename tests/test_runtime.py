@@ -159,6 +159,11 @@ STUCK = [
     # of another iteration would leave the loop with a value
     ("rec(succ(succ(0)), <0>, fn i : nat => fn a : <nat> => let <b> = a in let c = succ(b) in <c, i>)",
      "tuple pattern <b> against <1, 0>", 35),
+    # stuck in a later iteration, on a pred and on a later op's pattern
+    ("rec(3, <0, <>>, fn i : nat => fn a : <nat, <>> => let <b, c> = a in let d = pred(b) in <c, d>)",
+     "expected a numeral, found <>", 43),
+    ("rec(3, <0, 0>, fn i : nat => fn a : <nat, nat> => let <b, c> = a in let d = succ(b) in let <> = <> in <d>)",
+     "tuple pattern <b, c> against <1>", 40),
 ]
 
 
@@ -184,6 +189,21 @@ LOOPS = [
      (12,), 291),
     ("no-iteration", "rec(0, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (0,), 10),
     ("one-iteration", "rec(1, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)", (1,), 27),
+    ("outer-variables-two-links-out", "let x = 5 in let y = 7 in rec(3, <0, 0, 0>, fn i : nat =>"
+     " fn a : <nat, nat, nat> => let <s, t, w> = a in let u = succ(s) in <u, y, x>)", (3, 7, 5), 107),
+    ("counter-in-succ", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let c = succ(i) in <c>)",
+     (3,), 61),
+    ("pred-at-zero", "rec(3, <1>, fn i : nat => fn a : <nat> => let <z> = a in let z = pred(z) in <z>)",
+     (0,), 63),
+    ("empty-pattern", "rec(2, <0>, fn i : nat => fn a : <nat> =>"
+     " let <> = <> in let <z> = a in let z = succ(z) in <z>)", (2,), 50),
+    ("repeated-name", "rec(3, <0, 1>, fn i : nat => fn a : <nat, nat> =>"
+     " let <z, z> = a in let z = succ(z) in <z, z>)", (4, 4), 71),
+    ("numeral-operand", "rec(2, <5>, fn i : nat => fn a : <nat> =>"
+     " let <z> = a in let c = 0 in let d = succ(c) in <d>)", (1,), 60),
+    # program names that a compiled loop might use for its own variables
+    ("kernel-local-names", "let acc = 4 in rec(3, <0>, fn k : nat => fn value : <nat> =>"
+     " let <budget> = value in let cenv = succ(acc) in <cenv>)", (5,), 72),
 ]
 
 
