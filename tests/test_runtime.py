@@ -110,13 +110,16 @@ def test_unbound_runtime_variable_is_stuck():
 
 def assert_stuck_at(text, steps):
     """The machine gets stuck on transition number `steps`: with less fuel
-    it runs out first.  A group of transitions taken on fuel that does not
-    cover it would get stuck too early."""
+    it runs out first, and with more it gets stuck there too.  A group of
+    transitions taken on fuel that does not cover it would get stuck too
+    early; one that left its stuck op to single steps with less fuel than
+    it had would run out late."""
     for fuel in range(steps):
         with pytest.raises(FuelExhausted):
             run(text, fuel)
-    with pytest.raises(StuckTerm):
-        run(text, steps)
+    for fuel in range(steps, 2 * steps):
+        with pytest.raises(StuckTerm):
+            run(text, fuel)
 
 
 # (term, message, the transition on which the machine gets stuck)
@@ -213,6 +216,21 @@ def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last(t
     for fuel in range(steps):
         with pytest.raises(FuelExhausted):
             run(text, fuel)
+
+
+def test_steps_of_one_shape_share_one_kernel():
+    first = erase(parse_term("rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)"))
+    second = erase(parse_term("rec(5, <2>, fn j : nat => fn b : <nat> => let <y> = b in let y = succ(y) in <y>)"))
+    assert (evaluate(first, 1000), evaluate(second, 1000)) == ((3,), (7,))
+    assert first.step.body.loop[1] is second.step.body.loop[1]
+
+
+def test_the_kernel_cache_stays_at_its_cap():
+    cap = runtime._kernel.cache_info().maxsize
+    for n in range(cap + 10):  # the closing tuple <n>: a shape per numeral
+        kernel = runtime._kernel(3, ((runtime._B_TUPLE, runtime._B_RETURN, (~n,)),))
+        assert kernel(None, 0, None, 1, 3) == (0, (n,), 0, True)
+    assert runtime._kernel.cache_info().currsize == cap
 
 
 # Rec steps whose straight-line run is only part of the body, and one whose
