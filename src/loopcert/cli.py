@@ -23,7 +23,9 @@ from .printer import show_file
 def _parse_args_list(text: Optional[str]) -> Optional[Tuple[int, ...]]:
     if text is None:
         return None
-    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    if text.strip() == "":
+        return ()  # the empty vector, which applies a zero-parameter entry
+    parts = [part.strip() for part in text.split(",")]  # an empty item is no natural
     if not all(part.isdecimal() for part in parts):
         raise SystemExit(f"--args expects a comma-separated list of naturals, got {text!r}")
     try:

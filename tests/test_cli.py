@@ -270,11 +270,18 @@ def test_fuzz_exit_zero(capsys):
     assert "5/5 passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("args", ["-3,2", "3,x", "3,+2"])
+@pytest.mark.parametrize("args", ["-3,2", "3,x", "3,+2", "1,,2", "3,2,", ",3,2"])
 def test_eval_rejects_args_that_are_not_naturals(args, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["eval", os.path.join(CORPUS, "addition_is.loop"), f"--args={args}"])
     assert "naturals" in str(err.value.code)
+
+
+def test_empty_args_apply_a_zero_parameter_entry(tmp_path, capsys):
+    path = tmp_path / "zero.loop"
+    path.write_text("discipline IS;\ncst one = proc [] out [z : nat] {\n  z := 1;\n};\n", encoding="utf-8")
+    assert run_cli(["pipeline", str(path), "--args", ""]) == 0
+    assert "value = <1>" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() converts any length")
