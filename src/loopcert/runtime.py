@@ -32,12 +32,13 @@ in its closing tuple of atoms, as `addition_is`'s step fn i => fn _v1 =>
 let <z> = _v1 in let z = succ(z) in <z> is, erasure marks the step's fn
 acc => body with a loop (_compile_loop): the run's total transitions (3
 for a let of an atom, 5 for succ or pred of an atom, 3 + 2n for a tuple
-of n atoms, 1 + 2n for the closing tuple of n atoms) and its kernel, one
-host function per shape of run (_kernel).  The machine reads the loop at
-one place, the return to a rec's frame, right after the step's curried
-application: when the fuel left covers total, it calls kernel(acc, k,
-cenv, bound, budget), cenv being the step's closure environment, and the
-kernel runs the iterations, with no frame and no closure per iteration.
+of n atoms, 1 + 2n for the closing tuple of n atoms) and its kernel, a
+host function made for the run's shape (_kernel).  The machine reads
+the loop at one place, the return to a rec's frame, right after the
+step's curried application: when the fuel left covers total, it calls
+kernel(acc, k, cenv, bound, budget), cenv being the step's closure
+environment, and the kernel runs the iterations, with no frame and no
+closure per iteration.
 In a kernel each atom is a local, a numeral literal, or an item of cenv
 read once, before the first iteration; the closing tuple is the next
 accumulator.  The first iteration charges total; each later one charges
@@ -51,13 +52,13 @@ accumulator and the budget at its start, where an op would be stuck
 machine then rebuilds the iteration's frame, and in the second case its
 environment (acc, (k, cenv)), and goes on by single steps: it runs out
 of fuel, gets stuck or leaves the loop exactly where the single-step
-machine does.  A kernel is compiled from generated source on its loop's
-first entry, and a bounded cache keeps the kernels of the latest shapes
-used; the source holds only the shape's integers and fixed identifiers,
-never a name or any text of the program.  Any other body, a
-straight-line run that is only part of it included, runs by the groups
-above.  A loop is no part of a term: ==, hash, repr and pattern matching
-ignore it.
+machine does.  A kernel is made on its loop's first entry, by a maker
+compiled from generated source once per shape of run, and a bounded
+cache keeps the makers of the latest shapes used; the source holds only
+the shape's integers and fixed identifiers, never a name or any text of
+the program.  Any other body, a straight-line run that is only part of
+it included, runs by the groups above.  A loop is no part of a term:
+==, hash, repr and pattern matching ignore it.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
@@ -265,17 +266,23 @@ _B_RETURN = -1  # the arity of the closing tuple, which binds nothing
 def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple (see the
-    module docstring).  A loop is (total, kernel), where kernel is the
-    function _kernel compiles for the run's shape (total, ops).  It is
-    compiled on the loop's first entry, which then sets fn.loop to it: of
-    the loops erasure marks in generated programs, about a quarter are
-    never entered, and a compile costs about 0.2 ms.  An op is
-    (kind, arity, operand): arity is None for a let, the pattern's length
-    for a let <...> and _B_RETURN for the closing tuple; operand is an
-    atom, or a tuple of atoms for _B_TUPLE.  An atom is a variable's de
-    Bruijn index or ~n for the numeral n.  A shape holds only integers, so
-    no name or text of the program reaches a kernel's source."""
+    module docstring).  A loop is (total, kernel).  The kernel is made on
+    the loop's first entry, which then sets fn.loop to it, by the maker
+    that _kernel compiles for the run's shape (total, ops): of the loops
+    erasure marks in generated programs, about a quarter are never
+    entered.
+
+    An op is (kind, arity, operand): arity is None for a let, the
+    pattern's length for a let <...> and _B_RETURN for the closing tuple;
+    operand is an atom, or a tuple of atoms for _B_TUPLE.  An atom is ~n
+    for the numeral n, or an index into the op's environment: the
+    iteration's bindings, innermost first, and then the variables the run
+    reads from the step's closure environment, in the order of their
+    positions there.  The maker takes the gaps between those positions.
+    So runs that differ only in where their outer variables sit share a
+    shape, and a shape holds only integers."""
     t, total, ops = fn.body, 0, []
+    depth, outer = 2, set()  # the iteration's bindings so far (acc and k first); outer positions read
     while True:
         cls = type(t)
         if cls is RLet or cls is RLetMatch:
@@ -296,28 +303,39 @@ def _compile_loop(fn: RFn) -> None:
         for a in items:
             if type(a) is RVar and a.index is not None:
                 atoms.append(a.index)
+                if a.index >= depth:
+                    outer.add(a.index - depth)
             elif type(a) is RNum:
                 atoms.append(~a.value)
             else:
                 return
         total += cost
-        ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
+        ops.append((kind, arity, depth, atoms))
         if arity == _B_RETURN:
-            shape = (total, tuple(ops))
-
-            def first_entry(acc: Any, k: int, cenv: Any, bound: int, budget: int) -> Tuple[Any, ...]:
-                kernel = _kernel(*shape)
-                object.__setattr__(fn, "loop", (total, kernel))
-                return kernel(acc, k, cenv, bound, budget)
-
-            object.__setattr__(fn, "loop", (total, first_entry))
-            return
+            break
+        depth += 1 if arity is None else arity
         t = t.body
+    positions = sorted(outer)
+    rank = {p: r for r, p in enumerate(positions)}
+    shape_ops = []
+    for kind, arity, depth, atoms in ops:
+        atoms = [a if a < depth else depth + rank[a - depth] for a in atoms]
+        shape_ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
+    shape = (total, tuple(shape_ops))
+    gaps = [p - q for p, q in zip(positions, [0] + positions)]
+
+    def first_entry(acc: Any, k: int, cenv: Any, bound: int, budget: int) -> Tuple[Any, ...]:
+        kernel = _kernel(*shape)(*gaps)
+        object.__setattr__(fn, "loop", (total, kernel))
+        return kernel(acc, k, cenv, bound, budget)
+
+    object.__setattr__(fn, "loop", (total, first_entry))
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=512)
 def _kernel(total: int, ops: Tuple[Tuple[int, Optional[int], Any], ...]) -> Callable:
-    """The kernel of the loop shape (total, ops): a host function
+    """The maker of the kernels of the loop shape (total, ops).  Applied to
+    the gaps between the outer positions, it makes a host function
     kernel(acc, k, cenv, bound, budget) -> (k, value, budget, done) that
     runs iterations from the one with accumulator acc and counter k, in
     the step's closure environment cenv, with budget the fuel left.  Each
@@ -331,23 +349,24 @@ def _kernel(total: int, ops: Tuple[Tuple[int, Optional[int], Any], ...]) -> Call
     counter, its closing tuple and the budget left.  The source holds
     only the shape's integers (formatted with :d) and fixed identifiers.
 
-    A kernel takes about 1.6 KB, and a fuzz campaign brings new shapes
-    for as long as it runs, so the cache keeps the latest 1,024.  On
-    14,000 programs of `gen` (seed 901), it compiles 0.088 kernels per
-    program, against 0.141 at 256, 0.106 at 512 and 0.087 unbounded."""
-    stuck = "return k, acc, budget, False"
+    A compile takes 0.15 to 0.3 ms and a maker about 2 KB, and a fuzz
+    campaign brings new shapes for as long as it runs, so the cache keeps
+    the latest 512.  On 14,000 programs of `gen` (seed 901), with 737
+    shapes among them, it compiles 0.055 makers per program, against
+    0.076 at 256 and 0.053 at 1,024 or unbounded."""
     scope = ["k", "acc"]  # the iteration's bindings as locals, outermost first
-    hoisted: Dict[int, str] = {}  # position in cenv -> its local
+    reads = 0  # the outer variables read so far, which are locals c0, c1, ...
     body: List[str] = []
     fresh = 0
 
     def atom(a: int) -> str:
+        nonlocal reads
         if a < 0:
             return f"{~a:d}"
         if a < len(scope):
             return scope[-1 - a]
-        j = a - len(scope)
-        return hoisted.setdefault(j, f"c{j:d}")
+        reads = max(reads, a - len(scope) + 1)
+        return f"c{a - len(scope):d}"
 
     for kind, arity, a in ops:
         if kind == _B_TUPLE:
@@ -356,14 +375,14 @@ def _kernel(total: int, ops: Tuple[Tuple[int, Optional[int], Any], ...]) -> Call
         else:
             value = atom(a)
             if kind != _B_ATOM:
-                body.append(f"if type({value}) is not int: {stuck}")
+                body.append(f"if type({value}) is not int: break")
                 count = f"{value} + 1" if kind == _B_SUCC else f"{value} - 1 if {value} > 0 else 0"
                 value, fresh = f"x{fresh:d}", fresh + 1
                 body.append(f"{value} = {count}")
         if arity is None:
             scope.append(value)
         elif arity >= 0:
-            body.append(f"if type({value}) is not tuple or len({value}) != {arity:d}: {stuck}")
+            body.append(f"if type({value}) is not tuple or len({value}) != {arity:d}: break")
             items = [f"x{fresh + j:d}" for j in range(arity)]
             fresh += arity
             if items:
@@ -376,18 +395,18 @@ def _kernel(total: int, ops: Tuple[Tuple[int, Optional[int], Any], ...]) -> Call
         "k += 1",
         f"acc = {value}",
     ]
-    head = ["def kernel(acc, k, cenv, bound, budget):"]
-    if hoisted:
-        head.append("e = cenv")
-    at = 0
-    for j in sorted(hoisted):
-        head += ["e = e[1]"] * (j - at)
-        head.append(f"{hoisted[j]} = e[0]")
-        at = j
-    source = "\n    ".join(head) + "\n    while True:\n        " + "\n        ".join(body) + "\n"
+    lines = [f"def make({', '.join([f'g{r:d}' for r in range(reads)])}):",
+             "    def kernel(acc, k, cenv, bound, budget):"]
+    if reads:
+        lines.append("        e = cenv")
+    for r in range(reads):
+        lines += [f"        for _ in range(g{r:d}): e = e[1]", f"        c{r:d} = e[0]"]
+    lines.append("        while True:")
+    lines += ["            " + line for line in body]
+    lines += ["        return k, acc, budget, False  # an op would be stuck", "    return kernel", ""]
     namespace: Dict[str, Any] = {}
-    exec(compile(source, "<loop kernel>", "exec"), namespace)
-    return namespace.pop("kernel")  # so that an evicted kernel is freed at once
+    exec(compile("\n".join(lines), "<loop kernel>", "exec"), namespace)
+    return namespace.pop("make")  # so that an evicted maker is freed at once
 
 
 # ---------------------------------------------------------------------------

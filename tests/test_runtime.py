@@ -218,17 +218,32 @@ def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last(t
             run(text, fuel)
 
 
-def test_steps_of_one_shape_share_one_kernel():
-    first = erase(parse_term("rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)"))
-    second = erase(parse_term("rec(5, <2>, fn j : nat => fn b : <nat> => let <y> = b in let y = succ(y) in <y>)"))
-    assert (evaluate(first, 1000), evaluate(second, 1000)) == ((3,), (7,))
-    assert first.step.body.loop[1] is second.step.body.loop[1]
+def loop_of(term):
+    while type(term) is runtime.RLet:
+        term = term.body
+    return term.step.body.loop
+
+
+@pytest.mark.parametrize("first, second, values", [
+    # the same run under other names
+    ("rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)",
+     "rec(5, <2>, fn j : nat => fn b : <nat> => let <y> = b in let y = succ(y) in <y>)", ((3,), (7,))),
+    # the same run with its outer variables at other positions
+    ("let x = 1 in let y = 4 in rec(2, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
+     " let <u, z> = a in let z = succ(x) in <y, z>)",
+     "let x = 3 in let v = 0 in let w = 0 in let y = 6 in rec(2, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
+     " let <u, z> = a in let z = succ(x) in <y, z>)", ((4, 2), (6, 4))),
+])
+def test_steps_of_one_shape_share_one_compiled_kernel(first, second, values):
+    first, second = erase(parse_term(first)), erase(parse_term(second))
+    assert (evaluate(first, 1000), evaluate(second, 1000)) == values
+    assert loop_of(first)[1].__code__ is loop_of(second)[1].__code__
 
 
 def test_the_kernel_cache_stays_at_its_cap():
     cap = runtime._kernel.cache_info().maxsize
     for n in range(cap + 10):  # the closing tuple <n>: a shape per numeral
-        kernel = runtime._kernel(3, ((runtime._B_TUPLE, runtime._B_RETURN, (~n,)),))
+        kernel = runtime._kernel(3, ((runtime._B_TUPLE, runtime._B_RETURN, (~n,)),))()
         assert kernel(None, 0, None, 1, 3) == (0, (n,), 0, True)
     assert runtime._kernel.cache_info().currsize == cap
 
