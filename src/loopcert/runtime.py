@@ -52,11 +52,12 @@ accumulator and the budget at its start, where an op would be stuck
 machine then rebuilds the iteration's frame, and in the second case its
 environment (acc, (k, cenv)), and goes on by single steps: it runs out
 of fuel, gets stuck or leaves the loop exactly where the single-step
-machine does.  A kernel is made on its loop's first entry, by a maker
-compiled from generated source once per shape of run, and a bounded
-cache keeps the makers of the latest shapes used; the source holds only
-the shape's integers and fixed identifiers, never a name or any text of
-the program.  Any other body, a straight-line run that is only part of
+machine does.  A kernel is made on its loop's first entry: a host
+function compiled from generated source once per shape of run, which a
+bounded cache keeps for the latest shapes used, with the run's total
+and the positions of its outer variables bound to it.  The source holds
+only the shape's integers and fixed identifiers, never a name or any
+text of the program.  Any other body, a straight-line run that is only part of
 it included, runs by the groups above.  A loop is no part of a term:
 ==, hash, repr and pattern matching ignore it.
 
@@ -258,35 +259,40 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     return erased
 
 
-# The kinds of a loop's op: the value it computes from its atoms.
-_B_ATOM, _B_SUCC, _B_PRED, _B_TUPLE = range(4)
-_B_RETURN = -1  # the arity of the closing tuple, which binds nothing
+# The kinds of a loop's op.  Succ, pred and tuple define one value, and a
+# match as many as its pattern has names.
+_B_SUCC, _B_PRED, _B_TUPLE, _B_MATCH = range(4)
 
 
 def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple (see the
     module docstring).  A loop is (total, kernel).  The kernel is made on
-    the loop's first entry, which then sets fn.loop to it, by the maker
-    that _kernel compiles for the run's shape (total, ops): of the loops
+    the loop's first entry, which then sets fn.loop to it: of the loops
     erasure marks in generated programs, about a quarter are never
-    entered.
+    entered.  It is the function that _kernel compiles for the run's
+    shape (reads, ops), with total and the gaps between the run's outer
+    positions bound by functools.partial.
 
-    An op is (kind, arity, operand): arity is None for a let, the
-    pattern's length for a let <...> and _B_RETURN for the closing tuple;
-    operand is an atom, or a tuple of atoms for _B_TUPLE.  An atom is ~n
-    for the numeral n, or an index into the op's environment: the
-    iteration's bindings, innermost first, and then the variables the run
-    reads from the step's closure environment, in the order of their
-    positions there.  The maker takes the gaps between those positions.
-    So runs that differ only in where their outer variables sit share a
-    shape, and a shape holds only integers."""
+    A shape names every value of an iteration by a number: 0 is acc, 1 is
+    k, and the others are the variables the run reads from the step's
+    closure environment (its outer variables) and the values its ops
+    define, numbered as the run first meets them.  reads lists the outer
+    variables' numbers in the order of their positions.  An op is (kind,
+    operand, defined): operand is an atom, or a tuple of atoms for
+    _B_TUPLE, and defined the numbers of the values it defines; an atom
+    is a value's number or ~n for the numeral n.  The last op is the
+    closing tuple.  A let of an atom defines nothing: its name stands for
+    the atom.  So runs that differ in names, in where their outer
+    variables sit or in lets of atoms share a shape, and a shape holds
+    only integers."""
     t, total, ops = fn.body, 0, []
-    depth, outer = 2, set()  # the iteration's bindings so far (acc and k first); outer positions read
+    scope = [1, 0]  # the iteration's bindings as value numbers, outermost first
+    outer: Dict[int, int] = {}  # position in the closure environment -> value number
+    values = 2
     while True:
         cls = type(t)
         if cls is RLet or cls is RLetMatch:
-            arity = None if cls is RLet else len(t.names)
             value = t.value
             vcls = type(value)
             if vcls is RTuple:
@@ -294,38 +300,47 @@ def _compile_loop(fn: RFn) -> None:
             elif vcls is RSucc or vcls is RPred:
                 kind, items, cost = _B_SUCC if vcls is RSucc else _B_PRED, (value.arg,), 5
             else:
-                kind, items, cost = _B_ATOM, (value,), 3
+                kind, items, cost = None, (value,), 3
         elif cls is RTuple:
-            kind, items, cost, arity = _B_TUPLE, t.items, 1 + 2 * len(t.items), _B_RETURN
+            kind, items, cost = _B_TUPLE, t.items, 1 + 2 * len(t.items)
         else:
             return
         atoms = []
         for a in items:
             if type(a) is RVar and a.index is not None:
-                atoms.append(a.index)
-                if a.index >= depth:
-                    outer.add(a.index - depth)
+                if a.index < len(scope):
+                    atoms.append(scope[-1 - a.index])
+                else:
+                    position = a.index - len(scope)
+                    if position not in outer:
+                        outer[position], values = values, values + 1
+                    atoms.append(outer[position])
             elif type(a) is RNum:
                 atoms.append(~a.value)
             else:
                 return
         total += cost
-        ops.append((kind, arity, depth, atoms))
-        if arity == _B_RETURN:
-            break
-        depth += 1 if arity is None else arity
+        if kind is None:
+            value = atoms[0]
+        else:
+            ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], (values,)))
+            value, values = values, values + 1
+            if cls is RTuple:
+                break
+        if cls is RLet:
+            scope.append(value)
+        else:
+            items = tuple(range(values, values + len(t.names)))
+            ops.append((_B_MATCH, value, items))
+            scope.extend(items)
+            values += len(items)
         t = t.body
     positions = sorted(outer)
-    rank = {p: r for r, p in enumerate(positions)}
-    shape_ops = []
-    for kind, arity, depth, atoms in ops:
-        atoms = [a if a < depth else depth + rank[a - depth] for a in atoms]
-        shape_ops.append((kind, arity, tuple(atoms) if kind == _B_TUPLE else atoms[0]))
-    shape = (total, tuple(shape_ops))
-    gaps = [p - q for p, q in zip(positions, [0] + positions)]
+    shape = (tuple([outer[p] for p in positions]), tuple(ops))
+    bound_args = [total] + [p - q for p, q in zip(positions, [0] + positions)]
 
     def first_entry(acc: Any, k: int, cenv: Any, bound: int, budget: int) -> Tuple[Any, ...]:
-        kernel = _kernel(*shape)(*gaps)
+        kernel = functools.partial(_kernel(*shape), *bound_args)
         object.__setattr__(fn, "loop", (total, kernel))
         return kernel(acc, k, cenv, bound, budget)
 
@@ -333,80 +348,60 @@ def _compile_loop(fn: RFn) -> None:
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel(total: int, ops: Tuple[Tuple[int, Optional[int], Any], ...]) -> Callable:
-    """The maker of the kernels of the loop shape (total, ops).  Applied to
-    the gaps between the outer positions, it makes a host function
-    kernel(acc, k, cenv, bound, budget) -> (k, value, budget, done) that
-    runs iterations from the one with accumulator acc and counter k, in
-    the step's closure environment cenv, with budget the fuel left.  Each
-    atom is a local, a numeral literal, or an item of cenv read once,
-    before the first iteration.  Each op makes the checks of the single
-    steps it stands for; where one fails, the kernel returns done = False
-    with the iteration's counter, accumulator and budget at its start.
-    Otherwise it charges the iteration total, and runs the next one while
-    the counter has not reached bound and the budget covers total + 4;
-    where it stops, it returns done = True with the last iteration's
-    counter, its closing tuple and the budget left.  The source holds
-    only the shape's integers (formatted with :d) and fixed identifiers.
+def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]], ...]) -> Callable:
+    """The kernel of the loop shape (reads, ops): a host function
+    kernel(total, g0, ..., acc, k, cenv, bound, budget) -> (k, value,
+    budget, done), where g0, ... are the gaps between the positions of
+    the outer variables.  It runs iterations from the one with
+    accumulator acc and counter k, in the step's closure environment
+    cenv, with budget the fuel left.  The value numbered n is the local
+    xn; the outer variables are read from cenv once, before the first
+    iteration.  Each op makes the checks of the single steps it stands
+    for; where one fails, the kernel returns done = False with the
+    iteration's counter, accumulator and budget at its start.  Otherwise
+    it charges the iteration total, and runs the next one while the
+    counter has not reached bound and the budget covers total + 4; where
+    it stops, it returns done = True with the last iteration's counter,
+    its closing tuple and the budget left.  The source holds only the
+    shape's integers (formatted with :d) and fixed identifiers.
 
-    A compile takes 0.15 to 0.3 ms and a maker about 2 KB, and a fuzz
-    campaign brings new shapes for as long as it runs, so the cache keeps
-    the latest 512.  On 14,000 programs of `gen` (seed 901), with 737
-    shapes among them, it compiles 0.055 makers per program, against
-    0.076 at 256 and 0.053 at 1,024 or unbounded."""
-    scope = ["k", "acc"]  # the iteration's bindings as locals, outermost first
-    reads = 0  # the outer variables read so far, which are locals c0, c1, ...
-    body: List[str] = []
-    fresh = 0
-
+    A compile takes 0.15 to 0.4 ms and a kernel about 2 KB, and a fuzz
+    campaign brings new shapes for as long as it runs, so the cache
+    keeps the latest 512."""
     def atom(a: int) -> str:
-        nonlocal reads
-        if a < 0:
-            return f"{~a:d}"
-        if a < len(scope):
-            return scope[-1 - a]
-        reads = max(reads, a - len(scope) + 1)
-        return f"c{a - len(scope):d}"
+        return f"{~a:d}" if a < 0 else f"x{a:d}"
 
-    for kind, arity, a in ops:
-        if kind == _B_TUPLE:
-            value, fresh = f"x{fresh:d}", fresh + 1
-            body.append(f"{value} = ({''.join([atom(x) + ', ' for x in a])})")
-        else:
-            value = atom(a)
-            if kind != _B_ATOM:
-                body.append(f"if type({value}) is not int: break")
-                count = f"{value} + 1" if kind == _B_SUCC else f"{value} - 1 if {value} > 0 else 0"
-                value, fresh = f"x{fresh:d}", fresh + 1
-                body.append(f"{value} = {count}")
-        if arity is None:
-            scope.append(value)
-        elif arity >= 0:
-            body.append(f"if type({value}) is not tuple or len({value}) != {arity:d}: break")
-            items = [f"x{fresh + j:d}" for j in range(arity)]
-            fresh += arity
-            if items:
-                body.append(f"{', '.join(items)}, = {value}")
-            scope.extend(items)
-    body += [
-        f"budget -= {total:d}",
-        f"if k + 1 == bound or budget < {total + 4:d}: return k, {value}, budget, True",
-        "budget -= 4",  # returns to _REC_NEXT, _REC_LOOP; the application
-        "k += 1",
-        f"acc = {value}",
-    ]
-    lines = [f"def make({', '.join([f'g{r:d}' for r in range(reads)])}):",
-             "    def kernel(acc, k, cenv, bound, budget):"]
+    gaps = "".join([f"g{j:d}, " for j in range(len(reads))])
+    lines = [f"def kernel(total, {gaps}x0, x1, cenv, bound, budget):"]
     if reads:
-        lines.append("        e = cenv")
-    for r in range(reads):
-        lines += [f"        for _ in range(g{r:d}): e = e[1]", f"        c{r:d} = e[0]"]
-    lines.append("        while True:")
-    lines += ["            " + line for line in body]
-    lines += ["        return k, acc, budget, False  # an op would be stuck", "    return kernel", ""]
+        lines.append("    e = cenv")
+    for j, n in enumerate(reads):
+        lines += [f"    for _ in range(g{j:d}): e = e[1]", f"    x{n:d} = e[0]"]
+    lines.append("    while True:")
+    for kind, a, defined in ops:
+        if kind == _B_TUPLE:
+            lines.append(f"        x{defined[0]:d} = ({''.join([atom(x) + ', ' for x in a])})")
+        elif kind == _B_MATCH:
+            lines.append(f"        if type({atom(a)}) is not tuple or len({atom(a)}) != {len(defined):d}: break")
+            if defined:
+                lines.append(f"        {''.join([atom(x) + ', ' for x in defined])}= {atom(a)}")
+        else:
+            lines.append(f"        if type({atom(a)}) is not int: break")
+            count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
+            lines.append(f"        x{defined[0]:d} = {count}")
+    closing = f"x{ops[-1][2][0]:d}"
+    lines += [
+        "        budget -= total",
+        f"        if x1 + 1 == bound or budget < total + 4: return x1, {closing}, budget, True",
+        "        budget -= 4",  # returns to _REC_NEXT, _REC_LOOP; the application
+        "        x1 += 1",
+        f"        x0 = {closing}",
+        "    return x1, x0, budget, False  # an op would be stuck",
+        "",
+    ]
     namespace: Dict[str, Any] = {}
     exec(compile("\n".join(lines), "<loop kernel>", "exec"), namespace)
-    return namespace.pop("make")  # so that an evicted maker is freed at once
+    return namespace.pop("kernel")  # so that an evicted kernel is freed at once
 
 
 # ---------------------------------------------------------------------------

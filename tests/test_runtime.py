@@ -233,18 +233,21 @@ def loop_of(term):
      " let <u, z> = a in let z = succ(x) in <y, z>)",
      "let x = 3 in let v = 0 in let w = 0 in let y = 6 in rec(2, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
      " let <u, z> = a in let z = succ(x) in <y, z>)", ((4, 2), (6, 4))),
+    # the same run with a let of an atom more
+    ("rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)",
+     "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let y = z in let z = succ(y) in <z>)", ((3,), (3,))),
 ])
 def test_steps_of_one_shape_share_one_compiled_kernel(first, second, values):
     first, second = erase(parse_term(first)), erase(parse_term(second))
     assert (evaluate(first, 1000), evaluate(second, 1000)) == values
-    assert loop_of(first)[1].__code__ is loop_of(second)[1].__code__
+    assert loop_of(first)[1].func is loop_of(second)[1].func
 
 
 def test_the_kernel_cache_stays_at_its_cap():
     cap = runtime._kernel.cache_info().maxsize
     for n in range(cap + 10):  # the closing tuple <n>: a shape per numeral
-        kernel = runtime._kernel(3, ((runtime._B_TUPLE, runtime._B_RETURN, (~n,)),))()
-        assert kernel(None, 0, None, 1, 3) == (0, (n,), 0, True)
+        kernel = runtime._kernel((), ((runtime._B_TUPLE, (~n,), (2,)),))
+        assert kernel(3, (), 0, None, 1, 3) == (0, (n,), 0, True)
     assert runtime._kernel.cache_info().currsize == cap
 
 
