@@ -321,19 +321,19 @@ def _compile_loop(fn: RFn) -> None:
                 return
         total += cost
         if kind is None:
-            value = atoms[0]
+            result = atoms[0]
         else:
             ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], (values,)))
-            value, values = values, values + 1
+            result, values = values, values + 1
             if cls is RTuple:
                 break
         if cls is RLet:
-            scope.append(value)
+            scope.append(result)
         else:
-            items = tuple(range(values, values + len(t.names)))
-            ops.append((_B_MATCH, value, items))
-            scope.extend(items)
-            values += len(items)
+            defined = tuple(range(values, values + len(t.names)))
+            ops.append((_B_MATCH, result, defined))
+            scope.extend(defined)
+            values += len(defined)
         t = t.body
     positions = sorted(outer)
     shape = (tuple([outer[p] for p in positions]), tuple(ops))
@@ -365,9 +365,11 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     its closing tuple and the budget left.  The source holds only the
     shape's integers (formatted with :d) and fixed identifiers.
 
-    A compile takes 0.15 to 0.4 ms and a kernel about 2 KB, and a fuzz
+    A compile takes 0.15 to 0.4 ms and a kernel about 1.5 KB, and a fuzz
     campaign brings new shapes for as long as it runs, so the cache
-    keeps the latest 512."""
+    keeps the latest 512.  On 14,000 programs of `gen` (seed 901), with
+    519 shapes among them, that compiles 0.037 kernels per program, as
+    an unbounded cache does, against 0.044 at 256."""
     def atom(a: int) -> str:
         return f"{~a:d}" if a < 0 else f"x{a:d}"
 
