@@ -373,8 +373,8 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     def atom(a: int) -> str:
         return f"{~a:d}" if a < 0 else f"x{a:d}"
 
-    gaps = "".join([f"g{j:d}, " for j in range(len(reads))])
-    lines = [f"def kernel(total, {gaps}x0, x1, cenv, bound, budget):"]
+    gap_params = "".join([f"g{j:d}, " for j in range(len(reads))])
+    lines = [f"def kernel(total, {gap_params}x0, x1, cenv, bound, budget):"]
     if reads:
         lines.append("    e = cenv")
     for j, n in enumerate(reads):
@@ -391,7 +391,7 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
             lines.append(f"        if type({atom(a)}) is not int: break")
             count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
             lines.append(f"        x{defined[0]:d} = {count}")
-    closing = f"x{ops[-1][2][0]:d}"
+    closing = f"x{ops[-1][2][0]:d}"  # the value the closing tuple defines
     lines += [
         "        budget -= total",
         f"        if x1 + 1 == bound or budget < total + 4: return x1, {closing}, budget, True",
