@@ -38,10 +38,9 @@ the loop at one place, the return to a rec's frame, right after the
 step's curried application: when the fuel left covers total, it calls
 kernel(acc, k, cenv, bound, budget), cenv being the step's closure
 environment, and the kernel runs the iterations, with no frame and no
-closure per iteration.
-In a kernel each atom is a local, a numeral literal, or an item of cenv
-read once, before the first iteration; the closing tuple is the next
-accumulator.  The first iteration charges total; each later one charges
+closure per iteration.  In a kernel each atom is a local, a numeral
+literal, or an item of cenv read once, before the first iteration; the
+closing tuple is the next accumulator.  The first iteration charges total; each later one charges
 total + 4 (the returns to the iteration's frame and to the loop, and the
 step's curried application), and runs only while the counter has not
 reached the bound and the fuel left covers all of it.  The kernel
@@ -57,9 +56,9 @@ function compiled from generated source once per shape of run, which a
 bounded cache keeps for the latest shapes used, with the run's total
 and the positions of its outer variables bound to it.  The source holds
 only the shape's integers and fixed identifiers, never a name or any
-text of the program.  Any other body, a straight-line run that is only part of
-it included, runs by the groups above.  A loop is no part of a term:
-==, hash, repr and pattern matching ignore it.
+text of the program.  Any other body, a straight-line run that is only
+part of it included, runs by the groups above.  A loop is no part of a
+term: ==, hash, repr and pattern matching ignore it.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
