@@ -3,6 +3,7 @@
 import glob
 import os
 import random
+import re
 
 import pytest
 
@@ -185,3 +186,40 @@ def test_an_unpack_spliced_from_a_group_scopes_over_the_rest():
     assert block.ann == S.QSimple((("z", S.FNat(S.IBound(0))),))
     outer = parse_seq("{ ( ?n. ) }[z : nat(0)]; z := z :> {k/nat(n)}[0 = 0];")
     assert outer.items[1].value.fam.body == S.FNat(S.IVar("n"))
+
+
+# `:> {i/nat(i)}[p]` in an FD constant, with each of its tokens blanked in
+# turn: the token, and what the parser reports, the ParseError as
+# [text, line, col] or the file printed back
+_COERCION_LINE = "cst c = fn p : (0 = 0) => 0 :> {i/nat(i)}[p];"
+_COERCION_DROPS = [
+    (":>", ["parse error at 2:34: found '/' (expected one of: })", 2, 34]),
+    ("{", ["parse error at 2:33: found 'i' (expected one of: {)", 2, 33]),
+    ("i", ["parse error at 2:34: found '/' (expected one of: identifier)", 2, 34]),
+    ("/", ["parse error at 2:35: found 'nat' (expected one of: /)", 2, 35]),
+    ("nat", "discipline FD;\n\ncst c = fn p : (0 = 0) => 0 :> {i/i}[p];\n"),
+    ("(", ["parse error at 2:39: found 'i' (expected one of: })", 2, 39]),
+    ("i", ["parse error at 2:40: found ')' (expected one of: individual)", 2, 40]),
+    (")", ["parse error at 2:41: found '}' (expected one of: ))", 2, 41]),
+    ("}", ["parse error at 2:42: found '[' (expected one of: })", 2, 42]),
+    ("[", ["parse error at 2:43: found 'p' (expected one of: [)", 2, 43]),
+    ("p", ["parse error at 2:44: found ']' (expected one of: term)", 2, 44]),
+    ("]", ["parse error at 2:45: found ';' (expected one of: ])", 2, 45]),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_COERCION_DROPS)))
+def test_a_term_coercion_with_one_token_dropped(k):
+    """The term `:>` reader, which the corpus deletions in golden/parses.json
+    do not reach: each token of the coercion blanked in turn."""
+    token, want = _COERCION_DROPS[k]
+    offset = _COERCION_LINE.index(":>")
+    m = list(re.finditer(r":>|\w+|\S", _COERCION_LINE[offset:-1]))[k]
+    assert m.group() == token
+    start, end = offset + m.start(), offset + m.end()
+    text = "discipline FD;\n" + _COERCION_LINE[:start] + " " * (end - start) + _COERCION_LINE[end:] + "\n"
+    try:
+        got = show_file(parse(text))
+    except ParseError as ex:
+        got = [str(ex), ex.line, ex.col]
+    assert got == want
