@@ -64,24 +64,9 @@ _KINDS.update((d, "int") for d in "0123456789")
 _PAD = 2  # how far past the eof token a parser may look
 
 
-class Token:
-    """One token of a stream, as `Parser.peek` shows it."""
-
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind  # ident | kw | int | punct | eof
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Token({self.kind}, {self.value!r})"
-
-
 class Tokens:
-    """A token stream as parallel lists of kind, value and start offset, the
-    last token the eof; a token's line and column are worked out on demand.
+    """A token stream as parallel lists of kind (ident, kw, int, punct or
+    eof), value and start offset, the last token the eof; a token's line and column are worked out on demand.
     The lists repeat the eof token `_PAD` more times, so that a reader may
     look two tokens past it; len() does not count the repeats."""
 
@@ -203,10 +188,6 @@ class Parser:
     # punctuator or keyword is known by its value alone: no identifier or
     # numeral is spelt like one.
 
-    def peek(self, ahead: int = 0) -> Token:
-        k = min(self.pos + ahead, self.last)
-        return Token(self.kinds[k], self.values[k], *self.tokens.position(k))
-
     def at(self, value: str, ahead: int = 0) -> bool:
         return self.values[self.pos + ahead] == value
 
@@ -223,8 +204,8 @@ class Parser:
         return self.values[pos]
 
     def _found(self, expected: Tuple[str, ...]) -> ParseError:
-        tok = self.peek()
-        return ParseError(f"found {tok.value!r}", tok.line, tok.col, expected)
+        k = min(self.pos, self.last)
+        return ParseError(f"found {self.values[k]!r}", *self.tokens.position(k), expected)
 
     def number(self) -> int:
         """Consume an int token.  The lexer keeps a run of `isdigit`
@@ -242,16 +223,15 @@ class Parser:
                 problem = f"a numeral of {len(value)} digits is too long"
         else:
             problem = f"{value!r} is not a decimal numeral"
-        line, col = self.tokens.position(pos)
-        raise ParseError(problem, line, col)
+        raise ParseError(problem, *self.tokens.position(pos))
 
     def span(self) -> S.Span:
         return self.tokens.position(self.pos)
 
     def fail(self, what: str) -> ParseError:
-        tok = self.peek()
-        shown = tok.value if tok.kind != "eof" else "end of input"
-        return ParseError(f"found {shown!r}", tok.line, tok.col, (what,))
+        k = min(self.pos, self.last)
+        shown = self.values[k] if self.kinds[k] != "eof" else "end of input"
+        return ParseError(f"found {shown!r}", *self.tokens.position(k), (what,))
 
     def fresh_name(self) -> str:
         self._fresh += 1
@@ -278,12 +258,47 @@ class Parser:
         positions.pop()
         return value
 
-    def binder(self, cls: type, parse: Callable[[], Any], *tail: Any) -> Any:
-        """`x.` and then parse() under a binder of x, as cls(x, body, *tail):
-        a `forall`/`exists`/`lam` prefix after its keyword, or a motive."""
+    def prefix(self) -> str:
+        """A binder prefix: the token at pos and `x.`; returns x.  The token
+        is a `forall`/`exists`/`lam` keyword, the `?` of an unpack or the
+        `{` of a motive."""
+        self.pos += 1
         var = self.eat_ident()
         self.eat(".")
+        return var
+
+    def binder(self, cls: type, parse: Callable[[], Any], *tail: Any) -> Any:
+        """A binder prefix and then parse() under it, as cls(x, body, *tail)."""
+        var = self.prefix()
         return cls(var, self.bound(parse, var), *tail)
+
+    def family(self, parse: Callable[[], Any]) -> S.Fam:
+        """`{x/…}`, with the body read by parse() under a binder of x."""
+        self.eat("{")
+        var = self.eat_ident()
+        self.eat("/")
+        fam = S.Fam(var, self.bound(parse, var))
+        self.eat("}")
+        return fam
+
+    def coercion(self, cls: type, subject: Any, parse_type: Callable[[], Any],
+                 parse_proof: Callable[[], Any], span: S.Span) -> Any:
+        """`:> {x/type}[proof]` after subject, as cls(subject, family, proof)."""
+        self.pos += 1
+        fam = self.family(parse_type)
+        self.eat("[")
+        proof = parse_proof()
+        self.eat("]")
+        return cls(subject, fam, proof, span=span)
+
+    def definition(self, parse: Callable[[], Any]) -> Tuple[str, Any]:
+        """`cst x = value;` with the value read by parse(); returns (x, value)."""
+        self.pos += 1
+        name = self.eat_ident()
+        self.eat("=")
+        value = parse()
+        self.eat(";")
+        return name, value
 
     def items(self, parse: Callable[[], Any], close: str, nonempty: bool = False) -> Tuple[Any, ...]:
         """A comma list of parse() items up to the token close, which is
@@ -381,7 +396,6 @@ class Parser:
     def parse_formula(self) -> S.Formula:
         value = self.values[self.pos]
         if value == "forall" or value == "exists":
-            self.pos += 1
             return self.binder(S.FForall if value == "forall" else S.FExists, self.parse_formula)
         left = self.parse_formula_unit()
         if self.values[self.pos] == "->":
@@ -395,15 +409,13 @@ class Parser:
             if self.at("forall") or self.at("exists"):
                 return S.neg_f(self.parse_formula())
             return S.neg_f(self.parse_formula_unit())
-        phi = self.parse_formula_atom()
-        self._reject_meta_subst()
-        return phi
-
-    def parse_formula_atom(self) -> S.Formula:
         if self.values[self.pos] == "<":  # no equation begins with '<'
             self.pos += 1
-            return S.FTuple(self.items(self.parse_formula, ">"))
-        return self._type_atom("formula", self.parse_formula)
+            phi = S.FTuple(self.items(self.parse_formula, ">"))
+        else:
+            phi = self._type_atom("formula", self.parse_formula)
+        self._reject_meta_subst()
+        return phi
 
     def _type_atom(self, what: str, parse_inner: Callable[[], Any]) -> Any:
         """An atom of both type languages, or a parenthesised `parse_inner`
@@ -441,59 +453,40 @@ class Parser:
         # the grammar lists phi[x=i] but no rule consumes it
         pos = self.pos
         if self.values[pos] == "[" and self.kinds[pos + 1] == "ident" and self.values[pos + 2] == "=":
-            line, col = self.span()
             raise ParseError(
                 "unsupported construct: meta-substitution 'phi[x = i]' is in the "
                 "grammar but used by no rule",
-                line,
-                col,
+                *self.span(),
             )
 
     # -- imperative-side types ------------------------------------------------
 
     def parse_prop(self) -> S.Prop:
         value = self.values[self.pos]
-        if value == "~":
-            self.pos += 1
-            return self.parse_neg_tail()
         if value == "proc":
             self.pos += 1
             return S.proc_t(self.parse_proto())
-        p = self.parse_prop_atom()
-        self._reject_meta_subst()
-        return p
-
-    def parse_neg_tail(self) -> S.Prop:
+        if value != "~":
+            p = self._type_atom("type", self.parse_prop)
+            self._reject_meta_subst()
+            return p
+        # a negation: of a parenthesised list, of an output, or of one prop
+        self.pos += 1
         if self.at("("):
             self.pos += 1
             return S.PNeg(S.OSimple(self.items(self.parse_prop, ")", nonempty=True)))
         if self.at("[") or self.at("exists"):
             return S.PNeg(self.parse_output())
-        return S.PNeg(S.OSimple((self.parse_prop_inner(),)))
-
-    def parse_prop_inner(self) -> S.Prop:
-        # a negation argument: one tightly-bound prop
-        if self.at("proc"):
-            self.pos += 1
-            return S.proc_t(self.parse_proto())
-        if self.at("~"):
-            self.pos += 1
-            return self.parse_neg_tail()
-        return self.parse_prop_atom()
-
-    def parse_prop_atom(self) -> S.Prop:
-        return self._type_atom("type", self.parse_prop)
+        return S.PNeg(S.OSimple((self.parse_prop(),)))
 
     def parse_output(self) -> S.Output:
         if self.at("exists"):
-            self.pos += 1
             return self.binder(S.OExists, self.parse_output)
         self.eat("[")
         return S.OSimple(self.items(self.parse_prop, "]"))
 
     def parse_proto(self) -> S.Proto:
         if self.at("forall"):
-            self.pos += 1
             return self.binder(S.ProtoAll, self.parse_proto)
         self.eat("(")
         self.eat("[")
@@ -503,27 +496,22 @@ class Parser:
         self.eat(")")
         return S.ProtoBase(params, out)
 
-    def parse_bindings(self, close: str, types: str) -> S.Env:
-        pairs: List[Tuple[str, Any]] = []
-        if not self.at(close):
-            while True:
-                name = self.eat_ident()
-                self.eat(":")
-                ty = self.parse_prop() if types == "prop" else self.parse_formula()
-                pairs.append((name, ty))
-                if self.at(","):
-                    self.pos += 1
-                    continue
-                break
-        self.eat(close)
-        return tuple(pairs)
+    def parse_bindings(self, close: str, types: Callable[[], Any]) -> S.Env:
+        """A comma list of `x : type` up to the token close, each type read
+        by types()."""
+
+        def binding() -> Tuple[str, Any]:
+            name = self.eat_ident()
+            self.eat(":")
+            return name, types()
+
+        return self.items(binding, close)
 
     def parse_qenv(self) -> S.QEnv:
         if self.at("exists"):
-            self.pos += 1
             return self.binder(S.QExists, self.parse_qenv)
         self.eat("[")
-        return S.QSimple(self.parse_bindings("]", "prop"))
+        return S.QSimple(self.parse_bindings("]", self.parse_prop))
 
     # -- imperative expressions -------------------------------------------------
 
@@ -562,26 +550,13 @@ class Parser:
                 e = S.EInst(e, arg, span=self.tokens.position(pos))
             elif value == "<:":
                 self.pos = pos + 1
-                self.eat("{")
-                var = self.eat_ident()
-                self.eat("/")
-                out = self.bound(self.parse_output, var)
-                self.eat("}")
+                fam = self.family(self.parse_output)
                 self.eat("{")
                 arg = self.parse_ind()
                 self.eat("}")
-                e = S.EContInst(e, S.Fam(var, out), arg, span=self.tokens.position(pos))
+                e = S.EContInst(e, fam, arg, span=self.tokens.position(pos))
             elif value == ":>":
-                self.pos = pos + 1
-                self.eat("{")
-                var = self.eat_ident()
-                self.eat("/")
-                ty = self.bound(self.parse_prop, var)
-                self.eat("}")
-                self.eat("[")
-                proof = self.parse_expr()
-                self.eat("]")
-                e = S.ECoerce(e, S.Fam(var, ty), proof, span=self.tokens.position(pos))
+                e = self.coercion(S.ECoerce, e, self.parse_prop, self.parse_expr, self.tokens.position(pos))
             else:
                 return e
 
@@ -621,16 +596,12 @@ class Parser:
 
     def parse_header(self) -> S.Header:
         if self.at("forall"):
-            self.pos += 1
             return self.binder(S.HForall, self.parse_header)
         self.eat("[")
-        params = self.parse_bindings("]", "prop")
+        params = self.parse_bindings("]", self.parse_prop)
         self.eat("out")
         out = self.parse_qenv()
-        self.eat("{")
-        body = self.parse_seq()
-        self.eat("}")
-        return S.HBase(params, out, body)
+        return S.HBase(params, out, self.body())
 
     # -- sequences and commands ---------------------------------------------
 
@@ -649,12 +620,7 @@ class Parser:
             if value in _SEQ_ENDS:
                 break
             if value == "cst":
-                span = self.tokens.position(pos)
-                self.pos = pos + 1
-                name = self.eat_ident()
-                self.eat("=")
-                items.append(S.SCst(name, self.parse_expr(), span=span))
-                self.eat(";")
+                items.append(S.SCst(*self.definition(self.parse_expr), span=self.tokens.position(pos)))
             elif value == "var":
                 span = self.tokens.position(pos)
                 self.pos = pos + 1
@@ -670,12 +636,9 @@ class Parser:
                 self.eat(";")
                 items.append(S.SVar(name, init, span=span))
             elif value == "?":
-                span = self.tokens.position(pos)
-                self.pos = pos + 1
-                var = self.eat_ident()
-                self.eat(".")
+                var = self.prefix()
                 self.open(var)
-                items.append(S.SUnpack(var, span=span))
+                items.append(S.SUnpack(var, span=self.tokens.position(pos)))
             elif value == "[":
                 span = self.tokens.position(pos)
                 self.pos = pos + 1
@@ -692,20 +655,11 @@ class Parser:
                 group = self.parse_seq()
                 self.eat(")")
                 if self.at(":>"):
-                    self.pos += 1
-                    self.eat("{")
-                    var = self.eat_ident()
-                    self.eat("/")
-                    qenv = self.bound(self.parse_qenv, var)
-                    self.eat("}")
-                    self.eat("[")
-                    proof = self.parse_expr()
-                    self.eat("]")
+                    items.append(self.coercion(S.SSubst, group, self.parse_qenv, self.parse_expr, span))
                     if self.at(";"):
                         self.pos += 1
                     if values[self.pos] not in _SEQ_ENDS:
                         raise self.fail("end of sequence after ':>' coercion")
-                    items.append(S.SSubst(group, S.Fam(var, qenv), proof, span=span))
                     break
                 if self.at(";"):
                     self.pos += 1
@@ -724,6 +678,13 @@ class Parser:
         if len(self.binders) > start:  # the sequence's '?n.'s
             self.close(start)
         return S.Seq(tuple(items), span=self.span())
+
+    def body(self) -> S.Seq:
+        """`{ seq }`."""
+        self.eat("{")
+        seq = self.parse_seq()
+        self.eat("}")
+        return seq
 
     def parse_command(self) -> S.Command:
         pos = self.pos
@@ -756,24 +717,19 @@ class Parser:
                 self.eat(")")
             self.eat(":=")
             if self.kinds[self.pos] != "int" or values[self.pos] != "0":
-                line, col = self.span()
-                raise ParseError("for loops start at literal 0", line, col)
+                raise ParseError("for loops start at literal 0", *self.span())
             self.pos += 1
             self.eat("until")
             bound = self.parse_expr()
-            self.eat("{")
             self.open(idx)  # over the body and the frame; None for no name
-            body = self.parse_seq()
-            self.eat("}")
+            body = self.body()
             self.eat("[")
-            frame = self.parse_bindings("]", "prop")
+            frame = self.parse_bindings("]", self.parse_prop)
             self.close(len(self.binders) - 1)
             self.eat(";")
             return S.CFor(var, idx, bound, body, frame, span=span)
         if value == "{":
-            self.pos = pos + 1
-            body = self.parse_seq()
-            self.eat("}")
+            body = self.body()
             ann = self.parse_qenv()
             self.eat(";")
             return S.CBlock(body, ann, span=span)
@@ -784,9 +740,8 @@ class Parser:
                 self.eat(";")
                 return S.CAssign(value, assigned, span=span)
             if values[pos + 1] == ":" and values[pos + 2] == "{":
-                self.pos = pos + 3
-                body = self.parse_seq()
-                self.eat("}")
+                self.pos = pos + 2
+                body = self.body()
                 ann = self.parse_qenv()
                 self.eat(";")
                 return S.CLabel(value, body, ann, span=span)
@@ -815,24 +770,17 @@ class Parser:
                 self.pos = pos + 1
                 if self.at("<"):
                     self.pos += 1
-                    names = self.items(self.eat_ident, ">")
-                    self.eat("=")
-                    bound = self.parse_term()
-                    self.eat("in")
-                    chain.append((S.TLetMatch, names, bound, span))
+                    cls, binder = S.TLetMatch, self.items(self.eat_ident, ">")
                 else:
-                    name = self.eat_ident()
-                    self.eat("=")
-                    bound = self.parse_term()
-                    self.eat("in")
-                    chain.append((S.TLet, name, bound, span))
+                    cls, binder = S.TLet, self.eat_ident()
+                self.eat("=")
+                bound = self.parse_term()
+                self.eat("in")
+                chain.append((cls, binder, bound, span))
             elif value == "?":
-                span = self.tokens.position(pos)
-                self.pos = pos + 1
-                var = self.eat_ident()
-                self.eat(".")
+                var = self.prefix()
                 self.open(var)
-                chain.append((S.TUnpack, var, None, span))
+                chain.append((S.TUnpack, var, None, self.tokens.position(pos)))
             else:
                 break
         term = self._parse_term_rest()
@@ -853,7 +801,6 @@ class Parser:
             self.pos = pos + 1
             return self.parse_fn_tail(span)
         if value == "lam":
-            self.pos = pos + 1
             return self.binder(S.TIndLam, self.parse_term, span)
         if value == "callcc":
             self.pos = pos + 1
@@ -871,23 +818,14 @@ class Parser:
             return S.TAxiom(*eq, span=span)
         term = self.parse_term_app()
         while self.at(":>"):
-            self.pos += 1
-            self.eat("{")
-            var = self.eat_ident()
-            self.eat("/")
-            phi = self.bound(self.parse_formula, var)
-            self.eat("}")
-            self.eat("[")
-            proof = self.parse_term()
-            self.eat("]")
-            term = S.TCoerce(term, S.Fam(var, phi), proof, span=span)
+            term = self.coercion(S.TCoerce, term, self.parse_formula, self.parse_term, span)
         return term
 
     def parse_fn_tail(self, span: S.Span) -> S.Term:
         if self.at("("):
             # tuple pattern sugar: fn (x : a, y : b) => t
             self.pos += 1
-            params = self.parse_bindings(")", "formula")
+            params = self.parse_bindings(")", self.parse_formula)
             self.eat("=>")
             body = self.parse_term()
             fresh = self.fresh_name()
@@ -949,7 +887,6 @@ class Parser:
             self.pos = pos + 1
             motive: Optional[S.Fam] = None
             if self.at("{"):
-                self.pos += 1
                 motive = self.binder(S.Fam, self.parse_formula)
                 self.eat("}")
             self.eat("(")
@@ -984,23 +921,14 @@ class Parser:
         pos = self.pos
         discipline = self.values[pos]
         if self.kinds[pos] != "ident" or discipline not in ("IS", "ID", "FS", "FD"):
-            line, col = self.span()
-            raise ParseError(
-                f"unknown discipline {discipline!r}", line, col,
-                ("IS", "ID", "FS", "FD"),
-            )
+            raise ParseError(f"unknown discipline {discipline!r}", *self.span(), ("IS", "ID", "FS", "FD"))
         self.pos = pos + 1
         self.eat(";")
         functional = discipline in ("FS", "FD")
         csts: List[Tuple[str, Any]] = []
         main: Optional[Any] = None
         while self.at("cst"):
-            self.pos += 1
-            name = self.eat_ident()
-            self.eat("=")
-            value: Any = self.parse_term() if functional else self.parse_expr()
-            self.eat(";")
-            csts.append((name, value))
+            csts.append(self.definition(self.parse_term if functional else self.parse_expr))
         if self.at("main"):
             span = self.span()
             self.pos += 1
@@ -1010,17 +938,14 @@ class Parser:
                 self.eat(";")
                 main = S.MainF(term, span=span)
             else:
-                self.eat("{")
-                body = self.parse_seq()
-                self.eat("}")
+                body = self.body()
                 self.eat("out")
                 out = self.parse_qenv()
                 if self.at(";"):
                     self.pos += 1
                 main = S.MainI(body, out, span=span)
         if self.kinds[self.pos] != "eof":
-            line, col = self.span()
-            raise ParseError(f"unexpected {self.values[self.pos]!r}", line, col)
+            raise ParseError(f"unexpected {self.values[self.pos]!r}", *self.span())
         return S.SourceFile(
             discipline,
             tuple(csts),

@@ -47,7 +47,7 @@ def eval_individual(i: Ind) -> int:
 def ind(text: str) -> S.Ind:
     p = Parser(text)
     out = p.parse_ind()
-    assert p.peek().kind == "eof"
+    assert p.kinds[p.pos] == "eof"
     return out
 
 

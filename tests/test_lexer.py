@@ -86,10 +86,12 @@ def test_unsupported_character_location(text):
 
 
 def test_peek_past_the_end_is_eof():
+    """A reader may look two tokens past the end, and sees eof there."""
     p = Parser("x")
-    assert p.peek(5).kind == "eof"
+    assert p.kinds[p.pos + 2] == "eof" and p.values[p.pos + 2] == ""
     assert p.eat_ident() == "x"
-    assert p.peek().kind == "eof" and p.peek(1).kind == "eof"
+    assert [p.kinds[p.pos + k] for k in range(3)] == ["eof"] * 3
+    assert p.values[p.pos : p.pos + 3] == [""] * 3
 
 
 _UNICODE = {

@@ -223,3 +223,20 @@ def test_a_term_coercion_with_one_token_dropped(k):
     except ParseError as ex:
         got = [str(ex), ex.line, ex.col]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "discipline ID;\n\ncst p = proc [a : ~X[y = 1]] out [z : nat] { z := 0; };\n",
+        "discipline FD;\n\ncst f = fn a : ~X[y = 1] => a;\n",
+    ],
+)
+def test_a_meta_substitution_in_a_negation_argument_is_rejected(text):
+    """A negation reads its argument as any prop or formula does, so the
+    meta-substitution after it is reported where it starts."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith("parse error at 3:")
+    assert "unsupported construct: meta-substitution" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, text.splitlines()[2].index("[y") + 1)
