@@ -188,8 +188,8 @@ class Parser:
     # punctuator or keyword is known by its value alone: no identifier or
     # numeral is spelt like one.
 
-    def at(self, value: str, ahead: int = 0) -> bool:
-        return self.values[self.pos + ahead] == value
+    def at(self, value: str) -> bool:
+        return self.values[self.pos] == value
 
     def eat(self, value: str) -> None:
         if self.values[self.pos] != value:
