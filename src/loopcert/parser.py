@@ -178,6 +178,7 @@ class Parser:
         self.pos = 0
         self.warnings: List[str] = []
         self._fresh = 0
+        self._spelt: Optional[frozenset] = None  # every token value, once a fresh name is asked for
         self.binders: List[Optional[str]] = []  # of the binders over individuals around, innermost last
         # each name's positions in binders, innermost last: a bound name is
         # resolved without a walk of binders
@@ -234,7 +235,13 @@ class Parser:
         return ParseError(f"found {shown!r}", *self.tokens.position(k), (what,))
 
     def fresh_name(self) -> str:
+        """A tuple pattern's parameter: `_w<n>` for the next n at which it
+        spells no token of the input, so that it captures no name."""
+        if self._spelt is None:
+            self._spelt = frozenset(self.values)
         self._fresh += 1
+        while f"_w{self._fresh}" in self._spelt:
+            self._fresh += 1
         return f"_w{self._fresh}"
 
     def open(self, name: Optional[str]) -> None:

@@ -22,7 +22,7 @@ the abstract class `Formula`.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 from . import envs
 from . import syntax as S
@@ -30,14 +30,22 @@ from . import syntax as S
 
 class TranslateCtx:
     """Fresh-name supply for translation-introduced binders (_v namespace),
-    and the target discipline, "FS" or "FD"."""
+    and the target discipline, "FS" or "FD".
+
+    `names` holds the source names that the image's variables built so
+    far refer to: each `S.TVar` of a source name adds its name.  A fresh
+    name skips them, and is taken only once the image of its binder's
+    scope is built, so it captures no name of the source."""
 
     def __init__(self, target: str) -> None:
         self.target = target
+        self.names: Set[str] = set()
         self._count = 0
 
     def fresh(self) -> str:
         self._count += 1
+        while f"_v{self._count}" in self.names:
+            self._count += 1
         return f"_v{self._count}"
 
 
@@ -101,6 +109,7 @@ def translate_qenv(theta: S.QEnv) -> Tuple[Tuple[str, ...], S.Formula]:
 def translate_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
     cls = type(e)  # the cases go most frequent first
     if cls is S.EVar:
+        tctx.names.add(e.name)
         return S.TVar(e.name)
     if cls is S.ENum:
         term: S.Term = S.TZero()
@@ -122,14 +131,11 @@ def translate_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
     if cls is S.EInst:
         return S.TIndApp(translate_expr(e.fn, tctx), e.arg)
     if cls is S.EContInst:
+        fn = translate_expr(e.fn, tctx)
         body_f = translate_output(e.fam.body)
         fresh = tctx.fresh()
         pack = S.TPack(e.arg, S.TVar(fresh), S.FExists(e.fam.var, body_f))
-        return S.TFn(
-            fresh,
-            S.subst_ind(body_f, e.arg),
-            S.TApp(translate_expr(e.fn, tctx), pack),
-        )
+        return S.TFn(fresh, S.subst_ind(body_f, e.arg), S.TApp(fn, pack))
     raise AssertionError(e)
 
 
@@ -157,6 +163,7 @@ def translate_seq(s: S.Seq, live: Tuple[str, ...], tctx: TranslateCtx) -> S.Term
     names."""
     flat: List = []
     values: List[S.Term] = []
+    tctx.names.update(live)
     end: S.Term = S.TTuple(tuple([S.TVar(x) for x in live]))
     for item in s.items:
         cls = type(item)
@@ -191,6 +198,7 @@ def _translate_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Te
     if cls is S.CAssign:
         return S.TLet(cmd.name, translate_expr(cmd.value, tctx), tail)
     if cls is S.CInc:
+        tctx.names.add(cmd.name)
         return S.TLet(cmd.name, S.TSucc(S.TVar(cmd.name)), tail)
     if cls is S.CCall:
         call = S.TApp(
@@ -203,6 +211,7 @@ def _translate_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Te
         ftypes = translate_types(types)
         inner = translate_seq(cmd.body, names, tctx)
         state = fn_over_tuple(names, ftypes, inner, tctx)
+        tctx.names.update(names)
         start = S.TTuple(tuple([S.TVar(x) for x in names]))
         if tctx.target == "FS":
             step = S.TFn(cmd.var, S.FNat(None), state)
@@ -215,6 +224,7 @@ def _translate_command(cmd: S.Command, tail: S.Term, tctx: TranslateCtx) -> S.Te
             loop = S.TRec(translate_expr(cmd.bound, tctx), start, step, motive)
         return S.TLetMatch(names, loop, tail)
     if cls is S.CDec:
+        tctx.names.add(cmd.name)
         return S.TLet(cmd.name, S.TPred(S.TVar(cmd.name)), tail)
     if cls is S.CBlock:
         names, _ = envs.qsplit(cmd.ann)

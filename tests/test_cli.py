@@ -265,6 +265,29 @@ def test_pipeline_all_uses_corpus_env(tmp_path, capsys, monkeypatch):
     assert "figure1.loop" in out and "figure2.loop" in out
 
 
+def test_a_fresh_parameter_of_the_translation_captures_no_constant(tmp_path, capsys):
+    """A constant named like a parameter the translation makes up (`_v1`)
+    keeps its meaning in the image."""
+    path = tmp_path / "capture_v.loop"
+    path.write_text(
+        "discipline IS;\n\ncst _v1 = 5;\ncst p = proc [x : nat] out [z : nat] { z := _v1; };\n\n"
+        "main {\n  p(3; z);\n} out [z : nat]\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["pipeline", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "store: z = 5" in out and "p : <nat> -> <nat>" in out
+
+
+def test_a_tuple_pattern_parameter_captures_no_name(tmp_path, capsys):
+    """The parameter that `fn (x : a) => t` is read with is named like no
+    identifier of the input, so an unbound `_w1` in t stays unbound."""
+    path = tmp_path / "capture_w.loop"
+    path.write_text("discipline FS;\n\ncst f = fn (x : nat) => _w1;\n", encoding="utf-8")
+    assert run_cli(["check", str(path)]) == pipeline.EXIT_SOURCE
+    assert "[TC_VAR] unbound variable '_w1'" in capsys.readouterr().out
+
+
 def test_fuzz_exit_zero(capsys):
     assert run_cli(["fuzz", "--count", "5", "--seed", "3"]) == 0
     assert "5/5 passed" in capsys.readouterr().out

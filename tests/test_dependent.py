@@ -1,6 +1,8 @@
 """FD term checking, ID checking, defined negation, and the dependent
 translation."""
 
+import glob
+import os
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from loopcert import syntax as S
 from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
 from loopcert.parser import (
+    lex,
     parse_expr,
     parse_formula,
     parse_prop,
@@ -20,6 +23,8 @@ from loopcert.parser import (
 from loopcert.printer import show
 
 from test_kernel import _reflective_alpha
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,45 @@ def test_translate_fresh_names_deterministic():
     a = show(translate.translate_expr(e, translate.TranslateCtx("FD")))
     b = show(translate.translate_expr(e, translate.TranslateCtx("FD")))
     assert a == b and "_v1" in a
+
+
+def test_translate_fresh_names_skip_the_names_of_the_source():
+    """`_v1` names a term of the source, so the continuation's parameter
+    is `_v2`, and the image of the source's `_v1` stays as it is."""
+    e = parse_expr("_v1 <: {u/[nat(u)]}{x}")
+    tctx = translate.TranslateCtx("FD")
+    assert show(translate.translate_expr(e, tctx)) == "fn _v2 : <nat(x)> => _v1 pack(x, _v2 : exists u. <nat(u)>)"
+
+
+def _named_like_fresh_names(text):
+    """text with each identifier after the discipline renamed `_v<k>`, k
+    counting the names in order of first use: the names the translation
+    makes up for its parameters."""
+    tokens, _ = lex(text)
+    names, out, last = {}, [], 0
+    for k in range(2, len(tokens)):
+        if tokens.kinds[k] == "ident":
+            name = names.setdefault(tokens.values[k], f"_v{len(names) + 1}")
+            out += [text[last : tokens.starts[k]], name]
+            last = tokens.starts[k] + len(tokens.values[k])
+    return "".join(out) + text[last:], names
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CORPUS, "*.loop"))), ids=os.path.basename)
+def test_a_corpus_file_named_like_the_fresh_names_runs_the_same(path):
+    """No parameter the translation makes up captures a name of the source:
+    with every name renamed `_v<k>`, each corpus file still passes every
+    phase and ends with the same store, renamed."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    renamed, names = _named_like_fresh_names(text)
+
+    def store(report):
+        assert report.exit_code == 0, report.diagnostics
+        return [p["payload"].get("store") for p in report.phases if p["name"] == "evaluate"]
+
+    want = [{names[k]: v for k, v in s.items()} if s else s for s in store(pipeline.run_pipeline(path, text=text))]
+    assert store(pipeline.run_pipeline(path, text=renamed)) == want
 
 
 # ---------------------------------------------------------------------------
