@@ -73,6 +73,8 @@ def _write(path: str, text: str) -> str:
 def _corpus_files(paths: List[str], use_all: bool) -> List[str]:
     if not use_all:
         return paths
+    if paths:
+        raise SystemExit("--all runs every corpus file; give it no files")
     root = os.environ.get("LOOPCERT_CORPUS", "corpus")
     found = sorted(glob.glob(os.path.join(root, "*.loop")))
     if not found:
@@ -142,6 +144,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     files = _corpus_files(list(ns.files), getattr(ns, "all", False))
     if not files:
         raise SystemExit("no input files")
+    if getattr(ns, "output", None) is not None and len(files) > 1:
+        raise SystemExit(f"-o names one output file, but {len(files)} input files were given")
     worst = pipeline.EXIT_OK
     for path in files:
         if ns.command == "check":

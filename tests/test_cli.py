@@ -265,6 +265,30 @@ def test_pipeline_all_uses_corpus_env(tmp_path, capsys, monkeypatch):
     assert "figure1.loop" in out and "figure2.loop" in out
 
 
+def test_pipeline_all_refuses_files_too(tmp_path, capsys, monkeypatch):
+    """`--all` and a file list are alternatives: a file given with --all
+    would not be run."""
+    monkeypatch.setenv("LOOPCERT_CORPUS", CORPUS)
+    bad = tmp_path / "bad.loop"
+    bad.write_text("discipline IS;\nmain { z := ; } out [z : nat]\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        run_cli(["pipeline", "--all", str(bad)])
+    assert err.value.code == "--all runs every corpus file; give it no files"
+    assert capsys.readouterr().out == ""
+
+
+def test_translate_refuses_one_output_for_several_inputs(tmp_path, capsys):
+    out = tmp_path / "out.t"
+    argv = ["translate", os.path.join(CORPUS, "addition_is.loop"), os.path.join(CORPUS, "figure1.loop"), "-o", str(out)]
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == "-o names one output file, but 2 input files were given"
+    assert capsys.readouterr().out == "" and not out.exists()
+    process = _cli_process(argv, tmp_path)
+    assert process.returncode == 1 and process.stdout == ""
+    assert "-o names one output file" in process.stderr
+
+
 def test_a_fresh_parameter_of_the_translation_captures_no_constant(tmp_path, capsys):
     """A constant named like a parameter the translation makes up (`_v1`)
     keeps its meaning in the image."""
