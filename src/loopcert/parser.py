@@ -66,9 +66,10 @@ _PAD = 2  # how far past the eof token a parser may look
 
 class Tokens:
     """A token stream as parallel lists of kind (ident, kw, int, punct or
-    eof), value and start offset, the last token the eof; a token's line and column are worked out on demand.
-    The lists repeat the eof token `_PAD` more times, so that a reader may
-    look two tokens past it; len() does not count the repeats."""
+    eof), value and start offset, the last token the eof; a token's line
+    and column are worked out on demand.  The lists repeat the eof token
+    `_PAD` more times, so that a reader may look two tokens past it; len()
+    does not count the repeats."""
 
     __slots__ = ("kinds", "values", "starts", "line_starts")
 
@@ -297,15 +298,6 @@ class Parser:
         proof = parse_proof()
         self.eat("]")
         return cls(subject, fam, proof, span=span)
-
-    def definition(self, parse: Callable[[], Any]) -> Tuple[str, Any]:
-        """`cst x = value;` with the value read by parse(); returns (x, value)."""
-        self.pos += 1
-        name = self.eat_ident()
-        self.eat("=")
-        value = parse()
-        self.eat(";")
-        return name, value
 
     def items(self, parse: Callable[[], Any], close: str, nonempty: bool = False) -> Tuple[Any, ...]:
         """A comma list of parse() items up to the token close, which is
@@ -608,7 +600,10 @@ class Parser:
         params = self.parse_bindings("]", self.parse_prop)
         self.eat("out")
         out = self.parse_qenv()
-        return S.HBase(params, out, self.body())
+        self.eat("{")
+        body = self.parse_seq()
+        self.eat("}")
+        return S.HBase(params, out, body)
 
     # -- sequences and commands ---------------------------------------------
 
@@ -627,7 +622,12 @@ class Parser:
             if value in _SEQ_ENDS:
                 break
             if value == "cst":
-                items.append(S.SCst(*self.definition(self.parse_expr), span=self.tokens.position(pos)))
+                span = self.tokens.position(pos)
+                self.pos = pos + 1
+                name = self.eat_ident()
+                self.eat("=")
+                items.append(S.SCst(name, self.parse_expr(), span=span))
+                self.eat(";")
             elif value == "var":
                 span = self.tokens.position(pos)
                 self.pos = pos + 1
@@ -686,13 +686,6 @@ class Parser:
             self.close(start)
         return S.Seq(tuple(items), span=self.span())
 
-    def body(self) -> S.Seq:
-        """`{ seq }`."""
-        self.eat("{")
-        seq = self.parse_seq()
-        self.eat("}")
-        return seq
-
     def parse_command(self) -> S.Command:
         pos = self.pos
         span = self.tokens.position(pos)
@@ -728,15 +721,19 @@ class Parser:
             self.pos += 1
             self.eat("until")
             bound = self.parse_expr()
+            self.eat("{")
             self.open(idx)  # over the body and the frame; None for no name
-            body = self.body()
+            body = self.parse_seq()
+            self.eat("}")
             self.eat("[")
             frame = self.parse_bindings("]", self.parse_prop)
             self.close(len(self.binders) - 1)
             self.eat(";")
             return S.CFor(var, idx, bound, body, frame, span=span)
         if value == "{":
-            body = self.body()
+            self.pos = pos + 1
+            body = self.parse_seq()
+            self.eat("}")
             ann = self.parse_qenv()
             self.eat(";")
             return S.CBlock(body, ann, span=span)
@@ -747,8 +744,9 @@ class Parser:
                 self.eat(";")
                 return S.CAssign(value, assigned, span=span)
             if values[pos + 1] == ":" and values[pos + 2] == "{":
-                self.pos = pos + 2
-                body = self.body()
+                self.pos = pos + 3
+                body = self.parse_seq()
+                self.eat("}")
                 ann = self.parse_qenv()
                 self.eat(";")
                 return S.CLabel(value, body, ann, span=span)
@@ -935,7 +933,12 @@ class Parser:
         csts: List[Tuple[str, Any]] = []
         main: Optional[Any] = None
         while self.at("cst"):
-            csts.append(self.definition(self.parse_term if functional else self.parse_expr))
+            self.pos += 1
+            name = self.eat_ident()
+            self.eat("=")
+            value: Any = self.parse_term() if functional else self.parse_expr()
+            self.eat(";")
+            csts.append((name, value))
         if self.at("main"):
             span = self.span()
             self.pos += 1
@@ -945,7 +948,9 @@ class Parser:
                 self.eat(";")
                 main = S.MainF(term, span=span)
             else:
-                body = self.body()
+                self.eat("{")
+                body = self.parse_seq()
+                self.eat("}")
                 self.eat("out")
                 out = self.parse_qenv()
                 if self.at(";"):
