@@ -279,7 +279,8 @@ def test_pipeline_all_refuses_files_too(tmp_path, capsys, monkeypatch):
 
 def test_translate_refuses_one_output_for_several_inputs(tmp_path, capsys):
     out = tmp_path / "out.t"
-    argv = ["translate", os.path.join(CORPUS, "addition_is.loop"), os.path.join(CORPUS, "figure1.loop"), "-o", str(out)]
+    inputs = [os.path.join(CORPUS, "addition_is.loop"), os.path.join(CORPUS, "figure1.loop")]
+    argv = ["translate", *inputs, "-o", str(out)]
     with pytest.raises(SystemExit) as err:
         run_cli(argv)
     assert err.value.code == "-o names one output file, but 2 input files were given"

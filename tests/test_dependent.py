@@ -273,8 +273,8 @@ def test_translate_fresh_names_skip_the_names_of_the_source():
     """`_v1` names a term of the source, so the continuation's parameter
     is `_v2`, and the image of the source's `_v1` stays as it is."""
     e = parse_expr("_v1 <: {u/[nat(u)]}{x}")
-    tctx = translate.TranslateCtx("FD")
-    assert show(translate.translate_expr(e, tctx)) == "fn _v2 : <nat(x)> => _v1 pack(x, _v2 : exists u. <nat(u)>)"
+    want = "fn _v2 : <nat(x)> => _v1 pack(x, _v2 : exists u. <nat(u)>)"
+    assert show(translate.translate_expr(e, translate.TranslateCtx("FD"))) == want
 
 
 def _named_like_fresh_names(text):
@@ -304,7 +304,8 @@ def test_a_corpus_file_named_like_the_fresh_names_runs_the_same(path):
         assert report.exit_code == 0, report.diagnostics
         return [p["payload"].get("store") for p in report.phases if p["name"] == "evaluate"]
 
-    want = [{names[k]: v for k, v in s.items()} if s else s for s in store(pipeline.run_pipeline(path, text=text))]
+    stores = store(pipeline.run_pipeline(path, text=text))
+    want = [{names[k]: v for k, v in s.items()} if s else s for s in stores]
     assert store(pipeline.run_pipeline(path, text=renamed)) == want
 
 
