@@ -167,6 +167,14 @@ STUCK = [
      "expected a numeral, found <>", 43),
     ("rec(3, <0, 0>, fn i : nat => fn a : <nat, nat> => let <b, c> = a in let d = succ(b) in let <> = <> in <d>)",
      "tuple pattern <b, c> against <1>", 40),
+    # a step that enters a label, stuck in a later iteration: on a thrown
+    # value that does not fit the let's pattern, and inside the label's body
+    ("rec(3, <<0>>, fn i : nat => fn a : <<nat>> =>"
+     " let <z> = a in let <y> = callcc (fn k : ~<nat> => throw[<nat>] k z) in <i>)",
+     "tuple pattern <y> against 0", 52),
+    ("rec(3, <0>, fn i : nat => fn a : <nat> =>"
+     " let <z> = a in let <z> = callcc (fn k : ~<nat> => let z = succ(z) in <a>) in <z>)",
+     "expected a numeral, found <0>", 51),
 ]
 
 
@@ -212,6 +220,40 @@ LOOPS = [
 
 @pytest.mark.parametrize("text, value, steps", [case[1:] for case in LOOPS], ids=[case[0] for case in LOOPS])
 def test_a_straight_line_rec_step_runs_out_at_every_transition_before_the_last(text, value, steps):
+    assert run(text, steps) == value == cps_run(erase(parse_term(text)))
+    for fuel in range(steps):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+
+
+# Rec steps that enter a label, as a source `k : { ... jump(k, ...) ... }`
+# translates: (id, term, value, the least fuel that returns).
+LABELS = [
+    ("jump-in-a-let", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc"
+     " (fn k : ~<nat> => let <z> = throw[<nat>] k <z> in <z>) in let z = succ(z) in <z>)", (3,), 100),
+    ("jump-as-the-tail", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc"
+     " (fn k : ~<nat> => throw[<nat>] k <z>) in let z = succ(z) in <z>)", (3,), 97),
+    ("no-jump", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc"
+     " (fn k : ~<nat> => let z = succ(z) in <z>) in <z>)", (3,), 85),
+    ("lets-read-the-counter-and-an-outer-variable", "let x = 5 in rec(3, <0, 0, 0>, fn i : nat =>"
+     " fn a : <nat, nat, nat> => let <s, t, r> = a in let <s, t, r> = callcc (fn k : ~<nat, nat, nat> =>"
+     " let u = succ(s) in let v = <i, x> in let <p, q> = v in let <s, t, r> = throw[<nat, nat, nat>] k <u, p, q>"
+     " in <s, t, r>) in <s, t, r>)", (3, 2, 5), 171),
+    ("jump-carries-a-numeral", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <y, z> = callcc"
+     " (fn k : ~<nat, nat> => let <y, z> = throw[<nat, nat>] k <0, z> in <y, z>) in let z = succ(z) in <z>)",
+     (3,), 106),
+    ("jump-carries-a-lone-atom", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let b = callcc"
+     " (fn k : ~nat => let b = throw[nat] k z in b) in let c = succ(b) in <c>)", (3,), 94),
+    ("unbound-variable-after-the-jump", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc"
+     " (fn k : ~<nat> => let <z> = throw[<nat>] k <z> in <ghost>) in let z = succ(z) in <z>)", (3,), 100),
+    ("two-labels", "rec(3, <0, 0>, fn i : nat => fn a : <nat, nat> => let <z, w> = a in let <z> = callcc"
+     " (fn k : ~<nat> => let z = succ(z) in let <z> = throw[<nat>] k <z> in <z>) in let <w> = callcc"
+     " (fn k : ~<nat> => throw[<nat>] k <i>) in <z, w>)", (3, 2), 144),
+]
+
+
+@pytest.mark.parametrize("text, value, steps", [case[1:] for case in LABELS], ids=[case[0] for case in LABELS])
+def test_a_rec_step_through_a_label_runs_out_at_every_transition_before_the_last(text, value, steps):
     assert run(text, steps) == value == cps_run(erase(parse_term(text)))
     for fuel in range(steps):
         with pytest.raises(FuelExhausted):
