@@ -289,6 +289,7 @@ def _compile_loop(fn: RFn) -> None:
     scope = [1, 0]  # the iteration's bindings as value numbers, outermost first
     outer: Dict[int, int] = {}  # position in the closure environment -> value number
     values = 2
+    label = None  # in a label's body: (the label's let, the length of scope outside it)
     while True:
         cls = type(t)
         if cls is RLet or cls is RLetMatch:
@@ -298,10 +299,30 @@ def _compile_loop(fn: RFn) -> None:
                 kind, items, cost = _B_TUPLE, value.items, 3 + 2 * len(value.items)
             elif vcls is RSucc or vcls is RPred:
                 kind, items, cost = _B_SUCC if vcls is RSucc else _B_PRED, (value.arg,), 5
+            elif vcls is RCallcc:
+                if label is not None or type(value.arg) is not RFn:
+                    return
+                label = (t, len(scope))
+                scope.append(None)  # k, which no op may read
+                total += 4  # push the let's frame; push, close the fn, apply it to k
+                t = value.arg.body
+                continue
+            elif vcls is RThrow:
+                total += 1  # push the let's frame, which the throw abandons with its body
+                t = value
+                continue
             else:
                 kind, items, cost = None, (value,), 3
         elif cls is RTuple:
             kind, items, cost = _B_TUPLE, t.items, 1 + 2 * len(t.items)
+        elif (cls is RThrow and label is not None and type(t.cont) is RVar
+              and t.cont.index == len(scope) - 1 - label[1]):
+            # a throw to the label's k: push, reach k, push the argument's
+            # frame; the argument; the return to that frame
+            if type(t.arg) is RTuple:
+                kind, items, cost = _B_TUPLE, t.arg.items, 5 + 2 * len(t.arg.items)
+            else:
+                kind, items, cost = None, (t.arg,), 5
         else:
             return
         atoms = []
@@ -318,14 +339,22 @@ def _compile_loop(fn: RFn) -> None:
                 atoms.append(~a.value)
             else:
                 return
+        if label is not None and None in atoms:
+            return
         total += cost
         if kind is None:
             result = atoms[0]
         else:
             ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], (values,)))
             result, values = values, values + 1
-            if cls is RTuple:
-                break
+        if cls is RTuple or cls is RThrow:
+            if label is None:
+                break  # the step's closing tuple
+            # the label's value returns to its let's frame
+            total += 1
+            t, outside = label
+            del scope[outside:]
+            label, cls = None, type(t)
         if cls is RLet:
             scope.append(result)
         else:

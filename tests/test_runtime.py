@@ -1,6 +1,7 @@
 """Erasure and the continuation machine, with the direct interpreter as
 differential oracle."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate, show_value
 
 from test_cps_oracle import cps_run
-from test_machine_steps import _load as load_steps, case_keys, corpus_keys, generated_keys, term_of
+from test_machine_steps import _load as load_steps, case_keys, corpus_keys, generated_keys, step_count, term_of
 
 
 def run(text: str, fuel: int = 100000):
@@ -261,9 +262,149 @@ def test_a_rec_step_through_a_label_runs_out_at_every_transition_before_the_last
 
 
 def loop_of(term):
-    while type(term) is runtime.RLet:
-        term = term.body
+    """The loop of the first rec along term's lets and labels."""
+    while type(term) is not runtime.RRec:
+        if type(term) is runtime.RCallcc:
+            term = term.arg.body
+        elif type(term.value) is runtime.RRec:
+            term = term.value
+        else:
+            term = term.body
     return term.step.body.loop
+
+
+@pytest.mark.parametrize("text", [case[1] for case in LABELS], ids=[case[0] for case in LABELS])
+def test_a_rec_step_through_a_label_is_a_loop(text):
+    assert loop_of(erase(parse_term(text))) is not None
+
+
+# Rec steps whose label is no straight-line run, which stay single steps:
+# (id, term, value, the least fuel that returns).
+UNCOMPILED_LABELS = [
+    ("k-in-a-tuple", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc"
+     " (fn k : ~<nat> => let p = <k> in throw[<nat>] k <z>) in let z = succ(z) in <z>)", (3,), 112),
+    ("k-passed-to-an-application", "let f = fn c : ~<nat> => 0 in rec(3, <0>, fn i : nat => fn a : <nat> =>"
+     " let <z> = a in let <z> = callcc (fn k : ~<nat> => let u = f k in throw[<nat>] k <z>) in"
+     " let z = succ(z) in <z>)", (3,), 124),
+    ("throw-to-a-continuation-outside-the-step", "callcc (fn j : ~<nat> => rec(3, <0>, fn i : nat =>"
+     " fn a : <nat> => let <z> = a in let <z> = callcc (fn k : ~<nat> => let z = succ(z) in"
+     " let <z> = throw[<nat>] j <z> in <z>) in <z>))", (1,), 41),
+    ("nested-label", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc (fn k : ~<nat> =>"
+     " let <z> = callcc (fn h : ~<nat> => throw[<nat>] h <z>) in let <z> = throw[<nat>] k <z> in <z>) in"
+     " let z = succ(z) in <z>)", (3,), 136),
+]
+
+
+@pytest.mark.parametrize("text, value, steps", [case[1:] for case in UNCOMPILED_LABELS],
+                         ids=[case[0] for case in UNCOMPILED_LABELS])
+def test_a_label_that_is_no_straight_line_run_leaves_its_step_to_single_steps(text, value, steps):
+    assert loop_of(erase(parse_term(text))) is None
+    assert run(text, steps) == value == cps_run(erase(parse_term(text)))
+    for fuel in range(steps):
+        with pytest.raises(FuelExhausted):
+            run(text, fuel)
+
+
+def test_an_inline_for_through_a_label_is_a_loop():
+    sf = parse(
+        "discipline ID;\nmain {\n  z := 0;\n  for l : nat(l) := 0 until 3 {\n"
+        "    k : {\n      jump(k, z)[z : nat(0)];\n    }[z : nat(0)];\n  }[z : nat(0)];\n} out [z : nat(0)]\n"
+    )
+    term = pipeline.erase_image(pipeline.translate_file(sf))
+    assert loop_of(term) is not None
+    assert evaluate(term, 1000) == (0,)
+
+
+def without_loops(term):
+    """term with every fn's loop reset to None: the machine runs each rec
+    step by single steps and groups."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is runtime.RFn:
+            object.__setattr__(t, "loop", None)
+        for f in dataclasses.fields(t):
+            child = getattr(t, f.name)
+            stack.extend([c for c in (child if type(child) is tuple else (child,)) if isinstance(c, runtime.RTerm)])
+    return term
+
+
+def random_label_step(rng):
+    """A rec whose step enters one to three labels among random lets of
+    atoms, succ, pred, tuples and tuple patterns, each label left by a
+    throw in a let, a tail throw or its closing tuple; about one label in
+    eight reads k or holds a label of its own, which leaves the step to
+    single steps."""
+    fresh = iter(range(1000))
+    width = rng.randint(1, 3)
+    acc = [f"a{j}" for j in range(width)]
+    nats = ["i", "x"] + acc  # the natural-valued names in scope
+    parts = [f"let <{', '.join(acc)}> = a in"]
+
+    def atom():
+        return rng.choice(nats + ["0"])
+
+    def atoms(n):
+        return "<" + ", ".join([atom() for _ in range(n)]) + ">"
+
+    def lets():
+        for _ in range(rng.randint(0, 3)):
+            name = rng.choice([f"v{next(fresh)}", rng.choice(nats)])
+            kind = rng.randrange(4)
+            if kind == 3:
+                n = rng.randint(0, 2)
+                names = [f"v{next(fresh)}" for _ in range(n)]
+                parts.append(f"let t = {atoms(n)} in let <{', '.join(names)}> = t in")
+                nats.extend(names)
+                continue
+            parts.append(f"let {name} = {('succ({})', 'pred({})', '{}')[kind].format(atom())} in")
+            nats.append(name)
+
+    for _ in range(rng.randint(1, 3)):
+        lets()
+        n = rng.randint(0, 3)
+        outside = list(nats)
+        if n == 0:  # a lone atom
+            parts.append("let v = callcc (fn k : ~nat =>")
+        else:
+            names = [rng.choice([f"v{next(fresh)}", rng.choice(nats)]) for _ in range(n)]
+            parts.append(f"let <{', '.join(names)}> = callcc (fn k : ~<{', '.join(['nat'] * n)}> =>")
+        nats.append("k")
+        if rng.random() < 0.0625:
+            parts.append("let c = <k> in")
+        nats.pop()
+        lets()
+        if rng.random() < 0.0625:
+            parts.append("let <c> = callcc (fn h : ~<nat> => throw[<nat>] h <0>) in")
+        value = atom() if n == 0 else atoms(n)
+        end = rng.randrange(3 if n else 2)
+        if end == 0:
+            parts.append(f"let q = throw[nat] k {value} in ghost)" if n == 0 else
+                         f"let <q> = throw[nat] k {value} in <ghost>)")
+        elif end == 1:
+            parts.append(f"throw[nat] k {value})")
+        else:
+            parts.append(f"{value})")
+        parts.append("in")
+        nats[:] = outside + (["v"] if n == 0 else names)
+    lets()
+    parts.append(atoms(width))
+    body = " ".join(parts)
+    return (f"let x = 2 in rec({rng.randint(0, 4)}, <{', '.join(['0'] * width)}>, fn i : nat =>"
+            f" fn a : <{', '.join(['nat'] * width)}> => {body})")
+
+
+def test_rec_steps_through_random_labels_keep_values_and_least_fuel():
+    rng = random.Random(24)
+    compiled = 0
+    for _ in range(300):
+        text = random_label_step(rng)
+        term = erase(parse_term(text))
+        compiled += loop_of(term) is not None
+        steps = step_count(term)
+        assert evaluate(term, steps) == cps_run(erase(parse_term(text))), text
+        assert step_count(without_loops(erase(parse_term(text)))) == steps, text
+    assert compiled > 200
 
 
 @pytest.mark.parametrize("first, second, values", [
