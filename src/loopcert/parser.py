@@ -207,7 +207,8 @@ class Parser:
 
     def _found(self, expected: Tuple[str, ...]) -> ParseError:
         k = min(self.pos, self.last)
-        return ParseError(f"found {self.values[k]!r}", *self.tokens.position(k), expected)
+        shown = self.values[k] if self.kinds[k] != "eof" else "end of input"
+        return ParseError(f"found {shown!r}", *self.tokens.position(k), expected)
 
     def number(self) -> int:
         """Consume an int token.  The lexer keeps a run of `isdigit`
@@ -231,9 +232,7 @@ class Parser:
         return self.tokens.position(self.pos)
 
     def fail(self, what: str) -> ParseError:
-        k = min(self.pos, self.last)
-        shown = self.values[k] if self.kinds[k] != "eof" else "end of input"
-        return ParseError(f"found {shown!r}", *self.tokens.position(k), (what,))
+        return self._found((what,))
 
     def fresh_name(self) -> str:
         """A tuple pattern's parameter: `_w<n>` for the next n at which it

@@ -103,6 +103,17 @@ def test_parse_error_has_location():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    # a token that is missing, and a phrase that is missing
+    ("discipline IS", "parse error at 1:14: found 'end of input' (expected one of: ;)"),
+    ("discipline FD; cst f = fn x : nat => ", "parse error at 1:38: found 'end of input' (expected one of: term)"),
+])
+def test_the_end_of_input_is_worded_one_way(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_neg_proc_bottom_identification():
     # a never-returning prototype is printed back as a negation
     p = parse_prop("proc([nat(x)] out [bot])")
