@@ -60,6 +60,25 @@ text of the program.  Any other body, a straight-line run that is only
 part of it included, runs by the groups above.  A loop is no part of a
 term: ==, hash, repr and pattern matching ignore it.
 
+Such a run may pass through labels, as a source `k : { ... jump(k, ...)
+... }` translates: a let or let <...> whose value is callcc (fn k =>
+body), body being a straight-line run that ends in a throw to k of an
+atom or a tuple of atoms (as a let's value, whose dead body is not
+looked at, or as body's tail) or in its own closing tuple of atoms, and
+that reads k nowhere else.  The let of a label charges 1 + 3 + body + 1
+(the let's push; callcc's push, closing and application; the label's
+value returning to the let's frame); a let whose value is such a throw
+1 + 3 + arg + 1 (the let's push; the throw's push, reaching k and the
+push of its argument's frame; the argument; the return to that frame),
+a throw as body's tail the same without the first 1; and the throw's
+arg 1 + 2n for a tuple of n atoms, 1 for a lone atom.  The label's
+value, the thrown or the returned one, is then the let's value like any
+op's, so a kernel runs a label with no continuation and no frame:
+`jump_loop`'s step body let <z> = _v1 in let <z> = callcc (fn k => let
+<z> = throw k <z> in <z>) in <z> is a run of total 19.  A label that
+reads k as a value, a throw to any other continuation and a label in a
+label leave the step to the groups.
+
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
 binder names stay on the terms as hints.  A machine environment is a
@@ -284,7 +303,14 @@ def _compile_loop(fn: RFn) -> None:
     closing tuple.  A let of an atom defines nothing: its name stands for
     the atom.  So runs that differ in names, in where their outer
     variables sit or in lets of atoms share a shape, and a shape holds
-    only integers."""
+    only integers.
+
+    The walk goes through a label's body as through the step's (see the
+    module docstring for what a label and its throw charge), with k in
+    scope as None: an op that reads k ends the walk.  The throw or the
+    closing tuple that leaves the label gives the label's value, which
+    the label's let then binds as any let binds its value, so a label
+    needs no op kind of its own."""
     t, total, ops = fn.body, 0, []
     scope = [1, 0]  # the iteration's bindings as value numbers, outermost first
     outer: Dict[int, int] = {}  # position in the closure environment -> value number
