@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from loopcert import gen, pipeline, runtime, translate
+from loopcert import fuzz, gen, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.errors import FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
@@ -603,6 +603,72 @@ def test_differential_on_corpus_addition():
             machine = evaluate(RApp(erased, RTuple((RNum(a), RNum(b)))), 100000)
             oracle = runtime.interpret_program(sf.csts, None, "add_proc", (a, b))
             assert machine == oracle == (a + b,)
+
+
+def oracle_loop(decls: str, body: str, frame: str, outs: str) -> str:
+    """An IS procedure `p` over parameters x (the loop bound) and y: decls
+    run first, then `for i := 0 until x { body }[frame];`."""
+    out_env = ", ".join(f"{name} : nat" for name in outs.split())
+    return (
+        "discipline IS;\n"
+        "cst c = 5;\n"
+        f"cst p = proc [x : nat, y : nat] out [{out_env}] {{\n"
+        f"  {decls}\n"
+        f"  for i := 0 until x {{ {body} }}[{frame}];\n"
+        "};\n"
+    )
+
+
+# IS loops whose oracle runs take both paths of exec_command's CFor case:
+# bodies of inc, dec and := only, then bodies that keep the generic path
+# (a nested for, a block, a var).  Each expected tuple is a function of
+# the bound x, with y = 3.
+ORACLE_LOOPS = [
+    ("inc", oracle_loop("z := y;", "inc(z);", "z : nat", "z"), lambda x: (3 + x,)),
+    ("dec_clamps", oracle_loop("z := y;", "dec(z);", "z : nat", "z"), lambda x: (max(3 - x, 0),)),
+    ("dec_then_inc", oracle_loop("z := y;", "dec(z); dec(z); inc(z);", "z : nat", "z"),
+     lambda x: (max(3 - x, 1),)),
+    ("numeral", oracle_loop("z := 0; w := 0;", "inc(z); w := 7;", "z : nat, w : nat", "z w"),
+     lambda x: (x, 7 if x else 0)),
+    ("index", oracle_loop("z := 0;", "z := i;", "z : nat", "z"), lambda x: (max(x - 1, 0),)),
+    ("index_then_inc", oracle_loop("z := y;", "z := i; inc(z);", "z : nat", "z"), lambda x: (x if x else 3,)),
+    ("parameter", oracle_loop("z := 0; w := 0;", "inc(w); z := y; inc(z);", "z : nat, w : nat", "z w"),
+     lambda x: (4 if x else 0, x)),
+    ("cst", oracle_loop("z := 0; cst d = 2;", "z := c; inc(z); z := d;", "z : nat", "z"),
+     lambda x: (2 if x else 0,)),
+    ("rotate", oracle_loop("u := 1; v := 2; w := 3; var t := 0;", "t := u; u := v; v := w; w := t;",
+                           "u : nat, v : nat, w : nat, t : nat", "u v w"),
+     lambda x: ((1, 2, 3), (2, 3, 1), (3, 1, 2))[x % 3]),
+    ("nested_for", oracle_loop("z := y;", "for j := 0 until 2 { inc(z); }[z : nat]; inc(z);", "z : nat", "z"),
+     lambda x: (3 + 3 * x,)),
+    ("block", oracle_loop("z := y;", "{ dec(z); }[z : nat]; z := i;", "z : nat", "z"),
+     lambda x: (x - 1 if x else 3,)),
+    ("var", oracle_loop("z := y;", "var t := z; inc(t); z := t;", "z : nat", "z"), lambda x: (3 + x,)),
+]
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in ORACLE_LOOPS], ids=[c[0] for c in ORACLE_LOOPS])
+@pytest.mark.parametrize("x", [0, 1, 5, 1000])
+def test_the_oracle_agrees_with_the_machine_on_loop_bodies(text, expected, x):
+    sf = parse(text)
+    pipeline.check_source(sf)
+    erased = pipeline.erase_image(pipeline.translate_file(sf), "p")
+    machine = evaluate(RApp(erased, RTuple((RNum(x), RNum(3)))))
+    assert runtime.interpret_program(sf.csts, None, "p", (x, 3)) == machine == expected(x)
+
+
+def test_a_disagreement_of_the_oracle_is_reported(monkeypatch):
+    monkeypatch.setattr(runtime, "interpret_program", lambda csts, main, entry, inputs: (6,))
+    report = pipeline.run_pipeline("corpus/addition_is.loop")
+    assert report.exit_code == pipeline.EXIT_RUNTIME
+    (diag,) = report.diagnostics
+    assert (diag["rule"], diag["reason"]) == ("EVAL", "Discrepancy")
+    assert diag["message"] == "Discrepancy: interpreter yields <6>, machine yields <5>"
+    with open("corpus/addition_is.loop", "r", encoding="utf-8") as handle:
+        sf = parse(handle.read())
+    failure = fuzz.run_one(sf, "add_proc", [(1, 2)])
+    assert failure["phase"] == "differential" and failure["inputs"] == (1, 2)
+    assert failure["message"].startswith("[EVAL] Discrepancy: interpreter yields <6>, machine yields <3>")
 
 
 def test_erasure_commutes_with_substitution():
