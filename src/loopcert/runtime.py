@@ -840,7 +840,11 @@ def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
 
 
 def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
-    """The commands that open a frame or call; exec_seq runs the rest."""
+    """The commands that open a frame or call; exec_seq runs the rest.
+    A `for` copies gamma once per loop, not once per iteration.  A body of
+    `inc`, `dec` and `:=` only runs in place, an op list built once per
+    loop entry with no exec_seq call per iteration; any other body runs
+    through exec_seq."""
     cls = type(cmd)
     if cls is S.CFor and cmd.idx is None:
         n = eval_i_expr(cmd.bound, gamma, store)
@@ -849,9 +853,31 @@ def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -
         # one copy serves every iteration: the body does not mutate it
         inner = dict(gamma)
         var, body = cmd.var, cmd.body
-        for k in range(n):
-            inner[var] = k
-            exec_seq(body, inner, sub)
+        ops: Optional[List[Tuple[type, str, Optional[S.Expr]]]] = []
+        for item in body.items:
+            op = type(item)
+            if op is S.CInc or op is S.CDec:
+                ops.append((op, item.name, None))
+            elif op is S.CAssign:
+                ops.append((op, item.name, item.value))
+            else:
+                ops = None
+                break
+        if ops is None:
+            for k in range(n):
+                inner[var] = k
+                exec_seq(body, inner, sub)
+        else:
+            inc, dec = S.CInc, S.CDec
+            for k in range(n):
+                inner[var] = k
+                for op, name, value in ops:
+                    if op is inc:
+                        sub[name] += 1
+                    elif op is dec:
+                        sub[name] = max(sub[name] - 1, 0)
+                    else:
+                        sub[name] = eval_i_expr(value, inner, sub)
         for x in frame_names:
             store[x] = sub[x]
         return

@@ -3,6 +3,7 @@ differential oracle."""
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -655,6 +656,35 @@ def test_the_oracle_agrees_with_the_machine_on_loop_bodies(text, expected, x):
     erased = pipeline.erase_image(pipeline.translate_file(sf), "p")
     machine = evaluate(RApp(erased, RTuple((RNum(x), RNum(3)))))
     assert runtime.interpret_program(sf.csts, None, "p", (x, 3)) == machine == expected(x)
+
+
+def python_calls(path, args):
+    """The Python calls of one run_pipeline, after a warm-up run that
+    compiles the machine's loop kernels."""
+    pipeline.run_pipeline(path, args=args)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        pipeline.run_pipeline(path, args=args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "path, small, large",
+    [("corpus/addition_is.loop", (1000, 0), (2000, 0)), ("bench/fixtures/mul_nested.loop", (3, 1000), (3, 2000))],
+)
+def test_a_larger_rec_bound_makes_no_more_python_calls(path, small, large):
+    # the machine runs a straight-line loop in one kernel call and the
+    # oracle runs its straight-line for body in place
+    assert python_calls(path, small) == python_calls(path, large)
 
 
 def test_a_disagreement_of_the_oracle_is_reported(monkeypatch):
