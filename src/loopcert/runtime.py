@@ -85,15 +85,17 @@ binder names stay on the terms as hints.  A machine environment is a
 linked tuple (value, parent), innermost binding first, and a frame is a
 tuple whose first item is a small-int tag.
 
-Erasure, the machine and the interpreter tell nodes apart by their exact
-class (`type(t) is C`), the most frequent cases first.
+Runtime terms are immutable nodes made by the decorator of the syntax
+nodes, `syntax.node`.  Erasure, the machine and the interpreter tell
+nodes apart by their exact class (`type(t) is C`), the most frequent
+cases first.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import syntax as S
@@ -106,32 +108,32 @@ DEFAULT_FUEL = 10_000_000
 # Runtime terms (the functional fragment after erasure)
 # ---------------------------------------------------------------------------
 
-class RTerm:
+class RTerm(S.Immutable):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RVar(RTerm):
     name: str
     index: Optional[int] = None  # de Bruijn index; None when unbound
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RNum(RTerm):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RSucc(RTerm):
     arg: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RPred(RTerm):
     arg: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RFn(RTerm):
     param: str
     body: RTerm
@@ -140,44 +142,44 @@ class RFn(RTerm):
     loop: Any = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RApp(RTerm):
     fn: RTerm
     arg: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RTuple(RTerm):
     items: Tuple[RTerm, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RLet(RTerm):
     name: str
     value: RTerm
     body: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RLetMatch(RTerm):
     names: Tuple[str, ...]
     value: RTerm
     body: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RRec(RTerm):
     bound: RTerm
     base: RTerm
     step: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RCallcc(RTerm):
     arg: RTerm
 
 
-@dataclass(frozen=True, slots=True)
+@S.node
 class RThrow(RTerm):
     cont: RTerm
     arg: RTerm

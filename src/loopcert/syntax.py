@@ -12,8 +12,14 @@ so are the type atoms: ``nat(i)``, ``i = j``, ``top``, ``bot`` and
 proposition variables are one set of classes (``FNat``, ``FEq``,
 ``FTop``, ``FBot``, ``FProp``), each both a ``Formula`` and a ``Prop``.
 Only procedure types and negations (``PProc``, ``PNeg``) are props alone.
-All nodes are immutable and slotted (no per-node ``__dict__``);
-operations in this module are pure functions.
+All nodes are slotted (no per-node ``__dict__``) and immutable.  Every
+node class is made by the decorator ``node``: a dataclass whose
+``__init__`` writes each field through its slot descriptor, below the
+one ``__setattr__`` and ``__delattr__`` of the base ``Immutable``, which
+raise ``FrozenInstanceError``.  So a ``TLet`` is built in 0.48 µs, against
+1.28 µs as a frozen dataclass, which calls ``object.__setattr__`` per
+field (timeit, Python 3.11.7).  Operations in this module are pure
+functions.
 
 Binders over individuals are locally nameless.  Each class with a
 ``_binds_ind`` attribute binds one individual over the fields it lists:
@@ -43,8 +49,8 @@ The kernel (``alpha_eq``, ``subst_ind``, ``open_inds``, ``close_ind`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Optional, Tuple
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Optional, Tuple
 
 Span = Tuple[int, int]  # (line, column)
 
@@ -52,10 +58,70 @@ Span = Tuple[int, int]  # (line, column)
 EIGEN_MARK = "!"
 
 
-class Node:
+class Immutable:
+    """Base class of the syntax and the runtime nodes: no attribute of a
+    node can be assigned or deleted.  Only a node's own __init__ writes
+    its fields, through their slot descriptors (see `node`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        # copy and pickle rebuild a node through its __init__; the default
+        # would assign its slots
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+class Node(Immutable):
     """Base class for all syntax nodes."""
 
     __slots__ = ()
+
+
+def node(cls: Optional[type] = None, *, eq: bool = True) -> Any:
+    """The decorator of every node class, `@node` or `@node(eq=False)`: a
+    slotted dataclass with == and hash (unless eq=False) and the __init__
+    of `_init_of`.  Its base, `Node` or `runtime.RTerm`, derives from
+    `Immutable`, which keeps it immutable."""
+
+    def wrap(cls: type) -> type:
+        cls = dataclass(cls, slots=True, init=False, eq=eq, unsafe_hash=eq)
+        cls.__init__ = _init_of(cls)
+        return cls
+
+    return wrap if cls is None else wrap(cls)
+
+
+def _init_of(cls: type) -> Callable[..., None]:
+    """The __init__ of a slotted dataclass cls: it takes the parameters,
+    defaults included, that dataclass's own would, and writes each field
+    (an init=False one with its default) by calling the __set__ of the
+    field's slot descriptor, so a node is built in one Python call and
+    no __setattr__ runs.  Compiled from source once per class, as
+    dataclass compiles its methods."""
+    params, lines, free = [], [], {}
+    for f in fields(cls):
+        assert f.default_factory is MISSING, f"{cls.__name__}.{f.name}: no default_factory"
+        free[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is not MISSING:
+            free[f"_default_{f.name}"] = f.default
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
+        lines.append(f"        _set_{f.name}(self, {f.name if f.init else f'_default_{f.name}'})\n")
+    source = (f"def make({', '.join(free)}):\n"
+              f"    def __init__({', '.join(['self'] + params)}):\n"
+              + ("".join(lines) or "        pass\n")
+              + "    return __init__\n")
+    namespace: dict = {}
+    exec(source, {}, namespace)  # the code's file is "<string>"
+    init = namespace["make"](**free)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _span_field() -> Any:
@@ -75,52 +141,52 @@ class Ind(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IVar(Ind):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IBound(Ind):
     """An individual bound by the index-th binder around it, from 0."""
 
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IZero(Ind):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ISucc(Ind):
     arg: Ind
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IPred(Ind):
     arg: Ind
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IAdd(Ind):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ISub(Ind):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IMult(Ind):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class IF32(Ind):
     arg: Ind
 
@@ -146,39 +212,39 @@ class Prop(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FProp(Formula, Prop):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FTop(Formula, Prop):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FBot(Formula, Prop):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FNat(Formula, Prop):
     index: Optional[Ind] = None  # None in the simple discipline
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FEq(Formula, Prop):
     left: Ind
     right: Ind
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FArrow(Formula):
     dom: Formula
     cod: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FForall(Formula):
     var: str = _hint()
     body: Formula
@@ -186,7 +252,7 @@ class FForall(Formula):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FExists(Formula):
     var: str = _hint()
     body: Formula
@@ -194,7 +260,7 @@ class FExists(Formula):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FTuple(Formula):
     items: Tuple[Formula, ...]
 
@@ -249,12 +315,12 @@ class QEnv(Node):
 Env = Tuple[Tuple[str, Any], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PProc(Prop):
     proto: Proto
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PNeg(Prop):
     """~phi: the type of a continuation accepting phi's value vector.
 
@@ -266,12 +332,12 @@ class PNeg(Prop):
     out: Output
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class OSimple(Output):
     types: Tuple[Prop, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class OExists(Output):
     var: str = _hint()
     body: Output
@@ -279,13 +345,13 @@ class OExists(Output):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ProtoBase(Proto):
     params: Tuple[Prop, ...]
     out: Output
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ProtoAll(Proto):
     var: str = _hint()
     body: Proto
@@ -293,12 +359,12 @@ class ProtoAll(Proto):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class QSimple(QEnv):
     env: Env
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class QExists(QEnv):
     var: str = _hint()
     body: QEnv
@@ -318,7 +384,7 @@ def proc_t(proto: Proto) -> Prop:
     return PProc(proto)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Fam(Node):
     """A one-binder parametrized node {n/X}; X may be of any category."""
 
@@ -336,30 +402,30 @@ class Term(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TVar(Term):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TZero(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TSucc(Term):
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TPred(Term):
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TFn(Term):
     param: str
     ann: Formula
@@ -367,14 +433,14 @@ class TFn(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TApp(Term):
     fn: Term
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TIndLam(Term):
     var: str = _hint()
     body: Term
@@ -383,14 +449,14 @@ class TIndLam(Term):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TIndApp(Term):
     fn: Term
     arg: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TRec(Term):
     bound: Term
     base: Term
@@ -399,13 +465,13 @@ class TRec(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TTuple(Term):
     items: Tuple[Term, ...]
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TLet(Term):
     name: str
     value: Term
@@ -413,7 +479,7 @@ class TLet(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TLetMatch(Term):
     names: Tuple[str, ...]
     value: Term
@@ -421,7 +487,7 @@ class TLetMatch(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TPack(Term):
     witness: Ind
     value: Term
@@ -429,7 +495,7 @@ class TPack(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TUnpack(Term):
     var: str = _hint()
     body: Term
@@ -438,7 +504,7 @@ class TUnpack(Term):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TCoerce(Term):
     subject: Term
     fam: Fam  # {n/phi}
@@ -446,20 +512,20 @@ class TCoerce(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TAxiom(Term):
     left: Ind
     right: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TCallcc(Term):
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class TThrow(Term):
     ann: Formula
     cont: Term
@@ -483,31 +549,31 @@ class Command(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EVar(Expr):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EStar(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ENum(Expr):
     value: int
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EInst(Expr):
     fn: Expr
     arg: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EContInst(Expr):
     fn: Expr
     fam: Fam  # {n/Output}
@@ -515,7 +581,7 @@ class EContInst(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ECoerce(Expr):
     subject: Expr
     fam: Fam  # {n/Prop}
@@ -523,27 +589,27 @@ class ECoerce(Expr):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EAxiom(Expr):
     left: Ind
     right: Ind
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class EProc(Expr):
     header: Header
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class HBase(Header):
     params: Env  # gamma
     out: QEnv  # theta (simple env for the simple discipline)
     body: Seq
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class HForall(Header):
     var: str = _hint()
     body: Header
@@ -551,14 +617,14 @@ class HForall(Header):
     _binds_ind = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CBlock(Command):
     body: Seq
     ann: QEnv
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@node(eq=False)
 class CFor(Command):
     var: str  # loop counter ident
     idx: Optional[str]  # the index's hint; None when the loop is written without one
@@ -578,26 +644,26 @@ class CFor(Command):
         return hash((self.var, self.idx is None, self.bound, self.body, self.frame))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CAssign(Command):
     name: str
     value: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CInc(Command):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CDec(Command):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CCall(Command):
     fn: Expr
     args: Tuple[Expr, ...]
@@ -605,7 +671,7 @@ class CCall(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CJump(Command):
     target: Expr
     args: Tuple[Expr, ...]
@@ -613,7 +679,7 @@ class CJump(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CLabel(Command):
     name: str
     body: Seq
@@ -621,7 +687,7 @@ class CLabel(Command):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Seq(Node):
     """A sequence: its items (commands and the declaration items below)
     run left to right, and a `cst`, `var` or `?n.` item scopes over the
@@ -640,34 +706,34 @@ class SeqItem(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SCst(SeqItem):
     name: str
     value: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SVar(SeqItem):
     name: str
     value: Expr
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SUnpack(SeqItem):
     var: str = _hint()
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SWitness(SeqItem):
     witness: Ind
     ann: QEnv
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SSubst(SeqItem):
     body: Seq
     fam: Fam  # {n/QEnv}
@@ -679,20 +745,20 @@ class SSubst(SeqItem):
 # Source files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@node
 class MainI(Node):
     body: Seq
     out: QEnv
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class MainF(Node):
     term: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SourceFile(Node):
     discipline: str  # IS | ID | FS | FD
     csts: Tuple[Tuple[str, Any], ...]  # Expr in I files, Term in F files

@@ -1,15 +1,18 @@
-"""Syntax nodes are slotted and final, and run_pipeline's collection
-policy is local to the run: it acts while the phases build their trees
-and leaves the collector's settings as it found them, whatever the
-run's outcome.
+"""Syntax and runtime nodes are slotted, final and immutable, and are
+built in one Python call; and run_pipeline's collection policy is local
+to the run: it acts while the phases build their trees and leaves the
+collector's settings as it found them, whatever the run's outcome.
 """
 
 import ast
+import copy
 import gc
+import inspect
 import os
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 
@@ -47,11 +50,135 @@ def test_exact_class_dispatch_decides_as_isinstance():
     assert matches == []
 
 
-def test_nodes_have_no_dict():
-    def instance(cls):
-        return cls(*(None for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING))
+# every dataclass that syntax or runtime defines, taken from their names
+# as syntax._PLANS is, so that no new node class escapes the tests below
+NODES = [
+    cls
+    for module in (S, runtime)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+]
 
-    assert [cls.__name__ for cls in S._PLANS if hasattr(instance(cls), "__dict__")] == []
+
+def init_fields(cls):
+    return [f for f in fields(cls) if f.init]
+
+
+def values(cls, mark="a"):
+    """A value for each field of cls that __init__ takes, each its own."""
+    return tuple(f"{mark}.{f.name}" for f in init_fields(cls))
+
+
+def contents(node):
+    """Every field of node, those that == ignores included."""
+    return tuple(getattr(node, f.name) for f in fields(node))
+
+
+def ignored(cls):
+    """The fields that == and hash ignore: spans, binder hints and
+    RFn.loop, and the hint of a for, whose presence alone counts."""
+    return {f.name for f in fields(cls) if not f.compare} | ({"idx"} if cls is S.CFor else set())
+
+
+def raises_frozen(action):
+    try:
+        action()
+    except FrozenInstanceError:
+        return True
+    return False
+
+
+def test_the_node_classes_are_those_of_syntax_and_runtime():
+    assert len(NODES) == 72 + 12
+    assert {cls for cls in NODES if not issubclass(cls, runtime.RTerm)} == set(S._PLANS)
+    assert all(issubclass(cls, S.Immutable) for cls in NODES)
+
+
+def test_nodes_have_no_dict():
+    assert [cls.__name__ for cls in NODES if hasattr(cls(*values(cls)), "__dict__")] == []
+
+
+def test_no_field_of_a_node_can_be_assigned_or_deleted():
+    """Dict keys and hashes rely on it; the spans, the binder hints and
+    RFn.loop included."""
+    writable = []
+    for cls in NODES:
+        node = cls(*values(cls))
+        before = contents(node)
+        for name in [f.name for f in fields(cls)] + ["other"]:
+            if not raises_frozen(lambda: setattr(node, name, "b")):
+                writable.append(f"{cls.__name__}.{name} = ...")
+            if not raises_frozen(lambda: delattr(node, name)):
+                writable.append(f"del {cls.__name__}.{name}")
+        assert contents(node) == before
+    assert writable == []
+
+
+def test_keyword_and_positional_construction_agree():
+    for cls in NODES:
+        names = [f.name for f in init_fields(cls)]
+        positional = cls(*values(cls))
+        keyword = cls(**dict(zip(names, values(cls))))
+        assert contents(positional) == contents(keyword), cls.__name__
+        parameters = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in parameters] == names, cls.__name__
+        assert [p.default for p in parameters] == [
+            inspect.Parameter.empty if f.default is MISSING else f.default for f in init_fields(cls)
+        ], cls.__name__
+        # a field that __init__ does not take has its default
+        assert all(getattr(positional, f.name) == f.default for f in fields(cls) if not f.init), cls.__name__
+
+
+def test_replace_changes_one_field_and_keeps_the_rest():
+    for cls in NODES:
+        node = cls(*values(cls))
+        for f in init_fields(cls):
+            changed = replace(node, **{f.name: "b"})
+            expected = list(contents(node))
+            expected[[g.name for g in fields(cls)].index(f.name)] = "b"
+            assert type(changed) is cls and list(contents(changed)) == expected, (cls.__name__, f.name)
+
+
+def test_eq_and_hash_ignore_spans_hints_and_loops():
+    for cls in NODES:
+        node = cls(*values(cls))
+        skip = ignored(cls)
+        other = cls(*(b if f.name in skip else a for f, a, b in zip(init_fields(cls), values(cls), values(cls, "b"))))
+        if cls is runtime.RFn:
+            object.__setattr__(other, "loop", "b.loop")
+        assert node == other and hash(node) == hash(other), cls.__name__
+        for f in init_fields(cls):
+            if f.name not in skip:
+                assert node != replace(node, **{f.name: "b"}), (cls.__name__, f.name)
+
+
+def test_copy_and_pickle_rebuild_a_node():
+    for cls in NODES:
+        node = cls(*values(cls))
+        for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(twin) is cls and contents(twin) == contents(node), cls.__name__
+
+
+def python_calls(cls, args):
+    """The Python-level call events of building cls(*args)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        cls(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_node_is_built_in_one_python_call():
+    """Its __init__ and nothing else: no __setattr__ or __post_init__ runs."""
+    assert {cls.__name__: python_calls(cls, values(cls)) for cls in NODES} == {cls.__name__: 1 for cls in NODES}
 
 
 @pytest.fixture
