@@ -39,26 +39,46 @@ step's curried application: when the fuel left covers total, it calls
 kernel(acc, k, cenv, bound, budget), cenv being the step's closure
 environment, and the kernel runs the iterations, with no frame and no
 closure per iteration.  In a kernel each atom is a local, a numeral
-literal, or an item of cenv read once, before the first iteration; the
-closing tuple is the next accumulator.  The first iteration charges total; each later one charges
-total + 4 (the returns to the iteration's frame and to the loop, and the
-step's curried application), and runs only while the counter has not
-reached the bound and the fuel left covers all of it.  The kernel
-returns (k, value, budget, done): done, with the last iteration's
-closing tuple, where the loop stops; not done, with the iteration's
-accumulator and the budget at its start, where an op would be stuck
-(succ or pred of a non-numeral, a tuple pattern that does not fit).  The
-machine then rebuilds the iteration's frame, and in the second case its
-environment (acc, (k, cenv)), and goes on by single steps: it runs out
-of fuel, gets stuck or leaves the loop exactly where the single-step
-machine does.  A kernel is made on its loop's first entry: a host
-function compiled from generated source once per shape of run, which a
-bounded cache keeps for the latest shapes used, with the run's total
-and the positions of its outer variables bound to it.  The source holds
-only the shape's integers and fixed identifiers, never a name or any
-text of the program.  Any other body, a straight-line run that is only
-part of it included, runs by the groups above.  A loop is no part of a
-term: ==, hash, repr and pattern matching ignore it.
+literal, or an item of cenv read once, before the first iteration.  The
+first iteration charges total; each later one charges total + 4 (the
+returns to the iteration's frame and to the loop, and the step's
+curried application), and runs only while the counter has not reached
+the bound and the fuel left covers all of it.  The kernel returns (k,
+value, budget, done): done, with the last iteration's closing tuple,
+where the loop stops; not done, with the iteration's accumulator and
+the budget at its start, where an op would be stuck (succ or pred of a
+non-numeral, a tuple pattern that does not fit).  The machine then
+rebuilds the iteration's frame, and in the second case its environment
+(acc, (k, cenv)), and goes on by single steps: it runs out of fuel,
+gets stuck or leaves the loop exactly where the single-step machine
+does.
+
+A kernel peels the first iteration, which makes every check of the
+single steps, and runs the later ones in a steady state, where the
+accumulator is the previous closing tuple: its items stay in locals,
+and the tuple is built once, on exit.  A check that the shape proves
+true from the second iteration on is dropped there: a tuple pattern
+against the previous closing tuple, or against a tuple the iteration
+built, of as many items; a succ or pred whose operand is a numeral,
+the counter, a value made by succ or pred, or an accumulator item that
+the closing tuple fills with one of these.  Every other check stays
+(a pattern against an outer variable or an accumulator item, a succ or
+pred of an outer variable or of an item that the closing tuple fills
+with anything else), and fails as in the first iteration.  Where no
+check is left, the kernel works out at once how many more iterations
+the bound and the fuel allow, m = min(bound - 1 - k, budget // (total +
+4)), charges m * (total + 4) and runs only the ops whose values the
+next closing tuple needs, m times, or not at all when no op is left
+and the closing tuple only keeps its items.
+
+A kernel is made on its loop's first entry: a host function compiled
+from generated source once per shape of run, which a bounded cache
+keeps for the latest shapes used, with the run's total and the
+positions of its outer variables bound to it.  The source holds only
+the shape's integers and fixed identifiers, never a name or any text of
+the program.  Any other body, a straight-line run that is only part of
+it included, runs by the groups above.  A loop is no part of a term:
+==, hash, repr and pattern matching ignore it.
 
 Such a run may pass through labels, as a source `k : { ... jump(k, ...)
 ... }` translates: a let or let <...> whose value is callcc (fn k =>
@@ -287,12 +307,14 @@ _B_SUCC, _B_PRED, _B_TUPLE, _B_MATCH = range(4)
 def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple (see the
-    module docstring).  A loop is (total, kernel).  The kernel is made on
-    the loop's first entry, which then sets fn.loop to it: of the loops
-    erasure marks in generated programs, about a quarter are never
-    entered.  It is the function that _kernel compiles for the run's
-    shape (reads, ops), with total and the gaps between the run's outer
-    positions bound by functools.partial.
+    module docstring).  A loop is (total, kernel, shape, gaps), kernel
+    being None until the loop's first entry, where the machine makes it
+    with _enter: of the loops erasure marks in generated programs, about
+    a quarter are never entered.  It is the function that _kernel
+    compiles for the run's shape (reads, ops), with total and the gaps
+    between the run's outer positions bound by functools.partial.  The
+    loop holds nothing that refers back to fn, so a loop never entered
+    leaves no reference cycle.
 
     A shape names every value of an iteration by a number: 0 is acc, 1 is
     k, and the others are the variables the run reads from the step's
@@ -393,14 +415,17 @@ def _compile_loop(fn: RFn) -> None:
         t = t.body
     positions = sorted(outer)
     shape = (tuple([outer[p] for p in positions]), tuple(ops))
-    bound_args = [total] + [p - q for p, q in zip(positions, [0] + positions)]
+    gaps = tuple([p - q for p, q in zip(positions, [0] + positions)])
+    object.__setattr__(fn, "loop", (total, None, shape, gaps))
 
-    def first_entry(acc: Any, k: int, cenv: Any, bound: int, budget: int) -> Tuple[Any, ...]:
-        kernel = functools.partial(_kernel(*shape), *bound_args)
-        object.__setattr__(fn, "loop", (total, kernel))
-        return kernel(acc, k, cenv, bound, budget)
 
-    object.__setattr__(fn, "loop", (total, first_entry))
+def _enter(fn: RFn) -> Callable:
+    """The kernel of fn's loop, made on the loop's first entry and kept in
+    fn.loop from then on."""
+    total, _, shape, gaps = fn.loop
+    kernel = functools.partial(_kernel(*shape), total, *gaps)
+    object.__setattr__(fn, "loop", (total, kernel, shape, gaps))
+    return kernel
 
 
 @functools.lru_cache(maxsize=512)
@@ -412,22 +437,98 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     accumulator acc and counter k, in the step's closure environment
     cenv, with budget the fuel left.  The value numbered n is the local
     xn; the outer variables are read from cenv once, before the first
-    iteration.  Each op makes the checks of the single steps it stands
-    for; where one fails, the kernel returns done = False with the
-    iteration's counter, accumulator and budget at its start.  Otherwise
-    it charges the iteration total, and runs the next one while the
-    counter has not reached bound and the budget covers total + 4; where
-    it stops, it returns done = True with the last iteration's counter,
-    its closing tuple and the budget left.  The source holds only the
-    shape's integers (formatted with :d) and fixed identifiers.
+    iteration.  Where a check fails, the kernel returns done = False
+    with the iteration's counter, accumulator and budget at its start.
+    Otherwise it charges the iteration total, and runs the next one
+    while the counter has not reached bound and the budget covers
+    total + 4; where it stops, it returns done = True with the last
+    iteration's counter, its closing tuple and the budget left.
 
-    A compile takes 0.15 to 0.4 ms and a kernel about 1.5 KB, and a fuzz
-    campaign brings new shapes for as long as it runs, so the cache
-    keeps the latest 512.  On 14,000 programs of `gen` (seed 901), with
-    519 shapes among them, that compiles 0.037 kernels per program, as
-    an unbounded cache does, against 0.044 at 256."""
+    The first iteration is peeled: it makes every check of the single
+    steps its ops stand for.  The later ones run in a steady state, where
+    the accumulator is the previous iteration's closing tuple, whose
+    items stay in the slots, locals numbered from the closing tuple's
+    value on; x0 is built from the slots only where an op reads it, and
+    the tuple of the slots is the value on exit.  There a match on a
+    tuple the iteration built, x0 included, with as many names as it has
+    items checks nothing and names its items; a succ or pred checks
+    nothing when its operand is a numeral, the counter, a value that a
+    succ or pred made, or a slot that the closing tuple fills with one
+    of these.  Any other check stays, and returns as in the first
+    iteration.  An op whose value no later op, check or slot reads is
+    dropped.  When no check is left, the kernel charges the later
+    iterations at once: m = min(bound - 1 - k, budget // (total + 4))
+    of them, charged m * (total + 4), running the remaining ops m times,
+    or none when no op is left and the slots keep their values.
+    The source holds only the shape's integers (formatted with :d) and
+    fixed identifiers.
+
+    Over the 238 shapes that 3,000 programs of `gen` (seed 901) enter, a
+    compile takes 0.18 to 0.26 ms (tenth to ninetieth percentile, 2-vCPU
+    sandbox) and a kernel keeps about 1.7 KB.  A fuzz campaign brings
+    new shapes for as long as it runs, so the cache keeps the latest
+    512.  On 14,000 programs of `gen` (seed 901), with 519 shapes among
+    them, that compiles 0.037 kernels per program, as an unbounded cache
+    does, against 0.044 at 256."""
+    *body, (_, closing, _) = ops
+    top = 1 + max([1, *reads, *[n for _, _, defined in body for n in defined]])
+    slots = tuple(range(top, top + len(closing)))
+
     def atom(a: int) -> str:
         return f"{~a:d}" if a < 0 else f"x{a:d}"
+
+    def items(atoms: Tuple[int, ...]) -> str:
+        return "".join([atom(a) + ", " for a in atoms])
+
+    # the steady state: x0 is built from the slots, a match on a tuple of
+    # its own arity names the tuple's items, and the closing tuple fills
+    # the slots
+    same: Dict[int, int] = {}  # value -> the value it is, in a steady iteration
+    built: Dict[int, Tuple[int, ...]] = {}  # a tuple's value -> its items
+    steady = []
+    for kind, a, defined in [(_B_TUPLE, slots, (0,))] + body:
+        if kind == _B_TUPLE:
+            a = built[defined[0]] = tuple([same.get(x, x) for x in a])
+        else:
+            a = same.get(a, a)
+            if kind == _B_MATCH and a in built and len(built[a]) == len(defined):
+                same.update(zip(defined, built[a]))
+                continue
+        steady.append((kind, a, defined))
+    ends = tuple([same.get(x, x) for x in closing])
+    # the values known to be naturals: the counter, what succ and pred
+    # make, and the slots that the closing tuple fills with one of these
+    ints = {1} | {defined[0] for kind, _, defined in steady if kind == _B_SUCC or kind == _B_PRED}
+    ints |= {s for s, x in zip(slots, ends) if x < 0 or x in ints}
+    live, kept = set(ends), []
+    for kind, a, defined in reversed(steady):
+        check = kind == _B_MATCH or kind != _B_TUPLE and a >= 0 and a not in ints
+        used = not live.isdisjoint(defined)
+        if check or used:
+            kept.append((kind, a, defined, check, used))
+            live.update(a if kind == _B_TUPLE else (a,))
+    kept.reverse()
+    moved = [(s, x) for s, x in zip(slots, ends) if x != s]
+
+    def run(ops: List[Tuple[int, Any, Tuple[int, ...], bool, bool]], indent: str, stuck: str) -> None:
+        for kind, a, defined, check, used in ops:
+            if kind == _B_TUPLE:
+                lines.append(f"{indent}x{defined[0]:d} = ({items(a)})")
+            elif kind == _B_MATCH:
+                if check:
+                    lines.append(f"{indent}if type({atom(a)}) is not tuple or len({atom(a)}) != {len(defined):d}: {stuck}")
+                if used and defined:
+                    lines.append(f"{indent}{items(defined)}= {atom(a)}")
+            else:
+                if check:
+                    lines.append(f"{indent}if type({atom(a)}) is not int: {stuck}")
+                if used:
+                    count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
+                    lines.append(f"{indent}x{defined[0]:d} = {count}")
+
+    def fill(pairs: List[Tuple[int, int]], indent: str) -> None:
+        if pairs:
+            lines.append(f"{indent}{items([s for s, _ in pairs])}= {items([x for _, x in pairs])}")
 
     gap_params = "".join([f"g{j:d}, " for j in range(len(reads))])
     lines = [f"def kernel(total, {gap_params}x0, x1, cenv, bound, budget):"]
@@ -435,28 +536,32 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
         lines.append("    e = cenv")
     for j, n in enumerate(reads):
         lines += [f"    for _ in range(g{j:d}): e = e[1]", f"    x{n:d} = e[0]"]
-    lines.append("    while True:")
-    for kind, a, defined in ops:
-        if kind == _B_TUPLE:
-            lines.append(f"        x{defined[0]:d} = ({''.join([atom(x) + ', ' for x in a])})")
-        elif kind == _B_MATCH:
-            lines.append(f"        if type({atom(a)}) is not tuple or len({atom(a)}) != {len(defined):d}: break")
-            if defined:
-                lines.append(f"        {''.join([atom(x) + ', ' for x in defined])}= {atom(a)}")
+    run([(kind, a, defined, kind != _B_TUPLE, True) for kind, a, defined in body], "    ",
+        "return x1, x0, budget, False")
+    lines.append("    budget -= total")
+    fill(list(zip(slots, closing)), "    ")
+    acc = f"({items(slots)})"
+    if any(check for _, _, _, check, _ in kept):
+        lines += [
+            "    while x1 + 1 != bound and budget >= total + 4:",
+            "        budget -= 4",  # returns to _REC_NEXT, _REC_LOOP; the application
+            "        x1 += 1",
+        ]
+        run(kept, "        ", f"return x1, {acc}, budget, False")
+        lines.append("        budget -= total")
+        fill(moved, "        ")
+    else:
+        lines += [
+            "    m = min(bound - 1 - x1, budget // (total + 4))",
+            "    budget -= m * (total + 4)",
+        ]
+        if kept or moved:
+            lines.append("    for x1 in range(x1 + 1, x1 + 1 + m):")
+            run(kept, "        ", "")
+            fill(moved, "        ")
         else:
-            lines.append(f"        if type({atom(a)}) is not int: break")
-            count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
-            lines.append(f"        x{defined[0]:d} = {count}")
-    closing = f"x{ops[-1][2][0]:d}"  # the value the closing tuple defines
-    lines += [
-        "        budget -= total",
-        f"        if x1 + 1 == bound or budget < total + 4: return x1, {closing}, budget, True",
-        "        budget -= 4",  # returns to _REC_NEXT, _REC_LOOP; the application
-        "        x1 += 1",
-        f"        x0 = {closing}",
-        "    return x1, x0, budget, False  # an op would be stuck",
-        "",
-    ]
+            lines.append("    x1 += m")  # the slots keep their values
+    lines += [f"    return x1, {acc}, budget, True", ""]
     namespace: Dict[str, Any] = {}
     exec(compile("\n".join(lines), "<loop kernel>", "exec"), namespace)
     return namespace.pop("kernel")  # so that an evicted kernel is freed at once
@@ -688,7 +793,8 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                     if loop is not None and budget >= loop[0]:
                         # the loop kernel; an op that would be stuck leaves
                         # its iteration to single steps
-                        k, value, budget, done = loop[1](acc, k, cenv, bound, budget)
+                        kernel = loop[1] or _enter(stepv.body)
+                        k, value, budget, done = kernel(acc, k, cenv, bound, budget)
                         if done:
                             control = None  # the closing tuple returns to kont
                         else:

@@ -1,6 +1,7 @@
 """Erasure and the continuation machine, with the direct interpreter as
 differential oracle."""
 
+import collections
 import dataclasses
 import random
 import sys
@@ -330,16 +331,21 @@ def without_loops(term):
     return term
 
 
-def random_label_step(rng):
-    """A rec whose step enters one to three labels among random lets of
-    atoms, succ, pred, tuples and tuple patterns, each label left by a
-    throw in a let, a tail throw or its closing tuple; about one label in
-    eight reads k or holds a label of its own, which leaves the step to
-    single steps."""
+def random_label_step(rng, labels=1, bound=4, closure=False, start=None):
+    """A rec whose step enters from labels to three labels (none makes a
+    straight-line step) among random lets of atoms, succ, pred, tuples
+    and tuple patterns, each label left by a throw in a let, a tail throw
+    or its closing tuple; about one label in eight reads k or holds a
+    label of its own, which leaves the step to single steps.  The rec's
+    bound is at most bound.  With closure, the outer variable f, a
+    closure, is an atom like the naturals, so a succ or pred of it, or
+    of an accumulator item that the closing tuple fills with it, gets
+    stuck.  start is the width of the initial accumulator, that of the
+    step's pattern when None."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
-    nats = ["i", "x"] + acc  # the natural-valued names in scope
+    nats = ["i", "x"] + acc + (["f"] if closure else [])  # the atoms bound to names in scope
     parts = [f"let <{', '.join(acc)}> = a in"]
 
     def atom():
@@ -361,7 +367,7 @@ def random_label_step(rng):
             parts.append(f"let {name} = {('succ({})', 'pred({})', '{}')[kind].format(atom())} in")
             nats.append(name)
 
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(labels, 3)):
         lets()
         n = rng.randint(0, 3)
         outside = list(nats)
@@ -389,7 +395,9 @@ def random_label_step(rng):
     lets()
     parts.append(atoms(width))
     body = " ".join(parts)
-    return (f"let x = 2 in rec({rng.randint(0, 4)}, <{', '.join(['0'] * width)}>, fn i : nat =>"
+    outer = "let x = 2 in let f = fn y : nat => y in" if closure else "let x = 2 in"
+    zeros = ", ".join(["0"] * (width if start is None else start))
+    return (f"{outer} rec({rng.randint(0, bound)}, <{zeros}>, fn i : nat =>"
             f" fn a : <{', '.join(['nat'] * width)}> => {body})")
 
 
@@ -404,6 +412,70 @@ def test_rec_steps_through_random_labels_keep_values_and_least_fuel():
         assert evaluate(term, steps) == cps_run(erase(parse_term(text))), text
         assert step_count(without_loops(erase(parse_term(text)))) == steps, text
     assert compiled > 200
+
+
+def outcome(term, fuel):
+    """What the machine makes of term on fuel: a value (printed, since
+    closures compare by identity), fuel run out or a stuck term's message."""
+    try:
+        return "value", show_value(evaluate(term, fuel))
+    except FuelExhausted:
+        return "fuel", None
+    except StuckTerm as err:
+        return "stuck", str(err)
+
+
+def least_fuel(term):
+    """The least fuel on which term returns a value or gets stuck."""
+    hi = 1
+    while outcome(term, hi)[0] == "fuel":
+        hi *= 2
+    lo = hi // 2  # fuel runs out at lo (or lo is 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if outcome(term, mid)[0] != "fuel" else (mid, hi)
+    return hi
+
+
+# Rec steps stuck in the first iteration, on an initial accumulator of the
+# wrong arity, and in the second, on a closure that the closing tuple feeds
+# from an outer variable into the slot that the next iteration's succ reads.
+STUCK_STEPS = [
+    "rec(5, <0>, fn i : nat => fn a : <nat, nat> => let <b, c> = a in let d = succ(b) in <d, c>)",
+    "let f = fn y : nat => y in rec(5, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
+    " let <b, c> = a in let d = succ(c) in <d, f>)",
+]
+
+
+def test_the_steady_state_of_a_kernel_agrees_with_the_groups():
+    """A kernel peels its first iteration and runs the later ones with the
+    checks that the first proves dropped and, when none is left, the fuel
+    of all of them charged at once.  On random steps, straight-line or
+    through labels, with bounds up to 50, and with fuel at the least fuel,
+    one below it and three random points, the kernels and the groups
+    (without_loops) must agree on the value, the point where fuel runs
+    out and the stuck message.
+
+    Each of these changes to runtime._kernel, made on a copy, fails this
+    test: m one more than min(bound - 1 - k, budget // (total + 4)); a
+    slot that the closing tuple fills from an outer variable counted as
+    a natural, which drops a check that has to stay; a steady iteration
+    charged total + 3."""
+    rng = random.Random(11)
+    texts = list(STUCK_STEPS)
+    for case in range(120):
+        mode = case % 4  # 2: the closure f among the atoms; 3: an initial accumulator wider than the pattern
+        texts.append(random_label_step(rng, labels=0, bound=50, closure=mode == 2, start=4 if mode == 3 else None))
+    seen = collections.Counter()
+    for text in texts:
+        term, groups = erase(parse_term(text)), without_loops(erase(parse_term(text)))
+        steps = least_fuel(groups)
+        for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
+            assert outcome(term, fuel) == outcome(groups, fuel), (text, fuel)
+        seen[outcome(groups, steps)[0], loop_of(term) is not None] += 1
+    assert outcome(erase(parse_term(STUCK_STEPS[0])), 100) == ("stuck", "StuckTerm: tuple pattern <b, c> against <0>")
+    assert outcome(erase(parse_term(STUCK_STEPS[1])), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
+    assert seen["value", True] > 40 and seen["stuck", True] > 20, seen
 
 
 @pytest.mark.parametrize("first, second, values", [
