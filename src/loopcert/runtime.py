@@ -9,21 +9,16 @@ continuation (or a never-returning closure), abandoning the current
 context; rec unfolds its step through machine frames, so deep loops are
 iterative rather than stack-consuming.
 
-Fuel is one unit per transition.  Most transitions of a translated loop
-or sequence push a frame, look up a variable and pop the frame again;
-the machine makes such a run in one turn of its loop: where a frame's
-operand is an atom (a bound variable or a numeral), the atom is looked
-up and the frame's return is run at once, without building the frame.
-That covers let and let <...> of an atom, succ and pred of an atom,
-tuples of atoms, and an application or a throw whose function is an atom.
-Likewise a curried rec step fn i => fn acc => ... is applied to the
-counter and the accumulator without building the closure in between (and
-one iteration returns into the next without building the loop frame),
-and callcc's fn is applied to the continuation without being closed.  A
-group is taken only when the fuel left covers every transition in it,
-and it is charged for each; otherwise the machine single-steps.  So step
-counts, the point where fuel runs out and errors are those of the
-single-step machine.
+Fuel is one unit per transition, and a turn of the machine's loop makes
+one transition: a term in control pushes its frame or yields its value,
+and a value returns to one frame.  There is one exception, the return
+to a rec's frame.  There the machine also returns into the loop frame
+without building it, applies the curried step fn i => fn acc => ... to
+the counter and the accumulator without building the closure in
+between, and may run a loop kernel (below).  It does so only when the
+fuel left covers every transition it makes, and charges each;
+otherwise it single-steps.  So step counts, the point where fuel runs
+out and errors are those of the single-step machine.
 
 The body of a rec step fn i => fn acc => body runs once per iteration.
 When the whole body is one straight-line run (lets and let <...> whose
@@ -60,16 +55,17 @@ and the tuple is built once, on exit.  A check that the shape proves
 true from the second iteration on is dropped there: a tuple pattern
 against the previous closing tuple, or against a tuple the iteration
 built, of as many items; a succ or pred whose operand is a numeral,
-the counter, a value made by succ or pred, or an accumulator item that
-the closing tuple fills with one of these.  Every other check stays
-(a pattern against an outer variable or an accumulator item, a succ or
-pred of an outer variable or of an item that the closing tuple fills
-with anything else), and fails as in the first iteration.  Where no
-check is left, the kernel works out at once how many more iterations
-the bound and the fuel allow, m = min(bound - 1 - k, budget // (total +
-4)), charges m * (total + 4) and runs only the ops whose values the
-next closing tuple needs, m times, or not at all when no op is left
-and the closing tuple only keeps its items.
+the counter, a value made by succ or pred, an outer variable that a
+succ or pred of the run reads (the first iteration checked it, and it
+does not change), or an accumulator item that the closing tuple fills
+with one of these.  Every other check stays (a pattern against an
+outer variable or an accumulator item, a succ or pred of an item that
+the closing tuple fills with anything else), and fails as in the first
+iteration.  Where no check is left, the kernel works out at once how
+many more iterations the bound and the fuel allow, m = min(bound - 1 -
+k, budget // (total + 4)), charges m * (total + 4) and runs only the
+ops whose values the next closing tuple needs, m times, or not at all
+when no op is left and the closing tuple only keeps its items.
 
 A kernel is made on its loop's first entry: a host function compiled
 from generated source once per shape of run, which a bounded cache
@@ -77,7 +73,7 @@ keeps for the latest shapes used, with the run's total and the
 positions of its outer variables bound to it.  The source holds only
 the shape's integers and fixed identifiers, never a name or any text of
 the program.  Any other body, a straight-line run that is only part of
-it included, runs by the groups above.  A loop is no part of a term:
+it included, runs by single steps.  A loop is no part of a term:
 ==, hash, repr and pattern matching ignore it.
 
 Such a run may pass through labels, as a source `k : { ... jump(k, ...)
@@ -97,7 +93,7 @@ op's, so a kernel runs a label with no continuation and no frame:
 `jump_loop`'s step body let <z> = _v1 in let <z> = callcc (fn k => let
 <z> = throw k <z> in <z>) in <z> is a run of total 19.  A label that
 reads k as a value, a throw to any other continuation and a label in a
-label leave the step to the groups.
+label leave the step to single steps.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
@@ -453,13 +449,14 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     tuple the iteration built, x0 included, with as many names as it has
     items checks nothing and names its items; a succ or pred checks
     nothing when its operand is a numeral, the counter, a value that a
-    succ or pred made, or a slot that the closing tuple fills with one
-    of these.  Any other check stays, and returns as in the first
-    iteration.  An op whose value no later op, check or slot reads is
-    dropped.  When no check is left, the kernel charges the later
-    iterations at once: m = min(bound - 1 - k, budget // (total + 4))
-    of them, charged m * (total + 4), running the remaining ops m times,
-    or none when no op is left and the slots keep their values.
+    succ or pred made, an outer variable that a succ or pred reads, or
+    a slot that the closing tuple fills with one of these.  Any other
+    check stays, and returns as in the first iteration.  An op whose
+    value no later op, check or slot reads is dropped.  When no check is
+    left, the kernel charges the later iterations at once: m = min(bound
+    - 1 - k, budget // (total + 4)) of them, charged m * (total + 4),
+    running the remaining ops m times, or none when no op is left and
+    the slots keep their values.
     The source holds only the shape's integers (formatted with :d) and
     fixed identifiers.
 
@@ -497,8 +494,11 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
         steady.append((kind, a, defined))
     ends = tuple([same.get(x, x) for x in closing])
     # the values known to be naturals: the counter, what succ and pred
-    # make, and the slots that the closing tuple fills with one of these
-    ints = {1} | {defined[0] for kind, _, defined in steady if kind == _B_SUCC or kind == _B_PRED}
+    # make, the outer variables that a succ or pred reads (the first
+    # iteration checked them, and they do not change), and the slots that
+    # the closing tuple fills with one of these
+    counts = [(a, defined) for kind, a, defined in steady if kind == _B_SUCC or kind == _B_PRED]
+    ints = {1} | {defined[0] for _, defined in counts} | {a for a, _ in counts if a in reads}
     ints |= {s for s, x in zip(slots, ends) if x < 0 or x in ints}
     live, kept = set(ends), []
     for kind, a, defined in reversed(steady):
@@ -614,24 +614,24 @@ _HALT = None
 
 # Frame tags, most frequent first.  A frame is a tuple (tag, ..., parent);
 # the machine below builds each and reads it back in the same layout.
-(_REC_NEXT, _LET, _MATCH, _THROW_ARG, _APP, _TUPLE, _REC_LOOP, _SUCC, _PRED, _CALLCC, _ARG,
- _THROW_FN, _REC_ACC, _REC_BASE, _REC_STEP) = range(15)
+(_SUCC, _LET, _TUPLE, _MATCH, _REC_NEXT, _REC_LOOP, _ARG, _APP, _REC_BASE, _REC_STEP, _PRED,
+ _CALLCC, _THROW_FN, _THROW_ARG, _REC_ACC) = range(15)
 
 
 def _not_numeral(value: Any) -> StuckTerm:
     return StuckTerm(f"expected a numeral, found {show_value(value)}")
 
 
-def _no_match(names: Tuple[str, ...], value: Any) -> StuckTerm:
-    return StuckTerm(f"tuple pattern <{', '.join(names)}> against {show_value(value)}")
-
-
 def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
     """Run a closed runtime term to a value, or raise FuelExhausted.
 
-    A turn of the loop makes one transition, or one group of them (see
-    the module docstring); budget is the fuel left after the transitions
-    made so far."""
+    A turn of the loop makes one transition and charges one unit: a term
+    in control pushes its frame or yields its value, and a value returns
+    to one frame.  The one exception is the return to a rec's frame (see
+    the module docstring), which also makes the step's curried
+    application and may run the loop kernel.  budget is the fuel left
+    after the transitions made so far.  The cases go most frequent
+    first."""
     control: Any = t  # None while a value returns to kont
     env: Any = None
     kont: Any = _HALT
@@ -643,80 +643,7 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
             raise FuelExhausted(fuel)
         if control is not None:
             cls = type(control)
-            if cls is RLet or cls is RLetMatch:
-                a = control.value
-                if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
-                    budget -= 2  # push, reach the atom, bind
-                    if type(a) is RNum:
-                        value = a.value
-                    else:
-                        link, index = env, a.index
-                        while index:
-                            link, index = link[1], index - 1
-                        value = link[0]
-                    if cls is RLet:
-                        env = (value, env)
-                    else:
-                        names = control.names
-                        if not isinstance(value, tuple) or len(value) != len(names):
-                            raise _no_match(names, value)
-                        for item in value:
-                            env = (item, env)
-                    control = control.body
-                elif cls is RLet:
-                    kont = (_LET, control.body, env, kont)
-                    control = a
-                else:
-                    kont = (_MATCH, control, env, kont)
-                    control = a
-                continue
-            elif cls is RTuple:
-                # each atom item is reached and returned to the tuple frame
-                items = control.items
-                done = ()
-                for a in items:
-                    if budget < 2:
-                        break
-                    if type(a) is RVar:
-                        index = a.index
-                        if index is None:
-                            break
-                        link = env
-                        while index:
-                            link, index = link[1], index - 1
-                        done += (link[0],)
-                    elif type(a) is RNum:
-                        done += (a.value,)
-                    else:
-                        break
-                    budget -= 2
-                else:
-                    value, control = done, None
-                    continue
-                k = len(done)
-                kont = (_TUPLE, items, k + 1, done, env, kont)
-                control = items[k]
-                continue
-            elif cls is RSucc or cls is RPred:
-                a = control.arg
-                if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
-                    budget -= 2  # push, reach the atom, count
-                    if type(a) is RNum:
-                        value = a.value
-                    else:
-                        link, index = env, a.index
-                        while index:
-                            link, index = link[1], index - 1
-                        value = link[0]
-                    if not isinstance(value, int):
-                        raise _not_numeral(value)
-                    value = value + 1 if cls is RSucc else max(value - 1, 0)
-                    control = None
-                else:
-                    kont = (_SUCC if cls is RSucc else _PRED, kont)
-                    control = a
-                continue
-            elif cls is RVar:
+            if cls is RVar:
                 index = control.index
                 if index is None:
                     raise StuckTerm(f"unbound runtime variable '{control.name}'")
@@ -724,147 +651,142 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                 while index:
                     link, index = link[1], index - 1
                 value, control = link[0], None
-                continue
+            elif cls is RSucc or cls is RPred:
+                kont = (_SUCC if cls is RSucc else _PRED, kont)
+                control = control.arg
+            elif cls is RLet:
+                kont = (_LET, control.body, env, kont)
+                control = control.value
+            elif cls is RTuple:
+                items = control.items
+                if items:
+                    kont = (_TUPLE, items, 1, (), env, kont)
+                    control = items[0]
+                else:
+                    value, control = (), None
+            elif cls is RNum:
+                value, control = control.value, None
+            elif cls is RLetMatch:
+                kont = (_MATCH, control, env, kont)
+                control = control.value
             elif cls is RFn:
                 value, control = Clos(control.param, control.body, env), None
-                continue
-            elif cls is RApp or cls is RThrow:
-                a = control.fn if cls is RApp else control.cont
-                if budget > 1 and (type(a) is RVar and a.index is not None or type(a) is RNum):
-                    budget -= 2  # push, reach the function, push its argument's frame
-                    if type(a) is RNum:
-                        fn = a.value
-                    else:
-                        link, index = env, a.index
-                        while index:
-                            link, index = link[1], index - 1
-                        fn = link[0]
-                    kont = (_APP if cls is RApp else _THROW_ARG, fn, kont)
-                    control = control.arg
-                else:
-                    kont = (_ARG if cls is RApp else _THROW_FN, control.arg, env, kont)
-                    control = a
-                continue
-            elif cls is RCallcc:
-                if type(control.arg) is RFn and budget > 1:
-                    # push, close the fn, apply it to the current continuation
-                    budget -= 2
-                    control, env = control.arg.body, (ContV(kont), env)
-                else:
-                    kont = (_CALLCC, kont)
-                    control = control.arg
-                continue
+            elif cls is RApp:
+                kont = (_ARG, control.arg, env, kont)
+                control = control.fn
             elif cls is RRec:
                 kont = (_REC_BASE, control, env, kont)
                 control = control.bound
-                continue
-            elif cls is RNum:
-                value, control = control.value, None
-                continue
+            elif cls is RCallcc:
+                kont = (_CALLCC, kont)
+                control = control.arg
+            elif cls is RThrow:
+                kont = (_THROW_FN, control.arg, env, kont)
+                control = control.cont
             else:
                 raise StuckTerm(f"bad control {control!r}")
-        else:
-            # returning a value to kont; a frame that applies a function sets
-            # fn, arg and kont and falls through to the application below
-            if kont is _HALT:
-                return value
-            tag = kont[0]
-            if tag == _REC_NEXT or tag == _REC_LOOP:
-                if tag == _REC_NEXT:
-                    _, bound, k, stepv, parent = kont
-                    if budget < 1:
-                        kont = (_REC_LOOP, bound, k + 1, value, parent)
-                        value = stepv
-                        continue
-                    # and the return to the _REC_LOOP frame, without building it
-                    budget -= 1
-                    acc, k = value, k + 1
-                else:
-                    _, bound, k, acc, parent = kont
-                    stepv = value
-                if k == bound:
-                    value, kont = acc, parent
-                    continue
-                if type(stepv) is Clos and type(stepv.body) is RFn and budget > 1:
-                    budget -= 2  # apply the step to k, close its fn, apply that to acc
-                    cenv = stepv.env
-                    control, env = stepv.body.body, (acc, (k, cenv))
-                    loop = stepv.body.loop
-                    if loop is not None and budget >= loop[0]:
-                        # the loop kernel; an op that would be stuck leaves
-                        # its iteration to single steps
-                        kernel = loop[1] or _enter(stepv.body)
-                        k, value, budget, done = kernel(acc, k, cenv, bound, budget)
-                        if done:
-                            control = None  # the closing tuple returns to kont
-                        else:
-                            env = (value, (k, cenv))
-                    kont = (_REC_NEXT, bound, k, stepv, parent)
-                    continue
-                fn, arg = stepv, k
-                kont = (_REC_ACC, bound, k, acc, stepv, parent)
-            elif tag == _LET:
-                _, control, env, kont = kont
-                env = (value, env)
-                continue
-            elif tag == _MATCH:
-                _, term, env, kont = kont
-                names = term.names
-                if not isinstance(value, tuple) or len(value) != len(names):
-                    raise _no_match(names, value)
-                for item in value:
-                    env = (item, env)
-                control = term.body
-                continue
-            elif tag == _THROW_ARG:
-                fn, arg = kont[1], value
-                kont = _HALT  # the current context is abandoned
-            elif tag == _APP:
-                _, fn, kont = kont
-                arg = value
-            elif tag == _TUPLE:
-                _, items, k, done, tenv, parent = kont
-                done += (value,)
-                if k == len(items):
-                    value, kont = done, parent
-                else:
-                    kont = (_TUPLE, items, k + 1, done, tenv, parent)
-                    control, env = items[k], tenv
-                continue
-            elif tag == _SUCC or tag == _PRED:
-                if not isinstance(value, int):
-                    raise _not_numeral(value)
-                value = value + 1 if tag == _SUCC else max(value - 1, 0)
-                kont = kont[1]
-                continue
-            elif tag == _CALLCC:
-                kont = kont[1]
-                fn, arg = value, ContV(kont)
-            elif tag == _ARG:
-                _, control, env, parent = kont
-                kont = (_APP, value, parent)
-                continue
-            elif tag == _THROW_FN:
-                _, control, env, parent = kont
-                kont = (_THROW_ARG, value, parent)
-                continue
-            elif tag == _REC_ACC:
-                _, bound, k, acc, stepv, parent = kont
-                fn, arg = value, acc
-                kont = (_REC_NEXT, bound, k, stepv, parent)
-            elif tag == _REC_BASE:
-                _, term, env, parent = kont
-                if not isinstance(value, int):
-                    raise _not_numeral(value)
-                kont = (_REC_STEP, value, term.step, env, parent)
-                control = term.base
-                continue
-            elif tag == _REC_STEP:
-                _, bound, control, env, parent = kont
-                kont = (_REC_LOOP, bound, 0, value, parent)
-                continue
+            continue
+        # returning a value to kont; a frame that applies a function sets fn,
+        # arg and kont and falls through to the application below
+        if kont is _HALT:
+            return value
+        tag = kont[0]
+        if tag == _SUCC or tag == _PRED:
+            if not isinstance(value, int):
+                raise _not_numeral(value)
+            value = value + 1 if tag == _SUCC else max(value - 1, 0)
+            kont = kont[1]
+            continue
+        elif tag == _LET:
+            _, control, env, kont = kont
+            env = (value, env)
+            continue
+        elif tag == _TUPLE:
+            _, items, k, done, tenv, parent = kont
+            done += (value,)
+            if k == len(items):
+                value, kont = done, parent
             else:
-                raise StuckTerm(f"bad frame {tag!r}")
+                kont = (_TUPLE, items, k + 1, done, tenv, parent)
+                control, env = items[k], tenv
+            continue
+        elif tag == _MATCH:
+            _, term, env, kont = kont
+            names = term.names
+            if not isinstance(value, tuple) or len(value) != len(names):
+                raise StuckTerm(f"tuple pattern <{', '.join(names)}> against {show_value(value)}")
+            for item in value:
+                env = (item, env)
+            control = term.body
+            continue
+        elif tag == _REC_NEXT or tag == _REC_LOOP:
+            if tag == _REC_NEXT:
+                _, bound, k, stepv, parent = kont
+                if budget < 1:
+                    kont = (_REC_LOOP, bound, k + 1, value, parent)
+                    value = stepv
+                    continue
+                # and the return to the _REC_LOOP frame, without building it
+                budget -= 1
+                acc, k = value, k + 1
+            else:
+                _, bound, k, acc, parent = kont
+                stepv = value
+            if k == bound:
+                value, kont = acc, parent
+                continue
+            if type(stepv) is Clos and type(stepv.body) is RFn and budget > 1:
+                budget -= 2  # apply the step to k, close its fn, apply that to acc
+                cenv = stepv.env
+                control, env = stepv.body.body, (acc, (k, cenv))
+                loop = stepv.body.loop
+                if loop is not None and budget >= loop[0]:
+                    # the loop kernel; an op that would be stuck leaves
+                    # its iteration to single steps
+                    kernel = loop[1] or _enter(stepv.body)
+                    k, value, budget, done = kernel(acc, k, cenv, bound, budget)
+                    if done:
+                        control = None  # the closing tuple returns to kont
+                    else:
+                        env = (value, (k, cenv))
+                kont = (_REC_NEXT, bound, k, stepv, parent)
+                continue
+            fn, arg = stepv, k
+            kont = (_REC_ACC, bound, k, acc, stepv, parent)
+        elif tag == _ARG:
+            _, control, env, parent = kont
+            kont = (_APP, value, parent)
+            continue
+        elif tag == _APP:
+            _, fn, kont = kont
+            arg = value
+        elif tag == _REC_BASE:
+            _, term, env, parent = kont
+            if not isinstance(value, int):
+                raise _not_numeral(value)
+            kont = (_REC_STEP, value, term.step, env, parent)
+            control = term.base
+            continue
+        elif tag == _REC_STEP:
+            _, bound, control, env, parent = kont
+            kont = (_REC_LOOP, bound, 0, value, parent)
+            continue
+        elif tag == _CALLCC:
+            kont = kont[1]
+            fn, arg = value, ContV(kont)
+        elif tag == _THROW_FN:
+            _, control, env, parent = kont
+            kont = (_THROW_ARG, value, parent)
+            continue
+        elif tag == _THROW_ARG:
+            fn, arg = kont[1], value
+            kont = _HALT  # the current context is abandoned
+        elif tag == _REC_ACC:
+            _, bound, k, acc, stepv, parent = kont
+            fn, arg = value, acc
+            kont = (_REC_NEXT, bound, k, stepv, parent)
+        else:
+            raise StuckTerm(f"bad frame {tag!r}")
         # apply fn to arg, returning to kont
         if type(fn) is Clos:
             control, env = fn.body, (arg, fn.env)

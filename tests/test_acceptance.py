@@ -12,12 +12,13 @@ import time
 
 import pytest
 
-from loopcert import dependent, envs, fuzz, gen, pipeline, runtime, translate
+from loopcert import dependent, envs, fuzz, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.axioms import SCHEMAS, try_match_axiom
 from loopcert.parser import parse, parse_formula, parse_prop, parse_qenv
 from loopcert.printer import show, show_file
 from loopcert.runtime import RApp, RNum, RTuple, evaluate
+import syntax_gen
 from test_axioms import eval_individual
 
 CORPUS = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "corpus"))
@@ -206,15 +207,15 @@ def test_criterion_6_kernel_property_suites():
     # environment algebra round trips
     for _ in range(200):
         names = rng.sample(["a", "b", "c", "d", "e"], rng.randrange(0, 5))
-        env = tuple((x, gen.gen_prop(rng, 2)) for x in names)
+        env = tuple((x, syntax_gen.gen_prop(rng, 2)) for x in names)
         ns, ts = envs.split(env)
         assert envs.zip_env(ns, ts) == env
         assert envs.restrict(env, ns) == env
         if env:
             target = rng.choice(ns)
-            updated = envs.update(env, target, gen.gen_prop(rng, 2))
+            updated = envs.update(env, target, syntax_gen.gen_prop(rng, 2))
             assert envs.split(updated)[0] == ns
-        extra = tuple((x, gen.gen_prop(rng, 1)) for x in rng.sample(["p", "q"], 2))
+        extra = tuple((x, syntax_gen.gen_prop(rng, 1)) for x in rng.sample(["p", "q"], 2))
         envs.subset(env, envs.append(extra, env))
 
     # parse . print on the corpus
@@ -229,19 +230,19 @@ def test_criterion_6_kernel_property_suites():
 
     cases = 0
     for _ in range(150):
-        phi = gen.gen_formula(rng, 4)
+        phi = syntax_gen.gen_formula(rng, 4)
         assert S.alpha_eq(pf(show(phi)), phi)
         cases += 1
     for _ in range(150):
-        p = gen.gen_prop(rng, 3)
+        p = syntax_gen.gen_prop(rng, 3)
         assert S.alpha_eq(pp(show(p)), p)
         cases += 1
     for _ in range(100):
-        t = gen.gen_term(rng, 4)
+        t = syntax_gen.gen_term(rng, 4)
         assert S.alpha_eq(pt(show(t)), t)
         cases += 1
     for _ in range(100):
-        q = gen.gen_qenv(rng, 3)
+        q = syntax_gen.gen_qenv(rng, 3)
         assert S.alpha_eq(pq(show(q)), q)
         cases += 1
     assert cases == 500
@@ -249,14 +250,14 @@ def test_criterion_6_kernel_property_suites():
     # open/close round trip: a binder's body opened at an eigenvariable
     # and closed again
     for _ in range(100):
-        body = S.close_ind(gen.gen_formula(rng, 3, vars_=("n", "m")), "n")
+        body = S.close_ind(syntax_gen.gen_formula(rng, 3, vars_=("n", "m")), "n")
         eigen = S.Freshener().fresh("n")
         opened = S.subst_ind(body, S.IVar(eigen))
         assert S.alpha_eq(S.close_ind(opened, eigen), body)
 
     # negation/translation coherence to existential depth 3
     for _ in range(150):
-        out = gen.gen_output(rng, 3)
+        out = syntax_gen.gen_output(rng, 3)
         lhs = translate.translate_type(S.PNeg(out))
         rhs = S.neg_f(translate.translate_output(out))
         assert S.alpha_eq(lhs, rhs)

@@ -8,12 +8,13 @@ from typing import Dict, Optional
 
 import pytest
 
-from loopcert import gen
 from loopcert import syntax as S
 from loopcert.axioms import SCHEMAS, _match, match_axiom, try_match_axiom
 from loopcert.errors import CheckError, EvalError
 from loopcert.parser import Parser
 from loopcert.syntax import IAdd, IF32, IMult, IPred, ISub, ISucc, IVar, IZero, Ind
+
+import syntax_gen
 
 
 class OpenIndividual(EvalError):
@@ -166,13 +167,13 @@ def test_schema_index_agrees_with_a_linear_scan():
         # half of the time, and an unrelated pair
         _, left, right = rng.choice(SCHEMAS)
         for meta in sorted(S.free_ind_vars(left) | S.free_ind_vars(right)):
-            value = gen.gen_ind(rng, 2, ivars)
+            value = syntax_gen.gen_ind(rng, 2, ivars)
             left = S.subst_ind(S.close_ind(left, meta), value)
             right = S.subst_ind(S.close_ind(right, meta), value)
         if rng.random() < 0.5:
-            right = S.ISucc(right) if rng.random() < 0.5 else gen.gen_ind(rng, 2, ivars)
+            right = S.ISucc(right) if rng.random() < 0.5 else syntax_gen.gen_ind(rng, 2, ivars)
         pairs.append((left, right))
-        pairs.append((gen.gen_ind(rng, 3, ivars), gen.gen_ind(rng, 3, ivars)))
+        pairs.append((syntax_gen.gen_ind(rng, 3, ivars), syntax_gen.gen_ind(rng, 3, ivars)))
     found = set()
     for left, right in pairs:
         for i1, i2 in ((left, right), (right, left)):
@@ -185,5 +186,5 @@ def test_schema_index_agrees_with_a_linear_scan():
 def test_refl_on_generated_individuals():
     rng = random.Random(11)
     for _ in range(100):
-        i = gen.gen_ind(rng, 3)
+        i = syntax_gen.gen_ind(rng, 3)
         assert try_match_axiom(i, i) is not None

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from loopcert import dependent, envs, gen, pipeline, translate
+from loopcert import dependent, envs, pipeline, translate
 from loopcert import syntax as S
 from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
@@ -22,6 +22,7 @@ from loopcert.parser import (
 )
 from loopcert.printer import show
 
+import syntax_gen
 from test_kernel import _reflective_alpha
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -150,7 +151,7 @@ def test_neg_figure2_continuation():
 def test_neg_translation_coherence_depth3():
     rng = random.Random(5)
     for _ in range(120):
-        out = gen.gen_output(rng, 3)
+        out = syntax_gen.gen_output(rng, 3)
         lhs = translate.translate_type(S.PNeg(out))
         rhs = S.neg_f(translate.translate_output(out))
         assert S.alpha_eq(lhs, rhs)

@@ -30,12 +30,14 @@ import os
 import random
 import sys
 
-from loopcert import dependent, gen, pipeline
+from loopcert import dependent, pipeline
 from loopcert import syntax as S
 from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
 from loopcert.parser import lex, parse, parse_formula, parse_prop, parse_qenv, parse_term
 from loopcert.printer import show
+
+import syntax_gen
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "binders.json")
@@ -121,9 +123,9 @@ def _variants(text, rng):
 def alpha_results():
     rng = random.Random(1414)
     kinds = (
-        ("formula", lambda: gen.gen_formula(rng, 4, vars_=("n",)), parse_formula),
-        ("prop", lambda: gen.gen_prop(rng, 3, vars_=("n",)), parse_prop),
-        ("qenv", lambda: gen.gen_qenv(rng, 3, vars_=("n",)), parse_qenv),
+        ("formula", lambda: syntax_gen.gen_formula(rng, 4, vars_=("n",)), parse_formula),
+        ("prop", lambda: syntax_gen.gen_prop(rng, 3, vars_=("n",)), parse_prop),
+        ("qenv", lambda: syntax_gen.gen_qenv(rng, 3, vars_=("n",)), parse_qenv),
     )
     out = []
     for kind, make, parse_kind in kinds:

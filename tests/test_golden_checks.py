@@ -23,6 +23,8 @@ from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError
 from loopcert.printer import show
 
+import syntax_gen
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "checks.json")
 PAIRS = 3000
@@ -43,8 +45,8 @@ def term_results():
     rng = random.Random(404)
     out = []
     for _ in range(PAIRS):
-        t = gen.gen_term(rng, 4, vars_=("x",), ivars=("n",))
-        sigma = (("x", gen.gen_formula(rng, 2, vars_=("n",))),)
+        t = syntax_gen.gen_term(rng, 4, vars_=("x",), ivars=("n",))
+        sigma = (("x", syntax_gen.gen_formula(rng, 2, vars_=("n",))),)
         out.append(
             {
                 "FS": _checked(dependent.fs_check_term, sigma, t)[1],

@@ -21,6 +21,8 @@ from loopcert.errors import CheckError
 from loopcert.parser import parse_expr, parse_formula, parse_prop, parse_qenv, parse_seq, parse_term
 from loopcert.printer import show
 
+import syntax_gen
+
 
 # ---------------------------------------------------------------------------
 # alpha equivalence
@@ -69,11 +71,11 @@ def _rename_bound(value, counter):
 def test_alpha_after_rename_bound():
     rng = random.Random(7)
     for _ in range(150):
-        phi = gen.gen_formula(rng, 4)
+        phi = syntax_gen.gen_formula(rng, 4)
         renamed = _rename_bound(phi, [0])
         assert phi == renamed and hash(phi) == hash(renamed) and S.alpha_eq(phi, renamed)
     for _ in range(60):
-        q = gen.gen_qenv(rng, 3)
+        q = syntax_gen.gen_qenv(rng, 3)
         renamed = _rename_bound(q, [0])
         assert q == renamed and hash(q) == hash(renamed)
 
@@ -92,20 +94,20 @@ def test_equality_and_hash_ignore_hints():
 def test_print_parse_round_trip_is_identity():
     rng = random.Random(2027)
     for _ in range(150):
-        phi = gen.gen_formula(rng, 4, vars_=("n", "x"))
+        phi = syntax_gen.gen_formula(rng, 4, vars_=("n", "x"))
         assert parse_formula(show(phi)) == phi
-        p = gen.gen_prop(rng, 3, vars_=("n", "x"))
+        p = syntax_gen.gen_prop(rng, 3, vars_=("n", "x"))
         assert parse_prop(show(p)) == p
-        q = gen.gen_qenv(rng, 3, vars_=("n", "x"))
+        q = syntax_gen.gen_qenv(rng, 3, vars_=("n", "x"))
         assert parse_qenv(show(q)) == q
-        t = gen.gen_term(rng, 4, vars_=("y",), ivars=("n", "x"))
+        t = syntax_gen.gen_term(rng, 4, vars_=("y",), ivars=("n", "x"))
         assert parse_term(show(t)) == t
     # instantiated with names that clash with binders of the body: the
     # printer renames the binders that would capture them
     renamed = 0
     for _ in range(150):
-        body = gen.gen_formula(rng, 4, vars_=("x", "y", "n"), bound=1)
-        for name in gen._IDENTS:
+        body = syntax_gen.gen_formula(rng, 4, vars_=("x", "y", "n"), bound=1)
+        for name in syntax_gen.IDENTS:
             phi = S.subst_ind(body, S.IAdd(S.IVar(name), S.IVar("y")))
             text = show(phi)
             assert parse_formula(text) == phi
@@ -184,12 +186,12 @@ def test_subst_against_naive_oracle():
     for _ in range(200):
         var = rng.choice(names)
         # the body of a binder of var, over free n, m and k
-        body = gen.gen_formula(rng, 4, vars_=names + (var,), bound=1)
-        repl = gen.gen_ind(rng, 2, vars_=names)
+        body = syntax_gen.gen_formula(rng, 4, vars_=names + (var,), bound=1)
+        repl = syntax_gen.gen_ind(rng, 2, vars_=names)
         assert S.subst_ind(body, repl) == _naive_open(body, 0, repl)
         # a replacement whose own indices escape: the binders around the
         # binder of var, named n and m
-        open_repl = gen.gen_ind(rng, 2, vars_=("n", "m"), bound=2)
+        open_repl = syntax_gen.gen_ind(rng, 2, vars_=("n", "m"), bound=2)
         assert S.subst_ind(body, open_repl) == _naive_open(body, 0, open_repl)
 
 
@@ -208,7 +210,7 @@ def test_an_unpack_item_scopes_over_the_rest_of_its_sequence():
 def test_open_substitute_round_trip():
     rng = random.Random(9)
     for _ in range(60):
-        body = gen.gen_formula(rng, 3, vars_=("m", "n"), bound=1)  # a binder of n around it
+        body = syntax_gen.gen_formula(rng, 3, vars_=("m", "n"), bound=1)  # a binder of n around it
         eigen = S.Freshener().fresh("n")
         assert S.EIGEN_MARK in eigen
         opened = S.subst_ind(body, S.IVar(eigen))
@@ -218,11 +220,11 @@ def test_open_substitute_round_trip():
 def test_subst_returns_input_when_variable_not_free():
     rng = random.Random(11)
     for _ in range(150):
-        phi = gen.gen_formula(rng, 4, vars_=("n", "m"))
+        phi = syntax_gen.gen_formula(rng, 4, vars_=("n", "m"))
         assert S.subst_ind(phi, S.IVar("n")) is phi
-        q = gen.gen_qenv(rng, 3, vars_=("n", "m"))
+        q = syntax_gen.gen_qenv(rng, 3, vars_=("n", "m"))
         assert S.subst_ind(q, S.ISucc(S.IVar("m"))) is q
-        t = gen.gen_term(rng, 4, ivars=("n",))
+        t = syntax_gen.gen_term(rng, 4, ivars=("n",))
         assert S.subst_ind(t, S.IZero()) is t
     # bound, not free: shadowed, and under a binder the replacement would capture
     shadowed = parse_formula("exists x. nat(add(x, n))")
@@ -301,8 +303,8 @@ def _reflective_alpha(a, b, la, lb, depth):
 
 _NAMES = ("n", "m")
 _MAKERS = {
-    "formula": lambda rng, d: gen.gen_formula(rng, d, vars_=_NAMES),
-    "qenv": lambda rng, d: gen.gen_qenv(rng, d, vars_=_NAMES),
+    "formula": lambda rng, d: syntax_gen.gen_formula(rng, d, vars_=_NAMES),
+    "qenv": lambda rng, d: syntax_gen.gen_qenv(rng, d, vars_=_NAMES),
 }
 
 
@@ -435,7 +437,7 @@ def test_subset_of_append(small, big):
 def test_qzip_qsplit_round_trip():
     rng = random.Random(3)
     for _ in range(80):
-        q = gen.gen_qenv(rng, 3)
+        q = syntax_gen.gen_qenv(rng, 3)
         names, out = envs.qsplit(q)
         assert S.alpha_eq(envs.qzip(names, out), q)
 

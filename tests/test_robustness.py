@@ -12,13 +12,15 @@ from loopcert.dependent import CheckCtx
 from loopcert.errors import CheckError, ParseError
 from loopcert.parser import Parser
 
+import syntax_gen
+
 
 def test_checkers_never_crash_on_random_terms():
     rng = random.Random(404)
     checked = 0
     for _ in range(400):
-        t = gen.gen_term(rng, 4, vars_=("x",), ivars=("n",))
-        sigma = (("x", gen.gen_formula(rng, 2, vars_=("n",))),)
+        t = syntax_gen.gen_term(rng, 4, vars_=("x",), ivars=("n",))
+        sigma = (("x", syntax_gen.gen_formula(rng, 2, vars_=("n",))),)
         for check in (dependent.fs_check_term, dependent.fd_check_term):
             try:
                 check(sigma, t)
@@ -31,8 +33,8 @@ def test_checkers_never_crash_on_random_terms():
 def test_id_checker_never_crashes_on_random_goals():
     rng = random.Random(405)
     for _ in range(200):
-        q = gen.gen_qenv(rng, 2)
-        p = gen.gen_prop(rng, 3)
+        q = syntax_gen.gen_qenv(rng, 2)
+        p = syntax_gen.gen_prop(rng, 3)
         try:
             dependent._id_seq((), (("z", p),), gen_seq(rng), q, CheckCtx(), False)
         except CheckError:

@@ -2,20 +2,21 @@
 differential oracle."""
 
 import collections
-import dataclasses
 import random
 import sys
 
 import pytest
 
-from loopcert import fuzz, gen, pipeline, runtime, translate
+from loopcert import fuzz, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.errors import FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate, show_value
 
+import syntax_gen
 from test_cps_oracle import cps_run
-from test_machine_steps import _load as load_steps, case_keys, corpus_keys, generated_keys, step_count, term_of
+from test_machine_steps import (_load as load_steps, case_keys, corpus_keys, generated_keys, step_count, term_of,
+                                without_loops)
 
 
 def run(text: str, fuel: int = 100000):
@@ -113,10 +114,10 @@ def test_unbound_runtime_variable_is_stuck():
 
 def assert_stuck_at(text, steps):
     """The machine gets stuck on transition number `steps`: with less fuel
-    it runs out first, and with more it gets stuck there too.  A group of
-    transitions taken on fuel that does not cover it would get stuck too
-    early; one that left its stuck op to single steps with less fuel than
-    it had would run out late."""
+    it runs out first, and with more it gets stuck there too.  A loop
+    kernel or a rec step's application taken on fuel that does not cover
+    it would get stuck too early; one that left its stuck op to single
+    steps with less fuel than it had would run out late."""
     for fuel in range(steps):
         with pytest.raises(FuelExhausted):
             run(text, fuel)
@@ -136,7 +137,7 @@ STUCK = [
     ("rec(succ(0), 0, 0)", "applied a non-function 0", 9),
     ("callcc 0", "applied a non-function 0", 3),
     ("throw[nat] 0 0", "applied a non-function 0", 5),
-    # the same with atom operands, which the machine takes in one group
+    # the same with atom operands, each reached by a transition of its own
     ("let x = <> in succ(x)", "expected a numeral, found <>", 6),
     ("let x = <0> in pred(x)", "expected a numeral, found <0>", 8),
     ("let x = <0> in let <a, b> = x in a", "tuple pattern <a, b> against <0>", 8),
@@ -317,21 +318,7 @@ def test_an_inline_for_through_a_label_is_a_loop():
     assert evaluate(term, 1000) == (0,)
 
 
-def without_loops(term):
-    """term with every fn's loop reset to None: the machine runs each rec
-    step by single steps and groups."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is runtime.RFn:
-            object.__setattr__(t, "loop", None)
-        for f in dataclasses.fields(t):
-            child = getattr(t, f.name)
-            stack.extend([c for c in (child if type(child) is tuple else (child,)) if isinstance(c, runtime.RTerm)])
-    return term
-
-
-def random_label_step(rng, labels=1, bound=4, closure=False, start=None):
+def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted=False):
     """A rec whose step enters from labels to three labels (none makes a
     straight-line step) among random lets of atoms, succ, pred, tuples
     and tuple patterns, each label left by a throw in a let, a tail throw
@@ -341,12 +328,17 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None):
     closure, is an atom like the naturals, so a succ or pred of it, or
     of an accumulator item that the closing tuple fills with it, gets
     stuck.  start is the width of the initial accumulator, that of the
-    step's pattern when None."""
+    step's pattern when None.  With counted, the body opens with a succ
+    or pred of the outer variable x, which makes x a natural in a
+    kernel's steady state."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
     nats = ["i", "x"] + acc + (["f"] if closure else [])  # the atoms bound to names in scope
     parts = [f"let <{', '.join(acc)}> = a in"]
+    if counted:
+        parts.append(f"let n = {rng.choice(['succ', 'pred'])}(x) in")
+        nats.append("n")
 
     def atom():
         return rng.choice(nats + ["0"])
@@ -439,43 +431,72 @@ def least_fuel(term):
 
 # Rec steps stuck in the first iteration, on an initial accumulator of the
 # wrong arity, and in the second, on a closure that the closing tuple feeds
-# from an outer variable into the slot that the next iteration's succ reads.
+# from an outer variable into the slot that the next iteration's succ reads,
+# also where a tuple of the body holds that variable (no succ or pred
+# checks it in the first iteration).
 STUCK_STEPS = [
     "rec(5, <0>, fn i : nat => fn a : <nat, nat> => let <b, c> = a in let d = succ(b) in <d, c>)",
     "let f = fn y : nat => y in rec(5, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
     " let <b, c> = a in let d = succ(c) in <d, f>)",
+    "let f = fn y : nat => y in rec(5, <0, 0>, fn i : nat => fn a : <nat, nat> =>"
+    " let <b, c> = a in let d = succ(c) in let t = <f> in <d, f>)",
 ]
 
 
-def test_the_steady_state_of_a_kernel_agrees_with_the_groups():
+def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
     """A kernel peels its first iteration and runs the later ones with the
     checks that the first proves dropped and, when none is left, the fuel
     of all of them charged at once.  On random steps, straight-line or
     through labels, with bounds up to 50, and with fuel at the least fuel,
-    one below it and three random points, the kernels and the groups
+    one below it and three random points, the kernels and single steps
     (without_loops) must agree on the value, the point where fuel runs
-    out and the stuck message.
+    out and the stuck message.  A quarter of the steps open with a succ
+    or pred of the outer variable x, which the steady state counts as a
+    natural.
 
     Each of these changes to runtime._kernel, made on a copy, fails this
     test: m one more than min(bound - 1 - k, budget // (total + 4)); a
     slot that the closing tuple fills from an outer variable counted as
-    a natural, which drops a check that has to stay; a steady iteration
-    charged total + 3."""
+    a natural, which drops a check that has to stay, also where only a
+    tuple of the body reads the variable; a steady iteration charged
+    total + 3."""
     rng = random.Random(11)
-    texts = list(STUCK_STEPS)
+    texts = [(text, 0) for text in STUCK_STEPS]
     for case in range(120):
-        mode = case % 4  # 2: the closure f among the atoms; 3: an initial accumulator wider than the pattern
-        texts.append(random_label_step(rng, labels=0, bound=50, closure=mode == 2, start=4 if mode == 3 else None))
+        # 1: a succ or pred of x; 2: the closure f among the atoms; 3: an
+        # initial accumulator wider than the pattern
+        mode = case % 4
+        texts.append((random_label_step(rng, labels=0, bound=50, closure=mode == 2,
+                                        start=4 if mode == 3 else None, counted=mode == 1), mode))
     seen = collections.Counter()
-    for text in texts:
-        term, groups = erase(parse_term(text)), without_loops(erase(parse_term(text)))
-        steps = least_fuel(groups)
+    for text, mode in texts:
+        term, single = erase(parse_term(text)), without_loops(erase(parse_term(text)))
+        steps = least_fuel(single)
         for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
-            assert outcome(term, fuel) == outcome(groups, fuel), (text, fuel)
-        seen[outcome(groups, steps)[0], loop_of(term) is not None] += 1
+            assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
+        loop = loop_of(term)
+        seen[outcome(single, steps)[0], loop is not None] += 1
+        if mode == 1 and loop is not None and loop[1] is not None:
+            seen["counted", "min" in loop[1].func.__code__.co_names] += 1
     assert outcome(erase(parse_term(STUCK_STEPS[0])), 100) == ("stuck", "StuckTerm: tuple pattern <b, c> against <0>")
-    assert outcome(erase(parse_term(STUCK_STEPS[1])), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
-    assert seen["value", True] > 40 and seen["stuck", True] > 20, seen
+    for text in STUCK_STEPS[1:]:
+        assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
+    assert seen["value", True] > 40 and seen["stuck", True] > 20 and seen["counted", True] > 15, seen
+
+
+def test_a_succ_of_an_outer_variable_leaves_no_check_in_the_steady_state():
+    """As the IS loop `dec(z); w := i; inc(v); v := y; inc(v);` translates:
+    the succ of the outer variable y is checked in the first iteration
+    only, so the steady state takes every later iteration at once."""
+    fn = erase(parse_term("fn n : nat => let y = 7 in rec(n, <7, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
+                          " let <z, w, v> = a in let z = pred(z) in let w = i in let v = succ(v) in let v = y in"
+                          " let v = succ(v) in <z, w, v>)"))
+    term = RApp(fn, RNum(100000))
+    assert evaluate(term, 3500050) == (0, 99999, 8)  # 35 transitions an iteration
+    assert "min" in loop_of(fn.body)[1].func.__code__.co_names
+    with pytest.raises(FuelExhausted):
+        evaluate(term, 3500049)
+    assert outcome(RApp(fn, RNum(40)), 1000) == outcome(RApp(without_loops(fn), RNum(40)), 1000)
 
 
 @pytest.mark.parametrize("first, second, values", [
@@ -527,10 +548,10 @@ def test_a_partial_straight_line_run_runs_out_at_every_transition_before_the_las
             run(text, fuel)
 
 
-# Atom operands where the machine may take a group of transitions: an
-# application and a throw whose function and argument are variables, and a
-# loop whose closing tuple holds a numeral: (id, term, value, the least fuel
-# that returns).
+# Atom operands, each reached by a transition of its own: an application
+# and a throw whose function and argument are variables, and a loop whose
+# closing tuple holds a numeral: (id, term, value, the least fuel that
+# returns).
 ATOM_OPERANDS = [
     ("application-of-atoms", "let f = fn x : nat => succ(x) in let y = 2 in f y", 3, 19),
     ("throw-of-atoms", "callcc (fn k : ~<nat> => let y = 2 in throw[<nat>] k y)", 2, 16),
@@ -582,8 +603,9 @@ def test_a_reached_unbound_operand_is_stuck(text, steps):
 
 @pytest.mark.parametrize("key", corpus_keys() + case_keys())
 def test_fuel_runs_out_at_every_transition_before_the_last(key):
-    # A group of transitions charged for fewer than it makes would let
-    # some budget below the pinned count run to a value.
+    # A loop kernel or a rec step's application charged for fewer
+    # transitions than it makes would let some budget below the pinned
+    # count run to a value.
     steps = load_steps()[key]
     term = term_of(key)
     value = evaluate(term, steps)
@@ -606,6 +628,23 @@ def test_fuel_runs_out_at_every_transition_of_generated_programs():
             early.append((key, fuel))
             break
     assert early == []
+
+
+def test_kernels_agree_with_single_steps_on_every_pinned_term():
+    """On each term of golden/steps.json (corpus images, CPS cases and
+    generated entries), at the pinned least fuel, one below it and three
+    seeded points, the machine with its loop kernels and without them
+    (without_loops) agree on the value, the point where fuel runs out and
+    the stuck message."""
+    rng = random.Random(17)
+    steps = load_steps()
+    disagreements = []
+    for key in corpus_keys() + case_keys() + generated_keys():
+        term, single = term_of(key), without_loops(term_of(key))
+        for fuel in [steps[key], steps[key] - 1] + [rng.randint(0, 2 * steps[key]) for _ in range(3)]:
+            if outcome(term, fuel) != outcome(single, fuel):
+                disagreements.append((key, fuel))
+    assert disagreements == []
 
 
 def test_a_non_term_is_bad_control():
@@ -776,7 +815,7 @@ def test_a_disagreement_of_the_oracle_is_reported(monkeypatch):
 def test_erasure_commutes_with_substitution():
     rng = random.Random(21)
     for _ in range(80):
-        t = gen.gen_term(rng, 4, ivars=("n",))
+        t = syntax_gen.gen_term(rng, 4, ivars=("n",))
         assert erase(S.subst_ind(S.close_ind(t, "n"), S.num_ind(2))) == erase(t)
 
 

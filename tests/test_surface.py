@@ -22,6 +22,8 @@ from loopcert.parser import (
 )
 from loopcert.printer import show, show_file
 
+import syntax_gen
+
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
@@ -132,19 +134,19 @@ def test_generated_round_trips():
     rng = random.Random(2024)
     cases = 0
     for _ in range(120):
-        phi = gen.gen_formula(rng, 4)
+        phi = syntax_gen.gen_formula(rng, 4)
         assert S.alpha_eq(parse_formula(show(phi)), phi)
         cases += 1
     for _ in range(100):
-        p = gen.gen_prop(rng, 3)
+        p = syntax_gen.gen_prop(rng, 3)
         assert S.alpha_eq(parse_prop(show(p)), p)
         cases += 1
     for _ in range(80):
-        q = gen.gen_qenv(rng, 3)
+        q = syntax_gen.gen_qenv(rng, 3)
         assert S.alpha_eq(parse_qenv(show(q)), q)
         cases += 1
     for _ in range(120):
-        t = gen.gen_term(rng, 4)
+        t = syntax_gen.gen_term(rng, 4)
         assert S.alpha_eq(parse_term(show(t)), t)
         cases += 1
     for k in range(80):
