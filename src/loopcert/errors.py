@@ -11,6 +11,11 @@ class LoopcertError(Exception):
     pass
 
 
+class TooLong(LoopcertError):
+    """A natural with more digits than the host converts to a string
+    (sys.get_int_max_str_digits): rule LIMIT."""
+
+
 class ParseError(LoopcertError):
     def __init__(self, message: str, line: int, col: int, expected: Tuple[str, ...] = ()):
         self.message = message

@@ -12,6 +12,7 @@ Exit codes: 0 all phases pass; 1 parse error; 2 source type error;
 4 runtime discrepancy or evaluation failure; 5 fuzz counterexample.
 Input nested too deeply for the host stack gets rule LIMIT and the exit
 code of the phase it stopped: 1, 2, 3 (translate and check-target) or 4.
+So does a value with more digits than the host prints (exit 4).
 A file that cannot be read or written gets rule IO and the exit code of
 the phase it stopped: 1 (parse, which reads the input) or 3 (write).  An
 input byte that is not UTF-8 is a parse error: rule PARSE, its line and
@@ -28,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import dependent, envs, runtime, translate
 from . import syntax as S
-from .errors import CheckError, EvalError, LoopcertError, ParseError
+from .errors import CheckError, EvalError, LoopcertError, ParseError, TooLong
 from .parser import parse
 from .printer import show, show_qenv, show_term
 from .dependent import CheckCtx
@@ -58,13 +59,16 @@ PHASE_ERRORS = (LoopcertError, RecursionError, OSError)
 def diagnose(phase: str, ex: BaseException) -> Tuple[str, Optional[Tuple[int, int]], str, Dict[str, str]]:
     """The diagnostic of a phase that raised ex: rule, span, message and
     extra fields.  A phase out of host stack on deeply nested input gets
-    rule LIMIT, one that could not read or write a file rule IO, every
+    rule LIMIT, and so does one that made a natural too long to print
+    (TooLong); one that could not read or write a file gets rule IO, every
     other failure of translate rule TRANSLATE, and a failed run rule EVAL
     with the EvalError's reason.  A parse error gets rule PARSE and its
     span; an input that is not UTF-8 is one (read_source), at its first
     bad byte."""
     if isinstance(ex, RecursionError):
         return "LIMIT", None, f"the input nests too deeply for {phase}: the host recursion limit was reached", {}
+    if isinstance(ex, TooLong):
+        return "LIMIT", None, f"{phase} made {ex}", {}
     if isinstance(ex, OSError):
         return "IO", None, f"{phase} could not access {ex.filename!r}: {ex.strerror}", {}
     if phase == "translate":

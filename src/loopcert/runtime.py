@@ -63,9 +63,14 @@ outer variable or an accumulator item, a succ or pred of an item that
 the closing tuple fills with anything else), and fails as in the first
 iteration.  Where no check is left, the kernel works out at once how
 many more iterations the bound and the fuel allow, m = min(bound - 1 -
-k, budget // (total + 4)), charges m * (total + 4) and runs only the
-ops whose values the next closing tuple needs, m times, or not at all
-when no op is left and the closing tuple only keeps its items.
+k, budget // (total + 4)), and charges m * (total + 4).  When every op
+left is a succ or pred and each accumulator item that the closing tuple
+changes gets a chain of them that starts at that same item, every op in
+one chain, it takes the m iterations in closed form: a chain is x ->
+max(x + a, b) on its item, and m iterations of it x -> max(x + m*a, b +
+max(0, (m - 1)*a)).  Otherwise it runs only the ops whose values the
+next closing tuple needs, m times, or not at all when no op is left and
+the closing tuple only keeps its items.
 
 A kernel is made on its loop's first entry: a host function compiled
 from generated source once per shape of run, which a bounded cache
@@ -101,6 +106,12 @@ binder names stay on the terms as hints.  A machine environment is a
 linked tuple (value, parent), innermost binding first, and a frame is a
 tuple whose first item is a small-int tag.
 
+The interpreter runs a `for` whose body holds only inc, dec and such
+`for`s (a counter body) in closed form too, by one walk of the body
+that composes its maps x -> max(x + a, b) (_counter_effect).  It shares
+no code with the machine or its kernels, so each closed form is checked
+against the other, and both against the machine by single steps.
+
 Runtime terms are immutable nodes made by the decorator of the syntax
 nodes, `syntax.node`.  Erasure, the machine and the interpreter tell
 nodes apart by their exact class (`type(t) is C`), the most frequent
@@ -110,12 +121,13 @@ cases first.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import defaultdict
 from dataclasses import field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import syntax as S
-from .errors import EvalError, FuelExhausted, NonErasable, StuckTerm
+from .errors import EvalError, FuelExhausted, NonErasable, StuckTerm, TooLong
 
 DEFAULT_FUEL = 10_000_000
 
@@ -454,9 +466,14 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     check stays, and returns as in the first iteration.  An op whose
     value no later op, check or slot reads is dropped.  When no check is
     left, the kernel charges the later iterations at once: m = min(bound
-    - 1 - k, budget // (total + 4)) of them, charged m * (total + 4),
-    running the remaining ops m times, or none when no op is left and
-    the slots keep their values.
+    - 1 - k, budget // (total + 4)) of them, charged m * (total + 4).
+    When the remaining ops are succs and preds, each in the one chain
+    that runs from a slot to the closing tuple's item for that same slot,
+    a chain being x -> max(x + a, b) (b None: x -> x + a), each such slot
+    takes the m iterations at once, x -> max(x + m*a, b + max(0, (m -
+    1)*a)), as does the counter, x1 += m.  Otherwise the kernel runs the
+    remaining ops m times, or none when no op is left and the slots keep
+    their values.
     The source holds only the shape's integers (formatted with :d) and
     fixed identifiers.
 
@@ -555,12 +572,33 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
             "    m = min(bound - 1 - x1, budget // (total + 4))",
             "    budget -= m * (total + 4)",
         ]
-        if kept or moved:
+        # a slot that the closing tuple fills with a chain of succ and pred
+        # from that same slot takes x -> max(x + a, b) an iteration (b None:
+        # no clamp); when every op is in one such chain, m iterations are
+        # x -> max(x + m*a, b + max(0, (m - 1)*a)) on each slot.  (A kept
+        # tuple's value reaches the closing tuple, so it ends no chain.)
+        made = {defined[0]: (kind, a) for kind, a, defined, _, _ in kept if kind != _B_TUPLE}
+        chains: List[Tuple[int, int, Optional[int]]] = []
+        for s, x in moved:
+            a, b = 0, None  # the chain from x to the closing tuple, walked backwards
+            while x in made:
+                kind, x = made.pop(x)
+                a, b = (a + 1, b) if kind == _B_SUCC else (a - 1, a if b is None else max(a, b))
+            if x != s:
+                break
+            chains.append((s, a, b))
+        if len(chains) == len(moved) and not made:
+            if chains:
+                lines.append("    if m:")
+            for s, a, b in chains:
+                step = f"x{s:d} + m * {a:d}"
+                lines.append(f"        x{s:d} = {step}" if b is None else
+                             f"        x{s:d} = max({step}, {b:d} + max(0, (m - 1) * {a:d}))")
+            lines.append("    x1 += m")
+        else:
             lines.append("    for x1 in range(x1 + 1, x1 + 1 + m):")
             run(kept, "        ", "")
             fill(moved, "        ")
-        else:
-            lines.append("    x1 += m")  # the slots keep their values
     lines += [f"    return x1, {acc}, budget, True", ""]
     namespace: Dict[str, Any] = {}
     exec(compile("\n".join(lines), "<loop kernel>", "exec"), namespace)
@@ -600,7 +638,10 @@ def show_value(v: Any) -> str:
     if isinstance(v, bool):
         raise AssertionError("no booleans at runtime")
     if isinstance(v, int):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise TooLong(f"a natural of more than {sys.get_int_max_str_digits()} digits, too long to print") from None
     if isinstance(v, tuple):
         return "<" + ", ".join(show_value(x) for x in v) + ">"
     return repr(v)
@@ -869,45 +910,133 @@ def exec_seq(s: S.Seq, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
         del store[name]
 
 
+def _counter_effect(
+    loop: S.CFor, n: int, gamma: Dict[str, Any], store: Dict[str, Any]
+) -> Optional[Dict[str, Tuple[int, Optional[int]]]]:
+    """The effect of n runs of the body of loop on its frame, store, when
+    the body is a counter body; None when it is not.  An effect maps each
+    name it changes to (a, b), which stands for x -> max(x + a, b), b None
+    for x -> x + a: inc is (1, None) and dec (-1, 0).  Such maps are the
+    affine maps of the max-plus semiring: (a1, b1) then (a2, b2) is (a1 +
+    a2, max(b1 + a2, b2)), and the m-th power of (a, b) is (m*a, b +
+    max(0, (m - 1)*a)), the identity for m = 0.  So an effect costs one
+    walk of the body, whatever the bounds.
+
+    A counter body holds only inc and dec of names in its loop's frame,
+    and index-free `for`s whose frame is part of the enclosing one, whose
+    body is a counter body and whose bound is a numeral or a name that is
+    no enclosing loop's index and that no inc or dec of the body changes.
+    Such a bound has the same value in every iteration, the value read
+    here once, from store when the enclosing frame holds the name and from
+    gamma otherwise.  A name bound in neither, a frame value that is not a
+    natural, and anything else in the body leave the loop to exec_command's
+    other paths.  The nested `for`s are walked with a stack, so that a
+    loop entry costs one call."""
+    changed, bounds = set(), set()  # the names the body changes and reads as bounds
+    nest = []  # the enclosing loops' walks: (items, position, effect, frame, bound)
+    indices = [loop.var]  # the enclosing loops' indices
+    items, at, effect, frame, m = loop.body.items, 0, {}, {x for x, _ in loop.frame}, n
+    while True:
+        if at < len(items):
+            item = items[at]
+            at += 1
+            cls = type(item)
+            if cls is S.CInc or cls is S.CDec:
+                if item.name not in frame:
+                    return None
+                changed.add(item.name)
+                then = {item.name: (1, None) if cls is S.CInc else (-1, 0)}
+            elif cls is S.CFor and item.idx is None:
+                bound = item.bound
+                if type(bound) is S.ENum:
+                    k = bound.value
+                elif type(bound) is S.EVar and bound.name not in indices:
+                    name = bound.name
+                    if name in frame:
+                        k = store[name]
+                    elif name in gamma:
+                        k = gamma[name]
+                    else:
+                        return None
+                    bounds.add(name)
+                else:
+                    return None
+                inner = {x for x, _ in item.frame}
+                if type(k) is not int or k < 0 or not inner <= frame:
+                    return None
+                nest.append((items, at, effect, frame, m))
+                indices.append(item.var)
+                items, at, effect, frame, m = item.body.items, 0, {}, inner, k
+                continue
+            else:
+                return None
+        else:
+            # the body is done: its m-th power joins the enclosing body
+            then = {}
+            if m:
+                for name, (a, b) in effect.items():
+                    then[name] = (m * a, None if b is None else b + max(0, (m - 1) * a))
+            if not nest:
+                break
+            items, at, effect, frame, m = nest.pop()
+            indices.pop()
+        for name, (a2, b2) in then.items():
+            a1, b1 = effect.get(name, (0, None))
+            effect[name] = (a1 + a2, b2 if b1 is None else b1 + a2 if b2 is None else max(b1 + a2, b2))
+    if not changed.isdisjoint(bounds) or any(type(store[x]) is not int for x in then):
+        return None
+    return then
+
+
 def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -> None:
     """The commands that open a frame or call; exec_seq runs the rest.
-    A `for` copies gamma once per loop, not once per iteration.  A body of
-    `inc`, `dec` and `:=` only runs in place, an op list built once per
-    loop entry with no exec_seq call per iteration; any other body runs
-    through exec_seq."""
+    A `for` of n > 0 iterations whose body is a counter body runs in
+    closed form, its effect (_counter_effect) applied once to the frame.
+    Otherwise it copies gamma once per loop, not once per iteration; a
+    body of `inc`, `dec` and `:=` only runs in place, an op list built
+    once per loop entry with no exec_seq call per iteration; any other
+    body runs through exec_seq."""
     cls = type(cmd)
     if cls is S.CFor and cmd.idx is None:
         n = eval_i_expr(cmd.bound, gamma, store)
         frame_names = [x for x, _ in cmd.frame]
         sub = {x: store[x] for x in frame_names}
-        # one copy serves every iteration: the body does not mutate it
-        inner = dict(gamma)
         var, body = cmd.var, cmd.body
         ops: Optional[List[Tuple[type, str, Optional[S.Expr]]]] = []
+        counting = True  # no := among the body's items
         for item in body.items:
             op = type(item)
             if op is S.CInc or op is S.CDec:
                 ops.append((op, item.name, None))
             elif op is S.CAssign:
                 ops.append((op, item.name, item.value))
+                counting = False
             else:
                 ops = None
                 break
-        if ops is None:
-            for k in range(n):
-                inner[var] = k
-                exec_seq(body, inner, sub)
+        effect = _counter_effect(cmd, n, gamma, sub) if counting and type(n) is int and n > 0 else None
+        if effect is not None:
+            for name, (a, b) in effect.items():
+                x = sub[name] + a
+                sub[name] = x if b is None or x > b else b
         else:
-            inc, dec = S.CInc, S.CDec
-            for k in range(n):
-                inner[var] = k
-                for op, name, value in ops:
-                    if op is inc:
-                        sub[name] += 1
-                    elif op is dec:
-                        sub[name] = max(sub[name] - 1, 0)
-                    else:
-                        sub[name] = eval_i_expr(value, inner, sub)
+            # one copy serves every iteration: the body does not mutate it
+            inner = dict(gamma)
+            if ops is None:
+                for k in range(n):
+                    inner[var] = k
+                    exec_seq(body, inner, sub)
+            else:
+                inc, dec = S.CInc, S.CDec
+                for k in range(n):
+                    inner[var] = k
+                    for op, name, value in ops:
+                        if op is inc:
+                            sub[name] += 1
+                        elif op is dec:
+                            sub[name] = max(sub[name] - 1, 0)
+                        else:
+                            sub[name] = eval_i_expr(value, inner, sub)
         for x in frame_names:
             store[x] = sub[x]
         return

@@ -341,6 +341,27 @@ def test_eval_rejects_a_natural_too_long_to_convert(capsys):
     assert capsys.readouterr().out == ""
 
 
+# the most digits that int() and str() convert; 0 for no limit
+INT_DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="str() converts any length")
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_value_too_long_to_print_is_a_limit(flags, capsys):
+    # 1 plus the longest natural that --args converts has one digit more
+    limit = INT_DIGITS
+    path = os.path.join(CORPUS, "addition_is.loop")
+    assert run_cli(["pipeline", path, f"--args=1,{'9' * limit}", *flags]) == pipeline.EXIT_RUNTIME
+    out = capsys.readouterr().out
+    message = f"evaluate made a natural of more than {limit} digits, too long to print"
+    if flags:
+        report = json.loads(out)
+        assert [(d["rule"], d["message"]) for d in report["diagnostics"]] == [("LIMIT", message)]
+        assert [(p["name"], p["ok"]) for p in report["phases"]][-1] == ("evaluate", False)
+    else:
+        assert f"error: [LIMIT] {message}" in out
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

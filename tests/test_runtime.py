@@ -9,7 +9,7 @@ import pytest
 
 from loopcert import fuzz, pipeline, runtime, translate
 from loopcert import syntax as S
-from loopcert.errors import FuelExhausted, NonErasable, StuckTerm
+from loopcert.errors import CheckError, FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
 from loopcert.runtime import RApp, RNum, RTuple, erase, evaluate, show_value
 
@@ -318,7 +318,7 @@ def test_an_inline_for_through_a_label_is_a_loop():
     assert evaluate(term, 1000) == (0,)
 
 
-def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted=False):
+def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted=False, chains=False):
     """A rec whose step enters from labels to three labels (none makes a
     straight-line step) among random lets of atoms, succ, pred, tuples
     and tuple patterns, each label left by a throw in a let, a tail throw
@@ -330,7 +330,11 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     stuck.  start is the width of the initial accumulator, that of the
     step's pattern when None.  With counted, the body opens with a succ
     or pred of the outer variable x, which makes x a natural in a
-    kernel's steady state."""
+    kernel's steady state.  With chains, the body is instead a chain of
+    succ and pred, among lets of atoms, for each accumulator item, which
+    the closing tuple puts back in the item's place; now and then a chain
+    starts at another item or the closing tuple repeats a chain's end.
+    The initial accumulator's items are then 0 to 5."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
@@ -359,6 +363,23 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
             parts.append(f"let {name} = {('succ({})', 'pred({})', '{}')[kind].format(atom())} in")
             nats.append(name)
 
+    if chains:
+        ends = [acc[j if rng.random() < 0.85 else rng.randrange(width)] for j in range(width)]
+        ops = [j for j in range(width) for _ in range(rng.randint(0, 3))] or [0]
+        rng.shuffle(ops)
+        for j in ops:
+            name = f"v{next(fresh)}"
+            parts.append(f"let {name} = {rng.choice(['succ', 'pred'])}({ends[j]}) in")
+            ends[j] = name
+            if rng.random() < 0.2:
+                ends[j] = f"v{next(fresh)}"
+                parts.append(f"let {ends[j]} = {name} in")
+        if width > 1 and rng.random() < 0.1:
+            ends[1] = ends[0]
+        body = " ".join(parts + [f"<{', '.join(ends)}>"])
+        starts = ", ".join([str(rng.randint(0, 5)) for _ in range(width)])
+        return (f"let x = 2 in rec({rng.randint(0, bound)}, <{starts}>, fn i : nat =>"
+                f" fn a : <{', '.join(['nat'] * width)}> => {body})")
     for _ in range(rng.randint(labels, 3)):
         lets()
         n = rng.randint(0, 3)
@@ -452,14 +473,19 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
     (without_loops) must agree on the value, the point where fuel runs
     out and the stuck message.  A quarter of the steps open with a succ
     or pred of the outer variable x, which the steady state counts as a
-    natural.
+    natural.  Sixty more are chains of succ and pred on the accumulator
+    items, most of which the steady state takes in closed form (no loop
+    over range in the kernel).
 
     Each of these changes to runtime._kernel, made on a copy, fails this
     test: m one more than min(bound - 1 - k, budget // (total + 4)); a
     slot that the closing tuple fills from an outer variable counted as
     a natural, which drops a check that has to stay, also where only a
     tuple of the body reads the variable; a steady iteration charged
-    total + 3."""
+    total + 3; the closed form's clamp b read as b + 1; a chain taken in
+    closed form when it starts at another item.  ((m - 1) read as m in
+    the clamp changes nothing: after the peeled iteration an item already
+    lies at or above b, so the clamp can bind only where a < 0.)"""
     rng = random.Random(11)
     texts = [(text, 0) for text in STUCK_STEPS]
     for case in range(120):
@@ -468,6 +494,8 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
         mode = case % 4
         texts.append((random_label_step(rng, labels=0, bound=50, closure=mode == 2,
                                         start=4 if mode == 3 else None, counted=mode == 1), mode))
+    # 4: chains of succ and pred on the accumulator items
+    texts += [(random_label_step(rng, labels=0, bound=50, chains=True), 4) for _ in range(60)]
     seen = collections.Counter()
     for text, mode in texts:
         term, single = erase(parse_term(text)), without_loops(erase(parse_term(text)))
@@ -478,10 +506,14 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
         seen[outcome(single, steps)[0], loop is not None] += 1
         if mode == 1 and loop is not None and loop[1] is not None:
             seen["counted", "min" in loop[1].func.__code__.co_names] += 1
+        if mode == 4 and loop[1] is not None:
+            names = loop[1].func.__code__.co_names
+            seen["closed", "min" in names and "range" not in names] += 1
     assert outcome(erase(parse_term(STUCK_STEPS[0])), 100) == ("stuck", "StuckTerm: tuple pattern <b, c> against <0>")
     for text in STUCK_STEPS[1:]:
         assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
     assert seen["value", True] > 40 and seen["stuck", True] > 20 and seen["counted", True] > 15, seen
+    assert seen["closed", True] > 15 and seen["closed", False] > 5, seen
 
 
 def test_a_succ_of_an_outer_variable_leaves_no_check_in_the_steady_state():
@@ -731,10 +763,11 @@ def oracle_loop(decls: str, body: str, frame: str, outs: str) -> str:
     )
 
 
-# IS loops whose oracle runs take both paths of exec_command's CFor case:
-# bodies of inc, dec and := only, then bodies that keep the generic path
-# (a nested for, a block, a var).  Each expected tuple is a function of
-# the bound x, with y = 3.
+# IS loops whose oracle runs take every path of exec_command's CFor case:
+# bodies of inc, dec and := only; counter nests in closed form; bodies
+# that keep the generic path (a nested for whose bound is the index or a
+# name the body changes, a block, a var).  Each expected tuple is a
+# function of the bound x, with y = 3.
 ORACLE_LOOPS = [
     ("inc", oracle_loop("z := y;", "inc(z);", "z : nat", "z"), lambda x: (3 + x,)),
     ("dec_clamps", oracle_loop("z := y;", "dec(z);", "z : nat", "z"), lambda x: (max(3 - x, 0),)),
@@ -753,6 +786,12 @@ ORACLE_LOOPS = [
      lambda x: ((1, 2, 3), (2, 3, 1), (3, 1, 2))[x % 3]),
     ("nested_for", oracle_loop("z := y;", "for j := 0 until 2 { inc(z); }[z : nat]; inc(z);", "z : nat", "z"),
      lambda x: (3 + 3 * x,)),
+    ("counter_nest", oracle_loop("z := y; w := 0;", "dec(z); for j := 0 until y { inc(z); inc(w); }[z : nat, w : nat];"
+                                 " dec(w);", "z : nat, w : nat", "z w"), lambda x: (3 + 2 * x, 2 * x)),
+    ("index_bound", oracle_loop("z := y;", "for j := 0 until i { inc(z); }[z : nat];", "z : nat", "z"),
+     lambda x: (3 + x * (x - 1) // 2,)),
+    ("changed_bound", oracle_loop("z := y; w := 0;", "for j := 0 until z { inc(w); }[w : nat]; inc(z);",
+                                  "z : nat, w : nat", "z w"), lambda x: (3 + x, 3 * x + x * (x - 1) // 2)),
     ("block", oracle_loop("z := y;", "{ dec(z); }[z : nat]; z := i;", "z : nat", "z"),
      lambda x: (x - 1 if x else 3,)),
     ("var", oracle_loop("z := y;", "var t := z; inc(t); z := t;", "z : nat", "z"), lambda x: (3 + x,)),
@@ -767,6 +806,84 @@ def test_the_oracle_agrees_with_the_machine_on_loop_bodies(text, expected, x):
     erased = pipeline.erase_image(pipeline.translate_file(sf), "p")
     machine = evaluate(RApp(erased, RTuple((RNum(x), RNum(3)))))
     assert runtime.interpret_program(sf.csts, None, "p", (x, 3)) == machine == expected(x)
+
+
+def random_counter_program(rng):
+    """An IS procedure p over x and y whose outputs u, v and w start at 0
+    to 5 and then run a `for` nest of inc and dec up to three deep.  A
+    bound is a numeral up to 12, a parameter, an output or, now and then,
+    an enclosing loop's index; an index is now and then named x or y and
+    hides that parameter.  One item in sixteen is a `:=`.  A `:=`, a
+    bound read from an index and a bound that the nest changes leave the
+    nest to the oracle's per-iteration paths."""
+    fresh = iter(range(1000))
+    names = ["u", "v", "w"]
+
+    def bound(indices):
+        roll = rng.random()
+        if roll < 0.4:
+            return str(rng.randint(0, 12))
+        if roll < 0.6:
+            return rng.choice(["x", "y"])
+        return rng.choice(names if roll < 0.9 or not indices else indices)
+
+    def loop(frame, depth, indices):
+        var = rng.choice(["x", "y"]) if rng.random() < 0.15 else f"j{next(fresh)}"
+        head = f"for {var} := 0 until {bound(indices)}"
+        indices = indices + [var]
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.3 and depth < 3:
+                items.append(loop(sorted(rng.sample(frame, rng.randint(1, len(frame)))), depth + 1, indices))
+            elif roll < 0.36:
+                items.append(f"{rng.choice(frame)} := {rng.choice(frame + indices + ['y', '1'])};")
+            else:
+                items.append(f"{rng.choice(['inc', 'inc', 'dec'])}({rng.choice(frame)});")
+        return f"{head} {{ {' '.join(items)} }}[{', '.join(f'{x} : nat' for x in frame)}];"
+
+    starts = " ".join(f"{x} := {rng.randint(0, 5)};" for x in names)
+    return ("discipline IS;\n"
+            "cst p = proc [x : nat, y : nat] out [u : nat, v : nat, w : nat] {\n"
+            f"  {starts}\n  {loop(names, 0, [])}\n}};\n")
+
+
+def test_counter_loops_in_closed_form_agree_with_single_steps(monkeypatch):
+    """The oracle runs a `for` whose body holds only inc, dec and such
+    `for`s in closed form (runtime._counter_effect); on random counter
+    nests it must agree with the machine by single steps (without_loops),
+    an independent reference, and so must the nests that its other paths
+    run.  A nest that the IS checker refuses is skipped, and so is one
+    that the machine cannot finish on 300,000 transitions.
+
+    Each of these changes to runtime._counter_effect, made on a copy,
+    fails this test: (m - 1) read as m in the power; the + a2 dropped
+    from the clamp of a composition; a bound read from an enclosing
+    index (which may hide a parameter)."""
+    effects = []
+    counter_effect = runtime._counter_effect
+    monkeypatch.setattr(runtime, "_counter_effect", lambda *a: effects.append(counter_effect(*a)) or effects[-1])
+    rng = random.Random(29)
+    ran = collections.Counter()
+    for _ in range(400):
+        text = random_counter_program(rng)
+        sf = parse(text)
+        try:
+            pipeline.check_source(sf)
+        except CheckError:
+            ran["refused"] += 1
+            continue
+        args = (rng.randint(0, 12), rng.randint(0, 12))
+        single = without_loops(pipeline.erase_image(pipeline.translate_file(sf), "p"))
+        try:
+            machine = evaluate(RApp(single, RTuple(tuple(RNum(n) for n in args))), 300_000)
+        except FuelExhausted:
+            ran["long"] += 1
+            continue
+        del effects[:]
+        assert runtime.interpret_program(sf.csts, None, "p", args) == machine, (text, args)
+        ran["none" if not effects else "closed" if effects[0] is not None else "other"] += 1
+    assert ran["closed"] > 150 and ran["other"] > 50, ran
 
 
 def python_calls(path, args):
@@ -794,8 +911,26 @@ def python_calls(path, args):
 )
 def test_a_larger_rec_bound_makes_no_more_python_calls(path, small, large):
     # the machine runs a straight-line loop in one kernel call and the
-    # oracle runs its straight-line for body in place
+    # oracle runs a counter for nest in closed form
     assert python_calls(path, small) == python_calls(path, large)
+
+
+def test_a_counter_loop_costs_the_same_at_any_rec_bound():
+    """The machine's kernel and the oracle both run addition_is's loop in
+    closed form, so a bound of 10**12 takes milliseconds, at the exact
+    least fuel of 15 transitions an iteration plus 33."""
+    path = "corpus/addition_is.loop"
+    report = pipeline.run_pipeline(path, args=(10**12, 7), fuel=15 * 10**12 + 33)
+    assert report.exit_code == pipeline.EXIT_OK, report.diagnostics
+    assert report.phases[-1]["payload"] == {"value": "<1000000000007>", "interpreter": "<1000000000007>"}
+    report = pipeline.run_pipeline(path, args=(10**12, 7), fuel=15 * 10**12 + 32)
+    assert [(d["rule"], d["reason"]) for d in report.diagnostics] == [("EVAL", "FuelExhausted")]
+    with open(path, "r", encoding="utf-8") as handle:
+        sf = parse(handle.read())
+    assert runtime.interpret_program(sf.csts, None, "add_proc", (10**15, 7)) == (10**15 + 7,)
+    with open("bench/fixtures/mul_nested.loop", "r", encoding="utf-8") as handle:
+        sf = parse(handle.read())
+    assert runtime.interpret_program(sf.csts, None, "mul", (10**15, 10**15)) == (10**30,)
 
 
 def test_a_disagreement_of_the_oracle_is_reported(monkeypatch):
