@@ -22,31 +22,31 @@ out and errors are those of the single-step machine.
 
 The body of a rec step fn i => fn acc => body runs once per iteration.
 When the whole body is one straight-line run (lets and let <...> whose
-value is an atom, succ or pred of an atom, or a tuple of atoms) ending
-in its closing tuple of atoms, as `addition_is`'s step fn i => fn _v1 =>
-let <z> = _v1 in let z = succ(z) in <z> is, erasure marks the step's fn
-acc => body with a loop (_compile_loop): the run's total transitions (3
-for a let of an atom, 5 for succ or pred of an atom, 3 + 2n for a tuple
-of n atoms, 1 + 2n for the closing tuple of n atoms) and its kernel, a
-host function made for the run's shape (_kernel).  The machine reads
-the loop at one place, the return to a rec's frame, right after the
-step's curried application: when the fuel left covers total, it calls
-kernel(acc, k, cenv, bound, budget), cenv being the step's closure
-environment, and the kernel runs the iterations, with no frame and no
-closure per iteration.  In a kernel each atom is a local, a numeral
-literal, or an item of cenv read once, before the first iteration.  The
-first iteration charges total; each later one charges total + 4 (the
-returns to the iteration's frame and to the loop, and the step's
-curried application), and runs only while the counter has not reached
-the bound and the fuel left covers all of it.  The kernel returns (k,
-value, budget, done): done, with the last iteration's closing tuple,
-where the loop stops; not done, with the iteration's accumulator and
-the budget at its start, where an op would be stuck (succ or pred of a
-non-numeral, a tuple pattern that does not fit).  The machine then
-rebuilds the iteration's frame, and in the second case its environment
-(acc, (k, cenv)), and goes on by single steps: it runs out of fuel,
-gets stuck or leaves the loop exactly where the single-step machine
-does.
+value is an atom, succ or pred of an atom, a tuple of atoms or a nested
+counter rec, below) ending in its closing tuple of atoms, as
+`addition_is`'s step fn i => fn _v1 => let <z> = _v1 in let z = succ(z)
+in <z> is, erasure marks the step's fn acc => body with a loop
+(_compile_loop): the run's total transitions (3 for a let of an atom, 5
+for succ or pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for
+the closing tuple of n atoms) and its kernel, a host function made for
+the run's shape (kernels._kernel).  The machine reads the loop at one
+place, the return to a rec's frame, right after the step's curried
+application: when the fuel left covers total, it calls kernel(acc, k,
+cenv, bound, budget), cenv being the step's closure environment, and the
+kernel runs the iterations, with no frame and no closure per iteration.
+In a kernel each atom is a local, a numeral literal, or an item of cenv
+read once, before the first iteration.  The first iteration charges
+total; each later one charges total + 4 (the returns to the iteration's
+frame and to the loop, and the step's curried application), and runs
+only while the counter has not reached the bound and the fuel left
+covers all of it.  The kernel returns (k, value, budget, done): done,
+with the last iteration's closing tuple, where the loop stops; not done,
+with the iteration's accumulator and the budget at its start, where an
+op would be stuck (succ or pred of a non-numeral, a tuple pattern that
+does not fit).  The machine then rebuilds the iteration's frame, and in
+the second case its environment (acc, (k, cenv)), and goes on by single
+steps: it runs out of fuel, gets stuck or leaves the loop exactly where
+the single-step machine does.
 
 A kernel peels the first iteration, which makes every check of the
 single steps, and runs the later ones in a steady state, where the
@@ -100,6 +100,28 @@ op's, so a kernel runs a label with no continuation and no frame:
 reads k as a value, a throw to any other continuation and a label in a
 label leave the step to single steps.
 
+A run may hold nested counter loops too, as a `for` nest translates: a
+let or let <...> whose value is rec(y, <atoms>, fn j => fn acc => body),
+y being an outer variable of the step and fn acc a loop whose run holds
+only matches, tuples, succs and preds of its accumulator's items and
+nested recs of the same kind, with each item coming back to its own
+slot, and which reads no counter and no outer variable but the bounds of
+its nested recs (kernels._nest).  `mul_nested`'s outer step fn i => fn
+_v2 => let <z> = _v2 in let <z> = rec(y, <z>, fn j => fn _v1 => ...) in
+<z> is one.  Every iteration of such an inner loop maps each item it
+changes by the same x -> max(x + a, b), and its y iterations by that
+map's y-th power, so the enclosing kernel takes the nest, of any depth,
+in closed form as it takes a one-level loop.  The rec charges 9 + 2n for
+a base of n atoms, and then y times the inner iteration's charge plus 4,
+so an iteration's charge hangs on y: the loop's total covers only its
+static part.  The kernel works out the rest from y before the first
+iteration, and where the fuel left does not cover a whole iteration it
+returns not done at that iteration's start, with the budget it was
+given.  The machine then runs the iteration by single steps, where the
+inner rec's own kernel takes over, and so runs out of fuel where the
+single-step machine does.  A nested rec whose bound is a numeral or a
+value of the iteration leaves the step to single steps.
+
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
 binder names stay on the terms as hints.  A machine environment is a
@@ -128,6 +150,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import EvalError, FuelExhausted, NonErasable, StuckTerm, TooLong
+from .kernels import _B_MATCH, _B_PRED, _B_REC, _B_SUCC, _B_TUPLE, _kernel, _nest
 
 DEFAULT_FUEL = 10_000_000
 
@@ -307,18 +330,13 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     return erased
 
 
-# The kinds of a loop's op.  Succ, pred and tuple define one value, and a
-# match as many as its pattern has names.
-_B_SUCC, _B_PRED, _B_TUPLE, _B_MATCH = range(4)
-
-
 def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple (see the
     module docstring).  A loop is (total, kernel, shape, gaps), kernel
     being None until the loop's first entry, where the machine makes it
     with _enter: of the loops erasure marks in generated programs, about
-    a quarter are never entered.  It is the function that _kernel
+    a quarter are never entered.  It is the function that kernels._kernel
     compiles for the run's shape (reads, ops), with total and the gaps
     between the run's outer positions bound by functools.partial.  The
     loop holds nothing that refers back to fn, so a loop never entered
@@ -337,6 +355,25 @@ def _compile_loop(fn: RFn) -> None:
     variables sit or in lets of atoms share a shape, and a shape holds
     only integers.
 
+    A let or let <...> whose value is a nested counter rec(bound,
+    <atoms>, fn j => fn acc => body) is a _B_REC op, which defines the
+    rec's value and then its items.  Its bound is an outer variable, so
+    no iteration changes it, and the inner fn acc has a loop that
+    kernels._nest sums up: one that reads outer variables only as the
+    bounds of its own nested recs, all of them outer variables here too.
+    The operand is (bound, atoms, the inner loop's outer variables as
+    values of this run, the inner loop's total, its _nest).  The op
+    charges 9 + 2n for a tuple of n atoms (the let's push; the rec's
+    push, its bound, the return to the bound's frame; the tuple; the
+    return to the base's frame, the step's closure, the first return to
+    the loop frame; the rec's value returning to the let's frame), plus
+    its inner iterations, which the kernel works out from the bound's
+    value.  A numeral bound, succ^n(0) once erased, leaves the step to
+    single steps: `gen` writes one for every nested `for`, and on 3,000
+    of its programs (seed 901) such nests would make 242 kernels of
+    their own, entered 1.2 times each, against 238 kernels for all other
+    loops.
+
     The walk goes through a label's body as through the step's (see the
     module docstring for what a label and its throw charge), with k in
     scope as None: an op that reads k ends the walk.  The throw or the
@@ -348,6 +385,7 @@ def _compile_loop(fn: RFn) -> None:
     outer: Dict[int, int] = {}  # position in the closure environment -> value number
     values = 2
     label = None  # in a label's body: (the label's let, the length of scope outside it)
+
     while True:
         cls = type(t)
         if cls is RLet or cls is RLetMatch:
@@ -369,6 +407,24 @@ def _compile_loop(fn: RFn) -> None:
                 total += 1  # push the let's frame, which the throw abandons with its body
                 t = value
                 continue
+            elif vcls is RRec:
+                step, base, bound = value.step, value.base, value.bound
+                if type(bound) is not RVar or bound.index is None or bound.index < len(scope):
+                    return
+                inner = step.body.loop if type(step) is RFn and type(step.body) is RFn else None
+                nest = _nest(*inner[2]) if inner is not None and type(base) is RTuple else None
+                if nest is None or nest[0] != len(base.items):
+                    return
+                # the inner loop's closure environment is this iteration's
+                reads, position = [], 0
+                for gap in inner[3]:
+                    position += gap
+                    if position < len(scope):
+                        return
+                    if position - len(scope) not in outer:
+                        outer[position - len(scope)], values = values, values + 1
+                    reads.append(outer[position - len(scope)])
+                kind, items, cost = _B_REC, (bound, *base.items), 9 + 2 * len(base.items)
             else:
                 kind, items, cost = None, (value,), 3
         elif cls is RTuple:
@@ -402,6 +458,10 @@ def _compile_loop(fn: RFn) -> None:
         total += cost
         if kind is None:
             result = atoms[0]
+        elif kind == _B_REC:
+            defined = tuple(range(values, values + len(atoms)))
+            ops.append((kind, (atoms[0], tuple(atoms[1:]), tuple(reads), inner[0], nest), defined))
+            result, values = values, values + len(defined)
         else:
             ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], (values,)))
             result, values = values, values + 1
@@ -434,175 +494,6 @@ def _enter(fn: RFn) -> Callable:
     kernel = functools.partial(_kernel(*shape), total, *gaps)
     object.__setattr__(fn, "loop", (total, kernel, shape, gaps))
     return kernel
-
-
-@functools.lru_cache(maxsize=512)
-def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]], ...]) -> Callable:
-    """The kernel of the loop shape (reads, ops): a host function
-    kernel(total, g0, ..., acc, k, cenv, bound, budget) -> (k, value,
-    budget, done), where g0, ... are the gaps between the positions of
-    the outer variables.  It runs iterations from the one with
-    accumulator acc and counter k, in the step's closure environment
-    cenv, with budget the fuel left.  The value numbered n is the local
-    xn; the outer variables are read from cenv once, before the first
-    iteration.  Where a check fails, the kernel returns done = False
-    with the iteration's counter, accumulator and budget at its start.
-    Otherwise it charges the iteration total, and runs the next one
-    while the counter has not reached bound and the budget covers
-    total + 4; where it stops, it returns done = True with the last
-    iteration's counter, its closing tuple and the budget left.
-
-    The first iteration is peeled: it makes every check of the single
-    steps its ops stand for.  The later ones run in a steady state, where
-    the accumulator is the previous iteration's closing tuple, whose
-    items stay in the slots, locals numbered from the closing tuple's
-    value on; x0 is built from the slots only where an op reads it, and
-    the tuple of the slots is the value on exit.  There a match on a
-    tuple the iteration built, x0 included, with as many names as it has
-    items checks nothing and names its items; a succ or pred checks
-    nothing when its operand is a numeral, the counter, a value that a
-    succ or pred made, an outer variable that a succ or pred reads, or
-    a slot that the closing tuple fills with one of these.  Any other
-    check stays, and returns as in the first iteration.  An op whose
-    value no later op, check or slot reads is dropped.  When no check is
-    left, the kernel charges the later iterations at once: m = min(bound
-    - 1 - k, budget // (total + 4)) of them, charged m * (total + 4).
-    When the remaining ops are succs and preds, each in the one chain
-    that runs from a slot to the closing tuple's item for that same slot,
-    a chain being x -> max(x + a, b) (b None: x -> x + a), each such slot
-    takes the m iterations at once, x -> max(x + m*a, b + max(0, (m -
-    1)*a)), as does the counter, x1 += m.  Otherwise the kernel runs the
-    remaining ops m times, or none when no op is left and the slots keep
-    their values.
-    The source holds only the shape's integers (formatted with :d) and
-    fixed identifiers.
-
-    Over the 238 shapes that 3,000 programs of `gen` (seed 901) enter, a
-    compile takes 0.18 to 0.26 ms (tenth to ninetieth percentile, 2-vCPU
-    sandbox) and a kernel keeps about 1.7 KB.  A fuzz campaign brings
-    new shapes for as long as it runs, so the cache keeps the latest
-    512.  On 14,000 programs of `gen` (seed 901), with 519 shapes among
-    them, that compiles 0.037 kernels per program, as an unbounded cache
-    does, against 0.044 at 256."""
-    *body, (_, closing, _) = ops
-    top = 1 + max([1, *reads, *[n for _, _, defined in body for n in defined]])
-    slots = tuple(range(top, top + len(closing)))
-
-    def atom(a: int) -> str:
-        return f"{~a:d}" if a < 0 else f"x{a:d}"
-
-    def items(atoms: Tuple[int, ...]) -> str:
-        return "".join([atom(a) + ", " for a in atoms])
-
-    # the steady state: x0 is built from the slots, a match on a tuple of
-    # its own arity names the tuple's items, and the closing tuple fills
-    # the slots
-    same: Dict[int, int] = {}  # value -> the value it is, in a steady iteration
-    built: Dict[int, Tuple[int, ...]] = {}  # a tuple's value -> its items
-    steady = []
-    for kind, a, defined in [(_B_TUPLE, slots, (0,))] + body:
-        if kind == _B_TUPLE:
-            a = built[defined[0]] = tuple([same.get(x, x) for x in a])
-        else:
-            a = same.get(a, a)
-            if kind == _B_MATCH and a in built and len(built[a]) == len(defined):
-                same.update(zip(defined, built[a]))
-                continue
-        steady.append((kind, a, defined))
-    ends = tuple([same.get(x, x) for x in closing])
-    # the values known to be naturals: the counter, what succ and pred
-    # make, the outer variables that a succ or pred reads (the first
-    # iteration checked them, and they do not change), and the slots that
-    # the closing tuple fills with one of these
-    counts = [(a, defined) for kind, a, defined in steady if kind == _B_SUCC or kind == _B_PRED]
-    ints = {1} | {defined[0] for _, defined in counts} | {a for a, _ in counts if a in reads}
-    ints |= {s for s, x in zip(slots, ends) if x < 0 or x in ints}
-    live, kept = set(ends), []
-    for kind, a, defined in reversed(steady):
-        check = kind == _B_MATCH or kind != _B_TUPLE and a >= 0 and a not in ints
-        used = not live.isdisjoint(defined)
-        if check or used:
-            kept.append((kind, a, defined, check, used))
-            live.update(a if kind == _B_TUPLE else (a,))
-    kept.reverse()
-    moved = [(s, x) for s, x in zip(slots, ends) if x != s]
-
-    def run(ops: List[Tuple[int, Any, Tuple[int, ...], bool, bool]], indent: str, stuck: str) -> None:
-        for kind, a, defined, check, used in ops:
-            if kind == _B_TUPLE:
-                lines.append(f"{indent}x{defined[0]:d} = ({items(a)})")
-            elif kind == _B_MATCH:
-                if check:
-                    lines.append(f"{indent}if type({atom(a)}) is not tuple or len({atom(a)}) != {len(defined):d}: {stuck}")
-                if used and defined:
-                    lines.append(f"{indent}{items(defined)}= {atom(a)}")
-            else:
-                if check:
-                    lines.append(f"{indent}if type({atom(a)}) is not int: {stuck}")
-                if used:
-                    count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
-                    lines.append(f"{indent}x{defined[0]:d} = {count}")
-
-    def fill(pairs: List[Tuple[int, int]], indent: str) -> None:
-        if pairs:
-            lines.append(f"{indent}{items([s for s, _ in pairs])}= {items([x for _, x in pairs])}")
-
-    gap_params = "".join([f"g{j:d}, " for j in range(len(reads))])
-    lines = [f"def kernel(total, {gap_params}x0, x1, cenv, bound, budget):"]
-    if reads:
-        lines.append("    e = cenv")
-    for j, n in enumerate(reads):
-        lines += [f"    for _ in range(g{j:d}): e = e[1]", f"    x{n:d} = e[0]"]
-    run([(kind, a, defined, kind != _B_TUPLE, True) for kind, a, defined in body], "    ",
-        "return x1, x0, budget, False")
-    lines.append("    budget -= total")
-    fill(list(zip(slots, closing)), "    ")
-    acc = f"({items(slots)})"
-    if any(check for _, _, _, check, _ in kept):
-        lines += [
-            "    while x1 + 1 != bound and budget >= total + 4:",
-            "        budget -= 4",  # returns to _REC_NEXT, _REC_LOOP; the application
-            "        x1 += 1",
-        ]
-        run(kept, "        ", f"return x1, {acc}, budget, False")
-        lines.append("        budget -= total")
-        fill(moved, "        ")
-    else:
-        lines += [
-            "    m = min(bound - 1 - x1, budget // (total + 4))",
-            "    budget -= m * (total + 4)",
-        ]
-        # a slot that the closing tuple fills with a chain of succ and pred
-        # from that same slot takes x -> max(x + a, b) an iteration (b None:
-        # no clamp); when every op is in one such chain, m iterations are
-        # x -> max(x + m*a, b + max(0, (m - 1)*a)) on each slot.  (A kept
-        # tuple's value reaches the closing tuple, so it ends no chain.)
-        made = {defined[0]: (kind, a) for kind, a, defined, _, _ in kept if kind != _B_TUPLE}
-        chains: List[Tuple[int, int, Optional[int]]] = []
-        for s, x in moved:
-            a, b = 0, None  # the chain from x to the closing tuple, walked backwards
-            while x in made:
-                kind, x = made.pop(x)
-                a, b = (a + 1, b) if kind == _B_SUCC else (a - 1, a if b is None else max(a, b))
-            if x != s:
-                break
-            chains.append((s, a, b))
-        if len(chains) == len(moved) and not made:
-            if chains:
-                lines.append("    if m:")
-            for s, a, b in chains:
-                step = f"x{s:d} + m * {a:d}"
-                lines.append(f"        x{s:d} = {step}" if b is None else
-                             f"        x{s:d} = max({step}, {b:d} + max(0, (m - 1) * {a:d}))")
-            lines.append("    x1 += m")
-        else:
-            lines.append("    for x1 in range(x1 + 1, x1 + 1 + m):")
-            run(kept, "        ", "")
-            fill(moved, "        ")
-    lines += [f"    return x1, {acc}, budget, True", ""]
-    namespace: Dict[str, Any] = {}
-    exec(compile("\n".join(lines), "<loop kernel>", "exec"), namespace)
-    return namespace.pop("kernel")  # so that an evicted kernel is freed at once
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +673,9 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                 control, env = stepv.body.body, (acc, (k, cenv))
                 loop = stepv.body.loop
                 if loop is not None and budget >= loop[0]:
-                    # the loop kernel; an op that would be stuck leaves
-                    # its iteration to single steps
+                    # the loop kernel; an op that would be stuck, and an
+                    # iteration whose nested recs the fuel left does not
+                    # cover, leave the iteration to single steps
                     kernel = loop[1] or _enter(stepv.body)
                     k, value, budget, done = kernel(acc, k, cenv, bound, budget)
                     if done:

@@ -310,14 +310,26 @@ def test_runs_leave_no_cyclic_garbage(collector):
     unreachable.  Runs of the corpus, of the machine's fixtures and of
     generated programs, many of whose loops are never entered (a loop
     that held a function holding its own fn would keep the fn and its
-    body in a cycle)."""
+    body in a cycle).  mul_nested and the three-deep nest run their
+    outer loops in kernels that take the nested loops as ops, whose
+    loops hold what they keep of the inner ones."""
     runs = [(path, None) for path in sorted(glob.glob(os.path.join(CORPUS, "*.loop")))]
     runs += [(path, None) for path in sorted(glob.glob(os.path.join(CORPUS, "negative", "*.loop")))]
     runs += [
         (os.path.join(CORPUS, "addition_is.loop"), (30, 20)),
         (os.path.join(FIXTURES, "mul_nested.loop"), (5, 6)),
+        (os.path.join(FIXTURES, "mul_nested.loop"), (40, 30)),
         (os.path.join(FIXTURES, "jump_loop.loop"), (9,)),
     ]
+    deep = (
+        "discipline IS;\n"
+        "cst p = proc [x : nat, y : nat] out [z : nat, w : nat] {\n"
+        "  z := 0; w := y;\n"
+        "  for i := 0 until x { for j := 0 until y { for k := 0 until x { inc(z); dec(w); }[z : nat, w : nat];"
+        " }[z : nat, w : nat]; inc(w); }[z : nat, w : nat];\n"
+        "};\n"
+        "main { p(20, 9; z, w); } out [z : nat, w : nat]\n"
+    )
     gc.collect()
     gc.disable()
     gc.freeze()  # so that each collection walks only what the runs made
@@ -325,6 +337,9 @@ def test_runs_leave_no_cyclic_garbage(collector):
         for path, args in runs:
             pipeline.run_pipeline(path, args=args)
             assert gc.collect() == 0, path
+        report = pipeline.run_pipeline("deep_nest.loop", text=deep)
+        assert report.phases[-1]["payload"]["value"] == "<3600, 1>", report.phases
+        assert gc.collect() == 0
         for index in range(300):
             rng = random.Random(f"901:{index}")
             sf, entry, arity = gen.gen_is_program(rng, 30)

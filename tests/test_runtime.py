@@ -808,18 +808,22 @@ def test_the_oracle_agrees_with_the_machine_on_loop_bodies(text, expected, x):
     assert runtime.interpret_program(sf.csts, None, "p", (x, 3)) == machine == expected(x)
 
 
-def random_counter_program(rng):
+def random_counter_program(rng, parameters=False):
     """An IS procedure p over x and y whose outputs u, v and w start at 0
     to 5 and then run a `for` nest of inc and dec up to three deep.  A
     bound is a numeral up to 12, a parameter, an output or, now and then,
     an enclosing loop's index; an index is now and then named x or y and
     hides that parameter.  One item in sixteen is a `:=`.  A `:=`, a
     bound read from an index and a bound that the nest changes leave the
-    nest to the oracle's per-iteration paths."""
+    nest to the oracle's per-iteration paths.  With parameters, every
+    bound is x or y and no index hides them, so that the machine's
+    kernels run the nested loops of a `for` whole."""
     fresh = iter(range(1000))
     names = ["u", "v", "w"]
 
     def bound(indices):
+        if parameters:
+            return rng.choice(["x", "y"])
         roll = rng.random()
         if roll < 0.4:
             return str(rng.randint(0, 12))
@@ -828,7 +832,7 @@ def random_counter_program(rng):
         return rng.choice(names if roll < 0.9 or not indices else indices)
 
     def loop(frame, depth, indices):
-        var = rng.choice(["x", "y"]) if rng.random() < 0.15 else f"j{next(fresh)}"
+        var = rng.choice(["x", "y"]) if rng.random() < 0.15 and not parameters else f"j{next(fresh)}"
         head = f"for {var} := 0 until {bound(indices)}"
         indices = indices + [var]
         items = []
@@ -886,6 +890,79 @@ def test_counter_loops_in_closed_form_agree_with_single_steps(monkeypatch):
     assert ran["closed"] > 150 and ran["other"] > 50, ran
 
 
+# Nested rec steps whose inner loop reads an item that is no natural: a
+# closure, and a tuple that the closing tuple feeds back.  With the inner
+# bound n at 0 the inner loop never reads it, and the machine returns it;
+# otherwise the machine gets stuck.
+NESTED_STUCK = [
+    "fn n : nat => let f = fn y : nat => y in rec(3, <f, 0>, fn i : nat => fn a : <nat, nat> =>"
+    " let <z, w> = a in let w = succ(w) in let <z> = rec(n, <z>, fn j : nat => fn b : <nat> =>"
+    " let <v> = b in let v = succ(v) in <v>) in <z, w>)",
+    "fn n : nat => rec(3, <0, 0>, fn i : nat => fn a : <nat, nat> => let <z, w> = a in"
+    " let <z> = rec(n, <z>, fn j : nat => fn b : <nat> => let <v> = b in let v = pred(v) in <v>)"
+    " in let t = <z> in <t, w>)",
+]
+
+
+def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
+    """A kernel takes a nested counter rec as one op of its run (a
+    _B_REC op) and charges its iterations from the bound's value.  On
+    random counter nests (random_counter_program), half of them with
+    every bound a parameter, and on NESTED_STUCK at inner bounds 0 to 2,
+    the machine with its kernels and by single steps (without_loops)
+    must agree on the value, the point where fuel runs out and the stuck
+    message, at the least fuel, one below it and three seeded points.
+    More than 50 of the programs enter a kernel with a nested rec, and
+    more than 10 a kernel with a nest three deep.
+
+    Each of these changes, made on a copy, fails this test: the inner
+    rec's charge off by one (n * (cost + 3) for n * (cost + 4) in
+    kernels._kernel's nest); the composed clamp missing its + a term
+    (max(b1, b2) for max(b1 + a2, b2) in kernels._kernel's then); an
+    inner bound accepted from a slot that the enclosing step changes
+    (runtime._compile_loop taking any variable of the iteration as the
+    bound)."""
+    entered = collections.Counter()  # the depth of the nests in each kernel entered
+    enter = runtime._enter
+
+    def depth(nest):
+        return 1 + max([depth(inner) for _, _, _, inner in nest[3]], default=0)
+
+    def counting(fn):
+        entered[max([depth(a[4]) for kind, a, _ in fn.loop[2][1] if kind == runtime._B_REC], default=0)] += 1
+        return enter(fn)
+
+    monkeypatch.setattr(runtime, "_enter", counting)
+    rng = random.Random(31)
+    terms, nested, deep, outcomes = [], 0, 0, set()
+    for text in NESTED_STUCK:
+        terms += [(text, (RNum(n),)) for n in range(3)]
+    for case in range(400):
+        sf = parse(random_counter_program(rng, parameters=case % 2 == 1))
+        try:
+            pipeline.check_source(sf)
+        except CheckError:
+            continue
+        terms.append((sf, tuple(RNum(rng.randint(0, 4)) for _ in range(2))))
+    for source, args in terms:
+        if isinstance(source, str):
+            term, single = erase(parse_term(source)), without_loops(erase(parse_term(source)))
+        else:
+            image = pipeline.translate_file(source)
+            term, single = pipeline.erase_image(image, "p"), without_loops(pipeline.erase_image(image, "p"))
+        term, single = RApp(term, RTuple(args)), RApp(single, RTuple(args))
+        if outcome(single, 50_000)[0] == "fuel":
+            continue  # a nest whose bounds grow as it runs
+        entered.clear()
+        steps = least_fuel(term)
+        nested += max(entered, default=0) > 0
+        deep += max(entered, default=0) > 1
+        outcomes.add(outcome(single, steps)[0])
+        for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
+            assert outcome(term, fuel) == outcome(single, fuel), (source, args, fuel)
+    assert outcomes == {"value", "stuck"} and nested > 50 and deep > 10, (outcomes, nested, deep)
+
+
 def python_calls(path, args):
     """The Python calls of one run_pipeline, after a warm-up run that
     compiles the machine's loop kernels."""
@@ -907,24 +984,32 @@ def python_calls(path, args):
 
 @pytest.mark.parametrize(
     "path, small, large",
-    [("corpus/addition_is.loop", (1000, 0), (2000, 0)), ("bench/fixtures/mul_nested.loop", (3, 1000), (3, 2000))],
+    [("corpus/addition_is.loop", (1000, 0), (2000, 0)), ("bench/fixtures/mul_nested.loop", (3, 1000), (3, 2000)),
+     ("bench/fixtures/mul_nested.loop", (1000, 3), (2000, 3))],
 )
 def test_a_larger_rec_bound_makes_no_more_python_calls(path, small, large):
-    # the machine runs a straight-line loop in one kernel call and the
-    # oracle runs a counter for nest in closed form
+    # the machine runs a straight-line loop, and a loop whose step holds a
+    # nested counter loop, in one kernel call, and the oracle runs a
+    # counter for nest in closed form
     assert python_calls(path, small) == python_calls(path, large)
 
 
 def test_a_counter_loop_costs_the_same_at_any_rec_bound():
     """The machine's kernel and the oracle both run addition_is's loop in
     closed form, so a bound of 10**12 takes milliseconds, at the exact
-    least fuel of 15 transitions an iteration plus 33."""
+    least fuel of 15 transitions an iteration plus 33.  So do they
+    mul_nested's nest at 10**12 by 10**12, at the least fuel 33 + x(21 +
+    15y) of the single-step machine."""
+    for path, args, value, steps in [
+        ("corpus/addition_is.loop", (10**12, 7), "<1000000000007>", 15 * 10**12 + 33),
+        ("bench/fixtures/mul_nested.loop", (10**12, 10**12), "<1000000000000000000000000>", 15000000000021000000000033),
+    ]:
+        report = pipeline.run_pipeline(path, args=args, fuel=steps)
+        assert report.exit_code == pipeline.EXIT_OK, report.diagnostics
+        assert report.phases[-1]["payload"] == {"value": value, "interpreter": value}
+        report = pipeline.run_pipeline(path, args=args, fuel=steps - 1)
+        assert [(d["rule"], d["reason"]) for d in report.diagnostics] == [("EVAL", "FuelExhausted")]
     path = "corpus/addition_is.loop"
-    report = pipeline.run_pipeline(path, args=(10**12, 7), fuel=15 * 10**12 + 33)
-    assert report.exit_code == pipeline.EXIT_OK, report.diagnostics
-    assert report.phases[-1]["payload"] == {"value": "<1000000000007>", "interpreter": "<1000000000007>"}
-    report = pipeline.run_pipeline(path, args=(10**12, 7), fuel=15 * 10**12 + 32)
-    assert [(d["rule"], d["reason"]) for d in report.diagnostics] == [("EVAL", "FuelExhausted")]
     with open(path, "r", encoding="utf-8") as handle:
         sf = parse(handle.read())
     assert runtime.interpret_program(sf.csts, None, "add_proc", (10**15, 7)) == (10**15 + 7,)
