@@ -1,8 +1,9 @@
 """The loop kernels of the machine (see the runtime module docstring):
 the generator of a loop shape's host function (_kernel), and the sum
-of an iteration of a loop that an enclosing loop runs as a nested rec
-(_nest).  Both work on shapes, which hold only integers
-(runtime._compile_loop), so this module knows nothing of terms."""
+of an iteration of a loop (_nest), which a kernel takes in closed form,
+for the loop's own later iterations or as a nested rec.  Both work on
+shapes, which hold only integers (runtime._compile_loop), so this
+module knows nothing of terms."""
 
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ _B_SUCC, _B_PRED, _B_TUPLE, _B_MATCH, _B_REC = range(5)
 
 
 def _nest(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]], ...]) -> Optional[Tuple]:
-    """What an iteration of the loop shape (reads, ops) does, for an
-    enclosing loop that runs it as a nested rec: (arity, checked, chains,
-    recs), or None when the loop is no nested counter loop.
+    """What an iteration of the loop shape (reads, ops) does, for a
+    closed form of its iterations, the loop's own after the first or those
+    of a nested rec: (arity, checked, chains, recs), or None when the loop
+    is no counter loop.
 
     It is one when every op is a match on acc (always of one arity) or on
     a tuple the iteration built of as many items, a tuple of accumulator
@@ -110,47 +112,33 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     naturals, for any n; where one is not, single steps take the
     iteration, and get stuck where the single-step machine does, or run
     it when n = 0.  Then the rec's value is the tuple of the mapped items
-    and of the items kept, and the later iterations charge c + 4 for
-    total + 4.
+    and of the items it leaves as they are, and the later iterations
+    charge c + 4 for total + 4.
 
-    The first iteration is peeled: it makes every check of the single
-    steps its ops stand for.  The later ones run in a steady state, where
-    the accumulator is the previous iteration's closing tuple, whose
-    items stay in the slots, locals numbered from the closing tuple's
-    value on; x0 is built from the slots only where an op reads it, and
-    the tuple of the slots is the value on exit.  There a match on a
-    tuple the iteration built, x0 included, with as many names as it has
-    items checks nothing and names its items; a succ or pred checks
-    nothing when its operand is a numeral, the counter, a value that a
-    succ or pred made, an outer variable that a succ or pred reads, or
-    a slot that the closing tuple fills with one of these; a nested rec
-    checks nothing when those of its items are such values, and what it
-    makes of the items it changes are naturals.  Any other check stays,
-    and returns as in the first iteration.  An op whose value no later
-    op, check or slot reads is dropped.  When no check is left, the
-    kernel charges the later iterations at once: m = min(bound - 1 - k,
-    budget // (total + 4)) of them, charged m * (total + 4).  When the
-    remaining ops are succs, preds and nested recs, each of their values
-    in the one chain that runs from a slot to the closing tuple's item
-    for that same slot, a chain being x -> max(x + a, b) (b None: x -> x
-    + a; a nested rec's map of an item is one with a and b worked out
-    before the first iteration), each such slot takes the m iterations
-    at once, x -> max(x + m*a, b + max(0, (m - 1)*a)), as does the
-    counter, x1 += m.  Otherwise the kernel runs the remaining ops m
-    times, or none when no op is left and the slots keep their values.
-    The source holds only the shape's integers (formatted with :d) and
-    fixed identifiers.
+    An iteration makes every check of the single steps its ops stand
+    for.  The kernel runs one, and then ends in one of two ways.  When
+    _nest sums up the loop itself, no later iteration has a check that
+    can fail: the items that its ops read as they are hold naturals after
+    the first iteration, which checked them, and every tuple pattern
+    meets a tuple of its arity.  Then the kernel takes the remaining m =
+    min(bound - 1 - k, budget // (c + 4)) iterations as a nested rec of
+    bound m over the loop's own summary: each item that the loop changes
+    takes its chain's m-th power, the budget is charged m * (c + 4) and
+    the counter moves on by m.  Otherwise the kernel runs that checked
+    iteration again, with acc the previous closing tuple, for as long as
+    the counter and the budget allow.  The source holds only the shape's
+    integers (formatted with :d) and fixed identifiers.
 
-    Over the 238 shapes that 3,000 programs of `gen` (seed 901) enter, a
-    compile takes 0.18 to 0.26 ms (tenth to ninetieth percentile, 2-vCPU
-    sandbox) and a kernel keeps about 1.7 KB.  A fuzz campaign brings
-    new shapes for as long as it runs, so the cache keeps the latest
-    512.  On 14,000 programs of `gen` (seed 901), with 519 shapes among
-    them, that compiles 0.037 kernels per program, as an unbounded cache
-    does, against 0.044 at 256."""
+    Over the 233 shapes that 3,000 programs of `gen` (seed 901) enter, a
+    compile takes 0.4 to 0.75 ms (tenth to ninetieth percentile, shared
+    2-vCPU sandbox) and a kernel keeps about 1.2 KB; 79 of the shapes
+    end in the closed form.  A fuzz campaign brings new shapes for as
+    long as it runs, so the cache keeps the latest 512.  On 14,000
+    programs of `gen` (seed 901), with 519 shapes among them, that
+    compiles 0.037 kernels per program, as an unbounded cache does,
+    against 0.044 at 256."""
     *body, (_, closing, _) = ops
-    top = 1 + max([1, *reads, *[n for _, _, defined in body for n in defined]])
-    slots = tuple(range(top, top + len(closing)))
+    m = 1 + max([1, *reads, *[n for _, _, defined in body for n in defined]])  # the closed form keeps m in the local xm
     lines: List[str] = []
 
     def atom(a: int) -> str:
@@ -164,6 +152,12 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
     # names of locals that the kernel works out before the first iteration.
     def num(v: Any) -> str:
         return f"{v:d}" if type(v) is int else v
+
+    def mapped(x: int, f: Optional[Tuple[Any, Any]]) -> str:
+        # the atom x under the map f, None being the identity
+        if f is None:
+            return atom(x)
+        return f"{atom(x)} + {num(f[0])}" if f[1] is None else f"max({atom(x)} + {num(f[0])}, {num(f[1])})"
 
     temps: List[str] = []
 
@@ -193,19 +187,21 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
             f = then(f, g)
         return f
 
-    naturals = set()  # the outer variables checked to be naturals
+    naturals = set()  # the atoms checked to be naturals
 
-    def nest(n: int, args: Tuple[int, ...], total: int, summary: Tuple) -> Tuple[str, Dict[int, Tuple[Any, Any]]]:
+    @functools.cache
+    def nest(n: int, args: Tuple[int, ...], total: Any, summary: Tuple) -> Tuple[str, Dict[int, Tuple[Any, Any]]]:
         # A nested rec of bound n (an atom) over the loop that summary
         # sums up (_nest), args being its outer variables: its charge
         # beyond the static one, n * (the inner iteration's charge + 4),
         # and for each slot that its iterations change the map of all n
-        # of them, the identity for n = 0.
+        # of them, the identity for n = 0.  A rec met again (as the loop
+        # itself meets its nested recs) reuses the locals of the first.
         if n not in naturals:
             naturals.add(n)
             lines.append(f"    if type({atom(n)}) is not int: return x1, x0, budget, False")
         _, _, chains, recs = summary
-        charges, inner = [f"{total:d}"], []
+        charges, inner = [num(total)], []
         for bound, reads, inner_total, inner_summary in recs:
             charge, maps = nest(args[bound], tuple([args[i] for i in reads]), inner_total, inner_summary)
             charges.append(charge)
@@ -221,94 +217,6 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
                            None if b is None else local(f"{num(b)} + max(0, ({x} - 1) * {num(a)}) if {x} else 0"))
         return f"{atom(n)} * ({cost} + 4)", maps
 
-    # the steady state: x0 is built from the slots, a match on a tuple of
-    # its own arity names the tuple's items, a nested rec's item that its
-    # iterations keep is the item of its tuple, and the closing tuple
-    # fills the slots
-    same: Dict[int, int] = {}  # value -> the value it is, in a steady iteration
-    built: Dict[int, Tuple[int, ...]] = {}  # a tuple's value -> its items
-    steady = []
-    for kind, a, defined in [(_B_TUPLE, slots, (0,))] + body:
-        if kind == _B_TUPLE:
-            a = built[defined[0]] = tuple([same.get(x, x) for x in a])
-        elif kind == _B_REC:
-            bound, base, args, inner_total, summary = a
-            base = tuple([same.get(x, x) for x in base])
-            a = (bound, base, args, inner_total, summary)
-            same.update([(r, x) for r, x, pieces in zip(defined[1:], base, summary[2]) if not pieces])
-            built[defined[0]] = tuple([same.get(r, r) for r in defined[1:]])
-        else:
-            a = same.get(a, a)
-            if kind == _B_MATCH and a in built and len(built[a]) == len(defined):
-                same.update(zip(defined, built[a]))
-                continue
-        steady.append((kind, a, defined))
-    ends = tuple([same.get(x, x) for x in closing])
-    # the values known to be naturals: the counter, what succ and pred
-    # make, the items that a nested rec changes, the outer variables that
-    # a succ, a pred or a nested rec checks (the first iteration checked
-    # them, and they do not change), and the slots that the closing tuple
-    # fills with one of these
-    counts = [(a, defined) for kind, a, defined in steady if kind == _B_SUCC or kind == _B_PRED]
-    ints = {1} | {defined[0] for _, defined in counts} | {a for a, _ in counts if a in reads}
-    for kind, a, defined in steady:
-        if kind == _B_REC:
-            _, checked, chains, _ = a[4]
-            ints |= {r for r, pieces in zip(defined[1:], chains) if pieces} | {a[1][j] for j in checked} & set(reads)
-    ints |= {s for s, x in zip(slots, ends) if x < 0 or x in ints}
-    live, kept = set(ends), []
-    for kind, a, defined in reversed(steady):
-        if kind == _B_REC:
-            operands = a[1]
-            check = any([operands[j] >= 0 and operands[j] not in ints for j in a[4][1]])
-        else:
-            operands = a if kind == _B_TUPLE else (a,)
-            check = kind == _B_MATCH or kind != _B_TUPLE and a >= 0 and a not in ints
-        used = not live.isdisjoint(defined)
-        if check or used:
-            kept.append((kind, a, defined, check, used))
-            live.update(operands)
-    kept.reverse()
-    moved = [(s, x) for s, x in zip(slots, ends) if x != s]
-    maps: Dict[int, Dict[int, Tuple[Any, Any]]] = {}  # a nested rec's value -> its maps (nest)
-
-    def run(ops: List[Tuple[int, Any, Tuple[int, ...], bool, bool]], indent: str, stuck: str) -> None:
-        for kind, a, defined, check, used in ops:
-            if kind == _B_TUPLE:
-                lines.append(f"{indent}x{defined[0]:d} = ({items(a)})")
-            elif kind == _B_MATCH:
-                if check:
-                    lines.append(f"{indent}if type({atom(a)}) is not tuple or len({atom(a)}) != {len(defined):d}: {stuck}")
-                if used and defined:
-                    lines.append(f"{indent}{items(defined)}= {atom(a)}")
-            elif kind == _B_REC:
-                # an item that the inner loop reads as it is must be a
-                # natural: else single steps take the iteration, and get
-                # stuck where the inner loop runs and the item is no natural
-                base, changes = a[1], maps[defined[0]]
-                if check:
-                    for x in sorted({base[j] for j in a[4][1] if base[j] >= 0}):
-                        lines.append(f"{indent}if type({atom(x)}) is not int: {stuck}")
-                if used:
-                    for j, (x, r) in enumerate(zip(base, defined[1:])):
-                        if j not in changes:
-                            lines.append(f"{indent}x{r:d} = {atom(x)}")
-                        elif changes[j][1] is None:
-                            lines.append(f"{indent}x{r:d} = {atom(x)} + {changes[j][0]}")
-                        else:
-                            lines.append(f"{indent}x{r:d} = max({atom(x)} + {changes[j][0]}, {changes[j][1]})")
-                    lines.append(f"{indent}x{defined[0]:d} = ({items(defined[1:])})")
-            else:
-                if check:
-                    lines.append(f"{indent}if type({atom(a)}) is not int: {stuck}")
-                if used:
-                    count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
-                    lines.append(f"{indent}x{defined[0]:d} = {count}")
-
-    def fill(pairs: List[Tuple[int, int]], indent: str) -> None:
-        if pairs:
-            lines.append(f"{indent}{items([s for s, _ in pairs])}= {items([x for _, x in pairs])}")
-
     gap_params = "".join([f"g{j:d}, " for j in range(len(reads))])
     lines.append(f"def kernel(total, {gap_params}x0, x1, cenv, bound, budget):")
     if reads:
@@ -317,70 +225,57 @@ def _kernel(reads: Tuple[int, ...], ops: Tuple[Tuple[int, Any, Tuple[int, ...]],
         lines += [f"    for _ in range(g{j:d}): e = e[1]", f"    x{n:d} = e[0]"]
     cost = "total"  # an iteration's charge
     charges = [cost]
+    maps: Dict[int, Dict[int, Tuple[Any, Any]]] = {}  # a nested rec's value -> its maps (nest)
     for kind, a, defined in body:
         if kind == _B_REC:
             charge, maps[defined[0]] = nest(a[0], a[2], a[3], a[4])
             charges.append(charge)
-    del nest  # a recursive closure is a reference cycle
     if len(charges) > 1:
         # the machine's entry test covers only the static part of the charge
         cost = "c"
         lines += [f"    c = {' + '.join(charges)}", "    if budget < c: return x1, x0, budget, False"]
-    run([(kind, a, defined, kind != _B_TUPLE, True) for kind, a, defined in body], "    ",
-        "return x1, x0, budget, False")
-    lines.append(f"    budget -= {cost}")
-    fill(list(zip(slots, closing)), "    ")
-    acc = f"({items(slots)})"
-    if any(check for _, _, _, check, _ in kept):
+    summary = _nest(reads, ops)
+    if summary is None:
+        lines.append("    while True:")
+    indent = "        " if summary is None else "    "
+    stuck = "return x1, x0, budget, False"
+    for kind, a, defined in body:
+        if kind == _B_TUPLE:
+            lines.append(f"{indent}x{defined[0]:d} = ({items(a)})")
+        elif kind == _B_MATCH:
+            lines.append(f"{indent}if type({atom(a)}) is not tuple or len({atom(a)}) != {len(defined):d}: {stuck}")
+            if defined:
+                lines.append(f"{indent}{items(defined)}= {atom(a)}")
+        elif kind == _B_REC:
+            # an item that the inner loop reads as it is must be a natural:
+            # else single steps take the iteration, and get stuck where the
+            # inner loop runs and the item is no natural
+            base, changes = a[1], maps[defined[0]]
+            for x in sorted({base[j] for j in a[4][1] if base[j] >= 0}):
+                lines.append(f"{indent}if type({atom(x)}) is not int: {stuck}")
+            for j, (x, r) in enumerate(zip(base, defined[1:])):
+                lines.append(f"{indent}x{r:d} = {mapped(x, changes.get(j))}")
+            lines.append(f"{indent}x{defined[0]:d} = ({items(defined[1:])})")
+        else:
+            if a >= 0:
+                lines.append(f"{indent}if type({atom(a)}) is not int: {stuck}")
+            count = f"{atom(a)} + 1" if kind == _B_SUCC else f"{atom(a)} - 1 if {atom(a)} > 0 else 0"
+            lines.append(f"{indent}x{defined[0]:d} = {count}")
+    lines.append(f"{indent}budget -= {cost}")
+    if summary is None:
         lines += [
-            f"    while x1 + 1 != bound and budget >= {cost} + 4:",
+            f"        x0 = ({items(closing)})",
+            f"        if x1 + 1 == bound or budget < {cost} + 4: return x1, x0, budget, True",
             "        budget -= 4",  # returns to _REC_NEXT, _REC_LOOP; the application
             "        x1 += 1",
         ]
-        run(kept, "        ", f"return x1, {acc}, budget, False")
-        lines.append(f"        budget -= {cost}")
-        fill(moved, "        ")
     else:
-        lines += [
-            f"    m = min(bound - 1 - x1, budget // ({cost} + 4))",
-            f"    budget -= m * ({cost} + 4)",
-        ]
-        # a slot that the closing tuple fills with a chain of succ, pred
-        # and nested recs from that same slot takes the chain's map x ->
-        # max(x + a, b) an iteration; when every op is in one such chain,
-        # m iterations are x -> max(x + m*a, b + max(0, (m - 1)*a)) on each
-        # slot.  (A kept tuple's value reaches the closing tuple, so it
-        # ends no chain.)
-        made: Dict[int, Tuple[Tuple[Any, Any], int]] = {}  # a value -> (its op's map, the op's operand)
-        for kind, a, defined, _, _ in kept:
-            if kind == _B_SUCC or kind == _B_PRED:
-                made[defined[0]] = ((1, None) if kind == _B_SUCC else (-1, 0), a)
-            elif kind == _B_REC:
-                made.update([(defined[1 + j], (f, a[1][j])) for j, f in maps[defined[0]].items()
-                             if defined[1 + j] in live])
-        pieces: List[Tuple[int, List[Tuple[Any, Any]]]] = []
-        for s, x in moved:
-            walked = []  # the chain from x to the closing tuple, walked backwards
-            while x in made:
-                f, x = made.pop(x)
-                walked.append(f)
-            if x != s:
-                break
-            pieces.append((s, walked[::-1]))
-        if len(pieces) == len(moved) and not made:
-            chains = [(s, *chain(walked)) for s, walked in pieces]
-            if chains:
-                lines.append("    if m:")
-            for s, a, b in chains:
-                step = f"x{s:d} + m * {num(a)}"
-                lines.append(f"        x{s:d} = {step}" if b is None else
-                             f"        x{s:d} = max({step}, {num(b)} + max(0, (m - 1) * {num(a)}))")
-            lines.append("    x1 += m")
-        else:
-            lines.append("    for x1 in range(x1 + 1, x1 + 1 + m):")
-            run(kept, "        ", "")
-            fill(moved, "        ")
-    lines += [f"    return x1, {acc}, budget, True", ""]
+        naturals.add(m)
+        lines.append(f"    x{m:d} = min(bound - 1 - x1, budget // ({cost} + 4))")
+        charge, powers = nest(m, reads, "total", summary)
+        ends = "".join([mapped(x, powers.get(j)) + ", " for j, x in enumerate(closing)])
+        lines += [f"    budget -= {charge}", f"    x1 += x{m:d}", f"    return x1, ({ends}), budget, True"]
+    del nest  # a recursive closure is a reference cycle
     namespace: Dict[str, Any] = {}
-    exec(compile("\n".join(lines), "<loop kernel>", "exec"), namespace)
+    exec(compile("\n".join(lines + [""]), "<loop kernel>", "exec"), namespace)
     return namespace.pop("kernel")  # so that an evicted kernel is freed at once

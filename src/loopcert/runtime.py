@@ -48,29 +48,18 @@ the second case its environment (acc, (k, cenv)), and goes on by single
 steps: it runs out of fuel, gets stuck or leaves the loop exactly where
 the single-step machine does.
 
-A kernel peels the first iteration, which makes every check of the
-single steps, and runs the later ones in a steady state, where the
-accumulator is the previous closing tuple: its items stay in locals,
-and the tuple is built once, on exit.  A check that the shape proves
-true from the second iteration on is dropped there: a tuple pattern
-against the previous closing tuple, or against a tuple the iteration
-built, of as many items; a succ or pred whose operand is a numeral,
-the counter, a value made by succ or pred, an outer variable that a
-succ or pred of the run reads (the first iteration checked it, and it
-does not change), or an accumulator item that the closing tuple fills
-with one of these.  Every other check stays (a pattern against an
-outer variable or an accumulator item, a succ or pred of an item that
-the closing tuple fills with anything else), and fails as in the first
-iteration.  Where no check is left, the kernel works out at once how
-many more iterations the bound and the fuel allow, m = min(bound - 1 -
-k, budget // (total + 4)), and charges m * (total + 4).  When every op
-left is a succ or pred and each accumulator item that the closing tuple
-changes gets a chain of them that starts at that same item, every op in
-one chain, it takes the m iterations in closed form: a chain is x ->
-max(x + a, b) on its item, and m iterations of it x -> max(x + m*a, b +
-max(0, (m - 1)*a)).  Otherwise it runs only the ops whose values the
-next closing tuple needs, m times, or not at all when no op is left and
-the closing tuple only keeps its items.
+A kernel runs an iteration with every check of the single steps its
+ops stand for, and then ends in one of two ways.  When kernels._nest
+sums up the loop (every accumulator item that changes is a chain of
+succ, pred and nested recs on that same item, and the run reads no
+counter and no outer variable but the bounds of its nested recs; see
+below), no check of a later iteration can fail.  The kernel then works
+out at once how many more iterations the bound and the fuel allow, m =
+min(bound - 1 - k, budget // (total + 4)), charges m * (total + 4) and
+takes the m iterations in closed form: a chain is x -> max(x + a, b) on
+its item, and m iterations of it x -> max(x + m*a, b + max(0, (m -
+1)*a)).  Otherwise it runs the same checked iteration again, on the
+previous closing tuple, while the bound and the fuel allow.
 
 A kernel is made on its loop's first entry: a host function compiled
 from generated source once per shape of run, which a bounded cache
@@ -130,9 +119,10 @@ tuple whose first item is a small-int tag.
 
 The interpreter runs a `for` whose body holds only inc, dec and such
 `for`s (a counter body) in closed form too, by one walk of the body
-that composes its maps x -> max(x + a, b) (_counter_effect).  It shares
-no code with the machine or its kernels, so each closed form is checked
-against the other, and both against the machine by single steps.
+that composes its maps x -> max(x + a, b) (_counter_effect), and any
+other body through exec_seq, once per iteration.  It shares no code
+with the machine or its kernels, so each closed form is checked against
+the other, and both against the machine by single steps.
 
 Runtime terms are immutable nodes made by the decorator of the syntax
 nodes, `syntax.node`.  Erasure, the machine and the interpreter tell
@@ -884,29 +874,14 @@ def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -
     """The commands that open a frame or call; exec_seq runs the rest.
     A `for` of n > 0 iterations whose body is a counter body runs in
     closed form, its effect (_counter_effect) applied once to the frame.
-    Otherwise it copies gamma once per loop, not once per iteration; a
-    body of `inc`, `dec` and `:=` only runs in place, an op list built
-    once per loop entry with no exec_seq call per iteration; any other
-    body runs through exec_seq."""
+    Any other `for` copies gamma once per loop, not once per iteration,
+    and runs its body through exec_seq."""
     cls = type(cmd)
     if cls is S.CFor and cmd.idx is None:
         n = eval_i_expr(cmd.bound, gamma, store)
         frame_names = [x for x, _ in cmd.frame]
         sub = {x: store[x] for x in frame_names}
-        var, body = cmd.var, cmd.body
-        ops: Optional[List[Tuple[type, str, Optional[S.Expr]]]] = []
-        counting = True  # no := among the body's items
-        for item in body.items:
-            op = type(item)
-            if op is S.CInc or op is S.CDec:
-                ops.append((op, item.name, None))
-            elif op is S.CAssign:
-                ops.append((op, item.name, item.value))
-                counting = False
-            else:
-                ops = None
-                break
-        effect = _counter_effect(cmd, n, gamma, sub) if counting and type(n) is int and n > 0 else None
+        effect = _counter_effect(cmd, n, gamma, sub) if type(n) is int and n > 0 else None
         if effect is not None:
             for name, (a, b) in effect.items():
                 x = sub[name] + a
@@ -914,21 +889,10 @@ def exec_command(cmd: S.Command, gamma: Dict[str, Any], store: Dict[str, Any]) -
         else:
             # one copy serves every iteration: the body does not mutate it
             inner = dict(gamma)
-            if ops is None:
-                for k in range(n):
-                    inner[var] = k
-                    exec_seq(body, inner, sub)
-            else:
-                inc, dec = S.CInc, S.CDec
-                for k in range(n):
-                    inner[var] = k
-                    for op, name, value in ops:
-                        if op is inc:
-                            sub[name] += 1
-                        elif op is dec:
-                            sub[name] = max(sub[name] - 1, 0)
-                        else:
-                            sub[name] = eval_i_expr(value, inner, sub)
+            var, body = cmd.var, cmd.body
+            for k in range(n):
+                inner[var] = k
+                exec_seq(body, inner, sub)
         for x in frame_names:
             store[x] = sub[x]
         return

@@ -329,8 +329,8 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     of an accumulator item that the closing tuple fills with it, gets
     stuck.  start is the width of the initial accumulator, that of the
     step's pattern when None.  With counted, the body opens with a succ
-    or pred of the outer variable x, which makes x a natural in a
-    kernel's steady state.  With chains, the body is instead a chain of
+    or pred of the outer variable x, which keeps the loop out of
+    kernels._nest's closed form.  With chains, the body is instead a chain of
     succ and pred, among lets of atoms, for each accumulator item, which
     the closing tuple puts back in the item's place; now and then a chain
     starts at another item or the closing tuple repeats a chain's end.
@@ -465,27 +465,27 @@ STUCK_STEPS = [
 
 
 def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
-    """A kernel peels its first iteration and runs the later ones with the
-    checks that the first proves dropped and, when none is left, the fuel
-    of all of them charged at once.  On random steps, straight-line or
-    through labels, with bounds up to 50, and with fuel at the least fuel,
-    one below it and three random points, the kernels and single steps
-    (without_loops) must agree on the value, the point where fuel runs
-    out and the stuck message.  A quarter of the steps open with a succ
-    or pred of the outer variable x, which the steady state counts as a
-    natural.  Sixty more are chains of succ and pred on the accumulator
-    items, most of which the steady state takes in closed form (no loop
-    over range in the kernel).
+    """A kernel runs its first iteration with every check of the single
+    steps, and then either takes the remaining iterations in closed form,
+    where _nest sums up the loop, or runs the same checked iteration
+    again.  On random steps, straight-line or through labels, with bounds
+    up to 50, and with fuel at the least fuel, one below it and three
+    random points, the kernels and single steps (without_loops) must
+    agree on the value, the point where fuel runs out and the stuck
+    message.  A quarter of the steps open with a succ or pred of the
+    outer variable x, and more than 15 of those enter a kernel.  Sixty
+    more are chains of succ and pred on the accumulator items, most of
+    which the kernel takes in closed form.
 
-    Each of these changes to runtime._kernel, made on a copy, fails this
-    test: m one more than min(bound - 1 - k, budget // (total + 4)); a
-    slot that the closing tuple fills from an outer variable counted as
-    a natural, which drops a check that has to stay, also where only a
-    tuple of the body reads the variable; a steady iteration charged
-    total + 3; the closed form's clamp b read as b + 1; a chain taken in
-    closed form when it starts at another item.  ((m - 1) read as m in
-    the clamp changes nothing: after the peeled iteration an item already
-    lies at or above b, so the clamp can bind only where a < 0.)"""
+    Each of these changes to kernels.py, made on a copy, fails this test:
+    m one more than min(bound - 1 - k, budget // (c + 4)); the checked
+    loop charging c + 3 for an iteration after the first; the closed
+    form's clamp b read as b + 1 in nest; the closed form taken where
+    _nest returns None, as if the loop kept every item; _nest taking a
+    closing tuple that fills an item from another item.  ((m - 1) read as
+    m in nest's clamp passes here: after the first iteration an item
+    already lies at or above b, so the clamp can bind only where a < 0.
+    The test of nested counter loops below catches it.)"""
     rng = random.Random(11)
     texts = [(text, 0) for text in STUCK_STEPS]
     for case in range(120):
@@ -504,11 +504,10 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
         loop = loop_of(term)
         seen[outcome(single, steps)[0], loop is not None] += 1
-        if mode == 1 and loop is not None and loop[1] is not None:
-            seen["counted", "min" in loop[1].func.__code__.co_names] += 1
+        if mode == 1:
+            seen["counted", loop is not None and loop[1] is not None] += 1
         if mode == 4 and loop[1] is not None:
-            names = loop[1].func.__code__.co_names
-            seen["closed", "min" in names and "range" not in names] += 1
+            seen["closed", "min" in loop[1].func.__code__.co_names] += 1
     assert outcome(erase(parse_term(STUCK_STEPS[0])), 100) == ("stuck", "StuckTerm: tuple pattern <b, c> against <0>")
     for text in STUCK_STEPS[1:]:
         assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
@@ -516,16 +515,16 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
     assert seen["closed", True] > 15 and seen["closed", False] > 5, seen
 
 
-def test_a_succ_of_an_outer_variable_leaves_no_check_in_the_steady_state():
+def test_a_succ_of_an_outer_variable_enters_the_kernel():
     """As the IS loop `dec(z); w := i; inc(v); v := y; inc(v);` translates:
-    the succ of the outer variable y is checked in the first iteration
-    only, so the steady state takes every later iteration at once."""
+    the succ of the outer variable y keeps the loop from _nest's closed
+    form, so the kernel runs its checked iteration for every iteration."""
     fn = erase(parse_term("fn n : nat => let y = 7 in rec(n, <7, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
                           " let <z, w, v> = a in let z = pred(z) in let w = i in let v = succ(v) in let v = y in"
                           " let v = succ(v) in <z, w, v>)"))
     term = RApp(fn, RNum(100000))
     assert evaluate(term, 3500050) == (0, 99999, 8)  # 35 transitions an iteration
-    assert "min" in loop_of(fn.body)[1].func.__code__.co_names
+    assert loop_of(fn.body)[1] is not None
     with pytest.raises(FuelExhausted):
         evaluate(term, 3500049)
     assert outcome(RApp(fn, RNum(40)), 1000) == outcome(RApp(without_loops(fn), RNum(40)), 1000)
@@ -763,10 +762,10 @@ def oracle_loop(decls: str, body: str, frame: str, outs: str) -> str:
     )
 
 
-# IS loops whose oracle runs take every path of exec_command's CFor case:
-# bodies of inc, dec and := only; counter nests in closed form; bodies
-# that keep the generic path (a nested for whose bound is the index or a
-# name the body changes, a block, a var).  Each expected tuple is a
+# IS loops whose oracle runs take both paths of exec_command's CFor case:
+# counter bodies and nests in closed form; bodies that run through
+# exec_seq (a :=, a nested for whose bound is the index or a name the
+# body changes, a block, a var).  Each expected tuple is a
 # function of the bound x, with y = 3.
 ORACLE_LOOPS = [
     ("inc", oracle_loop("z := y;", "inc(z);", "z : nat", "z"), lambda x: (3 + x,)),
@@ -918,10 +917,10 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
     Each of these changes, made on a copy, fails this test: the inner
     rec's charge off by one (n * (cost + 3) for n * (cost + 4) in
     kernels._kernel's nest); the composed clamp missing its + a term
-    (max(b1, b2) for max(b1 + a2, b2) in kernels._kernel's then); an
-    inner bound accepted from a slot that the enclosing step changes
-    (runtime._compile_loop taking any variable of the iteration as the
-    bound)."""
+    (max(b1, b2) for max(b1 + a2, b2) in kernels._kernel's then); (n -
+    1) read as n in nest's clamp; an inner bound accepted from a slot
+    that the enclosing step changes (runtime._compile_loop taking any
+    variable of the iteration as the bound)."""
     entered = collections.Counter()  # the depth of the nests in each kernel entered
     enter = runtime._enter
 
