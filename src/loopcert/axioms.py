@@ -6,17 +6,18 @@ individuals, including free program variables and eigenvariables, so
 never applied here; callers try the flipped pair themselves.
 
 Note that AX_MULT_0 reads ``mult(0, i') = i'`` as printed, which makes
-``mult`` denote (n+1)*m; the closed evaluator that the tests hold the
-schemas sound against reads it the same way.
+``mult`` denote (n+1)*m; eval_ind, the evaluator of closed individuals,
+reads it the same way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import CheckError
 from .syntax import (
     IAdd,
+    IBound,
     IF32,
     IMult,
     IPred,
@@ -104,3 +105,43 @@ def match_axiom(i1: Ind, i2: Ind, rule: str = "AXIOM", span=None) -> str:
         )
     return name
 
+
+
+def eval_ind(i: Ind, env: Dict[str, int]) -> Optional[int]:
+    """The natural that the individual i denotes, each variable read from
+    env, or None where i holds a variable that env lacks.  pred and sub
+    are truncated, mult(n, m) is (n+1)*m (see the module note) and F32(n)
+    is 3 at 0 and 2 elsewhere, as the schemas read them.  The walk keeps
+    its own stack, since a numeral is a succ chain as deep as its value."""
+    nodes, todo = [], [i]  # the nodes in pre-order, the right operand first
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        cls = type(node)
+        if cls is IAdd or cls is ISub or cls is IMult:
+            todo.append(node.left)
+            todo.append(node.right)
+        elif cls is ISucc or cls is IPred or cls is IF32:
+            todo.append(node.arg)
+    values: List[int] = []  # a node's operands are done before it, the left one first
+    for node in reversed(nodes):
+        cls = type(node)
+        if cls is IZero:
+            values.append(0)
+        elif cls is ISucc:
+            values[-1] += 1
+        elif cls is IPred:
+            values[-1] = max(values[-1] - 1, 0)
+        elif cls is IF32:
+            values[-1] = 3 if values[-1] == 0 else 2
+        elif cls is IVar:
+            if node.name not in env:
+                return None
+            values.append(env[node.name])
+        elif cls is IBound:
+            return None
+        else:
+            right = values.pop()
+            left = values[-1]
+            values[-1] = left + right if cls is IAdd else max(left - right, 0) if cls is ISub else (left + 1) * right
+    return values[0]

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from . import dependent, envs, runtime, translate
+from . import axioms, dependent, envs, runtime, translate
 from . import syntax as S
 from .errors import CheckError, EvalError, LoopcertError, ParseError, TooLong
 from .parser import parse
@@ -232,13 +232,18 @@ def erase_image(image: S.SourceFile, entry: Optional[str] = None) -> runtime.RTe
 
 def _entry(sf: S.SourceFile, types: Tuple[Tuple[str, S.Formula], ...], args: Tuple[int, ...]) -> str:
     """The constant that --args apply to: the last one, whose functional
-    type must be, under any foralls, a function of len(args) naturals."""
+    type must be, under any foralls, a function of len(args) naturals
+    that admits args.  A parameter nat(i) whose index i is a lone forall
+    variable binds it to its argument, one value for each variable; any
+    other index must be closed once those bindings are applied, and
+    evaluate to its argument (axioms.eval_ind)."""
     given = f"--args gives {len(args)} argument{'' if len(args) == 1 else 's'}"
     if not sf.csts:
         raise EvalError("ArgsMismatch", f"{given}, but the file has no constant to apply them to")
     entry = sf.csts[-1][0]
-    ty = types[len(sf.csts) - 1][1]
+    ty, foralls = types[len(sf.csts) - 1][1], set()
     while isinstance(ty, S.FForall):
+        foralls.add(ty.var)
         ty = S.subst_ind(ty.body, S.IVar(ty.var))  # shown with the binder's name
     params = ty.dom.items if isinstance(ty, S.FArrow) and isinstance(ty.dom, S.FTuple) else None
     if params is None or not all(isinstance(p, S.FNat) for p in params):
@@ -247,6 +252,25 @@ def _entry(sf: S.SourceFile, types: Tuple[Tuple[str, S.Formula], ...], args: Tup
         )
     if len(params) != len(args):
         raise EvalError("ArgsMismatch", f"{given}, but entry '{entry}' takes {len(params)}: {show(ty)}")
+    env: Dict[str, int] = {}
+    closed = []  # (k, p, n) for each parameter whose index is no lone forall variable
+    for k, p in enumerate(params):
+        i, n = p.index, args[k]
+        if i is None:
+            continue
+        if type(i) is not S.IVar or i.name not in foralls:
+            closed.append((k, p, n))
+        elif env.setdefault(i.name, n) != n:
+            raise EvalError("ArgsMismatch", f"{given}, but entry '{entry}' takes {i.name} twice, "
+                            f"as {env[i.name]} and as {n}: {show(ty)}")
+    for k, p, n in closed:
+        value = axioms.eval_ind(p.index, env)
+        if value is None:
+            raise EvalError("ArgsMismatch", f"{given}, but the index of {show(p)}, the type of argument {k + 1} "
+                            f"of entry '{entry}', is neither a lone forall variable nor closed: {show(ty)}")
+        if value != n:
+            raise EvalError("ArgsMismatch", f"{given}, but argument {k + 1} of entry '{entry}' is {n}, "
+                            f"where its type {show(p)} admits only {value}: {show(ty)}")
     return entry
 
 

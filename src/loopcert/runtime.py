@@ -28,14 +28,14 @@ counter rec, below) ending in its closing tuple of atoms, as
 in <z> is, erasure marks the step's fn acc => body with a loop
 (_compile_loop): the run's total transitions (3 for a let of an atom, 5
 for succ or pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for
-the closing tuple of n atoms) and its kernel, a host function made for
-the run's shape (kernels._kernel).  The machine reads the loop at one
-place, the return to a rec's frame, right after the step's curried
-application: when the fuel left covers total, it calls kernel(acc, k,
-cenv, bound, budget), cenv being the step's closure environment, and the
-kernel runs the iterations, with no frame and no closure per iteration.
-In a kernel each atom is a local, a numeral literal, or an item of cenv
-read once, before the first iteration.  The first iteration charges
+the closing tuple of n atoms) and its ops, which hold only integers.
+The machine reads the loop at one place, the return to a rec's frame,
+right after the step's curried application: when the fuel left covers
+total, it calls the loop kernel, kernels.run_loop(loop, acc, k, cenv,
+bound, budget), cenv being the step's closure environment, which
+interprets the ops for the iterations, with no frame and no closure per
+iteration.  There each atom is a value of the iteration, a numeral, or
+an item of cenv read once, before the first iteration.  The first iteration charges
 total; each later one charges total + 4 (the returns to the iteration's
 frame and to the loop, and the step's curried application), and runs
 only while the counter has not reached the bound and the fuel left
@@ -48,27 +48,24 @@ the second case its environment (acc, (k, cenv)), and goes on by single
 steps: it runs out of fuel, gets stuck or leaves the loop exactly where
 the single-step machine does.
 
-A kernel runs an iteration with every check of the single steps its
-ops stand for, and then ends in one of two ways.  When kernels._nest
-sums up the loop (every accumulator item that changes is a chain of
-succ, pred and nested recs on that same item, and the run reads no
-counter and no outer variable but the bounds of its nested recs; see
-below), no check of a later iteration can fail.  The kernel then works
-out at once how many more iterations the bound and the fuel allow, m =
-min(bound - 1 - k, budget // (total + 4)), charges m * (total + 4) and
-takes the m iterations in closed form: a chain is x -> max(x + a, b) on
-its item, and m iterations of it x -> max(x + m*a, b + max(0, (m -
-1)*a)).  Otherwise it runs the same checked iteration again, on the
-previous closing tuple, while the bound and the fuel allow.
+The kernel runs an iteration with every check of the single steps its
+ops stand for.  In a counter loop (every accumulator item that changes
+is a chain of succ, pred and nested recs on that same item, and the run
+reads no counter and no outer variable but the bounds of its nested
+recs; see below), those are the checks of every iteration: acc is a
+tuple of the loop's arity whose items that the ops read as they are
+are naturals.  Where they hold, the kernel works out at once how many
+iterations the bound and the fuel allow, 1 + m with m = min(bound - 1 -
+k, (budget - total) // (total + 4)), charges total + m * (total + 4)
+and takes them in closed form: a chain is x -> max(x + a, b) on its
+item, and n iterations of it x -> max(x + n*a, b + max(0, (n - 1)*a)).
+Any other loop runs the same checked iteration again, on the previous
+closing tuple, while the bound and the fuel allow.
 
-A kernel is made on its loop's first entry: a host function compiled
-from generated source once per shape of run, which a bounded cache
-keeps for the latest shapes used, with the run's total and the
-positions of its outer variables bound to it.  The source holds only
-the shape's integers and fixed identifiers, never a name or any text of
-the program.  Any other body, a straight-line run that is only part of
-it included, runs by single steps.  A loop is no part of a term:
-==, hash, repr and pattern matching ignore it.
+Erasure makes a loop in one walk of the run, and nothing is made or
+kept per shape of run.  Any other body, a straight-line run that is
+only part of it included, runs by single steps.  A loop is no part of a
+term: ==, hash, repr and pattern matching ignore it.
 
 Such a run may pass through labels, as a source `k : { ... jump(k, ...)
 ... }` translates: a let or let <...> whose value is callcc (fn k =>
@@ -95,19 +92,19 @@ y being an outer variable of the step and fn acc a loop whose run holds
 only matches, tuples, succs and preds of its accumulator's items and
 nested recs of the same kind, with each item coming back to its own
 slot, and which reads no counter and no outer variable but the bounds of
-its nested recs (kernels._nest).  `mul_nested`'s outer step fn i => fn
+its nested recs (a counter loop).  `mul_nested`'s outer step fn i => fn
 _v2 => let <z> = _v2 in let <z> = rec(y, <z>, fn j => fn _v1 => ...) in
 <z> is one.  Every iteration of such an inner loop maps each item it
 changes by the same x -> max(x + a, b), and its y iterations by that
-map's y-th power, so the enclosing kernel takes the nest, of any depth,
-in closed form as it takes a one-level loop.  The rec charges 9 + 2n for
+map's y-th power, so the kernel takes the nest, of any depth, in
+closed form as it takes a one-level loop.  The rec charges 9 + 2n for
 a base of n atoms, and then y times the inner iteration's charge plus 4,
 so an iteration's charge hangs on y: the loop's total covers only its
 static part.  The kernel works out the rest from y before the first
 iteration, and where the fuel left does not cover a whole iteration it
 returns not done at that iteration's start, with the budget it was
 given.  The machine then runs the iteration by single steps, where the
-inner rec's own kernel takes over, and so runs out of fuel where the
+kernel takes over the inner rec, and so runs out of fuel where the
 single-step machine does.  A nested rec whose bound is a numeral or a
 value of the iteration leaves the step to single steps.
 
@@ -121,7 +118,7 @@ The interpreter runs a `for` whose body holds only inc, dec and such
 `for`s (a counter body) in closed form too, by one walk of the body
 that composes its maps x -> max(x + a, b) (_counter_effect), and any
 other body through exec_seq, once per iteration.  It shares no code
-with the machine or its kernels, so each closed form is checked against
+with the machine or its kernel, so each closed form is checked against
 the other, and both against the machine by single steps.
 
 Runtime terms are immutable nodes made by the decorator of the syntax
@@ -132,15 +129,14 @@ cases first.
 
 from __future__ import annotations
 
-import functools
 import sys
 from collections import defaultdict
 from dataclasses import field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import EvalError, FuelExhausted, NonErasable, StuckTerm, TooLong
-from .kernels import _B_MATCH, _B_PRED, _B_REC, _B_SUCC, _B_TUPLE, _kernel, _nest
+from .kernels import _B_MATCH, _B_PRED, _B_REC, _B_SUCC, _B_TUPLE, run_loop
 
 DEFAULT_FUEL = 10_000_000
 
@@ -323,46 +319,52 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
 def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple (see the
-    module docstring).  A loop is (total, kernel, shape, gaps), kernel
-    being None until the loop's first entry, where the machine makes it
-    with _enter: of the loops erasure marks in generated programs, about
-    a quarter are never entered.  It is the function that kernels._kernel
-    compiles for the run's shape (reads, ops), with total and the gaps
-    between the run's outer positions bound by functools.partial.  The
-    loop holds nothing that refers back to fn, so a loop never entered
-    leaves no reference cycle.
+    module docstring).  A loop is (total, reads, template, ops, nodes,
+    checked), which kernels.run_loop interprets.  It holds only integers
+    and nothing that refers back to fn, so it leaves no reference cycle.
 
-    A shape names every value of an iteration by a number: 0 is acc, 1 is
+    A loop names every value of an iteration by a number: 0 is acc, 1 is
     k, and the others are the variables the run reads from the step's
-    closure environment (its outer variables) and the values its ops
-    define, numbered as the run first meets them.  reads lists the outer
-    variables' numbers in the order of their positions.  An op is (kind,
-    operand, defined): operand is an atom, or a tuple of atoms for
-    _B_TUPLE, and defined the numbers of the values it defines; an atom
-    is a value's number or ~n for the numeral n.  The last op is the
-    closing tuple.  A let of an atom defines nothing: its name stands for
-    the atom.  So runs that differ in names, in where their outer
-    variables sit or in lets of atoms share a shape, and a shape holds
-    only integers.
+    closure environment (its outer variables), its numerals and the
+    values its ops define, numbered as the run first meets them.  reads
+    holds (gap, number) for each outer variable in the order of their
+    positions, gap being the distance from the previous position, and
+    template each numeral at its number, None elsewhere.  An op is (kind,
+    operand, defined): operand is a value's number (an atom), or a tuple
+    of atoms for _B_TUPLE, and defined the number of the value it
+    defines, or the range of numbers a _B_MATCH defines.  A let of an
+    atom defines nothing: its name stands for the atom.
+
+    The walk also finds whether the loop is a counter loop: every op is a
+    match on acc (always of one arity) or on a tuple the iteration built
+    of as many items, a tuple of accumulator values, a succ or pred of
+    one, or a nested rec of them; and the closing tuple puts back into
+    each slot a value made from that same slot.  An accumulator value is
+    an item of acc or a value made from one by succ, pred and nested
+    recs, so a chain of maps from one slot.  checked are the slots whose
+    item a succ, a pred or a nested rec reads as it is.  nodes are those
+    of the nested recs, inner recs first, and last the loop's own, (0,
+    total, chains, children): chains holds each slot's chain, a tuple of
+    _B_SUCC, _B_PRED and (r, i) for item i of the loop's nested rec r, or
+    is None for no counter loop; children holds the distance back to each
+    nested rec's own node.  A loop of no counter ends in its closing
+    tuple's op; a counter loop runs no op.
 
     A let or let <...> whose value is a nested counter rec(bound,
-    <atoms>, fn j => fn acc => body) is a _B_REC op, which defines the
-    rec's value and then its items.  Its bound is an outer variable, so
-    no iteration changes it, and the inner fn acc has a loop that
-    kernels._nest sums up: one that reads outer variables only as the
-    bounds of its own nested recs, all of them outer variables here too.
-    The operand is (bound, atoms, the inner loop's outer variables as
-    values of this run, the inner loop's total, its _nest).  The op
-    charges 9 + 2n for a tuple of n atoms (the let's push; the rec's
-    push, its bound, the return to the bound's frame; the tuple; the
-    return to the base's frame, the step's closure, the first return to
-    the loop frame; the rec's value returning to the let's frame), plus
-    its inner iterations, which the kernel works out from the bound's
-    value.  A numeral bound, succ^n(0) once erased, leaves the step to
-    single steps: `gen` writes one for every nested `for`, and on 3,000
-    of its programs (seed 901) such nests would make 242 kernels of
-    their own, entered 1.2 times each, against 238 kernels for all other
-    loops.
+    <atoms>, fn j => fn acc => body) is a _B_REC op, whose operand is (its
+    node, atoms, the atoms its loop checks), and which defines the rec's
+    items and then its value.  Its bound is an outer variable, so no
+    iteration changes it, and the inner fn acc has a counter loop, whose
+    nodes join this loop's, each bound, an outer variable of the inner
+    loop, read as one of this loop: the inner loop's closure environment
+    is this iteration's.  The op charges 9 + 2n for a tuple of n atoms
+    (the let's push; the rec's push, its bound, the return to the bound's
+    frame; the tuple; the return to the base's frame, the step's closure,
+    the first return to the loop frame; the rec's value returning to the
+    let's frame), plus its inner iterations, which the kernel works out
+    from the bound's value.  A numeral bound leaves the step to single
+    steps: a numeral of 1 or more erases to a unary chain succ^n(0),
+    which is no atom.
 
     The walk goes through a label's body as through the step's (see the
     module docstring for what a label and its throw charge), with k in
@@ -374,7 +376,14 @@ def _compile_loop(fn: RFn) -> None:
     scope = [1, 0]  # the iteration's bindings as value numbers, outermost first
     outer: Dict[int, int] = {}  # position in the closure environment -> value number
     values = 2
+    numerals: Dict[int, int] = {}  # a numeral -> its value number
     label = None  # in a label's body: (the label's let, the length of scope outside it)
+    nodes: List[Tuple] = []  # the nested recs' nodes
+    recs: List[int] = []  # the index in nodes of each nested rec's own node
+    # Whether the loop is a counter loop so far: each accumulator value as
+    # (its slot, its chain), the items of each tuple the iteration builds,
+    # the arity of the patterns on acc and the checked slots.
+    counter, chain, built, arity, checked = True, {}, {}, None, set()
 
     while True:
         cls = type(t)
@@ -402,18 +411,9 @@ def _compile_loop(fn: RFn) -> None:
                 if type(bound) is not RVar or bound.index is None or bound.index < len(scope):
                     return
                 inner = step.body.loop if type(step) is RFn and type(step.body) is RFn else None
-                nest = _nest(*inner[2]) if inner is not None and type(base) is RTuple else None
-                if nest is None or nest[0] != len(base.items):
+                inner_chains = inner[4][-1][2] if inner is not None and type(base) is RTuple else None
+                if inner_chains is None or len(inner_chains) != len(base.items):
                     return
-                # the inner loop's closure environment is this iteration's
-                reads, position = [], 0
-                for gap in inner[3]:
-                    position += gap
-                    if position < len(scope):
-                        return
-                    if position - len(scope) not in outer:
-                        outer[position - len(scope)], values = values, values + 1
-                    reads.append(outer[position - len(scope)])
                 kind, items, cost = _B_REC, (bound, *base.items), 9 + 2 * len(base.items)
             else:
                 kind, items, cost = None, (value,), 3
@@ -434,30 +434,68 @@ def _compile_loop(fn: RFn) -> None:
             if type(a) is RVar and a.index is not None:
                 if a.index < len(scope):
                     atoms.append(scope[-1 - a.index])
-                else:
-                    position = a.index - len(scope)
-                    if position not in outer:
-                        outer[position], values = values, values + 1
-                    atoms.append(outer[position])
+                    continue
+                position = a.index - len(scope)
+                if position not in outer:
+                    outer[position], values = values, values + 1
+                atoms.append(outer[position])
             elif type(a) is RNum:
-                atoms.append(~a.value)
+                if a.value not in numerals:
+                    numerals[a.value], values = values, values + 1
+                atoms.append(numerals[a.value])
             else:
                 return
         if label is not None and None in atoms:
             return
         total += cost
+        if cls is RTuple and label is None:
+            break  # the step's closing tuple
+        result = values
         if kind is None:
             result = atoms[0]
         elif kind == _B_REC:
-            defined = tuple(range(values, values + len(atoms)))
-            ops.append((kind, (atoms[0], tuple(atoms[1:]), tuple(reads), inner[0], nest), defined))
-            result, values = values, values + len(defined)
+            # the inner loop's closure environment is this iteration's, and
+            # its own node's bound is the rec's
+            remap, position = {0: atoms[0]}, 0
+            for gap, n in inner[1]:
+                position += gap
+                if position < len(scope):
+                    return
+                if position - len(scope) not in outer:
+                    outer[position - len(scope)], values = values, values + 1
+                remap[n] = outer[position - len(scope)]
+            for node in inner[4]:
+                nodes.append((remap[node[0]],) + node[1:])
+            recs.append(len(nodes) - 1)
+            base, checks = tuple(atoms[1:]), []
+            for j in inner[5]:
+                checks.append(base[j])
+            ops.append((kind, (recs[-1], base, tuple(checks)), result))
+            values += len(base) + 1
+            for j, a in enumerate(base):  # item j: its base item's chain, then the rec's map
+                counter = counter and a in chain
+                if counter:
+                    slot, pieces = chain[a]
+                    if not pieces and j in inner[5]:
+                        checked.add(slot)
+                    chain[result + j] = (slot, pieces + ((len(recs) - 1, j),) if inner_chains[j] else pieces)
+            built[result + len(base)] = range(result, result + len(base))
+            result += len(base)
         else:
-            ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], (values,)))
-            result, values = values, values + 1
-        if cls is RTuple or cls is RThrow:
-            if label is None:
-                break  # the step's closing tuple
+            ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], result))
+            values += 1
+            if kind == _B_TUPLE:
+                for a in atoms:
+                    counter = counter and a in chain
+                built[result] = atoms
+            elif counter and atoms[0] in chain:
+                slot, pieces = chain[atoms[0]]
+                if not pieces:
+                    checked.add(slot)
+                chain[result] = (slot, pieces + (kind,))
+            else:
+                counter = False
+        if cls is RThrow or cls is RTuple:
             # the label's value returns to its let's frame
             total += 1
             t, outside = label
@@ -466,24 +504,46 @@ def _compile_loop(fn: RFn) -> None:
         if cls is RLet:
             scope.append(result)
         else:
-            defined = tuple(range(values, values + len(t.names)))
+            defined = range(values, values + len(t.names))
             ops.append((_B_MATCH, result, defined))
-            scope.extend(defined)
             values += len(defined)
+            scope.extend(defined)
+            if counter and result == 0 and arity in (None, len(defined)):
+                arity = len(defined)
+                for j, n in enumerate(defined):
+                    chain[n] = (j, ())
+            elif counter and result in built and len(built[result]) == len(defined):
+                for n, a in zip(defined, built[result]):
+                    chain[n] = chain[a]
+            else:
+                counter = False
         t = t.body
-    positions = sorted(outer)
-    shape = (tuple([outer[p] for p in positions]), tuple(ops))
-    gaps = tuple([p - q for p, q in zip(positions, [0] + positions)])
-    object.__setattr__(fn, "loop", (total, None, shape, gaps))
-
-
-def _enter(fn: RFn) -> Callable:
-    """The kernel of fn's loop, made on the loop's first entry and kept in
-    fn.loop from then on."""
-    total, _, shape, gaps = fn.loop
-    kernel = functools.partial(_kernel(*shape), total, *gaps)
-    object.__setattr__(fn, "loop", (total, kernel, shape, gaps))
-    return kernel
+    # the loop's own node: a counter loop's closing tuple puts back into
+    # each slot a value made from that same slot
+    chains: Optional[List[Tuple]] = None
+    if counter and arity == len(atoms):
+        chains = []
+        for j, a in enumerate(atoms):
+            if chain.get(a, (None,))[0] != j:
+                chains = None
+                break
+            chains.append(chain[a][1])
+    children = []
+    for i in recs:
+        children.append(len(nodes) - i)
+    if chains is None:  # the closing tuple, which only a loop of no counter runs
+        ops.append((_B_TUPLE, tuple(atoms), values))
+        values += 1
+    nodes.append((0, total, None if chains is None else tuple(chains), tuple(children)))
+    template = [None] * values  # each value by number: its numeral, or None
+    for n, number in numerals.items():
+        template[number] = n
+    reads, position = [], 0
+    for p in sorted(outer):
+        reads.append((p - position, outer[p]))
+        position = p
+    loop = (total, tuple(reads), tuple(template), tuple(ops), tuple(nodes), tuple(checked))
+    object.__setattr__(fn, "loop", loop)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +726,7 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                     # the loop kernel; an op that would be stuck, and an
                     # iteration whose nested recs the fuel left does not
                     # cover, leave the iteration to single steps
-                    kernel = loop[1] or _enter(stepv.body)
-                    k, value, budget, done = kernel(acc, k, cenv, bound, budget)
+                    k, value, budget, done = run_loop(loop, acc, k, cenv, bound, budget)
                     if done:
                         control = None  # the closing tuple returns to kont
                     else:

@@ -1,6 +1,7 @@
 """The axiom schema matcher and the closed evaluator, including the
-soundness link between them.  The evaluator is the soundness oracle and
-lives here: the toolchain itself never evaluates individuals."""
+soundness link between them.  The evaluator here is the soundness oracle;
+the toolchain's own, axioms.eval_ind, which checks --args against the
+entry's indices, is held against it."""
 
 import itertools
 import random
@@ -9,7 +10,7 @@ from typing import Dict, Optional
 import pytest
 
 from loopcert import syntax as S
-from loopcert.axioms import SCHEMAS, _match, match_axiom, try_match_axiom
+from loopcert.axioms import SCHEMAS, _match, eval_ind, match_axiom, try_match_axiom
 from loopcert.errors import CheckError, EvalError
 from loopcert.parser import Parser
 from loopcert.syntax import IAdd, IF32, IMult, IPred, ISub, ISucc, IVar, IZero, Ind
@@ -117,6 +118,30 @@ def test_eval_examples():
 def test_eval_open_individual():
     with pytest.raises(OpenIndividual):
         eval_individual(ind("add(n, 0)"))
+
+
+def test_the_toolchains_evaluator_agrees_with_the_oracle():
+    """axioms.eval_ind against eval_individual on random individuals over
+    n and m, closed by an environment or left open, on numerals deeper
+    than the host stack, and on a bound individual."""
+    rng = random.Random(13)
+    closed = opened = 0
+    for _ in range(600):
+        i = syntax_gen.gen_ind(rng, 4, ("m", "n"))
+        env = {"n": rng.randrange(6), "m": rng.randrange(6)} if rng.random() < 0.7 else {"n": 2}
+        names = S.free_ind_vars(i)
+        if names <= set(env):
+            value = eval_ind(i, env)
+            for name in names:
+                i = S.subst_ind(S.close_ind(i, name), S.num_ind(env[name]))
+            assert value == eval_ind(i, {}) == eval_individual(i), i
+            closed += 1
+        else:
+            assert eval_ind(i, env) is None, i
+            opened += 1
+    assert closed > 300 and opened > 50, (closed, opened)
+    assert eval_ind(S.IAdd(S.num_ind(5000), S.ISub(S.IVar("n"), S.num_ind(1))), {"n": 3}) == 5002
+    assert eval_ind(S.IBound(0), {}) is None
 
 
 def _closed_instances():

@@ -442,6 +442,9 @@ def test_no_pred_rule_applies_to_its_own_run_only(capsys):
         ("addition_is.loop", (1, 2, 3), "takes 2"),
         ("figure1.loop", (4,), "takes 2"),
         ("figure2.loop", (1,), "not a procedure over naturals"),
+        ("subst_seq.loop", (7,), "argument 1 of entry 'cast' is 7, where its type nat(succ(0)) admits only 1"),
+        ("subst_seq.loop", (0,), "admits only 1"),
+        ("exists_pair.loop", (2,), "admits only 0"),
     ],
 )
 def test_args_are_checked_against_the_entry_type(name, args, wanted, monkeypatch):
@@ -454,8 +457,36 @@ def test_args_are_checked_against_the_entry_type(name, args, wanted, monkeypatch
     assert report.exit_code == pipeline.EXIT_RUNTIME
     assert report.phases[-1]["name"] == "evaluate" and not report.phases[-1]["ok"]
     [diag] = [d for d in report.diagnostics if d["severity"] == "error"]
-    assert diag["rule"] == "EVAL" and wanted in diag["message"]
+    assert (diag["rule"], diag["reason"]) == ("EVAL", "ArgsMismatch") and wanted in diag["message"]
     assert f"--args gives {len(args)} argument" in diag["message"]
+
+
+@pytest.mark.parametrize(
+    "params, out, args, wanted",
+    [
+        ("[x : nat(n), y : nat(n)]", "nat(n)", (3, 3), "<3>"),
+        ("[x : nat(n), y : nat(n)]", "nat(n)", (3, 4), "takes n twice, as 3 and as 4"),
+        ("[x : nat(n), y : nat(add(n, n))]", "nat(n)", (2, 4), "<2>"),
+        ("[y : nat(add(n, n)), x : nat(n)]", "nat(n)", (4, 2), "<2>"),
+        ("[x : nat(n), y : nat(add(n, n))]", "nat(n)", (2, 5), "argument 2 of entry 'p' is 5, where its type"
+         " nat(add(n, n)) admits only 4"),
+        ("[x : nat(succ(n))]", "nat(succ(n))", (3,), "the index of nat(succ(n)), the type of argument 1 of entry"
+         " 'p', is neither a lone forall variable nor closed"),
+        ("[x : nat(mult(succ(0), succ(succ(0))))]", "nat(mult(succ(0), succ(succ(0))))", (4,), "<4>"),
+    ],
+)
+def test_args_fit_the_indices_of_the_entry(params, out, args, wanted):
+    """A lone forall variable binds to its argument, once; any other index
+    is evaluated under those bindings and must give its argument."""
+    text = f"discipline ID;\ncst p = proc forall n. {params} out [z : {out}] {{\n  z := x;\n}};\n"
+    report = pipeline.run_pipeline("p.loop", text=text, args=args)
+    if wanted.startswith("<"):
+        assert report.exit_code == pipeline.EXIT_OK, report.diagnostics
+        assert report.phases[-1]["payload"] == {"value": wanted}
+    else:
+        assert report.exit_code == pipeline.EXIT_RUNTIME
+        [diag] = report.diagnostics
+        assert (diag["rule"], diag["reason"]) == ("EVAL", "ArgsMismatch") and wanted in diag["message"], diag
 
 
 def test_args_need_an_entry():

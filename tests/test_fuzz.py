@@ -1,7 +1,11 @@
 """The differential fuzzer: determinism, the mutation smoke check, and
 shrinking."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -24,6 +28,48 @@ def test_report_deterministic():
 def test_small_run_clean():
     report = fuzz.fuzz_differential(40, 1234, size_bound=25)
     assert report["failures"] == []
+
+
+# Counts the Python calls of fuzz.run_one on one generated program, on its
+# first run in a fresh interpreter and again after 100 other programs.
+COLD_AND_WARM = textwrap.dedent("""
+    import random, sys
+    from loopcert import fuzz, gen
+
+    def program(seed):
+        rng = random.Random(seed)
+        sf, entry, arity = gen.gen_is_program(rng, 30)
+        return sf, entry, gen.gen_inputs(rng, arity)
+
+    def calls(args):
+        count = 0
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+        sys.setprofile(profile)
+        try:
+            assert fuzz.run_one(*args) is None
+        finally:
+            sys.setprofile(None)
+        return count
+
+    first = calls(program("3:2"))
+    for index in range(100):
+        assert fuzz.run_one(*program(f"3:{1000 + index}")) is None
+    print(first, calls(program("3:2")))
+""")
+
+
+def test_a_program_makes_as_many_python_calls_on_its_first_run_as_later():
+    """No state that a run leaves behind changes the work of a later one,
+    as a cache of code made per loop shape would: the program's runs
+    enter the machine's loop kernel."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", COLD_AND_WARM], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first, later = proc.stdout.split()
+    assert first == later
 
 
 def test_corrupted_inc_translation_is_caught(monkeypatch):

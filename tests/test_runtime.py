@@ -329,11 +329,11 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     of an accumulator item that the closing tuple fills with it, gets
     stuck.  start is the width of the initial accumulator, that of the
     step's pattern when None.  With counted, the body opens with a succ
-    or pred of the outer variable x, which keeps the loop out of
-    kernels._nest's closed form.  With chains, the body is instead a chain of
-    succ and pred, among lets of atoms, for each accumulator item, which
-    the closing tuple puts back in the item's place; now and then a chain
-    starts at another item or the closing tuple repeats a chain's end.
+    or pred of the outer variable x, which keeps it from being a counter
+    loop.  With chains, the body is instead a chain of succ and pred,
+    among lets of atoms, for each accumulator item, which the closing
+    tuple puts back in the item's place; now and then a chain starts at
+    another item or the closing tuple repeats a chain's end.
     The initial accumulator's items are then 0 to 5."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
@@ -464,11 +464,19 @@ STUCK_STEPS = [
 ]
 
 
-def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
-    """A kernel runs its first iteration with every check of the single
-    steps, and then either takes the remaining iterations in closed form,
-    where _nest sums up the loop, or runs the same checked iteration
-    again.  On random steps, straight-line or through labels, with bounds
+def entered_loops(monkeypatch):
+    """The list of the loops that kernels.run_loop runs from now on, each
+    once an entry."""
+    entered, run_loop = [], runtime.run_loop
+    monkeypatch.setattr(runtime, "run_loop", lambda loop, *rest: entered.append(loop) or run_loop(loop, *rest))
+    return entered
+
+
+def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
+    """A kernel takes the iterations of a counter loop in closed form once
+    acc passes the checks of the first one, and runs any other loop's
+    iteration, with every check of the single steps, again and again.
+    On random steps, straight-line or through labels, with bounds
     up to 50, and with fuel at the least fuel, one below it and three
     random points, the kernels and single steps (without_loops) must
     agree on the value, the point where fuel runs out and the stuck
@@ -477,15 +485,16 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
     more are chains of succ and pred on the accumulator items, most of
     which the kernel takes in closed form.
 
-    Each of these changes to kernels.py, made on a copy, fails this test:
-    m one more than min(bound - 1 - k, budget // (c + 4)); the checked
-    loop charging c + 3 for an iteration after the first; the closed
-    form's clamp b read as b + 1 in nest; the closed form taken where
-    _nest returns None, as if the loop kept every item; _nest taking a
-    closing tuple that fills an item from another item.  ((m - 1) read as
-    m in nest's clamp passes here: after the first iteration an item
-    already lies at or above b, so the clamp can bind only where a < 0.
-    The test of nested counter loops below catches it.)"""
+    Each of these changes, made on a copy, fails this test: m one more
+    than min(bound - 1 - k, (budget - c) // (c + 4)) in kernels.run_loop;
+    the checked loop charging c + 3 for an iteration after the first; the
+    power's clamp b read as b + 1, or (n - 1) read as n; the composed
+    clamp without its + a; a counter loop's arity check dropped; the
+    closed form taken where the loop is no counter loop, as if it kept
+    every item (runtime._compile_loop giving the own node a chain of no
+    maps for each slot); _compile_loop taking a closing tuple that fills
+    an item from another item."""
+    entered = entered_loops(monkeypatch)
     rng = random.Random(11)
     texts = [(text, 0) for text in STUCK_STEPS]
     for case in range(120):
@@ -500,14 +509,15 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
     for text, mode in texts:
         term, single = erase(parse_term(text)), without_loops(erase(parse_term(text)))
         steps = least_fuel(single)
+        entered.clear()
         for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
         loop = loop_of(term)
         seen[outcome(single, steps)[0], loop is not None] += 1
         if mode == 1:
-            seen["counted", loop is not None and loop[1] is not None] += 1
-        if mode == 4 and loop[1] is not None:
-            seen["closed", "min" in loop[1].func.__code__.co_names] += 1
+            seen["counted", bool(entered)] += 1
+        if mode == 4 and entered:
+            seen["closed", loop[4][-1][2] is not None] += 1
     assert outcome(erase(parse_term(STUCK_STEPS[0])), 100) == ("stuck", "StuckTerm: tuple pattern <b, c> against <0>")
     for text in STUCK_STEPS[1:]:
         assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
@@ -515,16 +525,18 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps():
     assert seen["closed", True] > 15 and seen["closed", False] > 5, seen
 
 
-def test_a_succ_of_an_outer_variable_enters_the_kernel():
+def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):
     """As the IS loop `dec(z); w := i; inc(v); v := y; inc(v);` translates:
-    the succ of the outer variable y keeps the loop from _nest's closed
-    form, so the kernel runs its checked iteration for every iteration."""
+    the succ of the outer variable y keeps the loop from the closed form
+    of a counter loop, so the kernel runs its checked iteration for every
+    iteration."""
+    entered = entered_loops(monkeypatch)
     fn = erase(parse_term("fn n : nat => let y = 7 in rec(n, <7, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
                           " let <z, w, v> = a in let z = pred(z) in let w = i in let v = succ(v) in let v = y in"
                           " let v = succ(v) in <z, w, v>)"))
     term = RApp(fn, RNum(100000))
     assert evaluate(term, 3500050) == (0, 99999, 8)  # 35 transitions an iteration
-    assert loop_of(fn.body)[1] is not None
+    assert entered == [loop_of(fn.body)] and entered[0][4][-1][2] is None
     with pytest.raises(FuelExhausted):
         evaluate(term, 3500049)
     assert outcome(RApp(fn, RNum(40)), 1000) == outcome(RApp(without_loops(fn), RNum(40)), 1000)
@@ -543,18 +555,12 @@ def test_a_succ_of_an_outer_variable_enters_the_kernel():
     ("rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)",
      "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let y = z in let z = succ(y) in <z>)", ((3,), (3,))),
 ])
-def test_steps_of_one_shape_share_one_compiled_kernel(first, second, values):
+def test_steps_of_one_shape_have_the_same_ops(first, second, values):
+    # a loop's ops and values hold only integers: the runs differ in their
+    # reads from the closure environment and in their totals at most
     first, second = erase(parse_term(first)), erase(parse_term(second))
     assert (evaluate(first, 1000), evaluate(second, 1000)) == values
-    assert loop_of(first)[1].func is loop_of(second)[1].func
-
-
-def test_the_kernel_cache_stays_at_its_cap():
-    cap = runtime._kernel.cache_info().maxsize
-    for n in range(cap + 10):  # the closing tuple <n>: a shape per numeral
-        kernel = runtime._kernel((), ((runtime._B_TUPLE, (~n,), (2,)),))
-        assert kernel(3, (), 0, None, 1, 3) == (0, (n,), 0, True)
-    assert runtime._kernel.cache_info().currsize == cap
+    assert loop_of(first)[2:4] == loop_of(second)[2:4]
 
 
 # Rec steps whose straight-line run is only part of the body, and one whose
@@ -914,58 +920,54 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
     More than 50 of the programs enter a kernel with a nested rec, and
     more than 10 a kernel with a nest three deep.
 
-    Each of these changes, made on a copy, fails this test: the inner
+    Each of these changes, made on a copy, fails this test: a nested
     rec's charge off by one (n * (cost + 3) for n * (cost + 4) in
-    kernels._kernel's nest); the composed clamp missing its + a term
-    (max(b1, b2) for max(b1 + a2, b2) in kernels._kernel's then); (n -
-    1) read as n in nest's clamp; an inner bound accepted from a slot
-    that the enclosing step changes (runtime._compile_loop taking any
-    variable of the iteration as the bound)."""
-    entered = collections.Counter()  # the depth of the nests in each kernel entered
-    enter = runtime._enter
+    kernels.run_loop); the composed clamp missing its + a term (max(b,
+    b2) for max(b + a2, b2) in run_loop's chain of maps); (n - 1) read as
+    n in the power's clamp; an inner bound accepted from a slot that the
+    enclosing step changes (runtime._compile_loop taking any variable of
+    the iteration as the bound); a counter loop that skips the check of
+    its checked items, or whose succ of an item does not add the item's
+    slot to them."""
+    loops = entered_loops(monkeypatch)
 
-    def depth(nest):
-        return 1 + max([depth(inner) for _, _, _, inner in nest[3]], default=0)
+    def depth(nodes, i):
+        # the depth of the nest of recs under node i (kernels.run_loop)
+        return max([1 + depth(nodes, i - d) for d in nodes[i][3]], default=0)
 
-    def counting(fn):
-        entered[max([depth(a[4]) for kind, a, _ in fn.loop[2][1] if kind == runtime._B_REC], default=0)] += 1
-        return enter(fn)
-
-    monkeypatch.setattr(runtime, "_enter", counting)
     rng = random.Random(31)
     terms, nested, deep, outcomes = [], 0, 0, set()
     for text in NESTED_STUCK:
-        terms += [(text, (RNum(n),)) for n in range(3)]
+        terms += [(text, RNum(n)) for n in range(3)]
     for case in range(400):
         sf = parse(random_counter_program(rng, parameters=case % 2 == 1))
         try:
             pipeline.check_source(sf)
         except CheckError:
             continue
-        terms.append((sf, tuple(RNum(rng.randint(0, 4)) for _ in range(2))))
-    for source, args in terms:
+        terms.append((sf, RTuple(tuple(RNum(rng.randint(0, 4)) for _ in range(2)))))
+    for source, arg in terms:
         if isinstance(source, str):
             term, single = erase(parse_term(source)), without_loops(erase(parse_term(source)))
         else:
             image = pipeline.translate_file(source)
             term, single = pipeline.erase_image(image, "p"), without_loops(pipeline.erase_image(image, "p"))
-        term, single = RApp(term, RTuple(args)), RApp(single, RTuple(args))
+        term, single = RApp(term, arg), RApp(single, arg)
         if outcome(single, 50_000)[0] == "fuel":
             continue  # a nest whose bounds grow as it runs
-        entered.clear()
+        loops.clear()
         steps = least_fuel(term)
-        nested += max(entered, default=0) > 0
-        deep += max(entered, default=0) > 1
+        most = max([depth(loop[4], len(loop[4]) - 1) for loop in loops], default=0)  # of the kernels entered
+        nested += most > 0
+        deep += most > 1
         outcomes.add(outcome(single, steps)[0])
         for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
-            assert outcome(term, fuel) == outcome(single, fuel), (source, args, fuel)
+            assert outcome(term, fuel) == outcome(single, fuel), (source, arg, fuel)
     assert outcomes == {"value", "stuck"} and nested > 50 and deep > 10, (outcomes, nested, deep)
 
 
 def python_calls(path, args):
-    """The Python calls of one run_pipeline, after a warm-up run that
-    compiles the machine's loop kernels."""
-    pipeline.run_pipeline(path, args=args)
+    """The Python calls of one run_pipeline."""
     calls = 0
 
     def profile(frame, event, arg):
