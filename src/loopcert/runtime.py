@@ -23,49 +23,56 @@ out and errors are those of the single-step machine.
 The body of a rec step fn i => fn acc => body runs once per iteration.
 When the whole body is one straight-line run (lets and let <...> whose
 value is an atom, succ or pred of an atom, a tuple of atoms or a nested
-counter rec, below) ending in its closing tuple of atoms, as
+rec, below) ending in its closing tuple of atoms, and each item of that
+tuple is a chain from its own slot or from a value (below), as
 `addition_is`'s step fn i => fn _v1 => let <z> = _v1 in let z = succ(z)
 in <z> is, erasure marks the step's fn acc => body with a loop
 (_compile_loop): the run's total transitions (3 for a let of an atom, 5
 for succ or pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for
-the closing tuple of n atoms) and its ops, which hold only integers.
+the closing tuple of n atoms) and the chains, which hold only integers.
 The machine reads the loop at one place, the return to a rec's frame,
 right after the step's curried application: when the fuel left covers
 total, it calls the loop kernel, kernels.run_loop(loop, acc, k, cenv,
-bound, budget), cenv being the step's closure environment, which
-interprets the ops for the iterations, with no frame and no closure per
-iteration.  There each atom is a value of the iteration, a numeral, or
-an item of cenv read once, before the first iteration.  The first iteration charges
-total; each later one charges total + 4 (the returns to the iteration's
-frame and to the loop, and the step's curried application), and runs
-only while the counter has not reached the bound and the fuel left
-covers all of it.  The kernel returns (k, value, budget, done): done,
-with the last iteration's closing tuple, where the loop stops; not done,
-with the iteration's accumulator and the budget at its start, where an
-op would be stuck (succ or pred of a non-numeral, a tuple pattern that
-does not fit).  The machine then rebuilds the iteration's frame, and in
-the second case its environment (acc, (k, cenv)), and goes on by single
-steps: it runs out of fuel, gets stuck or leaves the loop exactly where
-the single-step machine does.
+bound, budget), cenv being the step's closure environment, which takes
+the iterations in closed form, with no work per iteration.  The first
+iteration charges total; each later one charges total + 4 (the returns
+to the iteration's frame and to the loop, and the step's curried
+application), and runs only while the counter has not reached the bound
+and the fuel left covers all of it.  The kernel returns the counter, the
+closing tuple and the fuel left of the last iteration it took, or None
+where a check below fails.  The machine then rebuilds the iteration's
+frame and goes on by single steps, in the environment (acc, (k, cenv))
+that the application made: it runs out of fuel, gets stuck or leaves the
+loop exactly where the single-step machine does.
 
-The kernel runs an iteration with every check of the single steps its
-ops stand for.  In a counter loop (every accumulator item that changes
-is a chain of succ, pred and nested recs on that same item, and the run
-reads no counter and no outer variable but the bounds of its nested
-recs; see below), those are the checks of every iteration: acc is a
-tuple of the loop's arity whose items that the ops read as they are
-are naturals.  Where they hold, the kernel works out at once how many
-iterations the bound and the fuel allow, 1 + m with m = min(bound - 1 -
-k, (budget - total) // (total + 4)), charges total + m * (total + 4)
-and takes them in closed form: a chain is x -> max(x + a, b) on its
-item, and n iterations of it x -> max(x + n*a, b + max(0, (n - 1)*a)).
-Any other loop runs the same checked iteration again, on the previous
-closing tuple, while the bound and the fuel allow.
+A chain is a run of succ, pred and nested recs from one origin: the
+item of its own slot of acc, or a value, which is an outer variable of
+the step (an item of cenv), a numeral or the counter.  `z := y; inc(z)`
+is a chain from y, `z := 1` a succ of 0 and `w := i` a chain from the
+counter with no maps.  Each map is x -> max(x + a, b), and so is their
+composition.  The kernel makes the checks of every iteration once, at
+entry: acc is a tuple of the loop's arity whose items that the run
+reads as they are (by a succ, a pred or a nested rec's check) are
+naturals, and so are the outer variables that the run reads as they
+are or puts unchanged into such a slot.  Where they hold, no iteration
+gets stuck, for each such item is a natural in every later iteration
+too.  The kernel works out at once how many iterations the bound and
+the fuel allow, 1 + m with m = min(bound - 1 - k, (budget - total) //
+(total + 4)), charges total + m * (total + 4) and gives each slot its
+value after them.  A chain from its own slot takes its (1 + m)-th power:
+n iterations of x -> max(x + a, b) are x -> max(x + n*a, b + max(0,
+(n - 1)*a)).  A chain from a value is applied once, to the value in the
+last iteration (k + m for the counter): after one iteration, a slot
+reset from a value stays fixed, as in the acceleration of loops by
+Bozga, Iosif & Konečný ("Fast Acceleration of Ultimately Periodic
+Relations", CAV 2010).
 
 Erasure makes a loop in one walk of the run, and nothing is made or
-kept per shape of run.  Any other body, a straight-line run that is
-only part of it included, runs by single steps.  A loop is no part of a
-term: ==, hash, repr and pattern matching ignore it.
+kept per shape of run.  Any other body runs by single steps: one whose
+closing tuple fills a slot from another slot (a move), one that matches
+a value that is no tuple the iteration built nor acc, or whose
+straight-line run is only part of it.  A loop is no part of a term: ==,
+hash, repr and pattern matching ignore it.
 
 Such a run may pass through labels, as a source `k : { ... jump(k, ...)
 ... }` translates: a let or let <...> whose value is callcc (fn k =>
@@ -80,33 +87,31 @@ push of its argument's frame; the argument; the return to that frame),
 a throw as body's tail the same without the first 1; and the throw's
 arg 1 + 2n for a tuple of n atoms, 1 for a lone atom.  The label's
 value, the thrown or the returned one, is then the let's value like any
-op's, so a kernel runs a label with no continuation and no frame:
+other, so a kernel runs a label with no continuation and no frame:
 `jump_loop`'s step body let <z> = _v1 in let <z> = callcc (fn k => let
 <z> = throw k <z> in <z>) in <z> is a run of total 19.  A label that
 reads k as a value, a throw to any other continuation and a label in a
 label leave the step to single steps.
 
-A run may hold nested counter loops too, as a `for` nest translates: a
-let or let <...> whose value is rec(y, <atoms>, fn j => fn acc => body),
-y being an outer variable of the step and fn acc a loop whose run holds
-only matches, tuples, succs and preds of its accumulator's items and
-nested recs of the same kind, with each item coming back to its own
-slot, and which reads no counter and no outer variable but the bounds of
-its nested recs (a counter loop).  `mul_nested`'s outer step fn i => fn
-_v2 => let <z> = _v2 in let <z> = rec(y, <z>, fn j => fn _v1 => ...) in
-<z> is one.  Every iteration of such an inner loop maps each item it
-changes by the same x -> max(x + a, b), and its y iterations by that
-map's y-th power, so the kernel takes the nest, of any depth, in
-closed form as it takes a one-level loop.  The rec charges 9 + 2n for
-a base of n atoms, and then y times the inner iteration's charge plus 4,
-so an iteration's charge hangs on y: the loop's total covers only its
-static part.  The kernel works out the rest from y before the first
-iteration, and where the fuel left does not cover a whole iteration it
-returns not done at that iteration's start, with the budget it was
-given.  The machine then runs the iteration by single steps, where the
-kernel takes over the inner rec, and so runs out of fuel where the
-single-step machine does.  A nested rec whose bound is a numeral or a
-value of the iteration leaves the step to single steps.
+A run may hold nested loops too, as a `for` nest translates: a let or
+let <...> whose value is rec(y, <atoms>, fn j => fn acc => body), y
+being an outer variable of the step and fn acc a loop each of whose
+slots has a chain from its own item, and which reads no outer variable
+as it is.  `mul_nested`'s outer step fn i => fn _v2 => let <z> = _v2 in
+let <z> = rec(y, <z>, fn j => fn _v1 => ...) in <z> is one.  Every
+iteration of such an inner loop maps each item by the same x -> max(x +
+a, b), and its y iterations by that map's y-th power, which is one more
+map of the chain that the item's base atom starts, so the kernel takes
+the nest, of any depth, in closed form as it takes a one-level loop.
+The rec charges 9 + 2n for a base of n atoms, and then y times the inner
+iteration's charge plus 4, so an iteration's charge hangs on y: the
+loop's total covers only its static part.  The kernel works out the
+rest from y before the first iteration, and where y is no natural or
+the fuel left does not cover a whole iteration it returns None.  The
+machine then runs the iteration by single steps, where the kernel takes
+over the inner rec, and so runs out of fuel where the single-step
+machine does.  A nested rec whose bound is a numeral or a value of the
+iteration leaves the step to single steps.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
@@ -136,7 +141,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import EvalError, FuelExhausted, NonErasable, StuckTerm, TooLong
-from .kernels import _B_MATCH, _B_PRED, _B_REC, _B_SUCC, _B_TUPLE, run_loop
+from .kernels import _B_PRED, _B_SUCC, run_loop
 
 DEFAULT_FUEL = 10_000_000
 
@@ -316,74 +321,73 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     return erased
 
 
+_ACC = "acc"  # the binding of acc in _compile_loop's walk
+
+
 def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
-    that is one straight-line run ending in its closing tuple (see the
-    module docstring).  A loop is (total, reads, template, ops, nodes,
-    checked), which kernels.run_loop interprets.  It holds only integers
-    and nothing that refers back to fn, so it leaves no reference cycle.
+    that is one straight-line run ending in its closing tuple, each of
+    whose items is a chain from its own slot or from a value (see the
+    module docstring).  A loop is (total, reads, template, nodes, checked,
+    naturals), which kernels.run_loop takes in closed form.  It holds only
+    integers and nothing that refers back to fn, so it leaves no reference
+    cycle.
 
-    A loop names every value of an iteration by a number: 0 is acc, 1 is
-    k, and the others are the variables the run reads from the step's
-    closure environment (its outer variables), its numerals and the
-    values its ops define, numbered as the run first meets them.  reads
-    holds (gap, number) for each outer variable in the order of their
-    positions, gap being the distance from the previous position, and
-    template each numeral at its number, None elsewhere.  An op is (kind,
-    operand, defined): operand is a value's number (an atom), or a tuple
-    of atoms for _B_TUPLE, and defined the number of the value it
-    defines, or the range of numbers a _B_MATCH defines.  A let of an
-    atom defines nothing: its name stands for the atom.
+    A chain is (origin, pieces): pieces are _B_SUCC, _B_PRED and (r, i)
+    for item i of the loop's nested rec r, applied in turn, and origin is
+    what they apply to.  The walk numbers the values that a chain may
+    start from: 0 is the counter, and the others are the variables the run
+    reads from the step's closure environment (its outer variables) and
+    its numerals, numbered as the run first meets them; the item of slot j
+    of acc is the origin ~j.  reads holds (gap, number) for each outer
+    variable in the order of their positions, gap being the distance from
+    the previous position, and template each numeral at its number, None
+    elsewhere.
 
-    The walk also finds whether the loop is a counter loop: every op is a
-    match on acc (always of one arity) or on a tuple the iteration built
-    of as many items, a tuple of accumulator values, a succ or pred of
-    one, or a nested rec of them; and the closing tuple puts back into
-    each slot a value made from that same slot.  An accumulator value is
-    an item of acc or a value made from one by succ, pred and nested
-    recs, so a chain of maps from one slot.  checked are the slots whose
-    item a succ, a pred or a nested rec reads as it is.  nodes are those
-    of the nested recs, inner recs first, and last the loop's own, (0,
-    total, chains, children): chains holds each slot's chain, a tuple of
-    _B_SUCC, _B_PRED and (r, i) for item i of the loop's nested rec r, or
-    is None for no counter loop; children holds the distance back to each
-    nested rec's own node.  A loop of no counter ends in its closing
-    tuple's op; a counter loop runs no op.
+    The walk gives each binding of the iteration a chain, or a list of
+    chains for a tuple the iteration built; acc itself may only be matched,
+    with the arity of the closing tuple, and a built tuple only matched
+    with its own.  A succ or pred extends its operand's chain.  An
+    operand of another kind, a tuple pattern on a chain and an unbound
+    variable end the walk with no loop, and so does a closing tuple that
+    fills a slot from another slot (a move).  checked are the slots whose
+    item a succ, a pred or a nested rec reads as it is, and naturals the
+    outer variables read so, or fed unchanged into such a slot.  nodes
+    are those of the nested recs, inner recs first, and last the loop's
+    own, (0, total, chains, children): chains holds each slot's chain,
+    with origin None for its own item, and children the distance back to
+    each nested rec's own node.
 
-    A let or let <...> whose value is a nested counter rec(bound,
-    <atoms>, fn j => fn acc => body) is a _B_REC op, whose operand is (its
-    node, atoms, the atoms its loop checks), and which defines the rec's
-    items and then its value.  Its bound is an outer variable, so no
-    iteration changes it, and the inner fn acc has a counter loop, whose
-    nodes join this loop's, each bound, an outer variable of the inner
-    loop, read as one of this loop: the inner loop's closure environment
-    is this iteration's.  The op charges 9 + 2n for a tuple of n atoms
-    (the let's push; the rec's push, its bound, the return to the bound's
+    A let or let <...> whose value is a nested rec(bound, <atoms>, fn j =>
+    fn acc => body) gives the rec's tuple, each item its base atom's chain
+    and then the rec's map of that item.  Its bound is an outer variable,
+    so no iteration changes it, and the inner fn acc has a loop of its
+    own chains only that reads no outer variable as it is, whose nodes
+    join this loop's, each bound, an outer variable of the inner loop,
+    read as one of this loop: the inner loop's closure environment is
+    this iteration's.  The rec charges 9 + 2n for a tuple of n atoms (the
+    let's push; the rec's push, its bound, the return to the bound's
     frame; the tuple; the return to the base's frame, the step's closure,
     the first return to the loop frame; the rec's value returning to the
     let's frame), plus its inner iterations, which the kernel works out
     from the bound's value.  A numeral bound leaves the step to single
-    steps: a numeral of 1 or more erases to a unary chain succ^n(0),
-    which is no atom.
+    steps: a numeral of 1 or more erases to a unary chain succ^n(0), which
+    is no atom.
 
     The walk goes through a label's body as through the step's (see the
     module docstring for what a label and its throw charge), with k in
-    scope as None: an op that reads k ends the walk.  The throw or the
-    closing tuple that leaves the label gives the label's value, which
-    the label's let then binds as any let binds its value, so a label
-    needs no op kind of its own."""
-    t, total, ops = fn.body, 0, []
-    scope = [1, 0]  # the iteration's bindings as value numbers, outermost first
-    outer: Dict[int, int] = {}  # position in the closure environment -> value number
-    values = 2
-    numerals: Dict[int, int] = {}  # a numeral -> its value number
+    scope as None: a binding that reads k ends the walk.  The throw or
+    the closing tuple that leaves the label gives the label's value, which
+    the label's let then binds as any let binds its value."""
+    t, total = fn.body, 0
+    scope: List[Any] = [(0, ()), _ACC]  # the iteration's bindings, outermost first: i and acc, then the body's
+    outer: Dict[int, Tuple] = {}  # position in the closure environment -> the chain of its value
+    numerals: Dict[int, Tuple] = {}  # a numeral -> the chain of its value
+    values = 1
     label = None  # in a label's body: (the label's let, the length of scope outside it)
     nodes: List[Tuple] = []  # the nested recs' nodes
     recs: List[int] = []  # the index in nodes of each nested rec's own node
-    # Whether the loop is a counter loop so far: each accumulator value as
-    # (its slot, its chain), the items of each tuple the iteration builds,
-    # the arity of the patterns on acc and the checked slots.
-    counter, chain, built, arity, checked = True, {}, {}, None, set()
+    arity, checked, as_is = None, set(), set()  # as_is: the values read as they are
 
     while True:
         cls = type(t)
@@ -391,14 +395,14 @@ def _compile_loop(fn: RFn) -> None:
             value = t.value
             vcls = type(value)
             if vcls is RTuple:
-                kind, items, cost = _B_TUPLE, value.items, 3 + 2 * len(value.items)
+                items, cost = value.items, 3 + 2 * len(value.items)
             elif vcls is RSucc or vcls is RPred:
-                kind, items, cost = _B_SUCC if vcls is RSucc else _B_PRED, (value.arg,), 5
+                items, cost = (value.arg,), 5
             elif vcls is RCallcc:
                 if label is not None or type(value.arg) is not RFn:
                     return
                 label = (t, len(scope))
-                scope.append(None)  # k, which no op may read
+                scope.append(None)  # k, which no binding may read
                 total += 4  # push the let's frame; push, close the fn, apply it to k
                 t = value.arg.body
                 continue
@@ -411,22 +415,21 @@ def _compile_loop(fn: RFn) -> None:
                 if type(bound) is not RVar or bound.index is None or bound.index < len(scope):
                     return
                 inner = step.body.loop if type(step) is RFn and type(step.body) is RFn else None
-                inner_chains = inner[4][-1][2] if inner is not None and type(base) is RTuple else None
-                if inner_chains is None or len(inner_chains) != len(base.items):
+                if inner is None or inner[5] or type(base) is not RTuple or len(inner[3][-1][2]) != len(base.items):
                     return
-                kind, items, cost = _B_REC, (bound, *base.items), 9 + 2 * len(base.items)
+                items, cost = (bound, *base.items), 9 + 2 * len(base.items)
             else:
-                kind, items, cost = None, (value,), 3
+                items, cost = (value,), 3
         elif cls is RTuple:
-            kind, items, cost = _B_TUPLE, t.items, 1 + 2 * len(t.items)
+            vcls, items, cost = RTuple, t.items, 1 + 2 * len(t.items)
         elif (cls is RThrow and label is not None and type(t.cont) is RVar
               and t.cont.index == len(scope) - 1 - label[1]):
             # a throw to the label's k: push, reach k, push the argument's
             # frame; the argument; the return to that frame
             if type(t.arg) is RTuple:
-                kind, items, cost = _B_TUPLE, t.arg.items, 5 + 2 * len(t.arg.items)
+                vcls, items, cost = RTuple, t.arg.items, 5 + 2 * len(t.arg.items)
             else:
-                kind, items, cost = None, (t.arg,), 5
+                vcls, items, cost = None, (t.arg,), 5  # a lone atom
         else:
             return
         atoms = []
@@ -437,64 +440,59 @@ def _compile_loop(fn: RFn) -> None:
                     continue
                 position = a.index - len(scope)
                 if position not in outer:
-                    outer[position], values = values, values + 1
+                    outer[position], values = (values, ()), values + 1
                 atoms.append(outer[position])
             elif type(a) is RNum:
                 if a.value not in numerals:
-                    numerals[a.value], values = values, values + 1
+                    numerals[a.value], values = (values, ()), values + 1
                 atoms.append(numerals[a.value])
             else:
                 return
-        if label is not None and None in atoms:
-            return
         total += cost
+        read = atoms  # the chains that the binding reads as they are
+        if vcls is RSucc or vcls is RPred:
+            if type(atoms[0]) is not tuple:
+                return
+            result = (atoms[0][0], atoms[0][1] + (_B_SUCC if vcls is RSucc else _B_PRED,))
+        elif vcls is RTuple or vcls is RRec:
+            for a in atoms:
+                if type(a) is not tuple:
+                    return
+            result, read = atoms, ()
+            if vcls is RRec:
+                # the inner loop's closure environment is this iteration's,
+                # and its own node's bound is the rec's
+                remap, position = {0: atoms[0][0]}, 0
+                for gap, n in inner[1]:
+                    position += gap
+                    if position < len(scope):
+                        return
+                    if position - len(scope) not in outer:
+                        outer[position - len(scope)], values = (values, ()), values + 1
+                    remap[n] = outer[position - len(scope)][0]
+                for node in inner[3]:
+                    nodes.append((remap[node[0]],) + node[1:])
+                recs.append(len(nodes) - 1)
+                result, read = [], []
+                for j, (origin, pieces) in enumerate(inner[3][-1][2]):
+                    if origin is not None:
+                        return  # an inner chain from a value
+                    a = atoms[1 + j]
+                    result.append((a[0], a[1] + ((len(recs) - 1, j),)) if pieces else a)
+                for j in inner[4]:
+                    read.append(atoms[1 + j])
+        else:  # an atom
+            result, read = atoms[0], ()
+            if result is None:
+                return
+        for origin, pieces in read:
+            if not pieces:
+                if origin < 0:
+                    checked.add(~origin)
+                elif origin:
+                    as_is.add(origin)
         if cls is RTuple and label is None:
             break  # the step's closing tuple
-        result = values
-        if kind is None:
-            result = atoms[0]
-        elif kind == _B_REC:
-            # the inner loop's closure environment is this iteration's, and
-            # its own node's bound is the rec's
-            remap, position = {0: atoms[0]}, 0
-            for gap, n in inner[1]:
-                position += gap
-                if position < len(scope):
-                    return
-                if position - len(scope) not in outer:
-                    outer[position - len(scope)], values = values, values + 1
-                remap[n] = outer[position - len(scope)]
-            for node in inner[4]:
-                nodes.append((remap[node[0]],) + node[1:])
-            recs.append(len(nodes) - 1)
-            base, checks = tuple(atoms[1:]), []
-            for j in inner[5]:
-                checks.append(base[j])
-            ops.append((kind, (recs[-1], base, tuple(checks)), result))
-            values += len(base) + 1
-            for j, a in enumerate(base):  # item j: its base item's chain, then the rec's map
-                counter = counter and a in chain
-                if counter:
-                    slot, pieces = chain[a]
-                    if not pieces and j in inner[5]:
-                        checked.add(slot)
-                    chain[result + j] = (slot, pieces + ((len(recs) - 1, j),) if inner_chains[j] else pieces)
-            built[result + len(base)] = range(result, result + len(base))
-            result += len(base)
-        else:
-            ops.append((kind, tuple(atoms) if kind == _B_TUPLE else atoms[0], result))
-            values += 1
-            if kind == _B_TUPLE:
-                for a in atoms:
-                    counter = counter and a in chain
-                built[result] = atoms
-            elif counter and atoms[0] in chain:
-                slot, pieces = chain[atoms[0]]
-                if not pieces:
-                    checked.add(slot)
-                chain[result] = (slot, pieces + (kind,))
-            else:
-                counter = False
         if cls is RThrow or cls is RTuple:
             # the label's value returns to its let's frame
             total += 1
@@ -503,46 +501,46 @@ def _compile_loop(fn: RFn) -> None:
             label, cls = None, type(t)
         if cls is RLet:
             scope.append(result)
+        elif result is _ACC and arity in (None, len(t.names)):
+            arity = len(t.names)
+            for j in range(arity):
+                scope.append((~j, ()))
+        elif type(result) is list and len(result) == len(t.names):
+            scope.extend(result)
         else:
-            defined = range(values, values + len(t.names))
-            ops.append((_B_MATCH, result, defined))
-            values += len(defined)
-            scope.extend(defined)
-            if counter and result == 0 and arity in (None, len(defined)):
-                arity = len(defined)
-                for j, n in enumerate(defined):
-                    chain[n] = (j, ())
-            elif counter and result in built and len(built[result]) == len(defined):
-                for n, a in zip(defined, built[result]):
-                    chain[n] = chain[a]
-            else:
-                counter = False
+            return
         t = t.body
-    # the loop's own node: a counter loop's closing tuple puts back into
-    # each slot a value made from that same slot
-    chains: Optional[List[Tuple]] = None
-    if counter and arity == len(atoms):
-        chains = []
-        for j, a in enumerate(atoms):
-            if chain.get(a, (None,))[0] != j:
-                chains = None
-                break
-            chains.append(chain[a][1])
+    # the loop's own node: the closing tuple puts into each slot a chain
+    # from that same slot or from a value
+    if arity not in (None, len(atoms)):
+        return
+    chains = []
+    for j, (origin, pieces) in enumerate(atoms):
+        if origin < 0:
+            if origin != ~j:
+                return  # a move
+            origin = None
+        chains.append((origin, pieces))
+    for j in checked:
+        origin, pieces = chains[j]
+        if origin and not pieces:
+            as_is.add(origin)  # read as it is in the next iteration
     children = []
     for i in recs:
         children.append(len(nodes) - i)
-    if chains is None:  # the closing tuple, which only a loop of no counter runs
-        ops.append((_B_TUPLE, tuple(atoms), values))
-        values += 1
-    nodes.append((0, total, None if chains is None else tuple(chains), tuple(children)))
+    nodes.append((0, total, tuple(chains), tuple(children)))
     template = [None] * values  # each value by number: its numeral, or None
-    for n, number in numerals.items():
+    for n, (number, _) in numerals.items():
         template[number] = n
     reads, position = [], 0
     for p in sorted(outer):
-        reads.append((p - position, outer[p]))
+        reads.append((p - position, outer[p][0]))
         position = p
-    loop = (total, tuple(reads), tuple(template), tuple(ops), tuple(nodes), tuple(checked))
+    naturals = []
+    for n in as_is:
+        if template[n] is None:  # an outer variable; a numeral is a natural
+            naturals.append(n)
+    loop = (total, tuple(reads), tuple(template), tuple(nodes), tuple(checked), tuple(naturals))
     object.__setattr__(fn, "loop", loop)
 
 
@@ -723,14 +721,13 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                 control, env = stepv.body.body, (acc, (k, cenv))
                 loop = stepv.body.loop
                 if loop is not None and budget >= loop[0]:
-                    # the loop kernel; an op that would be stuck, and an
-                    # iteration whose nested recs the fuel left does not
-                    # cover, leave the iteration to single steps
-                    k, value, budget, done = run_loop(loop, acc, k, cenv, bound, budget)
-                    if done:
+                    # the loop kernel; where a check fails or the fuel left
+                    # does not cover an iteration, it leaves the iteration
+                    # to single steps
+                    done = run_loop(loop, acc, k, cenv, bound, budget)
+                    if done is not None:
+                        k, value, budget = done
                         control = None  # the closing tuple returns to kont
-                    else:
-                        env = (value, (k, cenv))
                 kont = (_REC_NEXT, bound, k, stepv, parent)
                 continue
             fn, arg = stepv, k
@@ -992,8 +989,4 @@ def interpret_program(
         return call_proc(clos, inputs)
     if main is None:
         raise EvalError("NoMain", "the file has no main sequence and no entry was chosen")
-    assert isinstance(main.out, S.QSimple)
-    out_names = [x for x, _ in main.out.env]
-    store: Dict[str, Any] = {x: () for x in out_names}
-    exec_seq(main.body, gamma, store)
-    return tuple([store[x] for x in out_names])
+    return call_proc(IClos(S.HBase((), main.out, main.body), gamma), ())

@@ -311,8 +311,8 @@ def test_runs_leave_no_cyclic_garbage(collector):
     generated programs, many of whose loops are never entered (a loop
     that held a function holding its own fn would keep the fn and its
     body in a cycle).  mul_nested and the three-deep nest run their
-    outer loops in kernels that take the nested loops as ops, whose
-    loops hold what they keep of the inner ones."""
+    outer loops in kernels that take the nested loops as links of their
+    chains, whose loops hold what they keep of the inner ones."""
     runs = [(path, None) for path in sorted(glob.glob(os.path.join(CORPUS, "*.loop")))]
     runs += [(path, None) for path in sorted(glob.glob(os.path.join(CORPUS, "negative", "*.loop")))]
     runs += [

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from loopcert import fuzz, pipeline, runtime, translate
+from loopcert import fuzz, kernels, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.errors import CheckError, FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
@@ -417,7 +417,7 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
 def test_rec_steps_through_random_labels_keep_values_and_least_fuel():
     rng = random.Random(5)
     compiled = 0
-    for _ in range(300):
+    for _ in range(450):
         text = random_label_step(rng)
         term = erase(parse_term(text))
         compiled += loop_of(term) is not None
@@ -473,31 +473,31 @@ def entered_loops(monkeypatch):
 
 
 def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
-    """A kernel takes the iterations of a counter loop in closed form once
-    acc passes the checks of the first one, and runs any other loop's
-    iteration, with every check of the single steps, again and again.
-    On random steps, straight-line or through labels, with bounds
-    up to 50, and with fuel at the least fuel, one below it and three
-    random points, the kernels and single steps (without_loops) must
-    agree on the value, the point where fuel runs out and the stuck
-    message.  A quarter of the steps open with a succ or pred of the
-    outer variable x, and more than 15 of those enter a kernel.  Sixty
-    more are chains of succ and pred on the accumulator items, most of
-    which the kernel takes in closed form.
+    """A kernel makes the checks of every iteration once, at entry, and
+    then takes the iterations of a loop in closed form.  On random steps,
+    straight-line or through labels, with bounds up to 50, and with fuel
+    at the least fuel, one below it and three random points, the kernels
+    and single steps (without_loops) must agree on the value, the point
+    where fuel runs out and the stuck message.  A quarter of the steps
+    open with a succ or pred of the outer variable x, and more than 15 of
+    those enter a kernel.  Sixty more are chains of succ and pred on the
+    accumulator items, more than 15 of which are loops, and more than 5
+    of which move an item into another slot and so are none.
 
     Each of these changes, made on a copy, fails this test: m one more
     than min(bound - 1 - k, (budget - c) // (c + 4)) in kernels.run_loop;
-    the checked loop charging c + 3 for an iteration after the first; the
-    power's clamp b read as b + 1, or (n - 1) read as n; the composed
-    clamp without its + a; a counter loop's arity check dropped; the
-    closed form taken where the loop is no counter loop, as if it kept
-    every item (runtime._compile_loop giving the own node a chain of no
-    maps for each slot); _compile_loop taking a closing tuple that fills
-    an item from another item."""
+    the first iteration charging c - 1; the power's clamp b read as b +
+    1; the composed clamp without its + a; the arity check on acc
+    dropped; the entry check on the outer values in naturals dropped; a
+    chain from a value powered n times; the counter origin read as the
+    first iteration's k; runtime._compile_loop leaving out of naturals
+    an outer variable that the closing tuple feeds unchanged into a
+    checked slot, not adding the slot of a succ's operand to checked, or
+    taking a closing tuple that fills an item from another item."""
     entered = entered_loops(monkeypatch)
     rng = random.Random(11)
     texts = [(text, 0) for text in STUCK_STEPS]
-    for case in range(120):
+    for case in range(200):
         # 1: a succ or pred of x; 2: the closure f among the atoms; 3: an
         # initial accumulator wider than the pattern
         mode = case % 4
@@ -516,8 +516,8 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
         seen[outcome(single, steps)[0], loop is not None] += 1
         if mode == 1:
             seen["counted", bool(entered)] += 1
-        if mode == 4 and entered:
-            seen["closed", loop[4][-1][2] is not None] += 1
+        if mode == 4:
+            seen["closed", loop is not None] += 1
     assert outcome(erase(parse_term(STUCK_STEPS[0])), 100) == ("stuck", "StuckTerm: tuple pattern <b, c> against <0>")
     for text in STUCK_STEPS[1:]:
         assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
@@ -525,18 +525,132 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     assert seen["closed", True] > 15 and seen["closed", False] > 5, seen
 
 
+def random_chain_step(rng):
+    """A rec whose step gives each of one to three accumulator items a
+    chain of up to three succ and pred from one origin: the item itself,
+    the outer variable x or y (`z := x`), the numeral 0 (`z := 0`),
+    succ(0) (`z := 1`), the counter i (`z := i`) or, one time in ten,
+    another item (a move).  A chain may run through a label, left by a
+    tail throw, a throw in a let or the label's closing tuple, and
+    through a nested rec of bound x.  One step in four also reads the
+    closure f: as the operand of a succ whose value is dropped, as an
+    item's origin where the step reads that item as it is, or by a succ in
+    its nested rec's step.  Returns the rec's text and whether erasure
+    must leave the step with no loop (a move, or a nested rec that reads
+    f)."""
+    fresh = iter(range(1000))
+    width = rng.randint(1, 3)
+    acc = [f"a{j}" for j in range(width)]
+    parts, ends, refused = [f"let <{', '.join(acc)}> = a in"], [], False
+    closure = rng.randrange(3) if rng.random() < 0.25 else None
+    for j in range(width):
+        roll = rng.random()
+        if roll < 0.1 and width > 1:
+            end, refused = acc[(j + rng.randint(1, width - 1)) % width], True
+        elif roll < 0.35:
+            end = acc[j]
+        else:
+            end = f"v{next(fresh)}"
+            origin = "f" if closure == 2 and j == 0 else rng.choice(["x", "y", "0", "succ(0)", "i"])
+            parts.append(f"let {end} = {origin} in")
+            if origin == "f":
+                parts.append(f"let d = succ({acc[j]}) in")  # the item's slot, read as it is
+        label = rng.random() < 0.25
+        if label:
+            parts.append(f"let <w{j}> = callcc (fn k : ~<nat> =>")
+        for _ in range(rng.randint(0, 3)):
+            name = f"v{next(fresh)}"
+            parts.append(f"let {name} = {rng.choice(['succ', 'pred'])}({end}) in")
+            end = name
+        if rng.random() < 0.2:
+            inner = "let e = succ(f) in " if closure == 1 else ""
+            refused = refused or closure == 1
+            name = f"v{next(fresh)}"
+            parts.append(f"let <{name}> = rec(x, <{end}>, fn l : nat => fn b : <nat> => let <c> = b in {inner}"
+                         f"let c = {rng.choice(['succ', 'pred'])}(c) in <c>) in")
+            end = name
+        if label:
+            parts.append(rng.choice([f"throw[<nat>] k <{end}>)", f"let <q> = throw[<nat>] k <{end}> in <q>)",
+                                     f"<{end}>)"]) + " in")
+            end = f"w{j}"
+        ends.append(end)
+    if closure == 0:
+        parts.insert(1, "let d = succ(f) in")
+    starts = ", ".join([str(rng.randint(0, 5)) for _ in range(width)])
+    return (f"let x = 2 in let y = 3 in let f = fn u : nat => u in rec({rng.randint(0, 30)}, <{starts}>,"
+            f" fn i : nat => fn a : <{', '.join(['nat'] * width)}> => {' '.join(parts)} <{', '.join(ends)}>)",
+            refused)
+
+
+def test_chains_from_values_agree_with_single_steps(monkeypatch):
+    """A kernel takes an item whose chain starts from a value (an outer
+    variable, a numeral or the counter) by applying the chain once, to the
+    value in the last iteration.  On random steps (random_chain_step), the
+    kernels and single steps (without_loops) must agree on the value, the
+    point where fuel runs out and the stuck message, at the least fuel,
+    one below it and three seeded points; a step that moves an item into
+    another slot, or whose nested rec reads a value as it is, must have no
+    loop, and every other step a loop.  More than 40 of the steps enter a
+    kernel with an item from each kind of origin, more than 20 get stuck
+    and more than 20 have no loop.
+
+    Each of these changes, made on a copy, fails this test: a chain from
+    a value powered n times, like an item's own (kernels.run_loop); the
+    counter origin read as the first iteration's k instead of k + m; the
+    entry check on the outer values in naturals dropped; (n - 1) read as
+    n in the power's clamp; a move accepted as a chain from the slot's
+    own item (runtime._compile_loop); an inner loop that reads a value as
+    it is accepted as a nested rec; an outer variable that the closing
+    tuple feeds unchanged into a checked slot left out of naturals."""
+    entered = entered_loops(monkeypatch)
+    rng = random.Random(37)
+    seen = collections.Counter()
+    for _ in range(300):
+        text, refused = random_chain_step(rng)
+        term, single = erase(parse_term(text)), without_loops(erase(parse_term(text)))
+        assert (loop_of(term) is None) == refused, text
+        steps = least_fuel(single)
+        entered.clear()
+        for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
+            assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
+        origins = set()
+        for loop in entered:
+            for origin, _ in loop[3][-1][2]:
+                origins.add("own" if origin is None else "counter" if origin == 0 else
+                            "numeral" if loop[2][origin] is not None else "outer")
+        seen.update(origins)
+        seen[outcome(single, steps)[0]] += 1
+        seen["refused"] += refused
+    assert min(seen["own"], seen["counter"], seen["numeral"], seen["outer"]) > 40, seen
+    assert seen["stuck"] > 20 and seen["refused"] > 20, seen
+
+
+def test_place_loop_runs_in_closed_form_at_a_trillion_iterations():
+    """The erased entry of CI's place_loop (`dec(z); w := i; inc(v); v :=
+    y; inc(v);`) at 10**12 iterations, at its least fuel of 35
+    transitions an iteration plus 47, and one below it."""
+    sf = parse("discipline IS;\ncst run = proc [x : nat, y : nat] out [z : nat, w : nat, v : nat] {\n"
+               "  z := y;\n  w := 0;\n  v := 0;\n  for i := 0 until x {\n    dec(z);\n    w := i;\n    inc(v);\n"
+               "    v := y;\n    inc(v);\n  }[z : nat, w : nat, v : nat];\n};\n")
+    term = RApp(pipeline.erase_image(pipeline.translate_file(sf), "run"), RTuple((RNum(10**12), RNum(7))))
+    assert evaluate(term, 35 * 10**12 + 47) == (0, 10**12 - 1, 8)
+    with pytest.raises(FuelExhausted):
+        evaluate(term, 35 * 10**12 + 46)
+
+
 def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):
     """As the IS loop `dec(z); w := i; inc(v); v := y; inc(v);` translates:
-    the succ of the outer variable y keeps the loop from the closed form
-    of a counter loop, so the kernel runs its checked iteration for every
-    iteration."""
+    z's item is a chain from its own slot, w's from the counter and v's a
+    succ of the outer variable y, so one kernel call takes every
+    iteration in closed form."""
     entered = entered_loops(monkeypatch)
     fn = erase(parse_term("fn n : nat => let y = 7 in rec(n, <7, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
                           " let <z, w, v> = a in let z = pred(z) in let w = i in let v = succ(v) in let v = y in"
                           " let v = succ(v) in <z, w, v>)"))
     term = RApp(fn, RNum(100000))
     assert evaluate(term, 3500050) == (0, 99999, 8)  # 35 transitions an iteration
-    assert entered == [loop_of(fn.body)] and entered[0][4][-1][2] is None
+    assert entered == [loop_of(fn.body)]
+    assert entered[0][3][-1][2] == ((None, (kernels._B_PRED,)), (0, ()), (1, (kernels._B_SUCC,)))
     with pytest.raises(FuelExhausted):
         evaluate(term, 3500049)
     assert outcome(RApp(fn, RNum(40)), 1000) == outcome(RApp(without_loops(fn), RNum(40)), 1000)
@@ -556,11 +670,11 @@ def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):
      "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let y = z in let z = succ(y) in <z>)", ((3,), (3,))),
 ])
 def test_steps_of_one_shape_have_the_same_ops(first, second, values):
-    # a loop's ops and values hold only integers: the runs differ in their
-    # reads from the closure environment and in their totals at most
+    # a loop's template and chains hold only integers: the runs differ in
+    # their reads from the closure environment and in their totals at most
     first, second = erase(parse_term(first)), erase(parse_term(second))
     assert (evaluate(first, 1000), evaluate(second, 1000)) == values
-    assert loop_of(first)[2:4] == loop_of(second)[2:4]
+    assert (loop_of(first)[2], loop_of(first)[3][-1][2]) == (loop_of(second)[2], loop_of(second)[3][-1][2])
 
 
 # Rec steps whose straight-line run is only part of the body, and one whose
@@ -910,15 +1024,15 @@ NESTED_STUCK = [
 
 
 def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
-    """A kernel takes a nested counter rec as one op of its run (a
-    _B_REC op) and charges its iterations from the bound's value.  On
-    random counter nests (random_counter_program), half of them with
-    every bound a parameter, and on NESTED_STUCK at inner bounds 0 to 2,
-    the machine with its kernels and by single steps (without_loops)
-    must agree on the value, the point where fuel runs out and the stuck
-    message, at the least fuel, one below it and three seeded points.
-    More than 50 of the programs enter a kernel with a nested rec, and
-    more than 10 a kernel with a nest three deep.
+    """A kernel takes a nested rec as one more map of the chains that
+    its base items start, and charges its iterations from the bound's
+    value.  On random counter nests (random_counter_program), half of
+    them with every bound a parameter, and on NESTED_STUCK at inner
+    bounds 0 to 2, the machine with its kernels and by single steps
+    (without_loops) must agree on the value, the point where fuel runs
+    out and the stuck message, at the least fuel, one below it and three
+    seeded points.  More than 50 of the programs enter a kernel with a
+    nested rec, and more than 10 a kernel with a nest three deep.
 
     Each of these changes, made on a copy, fails this test: a nested
     rec's charge off by one (n * (cost + 3) for n * (cost + 4) in
@@ -926,9 +1040,9 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
     b2) for max(b + a2, b2) in run_loop's chain of maps); (n - 1) read as
     n in the power's clamp; an inner bound accepted from a slot that the
     enclosing step changes (runtime._compile_loop taking any variable of
-    the iteration as the bound); a counter loop that skips the check of
-    its checked items, or whose succ of an item does not add the item's
-    slot to them."""
+    the iteration as the bound); a loop that skips the check of its
+    checked items, or whose succ of an item does not add the item's slot
+    to them."""
     loops = entered_loops(monkeypatch)
 
     def depth(nodes, i):
@@ -957,7 +1071,7 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
             continue  # a nest whose bounds grow as it runs
         loops.clear()
         steps = least_fuel(term)
-        most = max([depth(loop[4], len(loop[4]) - 1) for loop in loops], default=0)  # of the kernels entered
+        most = max([depth(loop[3], len(loop[3]) - 1) for loop in loops], default=0)  # of the kernels entered
         nested += most > 0
         deep += most > 1
         outcomes.add(outcome(single, steps)[0])
