@@ -1,7 +1,8 @@
 """The loop kernel of the machine (see the runtime module docstring):
-run_loop, which takes the iterations of a loop that runtime._compile_loop
-builds in closed form.  A loop holds only integers, so this module knows
-nothing of terms."""
+run_loop, which takes every remaining iteration of a loop that
+runtime._compile_loop builds, in closed form and in one turn of the
+machine.  A loop holds only integers, so this module knows nothing of
+terms."""
 
 from __future__ import annotations
 
@@ -12,15 +13,15 @@ from typing import Any, Optional, Tuple
 _B_SUCC, _B_PRED = range(2)
 
 
-def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int, budget: int) -> Optional[Tuple[int, Any, int]]:
-    """Run the iterations of loop (runtime._compile_loop) from the one
-    with accumulator acc and counter k, in the step's closure environment
-    cenv, with budget the fuel left, as the runtime module docstring
-    says: the counter, the closing tuple and the fuel left of the last
-    iteration, or None.  The values that chains start from sit in the
-    list x by number: the numerals put there from the loop's template,
-    the outer variables read from cenv, and the counter of the last
-    iteration at 0.
+def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int) -> Optional[Tuple[int, Any, int]]:
+    """Run every remaining iteration of loop (runtime._compile_loop), from
+    the one with accumulator acc and counter k up to bound, in the step's
+    closure environment cenv, as the runtime module docstring says: the
+    counter and the closing tuple of the last iteration and the charge of
+    the iterations, or None.  The values that chains start from sit in
+    the list x by number: the numerals put there from the loop's
+    template, the outer variables read from cenv, and the counter of the
+    last iteration at 0.
 
     First the checks of every iteration, made once: acc is a tuple of the
     loop's arity whose checked items are naturals, and the outer values
@@ -29,13 +30,12 @@ def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int, budget: int) 
     n * (cost + 4), cost being its loop's total plus the charges of its
     own nested recs, and map each item by the n-th power of its chain, in
     which (r, i) is the map of item i of the node's nested rec r.  The
-    own node's cost is c, an iteration's charge, and its n the 1 + m
-    iterations that the bound and the fuel allow.  Where a check fails, a
-    bound is no natural or the budget does not cover c, the kernel
-    returns None at once.  Last, each item of the closing tuple: a chain
-    from its own item maps acc's item by its n-th power, and a chain from
-    a value maps that value in the last iteration, once."""
-    _, reads, template, nodes, checked, naturals = loop
+    own node's cost is c, an iteration's charge, and its n the bound - k
+    iterations left.  Where a check fails or a bound is no natural, the
+    kernel returns None at once.  Last, each item of the closing tuple: a
+    chain from its own item maps acc's item by its n-th power, and a
+    chain from a value maps that value in the last iteration, once."""
+    reads, template, nodes, checked, naturals = loop
     chains = nodes[-1][2]
     if type(acc) is not tuple or len(acc) != len(chains):
         return None
@@ -59,10 +59,8 @@ def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int, budget: int) 
             n = x[n]
             if type(n) is not int:
                 return None
-        else:  # the loop's own node, the last
-            if budget < cost:
-                return None
-            n = 1 + min(bound - 1 - k, (budget - cost) // (cost + 4))
+        else:  # the loop's own node, the last: every remaining iteration
+            n = bound - k
         powers = []
         for origin, pieces in node_chains:
             f = None  # the identity
@@ -79,7 +77,7 @@ def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int, budget: int) 
             powers.append(f)
         charges.append(n * (cost + 4))
         maps.append(powers)
-    x[0] = k + n - 1  # the counter of the last iteration
+    x[0] = bound - 1  # the counter of the last iteration
     value = []
     for (origin, _), f, v in zip(chains, powers, acc):
         if origin is not None:
@@ -90,4 +88,4 @@ def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int, budget: int) 
                 v = f[1]
         value.append(v)
     # the first iteration charges c, each later one c + 4
-    return k + n - 1, tuple(value), budget + 4 - charges[-1]
+    return bound - 1, tuple(value), charges[-1] - 4

@@ -11,14 +11,14 @@ iterative rather than stack-consuming.
 
 Fuel is one unit per transition, and a turn of the machine's loop makes
 one transition: a term in control pushes its frame or yields its value,
-and a value returns to one frame.  There is one exception, the return
-to a rec's frame.  There the machine also returns into the loop frame
-without building it, applies the curried step fn i => fn acc => ... to
-the counter and the accumulator without building the closure in
-between, and may run a loop kernel (below).  It does so only when the
-fuel left covers every transition it makes, and charges each;
-otherwise it single-steps.  So step counts, the point where fuel runs
-out and errors are those of the single-step machine.
+and a value returns to one frame.  The loop kernel (below) alone makes
+several: it takes every remaining iteration of a loop in one turn and
+charges each transition it makes, whatever the fuel left.  None of them
+can get stuck once the kernel's entry checks hold, so where the fuel
+runs out among them the budget goes negative and the next turn raises
+FuelExhausted, as the single-step machine does on the same fuel.  So
+step counts, the point where fuel runs out and errors are those of the
+single-step machine.
 
 The body of a rec step fn i => fn acc => body runs once per iteration.
 When the whole body is one straight-line run (lets and let <...> whose
@@ -30,20 +30,20 @@ in <z> is, erasure marks the step's fn acc => body with a loop
 (_compile_loop): the run's total transitions (3 for a let of an atom, 5
 for succ or pred of an atom, 3 + 2n for a tuple of n atoms, 1 + 2n for
 the closing tuple of n atoms) and the chains, which hold only integers.
-The machine reads the loop at one place, the return to a rec's frame,
-right after the step's curried application: when the fuel left covers
-total, it calls the loop kernel, kernels.run_loop(loop, acc, k, cenv,
-bound, budget), cenv being the step's closure environment, which takes
-the iterations in closed form, with no work per iteration.  The first
-iteration charges total; each later one charges total + 4 (the returns
-to the iteration's frame and to the loop, and the step's curried
-application), and runs only while the counter has not reached the bound
-and the fuel left covers all of it.  The kernel returns the counter, the
-closing tuple and the fuel left of the last iteration it took, or None
-where a check below fails.  The machine then rebuilds the iteration's
-frame and goes on by single steps, in the environment (acc, (k, cenv))
-that the application made: it runs out of fuel, gets stuck or leaves the
-loop exactly where the single-step machine does.
+The machine reads the loop at one place, the return of the step's
+closure to the rec's loop frame with the counter k below the bound,
+where the single-step machine applies the step to k: it calls the loop
+kernel, kernels.run_loop(loop, acc, k, cenv, bound), cenv being the
+step's closure environment, which takes every remaining iteration in
+closed form, with no work per iteration.  The first iteration charges
+total, and 2 more for the closure of fn acc and its application to acc;
+each later one charges total + 4 (the returns to the iteration's frame
+and to the loop frame, the closure and its application).  The kernel
+returns the counter and the closing tuple of the last iteration and the
+charge of the iterations, or None where a check below fails.  The
+machine then pushes the last iteration's frame and returns the closing
+tuple to it, or, on None, applies the step to k by single steps, and
+gets stuck exactly where the single-step machine does.
 
 A chain is a run of succ, pred and nested recs from one origin: the
 item of its own slot of acc, or a value, which is an outer variable of
@@ -56,16 +56,15 @@ reads as they are (by a succ, a pred or a nested rec's check) are
 naturals, and so are the outer variables that the run reads as they
 are or puts unchanged into such a slot.  Where they hold, no iteration
 gets stuck, for each such item is a natural in every later iteration
-too.  The kernel works out at once how many iterations the bound and
-the fuel allow, 1 + m with m = min(bound - 1 - k, (budget - total) //
-(total + 4)), charges total + m * (total + 4) and gives each slot its
-value after them.  A chain from its own slot takes its (1 + m)-th power:
-n iterations of x -> max(x + a, b) are x -> max(x + n*a, b + max(0,
-(n - 1)*a)).  A chain from a value is applied once, to the value in the
-last iteration (k + m for the counter): after one iteration, a slot
-reset from a value stays fixed, as in the acceleration of loops by
-Bozga, Iosif & Konečný ("Fast Acceleration of Ultimately Periodic
-Relations", CAV 2010).
+too.  The kernel takes the n = bound - k iterations left, charges
+total + (n - 1) * (total + 4) and gives each slot its value after them.
+A chain from its own slot takes its n-th power: n iterations of x ->
+max(x + a, b) are x -> max(x + n*a, b + max(0, (n - 1)*a)).  A chain
+from a value is applied once, to the value in the last iteration (for
+the counter, bound less one): after one iteration, a slot reset from a
+value stays fixed, as in the acceleration of loops by Bozga, Iosif &
+Konečný ("Fast Acceleration of Ultimately Periodic Relations", CAV
+2010).
 
 Erasure makes a loop in one walk of the run, and nothing is made or
 kept per shape of run.  Any other body runs by single steps: one whose
@@ -106,12 +105,11 @@ the nest, of any depth, in closed form as it takes a one-level loop.
 The rec charges 9 + 2n for a base of n atoms, and then y times the inner
 iteration's charge plus 4, so an iteration's charge hangs on y: the
 loop's total covers only its static part.  The kernel works out the
-rest from y before the first iteration, and where y is no natural or
-the fuel left does not cover a whole iteration it returns None.  The
-machine then runs the iteration by single steps, where the kernel takes
-over the inner rec, and so runs out of fuel where the single-step
-machine does.  A nested rec whose bound is a numeral or a value of the
-iteration leaves the step to single steps.
+rest from y before the first iteration, and where y is no natural it
+returns None: the machine then runs the iteration by single steps and
+gets stuck at that rec as the single-step machine does.  A nested rec
+whose bound is a numeral or a value of the iteration leaves the step to
+single steps.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
@@ -328,7 +326,7 @@ def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple, each of
     whose items is a chain from its own slot or from a value (see the
-    module docstring).  A loop is (total, reads, template, nodes, checked,
+    module docstring).  A loop is (reads, template, nodes, checked,
     naturals), which kernels.run_loop takes in closed form.  It holds only
     integers and nothing that refers back to fn, so it leaves no reference
     cycle.
@@ -354,9 +352,9 @@ def _compile_loop(fn: RFn) -> None:
     item a succ, a pred or a nested rec reads as it is, and naturals the
     outer variables read so, or fed unchanged into such a slot.  nodes
     are those of the nested recs, inner recs first, and last the loop's
-    own, (0, total, chains, children): chains holds each slot's chain,
-    with origin None for its own item, and children the distance back to
-    each nested rec's own node.
+    own, (0, total, chains, children): total is the run's transitions,
+    chains holds each slot's chain, with origin None for its own item,
+    and children the distance back to each nested rec's own node.
 
     A let or let <...> whose value is a nested rec(bound, <atoms>, fn j =>
     fn acc => body) gives the rec's tuple, each item its base atom's chain
@@ -415,7 +413,7 @@ def _compile_loop(fn: RFn) -> None:
                 if type(bound) is not RVar or bound.index is None or bound.index < len(scope):
                     return
                 inner = step.body.loop if type(step) is RFn and type(step.body) is RFn else None
-                if inner is None or inner[5] or type(base) is not RTuple or len(inner[3][-1][2]) != len(base.items):
+                if inner is None or inner[4] or type(base) is not RTuple or len(inner[2][-1][2]) != len(base.items):
                     return
                 items, cost = (bound, *base.items), 9 + 2 * len(base.items)
             else:
@@ -463,23 +461,23 @@ def _compile_loop(fn: RFn) -> None:
                 # the inner loop's closure environment is this iteration's,
                 # and its own node's bound is the rec's
                 remap, position = {0: atoms[0][0]}, 0
-                for gap, n in inner[1]:
+                for gap, n in inner[0]:
                     position += gap
                     if position < len(scope):
                         return
                     if position - len(scope) not in outer:
                         outer[position - len(scope)], values = (values, ()), values + 1
                     remap[n] = outer[position - len(scope)][0]
-                for node in inner[3]:
+                for node in inner[2]:
                     nodes.append((remap[node[0]],) + node[1:])
                 recs.append(len(nodes) - 1)
                 result, read = [], []
-                for j, (origin, pieces) in enumerate(inner[3][-1][2]):
+                for j, (origin, pieces) in enumerate(inner[2][-1][2]):
                     if origin is not None:
                         return  # an inner chain from a value
                     a = atoms[1 + j]
                     result.append((a[0], a[1] + ((len(recs) - 1, j),)) if pieces else a)
-                for j in inner[4]:
+                for j in inner[3]:
                     read.append(atoms[1 + j])
         else:  # an atom
             result, read = atoms[0], ()
@@ -540,7 +538,7 @@ def _compile_loop(fn: RFn) -> None:
     for n in as_is:
         if template[n] is None:  # an outer variable; a numeral is a natural
             naturals.append(n)
-    loop = (total, tuple(reads), tuple(template), tuple(nodes), tuple(checked), tuple(naturals))
+    loop = (tuple(reads), tuple(template), tuple(nodes), tuple(checked), tuple(naturals))
     object.__setattr__(fn, "loop", loop)
 
 
@@ -607,11 +605,11 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
 
     A turn of the loop makes one transition and charges one unit: a term
     in control pushes its frame or yields its value, and a value returns
-    to one frame.  The one exception is the return to a rec's frame (see
-    the module docstring), which also makes the step's curried
-    application and may run the loop kernel.  budget is the fuel left
-    after the transitions made so far.  The cases go most frequent
-    first."""
+    to one frame.  The one exception is the loop kernel's turn, the
+    return of a step whose fn acc has a loop to the rec's loop frame (see
+    the module docstring), which charges every iteration that it takes.
+    budget is the fuel left after the transitions made so far; the loop's
+    head alone tests it.  The cases go most frequent first."""
     control: Any = t  # None while a value returns to kont
     env: Any = None
     kont: Any = _HALT
@@ -699,39 +697,28 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                 env = (item, env)
             control = term.body
             continue
-        elif tag == _REC_NEXT or tag == _REC_LOOP:
-            if tag == _REC_NEXT:
-                _, bound, k, stepv, parent = kont
-                if budget < 1:
-                    kont = (_REC_LOOP, bound, k + 1, value, parent)
-                    value = stepv
-                    continue
-                # and the return to the _REC_LOOP frame, without building it
-                budget -= 1
-                acc, k = value, k + 1
-            else:
-                _, bound, k, acc, parent = kont
-                stepv = value
+        elif tag == _REC_NEXT:
+            _, bound, k, stepv, parent = kont
+            kont = (_REC_LOOP, bound, k + 1, value, parent)
+            value = stepv
+            continue
+        elif tag == _REC_LOOP:
+            _, bound, k, acc, parent = kont
             if k == bound:
                 value, kont = acc, parent
                 continue
-            if type(stepv) is Clos and type(stepv.body) is RFn and budget > 1:
-                budget -= 2  # apply the step to k, close its fn, apply that to acc
-                cenv = stepv.env
-                control, env = stepv.body.body, (acc, (k, cenv))
-                loop = stepv.body.loop
-                if loop is not None and budget >= loop[0]:
-                    # the loop kernel; where a check fails or the fuel left
-                    # does not cover an iteration, it leaves the iteration
-                    # to single steps
-                    done = run_loop(loop, acc, k, cenv, bound, budget)
-                    if done is not None:
-                        k, value, budget = done
-                        control = None  # the closing tuple returns to kont
-                kont = (_REC_NEXT, bound, k, stepv, parent)
-                continue
-            fn, arg = stepv, k
-            kont = (_REC_ACC, bound, k, acc, stepv, parent)
+            if type(value) is Clos and type(value.body) is RFn and value.body.loop is not None:
+                # the loop kernel takes every remaining iteration, or leaves
+                # them to single steps where a check fails
+                done = run_loop(value.body.loop, acc, k, value.env, bound)
+                if done is not None:
+                    k, acc, charge = done
+                    budget -= charge + 2  # and the closure of fn acc, applied to acc
+                    kont = (_REC_NEXT, bound, k, value, parent)
+                    value = acc  # the closing tuple returns to kont
+                    continue
+            fn, arg = value, k
+            kont = (_REC_ACC, bound, k, acc, value, parent)
         elif tag == _ARG:
             _, control, env, parent = kont
             kont = (_APP, value, parent)

@@ -69,8 +69,9 @@ def term_of(key: str):
 
 
 def without_loops(term):
-    """term with every fn's loop reset to None, in place: the machine runs
-    each rec step by single steps, with no loop kernel."""
+    """term with every fn's loop reset to None, in place: with no loop
+    left, the machine never enters its loop kernel, and is the
+    single-step machine, one transition a turn."""
     stack = [term]
     while stack:
         t = stack.pop()

@@ -115,9 +115,8 @@ def test_unbound_runtime_variable_is_stuck():
 def assert_stuck_at(text, steps):
     """The machine gets stuck on transition number `steps`: with less fuel
     it runs out first, and with more it gets stuck there too.  A loop
-    kernel or a rec step's application taken on fuel that does not cover
-    it would get stuck too early; one that left its stuck op to single
-    steps with less fuel than it had would run out late."""
+    kernel that took an iteration which gets stuck by single steps would
+    run past that transition."""
     for fuel in range(steps):
         with pytest.raises(FuelExhausted):
             run(text, fuel)
@@ -484,16 +483,17 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     accumulator items, more than 15 of which are loops, and more than 5
     of which move an item into another slot and so are none.
 
-    Each of these changes, made on a copy, fails this test: m one more
-    than min(bound - 1 - k, (budget - c) // (c + 4)) in kernels.run_loop;
-    the first iteration charging c - 1; the power's clamp b read as b +
-    1; the composed clamp without its + a; the arity check on acc
-    dropped; the entry check on the outer values in naturals dropped; a
-    chain from a value powered n times; the counter origin read as the
-    first iteration's k; runtime._compile_loop leaving out of naturals
-    an outer variable that the closing tuple feeds unchanged into a
-    checked slot, not adding the slot of a succ's operand to checked, or
-    taking a closing tuple that fills an item from another item."""
+    Each of these changes, made on a copy, fails this test:
+    n = bound - k + 1 iterations in kernels.run_loop; the first iteration
+    charging c - 1; the kernel's turn in runtime.evaluate charging
+    charge + 1; the power's clamp b read as b + 1; the composed clamp
+    without its + a; the arity check on acc dropped; the entry check on
+    the outer values in naturals dropped; a chain from a value powered n
+    times; the counter origin read as the first iteration's k;
+    runtime._compile_loop leaving out of naturals an outer variable that
+    the closing tuple feeds unchanged into a checked slot, not adding the
+    slot of a succ's operand to checked, or taking a closing tuple that
+    fills an item from another item."""
     entered = entered_loops(monkeypatch)
     rng = random.Random(11)
     texts = [(text, 0) for text in STUCK_STEPS]
@@ -596,12 +596,14 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
 
     Each of these changes, made on a copy, fails this test: a chain from
     a value powered n times, like an item's own (kernels.run_loop); the
-    counter origin read as the first iteration's k instead of k + m; the
-    entry check on the outer values in naturals dropped; (n - 1) read as
-    n in the power's clamp; a move accepted as a chain from the slot's
-    own item (runtime._compile_loop); an inner loop that reads a value as
-    it is accepted as a nested rec; an outer variable that the closing
-    tuple feeds unchanged into a checked slot left out of naturals."""
+    counter origin read as the first iteration's k instead of the last's;
+    n = bound - k + 1 iterations; the entry check on the outer values in
+    naturals dropped; (n - 1) read as n in the power's clamp; the
+    kernel's turn in runtime.evaluate charging charge + 1; a move
+    accepted as a chain from the slot's own item (runtime._compile_loop);
+    an inner loop that reads a value as it is accepted as a nested rec;
+    an outer variable that the closing tuple feeds unchanged into a
+    checked slot left out of naturals."""
     entered = entered_loops(monkeypatch)
     rng = random.Random(37)
     seen = collections.Counter()
@@ -615,9 +617,9 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
         origins = set()
         for loop in entered:
-            for origin, _ in loop[3][-1][2]:
+            for origin, _ in loop[2][-1][2]:
                 origins.add("own" if origin is None else "counter" if origin == 0 else
-                            "numeral" if loop[2][origin] is not None else "outer")
+                            "numeral" if loop[1][origin] is not None else "outer")
         seen.update(origins)
         seen[outcome(single, steps)[0]] += 1
         seen["refused"] += refused
@@ -650,10 +652,46 @@ def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):
     term = RApp(fn, RNum(100000))
     assert evaluate(term, 3500050) == (0, 99999, 8)  # 35 transitions an iteration
     assert entered == [loop_of(fn.body)]
-    assert entered[0][3][-1][2] == ((None, (kernels._B_PRED,)), (0, ()), (1, (kernels._B_SUCC,)))
+    assert entered[0][2][-1][2] == ((None, (kernels._B_PRED,)), (0, ()), (1, (kernels._B_SUCC,)))
     with pytest.raises(FuelExhausted):
         evaluate(term, 3500049)
     assert outcome(RApp(fn, RNum(40)), 1000) == outcome(RApp(without_loops(fn), RNum(40)), 1000)
+
+
+# Functions of a bound x whose body is the rec of addition_is, place_loop
+# (CI) or jump_loop (a label left by a throw), as it erases: (id, fn,
+# value at x = 6).
+WHOLE = [
+    ("addition_is", "fn x : nat => rec(x, <2>, fn i : nat => fn a : <nat> =>"
+     " let <z> = a in let z = succ(z) in <z>)", (8,)),
+    ("place_loop", "fn x : nat => let y = 7 in rec(x, <7, 0, 0>, fn i : nat => fn a : <nat, nat, nat> =>"
+     " let <z, w, v> = a in let z = pred(z) in let w = i in let v = succ(v) in let v = y in"
+     " let v = succ(v) in <z, w, v>)", (1, 5, 8)),
+    ("jump_loop", "fn x : nat => rec(x, <6>, fn i : nat => fn a : <nat> => let <z> = a in"
+     " let <z> = callcc (fn k : ~<nat> => let <z> = throw[<nat>] k <z> in <z>) in <z>)", (6,)),
+]
+
+
+@pytest.mark.parametrize("text, value", [case[1:] for case in WHOLE], ids=[case[0] for case in WHOLE])
+def test_the_kernel_runs_whole_at_any_fuel(monkeypatch, text, value):
+    """The kernel takes every remaining iteration in one turn, the rec's
+    first return to its loop frame, whatever the fuel left, and charges
+    each transition it makes.  At bound 0 that turn leaves the loop, and
+    one more returns the value, so the turn is at the least fuel of bound
+    0 less one.  On every fuel from there up to the least fuel at bound
+    6, run_loop is entered once, and the run raises FuelExhausted below
+    the least fuel and gives the value at it."""
+    fn = erase(parse_term(text))
+    turn = least_fuel(RApp(fn, RNum(0))) - 1
+    term = RApp(fn, RNum(6))
+    steps = least_fuel(term)
+    entered = entered_loops(monkeypatch)
+    for fuel in range(turn, steps + 1):
+        entered.clear()
+        assert outcome(term, fuel) == (("fuel", None) if fuel < steps else ("value", show_value(value))), fuel
+        assert entered == [loop_of(fn.body)], fuel
+    entered.clear()
+    assert outcome(term, turn - 1) == ("fuel", None) and entered == []
 
 
 @pytest.mark.parametrize("first, second, values", [
@@ -669,12 +707,12 @@ def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):
     ("rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)",
      "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let y = z in let z = succ(y) in <z>)", ((3,), (3,))),
 ])
-def test_steps_of_one_shape_have_the_same_ops(first, second, values):
+def test_steps_of_one_shape_have_the_same_chains(first, second, values):
     # a loop's template and chains hold only integers: the runs differ in
     # their reads from the closure environment and in their totals at most
     first, second = erase(parse_term(first)), erase(parse_term(second))
     assert (evaluate(first, 1000), evaluate(second, 1000)) == values
-    assert (loop_of(first)[2], loop_of(first)[3][-1][2]) == (loop_of(second)[2], loop_of(second)[3][-1][2])
+    assert (loop_of(first)[1], loop_of(first)[2][-1][2]) == (loop_of(second)[1], loop_of(second)[2][-1][2])
 
 
 # Rec steps whose straight-line run is only part of the body, and one whose
@@ -754,9 +792,8 @@ def test_a_reached_unbound_operand_is_stuck(text, steps):
 
 @pytest.mark.parametrize("key", corpus_keys() + case_keys())
 def test_fuel_runs_out_at_every_transition_before_the_last(key):
-    # A loop kernel or a rec step's application charged for fewer
-    # transitions than it makes would let some budget below the pinned
-    # count run to a value.
+    # A loop kernel charged for fewer transitions than it makes would let
+    # some fuel below the pinned count run to a value.
     steps = load_steps()[key]
     term = term_of(key)
     value = evaluate(term, steps)
@@ -1010,9 +1047,12 @@ def test_counter_loops_in_closed_form_agree_with_single_steps(monkeypatch):
 
 
 # Nested rec steps whose inner loop reads an item that is no natural: a
-# closure, and a tuple that the closing tuple feeds back.  With the inner
-# bound n at 0 the inner loop never reads it, and the machine returns it;
-# otherwise the machine gets stuck.
+# closure, a tuple that the closing tuple feeds back, and a closure that
+# the closing tuple replaces by a numeral.  With the inner bound n at 0 the
+# inner loop never reads it, and the machine returns it, or in the third
+# the numeral: there the kernel's checks fail in the first iteration only,
+# so the kernel takes the rest from the second.  Otherwise the machine
+# gets stuck.
 NESTED_STUCK = [
     "fn n : nat => let f = fn y : nat => y in rec(3, <f, 0>, fn i : nat => fn a : <nat, nat> =>"
     " let <z, w> = a in let w = succ(w) in let <z> = rec(n, <z>, fn j : nat => fn b : <nat> =>"
@@ -1020,6 +1060,9 @@ NESTED_STUCK = [
     "fn n : nat => rec(3, <0, 0>, fn i : nat => fn a : <nat, nat> => let <z, w> = a in"
     " let <z> = rec(n, <z>, fn j : nat => fn b : <nat> => let <v> = b in let v = pred(v) in <v>)"
     " in let t = <z> in <t, w>)",
+    "fn n : nat => let f = fn y : nat => y in rec(3, <f, 0>, fn i : nat => fn a : <nat, nat> =>"
+    " let <z, w> = a in let w = succ(w) in let <z> = rec(n, <z>, fn j : nat => fn b : <nat> =>"
+    " let <v> = b in let v = succ(v) in <v>) in let z = 0 in <z, w>)",
 ]
 
 
@@ -1038,11 +1081,14 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
     rec's charge off by one (n * (cost + 3) for n * (cost + 4) in
     kernels.run_loop); the composed clamp missing its + a term (max(b,
     b2) for max(b + a2, b2) in run_loop's chain of maps); (n - 1) read as
-    n in the power's clamp; an inner bound accepted from a slot that the
-    enclosing step changes (runtime._compile_loop taking any variable of
-    the iteration as the bound); a loop that skips the check of its
-    checked items, or whose succ of an item does not add the item's slot
-    to them."""
+    n in the power's clamp; n = bound - k + 1 iterations of the loop's
+    own node; the kernel's turn in runtime.evaluate charging charge + 1,
+    or the kernel tried at the _REC_NEXT frame as well, from the next
+    counter and charged as at the _REC_LOOP frame; an inner bound
+    accepted from a slot that the enclosing step changes
+    (runtime._compile_loop taking any variable of the iteration as the
+    bound); a loop that skips the check of its checked items, or whose
+    succ of an item does not add the item's slot to them."""
     loops = entered_loops(monkeypatch)
 
     def depth(nodes, i):
@@ -1071,7 +1117,7 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
             continue  # a nest whose bounds grow as it runs
         loops.clear()
         steps = least_fuel(term)
-        most = max([depth(loop[3], len(loop[3]) - 1) for loop in loops], default=0)  # of the kernels entered
+        most = max([depth(loop[2], len(loop[2]) - 1) for loop in loops], default=0)  # of the kernels entered
         nested += most > 0
         deep += most > 1
         outcomes.add(outcome(single, steps)[0])
