@@ -12,6 +12,7 @@ decrementing numerals.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import gen, pipeline
@@ -66,7 +67,7 @@ def _variants(value: Any) -> Iterator[Any]:
         for fname in S.node_fields(value):
             child = getattr(value, fname)
             for new_child in _variants(child):
-                yield S._rebuild(value, **{fname: new_child})
+                yield replace(value, **{fname: new_child})
         return
     if isinstance(value, tuple):
         for k, item in enumerate(value):

@@ -31,7 +31,7 @@ from . import axioms, dependent, envs, runtime, translate
 from . import syntax as S
 from .errors import CheckError, EvalError, LoopcertError, ParseError, TooLong
 from .parser import parse
-from .printer import show, show_qenv, show_term
+from .printer import show, show_qenv
 from .dependent import CheckCtx
 
 EXIT_OK = 0
@@ -409,7 +409,7 @@ def run_pipeline(
             # translate_file refuses a functional file: a fault of the input
             image = report.run_phase(
                 "translate", EXIT_TARGET if imperative else EXIT_SOURCE, lambda: translate_file(sf),
-                lambda image: {"terms": {name: len(show_term(t)) for name, t in image.csts}},
+                lambda image: {"terms": {name: S.node_count(t) for name, t in image.csts}},
             )
             if image is None:
                 return report

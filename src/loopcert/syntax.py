@@ -45,6 +45,10 @@ indices as it reads, and the printer picks names from the hints.
 The kernel (``alpha_eq``, ``subst_ind``, ``open_inds``, ``close_ind`` and
 ``free_ind_vars``) acts on types and individuals only.  Terms compare by
 ``==``, their binder names included, and only tests compare them.
+``open_inds``, the walk of ``subst_ind`` and ``close_ind`` too, takes each
+node by the walk of its exact class, compiled from the class's fields at
+import as its ``__init__`` is: one Python call a node, and a node in
+which nothing changes comes back itself.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ def node(cls: Optional[type] = None, *, eq: bool = True) -> Any:
     `Immutable`, which keeps it immutable."""
 
     def wrap(cls: type) -> type:
+        if cls.__doc__ is None:  # else dataclass writes one from inspect.signature, slowly
+            cls.__doc__ = cls.__name__
         cls = dataclass(cls, slots=True, init=False, eq=eq, unsafe_hash=eq)
         cls.__init__ = _init_of(cls)
         return cls
@@ -794,13 +800,6 @@ class _Plan:
         scoped = getattr(cls, "_binds_ind", ())
         self.shifts = tuple((f.name, int(f.name in scoped)) for f in own if f.type not in _ATOM_TYPES)
 
-    def build(self, node: Node, changes: dict) -> Node:
-        """A copy of node with some fields replaced, its span kept."""
-        values = [changes[f] if f in changes else getattr(node, f) for f in self.fields]
-        if self.has_span:
-            values.append(node.span)
-        return self.cls(*values)
-
 
 # every concrete node class; any other value (str, int, None) has no plan.
 # Taken from this module's names, not from Node.__subclasses__(): that
@@ -839,8 +838,19 @@ def _free_ind(value: Any, acc: set) -> None:
                 _free_ind(getattr(value, fname), acc)
 
 
-def _rebuild(node: Node, **changes: Any) -> Node:
-    return _PLANS[type(node)].build(node, changes)
+def node_count(value: Any) -> int:
+    """The number of nodes in a syntax value (nodes or tuples), by one
+    iterative walk, so that no nesting is too deep for it."""
+    count, stack = 0, [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is tuple:
+            stack.extend(value)
+        elif type(value) in _PLANS:
+            count += 1
+            for fname, _ in _PLANS[type(value)].shifts:
+                stack.append(getattr(value, fname))
+    return count
 
 
 def subst_ind(body: Any, replacement: Ind) -> Any:
@@ -863,42 +873,65 @@ def open_inds(value: Any, subs: Any, depth: int = 0, name: Optional[str] = None)
     escape to, the innermost last: the one that escapes by j more by
     subs[-1 - j], and one that escapes past subs lowered by len(subs).
     With a name, close_ind's walk instead."""
-    cls = type(value)
-    if cls is IBound:
-        j = value.index - depth
-        if j < 0:
-            return value
-        if j >= len(subs):
-            return IBound(value.index - len(subs)) if subs else value
-        sub = subs[-1 - j]
-        return sub if depth == 0 or type(sub) is IVar else _lift(sub, depth)
-    if cls is IVar:
-        return IBound(depth) if value.name == name else value
-    if cls is tuple:
-        out = None
-        for k, item in enumerate(value):
-            new = open_inds(item, subs, depth, name)
-            if new is not item:
-                if out is None:
-                    out = list(value[:k])
-                out.append(new)
-            elif out is not None:
-                out.append(item)
-            if type(item) is SUnpack:  # a sequence's `?n.` binds over the items after it
-                depth += 1
-        return value if out is None else tuple(out)
-    plan = _PLANS.get(cls)
-    if plan is None:
-        return value
-    changes = None
-    for fname, shift in plan.shifts:
-        old = getattr(value, fname)
-        new = open_inds(old, subs, depth + shift, name)
-        if new is not old:
-            if changes is None:
-                changes = {}
-            changes[fname] = new
-    return value if changes is None else plan.build(value, changes)
+    return _OPEN.get(type(value), _same)(value, subs, depth, name)
+
+
+def _same(value: Any, subs: Any, depth: int, name: Optional[str]) -> Any:
+    return value
+
+
+def _open_bound(i: IBound, subs: Any, depth: int, name: Optional[str]) -> Ind:
+    j = i.index - depth
+    if j < 0:
+        return i
+    if j >= len(subs):
+        return IBound(i.index - len(subs)) if subs else i
+    sub = subs[-1 - j]
+    return sub if depth == 0 or type(sub) is IVar else _lift(sub, depth)
+
+
+def _open_var(i: IVar, subs: Any, depth: int, name: Optional[str]) -> Ind:
+    return IBound(depth) if i.name == name else i
+
+
+def _open_tuple(value: tuple, subs: Any, depth: int, name: Optional[str]) -> tuple:
+    out = None
+    for k, item in enumerate(value):
+        new = _OPEN[type(item)](item, subs, depth, name)
+        if new is not item:
+            if out is None:
+                out = list(value[:k])
+            out.append(new)
+        elif out is not None:
+            out.append(item)
+        if type(item) is SUnpack:  # a sequence's `?n.` binds over the items after it
+            depth += 1
+    return value if out is None else tuple(out)
+
+
+def _open_of(plan: _Plan) -> Callable[..., Any]:
+    """open_inds's walk of a node of plan's class, compiled as `_init_of`
+    compiles __init__: each field that may hold syntax goes to the walk of
+    its value's exact class, one binder deeper where the node's binder
+    scopes over it; the node comes back itself when no field changed."""
+    shifts, walk = plan.shifts, f"open_{plan.cls.__name__}"
+    new = {fname: f"n{k}" for k, (fname, _) in enumerate(shifts)}
+    args = [new.get(f, f"v.{f}") for f in plan.fields] + ["v.span"] * plan.has_span
+    source = (f"def make(walks, cls):\n    def {walk}(v, subs, depth, name):\n"
+              + "".join(f"        o{k} = v.{fname}\n"
+                        f"        n{k} = walks[type(o{k})](o{k}, subs, depth{' + 1' * shift}, name)\n"
+                        for k, (fname, shift) in enumerate(shifts))
+              + f"        if {' and '.join(f'n{k} is o{k}' for k in range(len(shifts)))}:\n"
+              f"            return v\n        return cls({', '.join(args)})\n    return {walk}\n")
+    namespace: dict = {}
+    exec(source, {}, namespace)  # the code's file is "<string>"
+    return namespace["make"](_OPEN, plan.cls)
+
+
+# open_inds's walk of each exact class a syntax field may hold; the
+# generated walks dispatch their fields through it
+_OPEN: dict = {tuple: _open_tuple, IBound: _open_bound, IVar: _open_var, str: _same, type(None): _same}
+_OPEN.update({cls: _open_of(plan) if plan.shifts else _same for cls, plan in _PLANS.items() if cls not in _OPEN})
 
 
 def _lift(i: Ind, by: int) -> Ind:
@@ -916,7 +949,7 @@ def _lift(i: Ind, by: int) -> Ind:
             if changes is None:
                 changes = {}
             changes[fname] = new
-    return i if changes is None else plan.build(i, changes)
+    return i if changes is None else cls(*[changes.get(f, getattr(i, f)) for f in plan.fields])
 
 
 class Freshener:

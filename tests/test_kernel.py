@@ -161,7 +161,11 @@ def _naive_open(value, depth, repl):
             return S.IBound(value.index - 1)
         return _raised(repl, depth)
     if isinstance(value, tuple):
-        return tuple(_naive_open(v, depth, repl) for v in value)
+        out = []
+        for v in value:
+            out.append(_naive_open(v, depth, repl))
+            depth += isinstance(v, S.SUnpack)  # a `?n.` binds over the items after it
+        return tuple(out)
     if not isinstance(value, S.Node):
         return value
     scoped = getattr(type(value), "_binds_ind", ())
@@ -193,6 +197,126 @@ def test_subst_against_naive_oracle():
         # binder of var, named n and m
         open_repl = syntax_gen.gen_ind(rng, 2, vars_=("n", "m"), bound=2)
         assert S.subst_ind(body, open_repl) == _naive_open(body, 0, open_repl)
+
+
+# the node classes that may stand where a field's annotation names a
+# category; "Item" is a sequence item
+_KINDS = {name: [cls for cls in S._PLANS if issubclass(cls, getattr(S, name))]
+          for name in ("Ind", "Formula", "Prop", "Output", "Proto", "QEnv", "Term", "Expr", "Header", "Fam", "Seq")}
+_KINDS["Any"] = list(S._PLANS)
+_KINDS["Item"] = [cls for cls in S._PLANS if issubclass(cls, (S.Command, S.SeqItem))]
+# below the height asked for: classes whose instances end the walk soon
+_LEAVES = {"Ind": [S.IVar, S.IBound, S.IZero], "Formula": [S.FTop, S.FNat, S.FEq], "Prop": [S.FNat, S.FEq],
+           "Output": [S.OSimple], "Proto": [S.ProtoBase], "QEnv": [S.QSimple], "Term": [S.TVar, S.TAxiom],
+           "Expr": [S.EVar, S.EAxiom], "Header": [S.HBase], "Fam": [S.Fam], "Seq": [S.Seq],
+           "Any": [S.IBound, S.FNat], "Item": [S.CInc, S.SUnpack, S.SWitness]}
+_INDS = ("n", "m", "k")
+
+
+def _gen_value(rng, kind, height, bound):
+    """A random value of the field annotation kind, `height` nodes deep or
+    a little more, under `bound` binders: an IBound's index is below it."""
+    if kind.startswith("Optional["):
+        return None if rng.random() < 0.2 else _gen_value(rng, kind[9:-1], height, bound)
+    if kind == "Span":
+        return (rng.randint(1, 99), rng.randint(1, 99))
+    if kind in ("Env", "Tuple[Tuple[str, Any], ...]"):
+        item = "Prop" if kind == "Env" else "Any"
+        return tuple((rng.choice(_INDS), _gen_value(rng, item, height - 1, bound)) for _ in range(_width(rng, height)))
+    if kind.startswith("Tuple["):
+        return tuple(_gen_value(rng, kind[6:-6], height - 1, bound) for _ in range(_width(rng, height)))
+    if kind == "str":
+        return rng.choice(_INDS + ("x",))
+    if kind == "int":
+        return rng.randint(0, 3)
+    classes = [cls for cls in (_KINDS if height > 0 else _LEAVES)[kind] if bound or cls is not S.IBound]
+    return _gen_node(rng, rng.choice(classes), height, bound)
+
+
+def _width(rng, height):
+    """The length of a tuple height nodes deep: none below two leaves."""
+    return rng.randint(0, 2 if height > 0 else 1 if height > -2 else 0)
+
+
+def _gen_node(rng, cls, height, bound):
+    """A random instance of cls, every span given; a sequence's items and
+    the fields of cls's binder are one binder deeper, as open_inds walks them."""
+    if cls is S.IBound:
+        return S.IBound(rng.randrange(bound))
+    if cls is S.Seq:
+        items = []
+        for _ in range(_width(rng, height + 1)):
+            items.append(_gen_value(rng, "Item", height - 1, bound))
+            bound += type(items[-1]) is S.SUnpack
+        return S.Seq(tuple(items), _gen_value(rng, "Span", 0, 0))
+    scoped = getattr(cls, "_binds_ind", ())
+    return cls(*[_gen_value(rng, "Item" if f.type == "Tuple[Any, ...]" else f.type, height - 1, bound + (f.name in scoped))
+                 for f in dataclasses.fields(cls)])
+
+
+def _kept(before, after, depth, changes):
+    """Walk before and after, a kernel walk's input and output, together:
+    each node keeps its span, and a subtree with no leaf that changes(leaf,
+    depth) picks comes back as itself.  Whether before holds such a leaf."""
+    if type(before) in (S.IBound, S.IVar):
+        hit = changes(before, depth)
+    elif type(before) is tuple:
+        assert type(after) is tuple and len(after) == len(before)
+        hit = False
+        for b, a in zip(before, after):
+            hit |= _kept(b, a, depth, changes)
+            depth += type(b) is S.SUnpack
+    elif isinstance(before, S.Node):
+        assert type(after) is type(before) and getattr(after, "span", None) == getattr(before, "span", None)
+        scoped = getattr(type(before), "_binds_ind", ())
+        hit = False
+        for f in S.node_fields(before):
+            hit |= _kept(getattr(before, f), getattr(after, f), depth + (f in scoped), changes)
+    else:
+        hit = False
+    assert hit or after is before
+    return hit
+
+
+def test_the_walks_of_every_node_class_agree_with_the_naive_oracle():
+    """For each node class with a field that may hold syntax, random
+    instances of it (_gen_node) with every span given: subst_ind with a
+    locally closed and with an open replacement, open_inds of two
+    eigenvariables below 0 or 1 more binders, and close_ind of a free
+    name, against _naive_open, which instantiates the innermost binder,
+    and goes one binder deeper in the fields that a node's `_binds_ind`
+    names and after each `?n.` item of a sequence.  Each result equals
+    the oracle's, keeps every span, and holds its input itself wherever
+    no index or name changes below it (_kept); every field of every class
+    changes in some instance.
+
+    Each of these changes, made on a copy, fails this test: CFor's frame
+    walked without its binder's shift, a rebuilt SWitness that loses its
+    span, and the rebuild of TCoerce taking its old proof even when the
+    proof changed (syntax._open_of); a `?n.` item that leaves the items
+    after it at its own depth (syntax._open_tuple)."""
+    classes = [cls for cls, plan in S._PLANS.items() if plan.shifts]
+    assert len(classes) == 58
+    changed = set()
+    rng = random.Random(35)
+    for cls in classes:
+        for _ in range(30):
+            value = _gen_node(rng, cls, 4, 3)  # its indices escape by up to 3
+            escapes = lambda leaf, depth: type(leaf) is S.IBound and leaf.index >= depth
+            for repl in (_gen_value(rng, "Ind", 2, 0), _gen_value(rng, "Ind", 2, 2)):
+                out = S.subst_ind(value, repl)
+                assert out == _naive_open(value, 0, repl), (value, repl)
+                _kept(value, out, 0, escapes)
+                changed.update((cls, f) for f in S.node_fields(value) if getattr(out, f) is not getattr(value, f))
+            subs, depth = (S.IVar("a!1"), S.IVar("b!2")), rng.randint(0, 1)
+            out = S.open_inds(value, subs, depth)
+            assert out == _naive_open(_naive_open(value, depth, subs[1]), depth, subs[0]), value
+            _kept(value, out, depth, escapes)
+            closed_value, name = _gen_node(rng, cls, 4, 0), rng.choice(_INDS)
+            out = S.close_ind(closed_value, name)
+            assert _naive_open(out, 0, S.IVar(name)) == closed_value and name not in S.free_ind_vars(out)
+            _kept(closed_value, out, 0, lambda leaf, d: type(leaf) is S.IVar and leaf.name == name)
+    assert changed == {(cls, f) for cls in classes for f, _ in S._PLANS[cls].shifts}
 
 
 def test_an_unpack_item_scopes_over_the_rest_of_its_sequence():

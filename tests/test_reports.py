@@ -1,16 +1,20 @@
 """Pipeline reports conform to the shipped JSON schema."""
 
+import dataclasses
 import json
 import os
+import sys
 
 import jsonschema
 import pytest
 
-from loopcert import pipeline
+from loopcert import pipeline, printer
+from loopcert import syntax as S
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.normpath(os.path.join(HERE, "..", "corpus"))
 SCHEMA_PATH = os.path.normpath(os.path.join(HERE, "..", "docs", "report.schema.json"))
+GOLDEN = os.path.join(HERE, "golden", "reports.json")
 
 with open(SCHEMA_PATH, "r", encoding="utf-8") as handle:
     SCHEMA = json.load(handle)
@@ -29,6 +33,40 @@ with open(SCHEMA_PATH, "r", encoding="utf-8") as handle:
 def test_report_matches_schema(name):
     report = pipeline.run_pipeline(os.path.join(CORPUS, name))
     jsonschema.validate(report.to_dict(), SCHEMA)
+
+
+def _nodes(value):
+    """The nodes of a syntax value, counted by reflection over every field."""
+    if isinstance(value, tuple):
+        return sum(_nodes(item) for item in value)
+    if isinstance(value, S.Node):
+        return 1 + sum(_nodes(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return 0
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".loop")))
+def test_translate_counts_the_image_and_prints_no_term(name, monkeypatch):
+    """The report prints no image constant: with printer.show_term raising
+    wherever it is bound, each positive corpus file's report is still the
+    one pinned in golden/reports.json, and the translate payload's `terms`
+    holds the node count of each constant of the image."""
+    def refuse(term):
+        raise AssertionError("show_term ran")
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("loopcert")]:
+        for attr, value in list(vars(module).items()):
+            if value is printer.show_term:
+                monkeypatch.setattr(module, attr, refuse)
+    rel = f"corpus/{name}"
+    with open(os.path.join(CORPUS, name), "r", encoding="utf-8") as handle:
+        report = pipeline.run_pipeline(rel, text=handle.read(), want_trace=True)
+    data = report.to_dict()
+    for phase in data["phases"]:
+        phase["elapsed_s"] = 0
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        assert json.dumps(data, sort_keys=True) == json.load(handle)[rel]
+    (terms,) = [phase["payload"]["terms"] for phase in data["phases"] if phase["name"] == "translate"]
+    assert terms == {cst: _nodes(term) for cst, term in report.image.csts}
 
 
 def test_failed_phase_truncates_list():

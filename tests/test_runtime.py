@@ -317,6 +317,13 @@ def test_an_inline_for_through_a_label_is_a_loop():
     assert evaluate(term, 1000) == (0,)
 
 
+# A rec of bound o = 0 that reads the accumulator's first item, dropped:
+# its step never runs, so the item may be the closure g and the iteration
+# still completes, though the kernel's checks fail on it.
+UNREAD_OUTER = "let o = 0 in let g = fn y : nat => y in"
+READ_BY_NO_RUN = "let <u> = rec(o, <a0>, fn l : nat => fn b : <nat> => let <c> = b in let c = succ(c) in <c>) in"
+
+
 def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted=False, chains=False):
     """A rec whose step enters from labels to three labels (none makes a
     straight-line step) among random lets of atoms, succ, pred, tuples
@@ -333,12 +340,20 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     among lets of atoms, for each accumulator item, which the closing
     tuple puts back in the item's place; now and then a chain starts at
     another item or the closing tuple repeats a chain's end.
-    The initial accumulator's items are then 0 to 5."""
+    The initial accumulator's items are then 0 to 5.  With labels 0, one
+    step in eight reads its first item only by a dropped rec that never
+    runs (READ_BY_NO_RUN), and starts with the closure g there: the
+    kernel's checks fail in the first iteration, which completes, and
+    hold from the next one on, unless a chain keeps the item as it is."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
-    nats = ["i", "x"] + acc + (["f"] if closure else [])  # the atoms bound to names in scope
+    unread = labels == 0 and rng.random() < 0.125
+    # the atoms bound to names in scope
+    nats = ["i", "x"] + acc[unread:] + (["f"] if closure else [])
     parts = [f"let <{', '.join(acc)}> = a in"]
+    if unread:
+        parts.append(READ_BY_NO_RUN)
     if counted:
         parts.append(f"let n = {rng.choice(['succ', 'pred'])}(x) in")
         nats.append("n")
@@ -376,8 +391,8 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
         if width > 1 and rng.random() < 0.1:
             ends[1] = ends[0]
         body = " ".join(parts + [f"<{', '.join(ends)}>"])
-        starts = ", ".join([str(rng.randint(0, 5)) for _ in range(width)])
-        return (f"let x = 2 in rec({rng.randint(0, bound)}, <{starts}>, fn i : nat =>"
+        starts = ", ".join(["g" if unread and j == 0 else str(rng.randint(0, 5)) for j in range(width)])
+        return (f"let x = 2 in {(UNREAD_OUTER + ' ') * unread}rec({rng.randint(0, bound)}, <{starts}>, fn i : nat =>"
                 f" fn a : <{', '.join(['nat'] * width)}> => {body})")
     for _ in range(rng.randint(labels, 3)):
         lets()
@@ -407,8 +422,8 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     lets()
     parts.append(atoms(width))
     body = " ".join(parts)
-    outer = "let x = 2 in let f = fn y : nat => y in" if closure else "let x = 2 in"
-    zeros = ", ".join(["0"] * (width if start is None else start))
+    outer = ("let x = 2 in let f = fn y : nat => y in" if closure else "let x = 2 in") + f" {UNREAD_OUTER}" * unread
+    zeros = ", ".join((["g"] if unread else []) + ["0"] * ((width if start is None else start) - unread))
     return (f"{outer} rec({rng.randint(0, bound)}, <{zeros}>, fn i : nat =>"
             f" fn a : <{', '.join(['nat'] * width)}> => {body})")
 
@@ -471,6 +486,19 @@ def entered_loops(monkeypatch):
     return entered
 
 
+def kernel_results(monkeypatch):
+    """The list of what kernels.run_loop returns from now on."""
+    results, run_loop = [], runtime.run_loop
+    monkeypatch.setattr(runtime, "run_loop", lambda *args: results.append(run_loop(*args)) or results[-1])
+    return results
+
+
+def entered_after_a_miss(results):
+    """Whether a kernel call that returned None was followed by one that
+    ran: a miss in an iteration that completed."""
+    return None in results and any(r is not None for r in results[results.index(None):])
+
+
 def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     """A kernel makes the checks of every iteration once, at entry, and
     then takes the iterations of a loop in closed form.  On random steps,
@@ -481,7 +509,9 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     open with a succ or pred of the outer variable x, and more than 15 of
     those enter a kernel.  Sixty more are chains of succ and pred on the
     accumulator items, more than 15 of which are loops, and more than 5
-    of which move an item into another slot and so are none.
+    of which move an item into another slot and so are none.  In more
+    than 5 steps a kernel runs after it has returned None in an iteration
+    that completed (READ_BY_NO_RUN).
 
     Each of these changes, made on a copy, fails this test:
     n = bound - k + 1 iterations in kernels.run_loop; the first iteration
@@ -493,8 +523,11 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     runtime._compile_loop leaving out of naturals an outer variable that
     the closing tuple feeds unchanged into a checked slot, not adding the
     slot of a succ's operand to checked, or taking a closing tuple that
-    fills an item from another item."""
+    fills an item from another item; the kernel tried at the _REC_NEXT
+    frame as well, from the next counter, and charged as at the _REC_LOOP
+    frame, one transition short."""
     entered = entered_loops(monkeypatch)
+    results = kernel_results(monkeypatch)
     rng = random.Random(11)
     texts = [(text, 0) for text in STUCK_STEPS]
     for case in range(200):
@@ -510,10 +543,12 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
         term, single = erase(parse_term(text)), without_loops(erase(parse_term(text)))
         steps = least_fuel(single)
         entered.clear()
+        results.clear()
         for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
         loop = loop_of(term)
         seen[outcome(single, steps)[0], loop is not None] += 1
+        seen["after a miss"] += entered_after_a_miss(results)
         if mode == 1:
             seen["counted", bool(entered)] += 1
         if mode == 4:
@@ -523,6 +558,7 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
         assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
     assert seen["value", True] > 40 and seen["stuck", True] > 20 and seen["counted", True] > 15, seen
     assert seen["closed", True] > 15 and seen["closed", False] > 5, seen
+    assert seen["after a miss"] > 5, seen
 
 
 def random_chain_step(rng):
@@ -535,13 +571,20 @@ def random_chain_step(rng):
     through a nested rec of bound x.  One step in four also reads the
     closure f: as the operand of a succ whose value is dropped, as an
     item's origin where the step reads that item as it is, or by a succ in
-    its nested rec's step.  Returns the rec's text and whether erasure
-    must leave the step with no loop (a move, or a nested rec that reads
-    f)."""
+    its nested rec's step.  One step in five reads its first item first
+    by a dropped rec that never runs (READ_BY_NO_RUN) and starts with the
+    closure g there: the kernel's checks fail in the first iteration,
+    which completes unless the step reads the item otherwise, and hold
+    from the next one on where the item's chain starts from a value.
+    Returns the rec's text and whether erasure must leave the step with no
+    loop (a move, or a nested rec that reads f)."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
     parts, ends, refused = [f"let <{', '.join(acc)}> = a in"], [], False
+    unread = rng.random() < 0.2
+    if unread:
+        parts.append(READ_BY_NO_RUN)
     closure = rng.randrange(3) if rng.random() < 0.25 else None
     for j in range(width):
         roll = rng.random()
@@ -576,8 +619,8 @@ def random_chain_step(rng):
         ends.append(end)
     if closure == 0:
         parts.insert(1, "let d = succ(f) in")
-    starts = ", ".join([str(rng.randint(0, 5)) for _ in range(width)])
-    return (f"let x = 2 in let y = 3 in let f = fn u : nat => u in rec({rng.randint(0, 30)}, <{starts}>,"
+    starts = ", ".join(["g" if unread and j == 0 else str(rng.randint(0, 5)) for j in range(width)])
+    return (f"let x = 2 in let y = 3 in let f = fn u : nat => u in {(UNREAD_OUTER + ' ') * unread}rec({rng.randint(0, 30)}, <{starts}>,"
             f" fn i : nat => fn a : <{', '.join(['nat'] * width)}> => {' '.join(parts)} <{', '.join(ends)}>)",
             refused)
 
@@ -592,7 +635,8 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
     another slot, or whose nested rec reads a value as it is, must have no
     loop, and every other step a loop.  More than 40 of the steps enter a
     kernel with an item from each kind of origin, more than 20 get stuck
-    and more than 20 have no loop.
+    and more than 20 have no loop, and in more than 15 a kernel runs after
+    it has returned None in an iteration that completed (READ_BY_NO_RUN).
 
     Each of these changes, made on a copy, fails this test: a chain from
     a value powered n times, like an item's own (kernels.run_loop); the
@@ -603,8 +647,11 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
     accepted as a chain from the slot's own item (runtime._compile_loop);
     an inner loop that reads a value as it is accepted as a nested rec;
     an outer variable that the closing tuple feeds unchanged into a
-    checked slot left out of naturals."""
+    checked slot left out of naturals; the kernel tried at the _REC_NEXT
+    frame as well, from the next counter, and charged as at the _REC_LOOP
+    frame, one transition short."""
     entered = entered_loops(monkeypatch)
+    results = kernel_results(monkeypatch)
     rng = random.Random(37)
     seen = collections.Counter()
     for _ in range(300):
@@ -613,8 +660,10 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
         assert (loop_of(term) is None) == refused, text
         steps = least_fuel(single)
         entered.clear()
+        results.clear()
         for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
+        seen["after a miss"] += entered_after_a_miss(results)
         origins = set()
         for loop in entered:
             for origin, _ in loop[2][-1][2]:
@@ -624,7 +673,7 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
         seen[outcome(single, steps)[0]] += 1
         seen["refused"] += refused
     assert min(seen["own"], seen["counter"], seen["numeral"], seen["outer"]) > 40, seen
-    assert seen["stuck"] > 20 and seen["refused"] > 20, seen
+    assert seen["stuck"] > 20 and seen["refused"] > 20 and seen["after a miss"] > 15, seen
 
 
 def test_place_loop_runs_in_closed_form_at_a_trillion_iterations():
