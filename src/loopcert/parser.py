@@ -1,18 +1,22 @@
 """Concrete ASCII syntax: lexer and recursive-descent parser.
 
 The grammar ships in docs/grammar.ebnf.  Unicode spellings of the logic
-symbols are accepted as aliases; the printer emits ASCII only.  The
-parser resolves the name of a bound individual to its index as it reads
-it (see syntax.py), so it keeps the binders it is under.
+symbols are accepted as aliases; the printer emits ASCII only.  A token
+is its value, the text it spells (an alias its ASCII spelling), and its
+kind is looked up by value.  A parsed node's span is a `Mark`: the index
+of its first token, whose line and column are worked out only when the
+span is shown.  The parser resolves the name of a bound individual to
+its index as it reads it (see syntax.py), so it keeps the binders it is
+under.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import defaultdict
-from itertools import accumulate, islice
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import islice
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import syntax as S
 from .errors import ParseError
@@ -30,163 +34,183 @@ _UNICODE = {
     "→": "->", "⇒": "=>", "λ": "lam",
 }
 
-# The general lexer: one match per token.  Horizontal layout is skipped in
-# front of it, and the alternatives are newline, comment, punctuator, word,
-# digits and any other character (which `_lex_other` looks at).  A digit
-# run that goes on into a non-ASCII digit (str.isdigit, wider than [0-9])
-# is left to `_lex_other` too, so int tokens span exactly the isdigit runs.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:"
-    r"(\n)"
-    r"|(//[^\n]*)"
-    r"|(:=|:>|<:|=>|->|[{}\[\]()<>,;:.=~*?/])"
-    r"|([A-Za-z_]\w*)"
-    r"|([0-9]+(?![0-9]|[^\x00-\x7f]))"
-    r"|([^ \t\r\n]))"
-)
-_NEWLINE, _COMMENT, _PUNCT, _WORD, _INT = range(1, 6)  # group 6: any other character
+# The ASCII lexer: comments go, each punctuator gets a space on either side
+# and str.split cuts the text at layout.  A two-character one goes through a
+# stand-in outside ASCII, in an order that reads overlaps as the general
+# lexer does (`<:=` as `<:` `=`, `:=>` as `:=` `>`).  A piece that is no
+# token (a stray character, digits run into a word, or "\x00" for a control
+# character that str.split takes for layout) leaves the text to that lexer.
+_COMMENTS = re.compile(r"//([^\n]*)")
+_PAIRS = {p: chr(0x80 + k) for k, p in enumerate(("<:", ":=", ":>", "=>", "->"))}  # and their stand-ins
+_SPACING = [*_PAIRS.items(), *((c, f" {c} ") for c in "{}[]()<>,;:.=~*?/"),
+            *((s, f" {p} ") for p, s in _PAIRS.items()), *((c, "\x00") for c in "\x0b\x0c\x1c\x1d\x1e\x1f")]
+
+# The general lexer: one match per token after horizontal layout, in groups
+# newline, comment, a punctuator, word or digit run as it stands, and any
+# other character (which `_lex_other` looks at).  A digit run that goes on
+# into a non-ASCII digit (str.isdigit, wider than [0-9]) is left to
+# `_lex_other` too, so int tokens span exactly the isdigit runs.
+_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|(//[^\n]*)|(:=|:>|<:|=>|->|[{}\[\]()<>,;:.=~*?/]|[A-Za-z_]\w*"
+                    r"|[0-9]+(?![0-9]|[^\x00-\x7f]))|([^ \t\r\n]))")
+_COMMENT, _OTHER = 2, 4
+_LAYOUT = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")  # comments too
+_TAILED = re.compile(r"(?::=|:>|<:|=>|->|[A-Za-z_]\w*|[0-9]+|[^ \t\r\n])" + _LAYOUT.pattern)  # an ASCII token, layout
 _WORD_TAIL = re.compile(r"\w*")  # str.isalnum() or "_", exactly
 
-# The fast lexer, for text in which every character outside comments is
-# layout or lexes without `_lex_other` (no `_ODD` match): comments are
-# blanked to spaces, so offsets stay, and one `split` on the token
-# alternatives gives layout and tokens in turn.
-_COMMENTS = re.compile(r"//([^\n]*)")
-_SPLIT = re.compile(
-    r"(:=|:>|<:|=>|->|[{}\[\]()<>,;:.=~*?/]|[A-Za-z_]\w*|[0-9]+(?![0-9]|[^\x00-\x7f])|[^ \t\r\n])"
-)
-_ODD = re.compile(r"[^\x00-\x7f]|[^ \t\r\n\w{}\[\]()<>,;:.=~*?/-]|-(?!>)")
-
-# a token's kind by its value, or for a word or digit run by its first character
+# the kind of a punctuator, keyword or the eof token ""; see _word_kinds
 _KINDS = {p: "punct" for p in ":= :> <: => -> { } [ ] ( ) < > , ; : . = ~ * ? /".split()}
 _KINDS.update((k, "kw") for k in KEYWORDS)
-_KINDS.update((d, "int") for d in "0123456789")
+_KINDS[""] = "eof"
 _PAD = 2  # how far past the eof token a parser may look
 
 
+def _word_kinds(values: List[str]) -> Dict[str, str]:
+    """The kind of each value that is no punctuator or keyword: int or
+    ident, or odd for a piece of ASCII text that is no token."""
+    return {word: "int" if word.isdigit() else "ident" if word.isidentifier() or not word.isascii() else "odd"
+            for word in set(values).difference(_KINDS)}
+
+
+class Source:
+    """A text, and where its tokens start as far as a place was asked for: in
+    ASCII text the ends of `_TAILED` matches, else the general lexer's offsets."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts: List[int] = []
+        self.scan: Iterator[int] = iter(())
+
+    def position(self, k: int) -> S.Span:
+        """The (line, column) of token k; past the eof token, the eof's."""
+        text, starts = self.text, self.starts
+        if not starts:
+            if text.isascii():
+                starts.append(_LAYOUT.match(text).end())
+                self.scan = map(re.Match.end, _TAILED.finditer(text, starts[0]))
+            else:
+                starts += _lex_general(text)[1] + [len(text)]
+        if len(starts) <= k:
+            starts += islice(self.scan, k + 1 - len(starts))
+        offset = starts[min(k, len(starts) - 1)]
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class Mark:
+    """A parsed node's span before it is shown: token k of a source.  Read
+    as a span, it is that token's (line, column), worked out then."""
+
+    __slots__ = ("source", "k")
+
+    def __init__(self, source: Source, k: int):
+        self.source = source
+        self.k = k
+
+    def __iter__(self):
+        return iter(self.source.position(self.k))
+
+    def __getitem__(self, i: int) -> int:
+        return self.source.position(self.k)[i]
+
+
 class Tokens:
-    """A token stream as parallel lists of kind (ident, kw, int, punct or
-    eof), value and start offset, the last token the eof; a token's line
-    and column are worked out on demand.  The lists repeat the eof token
-    `_PAD` more times, so that a reader may look two tokens past it; len()
-    does not count the repeats."""
+    """A file's tokens.  A token is its value: a word, a numeral, a
+    punctuator (an alias in its ASCII spelling) or "" for the eof token,
+    which comes last and `_PAD` more times, so that a reader may look two
+    tokens past it (len() does not count the repeats).  `kind` maps every
+    value to its kind: ident, kw, int, punct or eof.  No token keeps its
+    place; `source` finds it when a span or an error is shown."""
 
-    __slots__ = ("kinds", "values", "starts", "line_starts")
-
-    def __init__(self, text: str, kinds: List[str], values: List[str], starts: List[int]):
-        kinds += ["eof"] * (1 + _PAD)
+    def __init__(self, text: str, values: List[str], words: Dict[str, str]):
+        self.kind = {**_KINDS, **words}
         values += [""] * (1 + _PAD)
-        starts += [len(text)] * (1 + _PAD)
-        self.kinds = kinds
         self.values = values
-        self.starts = starts
-        self.line_starts = [0]
-        self.line_starts += accumulate([len(line) + 1 for line in text.split("\n")[:-1]])
+        self.source = Source(text)
 
     def __len__(self) -> int:
         return len(self.values) - _PAD
 
-    def position(self, k: int) -> S.Span:
-        offset = self.starts[k]
-        line = bisect_right(self.line_starts, offset)
-        return line, offset - self.line_starts[line - 1] + 1
-
 
 def lex(text: str) -> Tuple[Tokens, List[str]]:
     """The tokens of text, and the `// note:` comments in it."""
-    notes = []
+    notes, clean = [], text
     if "//" in text:
-        for comment in _COMMENTS.findall(text):
-            comment = comment.strip()
-            if comment.startswith("note:"):
-                notes.append(comment[5:].strip())
-        clean = _COMMENTS.sub(lambda m: " " * len(m.group()), text)
-    else:
-        clean = text
-    if _ODD.search(clean) is not None:
-        return _lex_general(text), notes
-    parts = _SPLIT.split(clean)
-    values = parts[1::2]
-    starts = list(islice(accumulate(map(len, parts)), 0, len(parts) - 1, 2))
-    kinds_of = _KINDS.get
-    kinds = [kinds_of(v) or kinds_of(v[0]) or "ident" for v in values]
-    return Tokens(text, kinds, values, starts), notes
+        comments = [comment.strip() for comment in _COMMENTS.findall(text)]
+        notes = [comment[5:].strip() for comment in comments if comment.startswith("note:")]
+        clean = _COMMENTS.sub("", text)
+    if clean.isascii():
+        for old, new in _SPACING:
+            clean = clean.replace(old, new)
+        values = clean.split()
+        words = _word_kinds(values)
+        if "odd" not in words.values():
+            return Tokens(text, values, words), notes
+    values = _lex_general(text)[0]
+    return Tokens(text, values, _word_kinds(values)), notes
 
 
-def _lex_general(text: str) -> Tokens:
-    kinds: List[str] = []
+def _lex_general(text: str) -> Tuple[List[str], List[int]]:
+    """The token values of text and their offsets, a match at a time."""
     values: List[str] = []
     starts: List[int] = []
-    match = _TOKEN.match
-    pos = 0
+    match, pos = _TOKEN.match, 0
     while True:
         m = match(text, pos)
         if m is None:  # only layout is left
-            break
+            return values, starts
         group = m.lastindex
         start, pos = m.span(group)
-        if group == _PUNCT or group == _WORD or group == _INT:
+        if group > _COMMENT:
             value = text[start:pos]
-            if group == _WORD:
-                kinds.append("kw" if value in KEYWORDS else "ident")
-            else:
-                kinds.append("punct" if group == _PUNCT else "int")
+            if group == _OTHER:
+                value, pos = _lex_other(text, start)
             values.append(value)
             starts.append(start)
-        elif group != _NEWLINE and group != _COMMENT:
-            pos = _lex_other(text, start, kinds, values, starts)
-    return Tokens(text, kinds, values, starts)
 
 
-def _lex_other(text: str, pos: int, kinds: List[str], values: List[str], starts: List[int]) -> int:
-    """One token at a character outside the ASCII fast paths: a Unicode
-    alias, a digit run, or an identifier; returns the offset after it."""
+def _lex_other(text: str, pos: int) -> Tuple[str, int]:
+    """One token at a character outside the ASCII fast paths, a Unicode
+    alias, a digit run or an identifier: its value and the offset after it."""
     ch = text[pos]
     alias = _UNICODE.get(ch)
     end = pos + 1
     if alias is not None:
-        kind, value = "kw" if alias in KEYWORDS else "punct", alias
-    elif ch.isdigit():
+        return alias, end
+    if ch.isdigit():
         while end < len(text) and text[end].isdigit():
             end += 1
-        kind, value = "int", text[pos:end]
     elif ch.isalpha():
         end = _WORD_TAIL.match(text, end).end()
-        value = text[pos:end]
-        kind = "kw" if value in KEYWORDS else "ident"
     else:
         line = text.count("\n", 0, pos) + 1
         raise ParseError(f"unsupported character {ch!r}", line, pos - text.rfind("\n", 0, pos))
-    kinds.append(kind)
-    values.append(value)
-    starts.append(pos)
-    return end
+    return text[pos:end], end
 
 
-_UNARY_IND = {"succ": S.ISucc, "pred": S.IPred, "F32": S.IF32}
-_BINARY_IND = {"add": S.IAdd, "sub": S.ISub, "mult": S.IMult}
-_IND_OPERATORS = frozenset(_UNARY_IND) | frozenset(_BINARY_IND)
+_IND_OPERATORS = {"succ": S.ISucc, "pred": S.IPred, "F32": S.IF32, "add": S.IAdd, "sub": S.ISub,
+                  "mult": S.IMult}
+_BINARY_IND = frozenset({"add", "sub", "mult"})
 _SEQ_ENDS = frozenset({"}", ")", ""})  # "" is the value of the eof token
 _TERM_ARG_STARTS = frozenset({"<", "(", "succ", "pred", "rec", "pack"})
 
 
 class Parser:
     def __init__(self, text: str):
-        self.tokens, self.notes = lex(text)
-        self.kinds = self.tokens.kinds
-        self.values = self.tokens.values
-        self.last = len(self.tokens) - 1  # the eof token
+        tokens, self.notes = lex(text)
+        self.values = tokens.values
+        self.kind = tokens.kind  # of every value the input spells
+        self.source = tokens.source
+        self.last = len(tokens) - 1  # the eof token
         self.pos = 0
+        self.read: Dict[int, Tuple[S.Ind, int]] = {}  # at a '(': what parse_ind read there, and its end
         self.warnings: List[str] = []
         self._fresh = 0
-        self._spelt: Optional[frozenset] = None  # every token value, once a fresh name is asked for
         self.binders: List[Optional[str]] = []  # of the binders over individuals around, innermost last
         # each name's positions in binders, innermost last: a bound name is
         # resolved without a walk of binders
         self.where: Dict[Optional[str], List[int]] = defaultdict(list)
 
     # -- token plumbing -----------------------------------------------------
-    # The hot paths below read self.values and self.kinds directly.  A
+    # The hot paths below read self.values and self.kind directly.  A
     # punctuator or keyword is known by its value alone: no identifier or
     # numeral is spelt like one.
 
@@ -195,26 +219,26 @@ class Parser:
 
     def eat(self, value: str) -> None:
         if self.values[self.pos] != value:
-            raise self._found((value,))
+            raise self.fail(value)
         self.pos += 1
 
     def eat_ident(self) -> str:
-        pos = self.pos
-        if self.kinds[pos] != "ident":
-            raise self._found(("identifier",))
-        self.pos = pos + 1
-        return self.values[pos]
+        value = self.values[self.pos]
+        if self.kind[value] != "ident":
+            raise self.fail("identifier")
+        self.pos += 1
+        return value
 
-    def _found(self, expected: Tuple[str, ...]) -> ParseError:
+    def fail(self, *expected: str) -> ParseError:
+        """The error of the token at pos, which is none of expected."""
         k = min(self.pos, self.last)
-        shown = self.values[k] if self.kinds[k] != "eof" else "end of input"
-        return ParseError(f"found {shown!r}", *self.tokens.position(k), expected)
+        shown = self.values[k] if k < self.last else "end of input"
+        return ParseError(f"found {shown!r}", *self.source.position(k), expected)
 
     def number(self) -> int:
-        """Consume an int token.  The lexer keeps a run of `isdigit`
-        characters whole, so a non-decimal digit such as '²' fails here,
-        and so does a numeral longer than `int` converts
-        (sys.get_int_max_str_digits)."""
+        """Consume an int token.  The lexer keeps a run of `isdigit` characters
+        whole, so a non-decimal digit such as '²' fails here, and so does a
+        numeral longer than `int` converts (sys.get_int_max_str_digits)."""
         pos = self.pos
         value = self.values[pos]
         if pos < self.last:
@@ -226,21 +250,13 @@ class Parser:
                 problem = f"a numeral of {len(value)} digits is too long"
         else:
             problem = f"{value!r} is not a decimal numeral"
-        raise ParseError(problem, *self.tokens.position(pos))
-
-    def span(self) -> S.Span:
-        return self.tokens.position(self.pos)
-
-    def fail(self, what: str) -> ParseError:
-        return self._found((what,))
+        raise ParseError(problem, *self.source.position(pos))
 
     def fresh_name(self) -> str:
         """A tuple pattern's parameter: `_w<n>` for the next n at which it
         spells no token of the input, so that it captures no name."""
-        if self._spelt is None:
-            self._spelt = frozenset(self.values)
         self._fresh += 1
-        while f"_w{self._fresh}" in self._spelt:
+        while f"_w{self._fresh}" in self.kind:
             self._fresh += 1
         return f"_w{self._fresh}"
 
@@ -314,66 +330,71 @@ class Parser:
 
     def parse_ind(self) -> S.Ind:
         pos = self.pos
-        kind = self.kinds[pos]
-        value = self.values[pos]
-        if kind == "int":
-            return S.num_ind(self.number())
+        values = self.values
+        value = values[pos]
+        kind = self.kind[value]
         if kind == "ident":
             self.pos = pos + 1
             positions = self.where.get(value)
             if positions:
                 return S.IBound(len(self.binders) - 1 - positions[-1])
             return S.IVar(value)
-        if kind == "kw":
-            unary = _UNARY_IND.get(value)
-            if unary is not None:
-                self.pos = pos + 1
-                self.eat("(")
-                arg = self.parse_ind()
-                self.eat(")")
-                return unary(arg)
-            binary = _BINARY_IND.get(value)
-            if binary is not None:
-                self.pos = pos + 1
-                self.eat("(")
-                left = self.parse_ind()
-                self.eat(",")
-                right = self.parse_ind()
-                self.eat(")")
-                return binary(left, right)
-        if value == "(":
+        if kind == "int":
+            return S.num_ind(self.number())
+        operator = _IND_OPERATORS.get(value)
+        if operator is not None:
             self.pos = pos + 1
-            inner = self.parse_ind()
-            self.eat(")")
-            return inner
+            if values[pos + 1] != "(":
+                raise self.fail("(")
+            self.pos = pos + 2
+            args = [self.parse_ind()]
+            if value in _BINARY_IND:
+                if values[self.pos] != ",":
+                    raise self.fail(",")
+                self.pos += 1
+                args.append(self.parse_ind())
+            if values[self.pos] != ")":
+                raise self.fail(")")
+            self.pos += 1
+            return operator(*args)
+        if value == "(":
+            read = self.read.get(pos)
+            if read is None:
+                self.pos = pos + 1
+                inner = self.parse_ind()
+                self.eat(")")
+                self.read[pos] = read = inner, self.pos
+            self.pos = read[1]
+            return read[0]
         raise self.fail("individual")
 
     def _no_ind_at(self, pos: int) -> bool:
         """True when parse_ind at pos is sure to fail, as the next tokens
         show; False when it may succeed."""
-        kinds, values = self.kinds, self.values
-        kind = kinds[pos]
-        if kind == "int":
-            return not values[pos].isdecimal()
-        if kind == "ident":
-            return False
+        kind, values = self.kind, self.values
         value = values[pos]
-        if value == "(":
-            kind = kinds[pos + 1]
-            if kind == "ident" or kind == "int" and values[pos + 1].isdecimal():
-                return values[pos + 2] != ")"
-            return self._no_ind_at(pos + 1)
-        return value not in _IND_OPERATORS
+        while value == "(":
+            if pos in self.read:  # parse_ind read an individual here
+                return False
+            pos += 1
+            value = values[pos]
+            if kind[value] == "ident" or kind[value] == "int" and value.isdecimal():
+                return values[pos + 1] != ")"
+        if kind[value] == "int":
+            return not value.isdecimal()
+        return kind[value] != "ident" and value not in _IND_OPERATORS
 
     def try_equation(self) -> Optional[Tuple[S.Ind, S.Ind]]:
         """`ind = ind`, or None with nothing consumed.  The next tokens
         decide in most cases; otherwise a parse is tried and given back."""
         save = self.pos
-        if self._no_ind_at(save):
-            return None
-        if self.kinds[save] == "ident" or self.kinds[save] == "int":
+        value = self.values[save]
+        kind = self.kind[value]
+        if kind == "ident" or kind == "int" and value.isdecimal():
             if self.values[save + 1] != "=":  # a one-token individual is all of the left side
                 return None
+        elif self._no_ind_at(save):
+            return None
         try:
             left = self.parse_ind()
             if self.values[self.pos] != "=":
@@ -418,14 +439,8 @@ class Parser:
     def _type_atom(self, what: str, parse_inner: Callable[[], Any]) -> Any:
         """An atom of both type languages, or a parenthesised `parse_inner`
         phrase; a failure expects `what`."""
-        eq = self.try_equation()
-        if eq is not None:
-            return S.FEq(*eq)
         pos = self.pos
         value = self.values[pos]
-        if self.kinds[pos] == "ident":
-            self.pos = pos + 1
-            return S.FProp(value)
         if value == "nat":
             self.pos = pos + 1
             if self.values[pos + 1] == "(":
@@ -440,6 +455,12 @@ class Parser:
         if value == "bot":
             self.pos = pos + 1
             return S.FBot()
+        eq = self.try_equation()  # no equation begins with nat, top or bot
+        if eq is not None:
+            return S.FEq(*eq)
+        if self.kind[value] == "ident":
+            self.pos = pos + 1
+            return S.FProp(value)
         if value == "(":
             self.pos = pos + 1
             inner = parse_inner()
@@ -449,13 +470,10 @@ class Parser:
 
     def _reject_meta_subst(self) -> None:
         # the grammar lists phi[x=i] but no rule consumes it
-        pos = self.pos
-        if self.values[pos] == "[" and self.kinds[pos + 1] == "ident" and self.values[pos + 2] == "=":
-            raise ParseError(
-                "unsupported construct: meta-substitution 'phi[x = i]' is in the "
-                "grammar but used by no rule",
-                *self.span(),
-            )
+        pos, values = self.pos, self.values
+        if values[pos] == "[" and self.kind[values[pos + 1]] == "ident" and values[pos + 2] == "=":
+            raise ParseError("unsupported construct: meta-substitution 'phi[x = i]' is in the "
+                             "grammar but used by no rule", *self.source.position(pos))
 
     # -- imperative-side types ------------------------------------------------
 
@@ -517,7 +535,7 @@ class Parser:
         start = self.pos
         eq = self.try_equation()
         if eq is not None:
-            return S.EAxiom(*eq, span=self.tokens.position(start))
+            return S.EAxiom(*eq, span=Mark(self.source, start))
         return self.parse_expr_post()
 
     def parse_expr_post(self) -> S.Expr:
@@ -528,7 +546,7 @@ class Parser:
             value = values[pos]
             if value == "{":
                 # an instantiation e{i}, unless the '{' opens a loop or block body
-                kind = self.kinds[pos + 1]
+                kind = self.kind[values[pos + 1]]
                 if kind == "ident" or kind == "int" and values[pos + 1].isdecimal():
                     if values[pos + 2] != "}":
                         return e
@@ -545,24 +563,24 @@ class Parser:
                     except ParseError:
                         self.pos = pos
                         return e
-                e = S.EInst(e, arg, span=self.tokens.position(pos))
+                e = S.EInst(e, arg, span=Mark(self.source, pos))
             elif value == "<:":
                 self.pos = pos + 1
                 fam = self.family(self.parse_output)
                 self.eat("{")
                 arg = self.parse_ind()
                 self.eat("}")
-                e = S.EContInst(e, fam, arg, span=self.tokens.position(pos))
+                e = S.EContInst(e, fam, arg, span=Mark(self.source, pos))
             elif value == ":>":
-                e = self.coercion(S.ECoerce, e, self.parse_prop, self.parse_expr, self.tokens.position(pos))
+                e = self.coercion(S.ECoerce, e, self.parse_prop, self.parse_expr, Mark(self.source, pos))
             else:
                 return e
 
     def parse_expr_atom(self) -> S.Expr:
         pos = self.pos
-        span = self.tokens.position(pos)
-        kind = self.kinds[pos]
+        span = Mark(self.source, pos)
         value = self.values[pos]
+        kind = self.kind[value]
         if kind == "ident":
             self.pos = pos + 1
             return S.EVar(value, span=span)
@@ -584,7 +602,7 @@ class Parser:
         raise self.fail("expression")
 
     def _parse_numeral(self) -> int:
-        if self.kinds[self.pos] == "int":
+        if self.kind[self.values[self.pos]] == "int":
             return self.number()
         self.eat("succ")
         self.eat("(")
@@ -621,14 +639,14 @@ class Parser:
             if value in _SEQ_ENDS:
                 break
             if value == "cst":
-                span = self.tokens.position(pos)
+                span = Mark(self.source, pos)
                 self.pos = pos + 1
                 name = self.eat_ident()
                 self.eat("=")
                 items.append(S.SCst(name, self.parse_expr(), span=span))
                 self.eat(";")
             elif value == "var":
-                span = self.tokens.position(pos)
+                span = Mark(self.source, pos)
                 self.pos = pos + 1
                 name = self.eat_ident()
                 if self.at(":="):
@@ -636,17 +654,15 @@ class Parser:
                     init = self.parse_expr()
                 else:
                     init = S.EStar(span=span)
-                    self.warnings.append(
-                        f"{span[0]}:{span[1]}: 'var {name};' desugared to 'var {name} := *;'"
-                    )
+                    self.warnings.append(f"{span[0]}:{span[1]}: 'var {name};' desugared to 'var {name} := *;'")
                 self.eat(";")
                 items.append(S.SVar(name, init, span=span))
             elif value == "?":
                 var = self.prefix()
                 self.open(var)
-                items.append(S.SUnpack(var, span=self.tokens.position(pos)))
+                items.append(S.SUnpack(var, span=Mark(self.source, pos)))
             elif value == "[":
-                span = self.tokens.position(pos)
+                span = Mark(self.source, pos)
                 self.pos = pos + 1
                 witness = self.parse_ind()
                 self.eat("in")
@@ -656,7 +672,7 @@ class Parser:
                     self.pos += 1
                 items.append(S.SWitness(witness, ann, span=span))
             elif value == "(":
-                span = self.tokens.position(pos)
+                span = Mark(self.source, pos)
                 self.pos = pos + 1
                 group = self.parse_seq()
                 self.eat(")")
@@ -683,19 +699,23 @@ class Parser:
                     raise ParseError("a ':>'-coerced sequence cannot be followed by commands", *follower.span)
         if len(self.binders) > start:  # the sequence's '?n.'s
             self.close(start)
-        return S.Seq(tuple(items), span=self.span())
+        return S.Seq(tuple(items), span=Mark(self.source, self.pos))
 
     def parse_command(self) -> S.Command:
         pos = self.pos
-        span = self.tokens.position(pos)
+        span = Mark(self.source, pos)
         values = self.values
         value = values[pos]
         if value == "inc" or value == "dec":
-            self.pos = pos + 1
-            self.eat("(")
-            name = self.eat_ident()
-            self.eat(")")
-            self.eat(";")
+            name = values[pos + 2]
+            if (values[pos + 1] != "(" or self.kind[name] != "ident"
+                    or values[pos + 3] != ")" or values[pos + 4] != ";"):
+                self.pos = pos + 1
+                self.eat("(")  # one of these four raises
+                self.eat_ident()
+                self.eat(")")
+                self.eat(";")
+            self.pos = pos + 5
             return (S.CInc if value == "inc" else S.CDec)(name, span=span)
         if value == "jump":
             self.pos = pos + 1
@@ -715,8 +735,8 @@ class Parser:
                 idx = self.eat_ident()
                 self.eat(")")
             self.eat(":=")
-            if self.kinds[self.pos] != "int" or values[self.pos] != "0":
-                raise ParseError("for loops start at literal 0", *self.span())
+            if values[self.pos] != "0":
+                raise ParseError("for loops start at literal 0", *self.source.position(self.pos))
             self.pos += 1
             self.eat("until")
             bound = self.parse_expr()
@@ -736,7 +756,7 @@ class Parser:
             ann = self.parse_qenv()
             self.eat(";")
             return S.CBlock(body, ann, span=span)
-        if self.kinds[pos] == "ident":
+        if self.kind[value] == "ident":
             if values[pos + 1] == ":=":
                 self.pos = pos + 2
                 assigned = self.parse_expr()
@@ -770,7 +790,7 @@ class Parser:
             pos = self.pos
             value = values[pos]
             if value == "let":
-                span = self.tokens.position(pos)
+                span = Mark(self.source, pos)
                 self.pos = pos + 1
                 if self.at("<"):
                     self.pos += 1
@@ -784,7 +804,7 @@ class Parser:
             elif value == "?":
                 var = self.prefix()
                 self.open(var)
-                chain.append((S.TUnpack, var, None, self.tokens.position(pos)))
+                chain.append((S.TUnpack, var, None, Mark(self.source, pos)))
             else:
                 break
         term = self._parse_term_rest()
@@ -799,7 +819,7 @@ class Parser:
 
     def _parse_term_rest(self) -> S.Term:
         pos = self.pos
-        span = self.tokens.position(pos)
+        span = Mark(self.source, pos)
         value = self.values[pos]
         if value == "fn":
             self.pos = pos + 1
@@ -833,14 +853,8 @@ class Parser:
             self.eat("=>")
             body = self.parse_term()
             fresh = self.fresh_name()
-            names = tuple(p[0] for p in params)
-            anns = tuple(p[1] for p in params)
-            return S.TFn(
-                fresh,
-                S.FTuple(anns),
-                S.TLetMatch(names, S.TVar(fresh), body),
-                span=span,
-            )
+            names, anns = tuple(p[0] for p in params), tuple(p[1] for p in params)
+            return S.TFn(fresh, S.FTuple(anns), S.TLetMatch(names, S.TVar(fresh), body), span=span)
         name = self.eat_ident()
         self.eat(":")
         ann = self.parse_formula()
@@ -849,7 +863,7 @@ class Parser:
 
     def parse_term_app(self) -> S.Term:
         term = self.parse_term_atom()
-        kinds, values = self.kinds, self.values
+        kind_of, values = self.kind, self.values
         while True:
             pos = self.pos
             value = values[pos]
@@ -857,19 +871,19 @@ class Parser:
                 self.pos = pos + 1
                 arg = self.parse_ind()
                 self.eat("}")
-                term = S.TIndApp(term, arg, span=self.tokens.position(pos))
+                term = S.TIndApp(term, arg, span=Mark(self.source, pos))
                 continue
-            kind = kinds[pos]
+            kind = kind_of[value]
             if kind == "ident" or kind == "int" or value in _TERM_ARG_STARTS:
-                term = S.TApp(term, self.parse_term_atom(), span=self.tokens.position(pos))
+                term = S.TApp(term, self.parse_term_atom(), span=Mark(self.source, pos))
                 continue
             return term
 
     def parse_term_atom(self) -> S.Term:
         pos = self.pos
-        span = self.tokens.position(pos)
-        kind = self.kinds[pos]
+        span = Mark(self.source, pos)
         value = self.values[pos]
+        kind = self.kind[value]
         if kind == "ident":
             self.pos = pos + 1
             return S.TVar(value, span=span)
@@ -924,8 +938,9 @@ class Parser:
         self.eat("discipline")
         pos = self.pos
         discipline = self.values[pos]
-        if self.kinds[pos] != "ident" or discipline not in ("IS", "ID", "FS", "FD"):
-            raise ParseError(f"unknown discipline {discipline!r}", *self.span(), ("IS", "ID", "FS", "FD"))
+        if discipline not in ("IS", "ID", "FS", "FD"):
+            raise ParseError(f"unknown discipline {discipline!r}", *self.source.position(pos),
+                             ("IS", "ID", "FS", "FD"))
         self.pos = pos + 1
         self.eat(";")
         functional = discipline in ("FS", "FD")
@@ -939,7 +954,7 @@ class Parser:
             self.eat(";")
             csts.append((name, value))
         if self.at("main"):
-            span = self.span()
+            span = Mark(self.source, self.pos)
             self.pos += 1
             if functional:
                 self.eat("=")
@@ -955,15 +970,9 @@ class Parser:
                 if self.at(";"):
                     self.pos += 1
                 main = S.MainI(body, out, span=span)
-        if self.kinds[self.pos] != "eof":
-            raise ParseError(f"unexpected {self.values[self.pos]!r}", *self.span())
-        return S.SourceFile(
-            discipline,
-            tuple(csts),
-            main,
-            notes=tuple(self.notes),
-            warnings=tuple(self.warnings),
-        )
+        if self.pos < self.last:
+            raise ParseError(f"unexpected {self.values[self.pos]!r}", *self.source.position(self.pos))
+        return S.SourceFile(discipline, tuple(csts), main, notes=tuple(self.notes), warnings=tuple(self.warnings))
 
 
 def parse(text: str) -> S.SourceFile:
@@ -975,30 +984,15 @@ def _parse_whole(text: str, production: Callable[[Parser], Any]) -> Any:
     """Parse all of text as one production, or raise ParseError."""
     p = Parser(text)
     node = production(p)
-    if p.kinds[p.pos] != "eof":
+    if p.pos < p.last:
         raise p.fail("end of input")
     return node
 
 
-def parse_term(text: str) -> S.Term:
-    return _parse_whole(text, Parser.parse_term)
-
-
-def parse_formula(text: str) -> S.Formula:
-    return _parse_whole(text, Parser.parse_formula)
-
-
-def parse_prop(text: str) -> S.Prop:
-    return _parse_whole(text, Parser.parse_prop)
-
-
-def parse_expr(text: str) -> S.Expr:
-    return _parse_whole(text, Parser.parse_expr)
-
-
-def parse_seq(text: str) -> S.Seq:
-    return _parse_whole(text, Parser.parse_seq)
-
-
-def parse_qenv(text: str) -> S.QEnv:
-    return _parse_whole(text, Parser.parse_qenv)
+# each parses all of a string as one phrase of its category
+parse_term = partial(_parse_whole, production=Parser.parse_term)
+parse_formula = partial(_parse_whole, production=Parser.parse_formula)
+parse_prop = partial(_parse_whole, production=Parser.parse_prop)
+parse_expr = partial(_parse_whole, production=Parser.parse_expr)
+parse_seq = partial(_parse_whole, production=Parser.parse_seq)
+parse_qenv = partial(_parse_whole, production=Parser.parse_qenv)

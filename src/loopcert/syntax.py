@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Optional, Tuple
 
-Span = Tuple[int, int]  # (line, column)
+Span = Tuple[int, int]  # (line, column); a parsed node's is a parser.Mark, read the same way
 
 # Eigenvariables live in a reserved namespace the lexer cannot produce.
 EIGEN_MARK = "!"

@@ -49,7 +49,7 @@ def eval_individual(i: Ind) -> int:
 def ind(text: str) -> S.Ind:
     p = Parser(text)
     out = p.parse_ind()
-    assert p.kinds[p.pos] == "eof"
+    assert p.kind[p.values[p.pos]] == "eof"
     return out
 
 

@@ -283,12 +283,16 @@ def _named_like_fresh_names(text):
     counting the names in order of first use: the names the translation
     makes up for its parameters."""
     tokens, _ = lex(text)
+    line_starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
     names, out, last = {}, [], 0
     for k in range(2, len(tokens)):
-        if tokens.kinds[k] == "ident":
-            name = names.setdefault(tokens.values[k], f"_v{len(names) + 1}")
-            out += [text[last : tokens.starts[k]], name]
-            last = tokens.starts[k] + len(tokens.values[k])
+        value = tokens.values[k]
+        if tokens.kind[value] == "ident":
+            line, col = tokens.source.position(k)
+            start = line_starts[line - 1] + col - 1
+            name = names.setdefault(value, f"_v{len(names) + 1}")
+            out += [text[last:start], name]
+            last = start + len(value)
     return "".join(out) + text[last:], names
 
 

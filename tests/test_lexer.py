@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcert.errors import ParseError
-from loopcert.parser import KEYWORDS, Parser, lex
+from loopcert.parser import KEYWORDS, Parser, _lex_general, lex
 
 GOLDEN = {
     "∀ ∃ ⊤ ⊥ ⟨ ⟩ ⋆ ¬ → ⇒ λ": (
@@ -67,7 +67,10 @@ UNSUPPORTED = {
 
 
 def _stream(tokens):
-    return [(tokens.kinds[k], tokens.values[k], *tokens.position(k)) for k in range(len(tokens))]
+    """Each token's kind, value, line and column, read as the parser reads
+    them: the kind by value, the place from the source."""
+    values = tokens.values[: len(tokens)]
+    return [(tokens.kind[v], v, *tokens.source.position(k)) for k, v in enumerate(values)]
 
 
 @pytest.mark.parametrize("text", sorted(GOLDEN))
@@ -88,9 +91,9 @@ def test_unsupported_character_location(text):
 def test_peek_past_the_end_is_eof():
     """A reader may look two tokens past the end, and sees eof there."""
     p = Parser("x")
-    assert p.kinds[p.pos + 2] == "eof" and p.values[p.pos + 2] == ""
+    assert p.kind[p.values[p.pos + 2]] == "eof" and p.values[p.pos + 2] == ""
     assert p.eat_ident() == "x"
-    assert [p.kinds[p.pos + k] for k in range(3)] == ["eof"] * 3
+    assert [p.kind[p.values[p.pos + k]] for k in range(3)] == ["eof"] * 3
     assert p.values[p.pos : p.pos + 3] == [""] * 3
 
 
@@ -177,3 +180,6 @@ def test_lexer_agrees_with_reference(parts):
         assert got == ("error", repr(want[1]), want[2], want[3])
     else:
         assert (got, notes) == (want, want_notes)
+        # the ASCII path's values are the general lexer's, whose offsets give
+        # every line and column
+        assert [value for _, value, _, _ in got[:-1]] == _lex_general(text)[0]

@@ -13,6 +13,7 @@ import pytest
 
 from loopcert import cli, pipeline
 from loopcert import syntax as S
+from loopcert.parser import parse
 from loopcert.printer import show, show_file, show_term
 
 DEFAULT_LIMIT = 1000
@@ -158,6 +159,34 @@ def test_check_source_reaches_the_depth_it_reached_before(block):
     may take no more host frames per nesting level than that."""
     checked = pipeline.check_source(_for_nest(470, block))
     assert checked.trace.count("T_BLOCK" if block else "T_FOR") == 470
+
+
+PARSER_DEPTHS = {
+    # family: (text at depth d, depth checked)
+    "block nest": (lambda d: "discipline IS;\nmain {\n  z := 0;\n" + "{\n" * d + "  inc(z);\n"
+                   + "}[z : nat];\n" * d + "} out [z : nat]\n", 470),
+    "for nest": (lambda d: "discipline IS;\nmain {\n  z := 0;\n"
+                 + "".join(f"for i{k} := 0 until 1 {{\n" for k in range(d)) + "  inc(z);\n"
+                 + "}[z : nat];\n" * d + "} out [z : nat]\n", 470),
+    "negation chain": (lambda d: "discipline FD;\ncst c = fn x : " + "~" * d + "nat => x;\n", 940),
+    "succ index": (lambda d: "discipline FD;\ncst c = fn x : nat(" + "succ(" * d + "0" + ")" * d + ") => x;\n", 940),
+    "nested arrows": (lambda d: "discipline FD;\ncst c = fn x : " + "nat -> (" * d + "nat" + ")" * d + " => x;\n", 230),
+    "parenthesised expression": (lambda d: "discipline IS;\nmain {\n  z := " + "(" * d + "0" + ")" * d
+                                 + ";\n} out [z : nat]\n", 310),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PARSER_DEPTHS))
+def test_the_parser_reaches_the_depths_it_reached_before(family):
+    """Under 1,000 frames the parser read a block nest 493 deep, a `for`
+    nest 494 deep, a `~` chain 987 deep, `succ(` 986 deep in an index,
+    arrows nested 246 deep to the right and a parenthesised expression
+    329 deep from a bare script (475, 475, 950, 949, 237 and 317 under pytest);
+    this checks a little less, to leave room for other Python versions.
+    A reader may take no more host frames per nesting level than that, or
+    the CLI's deep nests change their exit codes."""
+    text, depth = PARSER_DEPTHS[family]
+    assert parse(text(depth)).discipline in ("IS", "FD")
 
 
 def _nested(depth, leaf, wrap):
