@@ -146,32 +146,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise SystemExit("no input files")
     if getattr(ns, "output", None) is not None and len(files) > 1:
         raise SystemExit(f"-o names one output file, but {len(files)} input files were given")
+    args = _parse_args_list(getattr(ns, "args", None))
+    stop_after = {"check": "check-source", "translate": "translate"}.get(ns.command, "evaluate")
     worst = pipeline.EXIT_OK
     for path in files:
-        if ns.command == "check":
-            report = pipeline.run_pipeline(
-                path, system=ns.system, want_trace=ns.trace, stop_after="check-source",
-                allow_pred=allow_pred,
-            )
-        elif ns.command == "translate":
-            report = pipeline.run_pipeline(
-                path, system=ns.system, want_trace=ns.trace, stop_after="translate",
-                allow_pred=allow_pred,
-            )
-            if report.exit_code == pipeline.EXIT_OK:
-                out_path = ns.output or os.path.splitext(path)[0] + ".t"
-                report.run_phase(
-                    "write", pipeline.EXIT_TARGET, lambda: _write(out_path, show_file(report.image)),
-                    lambda out: {"output": out},
-                )
-        else:  # pipeline, or its alias eval
-            report = pipeline.run_pipeline(
-                path,
-                system=ns.system,
-                args=_parse_args_list(ns.args),
-                fuel=fuel,
-                want_trace=ns.trace,
-                allow_pred=allow_pred,
+        report = pipeline.run_pipeline(
+            path, system=ns.system, args=args, fuel=fuel, want_trace=ns.trace, stop_after=stop_after,
+            allow_pred=allow_pred,
+        )
+        if ns.command == "translate" and report.exit_code == pipeline.EXIT_OK:
+            out_path = ns.output or os.path.splitext(path)[0] + ".t"
+            report.run_phase(
+                "write", pipeline.EXIT_TARGET, lambda: _write(out_path, show_file(report.image)),
+                lambda out: {"output": out},
             )
         _print_report(report, ns.json)
         worst = worst or report.exit_code

@@ -23,42 +23,39 @@ def run_loop(loop: Tuple, acc: Any, k: int, cenv: Any, bound: int) -> Optional[T
     template, the outer variables read from cenv, and the counter of the
     last iteration at 0.
 
-    First the checks of every iteration, made once: acc is a tuple of the
-    loop's arity whose checked items are naturals, and the outer values
-    in naturals are naturals.  Then the nodes, inner recs first.  A
-    nested rec's bound must be a natural n, and its n iterations charge
-    n * (cost + 4), cost being its loop's total plus the charges of its
-    own nested recs, and map each item by the n-th power of its chain, in
+    First the entry test, which makes the checks of every iteration once:
+    acc is a tuple of the loop's arity whose every item is a natural, and
+    every outer value the loop reads (the nested recs' bounds among them)
+    is a natural; where it fails the kernel returns None at once.  Then
+    the nodes, inner recs first.  A nested rec of bound n charges n *
+    (cost + 4), cost being its loop's total plus the charges of its own
+    nested recs, and maps each item by the n-th power of its chain, in
     which (r, i) is the map of item i of the node's nested rec r.  The
     own node's cost is c, an iteration's charge, and its n the bound - k
-    iterations left.  Where a check fails or a bound is no natural, the
-    kernel returns None at once.  Last, each item of the closing tuple: a
-    chain from its own item maps acc's item by its n-th power, and a
-    chain from a value maps that value in the last iteration, once."""
-    reads, template, nodes, checked, naturals = loop
+    iterations left.  Last, each item of the closing tuple: a chain from
+    its own item maps acc's item by its n-th power, and a chain from a
+    value maps that value in the last iteration, once."""
+    reads, template, nodes = loop
     chains = nodes[-1][2]
     if type(acc) is not tuple or len(acc) != len(chains):
         return None
-    for j in checked:
-        if type(acc[j]) is not int:
+    for v in acc:
+        if type(v) is not int:
             return None
     x = list(template)
     e = cenv
     for gap, n in reads:
         for _ in range(gap):
             e = e[1]
-        x[n] = e[0]
-    for n in naturals:
-        if type(x[n]) is not int:
+        if type(e[0]) is not int:
             return None
+        x[n] = e[0]
     charges, maps = [], []  # of each node in turn
     for n, cost, node_chains, children in nodes:
         for d in children:
             cost += charges[-d]
         if n:  # a nested rec, of bound x[n]
             n = x[n]
-            if type(n) is not int:
-                return None
         else:  # the loop's own node, the last: every remaining iteration
             n = bound - k
         powers = []

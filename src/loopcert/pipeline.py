@@ -140,8 +140,8 @@ class CheckedFile:
 _CST_CHECKERS = {
     "IS": lambda gamma, e, ctx: dependent.is_check_expr(gamma, (), e, ctx),
     "ID": lambda gamma, e, ctx: dependent.id_check_expr(gamma, (), e, ctx),
-    "FS": lambda gamma, t, ctx: dependent.fs_check_term(gamma, t, ctx),
-    "FD": lambda gamma, t, ctx: dependent.fd_check_term(gamma, t, ctx),
+    "FS": dependent.fs_check_term,
+    "FD": dependent.fd_check_term,
 }
 
 
@@ -189,31 +189,27 @@ def check_target(
     trace: Optional[List[str]] = None,
     allow_pred: bool = True,
 ) -> Tuple[Tuple[str, S.Formula], ...]:
-    """Re-check the translation and verify type preservation."""
-    ctx = CheckCtx(trace, allow_pred=allow_pred)
-    functional_check = dependent.fs_check_term if sf.discipline == "IS" else dependent.fd_check_term
-    sigma: S.Env = ()
-    result: List[Tuple[str, S.Formula]] = []
-    for (name, term), (_, source_ty) in zip(image.csts, checked.cst_types):
-        fty = functional_check(sigma, term, ctx)
+    """Re-check the translation as a functional file (check_source) and
+    verify type preservation: each constant's type is its source type
+    translated, and main's the translated output of the source main."""
+    types = check_source(image, trace, allow_pred).cst_types
+    # the source types hold no main, so zip stops at the image's main
+    for (name, fty), (_, source_ty) in zip(types, checked.cst_types):
         want = translate.translate_type(source_ty)
         if not S.alpha_eq(fty, want):
             raise CheckError(
                 "TYPE_PRESERVATION",
                 f"'{name}' translates at {show(fty)}, the source type maps to {show(want)}",
             )
-        sigma = sigma + ((name, fty),)
-        result.append((name, fty))
     if image.main is not None:
-        fty = functional_check(sigma, image.main.term, ctx)
+        fty = types[-1][1]
         _, want = translate.translate_qenv(sf.main.out)
         if not S.alpha_eq(fty, want):
             raise CheckError(
                 "TYPE_PRESERVATION",
                 f"main translates at {show(fty)}, the declared output maps to {show(want)}",
             )
-        result.append(("main", fty))
-    return tuple(result)
+    return types
 
 
 def erase_image(image: S.SourceFile, entry: Optional[str] = None) -> runtime.RTerm:

@@ -14,7 +14,7 @@ one transition: a term in control pushes its frame or yields its value,
 and a value returns to one frame.  The loop kernel (below) alone makes
 several: it takes every remaining iteration of a loop in one turn and
 charges each transition it makes, whatever the fuel left.  None of them
-can get stuck once the kernel's entry checks hold, so where the fuel
+can get stuck once the kernel's entry test holds, so where the fuel
 runs out among them the budget goes negative and the next turn raises
 FuelExhausted, as the single-step machine does on the same fuel.  So
 step counts, the point where fuel runs out and errors are those of the
@@ -40,23 +40,22 @@ total, and 2 more for the closure of fn acc and its application to acc;
 each later one charges total + 4 (the returns to the iteration's frame
 and to the loop frame, the closure and its application).  The kernel
 returns the counter and the closing tuple of the last iteration and the
-charge of the iterations, or None where a check below fails.  The
-machine then pushes the last iteration's frame and returns the closing
-tuple to it, or, on None, applies the step to k by single steps, and
-gets stuck exactly where the single-step machine does.
+charge of the iterations, or None where its entry test (below) fails.
+The machine then pushes the last iteration's frame and returns the
+closing tuple to it, or, on None, applies the step to k by single
+steps, and gets stuck exactly where the single-step machine does.
 
 A chain is a run of succ, pred and nested recs from one origin: the
 item of its own slot of acc, or a value, which is an outer variable of
 the step (an item of cenv), a numeral or the counter.  `z := y; inc(z)`
 is a chain from y, `z := 1` a succ of 0 and `w := i` a chain from the
 counter with no maps.  Each map is x -> max(x + a, b), and so is their
-composition.  The kernel makes the checks of every iteration once, at
-entry: acc is a tuple of the loop's arity whose items that the run
-reads as they are (by a succ, a pred or a nested rec's check) are
-naturals, and so are the outer variables that the run reads as they
-are or puts unchanged into such a slot.  Where they hold, no iteration
-gets stuck, for each such item is a natural in every later iteration
-too.  The kernel takes the n = bound - k iterations left, charges
+composition.  The kernel's entry test makes the checks of every
+iteration once: acc is a tuple of the loop's arity whose every item is
+a natural, and every outer variable that the run reads is a natural.
+Where it holds, no iteration gets stuck, for every value of the run is
+then a natural or a tuple of them that it built, and so is the next
+acc.  The kernel takes the n = bound - k iterations left, charges
 total + (n - 1) * (total + 4) and gives each slot its value after them.
 A chain from its own slot takes its n-th power: n iterations of x ->
 max(x + a, b) are x -> max(x + n*a, b + max(0, (n - 1)*a)).  A chain
@@ -95,19 +94,20 @@ label leave the step to single steps.
 A run may hold nested loops too, as a `for` nest translates: a let or
 let <...> whose value is rec(y, <atoms>, fn j => fn acc => body), y
 being an outer variable of the step and fn acc a loop each of whose
-slots has a chain from its own item, and which reads no outer variable
-as it is.  `mul_nested`'s outer step fn i => fn _v2 => let <z> = _v2 in
-let <z> = rec(y, <z>, fn j => fn _v1 => ...) in <z> is one.  Every
-iteration of such an inner loop maps each item by the same x -> max(x +
-a, b), and its y iterations by that map's y-th power, which is one more
-map of the chain that the item's base atom starts, so the kernel takes
-the nest, of any depth, in closed form as it takes a one-level loop.
-The rec charges 9 + 2n for a base of n atoms, and then y times the inner
-iteration's charge plus 4, so an iteration's charge hangs on y: the
-loop's total covers only its static part.  The kernel works out the
-rest from y before the first iteration, and where y is no natural it
-returns None: the machine then runs the iteration by single steps and
-gets stuck at that rec as the single-step machine does.  A nested rec
+slots has a chain from its own item.  `mul_nested`'s outer step fn i =>
+fn _v2 => let <z> = _v2 in let <z> = rec(y, <z>, fn j => fn _v1 => ...)
+in <z> is one.  Every iteration of such an inner loop maps each item by
+the same x -> max(x + a, b), and its y iterations by that map's y-th
+power, which is one more map of the chain that the item's base atom
+starts, so the kernel takes the nest, of any depth, in closed form as
+it takes a one-level loop.  The rec charges 9 + 2n for a base of n
+atoms, and then y times the inner iteration's charge plus 4, so an
+iteration's charge hangs on y: the loop's total covers only its static
+part.  The kernel works out the rest from y before the first iteration.
+y and the inner loop's outer variables are outer variables of the step,
+so the entry test reads them too, and where one is no natural the
+kernel returns None: the machine then runs the iteration by single
+steps and gets stuck where the single-step machine does.  A nested rec
 whose bound is a numeral or a value of the iteration leaves the step to
 single steps.
 
@@ -326,10 +326,10 @@ def _compile_loop(fn: RFn) -> None:
     """Set fn.loop when fn, the accumulator fn of a rec step, has a body
     that is one straight-line run ending in its closing tuple, each of
     whose items is a chain from its own slot or from a value (see the
-    module docstring).  A loop is (reads, template, nodes, checked,
-    naturals), which kernels.run_loop takes in closed form.  It holds only
-    integers and nothing that refers back to fn, so it leaves no reference
-    cycle.
+    module docstring).  A loop is (reads, template, nodes), which
+    kernels.run_loop takes in closed form where acc's items and the outer
+    values the loop reads are naturals.  It holds only integers and
+    nothing that refers back to fn, so it leaves no reference cycle.
 
     A chain is (origin, pieces): pieces are _B_SUCC, _B_PRED and (r, i)
     for item i of the loop's nested rec r, applied in turn, and origin is
@@ -348,29 +348,26 @@ def _compile_loop(fn: RFn) -> None:
     with its own.  A succ or pred extends its operand's chain.  An
     operand of another kind, a tuple pattern on a chain and an unbound
     variable end the walk with no loop, and so does a closing tuple that
-    fills a slot from another slot (a move).  checked are the slots whose
-    item a succ, a pred or a nested rec reads as it is, and naturals the
-    outer variables read so, or fed unchanged into such a slot.  nodes
-    are those of the nested recs, inner recs first, and last the loop's
-    own, (0, total, chains, children): total is the run's transitions,
-    chains holds each slot's chain, with origin None for its own item,
-    and children the distance back to each nested rec's own node.
+    fills a slot from another slot (a move).  nodes are those of the
+    nested recs, inner recs first, and last the loop's own, (0, total,
+    chains, children): total is the run's transitions, chains holds each
+    slot's chain, with origin None for its own item, and children the
+    distance back to each nested rec's own node.
 
     A let or let <...> whose value is a nested rec(bound, <atoms>, fn j =>
     fn acc => body) gives the rec's tuple, each item its base atom's chain
     and then the rec's map of that item.  Its bound is an outer variable,
-    so no iteration changes it, and the inner fn acc has a loop of its
-    own chains only that reads no outer variable as it is, whose nodes
-    join this loop's, each bound, an outer variable of the inner loop,
-    read as one of this loop: the inner loop's closure environment is
-    this iteration's.  The rec charges 9 + 2n for a tuple of n atoms (the
-    let's push; the rec's push, its bound, the return to the bound's
-    frame; the tuple; the return to the base's frame, the step's closure,
-    the first return to the loop frame; the rec's value returning to the
-    let's frame), plus its inner iterations, which the kernel works out
-    from the bound's value.  A numeral bound leaves the step to single
-    steps: a numeral of 1 or more erases to a unary chain succ^n(0), which
-    is no atom.
+    so no iteration changes it, and the inner fn acc has a loop of its own
+    chains only, whose nodes join this loop's, each bound, an outer
+    variable of the inner loop, read as one of this loop: the inner loop's
+    closure environment is this iteration's.  The rec charges 9 + 2n for a
+    tuple of n atoms (the let's push; the rec's push, its bound, the
+    return to the bound's frame; the tuple; the return to the base's
+    frame, the step's closure, the first return to the loop frame; the
+    rec's value returning to the let's frame), plus its inner iterations,
+    which the kernel works out from the bound's value.  A numeral bound
+    leaves the step to single steps: a numeral of 1 or more erases to a
+    unary chain succ^n(0), which is no atom.
 
     The walk goes through a label's body as through the step's (see the
     module docstring for what a label and its throw charge), with k in
@@ -385,7 +382,7 @@ def _compile_loop(fn: RFn) -> None:
     label = None  # in a label's body: (the label's let, the length of scope outside it)
     nodes: List[Tuple] = []  # the nested recs' nodes
     recs: List[int] = []  # the index in nodes of each nested rec's own node
-    arity, checked, as_is = None, set(), set()  # as_is: the values read as they are
+    arity = None
 
     while True:
         cls = type(t)
@@ -413,7 +410,7 @@ def _compile_loop(fn: RFn) -> None:
                 if type(bound) is not RVar or bound.index is None or bound.index < len(scope):
                     return
                 inner = step.body.loop if type(step) is RFn and type(step.body) is RFn else None
-                if inner is None or inner[4] or type(base) is not RTuple or len(inner[2][-1][2]) != len(base.items):
+                if inner is None or type(base) is not RTuple or len(inner[2][-1][2]) != len(base.items):
                     return
                 items, cost = (bound, *base.items), 9 + 2 * len(base.items)
             else:
@@ -447,7 +444,6 @@ def _compile_loop(fn: RFn) -> None:
             else:
                 return
         total += cost
-        read = atoms  # the chains that the binding reads as they are
         if vcls is RSucc or vcls is RPred:
             if type(atoms[0]) is not tuple:
                 return
@@ -456,7 +452,7 @@ def _compile_loop(fn: RFn) -> None:
             for a in atoms:
                 if type(a) is not tuple:
                     return
-            result, read = atoms, ()
+            result = atoms
             if vcls is RRec:
                 # the inner loop's closure environment is this iteration's,
                 # and its own node's bound is the rec's
@@ -471,24 +467,16 @@ def _compile_loop(fn: RFn) -> None:
                 for node in inner[2]:
                     nodes.append((remap[node[0]],) + node[1:])
                 recs.append(len(nodes) - 1)
-                result, read = [], []
+                result = []
                 for j, (origin, pieces) in enumerate(inner[2][-1][2]):
                     if origin is not None:
                         return  # an inner chain from a value
                     a = atoms[1 + j]
                     result.append((a[0], a[1] + ((len(recs) - 1, j),)) if pieces else a)
-                for j in inner[3]:
-                    read.append(atoms[1 + j])
         else:  # an atom
-            result, read = atoms[0], ()
+            result = atoms[0]
             if result is None:
                 return
-        for origin, pieces in read:
-            if not pieces:
-                if origin < 0:
-                    checked.add(~origin)
-                elif origin:
-                    as_is.add(origin)
         if cls is RTuple and label is None:
             break  # the step's closing tuple
         if cls is RThrow or cls is RTuple:
@@ -519,10 +507,6 @@ def _compile_loop(fn: RFn) -> None:
                 return  # a move
             origin = None
         chains.append((origin, pieces))
-    for j in checked:
-        origin, pieces = chains[j]
-        if origin and not pieces:
-            as_is.add(origin)  # read as it is in the next iteration
     children = []
     for i in recs:
         children.append(len(nodes) - i)
@@ -534,11 +518,7 @@ def _compile_loop(fn: RFn) -> None:
     for p in sorted(outer):
         reads.append((p - position, outer[p][0]))
         position = p
-    naturals = []
-    for n in as_is:
-        if template[n] is None:  # an outer variable; a numeral is a natural
-            naturals.append(n)
-    loop = (tuple(reads), tuple(template), tuple(nodes), tuple(checked), tuple(naturals))
+    loop = (tuple(reads), tuple(template), tuple(nodes))
     object.__setattr__(fn, "loop", loop)
 
 

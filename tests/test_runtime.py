@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from loopcert import fuzz, kernels, pipeline, runtime, translate
+from loopcert import fuzz, gen, kernels, pipeline, runtime, translate
 from loopcert import syntax as S
 from loopcert.errors import CheckError, FuelExhausted, NonErasable, StuckTerm
 from loopcert.parser import parse, parse_term
@@ -294,6 +294,8 @@ UNCOMPILED_LABELS = [
     ("nested-label", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc (fn k : ~<nat> =>"
      " let <z> = callcc (fn h : ~<nat> => throw[<nat>] h <z>) in let <z> = throw[<nat>] k <z> in <z>) in"
      " let z = succ(z) in <z>)", (3,), 136),
+    ("k-bound-by-a-let", "rec(3, <0>, fn i : nat => fn a : <nat> => let <z> = a in let <z> = callcc"
+     " (fn k : ~<nat> => let c = k in throw[<nat>] k <z>) in let z = succ(z) in <z>)", (3,), 106),
 ]
 
 
@@ -319,7 +321,7 @@ def test_an_inline_for_through_a_label_is_a_loop():
 
 # A rec of bound o = 0 that reads the accumulator's first item, dropped:
 # its step never runs, so the item may be the closure g and the iteration
-# still completes, though the kernel's checks fail on it.
+# still completes, though the kernel's entry test fails on it.
 UNREAD_OUTER = "let o = 0 in let g = fn y : nat => y in"
 READ_BY_NO_RUN = "let <u> = rec(o, <a0>, fn l : nat => fn b : <nat> => let <c> = b in let c = succ(c) in <c>) in"
 
@@ -343,8 +345,9 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     The initial accumulator's items are then 0 to 5.  With labels 0, one
     step in eight reads its first item only by a dropped rec that never
     runs (READ_BY_NO_RUN), and starts with the closure g there: the
-    kernel's checks fail in the first iteration, which completes, and
-    hold from the next one on, unless a chain keeps the item as it is."""
+    kernel's entry test fails in the first iteration, which completes,
+    and holds from the next one on, unless a chain keeps the item as it
+    is."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
@@ -517,13 +520,11 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     n = bound - k + 1 iterations in kernels.run_loop; the first iteration
     charging c - 1; the kernel's turn in runtime.evaluate charging
     charge + 1; the power's clamp b read as b + 1; the composed clamp
-    without its + a; the arity check on acc dropped; the entry check on
-    the outer values in naturals dropped; a chain from a value powered n
-    times; the counter origin read as the first iteration's k;
-    runtime._compile_loop leaving out of naturals an outer variable that
-    the closing tuple feeds unchanged into a checked slot, not adding the
-    slot of a succ's operand to checked, or taking a closing tuple that
-    fills an item from another item; the kernel tried at the _REC_NEXT
+    without its + a; the arity check on acc dropped; the entry test's
+    check of the outer values dropped; its check of acc's items dropped;
+    a chain from a value powered n times; the counter origin read as the
+    first iteration's k; runtime._compile_loop taking a closing tuple
+    that fills an item from another item; the kernel tried at the _REC_NEXT
     frame as well, from the next counter, and charged as at the _REC_LOOP
     frame, one transition short."""
     entered = entered_loops(monkeypatch)
@@ -571,13 +572,14 @@ def random_chain_step(rng):
     through a nested rec of bound x.  One step in four also reads the
     closure f: as the operand of a succ whose value is dropped, as an
     item's origin where the step reads that item as it is, or by a succ in
-    its nested rec's step.  One step in five reads its first item first
-    by a dropped rec that never runs (READ_BY_NO_RUN) and starts with the
-    closure g there: the kernel's checks fail in the first iteration,
-    which completes unless the step reads the item otherwise, and hold
-    from the next one on where the item's chain starts from a value.
-    Returns the rec's text and whether erasure must leave the step with no
-    loop (a move, or a nested rec that reads f)."""
+    its nested rec's step; the kernel's entry test then fails in every
+    iteration.  One step in five reads its first item first by a dropped
+    rec that never runs (READ_BY_NO_RUN) and starts with the closure g
+    there: the kernel's entry test fails in the first iteration, which
+    completes unless the step reads the item otherwise, and holds from
+    the next one on where the item's chain starts from a value.  Returns
+    the rec's text and whether erasure must leave the step with no loop
+    (a move)."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
@@ -607,7 +609,6 @@ def random_chain_step(rng):
             end = name
         if rng.random() < 0.2:
             inner = "let e = succ(f) in " if closure == 1 else ""
-            refused = refused or closure == 1
             name = f"v{next(fresh)}"
             parts.append(f"let <{name}> = rec(x, <{end}>, fn l : nat => fn b : <nat> => let <c> = b in {inner}"
                          f"let c = {rng.choice(['succ', 'pred'])}(c) in <c>) in")
@@ -632,24 +633,22 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
     kernels and single steps (without_loops) must agree on the value, the
     point where fuel runs out and the stuck message, at the least fuel,
     one below it and three seeded points; a step that moves an item into
-    another slot, or whose nested rec reads a value as it is, must have no
-    loop, and every other step a loop.  More than 40 of the steps enter a
-    kernel with an item from each kind of origin, more than 20 get stuck
-    and more than 20 have no loop, and in more than 15 a kernel runs after
-    it has returned None in an iteration that completed (READ_BY_NO_RUN).
+    another slot must have no loop, and every other step a loop.  More
+    than 40 of the steps enter a kernel with an item from each kind of
+    origin, more than 20 get stuck and more than 20 have no loop, and in
+    more than 15 a kernel runs after it has returned None in an iteration
+    that completed (READ_BY_NO_RUN).
 
     Each of these changes, made on a copy, fails this test: a chain from
     a value powered n times, like an item's own (kernels.run_loop); the
     counter origin read as the first iteration's k instead of the last's;
-    n = bound - k + 1 iterations; the entry check on the outer values in
-    naturals dropped; (n - 1) read as n in the power's clamp; the
-    kernel's turn in runtime.evaluate charging charge + 1; a move
-    accepted as a chain from the slot's own item (runtime._compile_loop);
-    an inner loop that reads a value as it is accepted as a nested rec;
-    an outer variable that the closing tuple feeds unchanged into a
-    checked slot left out of naturals; the kernel tried at the _REC_NEXT
-    frame as well, from the next counter, and charged as at the _REC_LOOP
-    frame, one transition short."""
+    n = bound - k + 1 iterations; the entry test's check of the outer
+    values dropped; its check of acc's items dropped; (n - 1) read as n
+    in the power's clamp; the kernel's turn in runtime.evaluate charging
+    charge + 1; a move accepted as a chain from the slot's own item
+    (runtime._compile_loop); the kernel tried at the _REC_NEXT frame as
+    well, from the next counter, and charged as at the _REC_LOOP frame,
+    one transition short."""
     entered = entered_loops(monkeypatch)
     results = kernel_results(monkeypatch)
     rng = random.Random(37)
@@ -677,16 +676,61 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
 
 
 def test_place_loop_runs_in_closed_form_at_a_trillion_iterations():
-    """The erased entry of CI's place_loop (`dec(z); w := i; inc(v); v :=
-    y; inc(v);`) at 10**12 iterations, at its least fuel of 35
-    transitions an iteration plus 47, and one below it."""
-    sf = parse("discipline IS;\ncst run = proc [x : nat, y : nat] out [z : nat, w : nat, v : nat] {\n"
-               "  z := y;\n  w := 0;\n  v := 0;\n  for i := 0 until x {\n    dec(z);\n    w := i;\n    inc(v);\n"
-               "    v := y;\n    inc(v);\n  }[z : nat, w : nat, v : nat];\n};\n")
+    """The erased entry of tests/fixtures/place_loop.loop (`dec(z); w :=
+    i; inc(v); v := y; inc(v);`), which CI's least-fuel step runs too, at
+    10**12 iterations, at its least fuel of 35 transitions an iteration
+    plus 47, and one below it."""
+    with open("tests/fixtures/place_loop.loop", "r", encoding="utf-8") as handle:
+        sf = parse(handle.read())
     term = RApp(pipeline.erase_image(pipeline.translate_file(sf), "run"), RTuple((RNum(10**12), RNum(7))))
     assert evaluate(term, 35 * 10**12 + 47) == (0, 10**12 - 1, 8)
     with pytest.raises(FuelExhausted):
         evaluate(term, 35 * 10**12 + 46)
+
+
+# Machine-bound programs at small arguments: the bench's machine workload
+# and CI's least-fuel step run each of them at large ones.
+LOOP_PROGRAMS = [("corpus/addition_is.loop", (20, 7)), ("bench/fixtures/mul_nested.loop", (10, 10)),
+                 ("bench/fixtures/jump_loop.loop", (20,)), ("tests/fixtures/label_loop.loop", (20,)),
+                 ("tests/fixtures/place_loop.loop", (20, 7))]
+
+
+def test_how_often_the_kernel_runs_is_pinned(monkeypatch):
+    """How many rec steps erasure gives a loop and how many it leaves
+    without one (runtime._compile_loop), how many times the machine
+    calls kernels.run_loop and how many of those calls take the loop
+    whole, on the positive corpus files, on LOOP_PROGRAMS and on the
+    first 200 generated IS programs of seed 7 (seeded and run as `fuzz`
+    runs them).  A change to erasure or to the kernel's entry test that
+    leaves more of these loops to single steps changes the counts."""
+    compiled, results = collections.Counter(), kernel_results(monkeypatch)
+    compile_loop = runtime._compile_loop
+
+    def counted(fn):
+        compile_loop(fn)
+        compiled[fn.loop is not None] += 1
+
+    monkeypatch.setattr(runtime, "_compile_loop", counted)
+
+    def pipelines(programs):
+        for path, args in programs:
+            assert pipeline.run_pipeline(path, args=args).exit_code == pipeline.EXIT_OK, path
+
+    def generated():
+        for k in range(200):
+            rng = random.Random(f"7:{k}")  # as fuzz.fuzz_differential seeds program k
+            sf, entry, arity = gen.gen_is_program(rng, 30)
+            assert fuzz.run_one(sf, entry, gen.gen_inputs(rng, arity)) is None, k
+
+    counts = {}
+    for name, run in [("corpus", lambda: pipelines([(path, None) for path in corpus_keys()])),
+                       ("programs", lambda: pipelines(LOOP_PROGRAMS)), ("generated", generated)]:
+        compiled.clear()
+        results.clear()
+        run()
+        counts[name] = (compiled[True], compiled[False], len(results), len(results) - results.count(None))
+    # (steps with a loop, steps without, run_loop calls, calls that take the loop)
+    assert counts == {"corpus": (4, 1, 4, 4), "programs": (5, 1, 4, 4), "generated": (162, 82, 974, 974)}, counts
 
 
 def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):
@@ -1099,7 +1143,7 @@ def test_counter_loops_in_closed_form_agree_with_single_steps(monkeypatch):
 # closure, a tuple that the closing tuple feeds back, and a closure that
 # the closing tuple replaces by a numeral.  With the inner bound n at 0 the
 # inner loop never reads it, and the machine returns it, or in the third
-# the numeral: there the kernel's checks fail in the first iteration only,
+# the numeral: there the kernel's entry test fails in the first iteration only,
 # so the kernel takes the rest from the second.  Otherwise the machine
 # gets stuck.
 NESTED_STUCK = [
@@ -1136,8 +1180,7 @@ def test_nested_counter_loops_agree_with_single_steps(monkeypatch):
     counter and charged as at the _REC_LOOP frame; an inner bound
     accepted from a slot that the enclosing step changes
     (runtime._compile_loop taking any variable of the iteration as the
-    bound); a loop that skips the check of its checked items, or whose
-    succ of an item does not add the item's slot to them."""
+    bound); the entry test's check of acc's items dropped."""
     loops = entered_loops(monkeypatch)
 
     def depth(nodes, i):
