@@ -77,13 +77,14 @@ def _match(pattern: Ind, subject: Ind, binding: Dict[str, Ind]) -> bool:
     raise AssertionError(pattern)
 
 
-def try_match_axiom(i1: Ind, i2: Ind) -> Optional[str]:
+def try_match_axiom(i1: Ind, i2: Ind, refl: bool = True) -> Optional[str]:
     """The schema name instantiating to (i1, i2) exactly, or None.
 
     AX_REFL is realized as alpha equality and tried first, matching the
-    printed order of the axioms.
+    printed order of the axioms; with refl false it is not tried, for a
+    caller that has decided it already.
     """
-    if alpha_eq(i1, i2):
+    if refl and alpha_eq(i1, i2):
         return "AX_REFL"
     for name, left, right in _BY_CLASS.get(type(i1), ()):
         binding: Dict[str, Ind] = {}

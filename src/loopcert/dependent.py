@@ -64,7 +64,8 @@ from .printer import show, show_env
 
 class CheckCtx:
     """Per-run checker state: rule trace, warnings, whether the optional
-    TC_PRED_D rule of FD checking is on, and the open binders.
+    TC_PRED_D rule of FD checking is on, the open binders, and the memo
+    tables of the coercion and axiom rules.
 
     `rule(label)` records a rule: it is the bound `append` of the trace
     list, so recording costs no Python call; a context made without a
@@ -73,7 +74,17 @@ class CheckCtx:
     `opened` holds the eigenvariable of each open binder over
     individuals, the innermost last: the checker opens a binder where
     the syntax it descends into does, so the index k that escapes what
-    it reads belongs to the binder of opened[-1 - k]."""
+    it reads belongs to the binder of opened[-1 - k].
+
+    The memo tables serve `recall`, `instance` and `check_axiom`, on the
+    individuals, type atoms and families that the parser shares (one
+    object for each distinct one in a file) and on what these build from
+    them, so that a repeated coercion costs a few dict lookups.  They are
+    keyed by the ids of their inputs, which cost no recursive == or hash,
+    and each entry holds its inputs, so that no id is reused while it
+    lives.  `reads` is emptied by `open` and `close`, as a read depends
+    on the open binders; the others live as long as the context, which
+    is one check."""
 
     def __init__(self, trace: Optional[List[str]] = None, allow_pred: bool = True):
         self.trace = trace if trace is not None else []
@@ -82,22 +93,46 @@ class CheckCtx:
         self.allow_pred = allow_pred
         self.fresh = S.Freshener()
         self.opened: list = []
+        self.reads: dict = {}  # id(value) -> (value, value read)
+        self.instances: dict = {}  # (id(body), id(replacement)) -> (body, replacement, instance)
+        self.axioms: dict = {}  # (id(left), id(right)) -> (rule suffix, left = right), which holds both
 
     def open(self, hint: str) -> S.IVar:
         """Open a binder: its index reads as a fresh eigenvariable until closed."""
         ev = S.IVar(self.fresh.fresh(hint))
         self.opened.append(ev)
+        if self.reads:
+            self.reads.clear()
         return ev
 
     def close(self, count: int = 1) -> None:
         """Close the count binders opened last."""
         del self.opened[len(self.opened) - count:]
+        if self.reads:
+            self.reads.clear()
 
     def read(self, value: Any, depth: int = 0) -> Any:
         """value as written, with the open binders' indices instantiated
         by their eigenvariables; depth binders around value in the syntax
         are not open yet, and their indices stay."""
         return S.open_inds(value, self.opened, depth) if self.opened else value
+
+    def recall(self, value: Any) -> Any:
+        """read(value), memoised while the open binders stay."""
+        if not self.opened:
+            return value
+        entry = self.reads.get(id(value))
+        if entry is None:
+            entry = self.reads[id(value)] = (value, S.open_inds(value, self.opened, 0))
+        return entry[1]
+
+    def instance(self, body: Any, replacement: S.Ind) -> Any:
+        """S.subst_ind(body, replacement), memoised."""
+        key = (id(body), id(replacement))
+        entry = self.instances.get(key)
+        if entry is None:
+            entry = self.instances[key] = (body, replacement, S.subst_ind(body, replacement))
+        return entry[2]
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
@@ -135,17 +170,24 @@ def check_ident(gamma: S.Env, omega: S.Env, name: str, ctx: CheckCtx, span) -> S
 # prefix is "TC" for FD and FS terms and "T" for ID expressions.
 
 def check_axiom(left: S.Ind, right: S.Ind, ctx: CheckCtx, prefix: str, span) -> S.FEq:
-    """AX_I, or AX_II on the mirrored pair: left = right is an axiom instance."""
-    left, right = ctx.read(left), ctx.read(right)
-    if try_match_axiom(left, right) is not None:
-        ctx.rule(prefix + "_AX_I")
-    elif try_match_axiom(right, left) is not None:
-        ctx.rule(prefix + "_AX_II")
-    else:
-        raise CheckError(
-            prefix + "_AX", f"'{show(left)} = {show(right)}' is not an axiom instance", span=span, reason="NoAxiom"
-        )
-    return S.FEq(left, right)
+    """AX_I, or AX_II on the mirrored pair: left = right is an axiom
+    instance.  AX_REFL is symmetric, so the mirrored match skips it."""
+    left, right = ctx.recall(left), ctx.recall(right)
+    key = (id(left), id(right))
+    entry = ctx.axioms.get(key)
+    if entry is None:
+        if try_match_axiom(left, right) is not None:
+            side = "_AX_I"
+        elif try_match_axiom(right, left, refl=False) is not None:
+            side = "_AX_II"
+        else:
+            raise CheckError(
+                prefix + "_AX", f"'{show(left)} = {show(right)}' is not an axiom instance", span=span,
+                reason="NoAxiom",
+            )
+        entry = ctx.axioms[key] = (side, S.FEq(left, right))
+    ctx.rule(prefix + entry[0])
+    return entry[1]
 
 
 def check_coercion(
@@ -154,16 +196,16 @@ def check_coercion(
     """EQUAL_E: a proof of i = j takes subject from {n/X}[j] to {n/X}[i].
     check types a subterm; the proof is checked before the subject."""
     rule = prefix + "_EQUAL_E"
-    fam = ctx.read(fam)
+    fam = ctx.recall(fam)
     proof_ty = check(proof)
     if not isinstance(proof_ty, S.FEq):
         raise CheckError(rule, f"coercion proof has type {show(proof_ty)}, expected an equation", span=span)
-    want = S.subst_ind(fam.body, proof_ty.right)
+    want = ctx.instance(fam.body, proof_ty.right)
     got = check(subject)
-    if not S.alpha_eq(got, want):
+    if got is not want and not S.alpha_eq(got, want):
         raise CheckError(rule, f"subject has type {show(got)}, expected {show(want)}", span=span)
     ctx.rule(rule)
-    return S.subst_ind(fam.body, proof_ty.left)
+    return ctx.instance(fam.body, proof_ty.left)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +373,11 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
         return ctx.read(t.ann)
     if cls is S.TCallcc:
         ty = _fd(env, t.arg, ctx, fs)
-        shape_err = CheckError(
-            "TC_CALLCC", f"callcc argument has type {show(ty)}, expected ~phi -> phi", span=t.span
-        )
-        if type(ty) is not S.FArrow:
-            raise shape_err
-        negated = S.as_neg_f(ty.dom)
+        negated = S.as_neg_f(ty.dom) if type(ty) is S.FArrow else None
         if negated is None or not S.alpha_eq(negated, ty.cod):
-            raise shape_err
+            raise CheckError(
+                "TC_CALLCC", f"callcc argument has type {show(ty)}, expected ~phi -> phi", span=t.span
+            )
         ctx.rule("TC_CALLCC")
         return ty.cod
     if cls is S.TUnpack:
@@ -686,21 +725,21 @@ def _id_seq(
             ctx.rule("T_WITNESS")
             expected = S.subst_ind(ann.body, ctx.read(item.witness))
         elif cls is S.SSubst:
-            fam = ctx.read(item.fam)
+            fam = ctx.recall(item.fam)
             proof_ty = _id_expr(gamma, omega, item.proof, ctx, simple)
             if not isinstance(proof_ty, S.FEq):
                 raise CheckError(
                     "T_SUBST", f"coercion proof has type {show(proof_ty)}, expected an equation", span=item.span
                 )
-            claimed = S.subst_ind(fam.body, proof_ty.left)
-            if not S.alpha_eq(claimed, expected):
+            claimed = ctx.instance(fam.body, proof_ty.left)
+            if claimed is not expected and not S.alpha_eq(claimed, expected):
                 raise CheckError(
                     "T_SUBST",
                     f"coercion yields {show(claimed)}, the goal is {show(expected)}",
                     span=item.span,
                 )
             ctx.rule("T_SUBST")
-            _id_seq(gamma, omega, item.body, S.subst_ind(fam.body, proof_ty.right), ctx, simple)
+            _id_seq(gamma, omega, item.body, ctx.instance(fam.body, proof_ty.right), ctx, simple)
             ctx.close(opened)
             return None
         elif cls is S.SUnpack:

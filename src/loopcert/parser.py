@@ -202,6 +202,10 @@ class Parser:
         self.last = len(tokens) - 1  # the eof token
         self.pos = 0
         self.read: Dict[int, Tuple[S.Ind, int]] = {}  # at a '(': what parse_ind read there, and its end
+        # one node for each distinct individual, type atom and family read
+        # (see `share`): a free name, an index, a numeral's text, or the
+        # class and operand ids of a compound, which the node keeps alive
+        self.shared: Dict[Any, Any] = {}
         self.warnings: List[str] = []
         self._fresh = 0
         self.binders: List[Optional[str]] = []  # of the binders over individuals around, innermost last
@@ -295,14 +299,24 @@ class Parser:
         var = self.prefix()
         return cls(var, self.bound(parse, var), *tail)
 
+    def share(self, key: Any, cls: type, *fields: Any) -> Any:
+        """The node cls(*fields) that key names in this parse, built the
+        first time.  A compound's key holds the ids of its operands, which
+        are shared already: ids cost no recursive == or hash, and the
+        node, kept in the table, keeps them from being reused."""
+        node = self.shared.get(key)
+        if node is None:
+            node = self.shared[key] = cls(*fields)
+        return node
+
     def family(self, parse: Callable[[], Any]) -> S.Fam:
         """`{x/…}`, with the body read by parse() under a binder of x."""
         self.eat("{")
         var = self.eat_ident()
         self.eat("/")
-        fam = S.Fam(var, self.bound(parse, var))
+        body = self.bound(parse, var)
         self.eat("}")
-        return fam
+        return self.share((var, id(body)), S.Fam, var, body)  # the hint in the key keeps printed names
 
     def coercion(self, cls: type, subject: Any, parse_type: Callable[[], Any],
                  parse_proof: Callable[[], Any], span: S.Span) -> Any:
@@ -329,34 +343,49 @@ class Parser:
     # -- individuals ----------------------------------------------------------
 
     def parse_ind(self) -> S.Ind:
+        """An individual, shared (see `share`), inline on the hot paths."""
         pos = self.pos
-        values = self.values
+        values, shared = self.values, self.shared
         value = values[pos]
         kind = self.kind[value]
         if kind == "ident":
             self.pos = pos + 1
             positions = self.where.get(value)
-            if positions:
-                return S.IBound(len(self.binders) - 1 - positions[-1])
-            return S.IVar(value)
-        if kind == "int":
-            return S.num_ind(self.number())
+            key = len(self.binders) - 1 - positions[-1] if positions else value  # an index or a free name
+            ind = shared.get(key)
+            if ind is None:
+                ind = shared[key] = S.IBound(key) if positions else S.IVar(value)
+            return ind
+        if kind == "int":  # keyed by its text, which no name spells
+            ind = shared.get(value)
+            if ind is None:
+                ind = shared[value] = S.num_ind(self.number())
+            else:
+                self.pos = pos + 1
+            return ind
         operator = _IND_OPERATORS.get(value)
         if operator is not None:
             self.pos = pos + 1
             if values[pos + 1] != "(":
                 raise self.fail("(")
             self.pos = pos + 2
-            args = [self.parse_ind()]
+            left = self.parse_ind()
             if value in _BINARY_IND:
                 if values[self.pos] != ",":
                     raise self.fail(",")
                 self.pos += 1
-                args.append(self.parse_ind())
+                right = self.parse_ind()
+                key = (operator, id(left), id(right))
+            else:
+                right = None
+                key = (operator, id(left))
             if values[self.pos] != ")":
                 raise self.fail(")")
             self.pos += 1
-            return operator(*args)
+            ind = shared.get(key)
+            if ind is None:
+                ind = shared[key] = operator(left) if right is None else operator(left, right)
+            return ind
         if value == "(":
             read = self.read.get(pos)
             if read is None:
@@ -447,8 +476,9 @@ class Parser:
                 self.pos = pos + 2
                 idx = self.parse_ind()
                 self.eat(")")
-                return S.FNat(idx)
-            return S.FNat(None)
+            else:
+                idx = None
+            return self.share((S.FNat, id(idx)), S.FNat, idx)
         if value == "top":
             self.pos = pos + 1
             return S.FTop()
@@ -457,7 +487,7 @@ class Parser:
             return S.FBot()
         eq = self.try_equation()  # no equation begins with nat, top or bot
         if eq is not None:
-            return S.FEq(*eq)
+            return self.share((S.FEq, id(eq[0]), id(eq[1])), S.FEq, *eq)
         if self.kind[value] == "ident":
             self.pos = pos + 1
             return S.FProp(value)

@@ -121,11 +121,10 @@ def translate_expr(e: S.Expr, tctx: TranslateCtx) -> S.Term:
     if cls is S.EStar:
         return S.TTuple(())
     if cls is S.ECoerce:
-        return S.TCoerce(
-            translate_expr(e.subject, tctx),
-            S.Fam(e.fam.var, translate_type(e.fam.body)),
-            translate_expr(e.proof, tctx),
-        )
+        fam, body = e.fam, translate_type(e.fam.body)
+        if body is not fam.body:  # a type atom is its own image, and so is its family
+            fam = S.Fam(fam.var, body)
+        return S.TCoerce(translate_expr(e.subject, tctx), fam, translate_expr(e.proof, tctx))
     if cls is S.EAxiom:
         return S.TAxiom(e.left, e.right)
     if cls is S.EInst:

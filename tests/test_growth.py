@@ -1,13 +1,17 @@
-"""The parser grows linearly: its Python calls at size N and 2N.
+"""The parser and the checkers grow linearly: their Python calls at size
+N and 2N.
 
 Call counts repeat exactly from run to run and do not depend on the hash
 seed, so a ratio per doubling tells linear (about 2) from quadratic
 (about 4) on any host.  They are counted as the bench's count run counts
 them (`bench/tracing.py`): every call of a Python function that the
-C-level profiler sees while `parser.parse` runs.  The IS and ID chains
-are the bench's own inputs, read from `bench/workloads.py`; the nests are
-parenthesised expressions and terms, each level of which used to give back
-a parse of the whole rest of the nest.
+C-level profiler sees while `parser.parse` runs, or check-source and
+check-target.  The IS and ID chains are the bench's own inputs, read from
+`bench/workloads.py`; the nests are parenthesised expressions and terms,
+each level of which used to give back a parse of the whole rest of the
+nest.  The ID chain repeats one group of coercions, so the checkers'
+calls per statement also show that their memo tables (see
+`dependent.CheckCtx`) answer the repeats.
 """
 
 import cProfile
@@ -17,10 +21,14 @@ import sys
 
 import pytest
 
+from loopcert import pipeline
 from loopcert.parser import parse
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BOUND = 2.2  # per doubling; on these families a linear parse reads 1.98-2.00
+# check-source plus check-target on the ID chain: 27.8-28.0 calls a
+# statement with the memo tables, and over 66 without any one of them
+CHECK_CEILING = 35
 
 
 def _workloads():
@@ -56,12 +64,12 @@ FAMILIES = {
 }
 
 
-def python_calls(text):
-    """The Python calls that parse(text) makes."""
+def python_calls(run, *args):
+    """The Python calls that run(*args) makes."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        parse(text)
+        run(*args)
     finally:
         profiler.disable()
     return sum(entry.callcount for entry in profiler.getstats() if not isinstance(entry.code, str))
@@ -70,5 +78,21 @@ def python_calls(text):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_parse_calls_grow_linearly(family):
     make, n = FAMILIES[family]
-    small, large = python_calls(make(n)), python_calls(make(2 * n))
+    small, large = python_calls(parse, make(n)), python_calls(parse, make(2 * n))
     assert large / small <= BOUND, (small, large, large / small)
+
+
+def _checks(sf, image):
+    checked = pipeline.check_source(sf)
+    pipeline.check_target(sf, checked, image)
+
+
+def test_check_calls_grow_linearly_and_repeats_are_memoised():
+    counts = []
+    for n in (1000, 2000):
+        sf = parse(_BENCH.id_chain(n))
+        counts.append((n, python_calls(_checks, sf, pipeline.translate_file(sf))))
+    (n, small), (_, large) = counts
+    assert large / small <= BOUND, counts
+    for n, calls in counts:
+        assert calls / n <= CHECK_CEILING, counts
