@@ -84,7 +84,13 @@ class CheckCtx:
     and each entry holds its inputs, so that no id is reused while it
     lives.  `reads` is emptied by `open` and `close`, as a read depends
     on the open binders; the others live as long as the context, which
-    is one check."""
+    is one check.
+
+    Two more tables give one `FNat(ISucc(i))` and one `FNat(IPred(i))`
+    per individual i, keyed by id(i): `succs` for TC_SUCC and T_INC,
+    `preds` for TC_PRED_D and T_DEC.  Each entry holds i, so the type of
+    a step on a shared index is itself shared, as the parser's atoms
+    are.  The rules look them up inline and call `step` on a miss."""
 
     def __init__(self, trace: Optional[List[str]] = None, allow_pred: bool = True):
         self.trace = trace if trace is not None else []
@@ -96,6 +102,8 @@ class CheckCtx:
         self.reads: dict = {}  # id(value) -> (value, value read)
         self.instances: dict = {}  # (id(body), id(replacement)) -> (body, replacement, instance)
         self.axioms: dict = {}  # (id(left), id(right)) -> (rule suffix, left = right), which holds both
+        self.succs: dict = {}  # id(i) -> nat(succ(i)), which holds i
+        self.preds: dict = {}  # id(i) -> nat(pred(i)), which holds i
 
     def open(self, hint: str) -> S.IVar:
         """Open a binder: its index reads as a fresh eigenvariable until closed."""
@@ -133,6 +141,14 @@ class CheckCtx:
         if entry is None:
             entry = self.instances[key] = (body, replacement, S.subst_ind(body, replacement))
         return entry[2]
+
+    def step(self, index: S.Ind, succ: bool) -> S.FNat:
+        """The shared nat(succ(index)), or nat(pred(index)), on a miss."""
+        if succ:
+            nat = self.succs[id(index)] = S.FNat(S.ISucc(index))
+        else:
+            nat = self.preds[id(index)] = S.FNat(S.IPred(index))
+        return nat
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
@@ -243,7 +259,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
     if cls is S.TSucc:
         ity = _fd_nat(env, t.arg, ctx, fs, "TC_SUCC", t.span)
         ctx.rule("TC_SUCC")
-        return _NAT if fs else S.FNat(S.ISucc(ity))
+        return _NAT if fs else ctx.succs.get(id(ity)) or ctx.step(ity, True)
     if cls is S.TTuple:
         types = tuple([_fd(env, item, ctx, fs) for item in t.items])
         ctx.rule("TC_TUPLE")
@@ -293,7 +309,7 @@ def _fd(env: dict, t: S.Term, ctx: CheckCtx, fs: bool) -> S.Formula:
             raise CheckError("TC_PRED_D", "the optional pred rule is disabled", span=t.span)
         ity = _fd_nat(env, t.arg, ctx, fs, "TC_PRED_D", t.span)
         ctx.rule("TC_PRED_D")
-        return S.FNat(S.IPred(ity))
+        return ctx.preds.get(id(ity)) or ctx.step(ity, False)
     if fs:
         raise CheckError("FS", f"term not in the simple fragment: {show(t)}", span=getattr(t, "span", None))
     if cls is S.TCoerce:
@@ -810,8 +826,12 @@ def _id_command(
         ctx.rule(rule)
         if simple:
             return omega, None
-        new_index = S.ISucc(ty.index) if cls is S.CInc else S.IPred(ty.index)
-        return envs.update(omega, name, S.FNat(new_index), rule, cmd.span), None
+        index = ty.index
+        if cls is S.CInc:
+            ty = ctx.succs.get(id(index)) or ctx.step(index, True)
+        else:
+            ty = ctx.preds.get(id(index)) or ctx.step(index, False)
+        return envs.update(omega, name, ty, rule, cmd.span), None
     if cls is S.CCall:
         outs = cmd.outs
         if len(set(outs)) != len(outs):

@@ -168,18 +168,25 @@ def check_source(
     return CheckedFile(types, ctx.trace, tuple(ctx.warnings))
 
 
-def translate_file(sf: S.SourceFile) -> S.SourceFile:
-    """Translate a checked imperative file into its FS/FD image."""
+def translate_file(sf: S.SourceFile, sizes: Optional[Dict[str, int]] = None) -> S.SourceFile:
+    """Translate a checked imperative file into its FS/FD image.  With
+    sizes, put there the node count of each constant's image, which the
+    translation counts as it builds it (translate.TranslateCtx)."""
     target = {"IS": "FS", "ID": "FD"}.get(sf.discipline)
     if target is None:
         raise LoopcertError(f"{sf.discipline} files are already functional; nothing to translate")
     tctx = translate.TranslateCtx(target)
-    terms = tuple([(name, translate.translate_expr(e, tctx)) for name, e in sf.csts])
+    csts = []
+    for name, e in sf.csts:
+        before = tctx.terms
+        csts.append((name, translate.translate_expr(e, tctx)))
+        if sizes is not None:
+            sizes[name] = tctx.terms - before
     main = None
     if sf.main is not None:
         names, _ = envs.qsplit(sf.main.out)
         main = S.MainF(translate.translate_seq(sf.main.body, names, tctx))
-    return S.SourceFile(target, terms, main)
+    return S.SourceFile(target, tuple(csts), main)
 
 
 def check_target(
@@ -403,9 +410,10 @@ def run_pipeline(
             image, types = sf, checked.cst_types
         else:
             # translate_file refuses a functional file: a fault of the input
+            sizes: Dict[str, int] = {}
             image = report.run_phase(
-                "translate", EXIT_TARGET if imperative else EXIT_SOURCE, lambda: translate_file(sf),
-                lambda image: {"terms": {name: S.node_count(t) for name, t in image.csts}},
+                "translate", EXIT_TARGET if imperative else EXIT_SOURCE, lambda: translate_file(sf, sizes),
+                lambda image: {"terms": sizes},
             )
             if image is None:
                 return report

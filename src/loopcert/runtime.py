@@ -43,7 +43,12 @@ returns the counter and the closing tuple of the last iteration and the
 charge of the iterations, or None where its entry test (below) fails.
 The machine then pushes the last iteration's frame and returns the
 closing tuple to it, or, on None, applies the step to k by single
-steps, and gets stuck exactly where the single-step machine does.
+steps, and gets stuck exactly where the single-step machine does.  The
+kernel is tried at most once per run of a rec: on None, the rec's
+remaining iterations take a copy of the step whose fn acc has no loop.
+In a checked image each slot of acc has one type and the outer values
+do not change, so the entry test cannot come to hold in a later
+iteration; on any term, single steps stay exact.
 
 A chain is a run of succ, pred and nested recs from one origin: the
 item of its own slot of acc, or a value, which is an outer variable of
@@ -113,7 +118,11 @@ single steps.
 
 Erasure resolves every variable once, to its de Bruijn index (None when
 the name is unbound, which is an error only if the machine reaches it);
-binder names stay on the terms as hints.  A machine environment is a
+binder names stay on the terms as hints.  It shares what repeats, from a
+table that lives for one erasure, as the parser and translate share
+theirs: one `RVar` per (name, index), one `RSucc` or `RPred` per operand
+it built, keyed by the operand's id, and one `RNum(0)`.  It never
+shares an `RFn`, as each fn acc carries its own loop.  A machine environment is a
 linked tuple (value, parent), innermost binding first, and a frame is a
 tuple whose first item is a small-int tag.
 
@@ -228,54 +237,75 @@ class RThrow(RTerm):
 def erase(t: S.Term) -> RTerm:
     """Strip the specificational layer: individuals, packs, coercions and
     axiom terms; throw keeps both subterms and drops its formula.  Each
-    variable gets its de Bruijn index."""
-    return _erase(t, defaultdict(list), 0)
+    variable gets its de Bruijn index, and what repeats is shared (see
+    the module docstring)."""
+    return _erase(t, defaultdict(list), 0, {})
+
+
+_ZERO = RNum(0)
 
 
 # the classes _erase_lets walks in its loop
 _CHAINED = frozenset({S.TLet, S.TLetMatch, S.TCoerce, S.TIndLam, S.TIndApp, S.TPack, S.TUnpack})
 
 
-def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
+def _erase(t: S.Term, scope: Dict[str, List[int]], depth: int, shared: Dict[Tuple, RTerm]) -> RTerm:
     """scope maps each name to the depths of its binders around t, and depth
-    counts the binders; the cases go most frequent first."""
+    counts the binders; shared is the erasure's table of shared nodes,
+    keyed by (name, index) for a variable and by (class, id of the
+    operand) for a succ or pred, whose entry holds its operand.  The
+    cases go most frequent first."""
     cls = type(t)
     if cls is S.TVar:
         bound = scope.get(t.name)
-        return RVar(t.name, depth - 1 - bound[-1] if bound else None)
+        key = (t.name, depth - 1 - bound[-1] if bound else None)
+        var = shared.get(key)
+        if var is None:
+            var = shared[key] = RVar(*key)
+        return var
     if cls is S.TSucc:
-        return RSucc(_erase(t.arg, scope, depth))
+        arg = _erase(t.arg, scope, depth, shared)
+        key = (RSucc, id(arg))
+        step = shared.get(key)
+        if step is None:
+            step = shared[key] = RSucc(arg)
+        return step
     if cls is S.TTuple:
-        return RTuple(tuple([_erase(x, scope, depth) for x in t.items]))
+        return RTuple(tuple([_erase(x, scope, depth, shared) for x in t.items]))
     if cls is S.TZero:
-        return RNum(0)
-    if cls is S.TFn:
+        return _ZERO
+    if cls is S.TFn:  # never shared: each fn acc carries its own loop
         scope[t.param].append(depth)
-        erased = RFn(t.param, _erase(t.body, scope, depth + 1))
+        erased = RFn(t.param, _erase(t.body, scope, depth + 1, shared))
         scope[t.param].pop()
         return erased
     if cls in _CHAINED:
-        return _erase_lets(t, scope, depth)
+        return _erase_lets(t, scope, depth, shared)
     if cls is S.TApp:
-        return RApp(_erase(t.fn, scope, depth), _erase(t.arg, scope, depth))
+        return RApp(_erase(t.fn, scope, depth, shared), _erase(t.arg, scope, depth, shared))
     if cls is S.TRec:
-        bound, base = _erase(t.bound, scope, depth), _erase(t.base, scope, depth)
-        step = _erase(t.step, scope, depth)
+        bound, base = _erase(t.bound, scope, depth, shared), _erase(t.base, scope, depth, shared)
+        step = _erase(t.step, scope, depth, shared)
         if type(step) is RFn and type(step.body) is RFn:
             _compile_loop(step.body)
         return RRec(bound, base, step)
     if cls is S.TPred:
-        return RPred(_erase(t.arg, scope, depth))
+        arg = _erase(t.arg, scope, depth, shared)
+        key = (RPred, id(arg))
+        step = shared.get(key)
+        if step is None:
+            step = shared[key] = RPred(arg)
+        return step
     if cls is S.TCallcc:
-        return RCallcc(_erase(t.arg, scope, depth))
+        return RCallcc(_erase(t.arg, scope, depth, shared))
     if cls is S.TThrow:
-        return RThrow(_erase(t.cont, scope, depth), _erase(t.arg, scope, depth))
+        return RThrow(_erase(t.cont, scope, depth, shared), _erase(t.arg, scope, depth, shared))
     if cls is S.TAxiom:
         raise NonErasable("an axiom term survives only inside a discarded coercion proof")
     raise AssertionError(t)
 
 
-def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
+def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int, shared: Dict[Tuple, RTerm]) -> RTerm:
     """_erase along a chain of lets and of the forms erasure drops
     (coercions, whose equality proof is computationally irrelevant, index
     abstraction and application, packs and unpacks), with a loop: an
@@ -284,11 +314,11 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
     while True:
         cls = type(t)
         if cls is S.TLet:
-            chain.append((t, _erase(t.value, scope, depth)))
+            chain.append((t, _erase(t.value, scope, depth, shared)))
             scope[t.name].append(depth)
             depth += 1
         elif cls is S.TLetMatch:
-            chain.append((t, _erase(t.value, scope, depth)))
+            chain.append((t, _erase(t.value, scope, depth, shared)))
             # the items are bound left to right, so a repeated name ends on its last item
             for k, name in enumerate(t.names):
                 scope[name].append(depth + k)
@@ -307,7 +337,7 @@ def _erase_lets(t: S.Term, scope: Dict[str, List[int]], depth: int) -> RTerm:
         else:
             break
         t = t.body
-    erased = _erase(t, scope, depth)
+    erased = _erase(t, scope, depth, shared)
     for let, value in reversed(chain):
         if type(let) is S.TLet:
             erased = RLet(let.name, value, erased)
@@ -697,6 +727,9 @@ def evaluate(t: RTerm, fuel: int = DEFAULT_FUEL) -> Any:
                     kont = (_REC_NEXT, bound, k, value, parent)
                     value = acc  # the closing tuple returns to kont
                     continue
+                # the rest of this rec runs by single steps, with a step
+                # whose fn acc has no loop
+                value = Clos(value.param, RFn(value.body.param, value.body.body), value.env)
             fn, arg = value, k
             kont = (_REC_ACC, bound, k, acc, value, parent)
         elif tag == _ARG:

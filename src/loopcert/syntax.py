@@ -812,6 +812,10 @@ _PLANS = {
 }
 
 
+# the fields of each node class that may hold syntax
+CHILD_FIELDS = {cls: tuple([name for name, _ in plan.shifts]) for cls, plan in _PLANS.items()}
+
+
 def node_fields(node: Node) -> Tuple[str, ...]:
     return _PLANS[type(node)].fields
 
@@ -836,21 +840,6 @@ def _free_ind(value: Any, acc: set) -> None:
         if plan is not None:
             for fname, _ in plan.shifts:
                 _free_ind(getattr(value, fname), acc)
-
-
-def node_count(value: Any) -> int:
-    """The number of nodes in a syntax value (nodes or tuples), by one
-    iterative walk, so that no nesting is too deep for it."""
-    count, stack = 0, [value]
-    while stack:
-        value = stack.pop()
-        if type(value) is tuple:
-            stack.extend(value)
-        elif type(value) in _PLANS:
-            count += 1
-            for fname, _ in _PLANS[type(value)].shifts:
-                stack.append(getattr(value, fname))
-    return count
 
 
 def subst_ind(body: Any, replacement: Ind) -> Any:

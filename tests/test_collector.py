@@ -213,7 +213,10 @@ def collections():
 
 
 def _chain(n):
-    """An IS program of n increments: enough allocation for collections."""
+    """An IS program of n increments.  At 4,000 a run allocates enough for
+    collections under the policy, whatever the tests before it left
+    allocated: translate and erasure share the chain's variable and
+    step, so most of its nodes are the lets."""
     return (
         "discipline IS;\ncst chain = proc [x : nat] out [z : nat] {\n  z := x;\n"
         + "  inc(z);\n" * n
@@ -270,7 +273,7 @@ def test_an_escaping_exception_restores_the_collector(collector, monkeypatch):
 
 def test_the_policy_acts_during_the_run(collector, collections):
     gc.set_threshold(*CALLER_THRESHOLD)
-    assert pipeline.run_pipeline("chain.loop", text=_chain(2000)).exit_code == pipeline.EXIT_OK
+    assert pipeline.run_pipeline("chain.loop", text=_chain(4000)).exit_code == pipeline.EXIT_OK
     assert collections
     assert set(collections) == {pipeline.GC_THRESHOLD}
     assert gc.get_threshold() == CALLER_THRESHOLD
@@ -283,7 +286,7 @@ def test_collection_turned_off_stays_off(collector, collections, off):
     else:
         gc.set_threshold(0, 7, 9)
     threshold, enabled = gc.get_threshold(), gc.isenabled()
-    assert pipeline.run_pipeline("chain.loop", text=_chain(2000)).exit_code == pipeline.EXIT_OK
+    assert pipeline.run_pipeline("chain.loop", text=_chain(4000)).exit_code == pipeline.EXIT_OK
     assert collections == []
     assert (gc.get_threshold(), gc.isenabled()) == (threshold, enabled)
 

@@ -1,5 +1,5 @@
-"""The parser and the checkers grow linearly: their Python calls at size
-N and 2N.
+"""The parser, the checkers, translate and erasure grow linearly: their
+Python calls at size N and 2N.
 
 Call counts repeat exactly from run to run and do not depend on the hash
 seed, so a ratio per doubling tells linear (about 2) from quadratic
@@ -11,7 +11,9 @@ check-target.  The IS and ID chains are the bench's own inputs, read from
 each level of which used to give back a parse of the whole rest of the
 nest.  The ID chain repeats one group of coercions, so the checkers'
 calls per statement also show that their memo tables (see
-`dependent.CheckCtx`) answer the repeats.
+`dependent.CheckCtx`) answer the repeats.  Building a node is a Python
+call (its `__init__`), so the calls per statement of translate and
+erasure show that their tables share what the chains repeat.
 """
 
 import cProfile
@@ -29,6 +31,11 @@ BOUND = 2.2  # per doubling; on these families a linear parse reads 1.98-2.00
 # check-source plus check-target on the ID chain: 27.8-28.0 calls a
 # statement with the memo tables, and over 66 without any one of them
 CHECK_CEILING = 35
+# translate plus erasure, a statement: 5.04-5.08 on the IS chain and
+# 11.05-11.10 on the ID chain with every table; without translate's or
+# erasure's variable, succ or pred table, one chain or the other reads
+# 0.2 or more above its ceiling
+SHARE_CEILING = {"is_chain": 5.2, "id_chain": 11.2}
 
 
 def _workloads():
@@ -96,3 +103,17 @@ def test_check_calls_grow_linearly_and_repeats_are_memoised():
     assert large / small <= BOUND, counts
     for n, calls in counts:
         assert calls / n <= CHECK_CEILING, counts
+
+
+def _translate_and_erase(sf):
+    pipeline.erase_image(pipeline.translate_file(sf))
+
+
+@pytest.mark.parametrize("family", sorted(SHARE_CEILING))
+def test_translate_and_erase_calls_grow_linearly_and_repeats_are_shared(family):
+    make = FAMILIES[family][0]
+    counts = [(n, python_calls(_translate_and_erase, parse(make(n)))) for n in (1000, 2000)]
+    (_, small), (_, large) = counts
+    assert large / small <= BOUND, counts
+    for n, calls in counts:
+        assert calls / n <= SHARE_CEILING[family], counts

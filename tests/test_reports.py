@@ -1,6 +1,5 @@
 """Pipeline reports conform to the shipped JSON schema."""
 
-import dataclasses
 import json
 import os
 import sys
@@ -9,7 +8,8 @@ import jsonschema
 import pytest
 
 from loopcert import pipeline, printer
-from loopcert import syntax as S
+
+from test_image_count import node_count
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.normpath(os.path.join(HERE, "..", "corpus"))
@@ -35,15 +35,6 @@ def test_report_matches_schema(name):
     jsonschema.validate(report.to_dict(), SCHEMA)
 
 
-def _nodes(value):
-    """The nodes of a syntax value, counted by reflection over every field."""
-    if isinstance(value, tuple):
-        return sum(_nodes(item) for item in value)
-    if isinstance(value, S.Node):
-        return 1 + sum(_nodes(getattr(value, f.name)) for f in dataclasses.fields(value))
-    return 0
-
-
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".loop")))
 def test_translate_counts_the_image_and_prints_no_term(name, monkeypatch):
     """The report prints no image constant: with printer.show_term raising
@@ -66,7 +57,7 @@ def test_translate_counts_the_image_and_prints_no_term(name, monkeypatch):
     with open(GOLDEN, "r", encoding="utf-8") as handle:
         assert json.dumps(data, sort_keys=True) == json.load(handle)[rel]
     (terms,) = [phase["payload"]["terms"] for phase in data["phases"] if phase["name"] == "translate"]
-    assert terms == {cst: _nodes(term) for cst, term in report.image.csts}
+    assert terms == {cst: node_count(term) for cst, term in report.image.csts}
 
 
 def test_failed_phase_truncates_list():

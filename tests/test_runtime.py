@@ -346,8 +346,8 @@ def random_label_step(rng, labels=1, bound=4, closure=False, start=None, counted
     step in eight reads its first item only by a dropped rec that never
     runs (READ_BY_NO_RUN), and starts with the closure g there: the
     kernel's entry test fails in the first iteration, which completes,
-    and holds from the next one on, unless a chain keeps the item as it
-    is."""
+    and the rec runs on by single steps, as the kernel is tried once per
+    run of a rec."""
     fresh = iter(range(1000))
     width = rng.randint(1, 3)
     acc = [f"a{j}" for j in range(width)]
@@ -496,12 +496,6 @@ def kernel_results(monkeypatch):
     return results
 
 
-def entered_after_a_miss(results):
-    """Whether a kernel call that returned None was followed by one that
-    ran: a miss in an iteration that completed."""
-    return None in results and any(r is not None for r in results[results.index(None):])
-
-
 def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     """A kernel makes the checks of every iteration once, at entry, and
     then takes the iterations of a loop in closed form.  On random steps,
@@ -513,8 +507,8 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     those enter a kernel.  Sixty more are chains of succ and pred on the
     accumulator items, more than 15 of which are loops, and more than 5
     of which move an item into another slot and so are none.  In more
-    than 5 steps a kernel runs after it has returned None in an iteration
-    that completed (READ_BY_NO_RUN).
+    than 5 steps a kernel returns None in an iteration that completes
+    (READ_BY_NO_RUN), and the rec's single steps that follow agree too.
 
     Each of these changes, made on a copy, fails this test:
     n = bound - k + 1 iterations in kernels.run_loop; the first iteration
@@ -524,9 +518,7 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
     check of the outer values dropped; its check of acc's items dropped;
     a chain from a value powered n times; the counter origin read as the
     first iteration's k; runtime._compile_loop taking a closing tuple
-    that fills an item from another item; the kernel tried at the _REC_NEXT
-    frame as well, from the next counter, and charged as at the _REC_LOOP
-    frame, one transition short."""
+    that fills an item from another item."""
     entered = entered_loops(monkeypatch)
     results = kernel_results(monkeypatch)
     rng = random.Random(11)
@@ -549,7 +541,8 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
         loop = loop_of(term)
         seen[outcome(single, steps)[0], loop is not None] += 1
-        seen["after a miss"] += entered_after_a_miss(results)
+        # a miss in a run that completes: the rec ran on by single steps
+        seen["missed"] += None in results and outcome(single, steps)[0] == "value"
         if mode == 1:
             seen["counted", bool(entered)] += 1
         if mode == 4:
@@ -559,7 +552,7 @@ def test_the_steady_state_of_a_kernel_agrees_with_single_steps(monkeypatch):
         assert outcome(erase(parse_term(text)), 100) == ("stuck", "StuckTerm: expected a numeral, found <closure>")
     assert seen["value", True] > 40 and seen["stuck", True] > 20 and seen["counted", True] > 15, seen
     assert seen["closed", True] > 15 and seen["closed", False] > 5, seen
-    assert seen["after a miss"] > 5, seen
+    assert seen["missed"] > 5, seen
 
 
 def random_chain_step(rng):
@@ -576,8 +569,8 @@ def random_chain_step(rng):
     iteration.  One step in five reads its first item first by a dropped
     rec that never runs (READ_BY_NO_RUN) and starts with the closure g
     there: the kernel's entry test fails in the first iteration, which
-    completes unless the step reads the item otherwise, and holds from
-    the next one on where the item's chain starts from a value.  Returns
+    completes unless the step reads the item otherwise, and the rec runs
+    on by single steps, as the kernel is tried once per run of a rec.  Returns
     the rec's text and whether erasure must leave the step with no loop
     (a move)."""
     fresh = iter(range(1000))
@@ -636,8 +629,8 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
     another slot must have no loop, and every other step a loop.  More
     than 40 of the steps enter a kernel with an item from each kind of
     origin, more than 20 get stuck and more than 20 have no loop, and in
-    more than 15 a kernel runs after it has returned None in an iteration
-    that completed (READ_BY_NO_RUN).
+    more than 15 a kernel returns None in an iteration that completes
+    (READ_BY_NO_RUN), and the rec's single steps that follow agree too.
 
     Each of these changes, made on a copy, fails this test: a chain from
     a value powered n times, like an item's own (kernels.run_loop); the
@@ -646,9 +639,7 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
     values dropped; its check of acc's items dropped; (n - 1) read as n
     in the power's clamp; the kernel's turn in runtime.evaluate charging
     charge + 1; a move accepted as a chain from the slot's own item
-    (runtime._compile_loop); the kernel tried at the _REC_NEXT frame as
-    well, from the next counter, and charged as at the _REC_LOOP frame,
-    one transition short."""
+    (runtime._compile_loop)."""
     entered = entered_loops(monkeypatch)
     results = kernel_results(monkeypatch)
     rng = random.Random(37)
@@ -662,7 +653,7 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
         results.clear()
         for fuel in [steps, steps - 1] + [rng.randint(0, 2 * steps) for _ in range(3)]:
             assert outcome(term, fuel) == outcome(single, fuel), (text, fuel)
-        seen["after a miss"] += entered_after_a_miss(results)
+        seen["missed"] += None in results and outcome(single, steps)[0] == "value"
         origins = set()
         for loop in entered:
             for origin, _ in loop[2][-1][2]:
@@ -672,7 +663,7 @@ def test_chains_from_values_agree_with_single_steps(monkeypatch):
         seen[outcome(single, steps)[0]] += 1
         seen["refused"] += refused
     assert min(seen["own"], seen["counter"], seen["numeral"], seen["outer"]) > 40, seen
-    assert seen["stuck"] > 20 and seen["refused"] > 20 and seen["after a miss"] > 15, seen
+    assert seen["stuck"] > 20 and seen["refused"] > 20 and seen["missed"] > 15, seen
 
 
 def test_place_loop_runs_in_closed_form_at_a_trillion_iterations():
@@ -731,6 +722,30 @@ def test_how_often_the_kernel_runs_is_pinned(monkeypatch):
         counts[name] = (compiled[True], compiled[False], len(results), len(results) - results.count(None))
     # (steps with a loop, steps without, run_loop calls, calls that take the loop)
     assert counts == {"corpus": (4, 1, 4, 4), "programs": (5, 1, 4, 4), "generated": (162, 82, 974, 974)}, counts
+
+
+def test_a_rec_tries_the_kernel_once(monkeypatch):
+    """A slot that carries a closure through every iteration fails the
+    kernel's entry test in each.  The machine tries the kernel once in
+    that rec and takes the 100,000 iterations by single steps, at 17
+    transitions an iteration plus 28, the value and least fuel of the
+    single-step machine.  A machine that keeps the step's loop after the
+    kernel returns None calls the kernel in every iteration, and fails
+    this test."""
+    results = kernel_results(monkeypatch)
+    entry = ("fn x : <nat> => let <n> = x in let f = fn u : nat => u in rec(n, <f, 0>, fn i : nat =>"
+             " fn a : <nat -> nat, nat> => let <p, z> = a in let z = succ(z) in <p, z>)")
+    text = f"discipline FS;\ncst entry = {entry};\n"
+    report = pipeline.run_pipeline("entry.loop", text=text, args=(100000,))
+    assert report.exit_code == pipeline.EXIT_OK, report.diagnostics
+    assert report.phases[-1]["payload"] == {"value": "<<closure>, 100000>"}
+    assert results == [None]
+    term = RApp(pipeline.erase_image(parse(text), "entry"), RTuple((RNum(100000),)))  # as --args runs it
+    results.clear()
+    assert show_value(evaluate(term, 1700028)) == "<<closure>, 100000>"
+    with pytest.raises(FuelExhausted):
+        evaluate(term, 1700027)
+    assert results == [None, None]
 
 
 def test_a_succ_of_an_outer_variable_enters_the_kernel(monkeypatch):

@@ -2,16 +2,20 @@
 
 The parser builds one object for each distinct individual, type atom and
 family of a file, and `dependent.CheckCtx` memoises the coercion and axiom
-rules' kernel calls on them by identity.  Neither may change what a file
-means or what a report says.
+rules' kernel calls on them by identity.  Past the parser, translate
+shares its variables and steps, erasure its variables, zero and steps,
+and the checkers the types of their succ and pred steps.  None of these
+may change what a file means or what a report says.
 """
 
+import cProfile
+import dataclasses
 import glob
 import os
 
 import pytest
 
-from loopcert import dependent, pipeline
+from loopcert import dependent, pipeline, runtime
 from loopcert import syntax as S
 from loopcert.errors import ParseError
 from loopcert.parser import parse
@@ -106,3 +110,108 @@ def test_accepted_checks_print_nothing(path, monkeypatch):
     checked = pipeline.check_source(sf)
     pipeline.check_target(sf, checked, pipeline.translate_file(sf))
     assert shown == []
+
+
+def _erased_nodes(term):
+    """Every node of an erased term, once for each place that holds it."""
+    out, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        for f in dataclasses.fields(node):
+            child = getattr(node, f.name)
+            stack.extend([c for c in (child if type(child) is tuple else (child,)) if isinstance(c, runtime.RTerm)])
+    return out
+
+
+# Two equal rec steps, each fn acc with a loop of its own
+TWIN_LOOPS = ("discipline FS;\ncst c = fn n : nat => <"
+              + ", ".join(["rec(n, <0>, fn i : nat => fn a : <nat> => let <z> = a in let z = succ(z) in <z>)"] * 2)
+              + ">;\n")
+
+
+# An IS chain that repeats two numerals
+NUMERALS = ("discipline IS;\nmain {\n" + "  z := 2;\n  z := 3;\n  inc(z);\n" * 10 + "} out [z : nat]\n")
+
+
+@pytest.mark.parametrize("text", [_BENCH.is_chain(50), _BENCH.id_chain(50), NUMERALS],
+                         ids=["is_chain", "id_chain", "numerals"])
+def test_an_image_holds_one_variable_one_step_and_one_numeral_each(text):
+    """One `TVar` for each name, one `TSucc` or `TPred` of it for each
+    name (the images of `inc` and `dec`) and one chain for each numeral."""
+    nodes = _nodes(pipeline.translate_file(parse(text)), [])
+    variables = [node for node in nodes if type(node) is S.TVar]
+    assert len({id(node) for node in variables}) == len({node.name for node in variables}) < len(variables) / 2
+    for cls in (S.TSucc, S.TPred):
+        steps = [node for node in nodes if type(node) is cls and type(node.arg) is S.TVar]
+        assert len({id(node) for node in steps}) == len({node.arg.name for node in steps})
+    if text is NUMERALS:  # the chains of 2 and 3, and succ(z)
+        assert len({id(node) for node in nodes if type(node) is S.TSucc}) == 2 + 3 + 1
+
+
+def _resolve(term, scope):
+    """Each variable of an erased term names the binder its index reaches;
+    scope holds the names bound around term, the innermost last."""
+    cls = type(term)
+    if cls is runtime.RVar:
+        assert term.index is not None and scope[-1 - term.index] == term.name, (term, scope[-5:])
+        return
+    for f in dataclasses.fields(term):
+        child = getattr(term, f.name)
+        inner = scope
+        if f.name == "body":
+            if cls is runtime.RLet or cls is runtime.RFn:
+                inner = scope + [term.name if cls is runtime.RLet else term.param]
+            elif cls is runtime.RLetMatch:
+                inner = scope + list(term.names)
+        for c in child if type(child) is tuple else (child,):
+            if isinstance(c, runtime.RTerm):
+                _resolve(c, inner)
+
+
+def test_an_erasure_holds_one_variable_per_name_and_index_and_shares_no_fn():
+    """One `RVar` for each (name, index), each of which reaches a binder
+    of its name, and each fn where it stands: the fn acc of each rec step
+    carries its own loop.  An erasure table that keys a variable by its
+    name alone fails this test."""
+    reads = "discipline FS;\ncst c = let x = 0 in let y = x in let w = x in <x, y, w>;\n"
+    for text in (_BENCH.is_chain(50), _BENCH.id_chain(50), TWIN_LOOPS, reads):
+        sf = parse(text)
+        if sf.discipline == "FS":
+            erased = pipeline.erase_image(sf, "c")
+        else:
+            erased = pipeline.erase_image(pipeline.translate_file(sf))
+        _resolve(erased, [])
+        nodes = _erased_nodes(erased)
+        variables = {}
+        for node in nodes:
+            if type(node) is runtime.RVar:
+                variables.setdefault((node.name, node.index), set()).add(id(node))
+        assert all(len(ids) == 1 for ids in variables.values())
+        if text is not reads:  # each variable of reads stands once
+            assert len(variables) < sum(type(node) is runtime.RVar for node in nodes)
+        if text is TWIN_LOOPS:
+            fns = [node for node in nodes if type(node) is runtime.RFn]
+            assert len({id(fn) for fn in fns}) == len(fns) > len(set(fns))  # equal fns, none shared
+            assert sum(fn.loop is not None for fn in fns) == 2
+
+
+def test_a_check_builds_one_type_per_step():
+    """check-source (T_INC, T_DEC) and check-target (TC_SUCC, TC_PRED_D)
+    build one nat(succ(i)) and one nat(pred(i)) for each index i they
+    step, however many inc/dec pairs the ID chain repeats: the count of
+    FNat nodes they build does not grow with the chain."""
+    code = S.FNat.__init__.__code__
+
+    def built(n):
+        sf = parse(_BENCH.id_chain(n))
+        image = pipeline.translate_file(sf)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            pipeline.check_target(sf, pipeline.check_source(sf), image)
+        finally:
+            profiler.disable()
+        return sum(entry.callcount for entry in profiler.getstats() if entry.code is code)
+
+    assert built(100) == built(200)
