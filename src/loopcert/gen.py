@@ -20,6 +20,8 @@ Rng = random.Random
 # Well-typed jump-free IS programs
 # ---------------------------------------------------------------------------
 
+# a nat or top that the generator puts in a typing is one of these objects,
+# so it tests for them by identity; procedure types compare by ==
 NAT = S.FNat(None)
 TOP = S.FTop()
 UNARY_PROC = S.PProc(S.ProtoBase((NAT,), S.OSimple((NAT,))))
@@ -44,8 +46,8 @@ class _ProgGen:
     # nat-typed expressions over the current scopes
     def nat_expr(self, gamma: Dict[str, S.Prop], omega: Dict[str, S.Prop]) -> S.Expr:
         rng = self.rng
-        nat_vars = [x for x, t in omega.items() if t == NAT]
-        nat_consts = [x for x, t in gamma.items() if t == NAT]
+        nat_vars = [x for x, t in omega.items() if t is NAT]
+        nat_consts = [x for x, t in gamma.items() if t is NAT]
         pool = nat_vars + nat_consts
         if pool and rng.random() < 0.6:
             return S.EVar(rng.choice(pool))
@@ -74,7 +76,7 @@ class _ProgGen:
         return S.EProc(header), S.PProc(proto)
 
     def argument_for(self, want: S.Prop, gamma: Dict[str, S.Prop], omega: Dict[str, S.Prop]) -> S.Expr:
-        if want == NAT:
+        if want is NAT:
             return self.nat_expr(gamma, omega)
         matching = [x for x, t in gamma.items() if t == want] + [
             x for x, t in omega.items() if t == want
@@ -90,8 +92,8 @@ class _ProgGen:
     def _fixup(self, omega: Dict[str, S.Prop], wanted: Dict[str, S.Prop]) -> List[S.CAssign]:
         fixes = []
         for name, t in reversed(list(wanted.items())):
-            if omega.get(name) != t:
-                value = S.ENum(self.rng.randrange(0, 6)) if t == NAT else S.EStar()
+            if omega.get(name) is not t:
+                value = S.ENum(self.rng.randrange(0, 6)) if t is NAT else S.EStar()
                 fixes.append(S.CAssign(name, value))
         fixes.reverse()
         return fixes
@@ -122,12 +124,12 @@ class _ProgGen:
                     items.append(S.CAssign(name, self.nat_expr(gamma, omega)))
                     omega = {**omega, name: NAT}
             elif choice < 0.45:
-                nat_vars = [x for x, t in omega.items() if t == NAT]
+                nat_vars = [x for x, t in omega.items() if t is NAT]
                 if nat_vars:
                     name = rng.choice(nat_vars)
                     items.append(S.CInc(name) if rng.random() < 0.7 else S.CDec(name))
             elif choice < 0.55 and depth > 0:
-                nat_vars = [x for x, t in omega.items() if t == NAT]
+                nat_vars = [x for x, t in omega.items() if t is NAT]
                 if nat_vars:
                     frame_names = rng.sample(nat_vars, rng.randrange(1, min(3, len(nat_vars)) + 1))
                     frame = tuple((x, NAT) for x in frame_names)

@@ -16,10 +16,14 @@ All nodes are slotted (no per-node ``__dict__``) and immutable.  Every
 node class is made by the decorator ``node``: a dataclass whose
 ``__init__`` writes each field through its slot descriptor, below the
 one ``__setattr__`` and ``__delattr__`` of the base ``Immutable``, which
-raise ``FrozenInstanceError``.  So a ``TLet`` is built in 0.48 µs, against
+raise ``FrozenInstanceError``.  So a ``TLet`` is built in 0.46–0.48 µs, against
 1.28 µs as a frozen dataclass, which calls ``object.__setattr__`` per
-field (timeit, Python 3.11.7).  Operations in this module are pure
-functions.
+field (timeit, Python 3.11.7).  A node's ``__init__`` and ``==`` and the
+walks of ``open_inds`` are compiled from source at import, once per
+field shape and not once per class; ``repr`` is one method of
+``Immutable`` and ``hash`` reads the compared fields with an
+``attrgetter``, so neither is compiled.  Operations in this module are
+pure functions.
 
 Binders over individuals are locally nameless.  Each class with a
 ``_binds_ind`` attribute binds one individual over the fields it lists:
@@ -46,14 +50,15 @@ The kernel (``alpha_eq``, ``subst_ind``, ``open_inds``, ``close_ind`` and
 ``free_ind_vars``) acts on types and individuals only.  Terms compare by
 ``==``, their binder names included, and only tests compare them.
 ``open_inds``, the walk of ``subst_ind`` and ``close_ind`` too, takes each
-node by the walk of its exact class, compiled from the class's fields at
-import as its ``__init__`` is: one Python call a node, and a node in
+node by the walk of its exact class, compiled from the class's field
+shape at import as its ``__init__`` is: one Python call a node, and a node in
 which nothing changes comes back itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
+from operator import attrgetter
 from typing import Any, Callable, Optional, Tuple
 
 Span = Tuple[int, int]  # (line, column); a parsed node's is a parser.Mark, read the same way
@@ -80,6 +85,11 @@ class Immutable:
         # would assign its slots
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+    def __repr__(self) -> str:
+        # dataclass's repr, read from the fields: spans and RFn.loop are not shown
+        shown = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr]
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
 
 class Node(Immutable):
     """Base class for all syntax nodes."""
@@ -87,20 +97,48 @@ class Node(Immutable):
     __slots__ = ()
 
 
-def node(cls: Optional[type] = None, *, eq: bool = True) -> Any:
-    """The decorator of every node class, `@node` or `@node(eq=False)`: a
-    slotted dataclass with == and hash (unless eq=False) and the __init__
-    of `_init_of`.  Its base, `Node` or `runtime.RTerm`, derives from
-    `Immutable`, which keeps it immutable."""
+def node(cls: type) -> type:
+    """The decorator of every node class: a slotted dataclass (its fields,
+    `replace` and `__match_args__`) whose __init__, == and hash are this
+    module's, and whose repr is `Immutable`'s.  dataclass compiles none
+    of them.  __init__ and == are compiled from source at import, as
+    dataclass would compile them, but once per field shape (`_compiled`):
+    the 84 classes have 52 __init__ shapes and 39 == shapes.  hash is
+    dataclass's value, hash of the tuple of the compared fields, read by
+    an attrgetter.  A class that defines its own == (`CFor`) keeps it and
+    its own hash.  The base, `Node` or `runtime.RTerm`, derives from
+    `Immutable`, which keeps the node immutable."""
+    if cls.__doc__ is None:  # else dataclass writes one from inspect.signature, slowly
+        cls.__doc__ = cls.__name__
+    cls = dataclass(cls, slots=True, init=False, repr=False, eq=False)
+    cls.__init__ = _init_of(cls)
+    if "__eq__" not in cls.__dict__:
+        compared = tuple(f.name for f in fields(cls) if f.compare)
+        cls.__eq__ = _eq_of(cls, compared)
+        cls.__hash__ = _hash_of(cls, compared)
+    return cls
 
-    def wrap(cls: type) -> type:
-        if cls.__doc__ is None:  # else dataclass writes one from inspect.signature, slowly
-            cls.__doc__ = cls.__name__
-        cls = dataclass(cls, slots=True, init=False, eq=eq, unsafe_hash=eq)
-        cls.__init__ = _init_of(cls)
-        return cls
 
-    return wrap if cls is None else wrap(cls)
+# each distinct source compiled for a node method or walk, to the function
+# `make` it defines
+_MAKERS: dict = {}
+
+
+def _compiled(source: str, name: str, **free: Any) -> Callable[..., Any]:
+    """What `make(**free)` returns, make being the function that source
+    defines: a node method or walk.  Each distinct source is compiled once
+    (its code's file is "<string>"), and the classes of one field shape
+    share it; each class's function gets its own code object, named name,
+    so that profiles tell the classes apart."""
+    make = _MAKERS.get(source)
+    if make is None:
+        namespace: dict = {}
+        exec(source, {}, namespace)
+        make = _MAKERS[source] = namespace["make"]
+    fn = make(**free)
+    fn.__code__ = fn.__code__.replace(co_name=name)
+    fn.__qualname__ = name
+    return fn
 
 
 def _init_of(cls: type) -> Callable[..., None]:
@@ -108,8 +146,7 @@ def _init_of(cls: type) -> Callable[..., None]:
     defaults included, that dataclass's own would, and writes each field
     (an init=False one with its default) by calling the __set__ of the
     field's slot descriptor, so a node is built in one Python call and
-    no __setattr__ runs.  Compiled from source once per class, as
-    dataclass compiles its methods."""
+    no __setattr__ runs."""
     params, lines, free = [], [], {}
     for f in fields(cls):
         assert f.default_factory is MISSING, f"{cls.__name__}.{f.name}: no default_factory"
@@ -123,11 +160,33 @@ def _init_of(cls: type) -> Callable[..., None]:
               f"    def __init__({', '.join(['self'] + params)}):\n"
               + ("".join(lines) or "        pass\n")
               + "    return __init__\n")
-    namespace: dict = {}
-    exec(source, {}, namespace)  # the code's file is "<string>"
-    init = namespace["make"](**free)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    return _compiled(source, f"{cls.__qualname__}.__init__", **free)
+
+
+def _eq_of(cls: type, compared: Tuple[str, ...]) -> Callable[[Any, Any], Any]:
+    """dataclass's == (of Python 3.11) over the compared fields: a node of
+    the same class whose compared fields are equal, compared as tuples, so
+    identical children are not compared."""
+    mine, theirs = ("".join(f"{who}.{name}," for name in compared) for who in ("self", "other"))
+    source = ("def make():\n    def __eq__(self, other):\n"
+              "        if other.__class__ is self.__class__:\n"
+              f"            return ({mine}) == ({theirs})\n"
+              "        return NotImplemented\n    return __eq__\n")
+    return _compiled(source, f"{cls.__qualname__}.__eq__")
+
+
+def _hash_of(cls: type, compared: Tuple[str, ...]) -> Callable[[Any], int]:
+    """dataclass's hash, hash((compared fields,)), with the fields read by
+    an attrgetter: no node is hashed while a file is checked, run or
+    generated, so it need not be compiled."""
+    one = len(compared) == 1  # then the attrgetter gives the field, not a tuple
+    get = attrgetter(*compared) if compared else lambda node: ()
+
+    def __hash__(self: Any) -> int:
+        return hash((get(self),) if one else get(self))
+
+    __hash__.__qualname__ = f"{cls.__qualname__}.__hash__"
+    return __hash__
 
 
 def _span_field() -> Any:
@@ -630,7 +689,7 @@ class CBlock(Command):
     span: Optional[Span] = _span_field()
 
 
-@node(eq=False)
+@node
 class CFor(Command):
     var: str  # loop counter ident
     idx: Optional[str]  # the index's hint; None when the loop is written without one
@@ -899,22 +958,21 @@ def _open_tuple(value: tuple, subs: Any, depth: int, name: Optional[str]) -> tup
 
 
 def _open_of(plan: _Plan) -> Callable[..., Any]:
-    """open_inds's walk of a node of plan's class, compiled as `_init_of`
-    compiles __init__: each field that may hold syntax goes to the walk of
-    its value's exact class, one binder deeper where the node's binder
-    scopes over it; the node comes back itself when no field changed."""
-    shifts, walk = plan.shifts, f"open_{plan.cls.__name__}"
+    """open_inds's walk of a node of plan's class, compiled once per field
+    shape as `_init_of`'s __init__: each field that may hold syntax goes
+    to the walk of its value's exact class, one binder deeper where the
+    node's binder scopes over it; the node comes back itself when no field
+    changed."""
+    shifts = plan.shifts
     new = {fname: f"n{k}" for k, (fname, _) in enumerate(shifts)}
     args = [new.get(f, f"v.{f}") for f in plan.fields] + ["v.span"] * plan.has_span
-    source = (f"def make(walks, cls):\n    def {walk}(v, subs, depth, name):\n"
+    source = ("def make(walks, cls):\n    def walk(v, subs, depth, name):\n"
               + "".join(f"        o{k} = v.{fname}\n"
                         f"        n{k} = walks[type(o{k})](o{k}, subs, depth{' + 1' * shift}, name)\n"
                         for k, (fname, shift) in enumerate(shifts))
               + f"        if {' and '.join(f'n{k} is o{k}' for k in range(len(shifts)))}:\n"
-              f"            return v\n        return cls({', '.join(args)})\n    return {walk}\n")
-    namespace: dict = {}
-    exec(source, {}, namespace)  # the code's file is "<string>"
-    return namespace["make"](_OPEN, plan.cls)
+              f"            return v\n        return cls({', '.join(args)})\n    return walk\n")
+    return _compiled(source, f"open_{plan.cls.__name__}", walks=_OPEN, cls=plan.cls)
 
 
 # open_inds's walk of each exact class a syntax field may hold; the
